@@ -15,8 +15,9 @@ experiments: table1 fig8a fig8b fig9 fig10 fig11a fig11b fig12 fig13 ablate
                    both modes produce bit-identical relations)
              fuzz-spec (generates --iters random well-typed workload specs
                    and runs each through the differential oracles:
-                   indexed ≡ naive conflict builder and serial ≡ parallel
-                   scheduler bit-identity; fails on any divergence)
+                   serial ≡ parallel scheduler and Phase 1 bit-identity,
+                   plus conflict builder ≡ naive reference edge sets on
+                   every step; fails on any divergence)
              spec-check (parses + statically checks every spec under
                    specs/, and asserts every specs/bad/*.spec is rejected)
              scale (paper-scale runs: census at 40x and dcdense at 62.5x —
@@ -52,13 +53,6 @@ options:
   --scheduler M      step scheduler for chain solves: serial (default) or
                      parallel (independent steps run concurrently;
                      bit-identical results under a fixed seed)
-  --conflict B       conflict-hypergraph builder: indexed (default) or
-                     naive (the retained O(|P|^k) baseline; identical
-                     output, build cost only — for A/B measurement)
-  --dcplan P         DC planner for the indexed builder: cost (default;
-                     sampled-statistics planning, bulk clique emission,
-                     per-partition index-kind choice) or static (the PR 5
-                     hints; identical output — the measured oracle)
   --phase1 M         Phase 1 mode: serial (default) or parallel (shards
                      Algorithm 2 bitmap passes, leftover grouping and
                      per-shard RNG completion across CEXTEND_SCHED_WORKERS;
@@ -159,16 +153,6 @@ fn parse(args: &[String]) -> Result<(Vec<String>, ExperimentOpts), String> {
                 let mode = take("--scheduler")?;
                 opts.scheduler = cextend_core::SchedulerMode::parse(&mode)
                     .ok_or_else(|| format!("bad --scheduler `{mode}`: serial or parallel"))?;
-            }
-            "--conflict" => {
-                let kind = take("--conflict")?;
-                opts.conflict = cextend_core::ConflictBuilderKind::parse(&kind)
-                    .ok_or_else(|| format!("bad --conflict `{kind}`: indexed or naive"))?;
-            }
-            "--dcplan" => {
-                let kind = take("--dcplan")?;
-                opts.dcplan = cextend_core::DcPlannerKind::parse(&kind)
-                    .ok_or_else(|| format!("bad --dcplan `{kind}`: cost or static"))?;
             }
             "--phase1" => {
                 opts.parallel_phase1 = match take("--phase1")?.as_str() {

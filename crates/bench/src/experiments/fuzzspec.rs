@@ -3,10 +3,12 @@
 //!
 //! `fuzz-spec` generates `--iters` random workload specs (each a ≥3-wide
 //! star whose first dimension heads a multi-hop chain), lowers each
-//! through the full parse → check → lower pipeline, and solves it under
-//! (serial, indexed), (serial, naive) and (parallel, indexed), demanding
-//! bit-identical tables and solve counters. Any divergence, solver error
-//! or self-rejected spec fails the run. The run also asserts coverage:
+//! through the full parse → check → lower pipeline, and solves it serially,
+//! under the parallel step scheduler and on the parallel Phase 1 path,
+//! demanding bit-identical tables and solve counters. It also checks that
+//! the conflict builder produces the naive reference's edge set on every
+//! step's ground-truth view. Any divergence, solver error or self-rejected
+//! spec fails the run. The run also asserts coverage:
 //! at least one generated schedule must have ≥ 3 levels and a ≥ 3-wide
 //! level, so the oracles demonstrably exercised both chain scheduling and
 //! star parallelism.
@@ -37,7 +39,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         let out = run_differential_oracles(&workload, iteration_seed(opts.seed, iter), n_ccs)
             .map_err(|e| format!("iteration {iter}: {e}"))?;
         println!(
-            "  [{iter:>2}] {}: {} steps, {} levels, widest level {} — both oracles ok",
+            "  [{iter:>2}] {}: {} steps, {} levels, widest level {} — all oracles ok",
             out.name, out.n_steps, out.levels, out.max_width
         );
         best_levels = best_levels.max(out.levels);
@@ -50,8 +52,8 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         ));
     }
     println!(
-        "\nfuzz-spec: {} iterations green — indexed ≡ naive and serial ≡ parallel on every \
-         spec (deepest schedule {best_levels} levels, widest level {best_width})",
+        "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets and serial ≡ parallel \
+         on every spec (deepest schedule {best_levels} levels, widest level {best_width})",
         opts.iters
     );
     Ok(())

@@ -12,7 +12,7 @@
 use crate::harness::{chain_steps, fmt_err, fmt_s, ExperimentOpts, Table};
 use cextend_core::metrics::median;
 use cextend_core::snowflake::{solve_snowflake, SnowflakeSolution, SnowflakeStep};
-use cextend_core::{ConflictBuilderKind, SchedulerMode, SolverConfig};
+use cextend_core::{SchedulerMode, SolverConfig};
 use cextend_workloads::{all_workloads, CcFamily, DcSet, Workload, WorkloadData};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -106,15 +106,13 @@ pub fn sweep_workload(
     n_ccs: usize,
     seed: u64,
     runs: usize,
-    conflict: ConflictBuilderKind,
 ) -> Vec<LevelTiming> {
     let name = workload.meta().name;
     let steps = chain_steps(workload, data, CcFamily::Good, DcSet::All, n_ccs, seed);
     let solve_one = |mode: SchedulerMode, i: usize| -> SnowflakeSolution {
         let config = SolverConfig::hybrid()
             .with_seed(seed + i as u64)
-            .with_scheduler(mode)
-            .with_conflict(conflict);
+            .with_scheduler(mode);
         solve_snowflake(data.relations.clone(), &steps, &config)
             .expect("solver never fails with augmentation on")
     };
@@ -203,7 +201,6 @@ pub fn sweep_all(opts: &ExperimentOpts) -> Vec<LevelTiming> {
             sub.n_ccs,
             sub.seed,
             sweep_runs(opts),
-            sub.conflict,
         ));
     }
     out

@@ -10,17 +10,19 @@
 //! rendering is written to `<out>/perf_trend.md` when `--out` is set —
 //! the ROADMAP's "benchmark dashboard" artifact.
 //!
-//! Lines whose run parameters (`scale_factor`, `n_ccs`, `runs`, `seed`,
-//! `conflict` builder) differ from the newest line's are still shown but
-//! flagged with `*` in the column header: their walls are not
-//! apples-to-apples, exactly the comparability rule `perf-check` enforces.
+//! Lines whose run parameters (`scale_factor`, `n_ccs`, `runs`, `seed`)
+//! differ from the newest line's are still shown but flagged with `*` in
+//! the column header: their walls are not apples-to-apples, exactly the
+//! comparability rule `perf-check` enforces. The `conflict`/`dcplan`
+//! builder labels older lines carry are ignored, as `perf-check` ignores
+//! them.
 //!
 //! `"kind":"scale"` lines (appended by `experiments -- scale`) live in a
 //! different parameter space than the perf sweep — showing them here would
 //! make the newest scale line the comparability anchor and star every perf
 //! column — so they are skipped with a printed count.
 
-use super::{conflict_label, json_field as field};
+use super::json_field as field;
 use crate::harness::{fmt_s, ExperimentOpts, Table};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -63,20 +65,12 @@ fn parse_line(line: &str, lineno: usize) -> Result<HistoryLine, String> {
             other => format!("{other:?}"),
         }
     };
-    // The conflict-builder and DC-planner labels count as run parameters:
-    // naive walls are not comparable to indexed ones, nor static-planner
-    // walls to cost-planner ones (shared defaulting rules:
-    // `super::conflict_label` / `super::dcplan_label`).
-    let conflict = conflict_label(&top);
-    let dcplan = super::dcplan_label(&top);
     let params = format!(
-        "scale_factor={} n_ccs={} runs={} seed={} conflict={} dcplan={}",
+        "scale_factor={} n_ccs={} runs={} seed={}",
         num("scale_factor"),
         num("n_ccs"),
         num("runs"),
         num("seed"),
-        conflict,
-        dcplan
     );
     let Some(serde::Value::Object(walls_obj)) = field(&top, "walls") else {
         return Err(format!("history line {lineno} has no `walls` object"));
@@ -402,19 +396,21 @@ mod tests {
     }
 
     #[test]
-    fn naive_conflict_lines_are_flagged() {
-        // Same data parameters, different conflict builder: walls differ
-        // ~17x on DC-dense records, so the older line must be starred. An
-        // absent field (pre-PR5 line) counts as indexed.
-        let naive = line("old", 0.005, &[("dcdense/good/s", 1.7)])
-            .replace(r#""runs":1,"#, r#""runs":1,"conflict":"naive","#);
+    fn retired_builder_labels_do_not_flag_lines() {
+        // Older lines carry the `conflict`/`dcplan` labels of the retired
+        // builder knobs; every solve now runs one builder, so a line with
+        // them is as comparable as one without.
+        let labelled = line("old", 0.005, &[("dcdense/good/s", 0.1)]).replace(
+            r#""runs":1,"#,
+            r#""runs":1,"conflict":"indexed","dcplan":"cost","#,
+        );
         let path = write_history(
-            "flag-conflict.jsonl",
-            &[naive, line("new", 0.005, &[("dcdense/good/s", 0.1)])],
+            "retired-labels.jsonl",
+            &[labelled, line("new", 0.005, &[("dcdense/good/s", 0.1)])],
         );
         let (lines, _) = read_history(&path).unwrap();
         let (headers, _) = render_rows(&lines);
-        assert!(headers[1].ends_with('*'), "{headers:?}");
+        assert!(!headers[1].ends_with('*'), "{headers:?}");
         assert!(!headers[2].ends_with('*'));
     }
 

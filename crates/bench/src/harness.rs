@@ -8,9 +8,7 @@
 use cextend_constraints::{CardinalityConstraint, DenialConstraint};
 use cextend_core::metrics::{evaluate, median, EvaluationReport};
 use cextend_core::snowflake::{solve_snowflake, SnowflakeStep};
-use cextend_core::{
-    solve, ConflictBuilderKind, DcPlannerKind, SchedulerMode, SolveStats, SolverConfig,
-};
+use cextend_core::{solve, SchedulerMode, SolveStats, SolverConfig};
 use cextend_obs::narrate;
 use cextend_workloads::{
     workload_by_name, CcFamily, DcSet, Workload, WorkloadData, WorkloadParams,
@@ -99,14 +97,6 @@ pub struct ExperimentOpts {
     pub baseline: Option<PathBuf>,
     /// Step scheduler the solver runs chains with (`--scheduler`).
     pub scheduler: SchedulerMode,
-    /// Conflict-hypergraph builder the solver uses (`--conflict`); output
-    /// is bit-identical across kinds, only build cost differs — `naive` is
-    /// the measured baseline for the indexed fast path.
-    pub conflict: ConflictBuilderKind,
-    /// DC planner for the indexed conflict builder (`--dcplan`); output is
-    /// bit-identical across kinds — `static` is the retained oracle the
-    /// cost planner is measured against.
-    pub dcplan: DcPlannerKind,
     /// Shard Phase I's bulk work across the `CEXTEND_SCHED_WORKERS` pool
     /// (`--phase1 parallel|serial`); output is bit-identical either way.
     pub parallel_phase1: bool,
@@ -136,8 +126,6 @@ impl Default for ExperimentOpts {
             out_dir: None,
             baseline: None,
             scheduler: SchedulerMode::Serial,
-            conflict: ConflictBuilderKind::Indexed,
-            dcplan: DcPlannerKind::Cost,
             parallel_phase1: false,
             history: None,
             label: "dev".to_owned(),
@@ -197,12 +185,10 @@ impl ExperimentOpts {
     }
 
     /// The hybrid solver configuration with the CLI-selected step
-    /// scheduler and conflict builder applied.
+    /// scheduler and Phase 1 mode applied.
     pub fn solver_config(&self) -> SolverConfig {
         SolverConfig::hybrid()
             .with_scheduler(self.scheduler)
-            .with_conflict(self.conflict)
-            .with_dc_planner(self.dcplan)
             .with_parallel_phase1(self.parallel_phase1)
     }
 

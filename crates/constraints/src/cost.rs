@@ -1,9 +1,8 @@
 //! `PlanCost` — sampled-statistics selectivity estimates for DC plans.
 //!
-//! PR 5's planner ordered enumeration variables and picked index kinds from
-//! *static* hints (equality beats range, smaller candidate list first).
-//! This module replaces the hints with estimates derived from
-//! [`cextend_table::ColumnStats`] — the query-optimizer move: per-atom
+//! The conflict builder orders enumeration variables and picks index kinds
+//! from estimates derived from [`cextend_table::ColumnStats`] — the
+//! query-optimizer move: per-atom
 //! selectivities under the usual independence/uniformity assumptions,
 //! composed into per-variable candidate fractions and an expected edge
 //! count. The conflict builder combines these *global* estimates with the
@@ -13,14 +12,14 @@
 //!
 //! Estimates are heuristics and only steer *performance* decisions — edge
 //! sets are produced by exhaustive verified enumeration either way, so a
-//! bad estimate can cost time, never correctness (property-tested:
-//! cost-planned ≡ static-planned edge sets on every workload).
+//! bad estimate can cost time, never correctness (property-tested: the
+//! builder's edge sets equal the naive reference's on every workload).
 
 use crate::dc::{BinaryAtomPlan, DcPlan, UnaryFilter};
 use cextend_table::{CmpOp, ColumnStats, Relation, Value};
 
 /// Fallback selectivities when no statistics are available for a column
-/// (mirrors the spirit of the PR 5 static hints).
+/// (equality is assumed more selective than range).
 const FALLBACK_EQ: f64 = 0.1;
 const FALLBACK_RANGE: f64 = 0.5;
 

@@ -38,80 +38,6 @@ pub enum Phase2Strategy {
     RandomAssignment,
 }
 
-/// Which conflict-hypergraph builder Phase II uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ConflictBuilderKind {
-    /// The indexed fast path: compiled `DcPlan`s, per-partition value
-    /// indexes, incremental atom verification, symmetry dedup (see
-    /// [`crate::conflict`]).
-    #[default]
-    Indexed,
-    /// The naive `O(|P|^k)` enumeration with φ evaluated at every leaf.
-    /// Retained for equivalence testing and as the measured baseline; both
-    /// builders produce identical edge sets, so solver output is
-    /// bit-identical either way.
-    Naive,
-}
-
-impl ConflictBuilderKind {
-    /// Lower-case label used in CLIs and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ConflictBuilderKind::Indexed => "indexed",
-            ConflictBuilderKind::Naive => "naive",
-        }
-    }
-
-    /// Parses a CLI label.
-    pub fn parse(s: &str) -> Option<ConflictBuilderKind> {
-        match s {
-            "indexed" => Some(ConflictBuilderKind::Indexed),
-            "naive" => Some(ConflictBuilderKind::Naive),
-            _ => None,
-        }
-    }
-}
-
-/// How the indexed conflict builder plans each compiled DC.
-///
-/// Output is bit-identical across kinds (property-tested: both planners
-/// produce the same edge *sets*, and Phase II coloring depends only on edge
-/// sets and degrees); only the build cost differs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DcPlannerKind {
-    /// Cost-based planning from sampled column statistics
-    /// ([`cextend_table::ColumnStats`]): equality saturation merges
-    /// interchangeable variables, pure-unary pair DCs are emitted as bulk
-    /// cliques/bi-cliques, driver atoms are picked by estimated
-    /// selectivity, and each enumeration depth chooses hash-bucket,
-    /// sorted-run, or plain-scan execution per partition.
-    #[default]
-    Cost,
-    /// The PR 5 static hints (equality beats range, smallest candidate
-    /// list first), with an index built for every driver atom. Retained as
-    /// the equivalence oracle and the measured baseline.
-    Static,
-}
-
-impl DcPlannerKind {
-    /// Lower-case label used in CLIs and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            DcPlannerKind::Cost => "cost",
-            DcPlannerKind::Static => "static",
-        }
-    }
-
-    /// Parses a CLI label.
-    pub fn parse(s: &str) -> Option<DcPlannerKind> {
-        match s {
-            "cost" => Some(DcPlannerKind::Cost),
-            "static" => Some(DcPlannerKind::Static),
-            _ => None,
-        }
-    }
-}
-
 /// Coloring engine for [`Phase2Strategy::Coloring`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ColoringMode {
@@ -188,14 +114,6 @@ pub struct SolverConfig {
     pub phase2: Phase2Strategy,
     /// Coloring engine (only used by [`Phase2Strategy::Coloring`]).
     pub coloring: ColoringMode,
-    /// Conflict-hypergraph builder (only used by
-    /// [`Phase2Strategy::Coloring`]). Output is bit-identical across kinds;
-    /// only the build cost differs.
-    pub conflict: ConflictBuilderKind,
-    /// DC planner for the indexed conflict builder (only used by
-    /// [`ConflictBuilderKind::Indexed`]). Output is bit-identical across
-    /// kinds; only the build cost differs.
-    pub dc_planner: DcPlannerKind,
     /// ILP settings (only used when Phase I reaches Algorithm 1).
     pub ilp: IlpSettings,
     /// Color partitions on multiple threads (Section A.3). Deterministic:
@@ -238,8 +156,6 @@ impl SolverConfig {
             phase1: Phase1Strategy::Hybrid,
             phase2: Phase2Strategy::Coloring,
             coloring: ColoringMode::Greedy,
-            conflict: ConflictBuilderKind::Indexed,
-            dc_planner: DcPlannerKind::Cost,
             ilp: IlpSettings::default(),
             parallel_coloring: false,
             parallel_phase1: false,
@@ -289,18 +205,6 @@ impl SolverConfig {
         self
     }
 
-    /// Builder-style conflict-builder override.
-    pub fn with_conflict(mut self, conflict: ConflictBuilderKind) -> SolverConfig {
-        self.conflict = conflict;
-        self
-    }
-
-    /// Builder-style DC-planner override.
-    pub fn with_dc_planner(mut self, planner: DcPlannerKind) -> SolverConfig {
-        self.dc_planner = planner;
-        self
-    }
-
     /// Builder-style parallel-coloring override. Phase II conflict building
     /// and coloring are sharded by partition across the
     /// `CEXTEND_SCHED_WORKERS` pool when enabled; results are merged in
@@ -343,32 +247,6 @@ mod tests {
     #[test]
     fn seed_builder() {
         assert_eq!(SolverConfig::hybrid().with_seed(42).seed, 42);
-    }
-
-    #[test]
-    fn conflict_builder_knob_round_trips() {
-        assert_eq!(
-            SolverConfig::hybrid().conflict,
-            ConflictBuilderKind::Indexed
-        );
-        for kind in [ConflictBuilderKind::Indexed, ConflictBuilderKind::Naive] {
-            assert_eq!(ConflictBuilderKind::parse(kind.label()), Some(kind));
-            assert_eq!(SolverConfig::hybrid().with_conflict(kind).conflict, kind);
-        }
-        assert_eq!(ConflictBuilderKind::parse("nope"), None);
-    }
-
-    #[test]
-    fn dc_planner_knob_round_trips() {
-        assert_eq!(SolverConfig::hybrid().dc_planner, DcPlannerKind::Cost);
-        for kind in [DcPlannerKind::Cost, DcPlannerKind::Static] {
-            assert_eq!(DcPlannerKind::parse(kind.label()), Some(kind));
-            assert_eq!(
-                SolverConfig::hybrid().with_dc_planner(kind).dc_planner,
-                kind
-            );
-        }
-        assert_eq!(DcPlannerKind::parse("nope"), None);
     }
 
     #[test]

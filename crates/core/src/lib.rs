@@ -68,19 +68,17 @@ pub mod stepgraph;
 
 pub use baseline::{solve_baseline, solve_baseline_with_marginals, solve_hybrid};
 pub use config::{
-    ColoringMode, ConflictBuilderKind, DcPlannerKind, IlpBackend, IlpSettings, Phase1Strategy,
-    Phase2Strategy, SchedulerMode, SolverConfig,
+    ColoringMode, IlpBackend, IlpSettings, Phase1Strategy, Phase2Strategy, SchedulerMode,
+    SolverConfig,
 };
 
-/// Conflict-hypergraph construction (Definition 5.1): the indexed fast
-/// path, the retained naive oracle, and their build statistics. Public so
-/// the bench harness can measure the builders head to head and the
-/// workload crate can property-test their edge-set equivalence.
+/// Conflict-hypergraph construction (Definition 5.1): the cost-planned
+/// indexed builder Phase II runs, the naive reference builder, and the
+/// build statistics. Public so the bench harness can time the production
+/// builder against the reference and the workload and spec crates can
+/// property-test their edge-set equivalence.
 pub mod conflict {
-    pub use crate::phase2::conflict::{
-        build_conflict_graph, build_conflict_graph_naive, plan_decision_counts, ConflictBuilder,
-        ConflictStats,
-    };
+    pub use crate::phase2::conflict::{build_conflict_graph_naive, ConflictBuilder, ConflictStats};
 }
 pub use error::{CoreError, Result};
 pub use instance::CExtensionInstance;
@@ -179,6 +177,17 @@ mod solve_tests {
         assert!(solution.r1_hat.column_is_complete(fk));
         // No artificial households were needed (Figure 3 exists).
         assert_eq!(solution.stats.counters.new_r2_tuples, 0);
+    }
+
+    #[test]
+    fn hasse_assigned_rows_reach_the_solve_counters() {
+        // CC1 and CC2 (Chicago and NYC owners) are disjoint, so the hybrid
+        // routes both to Algorithm 2, which places every owner.
+        let mut instance = fixtures::running_example();
+        instance.ccs.truncate(2);
+        let solution = solve(&instance, &SolverConfig::hybrid()).unwrap();
+        assert_eq!(solution.stats.counters.s1_ccs, 2);
+        assert_eq!(solution.stats.counters.hasse_assigned_rows, 6);
     }
 
     #[test]
@@ -296,6 +305,39 @@ mod solve_tests {
             solve(&instance, &strict),
             Err(CoreError::NoSolutionWithoutAugmentation { .. })
         ));
+    }
+
+    #[test]
+    fn fresh_keys_stay_unique_when_r2_holds_i64_max() {
+        // As above, but one Chicago household is keyed `i64::MAX`: fresh
+        // keys cannot count up past it and must still avoid every key.
+        let mut instance = fixtures::running_example();
+        let mut housing = cextend_table::Relation::new("Housing", instance.r2.schema().clone());
+        for (hid, area) in [
+            (i64::MAX, "Chicago"),
+            (2, "Chicago"),
+            (5, "NYC"),
+            (6, "NYC"),
+        ] {
+            housing
+                .push_full_row(&[
+                    cextend_table::Value::Int(hid),
+                    cextend_table::Value::str(area),
+                ])
+                .unwrap();
+        }
+        instance.r2 = housing;
+        let solution = solve(&instance, &SolverConfig::hybrid()).unwrap();
+        assert!(solution.stats.counters.new_r2_tuples > 0);
+        let r2_hat = &solution.r2_hat;
+        let k2 = r2_hat.schema().key_col().unwrap();
+        let keys = r2_hat.int_view(k2).unwrap();
+        let distinct: std::collections::HashSet<i64> =
+            r2_hat.rows().map(|r| keys.get(r).unwrap()).collect();
+        assert_eq!(distinct.len(), r2_hat.n_rows(), "R̂2 keys must be unique");
+        let report = evaluate(&instance, &solution).unwrap();
+        assert_eq!(report.dc_error, 0.0);
+        assert!(report.join_recovered);
     }
 
     #[test]

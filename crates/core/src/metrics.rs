@@ -97,14 +97,14 @@ fn dc_error_grouped(
     let grouped = cextend_table::marginals::group_rows(r1_hat, &[fk]);
     let mut violating = vec![false; r1_hat.n_rows()];
     // One builder (compiled DC plans + scratch) across the thousands of
-    // per-FK groups; the cost planner's bulk pair emission skips per-edge
-    // hashing on these small groups (identical edge sets either way).
+    // per-FK groups; bulk pair emission skips per-edge hashing on these
+    // small groups.
     let rows_hint = grouped
         .iter()
         .map(|(_, rows)| rows.len())
         .max()
         .unwrap_or(0);
-    let mut builder = ConflictBuilder::new_cost(&bound, r1_hat, rows_hint);
+    let mut builder = ConflictBuilder::new(&bound, r1_hat, rows_hint);
     for (key, rows) in grouped.iter() {
         if key[0].is_none() || rows.len() < 2 {
             continue;

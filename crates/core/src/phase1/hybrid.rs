@@ -116,7 +116,8 @@ fn run_hybrid(
 
     // ---- Algorithm 2 on the clean diagrams. -----------------------------
     let hasse_stage = cextend_obs::stage("hasse");
-    hasse_rec::run(p1, &kept, &hasse, &clean, config.parallel_phase1, None)?;
+    let out = hasse_rec::run(p1, &kept, &hasse, &clean, config.parallel_phase1, None)?;
+    stats.counters.hasse_assigned_rows += out.assigned_rows;
     drop(hasse_stage);
 
     // ---- Algorithm 1 with modified marginals on the dirty set. ----------

@@ -7,9 +7,9 @@
 //! because candidate key sets are disjoint across combos (Section 5.2), so
 //! they can be colored on separate threads (Section A.3).
 
-use crate::config::{ColoringMode, ConflictBuilderKind, DcPlannerKind};
+use crate::config::ColoringMode;
+use crate::error::Result;
 use crate::phase2::conflict::{ConflictBuilder, ConflictStats};
-use cextend_constraints::BoundDc;
 use cextend_hypergraph::{
     color_skipped_with_fresh, coloring_lf, exact_list_coloring, CandidateLists, Color, Coloring,
     ExactResult,
@@ -37,34 +37,25 @@ pub(crate) struct PartitionResult {
     pub build_time: Duration,
     /// Time spent coloring.
     pub color_time: Duration,
-    /// Indexed-builder statistics for this partition (zero under
-    /// [`ConflictBuilderKind::Naive`]).
+    /// Conflict-builder statistics for this partition.
     pub index_stats: ConflictStats,
 }
 
 /// Colors one partition. Pure apart from the reused `builder` scratch:
-/// mutates nothing outside its return value. `builder` is `None` exactly
-/// under [`ConflictBuilderKind::Naive`], whose index stats are
-/// definitionally zero.
-#[allow(clippy::too_many_arguments)] // one knob per Phase II degree of freedom
+/// mutates nothing outside its return value.
 pub(crate) fn color_partition(
     partition: usize,
     view: &Relation,
     rows: &[RowId],
     n_candidates: usize,
-    dcs: &[BoundDc],
     mode: ColoringMode,
-    builder: Option<&mut ConflictBuilder>,
+    builder: &mut ConflictBuilder,
 ) -> PartitionResult {
     // `obs::timed` measures the interval *and* emits the span from the same
     // clock reads, so the coordinator's `stage_add` of the returned
     // durations matches the trace aggregate exactly.
-    let ((g, index_stats), build_time) = cextend_obs::timed("conflict_build", || match builder {
-        Some(builder) => (builder.build(view, rows), builder.take_stats()),
-        None => (
-            super::conflict::build_conflict_graph_naive(view, rows, dcs),
-            ConflictStats::default(),
-        ),
+    let ((g, index_stats), build_time) = cextend_obs::timed("conflict_build", || {
+        (builder.build(view, rows), builder.take_stats())
     });
 
     let ((g, coloring, skipped_vertices, fresh), color_time) =
@@ -120,51 +111,29 @@ pub(crate) fn color_partition(
 /// small ones behind it) and stream results over a channel; the
 /// coordinator reorders arrivals so `sink` still observes strict partition
 /// order while later partitions are still coloring. Either way the sink
-/// sees the exact sequence the all-at-once API returns, so downstream
-/// minting stays bit-identical across modes and worker widths. Each worker
-/// compiles the DC plans once into its own [`ConflictBuilder`] and reuses
-/// it across its partitions; the worker count honors
-/// `CEXTEND_SCHED_WORKERS` via [`cextend_sched::pool_width`].
-#[allow(clippy::too_many_arguments)] // one knob per Phase II degree of freedom
+/// sees the same sequence, so downstream minting stays bit-identical across
+/// modes and worker widths. The caller compiles `builder` once; each worker
+/// colors with its own clone (the compiled plans plus reusable scratch).
+/// The worker count honors `CEXTEND_SCHED_WORKERS` via
+/// [`cextend_sched::pool_width`]. The first error `sink` returns stops the
+/// stream and is returned; workers finish the partition in hand and exit.
 pub(crate) fn color_partitions_streamed(
     view: &Relation,
     partitions: &[(Vec<cextend_table::Value>, Vec<RowId>, usize)],
-    dcs: &[BoundDc],
     mode: ColoringMode,
-    kind: ConflictBuilderKind,
-    planner: DcPlannerKind,
+    mut builder: ConflictBuilder,
     parallel: bool,
-    mut sink: impl FnMut(PartitionResult),
-) {
-    // Compile the DC plans only when the indexed builder will run; the
-    // naive path would never use them. Cost estimates are nominal for the
-    // largest partition; the sampled statistics behind them are computed
-    // once and shared through the view's thread-safe lazy cache.
-    let rows_hint = partitions.iter().map(|p| p.1.len()).max().unwrap_or(0);
-    let new_builder = || match (kind, planner) {
-        (ConflictBuilderKind::Indexed, DcPlannerKind::Cost) => {
-            Some(ConflictBuilder::new_cost(dcs, view, rows_hint))
-        }
-        (ConflictBuilderKind::Indexed, DcPlannerKind::Static) => Some(ConflictBuilder::new(dcs)),
-        (ConflictBuilderKind::Naive, _) => None,
-    };
+    mut sink: impl FnMut(PartitionResult) -> Result<()>,
+) -> Result<()> {
     if !parallel || partitions.len() < 2 {
-        let mut builder = new_builder();
         for (i, (_, rows, n_cand)) in partitions.iter().enumerate() {
-            sink(color_partition(
-                i,
-                view,
-                rows,
-                *n_cand,
-                dcs,
-                mode,
-                builder.as_mut(),
-            ));
+            sink(color_partition(i, view, rows, *n_cand, mode, &mut builder))?;
         }
-        return;
+        return Ok(());
     }
     let n_threads = cextend_sched::pool_width(partitions.len());
     let next = std::sync::atomic::AtomicUsize::new(0);
+    let builder = &builder;
     std::thread::scope(|scope| {
         let (tx, rx) = std::sync::mpsc::channel::<PartitionResult>();
         for t in 0..n_threads {
@@ -172,15 +141,15 @@ pub(crate) fn color_partitions_streamed(
             let next = &next;
             scope.spawn(move || {
                 cextend_obs::label_thread(&format!("phase2-worker-{t}"));
-                let mut builder = new_builder();
+                let mut builder = builder.clone();
                 loop {
                     let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     let Some((_, rows, n_cand)) = partitions.get(i) else {
                         break;
                     };
-                    let r = color_partition(i, view, rows, *n_cand, dcs, mode, builder.as_mut());
+                    let r = color_partition(i, view, rows, *n_cand, mode, &mut builder);
                     if tx.send(r).is_err() {
-                        break; // coordinator gone (panic unwinding)
+                        break; // coordinator gone (sink error or panic)
                     }
                 }
                 // Hand buffered spans/counters to the collector before the
@@ -192,43 +161,26 @@ pub(crate) fn color_partitions_streamed(
         // Reorder out-of-order arrivals: deliver the contiguous prefix as
         // it completes, buffering only the gap between the fastest and
         // slowest in-flight partition.
-        let mut pending: std::collections::HashMap<usize, PartitionResult> = HashMap::new();
+        let mut pending: HashMap<usize, PartitionResult> = HashMap::new();
         let mut next_out = 0usize;
         for r in rx {
             pending.insert(r.partition, r);
             while let Some(r) = pending.remove(&next_out) {
-                sink(r);
+                sink(r)?;
                 next_out += 1;
             }
         }
         assert_eq!(next_out, partitions.len(), "every partition colored");
-    });
-}
-
-/// Colors all partitions and collects the results in partition order — the
-/// buffered wrapper over [`color_partitions_streamed`] for callers (tests,
-/// benches) that want the whole vector at once.
-#[allow(clippy::too_many_arguments)] // one knob per Phase II degree of freedom
-pub(crate) fn color_all_partitions(
-    view: &Relation,
-    partitions: &[(Vec<cextend_table::Value>, Vec<RowId>, usize)],
-    dcs: &[BoundDc],
-    mode: ColoringMode,
-    kind: ConflictBuilderKind,
-    planner: DcPlannerKind,
-    parallel: bool,
-) -> Vec<PartitionResult> {
-    let mut results = Vec::with_capacity(partitions.len());
-    color_partitions_streamed(view, partitions, dcs, mode, kind, planner, parallel, |r| {
-        results.push(r)
-    });
-    results
+        Ok(())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
     use crate::instance::fixtures;
+    use cextend_constraints::BoundDc;
     use cextend_table::{init_join_view, Value};
 
     fn chicago_setup() -> (Relation, Vec<BoundDc>) {
@@ -250,20 +202,17 @@ mod tests {
         (view, dcs)
     }
 
-    #[test]
-    fn chicago_partition_colors_with_four_households() {
+    /// Colors the Chicago partition (rows 0..7) with `n_cand` candidates.
+    fn color_chicago(n_cand: usize, mode: ColoringMode) -> PartitionResult {
         let (view, dcs) = chicago_setup();
         let rows: Vec<RowId> = (0..7).collect();
-        let mut builder = ConflictBuilder::new(&dcs);
-        let r = color_partition(
-            0,
-            &view,
-            &rows,
-            4,
-            &dcs,
-            ColoringMode::Greedy,
-            Some(&mut builder),
-        );
+        let mut builder = ConflictBuilder::new(&dcs, &view, rows.len());
+        color_partition(0, &view, &rows, n_cand, mode, &mut builder)
+    }
+
+    #[test]
+    fn chicago_partition_colors_with_four_households() {
+        let r = color_chicago(4, ColoringMode::Greedy);
         assert_eq!(r.assignments.len(), 7);
         assert_eq!(r.skipped, 0);
         assert_eq!(r.fresh_colors, 0);
@@ -272,10 +221,8 @@ mod tests {
 
     #[test]
     fn too_few_candidates_mint_fresh_colors() {
-        let (view, dcs) = chicago_setup();
-        let rows: Vec<RowId> = (0..7).collect();
         // Only 2 candidate households for 4 pairwise-conflicting owners.
-        let r = color_partition(0, &view, &rows, 2, &dcs, ColoringMode::Greedy, None);
+        let r = color_chicago(2, ColoringMode::Greedy);
         assert!(r.skipped >= 2);
         assert!(r.fresh_colors <= r.skipped);
         assert!(r.fresh_colors >= 2);
@@ -285,63 +232,63 @@ mod tests {
 
     #[test]
     fn exact_mode_succeeds_where_stated() {
-        let (view, dcs) = chicago_setup();
-        let rows: Vec<RowId> = (0..7).collect();
-        let mut builder = ConflictBuilder::new(&dcs);
-        let r = color_partition(
-            0,
-            &view,
-            &rows,
-            4,
-            &dcs,
-            ColoringMode::Exact { max_steps: 100_000 },
-            Some(&mut builder),
-        );
+        let r = color_chicago(4, ColoringMode::Exact { max_steps: 100_000 });
         assert_eq!(r.skipped, 0);
         assert_eq!(r.fresh_colors, 0);
     }
 
-    #[test]
-    fn parallel_and_serial_agree() {
+    /// Streams every partition of the Chicago/NYC view through `sink`.
+    fn stream(parallel: bool, sink: impl FnMut(PartitionResult) -> Result<()>) -> Result<()> {
         let (view, dcs) = chicago_setup();
         let partitions = vec![
             (vec![Value::str("Chicago")], (0..7).collect::<Vec<_>>(), 4),
             (vec![Value::str("NYC")], vec![7, 8], 2),
         ];
-        let serial = color_all_partitions(
+        let builder = ConflictBuilder::new(&dcs, &view, 7);
+        color_partitions_streamed(
             &view,
             &partitions,
-            &dcs,
             ColoringMode::Greedy,
-            ConflictBuilderKind::Indexed,
-            DcPlannerKind::Static,
-            false,
-        );
-        let parallel = color_all_partitions(
-            &view,
-            &partitions,
-            &dcs,
-            ColoringMode::Greedy,
-            ConflictBuilderKind::Naive,
-            DcPlannerKind::Static,
-            true,
-        );
-        let cost = color_all_partitions(
-            &view,
-            &partitions,
-            &dcs,
-            ColoringMode::Greedy,
-            ConflictBuilderKind::Indexed,
-            DcPlannerKind::Cost,
-            false,
-        );
+            builder,
+            parallel,
+            sink,
+        )
+    }
+
+    #[test]
+    fn parallel_and_serial_agree() {
+        let collect = |parallel: bool| {
+            let mut out = Vec::new();
+            stream(parallel, |r| {
+                out.push(r);
+                Ok(())
+            })
+            .unwrap();
+            out
+        };
+        let parallel = collect(true);
+        let serial = collect(false);
+        assert_eq!(serial.len(), 2);
         assert_eq!(serial.len(), parallel.len());
-        assert_eq!(serial.len(), cost.len());
-        for ((s, p), c) in serial.iter().zip(parallel.iter()).zip(cost.iter()) {
+        for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+            assert_eq!(s.partition, i, "sink sees partition order");
+            assert_eq!(p.partition, i, "sink sees partition order");
             assert_eq!(s.assignments, p.assignments);
             assert_eq!(s.fresh_colors, p.fresh_colors);
-            assert_eq!(s.assignments, c.assignments, "planner changed output");
-            assert_eq!(s.fresh_colors, c.fresh_colors);
+            assert_eq!(s.index_stats, p.index_stats);
+        }
+    }
+
+    #[test]
+    fn sink_errors_stop_the_stream() {
+        for parallel in [false, true] {
+            let mut seen = 0;
+            let err = stream(parallel, |_| {
+                seen += 1;
+                Err(CoreError::Validation("stop".into()))
+            });
+            assert!(matches!(err, Err(CoreError::Validation(_))), "{err:?}");
+            assert_eq!(seen, 1, "no result reaches the sink after an error");
         }
     }
 }

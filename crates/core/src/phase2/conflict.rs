@@ -4,35 +4,35 @@
 //! DC's condition φ holds becomes a hyperedge: those tuples must not all
 //! receive the same FK. This module builds that graph two ways:
 //!
-//! - [`ConflictBuilder`] — the **indexed fast path**. Each DC is compiled to
-//!   a [`DcPlan`] (per-variable unary filters, binary atoms with
-//!   selectivity hints, interchangeable-variable classes); candidates per
-//!   variable are pre-filtered once, the variables are ordered most
-//!   selective first, and each enumeration level is driven by a
-//!   per-partition value index — a hash bucket for equality atoms, a sorted
-//!   run for ordering atoms — so the inner loop visits only rows that can
-//!   still satisfy φ instead of the whole partition. Binary atoms are
-//!   verified incrementally on partial assignments (pruning whole subtrees)
-//!   rather than re-evaluating φ at `O(|P|^k)` leaves, and interchangeable
-//!   variables are restricted to ascending vertex ids so each undirected
-//!   edge is emitted once instead of once per symmetric variable order.
+//! - [`ConflictBuilder`] — the builder Phase II and the `dc_error` metric
+//!   run. Each DC is compiled to an equality-saturated [`DcPlan`]
+//!   (per-variable unary filters, binary atoms, interchangeable-variable
+//!   classes) and costed against sampled column statistics. Pair DCs with
+//!   at most one binary atom are bulk-emitted as cliques, bi-cliques or
+//!   sorted-run windows. The rest enumerate: candidates per variable are
+//!   pre-filtered once, the variables are ordered most selective first, and
+//!   each enumeration level is driven by a per-partition value index — a
+//!   hash bucket for equality atoms, a sorted run for ordering atoms — when
+//!   the estimate says the index amortizes, so the inner loop visits only
+//!   rows that can still satisfy φ. Binary atoms are verified incrementally
+//!   on partial assignments (pruning whole subtrees) rather than
+//!   re-evaluating φ at `O(|P|^k)` leaves, and interchangeable variables
+//!   are restricted to ascending vertex ids so each undirected edge is
+//!   emitted once instead of once per symmetric variable order.
 //! - [`build_conflict_graph_naive`] — the original per-leaf `φ` evaluation,
-//!   retained as the oracle for equivalence tests and as the baseline the
-//!   `conflict_build` criterion bench and the `--conflict naive` CLI knob
-//!   measure the fast path against.
+//!   kept as the reference the tests, the spec fuzzer and the
+//!   `conflict_build` criterion bench compare the builder against.
 //!
 //! Both builders produce the **identical edge set** on any input (property-
-//! tested across all workloads in `cextend-workloads`), so Phase II output
-//! is bit-identical regardless of the builder.
+//! tested across all workloads in `cextend-workloads`).
 
-use crate::config::DcPlannerKind;
 use cextend_constraints::{BinaryAtomPlan, BoundDc, DcPlan, PlanCost};
 use cextend_hypergraph::Hypergraph;
 use cextend_table::{CmpOp, ColId, IntColumnView, Relation, RowId, Sym, SymColumnView, Value};
 use std::collections::HashMap;
 
 /// Per-entry cost of building a value index (hashing / sorting /
-/// allocation), in scan-visit units. The cost planner keeps a driver's
+/// allocation), in scan-visit units. The builder keeps a driver's
 /// index only when the scans it replaces outweigh `BUILD × n` plus the
 /// probe overhead — a handful of probes over a handful of rows scans.
 const INDEX_BUILD_FACTOR: f64 = 4.0;
@@ -60,16 +60,17 @@ pub struct ConflictStats {
     /// (duplicate or degenerate edges — symmetric-variable permutations of
     /// an edge already stored, or pairs a bulk-emitted DC already owns).
     pub dedup_hits: usize,
-    /// DCs planned from sampled column statistics (cost planner).
+    /// DCs planned from sampled column statistics (compile time; see
+    /// [`ConflictBuilder::plan_stats`]).
     pub plans_cost: usize,
-    /// DCs whose cost estimate fell back to the static defaults because
-    /// some column had no usable statistics.
+    /// DCs whose cost estimate fell back to fixed default selectivities
+    /// because some column had no usable statistics (compile time).
     pub plans_static_fallback: usize,
-    /// Cost-planner depths executed with a hash-bucket index.
+    /// Enumeration depths executed with a hash-bucket index.
     pub index_hash: usize,
-    /// Cost-planner depths executed with a sorted-run index.
+    /// Enumeration depths executed with a sorted-run index.
     pub index_sorted: usize,
-    /// Cost-planner depths demoted to a plain scan (candidate list below
+    /// Enumeration depths demoted to a plain scan (candidate list below
     /// the index-amortization threshold).
     pub index_scan: usize,
 }
@@ -91,25 +92,25 @@ impl ConflictStats {
     }
 }
 
-/// A reusable indexed conflict-graph builder.
+/// A reusable conflict-graph builder.
 ///
 /// Compiling the [`DcPlan`]s once and reusing the scratch buffers matters
 /// when the caller builds graphs for thousands of small partitions (the
 /// `dc_error` metric groups by FK value; Phase II colors every `V_join`
-/// partition).
+/// partition). Phase II compiles one builder and clones it into each
+/// worker.
+#[derive(Clone)]
 pub struct ConflictBuilder {
     plans: Vec<DcPlan>,
-    planner: DcPlannerKind,
-    /// Sampled-statistics cost estimates per plan (cost planner only;
-    /// `None` for `never_holds` plans and under the static planner).
+    /// Sampled-statistics cost estimate per plan; `None` exactly for plans
+    /// equality saturation proved can never hold.
     costs: Vec<Option<PlanCost>>,
-    /// Execution order over `plans`: bulk-emitted DCs first under the cost
-    /// planner (so unchecked bulk edges exist before any checked leaf has
-    /// to dedup against them), declaration order otherwise.
+    /// Execution order over `plans`: bulk-emitted DCs first (so unchecked
+    /// bulk edges exist before any checked leaf has to dedup against
+    /// them), then declaration order.
     dc_order: Vec<usize>,
     /// Bulk-emission slot per plan (bit position in the registry masks);
-    /// `Some` for at most 64 pair DCs with at most one binary atom under
-    /// the cost planner.
+    /// `Some` for at most 64 pair DCs with at most one binary atom.
     bulk_slot: Vec<Option<u8>>,
     n_bulk: usize,
     /// Per-vertex registry masks: bit `k` of `bulk_a[v]` / `bulk_b[v]`
@@ -273,60 +274,34 @@ fn bulk_emitted(
 }
 
 impl ConflictBuilder {
-    /// Compiles the DC set with the static planner (the PR 5 hints). The
-    /// builder is then reusable across any number of `(view, rows)` builds.
-    pub fn new(dcs: &[BoundDc]) -> ConflictBuilder {
-        let plans: Vec<DcPlan> = dcs.iter().map(BoundDc::plan).collect();
-        let costs = vec![None; plans.len()];
-        ConflictBuilder::from_plans(plans, DcPlannerKind::Static, costs)
-    }
-
-    /// Compiles the DC set with the cost planner: plans are equality-
-    /// saturated (merging interchangeable variables, detecting
-    /// contradictions), costed against `view`'s sampled column statistics
-    /// for a nominal partition of `rows_hint` rows, and ordered with
-    /// bulk-emittable pure-unary pair DCs first.
-    pub fn new_cost(dcs: &[BoundDc], view: &Relation, rows_hint: usize) -> ConflictBuilder {
+    /// Compiles the DC set: plans are equality-saturated (merging
+    /// interchangeable variables, detecting contradictions), costed against
+    /// `view`'s sampled column statistics for a nominal partition of
+    /// `rows_hint` rows, and ordered with bulk-emittable pair DCs first.
+    /// The builder is then reusable across any number of `(view, rows)`
+    /// builds.
+    pub fn new(dcs: &[BoundDc], view: &Relation, rows_hint: usize) -> ConflictBuilder {
         let plans: Vec<DcPlan> = dcs.iter().map(|d| d.plan().saturate_equalities()).collect();
         let costs: Vec<Option<PlanCost>> = plans
             .iter()
-            .map(|p| {
-                if p.never_holds() {
-                    None
-                } else {
-                    Some(PlanCost::estimate(p, view, rows_hint))
-                }
-            })
+            .map(|p| (!p.never_holds()).then(|| PlanCost::estimate(p, view, rows_hint)))
             .collect();
-        ConflictBuilder::from_plans(plans, DcPlannerKind::Cost, costs)
-    }
-
-    fn from_plans(
-        plans: Vec<DcPlan>,
-        planner: DcPlannerKind,
-        costs: Vec<Option<PlanCost>>,
-    ) -> ConflictBuilder {
         let max_arity = plans.iter().map(DcPlan::arity).max().unwrap_or(0);
         let mut bulk_slot = vec![None; plans.len()];
         let mut n_bulk = 0usize;
-        if planner == DcPlannerKind::Cost {
-            for (i, p) in plans.iter().enumerate() {
-                // The registry masks are u64s, so at most 64 DCs can be
-                // bulk-emitted; any excess runs through the indexed path
-                // (identical edges, just slower).
-                if p.is_bulk_pair() && !p.never_holds() && n_bulk < 64 {
-                    bulk_slot[i] = Some(n_bulk as u8);
-                    n_bulk += 1;
-                }
+        for (i, p) in plans.iter().enumerate() {
+            // The registry masks are u64s, so at most 64 DCs can be
+            // bulk-emitted; any excess enumerates (identical edges, just
+            // slower).
+            if p.is_bulk_pair() && !p.never_holds() && n_bulk < 64 {
+                bulk_slot[i] = Some(n_bulk as u8);
+                n_bulk += 1;
             }
         }
         let mut dc_order: Vec<usize> = (0..plans.len()).collect();
-        if n_bulk > 0 {
-            dc_order.sort_by_key(|&i| (bulk_slot[i].is_none(), i));
-        }
+        dc_order.sort_by_key(|&i| (bulk_slot[i].is_none(), i));
         ConflictBuilder {
             plans,
-            planner,
             costs,
             dc_order,
             bulk_slot,
@@ -345,6 +320,22 @@ impl ConflictBuilder {
             driver_ix: Vec::new(),
             stats: ConflictStats::default(),
         }
+    }
+
+    /// The compile-time plan decisions: `plans_cost` and
+    /// `plans_static_fallback` set, every other field zero. Plans equality
+    /// saturation proved can never hold are a statistics-independent
+    /// decision; each build counts them in `dead_dcs` instead.
+    pub fn plan_stats(&self) -> ConflictStats {
+        let mut stats = ConflictStats::default();
+        for cost in self.costs.iter().flatten() {
+            if cost.from_stats {
+                stats.plans_cost += 1;
+            } else {
+                stats.plans_static_fallback += 1;
+            }
+        }
+        stats
     }
 
     /// Cumulative statistics over every `build` so far.
@@ -433,12 +424,12 @@ impl ConflictBuilder {
         bulk_uncond: u64,
         g: &mut Hypergraph,
     ) {
-        if plan.never_holds() {
+        let Some(cost) = cost else {
             // Equality saturation found contradictory atoms at compile
-            // time (e.g. `t1.A = t2.A + 1 ∧ t2.A = t1.A`).
+            // time (e.g. `t1.A = t2.A + 1 ∧ t2.A = t1.A`): never costed.
             self.stats.dead_dcs += 1;
             return;
-        }
+        };
         let arity = plan.arity();
         // Typed views for every binary atom column. A binary atom over a
         // non-integer column can never hold (missing/typed-out cells make
@@ -507,9 +498,8 @@ impl ConflictBuilder {
 
         // Atom schedule: each binary atom runs at the depth where its last
         // variable gets assigned; one scheduled atom per depth is promoted
-        // to loop driver — under the cost planner the one with the lowest
-        // estimated selectivity (ties prefer equality), under the static
-        // planner any equality before any ordering atom.
+        // to loop driver — the one with the lowest estimated selectivity
+        // (ties prefer equality).
         while self.sched.len() < arity {
             self.sched.push(Vec::new());
         }
@@ -528,13 +518,8 @@ impl ConflictBuilder {
                     None => true,
                     Some(d) => {
                         let cur = &plan.binary_atoms()[d];
-                        match cost {
-                            Some(c) => {
-                                let (sa, sc) = (c.atom_selectivity[a], c.atom_selectivity[d]);
-                                sa < sc || (sa == sc && atom.is_equality() && !cur.is_equality())
-                            }
-                            None => atom.is_equality() && !cur.is_equality(),
-                        }
+                        let (sa, sc) = (cost.atom_selectivity[a], cost.atom_selectivity[d]);
+                        sa < sc || (sa == sc && atom.is_equality() && !cur.is_equality())
                     }
                 };
                 if better && (atom.is_equality() || atom.is_range()) {
@@ -543,8 +528,8 @@ impl ConflictBuilder {
             }
         }
 
-        // Index-kind decision (cost planner): keep a depth's driver index
-        // only when it amortizes. The index replaces, per enumeration
+        // Index-kind decision: keep a depth's driver index only when it
+        // amortizes. The index replaces, per enumeration
         // reaching this depth, a scan of the whole candidate list with a
         // probe that visits `n × sel` matches; it costs one build over the
         // list per partition. The probe count is the product of the
@@ -552,29 +537,26 @@ impl ConflictBuilder {
         // each level to `n × sel` survivors whether they execute as index
         // or scan — the scheduled-atom check in `try_candidate` filters
         // identically). A demoted depth scans: same edges, no build.
-        if self.planner == DcPlannerKind::Cost {
-            let mut est_probes = 1.0f64;
-            for depth in 0..arity {
-                let n = self.cands[order[depth]].len() as f64;
-                let sel = match drivers[depth] {
-                    Some(a) => cost.map_or(0.5, |c| c.atom_selectivity[a]),
-                    None => 1.0,
-                };
-                if let Some(a) = drivers[depth] {
-                    let scan_cost = est_probes * n;
-                    let index_cost =
-                        INDEX_BUILD_FACTOR * n + est_probes * (INDEX_PROBE_COST + n * sel);
-                    if scan_cost <= index_cost {
-                        drivers[depth] = None;
-                        self.stats.index_scan += 1;
-                    } else if plan.binary_atoms()[a].is_equality() {
-                        self.stats.index_hash += 1;
-                    } else {
-                        self.stats.index_sorted += 1;
-                    }
+        let mut est_probes = 1.0f64;
+        for depth in 0..arity {
+            let n = self.cands[order[depth]].len() as f64;
+            let sel = match drivers[depth] {
+                Some(a) => cost.atom_selectivity[a],
+                None => 1.0,
+            };
+            if let Some(a) = drivers[depth] {
+                let scan_cost = est_probes * n;
+                let index_cost = INDEX_BUILD_FACTOR * n + est_probes * (INDEX_PROBE_COST + n * sel);
+                if scan_cost <= index_cost {
+                    drivers[depth] = None;
+                    self.stats.index_scan += 1;
+                } else if plan.binary_atoms()[a].is_equality() {
+                    self.stats.index_hash += 1;
+                } else {
+                    self.stats.index_sorted += 1;
                 }
-                est_probes *= (n * sel).max(1.0);
             }
+            est_probes *= (n * sel).max(1.0);
         }
 
         // Per-partition value indexes for the driver atoms' probe columns:
@@ -1065,40 +1047,9 @@ fn try_candidate(
     state.member[pos as usize] = state.generation.wrapping_sub(1);
 }
 
-/// Builds the conflict hypergraph with the indexed fast path (convenience
-/// wrapper; reuse a [`ConflictBuilder`] when building many graphs from one
-/// DC set).
-pub fn build_conflict_graph(view: &Relation, rows: &[RowId], dcs: &[BoundDc]) -> Hypergraph {
-    ConflictBuilder::new(dcs).build(view, rows)
-}
-
-/// Counts the cost planner's per-DC decisions: how many plans were costed
-/// from sampled statistics and how many fell back to the static defaults.
-/// Computed once by the Phase II coordinator (not per worker), so the
-/// reported counters are invariant under worker width.
-pub fn plan_decision_counts(dcs: &[BoundDc], view: &Relation, rows_hint: usize) -> (usize, usize) {
-    let mut from_stats = 0;
-    let mut fallback = 0;
-    for dc in dcs {
-        let plan = dc.plan().saturate_equalities();
-        if plan.never_holds() {
-            // A compile-time contradiction is a statistics-independent
-            // decision; the per-partition `dead_dcs` counter records it.
-            continue;
-        }
-        if PlanCost::estimate(&plan, view, rows_hint).from_stats {
-            from_stats += 1;
-        } else {
-            fallback += 1;
-        }
-    }
-    (from_stats, fallback)
-}
-
 /// The original naive builder: enumerate candidate combinations per DC and
-/// evaluate φ at the leaves. `O(|P|^k)` per DC — retained as the oracle the
-/// indexed builder is property-tested against and as the baseline the
-/// `conflict_build` bench and `--conflict naive` measure.
+/// evaluate φ at the leaves. `O(|P|^k)` per DC — kept as the reference
+/// [`ConflictBuilder`] is property-tested and benchmarked against.
 pub fn build_conflict_graph_naive(view: &Relation, rows: &[RowId], dcs: &[BoundDc]) -> Hypergraph {
     let mut g = Hypergraph::new(rows.len());
     let mut chosen: Vec<u32> = Vec::new();
@@ -1154,12 +1105,10 @@ mod tests {
     use crate::instance::fixtures;
     use cextend_table::init_join_view;
 
-    /// All three builders (static-planned, cost-planned, naive) on the
-    /// same input, asserting identical edge sets and returning the
-    /// static-planned indexed graph.
+    /// The builder and the naive reference on the same input, asserting
+    /// identical edge sets and returning the builder's graph.
     fn build_both(view: &Relation, rows: &[RowId], dcs: &[BoundDc]) -> Hypergraph {
-        let indexed = build_conflict_graph(view, rows, dcs);
-        let cost = ConflictBuilder::new_cost(dcs, view, rows.len()).build(view, rows);
+        let built = ConflictBuilder::new(dcs, view, rows.len()).build(view, rows);
         let naive = build_conflict_graph_naive(view, rows, dcs);
         let edge_set = |g: &Hypergraph| {
             let mut edges: Vec<Vec<u32>> = g.edges().map(<[u32]>::to_vec).collect();
@@ -1167,17 +1116,11 @@ mod tests {
             edges.dedup();
             edges
         };
-        let reference = edge_set(&indexed);
-        assert_eq!(reference, edge_set(&cost), "cost planner diverged");
-        assert_eq!(reference, edge_set(&naive), "naive builder diverged");
-        // No builder may produce duplicate edges (degrees would diverge).
-        assert_eq!(
-            indexed.n_edges(),
-            cost.n_edges(),
-            "cost planner duplicated edges"
-        );
-        assert_eq!(indexed.n_edges(), reference.len(), "duplicate edges");
-        indexed
+        let reference = edge_set(&naive);
+        assert_eq!(edge_set(&built), reference, "builder diverged from naive");
+        // No duplicate edges (degrees would diverge).
+        assert_eq!(built.n_edges(), reference.len(), "duplicate edges");
+        built
     }
 
     /// Figure 7's Chicago component: applying the Figure 2a DCs to the
@@ -1331,7 +1274,7 @@ mod tests {
         // The Age ≥ 30 clique subsumes everything: C(5,2) edges.
         assert_eq!(g.n_edges(), 10);
 
-        let mut b = ConflictBuilder::new_cost(&dcs, &r, rows.len());
+        let mut b = ConflictBuilder::new(&dcs, &r, rows.len());
         b.build(&r, &rows);
         let stats = b.stats();
         // Owner clique (3 pairs) + spouse×partner (1) rediscovered by the
@@ -1396,7 +1339,7 @@ mod tests {
         // The registry dedup is predicate-aware: a mask hit alone (shared
         // membership under DC w2, whose candidate lists are all five rows)
         // must not suppress pairs w2 itself never emitted.
-        let mut b = ConflictBuilder::new_cost(&bound, &r, rows.len());
+        let mut b = ConflictBuilder::new(&bound, &r, rows.len());
         b.build(&r, &rows);
         assert!(b.stats().dedup_hits > 0);
     }
@@ -1418,25 +1361,10 @@ mod tests {
         let rows: Vec<RowId> = (0..5).collect();
         let g = build_both(&r, &rows, std::slice::from_ref(&dc));
         assert_eq!(g.n_edges(), 0);
-        let mut b = ConflictBuilder::new_cost(&[dc], &r, rows.len());
+        let mut b = ConflictBuilder::new(&[dc], &r, rows.len());
         b.build(&r, &rows);
         assert_eq!(b.stats().dead_dcs, 1);
         assert_eq!(b.stats().scanned_candidates, 0, "no enumeration ran");
-    }
-
-    #[test]
-    fn plan_decisions_are_counted_once() {
-        let instance = fixtures::running_example();
-        let (view, _) = init_join_view(&instance.r1, &instance.r2).unwrap();
-        let dcs: Vec<BoundDc> = instance
-            .dcs
-            .iter()
-            .map(|d| d.bind(view.schema(), view.name()).unwrap())
-            .collect();
-        let (from_stats, fallback) = plan_decision_counts(&dcs, &view, view.n_rows());
-        assert_eq!(from_stats + fallback, dcs.len());
-        // Every referenced column exists with data, so stats are usable.
-        assert_eq!(fallback, 0);
     }
 
     #[test]
@@ -1449,13 +1377,19 @@ mod tests {
             .map(|d| d.bind(view.schema(), view.name()).unwrap())
             .collect();
         let rows: Vec<RowId> = (0..7).collect(); // owners + spouse + children
-        let mut builder = ConflictBuilder::new(&dcs);
+        let mut builder = ConflictBuilder::new(&dcs, &view, rows.len());
+        // Every referenced column exists with data, so every plan is costed
+        // from statistics.
+        let plans = builder.plan_stats();
+        assert_eq!(plans.plans_cost, dcs.len());
+        assert_eq!(plans.plans_static_fallback, 0);
         let a = builder.build(&view, &rows);
         let b = builder.build(&view, &rows);
         assert_eq!(a.n_edges(), b.n_edges(), "builder reuse changed output");
         let stats = builder.take_stats();
-        assert!(stats.indexes_built > 0, "age-gap DCs should build indexes");
+        assert_eq!(stats.plans_cost, 0, "builds do not count plan decisions");
         assert_eq!(builder.stats(), ConflictStats::default());
+        assert_eq!(builder.plan_stats(), plans, "taking stats keeps the plans");
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::config::{Phase2Strategy, SolverConfig};
 use crate::error::{CoreError, Result};
 use crate::instance::CExtensionInstance;
 use crate::phase1::{Combo, P1};
+use crate::phase2::conflict::ConflictBuilder;
 use crate::report::{SolveStats, StageTimings};
 use cextend_constraints::{BoundDc, NormalizedCond};
 use cextend_obs::tracef;
@@ -25,8 +26,14 @@ use std::collections::HashMap;
 
 /// Mints fresh `R2` key values that collide with nothing.
 enum KeyMinter {
+    /// Integer keys count up from just above `R2`'s largest key. Should
+    /// that run past `i64::MAX` (`next` is `None`), minting restarts at
+    /// `i64::MIN` and skips every key `R̂2` held at the switch: `held`,
+    /// ascending, with `at` its first entry not yet passed.
     Int {
-        next: i64,
+        next: Option<i64>,
+        held: Vec<i64>,
+        at: usize,
     },
     Str {
         counter: usize,
@@ -37,13 +44,13 @@ enum KeyMinter {
 impl KeyMinter {
     fn new(r2: &Relation, k2: ColId) -> KeyMinter {
         match r2.schema().column(k2).dtype {
-            Dtype::Int => {
-                let next = r2
+            Dtype::Int => KeyMinter::Int {
+                next: r2
                     .int_range(k2)
-                    .map(|(_, max)| max.saturating_add(1))
-                    .unwrap_or(1);
-                KeyMinter::Int { next }
-            }
+                    .map_or(Some(1), |(_, max)| max.checked_add(1)),
+                held: Vec::new(),
+                at: 0,
+            },
             Dtype::Str => {
                 let used = r2.rows().filter_map(|r| r2.get_sym(r, k2)).collect();
                 KeyMinter::Str { counter: 0, used }
@@ -51,12 +58,29 @@ impl KeyMinter {
         }
     }
 
-    fn mint(&mut self) -> Value {
+    /// A key that neither `r2_hat` (`R2` plus every tuple minted so far)
+    /// nor any earlier mint holds.
+    fn mint(&mut self, r2_hat: &Relation, k2: ColId) -> Value {
         match self {
-            KeyMinter::Int { next } => {
-                let v = *next;
-                *next += 1;
-                Value::Int(v)
+            KeyMinter::Int { next, held, at } => {
+                if next.is_none() {
+                    let keys = r2_hat.int_view(k2).expect("int key column");
+                    *held = r2_hat.rows().filter_map(|r| keys.get(r)).collect();
+                    held.sort_unstable();
+                    held.dedup();
+                    *next = Some(i64::MIN);
+                    *at = 0;
+                }
+                loop {
+                    let v = next.expect("R̂2 holds fewer than 2^64 keys");
+                    *next = v.checked_add(1);
+                    while held.get(*at).is_some_and(|&h| h < v) {
+                        *at += 1;
+                    }
+                    if held.get(*at) != Some(&v) {
+                        return Value::Int(v);
+                    }
+                }
             }
             KeyMinter::Str { counter, used } => loop {
                 let candidate = Sym::intern(&format!("fresh-key-{counter}"));
@@ -162,7 +186,7 @@ impl Phase2Ctx {
             .combo_rows
             .get(combo)
             .and_then(|rows| rows.first().copied());
-        let key = self.minter.mint();
+        let key = self.minter.mint(&self.r2_hat, self.k2);
         let mut row: Vec<Option<Value>> = vec![None; self.r2_hat.schema().len()];
         row[self.k2] = Some(key);
         for (i, &c) in self.r2_attr_ids.iter().enumerate() {
@@ -315,40 +339,63 @@ pub(crate) fn run_phase2(
                 partitions.len(),
                 partitions.iter().map(|p| p.1.len()).max()
             );
+            // Compile the DC plans once, with cost estimates nominal for
+            // the largest partition; workers color with clones. The plan
+            // decisions are counted from this one compile, so they are the
+            // same at any worker width.
+            let rows_hint = partitions.iter().map(|p| p.1.len()).max().unwrap_or(0);
+            let builder = ConflictBuilder::new(&dcs, &ctx.view, rows_hint);
+            let mut index_stats = builder.plan_stats();
             drop(partition_stage);
 
-            // ---- Color all partitions (possibly in parallel). ------------
-            let results = assign::color_all_partitions(
-                &ctx.view,
+            // ---- Color partitions, applying results as they stream in. ---
+            // Workers read `p1.view`, of which `ctx.view` is a clone that
+            // nothing writes before `assign_rows_bulk`, so the sink can
+            // mutate `ctx`. Colors resolve to `R̂2` rows partition by
+            // partition (minting is order-sensitive: fresh keys run in
+            // partition order); the attribute copy-back runs once over the
+            // whole batch, column at a time.
+            let mut assignments: Vec<(RowId, usize)> = Vec::with_capacity(ctx.view.n_rows());
+            // Without augmentation the solve fails once any partition
+            // needs a fresh key; results are still folded so the error
+            // reports every skipped vertex.
+            let mut refused = false;
+            assign::color_partitions_streamed(
+                &p1.view,
                 &partitions,
-                &dcs,
                 config.coloring,
-                config.conflict,
-                config.dc_planner,
+                builder,
                 config.parallel_coloring,
-            );
-            let mut index_stats = crate::phase2::conflict::ConflictStats::default();
-            // Planner decisions are a per-run (not per-partition) fact:
-            // count them once on the coordinator so the totals are
-            // invariant under worker width.
-            if config.conflict == crate::config::ConflictBuilderKind::Indexed
-                && config.dc_planner == crate::config::DcPlannerKind::Cost
-            {
-                let rows_hint = partitions.iter().map(|p| p.1.len()).max().unwrap_or(0);
-                let (from_stats, fallback) =
-                    conflict::plan_decision_counts(&dcs, &ctx.view, rows_hint);
-                index_stats.plans_cost = from_stats;
-                index_stats.plans_static_fallback = fallback;
-            }
-            for r in &results {
-                stats.counters.conflict_edges += r.edges;
-                stats.counters.skipped_vertices += r.skipped;
-                // Workers measured (and, when recording, emitted spans for)
-                // these intervals; fold the same durations into the frame.
-                cextend_obs::stage_add("conflict_build", r.build_time);
-                cextend_obs::stage_add("coloring", r.color_time);
-                index_stats.absorb(&r.index_stats);
-            }
+                |r| {
+                    stats.counters.conflict_edges += r.edges;
+                    stats.counters.skipped_vertices += r.skipped;
+                    // Workers measured (and, when recording, emitted spans
+                    // for) these intervals; fold the same durations into
+                    // the frame.
+                    cextend_obs::stage_add("conflict_build", r.build_time);
+                    cextend_obs::stage_add("coloring", r.color_time);
+                    index_stats.absorb(&r.index_stats);
+                    refused |= r.fresh_colors > 0 && !config.allow_augmenting_r2;
+                    if refused {
+                        return Ok(());
+                    }
+                    let _apply = cextend_obs::stage("coloring");
+                    let (combo, _, n_cand) = &partitions[r.partition];
+                    let fresh_rows = (0..r.fresh_colors)
+                        .map(|_| ctx.mint_household(combo))
+                        .collect::<Result<Vec<usize>>>()?;
+                    let households = ctx.households_of_combo(combo);
+                    for (row, color) in r.assignments {
+                        let r2_row = if (color as usize) < *n_cand {
+                            households[color as usize]
+                        } else {
+                            fresh_rows[color as usize - n_cand]
+                        };
+                        assignments.push((row, r2_row));
+                    }
+                    Ok(())
+                },
+            )?;
             // The per-partition index stats become named counters. Totals
             // are coordinator-side sums of deterministic per-partition
             // values, so they are bit-identical across worker widths.
@@ -379,9 +426,8 @@ pub(crate) fn run_phase2(
             cextend_obs::counter_add("phase2.index_sorted", index_stats.index_sorted as u64);
             cextend_obs::counter_add("phase2.index_scan", index_stats.index_scan as u64);
             tracef!(
-                "phase2: planner {}: {} cost plans, {} static fallbacks, \
+                "phase2: planner: {} cost plans, {} static fallbacks, \
                  {} hash / {} sorted / {} scan depths",
-                config.dc_planner.label(),
                 index_stats.plans_cost,
                 index_stats.plans_static_fallback,
                 index_stats.index_hash,
@@ -389,9 +435,8 @@ pub(crate) fn run_phase2(
                 index_stats.index_scan,
             );
             tracef!(
-                "phase2: conflict {} ({} edges): {} indexes, {} eq probes, \
+                "phase2: conflict ({} edges): {} indexes, {} eq probes, \
                  {} range probes, {} scanned candidates, {} dead DCs, {} dedup hits",
-                config.conflict.label(),
                 stats.counters.conflict_edges,
                 index_stats.indexes_built,
                 index_stats.eq_probes,
@@ -400,37 +445,12 @@ pub(crate) fn run_phase2(
                 index_stats.dead_dcs,
                 index_stats.dedup_hits,
             );
-
-            let total_fresh: usize = results.iter().map(|r| r.fresh_colors).sum();
-            if !config.allow_augmenting_r2 && total_fresh > 0 {
+            if refused {
                 return Err(CoreError::NoSolutionWithoutAugmentation {
-                    unassignable: results.iter().map(|r| r.skipped).sum(),
+                    unassignable: stats.counters.skipped_vertices,
                 });
             }
-
-            // ---- Apply results, minting fresh households as needed. ------
-            // Colors resolve to `R̂2` rows partition by partition (minting
-            // is order-sensitive: fresh keys run in partition order), but
-            // the attribute copy-back runs once over the whole batch,
-            // column at a time.
             let apply_stage = cextend_obs::stage("coloring");
-            let mut assignments: Vec<(RowId, usize)> = Vec::with_capacity(ctx.view.n_rows());
-            for r in results {
-                let (combo, _, n_cand) = &partitions[r.partition];
-                let mut fresh_rows: Vec<usize> = Vec::with_capacity(r.fresh_colors);
-                for _ in 0..r.fresh_colors {
-                    fresh_rows.push(ctx.mint_household(combo)?);
-                }
-                let households = ctx.households_of_combo(combo);
-                for (row, color) in r.assignments {
-                    let r2_row = if (color as usize) < *n_cand {
-                        households[color as usize]
-                    } else {
-                        fresh_rows[color as usize - n_cand]
-                    };
-                    assignments.push((row, r2_row));
-                }
-            }
             ctx.assign_rows_bulk(&assignments)?;
             drop(apply_stage);
 

@@ -8,18 +8,19 @@
 //! exclusive pairs over the fact-wide `[0, 900]` load domain so real
 //! conflict edges exist.
 //!
-//! [`run_differential_oracles`] then solves each generated spec five
-//! ways — (serial, indexed), (serial, naive), (parallel, indexed), the
-//! parallel Phase 1 path and the static DC planner — and demands
-//! bit-identical tables and solve counters between the indexed ≡ naive
-//! conflict builders, the serial ≡ parallel schedulers and phase-1 paths,
-//! and the cost ≡ static DC planners.
+//! [`run_differential_oracles`] then solves each generated spec three
+//! ways — serial, under the parallel step scheduler and on the parallel
+//! Phase 1 path — and demands bit-identical tables and solve counters. A
+//! fourth, edge-set arm checks that the conflict builder Phase II runs
+//! produces the naive reference builder's edge set on a row window of
+//! every step's ground-truth view.
 
 use crate::error::Result;
 use crate::lower::SpecWorkload;
+use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder};
 use cextend_core::snowflake::{solve_snowflake, SnowflakeSolution, SnowflakeStep};
-use cextend_core::{ConflictBuilderKind, DcPlannerKind, SchedulerMode, SolverConfig};
-use cextend_table::relations_equal_ordered;
+use cextend_core::{SchedulerMode, SolverConfig};
+use cextend_table::{relations_equal_ordered, RowId};
 use cextend_workloads::{CcFamily, DcSet, Workload, WorkloadParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,6 +30,10 @@ use std::fmt::Write as _;
 const KINDS: [&str; 6] = ["Anchor", "Filler", "Spare", "Free", "Prime", "Bulk"];
 /// Dimension grade symbols.
 const GRADES: [&str; 4] = ["A", "B", "C", "D"];
+/// Rows of each step's ground-truth view the edge-set arm builds conflict
+/// graphs over (generated facts have at most 60 rows, so this is all of
+/// them).
+const EDGE_WINDOW: usize = 64;
 
 /// What one fuzz iteration produced and proved.
 #[derive(Clone, Debug)]
@@ -217,10 +222,10 @@ pub fn fuzz_workload(seed: u64, iter: usize) -> Result<SpecWorkload> {
 }
 
 /// Solves a spec workload under the reference configurations and demands
-/// bit-identity between the indexed ≡ naive conflict builders, the serial ≡
-/// parallel schedulers, the serial ≡ parallel Phase 1 paths and the cost ≡
-/// static DC planners. Returns the (serial, indexed) schedule's shape on
-/// success, a divergence description on failure.
+/// bit-identity between the serial ≡ parallel schedulers and the serial ≡
+/// parallel Phase 1 paths, then checks the conflict builder against the
+/// naive reference on every step's ground-truth view. Returns the serial
+/// schedule's shape on success, a divergence description on failure.
 pub fn run_differential_oracles(
     workload: &SpecWorkload,
     seed: u64,
@@ -240,57 +245,56 @@ pub fn run_differential_oracles(
             dcs: workload.step_dcs(i, DcSet::All),
         })
         .collect();
-    let solve = |mode: SchedulerMode, conflict: ConflictBuilderKind| {
-        let config = SolverConfig::hybrid()
-            .with_seed(seed)
-            .with_scheduler(mode)
-            .with_conflict(conflict);
-        solve_snowflake(data.relations.clone(), &steps, &config).map_err(|e| {
-            format!(
-                "{}: solve failed under ({}, {}): {e}",
-                meta.name,
-                mode.label(),
-                conflict.label()
-            )
-        })
+    let solve = |config: SolverConfig, what: &str| {
+        solve_snowflake(data.relations.clone(), &steps, &config.with_seed(seed))
+            .map_err(|e| format!("{}: solve failed under {what}: {e}", meta.name))
     };
-    let base = solve(SchedulerMode::Serial, ConflictBuilderKind::Indexed)?;
-    let naive = solve(SchedulerMode::Serial, ConflictBuilderKind::Naive)?;
-    let par = solve(SchedulerMode::Parallel, ConflictBuilderKind::Indexed)?;
-    compare(
-        meta.name,
-        &base,
-        &naive,
-        "indexed vs naive conflict builder",
+    let base = solve(SolverConfig::hybrid(), "the serial scheduler")?;
+    let par = solve(
+        SolverConfig::hybrid().with_scheduler(SchedulerMode::Parallel),
+        "the parallel scheduler",
     )?;
     compare(meta.name, &base, &par, "serial vs parallel scheduler")?;
-    let par_p1 = {
-        let config = SolverConfig::hybrid()
-            .with_seed(seed)
-            .with_parallel_phase1(true);
-        solve_snowflake(data.relations.clone(), &steps, &config)
-            .map_err(|e| format!("{}: solve failed under parallel phase1: {e}", meta.name))?
-    };
+    let par_p1 = solve(
+        SolverConfig::hybrid().with_parallel_phase1(true),
+        "parallel phase 1",
+    )?;
     compare(meta.name, &base, &par_p1, "serial vs parallel phase 1")?;
-    // Fifth arm: the static DC planner against the (default) cost planner
-    // the four arms above all ran with. Fuzzed DC blocks mix gap pairs
-    // (bulk-eligible single binary atoms) with exclusive pairs (pure-unary
-    // cliques), so this exercises both bulk emission branches against the
-    // enumerated static path.
-    let static_plan = {
-        let config = SolverConfig::hybrid()
-            .with_seed(seed)
-            .with_dc_planner(DcPlannerKind::Static);
-        solve_snowflake(data.relations.clone(), &steps, &config)
-            .map_err(|e| format!("{}: solve failed under static DC planner: {e}", meta.name))?
-    };
-    compare(meta.name, &base, &static_plan, "cost vs static DC planner")?;
+    // Edge-set arm: fuzzed DC blocks mix gap pairs (a single binary atom,
+    // bulk-emitted as sorted-run windows) with exclusive pairs (pure-unary
+    // cliques), so both bulk-emission branches meet the naive reference.
+    for step in 0..data.n_steps() {
+        let view = data.step_truth_view(step);
+        let dcs = workload
+            .step_dcs(step, DcSet::All)
+            .iter()
+            .map(|d| d.bind(view.schema(), view.name()))
+            .collect::<std::result::Result<Vec<_>, _>>()
+            .map_err(|e| format!("{}: step {step} DCs do not bind: {e}", meta.name))?;
+        let rows: Vec<RowId> = (0..view.n_rows().min(EDGE_WINDOW)).collect();
+        let built = ConflictBuilder::new(&dcs, &view, rows.len()).build(&view, &rows);
+        let naive = build_conflict_graph_naive(&view, &rows, &dcs);
+        if sorted_edges(built.edges()) != sorted_edges(naive.edges()) {
+            return Err(format!(
+                "{}: conflict builder vs naive diverged on step {step} ({} rows)",
+                meta.name,
+                rows.len()
+            ));
+        }
+    }
     Ok(FuzzOutcome {
         name: meta.name.to_owned(),
         n_steps: steps.len(),
         levels: base.levels.len(),
         max_width: base.levels.iter().map(|l| l.steps.len()).max().unwrap_or(0),
     })
+}
+
+/// A conflict graph's edges as a sorted list, for set comparison.
+fn sorted_edges<'a>(edges: impl Iterator<Item = &'a [u32]>) -> Vec<Vec<u32>> {
+    let mut edges: Vec<Vec<u32>> = edges.map(<[u32]>::to_vec).collect();
+    edges.sort();
+    edges
 }
 
 /// Bit-identity between two solves: same tables, same solve counters.

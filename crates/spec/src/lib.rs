@@ -24,8 +24,8 @@
 //! [`cextend_workloads::Workload`] interface, so the `experiments`
 //! harness drives `--workload spec:<path>` exactly like a built-in
 //! workload. The [`fuzz`] module generates random well-typed specs and
-//! pushes them through differential oracles (indexed ≡ naive conflict
-//! builder, serial ≡ parallel scheduler).
+//! pushes them through differential oracles (serial ≡ parallel scheduler
+//! and Phase 1, conflict builder ≡ naive reference edge sets).
 
 #![warn(missing_docs)]
 

@@ -2,8 +2,9 @@
 //!
 //! Every fuzzer iteration must (a) produce a spec that parses, checks and
 //! lowers cleanly, and (b) solve bit-identically under the three reference
-//! solver configurations — indexed ≡ naive conflict builder and serial ≡
-//! parallel scheduler. The fuzzer seed is fixed so failures reproduce; the
+//! solver configurations — serial ≡ parallel scheduler ≡ parallel Phase 1 —
+//! with the conflict builder matching the naive reference's edge sets on
+//! every step. The fuzzer seed is fixed so failures reproduce; the
 //! iteration index is the only proptest-drawn input, and the case count is
 //! bounded to keep `cargo test --workspace` fast.
 

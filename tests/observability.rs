@@ -25,6 +25,17 @@ fn build() -> CExtensionInstance {
     CExtensionInstance::new(data.persons, data.housing, ccs, s_all_dc()).unwrap()
 }
 
+/// A small dcdense instance: six `(Room, Shift)` partitions of about 130
+/// events, large enough that the ternary `nae-track` DC enumerates through
+/// hash indexes (census pair DCs are all bulk-emitted).
+fn build_dcdense() -> CExtensionInstance {
+    use cextend::workloads::{workload_by_name, DcSet, WorkloadParams};
+    let w = workload_by_name("dcdense").expect("registered");
+    let data = w.generate(&WorkloadParams::new(0.05, 23));
+    let ccs = w.ccs(cextend::workloads::CcFamily::Good, 12, &data, 23);
+    data.to_instance(ccs, w.dcs(DcSet::All)).unwrap()
+}
+
 /// Solves once with the recorder armed and both parallel paths on,
 /// returning the collected trace.
 fn traced_solve(instance: &CExtensionInstance) -> obs::Trace {
@@ -42,33 +53,51 @@ fn traced_solve(instance: &CExtensionInstance) -> obs::Trace {
 #[test]
 fn counters_are_bit_identical_across_worker_widths() {
     let _guard = recording_lock();
-    let instance = build();
-    let mut baseline = None;
-    for width in ["1", "2", "4"] {
-        std::env::set_var("CEXTEND_SCHED_WORKERS", width);
-        let trace = traced_solve(&instance);
-        std::env::remove_var("CEXTEND_SCHED_WORKERS");
-        trace.validate().unwrap_or_else(|e| {
-            panic!("trace invalid at CEXTEND_SCHED_WORKERS={width}: {e}");
-        });
-        assert!(
-            !trace.counters.is_empty(),
-            "a parallel hybrid solve must record counters"
-        );
-        // Counters are commutative sums of deterministic per-shard and
-        // per-partition values, so the totals cannot depend on how the
-        // work was striped across workers.
-        match &baseline {
-            None => baseline = Some(trace.counters),
-            Some(expected) => assert_eq!(
-                expected, &trace.counters,
-                "counters diverged at CEXTEND_SCHED_WORKERS={width}"
-            ),
+    for (input, instance) in [("census", build()), ("dcdense", build_dcdense())] {
+        let mut baseline = None;
+        for width in ["1", "2", "4"] {
+            std::env::set_var("CEXTEND_SCHED_WORKERS", width);
+            let trace = traced_solve(&instance);
+            std::env::remove_var("CEXTEND_SCHED_WORKERS");
+            trace.validate().unwrap_or_else(|e| {
+                panic!("{input}: trace invalid at CEXTEND_SCHED_WORKERS={width}: {e}");
+            });
+            assert!(
+                !trace.counters.is_empty(),
+                "a parallel hybrid solve must record counters"
+            );
+            // Plan decisions are made once per solve, on the coordinator:
+            // one per DC at every width, not one per worker.
+            let counter = |name: &str| trace.counters.get(name).copied().unwrap_or(0);
+            assert_eq!(
+                counter("phase2.plans_cost") + counter("phase2.plans_static_fallback"),
+                instance.dcs.len() as u64,
+                "{input}: plan decisions at CEXTEND_SCHED_WORKERS={width}"
+            );
+            if input == "dcdense" {
+                assert!(
+                    trace.counters.contains_key("phase2.index_hash"),
+                    "dcdense: no hash-index depth at CEXTEND_SCHED_WORKERS={width}"
+                );
+            }
+            // Counters are commutative sums of deterministic per-shard and
+            // per-partition values, so the totals cannot depend on how the
+            // work was striped across workers.
+            match &baseline {
+                None => baseline = Some(trace.counters),
+                Some(expected) => assert_eq!(
+                    expected, &trace.counters,
+                    "{input}: counters diverged at CEXTEND_SCHED_WORKERS={width}"
+                ),
+            }
         }
-    }
-    let counters = baseline.unwrap();
-    for name in ["phase1.rng_draws", "phase1.shards", "phase2.partitions"] {
-        assert!(counters.contains_key(name), "missing counter `{name}`");
+        let counters = baseline.unwrap();
+        for name in ["phase1.rng_draws", "phase1.shards", "phase2.partitions"] {
+            assert!(
+                counters.contains_key(name),
+                "{input}: missing counter `{name}`"
+            );
+        }
     }
 }
 
