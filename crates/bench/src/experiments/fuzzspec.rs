@@ -6,7 +6,8 @@
 //! through the full parse → check → lower pipeline, and solves it serially,
 //! under the parallel step scheduler and on the parallel Phase 1 path,
 //! demanding bit-identical tables and solve counters. It also checks that
-//! the conflict builder produces the naive reference's edge set on every
+//! the conflict builder produces the naive reference's edge set, and that
+//! the membership kernel counts every CC as `count_in` does, on every
 //! step's ground-truth view. Any divergence, solver error or self-rejected
 //! spec fails the run. The run also asserts coverage:
 //! at least one generated schedule must have ≥ 3 levels and a ≥ 3-wide
@@ -52,8 +53,9 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         ));
     }
     println!(
-        "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets and serial ≡ parallel \
-         on every spec (deepest schedule {best_levels} levels, widest level {best_width})",
+        "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets, kernel ≡ count_in CC \
+         counts and serial ≡ parallel on every spec (deepest schedule {best_levels} levels, \
+         widest level {best_width})",
         opts.iters
     );
     Ok(())

@@ -12,6 +12,8 @@
 //!   intersecting classification (Definitions 4.2–4.4).
 //! - [`HasseDiagram`] — cover edges of the containment order (Section 4.2).
 //! - [`ColumnIntervals`] / [`Binning`] — intervalization (Section 4.1).
+//! - [`CcMembership`] / [`cc_counts`] — one-pass CC membership of every
+//!   row through per-column lookup tables cut by the same rule.
 //! - [`marginal_ccs`] / [`restrict_marginals`] — all-way and modified
 //!   marginal augmentation (Sections 4.1, 4.3).
 //! - [`parse_cc`] / [`parse_dc`] — a text DSL in the paper's notation.
@@ -36,6 +38,7 @@ mod error;
 mod hasse;
 mod intervalize;
 mod marginals;
+mod membership;
 mod parser;
 mod relationship;
 
@@ -46,5 +49,6 @@ pub use error::{ConstraintError, Result};
 pub use hasse::HasseDiagram;
 pub use intervalize::{domain_ranges, BinDim, BinKey, Binning, BoundBinning, ColumnIntervals};
 pub use marginals::{marginal_ccs, marginal_counts, restrict_marginals};
+pub use membership::{cc_counts, CcMembership};
 pub use parser::{parse_cc, parse_dc, parse_predicate};
 pub use relationship::{classify, CcRelationship, RelationshipMatrix};

@@ -93,6 +93,7 @@ pub mod phase1_internals {
     pub use crate::phase1::hasse_rec::{
         run as run_hasse, run_scalar as run_hasse_scalar, HasseOutcome,
     };
+    pub use crate::phase1::repair::{repair, RepairOutcome};
     pub use crate::phase1::{
         complete_leftovers_scalar, complete_randomly_scalar, shard_rng, Combo, P1, SHARD_SIZE,
     };

@@ -13,18 +13,21 @@ use crate::error::Result;
 use crate::instance::CExtensionInstance;
 use crate::phase2::conflict::ConflictBuilder;
 use crate::report::Solution;
-use cextend_constraints::{BoundDc, CardinalityConstraint, DenialConstraint};
+use cextend_constraints::{cc_counts, BoundDc, CardinalityConstraint, DenialConstraint};
 use cextend_table::{fk_join, relations_equal_ordered, Relation};
 
-/// Relative error of each CC against the (completed) join view.
+/// Relative error of each CC against the (completed) join view. Every CC
+/// is counted in one membership-kernel pass ([`cc_counts`]).
 pub fn cc_relative_errors(view: &Relation, ccs: &[CardinalityConstraint]) -> Result<Vec<f64>> {
-    ccs.iter()
-        .map(|cc| {
-            let got = cc.count_in(view)? as f64;
+    let counts = cc_counts(view, ccs)?;
+    Ok(ccs
+        .iter()
+        .zip(counts)
+        .map(|(cc, got)| {
             let target = cc.target as f64;
-            Ok((got - target).abs() / target.max(10.0))
+            (got as f64 - target).abs() / target.max(10.0)
         })
-        .collect()
+        .collect())
 }
 
 /// Median of a sample (0 for an empty one).

@@ -8,17 +8,24 @@
 //! - Cells are read through the typed column views ([`IntColumnView`],
 //!   [`SymColumnView`]); symbols compare as dictionary codes, never as
 //!   interned strings.
-//! - Row sets (empty rows, leftover rows, per-CC `R1` matches) are packed
-//!   `u64` bitmaps built word-wise from the columns' validity bitmaps.
+//! - Row sets (empty rows, leftover rows) are packed `u64` bitmaps built
+//!   word-wise from the columns' validity bitmaps.
+//! - Per-CC `R1` matches are the bitmaps [`P1::build`] computes once per
+//!   solve with the one-pass membership kernel
+//!   ([`cextend_constraints::CcMembership`]: per-column lookup tables, a
+//!   row's CC mask the AND of its columns' entries). Algorithm 2
+//!   ([`super::hasse_rec::run`]) and leftover completion both read them; no
+//!   path here evaluates a predicate per CC.
 //! - Leftover rows are *grouped* by their (partial assignment, R1-match
-//!   mask) key; the candidate-combo list is computed once per **group**
-//!   instead of once per **row**, turning the `O(rows × combos)` scan into
+//!   mask) key, the mask gathered from those bitmaps one 64-row block at a
+//!   time; the candidate-combo list is computed once per **group** instead
+//!   of once per **row**, turning the `O(rows × combos)` scan into
 //!   `O(groups × combos)` — the difference between 200 s and seconds on
 //!   the dc-dense workload.
 //! - Writes go through [`Relation::batch_set_ints`] /
 //!   [`Relation::batch_set_syms`] instead of per-cell `set` calls.
 //!
-//! Parallelism: per-CC bitmap construction, per-group candidate lists and
+//! Parallelism: per-combo CC masks, per-group candidate lists and
 //! per-shard RNG choices are pure reads and run on the `cextend-sched`
 //! pool; all view mutation stays serial. RNG draws come from fixed
 //! per-shard streams ([`super::shard_rng`]) that depend only on
@@ -29,9 +36,7 @@
 use crate::error::Result;
 use crate::phase1::{shard_rng, LEFTOVERS_SALT, P1, RANDOM_SALT, SHARD_SIZE};
 use cextend_constraints::CardinalityConstraint;
-use cextend_table::{
-    BoundPredicate, ColId, IntColumnView, Relation, RowId, Sym, SymColumnView, Value,
-};
+use cextend_table::{ColId, IntColumnView, Relation, RowId, Sym, SymColumnView, Value};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -122,28 +127,6 @@ fn encode_combos(p1: &P1) -> Vec<u64> {
     codes
 }
 
-/// Per-CC `R1`-side match bitmaps over all view rows, one compiled-predicate
-/// pass per CC, sharded across the pool (pure reads of `R1` attributes).
-pub(crate) fn cc_r1_bitmaps(
-    view: &Relation,
-    preds: &[BoundPredicate],
-    parallel: bool,
-    width: Option<usize>,
-) -> Vec<Vec<u64>> {
-    let n = view.n_rows();
-    let words = n.div_ceil(64);
-    run_pool(preds.len(), parallel, width, |ci| {
-        let compiled = preds[ci].compile(view);
-        let mut bits = vec![0u64; words];
-        for row in 0..n {
-            if compiled.eval(row) {
-                bits[row >> 6] |= 1 << (row & 63);
-            }
-        }
-        bits
-    })
-}
-
 /// Bitmap of rows with **no** CC column assigned ([`super::RowState::Empty`]),
 /// built word-wise from the columns' validity bitmaps. All-zero when there
 /// are no CC columns (every row counts as full).
@@ -214,20 +197,36 @@ struct Group {
 /// Groups `rows` by their compressed key. Returns the groups (in
 /// first-encounter order, which is deterministic because `rows` is) and
 /// each row's group id.
-fn group_rows(
-    p1: &P1,
-    rows: &[RowId],
-    cc_bits: &[Vec<u64>],
-    cc_mask_words: usize,
-) -> (Vec<Group>, Vec<u32>) {
+///
+/// `cc_bits` holds one `R1` bitmap per CC (empty for `complete_randomly`);
+/// a row's mask words are gathered from them one 64-row block at a time,
+/// so each bitmap word is read once per block however many of its rows
+/// are leftovers.
+fn group_rows(p1: &P1, rows: &[RowId], cc_bits: &[Vec<u64>]) -> (Vec<Group>, Vec<u32>) {
     let cols = p1.view_cc_ids.len();
     let pres_words = cols.div_ceil(64).max(1);
+    let mask_words = cc_bits.len().div_ceil(64);
     let views = cc_views(&p1.view, &p1.view_cc_ids);
     let mut group_of: HashMap<Vec<u64>, u32> = HashMap::new();
     let mut groups: Vec<Group> = Vec::new();
     let mut row_group: Vec<u32> = Vec::with_capacity(rows.len());
-    let mut key: Vec<u64> = Vec::with_capacity(pres_words + cols + cc_mask_words);
+    let mut key: Vec<u64> = Vec::with_capacity(pres_words + cols + mask_words);
+    // The masks of the 64 rows of block `block`, `mask_words` words each.
+    let mut block = usize::MAX;
+    let mut block_masks = vec![0u64; 64 * mask_words];
     for &row in rows {
+        if row >> 6 != block {
+            block = row >> 6;
+            block_masks.fill(0);
+            for (ci, bits) in cc_bits.iter().enumerate() {
+                let mut w = bits[block];
+                while w != 0 {
+                    let r = w.trailing_zeros() as usize;
+                    block_masks[r * mask_words + ci / 64] |= 1 << (ci % 64);
+                    w &= w - 1;
+                }
+            }
+        }
         key.clear();
         key.resize(pres_words, 0);
         for (j, v) in views.iter().enumerate() {
@@ -240,12 +239,8 @@ fn group_rows(
             }
         }
         let mask_start = key.len();
-        key.resize(mask_start + cc_mask_words, 0);
-        for (ci, bits) in cc_bits.iter().enumerate() {
-            if bits[row >> 6] >> (row & 63) & 1 == 1 {
-                key[mask_start + ci / 64] |= 1 << (ci % 64);
-            }
-        }
+        let at = (row & 63) * mask_words;
+        key.extend_from_slice(&block_masks[at..at + mask_words]);
         let gid = match group_of.get(&key) {
             Some(&g) => g,
             None => {
@@ -314,12 +309,16 @@ fn apply_choices(p1: &mut P1, rows: &[RowId], choices: &[(usize, u32)]) -> Resul
 /// rows by (partial, R1 mask), compute each group's candidate-combo list
 /// once, then draw one combo per row from the per-shard RNG streams and
 /// apply all writes as column batches. Bit-identical to the scalar oracle.
+///
+/// `ccs` must be the CCs `p1` was built from: their `R1` matches are
+/// `p1.cc_r1_bits`.
 pub fn complete_leftovers(
     p1: &mut P1,
     ccs: &[CardinalityConstraint],
     parallel: bool,
     width: Option<usize>,
 ) -> Result<Vec<RowId>> {
+    assert_eq!(ccs.len(), p1.cc_r1_bits.len(), "the CCs p1 was built from");
     let leftover = leftover_rows(p1);
     if leftover.is_empty() {
         return Ok(Vec::new());
@@ -335,13 +334,7 @@ pub fn complete_leftovers(
         }
         mask
     });
-    let bound_r1: Vec<BoundPredicate> = ccs
-        .iter()
-        .map(|cc| p1.bind_r1(&cc.r1))
-        .collect::<Result<Vec<_>>>()?;
-    let cc_bits = cc_r1_bitmaps(&p1.view, &bound_r1, parallel, width);
-
-    let (groups, row_group) = group_rows(p1, &leftover, &cc_bits, words);
+    let (groups, row_group) = group_rows(p1, &leftover, &p1.cc_r1_bits);
     let cols = p1.view_cc_ids.len();
     let combo_codes = encode_combos(p1);
 
@@ -425,7 +418,7 @@ pub fn complete_randomly(p1: &mut P1, parallel: bool, width: Option<usize>) -> R
     if rows.is_empty() {
         return Ok(0);
     }
-    let (groups, row_group) = group_rows(p1, &rows, &[], 0);
+    let (groups, row_group) = group_rows(p1, &rows, &[]);
     let cols = p1.view_cc_ids.len();
     let combo_codes = encode_combos(p1);
     let candidates: Vec<Vec<u32>> = run_pool(groups.len(), parallel, width, |g| {

@@ -8,7 +8,7 @@
 
 use crate::error::Result;
 use crate::phase1::{compressed, RowState, P1};
-use cextend_constraints::{CardinalityConstraint, HasseDiagram};
+use cextend_constraints::{CardinalityConstraint, HasseDiagram, NormalizedCond};
 use cextend_table::{BoundPredicate, RowId, Sym, Value};
 
 /// Outcome counters of one Algorithm 2 run.
@@ -56,52 +56,66 @@ fn choose_combo(
 
 /// Runs Algorithm 2 over the given components of the Hasse diagram.
 /// `nodes` indexes into `ccs`; only components listed in `components` are
-/// processed.
+/// processed. `ccs[i]`'s `R1` bitmap is `p1.cc_r1_bits[bits_of[i]]` (the
+/// hybrid deduplicates the instance's CCs before building the diagram).
 ///
-/// This is the code-compressed production path: per-CC `R1`-match bitmaps
-/// are built word-wise in parallel up front (`parallel` / `width` control
-/// the pool), and each node's candidate scan is a bitmap intersection
-/// (`node & empty & !excluded`) instead of a row-at-a-time predicate walk.
-/// The recursion itself stays serial — components are *not* row-disjoint
-/// (CCs disjoint through `R2` compete for the same empty rows), so node
-/// order is part of the algorithm's semantics. Bit-identical to
-/// [`run_scalar`].
+/// This is the code-compressed production path: each node's candidate scan
+/// is a bitmap intersection (`node & empty & !excluded`) over the `R1`
+/// bitmaps [`P1::build`] computed, instead of a row-at-a-time predicate
+/// walk. The recursion is serial — components are *not* row-disjoint (CCs
+/// disjoint through `R2` compete for the same empty rows), so node order is
+/// part of the algorithm's semantics. Its decisions read only the bitmaps
+/// and the `empty` set, never the view, so the claimed rows are written
+/// afterwards, in claim order. Bit-identical to [`run_scalar`].
 pub fn run(
     p1: &mut P1,
     ccs: &[CardinalityConstraint],
+    bits_of: &[usize],
     hasse: &HasseDiagram,
     components: &[&[usize]],
-    parallel: bool,
-    width: Option<usize>,
 ) -> Result<HasseOutcome> {
-    let bound_r1: Vec<BoundPredicate> = ccs
+    assert_eq!(ccs.len(), bits_of.len(), "one bitmap index per CC");
+    let bits: Vec<&[u64]> = bits_of
         .iter()
-        .map(|cc| p1.bind_r1(&cc.r1))
-        .collect::<Result<Vec<_>>>()?;
-    let cc_bits = compressed::cc_r1_bitmaps(&p1.view, &bound_r1, parallel, width);
+        .map(|&i| p1.cc_r1_bits[i].as_slice())
+        .collect();
     let mut empty = compressed::empty_rows_bitmap(p1);
     let mut out = HasseOutcome::default();
+    let mut claims: Vec<Claim> = Vec::new();
     for comp in components {
         for m in hasse.maximal_elements(comp) {
-            solve_node_bits(p1, ccs, hasse, &cc_bits, &mut empty, m, &mut out)?;
+            solve_node_bits(p1, ccs, hasse, &bits, &mut empty, m, &mut claims, &mut out);
         }
+    }
+    drop(bits);
+    for claim in &claims {
+        write_claim(p1, &ccs[claim.node].r2, claim.combo, &claim.rows)?;
     }
     Ok(out)
 }
 
+/// Rows one node claimed, and the combo whose `R2` values they take.
+struct Claim {
+    node: usize,
+    combo: usize,
+    rows: Vec<RowId>,
+}
+
+#[allow(clippy::too_many_arguments)] // private recursion of `run`
 fn solve_node_bits(
-    p1: &mut P1,
+    p1: &P1,
     ccs: &[CardinalityConstraint],
     hasse: &HasseDiagram,
-    cc_bits: &[Vec<u64>],
+    bits: &[&[u64]],
     empty: &mut Vec<u64>,
     node: usize,
+    claims: &mut Vec<Claim>,
     out: &mut HasseOutcome,
-) -> Result<()> {
+) {
     // Children first (lines 9–11).
     let children: Vec<usize> = hasse.children(node).to_vec();
     for &c in &children {
-        solve_node_bits(p1, ccs, hasse, cc_bits, empty, c, out)?;
+        solve_node_bits(p1, ccs, hasse, bits, empty, c, claims, out);
     }
     // Demand left for this node after its children (line 12).
     let child_total: u64 = children.iter().map(|&c| ccs[c].target).sum();
@@ -110,11 +124,11 @@ fn solve_node_bits(
         out.deficits += 1;
     }
     if need == 0 {
-        return Ok(());
+        return;
     }
     let Some(combo_idx) = choose_combo(p1, ccs, node, &children) else {
         out.deficits += 1;
-        return Ok(());
+        return;
     };
     // Children whose count the chosen combo could still contribute to: rows
     // matching their R1 condition must be excluded (line 12's ¬σ_c).
@@ -128,9 +142,9 @@ fn solve_node_bits(
     // exactly the rows the scalar scan takes.
     let mut rows: Vec<RowId> = Vec::with_capacity(need.min(4096) as usize);
     'scan: for wi in 0..empty.len() {
-        let mut w = cc_bits[node][wi] & empty[wi];
+        let mut w = bits[node][wi] & empty[wi];
         for &e in &excluded {
-            w &= !cc_bits[e][wi];
+            w &= !bits[e][wi];
         }
         while w != 0 {
             rows.push((wi << 6) | w.trailing_zeros() as usize);
@@ -140,18 +154,35 @@ fn solve_node_bits(
             w &= w - 1;
         }
     }
-    let taken = rows.len() as u64;
-    // Batch-write the cond-constrained columns (Algorithm 2's partial
-    // assignment), one column batch instead of per-row `set` calls.
-    let cond = &ccs[node].r2;
-    let write_cols: Vec<(usize, cextend_table::ColId)> = p1
-        .r2_cc_cols
-        .iter()
-        .enumerate()
-        .filter(|(_, name)| cond.get(name).is_some())
-        .map(|(j, _)| (j, p1.view_cc_ids[j]))
-        .collect();
-    for &(j, col) in &write_cols {
+    if (rows.len() as u64) < need {
+        out.deficits += 1;
+    }
+    out.assigned_rows += rows.len();
+    // Claimed rows leave the empty set — unless the node's condition
+    // constrains no CC column, in which case the partial assignment writes
+    // nothing and the rows really are still Empty (matching the scalar
+    // `row_state` check).
+    let writes = p1.r2_cc_cols.iter().any(|c| ccs[node].r2.get(c).is_some());
+    if writes && !rows.is_empty() {
+        for &r in &rows {
+            empty[r >> 6] &= !(1 << (r & 63));
+        }
+        claims.push(Claim {
+            node,
+            combo: combo_idx,
+            rows,
+        });
+    }
+}
+
+/// Writes the `cond`-constrained columns of combo `combo_idx` into `rows`
+/// (Algorithm 2's partial assignment), one column batch each.
+fn write_claim(p1: &mut P1, cond: &NormalizedCond, combo_idx: usize, rows: &[RowId]) -> Result<()> {
+    for j in 0..p1.r2_cc_cols.len() {
+        if cond.get(&p1.r2_cc_cols[j]).is_none() {
+            continue;
+        }
+        let col = p1.view_cc_ids[j];
         match p1.combos[combo_idx][j] {
             Value::Int(x) => {
                 let cells: Vec<(RowId, i64)> = rows.iter().map(|&r| (r, x)).collect();
@@ -162,18 +193,6 @@ fn solve_node_bits(
                 p1.view.batch_set_syms(col, &cells)?;
             }
         }
-    }
-    out.assigned_rows += rows.len();
-    // Claimed rows leave the empty set — unless the node's condition is
-    // empty, in which case the partial assignment wrote nothing and the
-    // rows really are still Empty (matching the scalar `row_state` check).
-    if !write_cols.is_empty() {
-        for &r in &rows {
-            empty[r >> 6] &= !(1 << (r & 63));
-        }
-    }
-    if taken < need {
-        out.deficits += 1;
     }
     Ok(())
 }
@@ -335,11 +354,12 @@ mod tests {
         let m = RelationshipMatrix::build(&instance.ccs);
         let hasse = HasseDiagram::build(&m);
         let comps: Vec<&[usize]> = hasse.components().iter().map(|c| c.as_slice()).collect();
-        let out = run(&mut p1, &instance.ccs, &hasse, &comps, false, None).unwrap();
+        let all: Vec<usize> = (0..instance.ccs.len()).collect();
+        let out = run(&mut p1, &instance.ccs, &all, &hasse, &comps).unwrap();
 
         // Every fixture doubles as an oracle-equivalence case: the scalar
-        // path and the compressed path (serial and at 2/4 workers) must
-        // produce the same view and counters.
+        // path and the compressed path must produce the same view and
+        // counters.
         let mut scalar = P1::build(instance, &config).unwrap();
         let scalar_out = run_scalar(&mut scalar, &instance.ccs, &hasse, &comps).unwrap();
         assert_eq!(out.assigned_rows, scalar_out.assigned_rows);
@@ -348,12 +368,6 @@ mod tests {
             &scalar.view,
             &p1.view
         ));
-        for width in [2usize, 4] {
-            let mut par = P1::build(instance, &config).unwrap();
-            let par_out = run(&mut par, &instance.ccs, &hasse, &comps, true, Some(width)).unwrap();
-            assert_eq!(out.assigned_rows, par_out.assigned_rows);
-            assert!(cextend_table::relations_equal_ordered(&p1.view, &par.view));
-        }
         (p1, out)
     }
 

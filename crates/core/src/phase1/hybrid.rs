@@ -54,6 +54,8 @@ pub(crate) fn run(
             drop(random_stage);
         }
     }
+    // Phase II never reads the `R1` bitmaps; free them before it allocates.
+    p1.cc_r1_bits = Vec::new();
     // Whatever strategy ran, rows still incomplete are the invalid tuples.
     let invalid: Vec<RowId> = p1.view.rows().filter(|&r| !p1.row_full(r)).collect();
     stats.counters.invalid_tuples = invalid.len();
@@ -71,25 +73,30 @@ fn run_hybrid(
     with_ilp: bool,
 ) -> Result<()> {
     // ---- Deduplicate equal-condition CCs. ------------------------------
+    // `kept[j]` is `instance.ccs[kept_src[j]]`, whose `R1` bitmap is
+    // `p1.cc_r1_bits[kept_src[j]]`.
     let mut kept: Vec<CardinalityConstraint> = Vec::new();
+    let mut kept_src: Vec<usize> = Vec::new();
     let mut conflicted: HashSet<usize> = HashSet::new(); // indices into `kept`
-    for cc in &instance.ccs {
+    for (i, cc) in instance.ccs.iter().enumerate() {
         match kept
             .iter()
             .position(|k| k.r1.same_condition(&cc.r1) && k.r2.same_condition(&cc.r2))
         {
             Some(j) if kept[j].target == cc.target => {
                 stats.counters.deduped_ccs += 1;
+                continue;
             }
             Some(j) => {
                 // Equal conditions, different targets: contradictory. Both
                 // go to the ILP, whose elastic rows split the difference.
                 conflicted.insert(j);
                 conflicted.insert(kept.len());
-                kept.push(cc.clone());
             }
-            None => kept.push(cc.clone()),
+            None => {}
         }
+        kept.push(cc.clone());
+        kept_src.push(i);
     }
 
     // ---- Pairwise classification + Hasse construction. ------------------
@@ -116,7 +123,7 @@ fn run_hybrid(
 
     // ---- Algorithm 2 on the clean diagrams. -----------------------------
     let hasse_stage = cextend_obs::stage("hasse");
-    let out = hasse_rec::run(p1, &kept, &hasse, &clean, config.parallel_phase1, None)?;
+    let out = hasse_rec::run(p1, &kept, &kept_src, &hasse, &clean)?;
     stats.counters.hasse_assigned_rows += out.assigned_rows;
     drop(hasse_stage);
 
@@ -135,12 +142,18 @@ fn run_hybrid(
         // Local-search repair of rounding residue; clean-set CCs protected.
         let repair_stage = cextend_obs::stage("repair");
         let s2_set: HashSet<usize> = s2.iter().copied().collect();
-        let protected: Vec<CardinalityConstraint> = (0..kept.len())
-            .filter(|i| !s2_set.contains(i))
-            .map(|i| kept[i].clone())
+        let repaired_ccs: Vec<usize> = s2.iter().map(|&j| kept_src[j]).collect();
+        let protected: Vec<usize> = (0..kept.len())
+            .filter(|j| !s2_set.contains(j))
+            .map(|j| kept_src[j])
             .collect();
-        let repaired =
-            crate::phase1::repair::repair(p1, &subset, &protected, config.ilp.repair_passes)?;
+        let repaired = crate::phase1::repair::repair(
+            p1,
+            &instance.ccs,
+            &repaired_ccs,
+            &protected,
+            config.ilp.repair_passes,
+        )?;
         stats.counters.repair_moves += repaired.moves;
         drop(repair_stage);
     }

@@ -19,7 +19,7 @@ use crate::error::Result;
 use crate::instance::CExtensionInstance;
 use crate::report::SolveStats;
 use cextend_constraints::{
-    domain_ranges, Binning, CardinalityConstraint, ColumnIntervals, NormalizedCond,
+    domain_ranges, Binning, CardinalityConstraint, CcMembership, ColumnIntervals, NormalizedCond,
 };
 use cextend_table::{
     init_join_view, marginals::distinct_combos, BoundPredicate, ColId, Dtype, Relation, RowId,
@@ -86,6 +86,12 @@ pub struct P1 {
     pub combos: Vec<Combo>,
     /// Binning of `R1`'s attribute columns (intervalized numerics).
     pub binning: Binning,
+    /// `R1`-side membership of the instance's CCs: bit `row % 64` of word
+    /// `row / 64` of `cc_r1_bits[i]` is set iff view row `row` satisfies
+    /// `instance.ccs[i].r1`. Built once, in one pass, by [`P1::build`];
+    /// Phase I writes only `R2`-side columns, so it stays exact until the
+    /// solve drops it after Phase I.
+    pub cc_r1_bits: Vec<Vec<u64>>,
     /// The solver seed; completion stages derive per-shard streams from it
     /// via [`shard_rng`].
     pub seed: u64,
@@ -95,7 +101,8 @@ pub struct P1 {
 
 impl P1 {
     /// Builds the context: initializes `V_join`, enumerates existing `R2`
-    /// combos and intervalizes `R1`'s numeric attributes.
+    /// combos, intervalizes `R1`'s numeric attributes and classifies every
+    /// row against the CCs' `R1` sides ([`P1::cc_r1_bits`]).
     pub fn build(instance: &CExtensionInstance, config: &SolverConfig) -> Result<P1> {
         let (view, _layout) = init_join_view(&instance.r1, &instance.r2)?;
         let r2_cc_cols = if config.complete_all_r2_columns {
@@ -153,12 +160,18 @@ impl P1 {
         let intervals = ColumnIntervals::build(&instance.ccs, &domains);
         let binning = Binning::new(r1_attr_names, intervals);
 
+        let membership_span = cextend_obs::span("cc_membership");
+        let cc_r1_bits =
+            CcMembership::build(&view, instance.ccs.iter().map(|cc| &cc.r1))?.bitmaps();
+        drop(membership_span);
+
         Ok(P1 {
             view,
             r2_cc_cols,
             view_cc_ids,
             combos,
             binning,
+            cc_r1_bits,
             seed: config.seed,
             rng: StdRng::seed_from_u64(config.seed),
         })
@@ -219,7 +232,8 @@ impl P1 {
         combo_satisfies(&self.r2_cc_cols, combo, cond)
     }
 
-    /// Binds a CC's `R1`-side condition against the view schema.
+    /// Binds a CC's `R1`-side condition against the view schema (the
+    /// scalar oracles' per-CC predicates).
     pub fn bind_r1(&self, cond: &NormalizedCond) -> Result<BoundPredicate> {
         Ok(cond
             .to_predicate()
@@ -243,6 +257,26 @@ pub(crate) fn combo_satisfies(cols: &[String], combo: &[Value], cond: &Normalize
             .position(|c| c == col)
             .is_some_and(|i| set.contains(combo[i]))
     })
+}
+
+/// One condition bitset per combo, `words` words each, row-major: bit `c`
+/// of combo `k` is set iff `combos[k]` (aligned with `cols`) satisfies
+/// `conds[c]`.
+pub(crate) fn combo_masks(
+    cols: &[String],
+    combos: &[Combo],
+    conds: &[&NormalizedCond],
+    words: usize,
+) -> Vec<u64> {
+    let mut masks = vec![0u64; combos.len() * words];
+    for (k, combo) in combos.iter().enumerate() {
+        for (c, cond) in conds.iter().enumerate() {
+            if combo_satisfies(cols, combo, cond) {
+                masks[k * words + c / 64] |= 1 << (c % 64);
+            }
+        }
+    }
+    masks
 }
 
 /// Final completion of rows that are not fully assigned (Algorithm 2 lines

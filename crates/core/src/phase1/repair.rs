@@ -12,13 +12,13 @@
 //! guarantee for the clean set survives.
 
 use crate::error::Result;
-use crate::phase1::P1;
-use cextend_constraints::CardinalityConstraint;
-use cextend_table::{BoundPredicate, RowId, Value};
+use crate::phase1::{combo_masks, P1};
+use cextend_constraints::{CardinalityConstraint, CcMembership, NormalizedCond};
+use cextend_table::{RowId, Value};
 
 /// Outcome of a repair run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct RepairOutcome {
+pub struct RepairOutcome {
     /// Row-combo switches applied.
     pub moves: usize,
     /// Total absolute CC deviation before repair.
@@ -27,92 +27,68 @@ pub(crate) struct RepairOutcome {
     pub error_after: u64,
 }
 
-/// Greedily switches row combos to reduce `Σ_cc |count − target|` over
-/// `repair_ccs`. CCs in `protected_ccs` must not change their counts.
-pub(crate) fn repair(
+/// Greedily switches row combos to reduce `Σ_cc |count − target|` over the
+/// CCs `ccs[i]`, `i ∈ repaired`. The counts of the CCs `ccs[i]`,
+/// `i ∈ protected`, must not change. `ccs` must be the CCs `p1` was built
+/// from: their `R1` matches are `p1.cc_r1_bits`.
+pub fn repair(
     p1: &mut P1,
-    repair_ccs: &[CardinalityConstraint],
-    protected_ccs: &[CardinalityConstraint],
+    ccs: &[CardinalityConstraint],
+    repaired: &[usize],
+    protected: &[usize],
     passes: usize,
 ) -> Result<RepairOutcome> {
     let mut out = RepairOutcome::default();
-    if passes == 0 || repair_ccs.is_empty() || p1.combos.len() < 2 {
+    if passes == 0 || repaired.is_empty() || p1.combos.len() < 2 {
         return Ok(out);
     }
-    let bound_repair: Vec<BoundPredicate> = repair_ccs
+    // Current deviation per repaired CC, all counted in one kernel pass.
+    let combined: Vec<NormalizedCond> = repaired.iter().map(|&i| ccs[i].combined()).collect();
+    let counts = CcMembership::build(&p1.view, &combined)?.counts();
+    let mut dev: Vec<i64> = repaired
         .iter()
-        .map(|cc| p1.bind_r1(&cc.r1))
-        .collect::<Result<Vec<_>>>()?;
-    let bound_protected: Vec<BoundPredicate> = protected_ccs
-        .iter()
-        .map(|cc| p1.bind_r1(&cc.r1))
-        .collect::<Result<Vec<_>>>()?;
-    // combo_match[k][c]: combo k satisfies repair CC c's R2 side.
-    let combo_match: Vec<Vec<bool>> = p1
-        .combos
-        .iter()
-        .map(|combo| {
-            repair_ccs
-                .iter()
-                .map(|cc| p1.combo_satisfies(combo, &cc.r2))
-                .collect()
-        })
+        .zip(counts)
+        .map(|(&i, count)| count as i64 - ccs[i].target as i64)
         .collect();
-    let combo_match_protected: Vec<Vec<bool>> = p1
-        .combos
-        .iter()
-        .map(|combo| {
-            protected_ccs
-                .iter()
-                .map(|cc| p1.combo_satisfies(combo, &cc.r2))
-                .collect()
-        })
-        .collect();
-
-    // Current deviation per repair CC.
-    let mut dev: Vec<i64> = repair_ccs
-        .iter()
-        .map(|cc| {
-            cc.count_in(&p1.view)
-                .map(|c| c as i64 - cc.target as i64)
-                .map_err(crate::error::CoreError::from)
-        })
-        .collect::<Result<Vec<_>>>()?;
     out.error_before = dev.iter().map(|d| d.unsigned_abs()).sum();
     out.error_after = out.error_before;
     if out.error_before == 0 {
         return Ok(out);
     }
 
-    // Per-row R1 match bitmasks, computed once over typed column buffers:
-    // combo switches rewrite only `R2`-side CC columns, so a row's R1-side
-    // matches are stable across every pass.
+    // CC bitsets, one per row and one per combo: a row's R1-side matches
+    // (transposed from P1's per-CC bitmaps; combo switches rewrite only
+    // `R2`-side CC columns, so they are stable across every pass) and the
+    // CCs whose R2 side each combo satisfies. Row `row` under combo `k`
+    // feeds exactly the CCs set in both.
+    assert_eq!(ccs.len(), p1.cc_r1_bits.len(), "the CCs p1 was built from");
     let n_rows = p1.view.n_rows();
-    let rep_words = repair_ccs.len().div_ceil(64).max(1);
-    let prot_words = protected_ccs.len().div_ceil(64).max(1);
-    let mut rep_mask = vec![0u64; n_rows * rep_words];
-    let mut prot_mask = vec![0u64; n_rows * prot_words];
-    {
-        let compiled_repair: Vec<_> = bound_repair.iter().map(|b| b.compile(&p1.view)).collect();
-        let compiled_protected: Vec<_> = bound_protected
-            .iter()
-            .map(|b| b.compile(&p1.view))
-            .collect();
-        for row in 0..n_rows {
-            for (c, pred) in compiled_repair.iter().enumerate() {
-                if pred.eval(row) {
-                    rep_mask[row * rep_words + c / 64] |= 1 << (c % 64);
-                }
-            }
-            for (c, pred) in compiled_protected.iter().enumerate() {
-                if pred.eval(row) {
-                    prot_mask[row * prot_words + c / 64] |= 1 << (c % 64);
-                }
+    let (rep_words, rep_rows) = row_masks(&p1.cc_r1_bits, repaired, n_rows);
+    let (prot_words, prot_rows) = row_masks(&p1.cc_r1_bits, protected, n_rows);
+    let r2_sides =
+        |idx: &[usize]| -> Vec<&NormalizedCond> { idx.iter().map(|&i| &ccs[i].r2).collect() };
+    let rep_combos = combo_masks(&p1.r2_cc_cols, &p1.combos, &r2_sides(repaired), rep_words);
+    let prot_combos = combo_masks(&p1.r2_cc_cols, &p1.combos, &r2_sides(protected), prot_words);
+    let feeds_protected = |k: usize, row: RowId| {
+        let combo = &prot_combos[k * prot_words..(k + 1) * prot_words];
+        let hits = &prot_rows[row * prot_words..(row + 1) * prot_words];
+        combo.iter().zip(hits).any(|(c, r)| c & r != 0)
+    };
+    // Calls `f(c, change)` for every repaired CC `c` whose count moves by
+    // `change` when `row` switches from combo `from` to `to`, ascending.
+    let for_each_moved = |row: RowId, from: usize, to: usize, f: &mut dyn FnMut(usize, i64)| {
+        for wi in 0..rep_words {
+            let after = rep_combos[to * rep_words + wi];
+            let mut w =
+                rep_rows[row * rep_words + wi] & (rep_combos[from * rep_words + wi] ^ after);
+            while w != 0 {
+                let b = w.trailing_zeros();
+                let change = if after >> b & 1 == 1 { 1 } else { -1 };
+                f(wi * 64 + b as usize, change);
+                w &= w - 1;
             }
         }
-    }
-    let prot_hit =
-        |row: RowId, c: usize| prot_mask[row * prot_words + c / 64] & (1 << (c % 64)) != 0;
+    };
 
     // Current combo per row by hash lookup instead of a linear scan.
     let combo_index: std::collections::HashMap<Vec<Value>, usize> = p1
@@ -136,40 +112,25 @@ pub(crate) fn repair(
             let Some(from) = current_combo(p1, row) else {
                 continue;
             };
-            let r1_hits: Vec<usize> = (0..repair_ccs.len())
-                .filter(|&c| rep_mask[row * rep_words + c / 64] & (1 << (c % 64)) != 0)
-                .collect();
-            if r1_hits.is_empty() {
+            let hits = &rep_rows[row * rep_words..(row + 1) * rep_words];
+            if hits.iter().all(|&w| w == 0) {
                 continue;
             }
             // Never disturb a row feeding a protected CC.
-            let protected = (0..protected_ccs.len())
-                .any(|c| combo_match_protected[from][c] && prot_hit(row, c));
-            if protected {
+            if feeds_protected(from, row) {
                 continue;
             }
             // Evaluate every alternative combo; keep the best error delta.
             let mut best: Option<(i64, usize)> = None;
             for to in 0..p1.combos.len() {
-                if to == from {
-                    continue;
-                }
                 // Switching must not start feeding a protected CC either.
-                if (0..protected_ccs.len())
-                    .any(|c| combo_match_protected[to][c] && prot_hit(row, c))
-                {
+                if to == from || feeds_protected(to, row) {
                     continue;
                 }
                 let mut delta = 0i64;
-                for &c in &r1_hits {
-                    let before = combo_match[from][c];
-                    let after = combo_match[to][c];
-                    if before == after {
-                        continue;
-                    }
-                    let change = if after { 1 } else { -1 };
+                for_each_moved(row, from, to, &mut |c, change| {
                     delta += (dev[c] + change).abs() - dev[c].abs();
-                }
+                });
                 if delta < best.map_or(0, |(d, _)| d) {
                     best = Some((delta, to));
                 }
@@ -177,13 +138,7 @@ pub(crate) fn repair(
             if let Some((delta, to)) = best {
                 let combo = p1.combos[to].clone();
                 p1.assign_combo(row, &combo)?;
-                for &c in &r1_hits {
-                    let before = combo_match[from][c];
-                    let after = combo_match[to][c];
-                    if before != after {
-                        dev[c] += if after { 1 } else { -1 };
-                    }
-                }
+                for_each_moved(row, from, to, &mut |c, change| dev[c] += change);
                 out.moves += 1;
                 out.error_after = (out.error_after as i64 + delta).max(0) as u64;
                 improved = true;
@@ -198,6 +153,24 @@ pub(crate) fn repair(
         dev.iter().map(|d| d.unsigned_abs()).sum::<u64>()
     );
     Ok(out)
+}
+
+/// Row-major `R1` masks over the CCs `idx`: bit `c` of row `row`'s
+/// `words` words is bit `row` of `bits[idx[c]]`. Returns `(words, masks)`.
+fn row_masks(bits: &[Vec<u64>], idx: &[usize], n_rows: usize) -> (usize, Vec<u64>) {
+    let words = idx.len().div_ceil(64).max(1);
+    let mut masks = vec![0u64; n_rows * words];
+    for (c, &i) in idx.iter().enumerate() {
+        for (wi, &w) in bits[i].iter().enumerate() {
+            let mut w = w;
+            while w != 0 {
+                let row = (wi << 6) | w.trailing_zeros() as usize;
+                masks[row * words + c / 64] |= 1 << (c % 64);
+                w &= w - 1;
+            }
+        }
+    }
+    (words, masks)
 }
 
 #[cfg(test)]
@@ -223,7 +196,7 @@ mod tests {
     #[test]
     fn repair_recovers_running_example_targets() {
         let (instance, mut p1) = sabotaged();
-        let out = repair(&mut p1, &instance.ccs, &[], 4).unwrap();
+        let out = repair(&mut p1, &instance.ccs, &[0, 1, 2, 3], &[], 4).unwrap();
         assert!(out.error_before > 0);
         assert!(out.moves > 0);
         assert!(
@@ -243,17 +216,15 @@ mod tests {
         let (instance, mut p1) = sabotaged();
         // Protect CC2 (owners in NYC): currently over target (6 owners in
         // NYC vs target 2), but its contributing rows may not move.
-        let protected = vec![instance.ccs[1].clone()];
-        let repairable = vec![instance.ccs[2].clone(), instance.ccs[3].clone()];
-        let before = protected[0].count_in(&p1.view).unwrap();
-        repair(&mut p1, &repairable, &protected, 4).unwrap();
-        assert_eq!(protected[0].count_in(&p1.view).unwrap(), before);
+        let before = instance.ccs[1].count_in(&p1.view).unwrap();
+        repair(&mut p1, &instance.ccs, &[2, 3], &[1], 4).unwrap();
+        assert_eq!(instance.ccs[1].count_in(&p1.view).unwrap(), before);
     }
 
     #[test]
     fn zero_passes_is_a_no_op() {
         let (instance, mut p1) = sabotaged();
-        let out = repair(&mut p1, &instance.ccs, &[], 0).unwrap();
+        let out = repair(&mut p1, &instance.ccs, &[0, 1, 2, 3], &[], 0).unwrap();
         assert_eq!(out, RepairOutcome::default());
     }
 
@@ -263,7 +234,7 @@ mod tests {
         let mut stats = crate::report::SolveStats::default();
         let (mut p1, _) =
             crate::phase1::run_phase1(&instance, &SolverConfig::hybrid(), &mut stats).unwrap();
-        let out = repair(&mut p1, &instance.ccs, &[], 2).unwrap();
+        let out = repair(&mut p1, &instance.ccs, &[0, 1, 2, 3], &[], 2).unwrap();
         assert_eq!(out.error_before, 0);
         assert_eq!(out.moves, 0);
     }

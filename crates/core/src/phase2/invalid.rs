@@ -9,9 +9,12 @@
 //! violates no FK DC, since DCs quantify over at least two tuples.
 
 use crate::error::{CoreError, Result};
+use crate::phase1::combo_masks;
 use crate::phase2::Phase2Ctx;
-use cextend_constraints::{BoundDc, CardinalityConstraint};
-use cextend_table::{BoundPredicate, Relation, RowId};
+use cextend_constraints::{
+    cc_counts, BoundDc, CardinalityConstraint, CcMembership, NormalizedCond,
+};
+use cextend_table::{Relation, RowId};
 
 /// `true` if adding `r` to a household currently holding `others` would
 /// violate some DC (i.e. some DC's φ holds on a set of distinct tuples from
@@ -79,28 +82,36 @@ pub(crate) fn solve_invalid(
     if invalid.is_empty() {
         return Ok(0);
     }
-    // Bind CC R1 predicates and take the current counts once; maintain them
-    // incrementally as invalid rows land.
-    let bound_r1: Vec<BoundPredicate> = ccs
-        .iter()
-        .map(|cc| {
-            cc.r1
-                .to_predicate()
-                .bind(ctx.view.schema(), ctx.view.name())
-                .map_err(CoreError::from)
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let mut counts: Vec<i64> = ccs
-        .iter()
-        .map(|cc| {
-            cc.count_in(&ctx.view)
-                .map(|c| c as i64)
-                .map_err(CoreError::from)
-        })
-        .collect::<Result<Vec<_>>>()?;
+    // Current counts in one kernel pass, maintained incrementally as
+    // invalid rows land. A (row, combo) pair feeds exactly the CCs set in
+    // both the row's `R1` mask (its `R1` attributes never change here) and
+    // the combo's `R2` mask.
+    let mut counts: Vec<i64> = cc_counts(&ctx.view, ccs)?
+        .into_iter()
+        .map(|c| c as i64)
+        .collect();
+    let kernel = CcMembership::build(&ctx.view, ccs.iter().map(|cc| &cc.r1))?;
+    let words = kernel.words();
+    let mut r1_masks = vec![0u64; invalid.len() * words];
+    for (i, &row) in invalid.iter().enumerate() {
+        kernel.row_mask(row, &mut r1_masks[i * words..(i + 1) * words]);
+    }
+    let r2_sides: Vec<&NormalizedCond> = ccs.iter().map(|cc| &cc.r2).collect();
+    let combo_masks = combo_masks(&ctx.r2_cc_cols, &ctx.combos, &r2_sides, words);
+    // Calls `f(ci)` for every CC that row `i` of `invalid` feeds under
+    // combo `k`, ascending.
+    let for_each_fed = |i: usize, k: usize, f: &mut dyn FnMut(usize)| {
+        for wi in 0..words {
+            let mut w = r1_masks[i * words + wi] & combo_masks[k * words + wi];
+            while w != 0 {
+                f(wi * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+        }
+    };
 
     let mut minted = 0usize;
-    for &row in invalid {
+    for (i, &row) in invalid.iter().enumerate() {
         if ctx.combos.is_empty() {
             return Err(CoreError::Validation(
                 "R2 has no tuples; invalid rows cannot be assigned".into(),
@@ -110,17 +121,13 @@ pub(crate) fn solve_invalid(
         let mut scored: Vec<(i64, usize)> = (0..ctx.combos.len())
             .map(|k| {
                 let mut delta = 0i64;
-                for (ci, cc) in ccs.iter().enumerate() {
-                    let matches =
-                        ctx.combo_satisfies_cc(k, &cc.r2) && bound_r1[ci].eval(&ctx.view, row);
-                    if matches {
-                        delta += if counts[ci] >= cc.target as i64 {
-                            1
-                        } else {
-                            -1
-                        };
-                    }
-                }
+                for_each_fed(i, k, &mut |ci| {
+                    delta += if counts[ci] >= ccs[ci].target as i64 {
+                        1
+                    } else {
+                        -1
+                    };
+                });
                 (delta, k)
             })
             .collect();
@@ -135,7 +142,7 @@ pub(crate) fn solve_invalid(
                 let members = ctx.household_members(r2_row);
                 if !conflicts_with_household(&ctx.view, dcs, row, &members) {
                     ctx.assign_row(row, r2_row)?;
-                    update_counts(ctx, ccs, &bound_r1, row, k, &mut counts);
+                    for_each_fed(i, k, &mut |ci| counts[ci] += 1);
                     assigned = true;
                     break 'combos;
                 }
@@ -151,24 +158,9 @@ pub(crate) fn solve_invalid(
             let combo = ctx.combos[best].clone();
             let r2_row = ctx.mint_household(&combo)?;
             ctx.assign_row(row, r2_row)?;
-            update_counts(ctx, ccs, &bound_r1, row, best, &mut counts);
+            for_each_fed(i, best, &mut |ci| counts[ci] += 1);
             minted += 1;
         }
     }
     Ok(minted)
-}
-
-fn update_counts(
-    ctx: &Phase2Ctx,
-    ccs: &[CardinalityConstraint],
-    bound_r1: &[BoundPredicate],
-    row: RowId,
-    combo_idx: usize,
-    counts: &mut [i64],
-) {
-    for (ci, cc) in ccs.iter().enumerate() {
-        if ctx.combo_satisfies_cc(combo_idx, &cc.r2) && bound_r1[ci].eval(&ctx.view, row) {
-            counts[ci] += 1;
-        }
-    }
 }

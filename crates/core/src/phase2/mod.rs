@@ -17,7 +17,7 @@ use crate::instance::CExtensionInstance;
 use crate::phase1::{Combo, P1};
 use crate::phase2::conflict::ConflictBuilder;
 use crate::report::{SolveStats, StageTimings};
-use cextend_constraints::{BoundDc, NormalizedCond};
+use cextend_constraints::BoundDc;
 use cextend_obs::tracef;
 use cextend_table::{ColId, Dtype, Relation, RowId, Sym, Value};
 use rand::rngs::StdRng;
@@ -161,11 +161,6 @@ impl Phase2Ctx {
             key_members: vec![Vec::new(); r2.n_rows()],
             minter: KeyMinter::new(r2, k2),
         })
-    }
-
-    /// `true` if combo `k` satisfies the `R2`-side condition.
-    pub fn combo_satisfies_cc(&self, k: usize, cond: &NormalizedCond) -> bool {
-        crate::phase1::combo_satisfies(&self.r2_cc_cols, &self.combos[k], cond)
     }
 
     /// `R̂2` rows (households) carrying `combo`.

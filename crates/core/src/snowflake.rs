@@ -376,7 +376,9 @@ pub fn solve_step(
     )?;
     let (n_r1, n_r2) = (instance.r1.n_rows(), instance.r2.n_rows());
     let solution = crate::solve(&instance, config)?;
+    let evaluate_span = cextend_obs::span("evaluate");
     let report = evaluate(&instance, &solution)?;
+    drop(evaluate_span);
 
     let owner_idx = plan.owner_index();
     let sol_fk = solution

@@ -700,6 +700,9 @@ mod tests {
 
     #[test]
     fn stage_guard_times_into_frame() {
+        // A stage also opens a span, which lands in a sibling test's trace
+        // if that test has recording on.
+        let _lock = recording_lock();
         let f = frame();
         {
             let _g = stage("coloring");

@@ -13,10 +13,13 @@
 //! Phase 1 path — and demands bit-identical tables and solve counters. A
 //! fourth, edge-set arm checks that the conflict builder Phase II runs
 //! produces the naive reference builder's edge set on a row window of
-//! every step's ground-truth view.
+//! every step's ground-truth view, and a fifth, CC-count arm that the
+//! one-pass membership kernel counts every step CC on that view exactly
+//! as the per-CC `count_in` reference does.
 
 use crate::error::Result;
 use crate::lower::SpecWorkload;
+use cextend_constraints::cc_counts;
 use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder};
 use cextend_core::snowflake::{solve_snowflake, SnowflakeSolution, SnowflakeStep};
 use cextend_core::{SchedulerMode, SolverConfig};
@@ -224,7 +227,8 @@ pub fn fuzz_workload(seed: u64, iter: usize) -> Result<SpecWorkload> {
 /// Solves a spec workload under the reference configurations and demands
 /// bit-identity between the serial ≡ parallel schedulers and the serial ≡
 /// parallel Phase 1 paths, then checks the conflict builder against the
-/// naive reference on every step's ground-truth view. Returns the serial
+/// naive reference and the membership kernel's CC counts against
+/// `count_in` on every step's ground-truth view. Returns the serial
 /// schedule's shape on success, a divergence description on failure.
 pub fn run_differential_oracles(
     workload: &SpecWorkload,
@@ -263,10 +267,10 @@ pub fn run_differential_oracles(
     // Edge-set arm: fuzzed DC blocks mix gap pairs (a single binary atom,
     // bulk-emitted as sorted-run windows) with exclusive pairs (pure-unary
     // cliques), so both bulk-emission branches meet the naive reference.
-    for step in 0..data.n_steps() {
+    for (step, instance) in steps.iter().enumerate() {
         let view = data.step_truth_view(step);
-        let dcs = workload
-            .step_dcs(step, DcSet::All)
+        let dcs = instance
+            .dcs
             .iter()
             .map(|d| d.bind(view.schema(), view.name()))
             .collect::<std::result::Result<Vec<_>, _>>()
@@ -280,6 +284,22 @@ pub fn run_differential_oracles(
                 meta.name,
                 rows.len()
             ));
+        }
+        // CC-count arm: one kernel pass over the whole view against one
+        // compiled-predicate scan per CC.
+        let ccs = &instance.ccs;
+        let counted = cc_counts(&view, ccs)
+            .map_err(|e| format!("{}: step {step} CCs do not count: {e}", meta.name))?;
+        for (cc, &got) in ccs.iter().zip(&counted) {
+            let want = cc
+                .count_in(&view)
+                .map_err(|e| format!("{}: step {step} CC {} fails: {e}", meta.name, cc.name))?;
+            if got != want {
+                return Err(format!(
+                    "{}: CC-membership kernel counted {got} for {} on step {step}, count_in {want}",
+                    meta.name, cc.name
+                ));
+            }
         }
     }
     Ok(FuzzOutcome {

@@ -25,7 +25,8 @@
 //! harness drives `--workload spec:<path>` exactly like a built-in
 //! workload. The [`fuzz`] module generates random well-typed specs and
 //! pushes them through differential oracles (serial ≡ parallel scheduler
-//! and Phase 1, conflict builder ≡ naive reference edge sets).
+//! and Phase 1, conflict builder ≡ naive reference edge sets, membership
+//! kernel ≡ per-CC `count_in` counts).
 
 #![warn(missing_docs)]
 

@@ -109,6 +109,48 @@ mod tests {
         assert_eq!(w.dcs(DcSet::Good).len(), s_good_dc().len());
     }
 
+    /// Repair's reported errors are the real ones: `Σ |count_in − target|`
+    /// over the repaired CCs, recomputed before and after, on a census
+    /// bad-family instance; the protected CCs keep their counts.
+    #[test]
+    fn repair_reports_the_bad_family_error_before_and_after() {
+        use cextend_core::phase1_internals::{complete_randomly, repair, P1};
+        use cextend_core::SolverConfig;
+        let w = CensusWorkload;
+        let data = w.generate(&WorkloadParams::new(0.05, 11));
+        let ccs = w.ccs(CcFamily::Bad, 120, &data, 11);
+        let instance = data.to_instance(ccs, w.dcs(DcSet::Good)).unwrap();
+        let mut p1 = P1::build(&instance, &SolverConfig::hybrid()).unwrap();
+        complete_randomly(&mut p1, false, None).unwrap();
+        let (repaired, protected): (Vec<usize>, Vec<usize>) =
+            (0..instance.ccs.len()).partition(|i| i % 4 != 0);
+        let error = |view: &cextend_table::Relation| -> u64 {
+            repaired
+                .iter()
+                .map(|&i| {
+                    let cc = &instance.ccs[i];
+                    cc.count_in(view).unwrap().abs_diff(cc.target)
+                })
+                .sum()
+        };
+        let protected_counts = |view: &cextend_table::Relation| -> Vec<u64> {
+            protected
+                .iter()
+                .map(|&i| instance.ccs[i].count_in(view).unwrap())
+                .collect()
+        };
+        let before = error(&p1.view);
+        let kept = protected_counts(&p1.view);
+        let out = repair(&mut p1, &instance.ccs, &repaired, &protected, 4).unwrap();
+        assert_eq!(out.error_before, before);
+        assert_eq!(out.error_after, error(&p1.view));
+        assert!(
+            out.moves > 0 && out.error_after < out.error_before,
+            "{out:?}"
+        );
+        assert_eq!(protected_counts(&p1.view), kept);
+    }
+
     #[test]
     fn r2_cols_progression_matches_meta() {
         let w = CensusWorkload;

@@ -7,11 +7,35 @@
 //! and the solver's guarantees are testable against it.
 
 use crate::workload::{all_workloads, CcFamily, DcSet, WorkloadParams};
+use cextend_constraints::cc_counts;
 use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder};
 use cextend_core::metrics::dc_error_on;
 use cextend_core::snowflake::{solve_snowflake, SnowflakeStep};
 use cextend_core::{SchedulerMode, SolverConfig};
 use proptest::prelude::*;
+
+/// The one-pass membership kernel counts every CC of both families, at
+/// every step of every registered workload, exactly as the per-CC
+/// compiled-predicate reference does on the step's ground-truth view.
+#[test]
+fn membership_kernel_counts_match_count_in_on_every_workload() {
+    for w in all_workloads() {
+        let data = w.generate(&WorkloadParams::new(0.01, 5));
+        for step in 0..data.n_steps() {
+            let view = data.step_truth_view(step);
+            for family in [CcFamily::Good, CcFamily::Bad] {
+                let ccs = w.step_ccs(step, family, 40, &data, 5);
+                let expected: Vec<u64> = ccs.iter().map(|cc| cc.count_in(&view).unwrap()).collect();
+                assert_eq!(
+                    cc_counts(&view, &ccs).unwrap(),
+                    expected,
+                    "{} step {step} {family:?}",
+                    w.meta().name
+                );
+            }
+        }
+    }
+}
 
 proptest! {
     #[test]

@@ -153,3 +153,57 @@ fn chrome_trace_round_trips_through_serde_json() {
     assert_eq!(n_x, trace.spans.len());
     assert_eq!(n_m, trace.threads.len());
 }
+
+/// The in-step evaluation runs under an `evaluate` span: exactly one inside
+/// every `step:*` span of a traced snowflake solve, on the step's thread,
+/// under both step schedulers.
+#[test]
+fn every_step_span_holds_exactly_one_evaluate_span() {
+    use cextend::core::snowflake::{solve_snowflake, SnowflakeStep};
+    use cextend::core::SchedulerMode;
+    use cextend::workloads::{workload_by_name, CcFamily, DcSet, WorkloadParams};
+    let _guard = recording_lock();
+    let w = workload_by_name("logistics").expect("registered");
+    let data = w.generate(&WorkloadParams::new(0.01, 5));
+    let steps: Vec<SnowflakeStep> = (0..data.n_steps())
+        .map(|i| SnowflakeStep {
+            edge: data.steps[i].clone(),
+            ccs: w.step_ccs(i, CcFamily::Good, 10, &data, 5),
+            dcs: w.step_dcs(i, DcSet::All),
+        })
+        .collect();
+    assert!(steps.len() >= 2, "a multi-step chain");
+    for scheduler in [SchedulerMode::Serial, SchedulerMode::Parallel] {
+        let config = SolverConfig::hybrid().with_scheduler(scheduler);
+        std::env::set_var("CEXTEND_SCHED_WORKERS", "2");
+        let _ = obs::take_trace();
+        obs::set_recording(true);
+        solve_snowflake(data.relations.clone(), &steps, &config).unwrap();
+        obs::set_recording(false);
+        std::env::remove_var("CEXTEND_SCHED_WORKERS");
+        let trace = obs::take_trace();
+        trace.validate().unwrap();
+        let end = |s: &obs::SpanEvent| s.ts_ns + s.dur_ns;
+        let step_spans: Vec<&obs::SpanEvent> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name.starts_with("step:"))
+            .collect();
+        assert_eq!(step_spans.len(), steps.len(), "{scheduler:?}");
+        for step in step_spans {
+            let inside = trace
+                .spans
+                .iter()
+                .filter(|s| s.name == "evaluate" && s.tid == step.tid)
+                .filter(|s| s.ts_ns >= step.ts_ns && end(s) <= end(step))
+                .count();
+            assert_eq!(
+                inside, 1,
+                "{scheduler:?}: `evaluate` spans in {}",
+                step.name
+            );
+        }
+        let evaluations = trace.spans.iter().filter(|s| s.name == "evaluate").count();
+        assert_eq!(evaluations, steps.len(), "{scheduler:?}");
+    }
+}
