@@ -91,14 +91,14 @@ fn bench_leftovers(c: &mut Criterion) {
         group.bench_function("compressed-serial", |b| {
             b.iter_batched(
                 after_hasse,
-                |mut p1| complete_leftovers(&mut p1, &instance.ccs, false, None).unwrap(),
+                |mut p1| complete_leftovers(&mut p1, &instance.ccs, 1).unwrap(),
                 BatchSize::PerIteration,
             )
         });
         group.bench_function("compressed-parallel4", |b| {
             b.iter_batched(
                 after_hasse,
-                |mut p1| complete_leftovers(&mut p1, &instance.ccs, true, Some(4)).unwrap(),
+                |mut p1| complete_leftovers(&mut p1, &instance.ccs, 4).unwrap(),
                 BatchSize::PerIteration,
             )
         });

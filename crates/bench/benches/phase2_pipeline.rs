@@ -1,8 +1,7 @@
 //! Macro-benchmark for the Phase II work-stealing pipeline: full solves on
-//! a small DC-dense instance across coloring modes (serial vs the streamed
-//! pipeline at pinned worker widths).
+//! a small DC-dense instance at one worker and at 2 and 4 workers.
 //!
-//! Worker widths are pinned via `CEXTEND_SCHED_WORKERS`, so the arms are
+//! Widths are explicit `SolverConfig::workers` values, so the arms are
 //! machine-independent: on a 1-CPU runner the pipeline arms still exercise
 //! the atomic work-stealing counter, the result channel and the
 //! coordinator's in-order reassembly — their wall should sit within noise
@@ -28,12 +27,8 @@ fn bench_phase2_pipeline(c: &mut Criterion) {
     let reference = solve(&instance, &SolverConfig::hybrid()).unwrap();
     let mut group = c.benchmark_group("phase2_pipeline");
     group.sample_size(10);
-    for (mode, workers) in [("serial", None), ("pipe2", Some("2")), ("pipe4", Some("4"))] {
-        match workers {
-            Some(w) => std::env::set_var("CEXTEND_SCHED_WORKERS", w),
-            None => std::env::remove_var("CEXTEND_SCHED_WORKERS"),
-        }
-        let config = SolverConfig::hybrid().with_parallel_coloring(workers.is_some());
+    for (mode, workers) in [("serial", 1), ("pipe2", 2), ("pipe4", 4)] {
+        let config = SolverConfig::hybrid().with_workers(workers);
         let solution = solve(&instance, &config).unwrap();
         assert!(
             relations_equal_ordered(&solution.r1_hat, &reference.r1_hat)
@@ -44,7 +39,6 @@ fn bench_phase2_pipeline(c: &mut Criterion) {
             b.iter(|| solve(inst, &config).unwrap())
         });
     }
-    std::env::remove_var("CEXTEND_SCHED_WORKERS");
     group.finish();
 }
 

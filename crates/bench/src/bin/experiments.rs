@@ -10,20 +10,19 @@ const USAGE: &str = "\
 usage: experiments <id>|all|sched|scale|profile|perf|perf-check|perf-trend|fuzz-spec|spec-check [options]
 
 experiments: table1 fig8a fig8b fig9 fig10 fig11a fig11b fig12 fig13 ablate
-             sched (star-vs-chain step-scheduler sweep: serial vs parallel
-                   wall per level on every multi-step workload, asserting
-                   both modes produce bit-identical relations)
+             sched (star-vs-chain step-scheduler sweep: 1 worker vs
+                   --workers, wall per level on every multi-step workload,
+                   asserting both widths produce bit-identical relations)
              fuzz-spec (generates --iters random well-typed workload specs
                    and runs each through the differential oracles:
-                   serial ≡ parallel scheduler and Phase 1 bit-identity,
-                   plus conflict builder ≡ naive reference edge sets on
-                   every step; fails on any divergence)
+                   1 ≡ 2 ≡ 4 worker bit-identity, plus conflict builder ≡
+                   naive reference edge sets on every step; fails on any
+                   divergence)
              spec-check (parses + statically checks every spec under
                    specs/, and asserts every specs/bad/*.spec is rejected)
              scale (paper-scale runs: census at 40x and dcdense at 62.5x —
-                   both >=10^6 R1 tuples under --paper-scale — with Phase II
-                   (and, under --phase1 parallel, Phase 1) sharded across
-                   CEXTEND_SCHED_WORKERS; merges a wall + per-phase +
+                   both >=10^6 R1 tuples under --paper-scale — at
+                   --workers; merges a wall + per-phase +
                    peak-RSS `scale` section into <out>/BENCH_perf.json and
                    appends a \"kind\":\"scale\" line to BENCH_history.jsonl;
                    CEXTEND_SCALE_MAX_WALL_S / CEXTEND_SCALE_MAX_RSS_MB set
@@ -35,8 +34,9 @@ experiments: table1 fig8a fig8b fig9 fig10 fig11a fig11b fig12 fig13 ablate
                    against the StageTimings phase totals; fails on any
                    unbalanced span or non-monotone timestamp)
              perf (times the full chain on every workload — one record per
-                   completion step plus per scheduler level × mode — writes
-                   BENCH_perf.json and appends to BENCH_history.jsonl)
+                   completion step plus per scheduler level at 1 worker
+                   and at --workers — writes BENCH_perf.json and appends
+                   to BENCH_history.jsonl)
              perf-check (compares <out>/BENCH_perf.json against --baseline,
                    fails on a >3x wall-time regression of any shared record;
                    ignores BENCH_history.jsonl)
@@ -50,13 +50,12 @@ options:
                      dcdense (adversarial DC-dense events→slots), or
                      spec:<path> — a checked workload-spec file
                      (e.g. spec:specs/supply.spec)
-  --scheduler M      step scheduler for chain solves: serial (default) or
-                     parallel (independent steps run concurrently;
-                     bit-identical results under a fixed seed)
-  --phase1 M         Phase 1 mode: serial (default) or parallel (shards
-                     Algorithm 2 bitmap passes, leftover grouping and
-                     per-shard RNG completion across CEXTEND_SCHED_WORKERS;
-                     bit-identical results for any worker count)
+  --workers N        worker-pool width of every solve (a positive integer):
+                     independent chain steps, sharded Phase I completion
+                     and the Phase II partition pipeline; 1 runs inline,
+                     and results are bit-identical at every width
+                     (default: CEXTEND_SCHED_WORKERS when set, else the
+                     machine's available parallelism)
   --scale-factor F   multiply the workload's scale labels by F (default 0.02)
   --paper-scale      shorthand for --scale-factor 1.0 (hours of runtime!)
   --n-ccs N          CC-set size (default 150; the paper uses 1001)
@@ -149,17 +148,12 @@ fn parse(args: &[String]) -> Result<(Vec<String>, ExperimentOpts), String> {
                     .parse()
                     .map_err(|e| format!("bad --iters: {e}"))?
             }
-            "--scheduler" => {
-                let mode = take("--scheduler")?;
-                opts.scheduler = cextend_core::SchedulerMode::parse(&mode)
-                    .ok_or_else(|| format!("bad --scheduler `{mode}`: serial or parallel"))?;
-            }
-            "--phase1" => {
-                opts.parallel_phase1 = match take("--phase1")?.as_str() {
-                    "parallel" => true,
-                    "serial" => false,
-                    other => return Err(format!("bad --phase1 `{other}`: serial or parallel")),
-                };
+            "--workers" => {
+                let n = take("--workers")?;
+                opts.workers =
+                    n.parse().ok().filter(|&w: &usize| w >= 1).ok_or_else(|| {
+                        format!("bad --workers `{n}`: expected a positive integer")
+                    })?
             }
             "--out" => opts.out_dir = Some(take("--out")?.into()),
             "--baseline" => opts.baseline = Some(take("--baseline")?.into()),
@@ -233,12 +227,13 @@ fn main() -> ExitCode {
     // Progress narration goes to stderr (the obs human sink) so stdout
     // carries only the machine-readable tables.
     narrate!(
-        "# cextend experiments — workload={}, scale_factor={}, n_ccs={}, runs={}, seed={}{}\n",
+        "# cextend experiments — workload={}, scale_factor={}, n_ccs={}, runs={}, seed={}, workers={}{}\n",
         opts.workload,
         opts.scale_factor,
         opts.n_ccs,
         opts.runs,
         opts.seed,
+        opts.workers,
         if knobs.is_empty() {
             String::new()
         } else {
@@ -254,4 +249,45 @@ fn main() -> ExitCode {
         narrate!("[{id} finished in {:?}]\n", start.elapsed());
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn workers_takes_a_positive_integer() {
+        let (_, opts) = parse(&args(&["table1", "--workers", "3"])).unwrap();
+        assert_eq!(opts.workers, 3);
+        for bad in ["0", "-2", "1.5", "two", ""] {
+            let err = parse(&args(&["table1", "--workers", bad])).unwrap_err();
+            assert_eq!(
+                err,
+                format!("bad --workers `{bad}`: expected a positive integer")
+            );
+        }
+        let err = parse(&args(&["table1", "--workers"])).unwrap_err();
+        assert_eq!(err, "--workers needs a value");
+    }
+
+    #[test]
+    fn workers_defaults_to_the_pool_width() {
+        let (_, opts) = parse(&args(&["table1"])).unwrap();
+        assert_eq!(opts.workers, cextend_sched::pool_width(usize::MAX));
+    }
+
+    #[test]
+    fn retired_parallelism_flags_are_unknown_options() {
+        for flag in ["--scheduler", "--phase1"] {
+            let err = parse(&args(&["table1", flag, "parallel"])).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown option `{flag}`")),
+                "{err}"
+            );
+        }
+    }
 }

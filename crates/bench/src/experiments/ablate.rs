@@ -1,6 +1,7 @@
 //! Ablations of the design decisions called out in DESIGN.md:
 //!
-//! 1. **Parallel coloring** (§A.3) — serial vs threaded Phase II.
+//! 1. **Worker pools** (§A.3) — one worker vs `--workers` (output is
+//!    bit-identical; only the timings move).
 //! 2. **Exact vs greedy coloring** — solution quality (fresh `R2` tuples)
 //!    and cost of the backtracking solver.
 //! 3. **Branch-and-bound budget** — full B&B vs immediate LP rounding
@@ -31,16 +32,10 @@ pub fn run(opts: &ExperimentOpts) {
         ],
     )
     .with_scale_label(10);
+    let wide = format!("{} workers", opts.workers);
     let cases: Vec<(&str, &str, SolverConfig)> = vec![
         ("hybrid (reference)", "good", SolverConfig::hybrid()),
-        (
-            "parallel coloring",
-            "good",
-            SolverConfig {
-                parallel_coloring: true,
-                ..SolverConfig::hybrid()
-            },
-        ),
+        (&wide, "good", opts.solver_config()),
         (
             "exact coloring",
             "good",

@@ -115,10 +115,10 @@ fn run_chain(opts: &ExperimentOpts, family: CcFamily, id: &str) {
         let chains: Vec<_> = PIPELINES
             .iter()
             .map(|name| {
-                // Every pipeline honors the CLI-selected step scheduler —
-                // `--scheduler parallel` must actually exercise the
-                // parallel path here, not just in `table1`.
-                let config = pipeline_config(name).with_scheduler(opts.scheduler);
+                // Every pipeline runs at the CLI-selected width, so
+                // `--workers` exercises the pools here, not just in
+                // `table1`.
+                let config = pipeline_config(name).with_workers(opts.workers);
                 run_chain_with_steps_averaged(&data, &steps, &config, opts.runs)
             })
             .collect();

@@ -3,9 +3,8 @@
 //!
 //! `fuzz-spec` generates `--iters` random workload specs (each a ≥3-wide
 //! star whose first dimension heads a multi-hop chain), lowers each
-//! through the full parse → check → lower pipeline, and solves it serially,
-//! under the parallel step scheduler and on the parallel Phase 1 path,
-//! demanding bit-identical tables and solve counters. It also checks that
+//! through the full parse → check → lower pipeline, and solves it at 1, 2
+//! and 4 workers, demanding bit-identical tables and solve counters. It also checks that
 //! the conflict builder produces the naive reference's edge set, and that
 //! the membership kernel counts every CC as `count_in` does, on every
 //! step's ground-truth view. Any divergence, solver error or self-rejected
@@ -54,7 +53,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     }
     println!(
         "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets, kernel ≡ count_in CC \
-         counts and serial ≡ parallel on every spec (deepest schedule {best_levels} levels, \
+         counts and 1 ≡ 2 ≡ 4 workers on every spec (deepest schedule {best_levels} levels, \
          widest level {best_width})",
         opts.iters
     );

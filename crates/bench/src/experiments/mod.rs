@@ -14,14 +14,14 @@
 //! | `fig11b` | Figure 11b — hybrid runtime 10×–160×, good vs bad CCs |
 //! | `fig12` | Figure 12 — runtime vs number of `R2` columns |
 //! | `fig13` | Figure 13 — runtime breakdown at growing CC counts |
-//! | `ablate` | DESIGN.md ablations (parallel/exact coloring, B&B budget) |
-//! | `sched` | star-vs-chain step-scheduler sweep: serial vs parallel wall per level, with a bit-identity assertion |
-//! | `perf` | perf baseline over *all* workloads (one record per chain step + per scheduler level × mode) → `BENCH_perf.json` + `BENCH_history.jsonl` |
+//! | `ablate` | DESIGN.md ablations (worker width, exact coloring, B&B budget) |
+//! | `sched` | star-vs-chain step-scheduler sweep: 1 worker vs `--workers`, wall per level, with a bit-identity assertion |
+//! | `perf` | perf baseline over *all* workloads at `--workers` (one record per chain step + per scheduler level at 1 worker and at `--workers`) → `BENCH_perf.json` + `BENCH_history.jsonl` |
 //! | `perf-check` | regression guard: fresh `BENCH_perf.json` vs the committed baseline |
 //! | `perf-trend` | per-record wall-time trend table over the accumulated `BENCH_history.jsonl` lines (+ markdown when `--out` is set) |
-//! | `scale` | paper-scale runs (census + dcdense at ≥10⁶ `R1` tuples under `--paper-scale`) with sharded Phase II; merges a wall + peak-RSS `scale` section into `BENCH_perf.json` |
+//! | `scale` | paper-scale runs (census + dcdense at ≥10⁶ `R1` tuples under `--paper-scale`) at `--workers`; merges a wall + peak-RSS `scale` section into `BENCH_perf.json` |
 //! | `profile` | one traced chain run → `<out>/trace.json` (Chrome Trace Event Format, opens in Perfetto) + per-stage self-time table cross-checked against `StageTimings` |
-//! | `fuzz-spec` | seeded well-typed spec fuzzer: `--iters` random specs through the serial ≡ parallel differential oracles and the builder ≡ naive edge-set check |
+//! | `fuzz-spec` | seeded well-typed spec fuzzer: `--iters` random specs through the 1 ≡ 2 ≡ 4 worker differential oracles and the builder ≡ naive edge-set check |
 //! | `spec-check` | corpus gate: every `specs/*.spec` passes the static checker, every `specs/bad/*.spec` is rejected |
 
 pub mod ablate;

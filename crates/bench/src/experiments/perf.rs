@@ -15,9 +15,10 @@
 //! collected and reported before the check exits non-zero, so one red
 //! record cannot hide the rest in CI logs.
 //!
-//! Besides the per-step records, `perf` times every multi-step workload's
-//! chain under **both step schedulers** (one record per scheduler level and
-//! mode, wall = min over runs — see `super::sched`), and appends a one-line
+//! The per-step records solve at `--workers`. Besides them, `perf` times
+//! every multi-step workload's chain at **1 worker and at `--workers`**
+//! (one `sched-L<k>-serial|parallel` record per scheduler level and arm,
+//! wall = min over runs — see `super::sched`), and appends a one-line
 //! summary of the whole sweep to `BENCH_history.jsonl` next to
 //! `BENCH_perf.json`: the `--label` (git-describe-ish) and `--stamp`
 //! (timestamp) the caller passed, the run parameters, and every record's
@@ -25,7 +26,6 @@
 //! only ever grows, and `perf-check` never reads it.
 
 use crate::harness::{fmt_s, run_chain_averaged, run_meta, ExperimentOpts, RunMeta, Table};
-use cextend_core::SolverConfig;
 use cextend_obs::narrate;
 use cextend_workloads::{all_workloads, DcSet};
 use serde::Serialize;
@@ -99,8 +99,8 @@ pub struct PerfBaseline {
     /// false-flag the whole document as a parameter mismatch.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub workload: Option<String>,
-    /// Build/environment provenance (git commit, worker width). Not a
-    /// comparability parameter — see [`RunMeta`].
+    /// Build and worker-width provenance. Not a comparability parameter —
+    /// see [`RunMeta`].
     pub meta: RunMeta,
     /// One record per (workload, family, step).
     pub records: Vec<PerfRecord>,
@@ -150,7 +150,7 @@ pub fn run(opts: &ExperimentOpts) {
                 DcSet::All,
                 sub.n_ccs,
                 sub.seed,
-                &SolverConfig::hybrid(),
+                &sub.solver_config(),
                 sub.runs,
             );
             for step in &chain.steps {
@@ -191,12 +191,12 @@ pub fn run(opts: &ExperimentOpts) {
             }
         }
     }
-    // Scheduler comparison: one record per (multi-step workload, scheduler
-    // mode, level), wall = min over runs so the serial-vs-parallel signal
-    // survives scheduling jitter. The sweep asserts both modes produce
+    // Scheduler comparison: one record per (multi-step workload, arm,
+    // level), wall = min over runs so the serial-vs-parallel signal
+    // survives scheduling jitter. The sweep asserts both arms produce
     // bit-identical relations before any timing is recorded.
     for t in super::sched::sweep_all(opts) {
-        let step = format!("sched-L{}-{}", t.level, t.mode.label());
+        let step = format!("sched-L{}-{}", t.level, t.mode);
         table.push(vec![
             t.workload.clone(),
             "good".to_owned(),
@@ -236,7 +236,7 @@ pub fn run(opts: &ExperimentOpts) {
             .workload
             .starts_with("spec:")
             .then(|| opts.workload.clone()),
-        meta: run_meta(),
+        meta: run_meta(opts.workers),
         records,
     };
     let dir = opts
@@ -1025,16 +1025,25 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let records = [("census", "good", "Persons→Housing", 0.1)];
         // Committed documents still carry the `conflict`/`dcplan` labels
-        // of the retired builder knobs; they must compare cleanly against
-        // fresh documents without them, whatever they say.
+        // of the retired builder knobs, and scale sections the `phase1`
+        // label of the retired parallelism switch; they must compare
+        // cleanly against fresh documents without them, whatever they say.
         let labelled = doc(&records).replace(
             r#""runs":1,"#,
             r#""runs":1,"conflict":"naive","dcplan":"static","#,
         );
-        let base = write(&dir, "base.json", &labelled);
-        let fresh = write(&dir, "fresh.json", &doc(&records));
-        check(&base, &fresh).unwrap();
-        check(&fresh, &base).unwrap();
+        let scale = doc_with_scale(1.0, &[("census", 100.0, Some(1 << 30))]);
+        let scale_labelled = scale.replace(
+            r#""conflict":"indexed","#,
+            r#""conflict":"indexed","dcplan":"cost","phase1":"parallel","meta":{"pool_width":1},"#,
+        );
+        assert_ne!(scale, scale_labelled);
+        for (old, new) in [(labelled, doc(&records)), (scale_labelled, scale)] {
+            let base = write(&dir, "base.json", &old);
+            let fresh = write(&dir, "fresh.json", &new);
+            check(&base, &fresh).unwrap();
+            check(&fresh, &base).unwrap();
+        }
     }
 
     #[test]

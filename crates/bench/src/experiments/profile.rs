@@ -64,12 +64,9 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     let _ = cextend_obs::take_trace();
     cextend_obs::set_recording(true);
     cextend_obs::label_thread("main");
-    // Parallel coloring is forced on (output is bit-identical; only the
-    // scheduling changes) so the trace shows the Phase II worker pool when
-    // `CEXTEND_SCHED_WORKERS` grants one. `--phase1 parallel` and
-    // `--scheduler parallel` flow through `solver_config` as usual.
-    let config = opts.solver_config().with_parallel_coloring(true);
-    let chain = crate::harness::run_chain_with_steps(&data, &steps, &config);
+    // At `--workers` > 1 the trace shows every worker pool (output is
+    // bit-identical at every width; only the scheduling changes).
+    let chain = crate::harness::run_chain_with_steps(&data, &steps, &opts.solver_config());
     cextend_obs::set_recording(false);
     let trace = cextend_obs::take_trace();
     trace
@@ -136,7 +133,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         .clone()
         .unwrap_or_else(|| std::path::PathBuf::from("."));
     std::fs::create_dir_all(&dir).map_err(|e| format!("create output dir: {e}"))?;
-    let meta = trace_meta(opts, &run_meta());
+    let meta = trace_meta(opts, &run_meta(opts.workers));
     let path = dir.join("trace.json");
     std::fs::write(&path, trace.to_chrome_json(&meta))
         .map_err(|e| format!("write {}: {e}", path.display()))?;

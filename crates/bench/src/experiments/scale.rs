@@ -5,8 +5,8 @@
 //! data scales; this driver runs the two single-step workloads that reach
 //! 10⁶ `R1` tuples at 100% scale — Census (Table 1's 40× row: 1,015,686
 //! persons) and the DC-dense adversarial Events/Slots scenario — through
-//! the full hybrid pipeline with Phase II conflict building + coloring
-//! sharded by partition across the `CEXTEND_SCHED_WORKERS` pool.
+//! the full hybrid pipeline at `--workers` (Phase I completion sharded,
+//! Phase II conflict building + coloring on the partition pipeline).
 //!
 //! Each scenario is stamped with the knobs it runs at: both raise their
 //! partition-count knob (`areas` / `rooms`) far above the figure-experiment
@@ -32,7 +32,6 @@
 //! them or the driver fails — the `scale-smoke` CI step pins both.
 
 use crate::harness::{fmt_s, run_averaged, run_meta, ExperimentOpts, RunMeta, Table};
-use cextend_core::SolverConfig;
 use cextend_obs::narrate;
 use cextend_table::{peak_rss_bytes, reset_peak_rss};
 use cextend_workloads::{workload_by_name, CcFamily, DcSet, WorkloadParams};
@@ -145,11 +144,8 @@ pub struct ScaleSection {
     pub seed: u64,
     /// CLI-provided knob overrides.
     pub knobs: BTreeMap<String, i64>,
-    /// Phase 1 mode label (`parallel` or `serial`). Not a comparability
-    /// gate: both modes are bit-identical, only scheduling differs.
-    pub phase1: String,
-    /// Build/environment provenance (git commit, worker width). Not a
-    /// comparability gate — see [`RunMeta`].
+    /// Build and worker-width provenance. Not a comparability gate: every
+    /// width is bit-identical, only scheduling differs — see [`RunMeta`].
     pub meta: RunMeta,
     /// One record per scenario.
     pub records: Vec<ScaleRecord>,
@@ -176,8 +172,8 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     let mut table = Table::new(
         "scale",
         &format!(
-            "Paper-scale runs — {} of full scale, sharded Phase II",
-            opts.scale_factor
+            "Paper-scale runs — {} of full scale, {} workers",
+            opts.scale_factor, opts.workers
         ),
         &[
             "Workload", "Scale", "R1", "R2", "CCs", "phase I", "phase II", "total", "CC med",
@@ -221,10 +217,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
             .relation_heap_bytes;
         let ccs = workload.ccs(CcFamily::Good, opts.n_ccs, &data, opts.seed);
         let dcs = workload.dcs(DcSet::All);
-        let config = SolverConfig::hybrid()
-            .with_parallel_coloring(true)
-            .with_parallel_phase1(opts.parallel_phase1);
-        let result = run_averaged(&data, &ccs, &dcs, &config, opts.runs);
+        let result = run_averaged(&data, &ccs, &dcs, &opts.solver_config(), opts.runs);
         assert_eq!(
             result.dc_error, 0.0,
             "Proposition 5.5 violated on {} at scale {scale}",
@@ -294,12 +287,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         runs: opts.runs,
         seed: opts.seed,
         knobs: opts.knobs.clone(),
-        phase1: if opts.parallel_phase1 {
-            "parallel".to_owned()
-        } else {
-            "serial".to_owned()
-        },
-        meta: run_meta(),
+        meta: run_meta(opts.workers),
         records,
     };
     let dir = opts
@@ -459,8 +447,7 @@ mod tests {
             runs: 1,
             seed: 7,
             knobs: BTreeMap::new(),
-            phase1: "parallel".to_owned(),
-            meta: run_meta(),
+            meta: run_meta(2),
             records: vec![ScaleRecord {
                 workload: "census".to_owned(),
                 scale: 40.0,
@@ -508,8 +495,7 @@ mod tests {
             runs: 1,
             seed: 7,
             knobs: BTreeMap::new(),
-            phase1: "serial".to_owned(),
-            meta: run_meta(),
+            meta: run_meta(1),
             records: Vec::new(),
         };
         merge_section(&path, &section).unwrap();

@@ -1,28 +1,31 @@
 //! The star-vs-chain scheduler sweep (`sched`).
 //!
-//! Runs every *multi-step* workload's full FK-completion chain under both
-//! step schedulers — `supply` is a chain (one step per level, nothing to
-//! parallelize), `logistics` a branching star (two independent steps
-//! sharing a level) — and reports wall time per scheduler level. Each
-//! mode's level walls are the minimum over the sweep's runs, so scheduling
-//! jitter cannot mask the comparison. The sweep also *asserts* that both
-//! modes produce bit-identical relations on every run: it doubles as the
+//! Runs every *multi-step* workload's full FK-completion chain in two
+//! arms — `serial` at one worker and `parallel` at `--workers` — where
+//! `supply` is a chain (one step per level, nothing to parallelize) and
+//! `logistics` a branching star (two independent steps sharing a level),
+//! and reports wall time per scheduler level. Each arm's level walls are
+//! the minimum over the sweep's runs, so scheduling jitter cannot mask the
+//! comparison. The sweep also *asserts* that both arms produce
+//! bit-identical relations on every run: it doubles as the
 //! serial-vs-parallel equivalence gate CI runs.
 
 use crate::harness::{chain_steps, fmt_err, fmt_s, ExperimentOpts, Table};
 use cextend_core::metrics::median;
 use cextend_core::snowflake::{solve_snowflake, SnowflakeSolution, SnowflakeStep};
-use cextend_core::{SchedulerMode, SolverConfig};
+use cextend_core::SolverConfig;
 use cextend_workloads::{all_workloads, CcFamily, DcSet, Workload, WorkloadData};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
-/// Timing of one scheduler level under one mode.
+/// Timing of one scheduler level in one arm.
 pub struct LevelTiming {
     /// Workload name.
     pub workload: String,
-    /// Scheduler mode the chain ran with.
-    pub mode: SchedulerMode,
+    /// Arm label: `serial` (one worker) or `parallel` (`--workers`).
+    pub mode: &'static str,
+    /// Worker width the arm solved at.
+    pub workers: usize,
     /// Level index in execution order.
     pub level: usize,
     /// `Owner→Target` labels of the level's steps, in declared order.
@@ -49,7 +52,7 @@ pub struct LevelTiming {
 
 fn level_timings(
     workload: &str,
-    mode: SchedulerMode,
+    (mode, workers): (&'static str, usize),
     solutions: &[SnowflakeSolution],
     steps: &[SnowflakeStep],
 ) -> Vec<LevelTiming> {
@@ -68,6 +71,7 @@ fn level_timings(
             LevelTiming {
                 workload: workload.to_owned(),
                 mode,
+                workers,
                 level: k,
                 step_labels: outcomes.iter().map(|o| o.label.clone()).collect(),
                 parallel: level.parallel,
@@ -96,59 +100,60 @@ fn level_timings(
         .collect()
 }
 
-/// Runs one workload's chain under both scheduler modes (`runs` solves per
-/// mode, distinct solver seeds), asserts the completed relations are
-/// bit-identical between modes on every run, and returns the per-level
-/// timings of both modes (serial first).
+/// Runs one workload's chain in both arms (`runs` solves per arm, distinct
+/// solver seeds), asserts the completed relations are bit-identical
+/// between arms on every run, and returns the per-level timings of both
+/// arms (serial first).
 pub fn sweep_workload(
     workload: &dyn Workload,
     data: &WorkloadData,
     n_ccs: usize,
     seed: u64,
     runs: usize,
+    workers: usize,
 ) -> Vec<LevelTiming> {
     let name = workload.meta().name;
     let steps = chain_steps(workload, data, CcFamily::Good, DcSet::All, n_ccs, seed);
-    let solve_one = |mode: SchedulerMode, i: usize| -> SnowflakeSolution {
+    let solve_one = |workers: usize, i: usize| -> SnowflakeSolution {
         let config = SolverConfig::hybrid()
             .with_seed(seed + i as u64)
-            .with_scheduler(mode);
+            .with_workers(workers);
         solve_snowflake(data.relations.clone(), &steps, &config)
             .expect("solver never fails with augmentation on")
     };
-    // Interleave the modes (and alternate which goes first per run) so
+    // Interleave the arms (and alternate which goes first per run) so
     // allocator/cache drift over the sweep biases neither column — running
-    // all serial solves first consistently flattered whichever mode ran
+    // all serial solves first consistently flattered whichever arm ran
     // earlier.
     let mut serial: Vec<SnowflakeSolution> = Vec::with_capacity(runs.max(1));
     let mut parallel: Vec<SnowflakeSolution> = Vec::with_capacity(runs.max(1));
     for i in 0..runs.max(1) {
         if i % 2 == 0 {
-            serial.push(solve_one(SchedulerMode::Serial, i));
-            parallel.push(solve_one(SchedulerMode::Parallel, i));
+            serial.push(solve_one(1, i));
+            parallel.push(solve_one(workers, i));
         } else {
-            parallel.push(solve_one(SchedulerMode::Parallel, i));
-            serial.push(solve_one(SchedulerMode::Serial, i));
+            parallel.push(solve_one(workers, i));
+            serial.push(solve_one(1, i));
         }
     }
     for (run, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         for (st, pt) in s.tables.iter().zip(&p.tables) {
             assert!(
                 cextend_table::relations_equal_ordered(st, pt),
-                "{name} run {run}: relation {} diverged between scheduler modes",
+                "{name} run {run}: relation {} diverged between 1 and {workers} workers",
                 st.name()
             );
         }
         assert_eq!(
             s.total_stats().counters,
             p.total_stats().counters,
-            "{name} run {run}: solve counters diverged between scheduler modes"
+            "{name} run {run}: solve counters diverged between 1 and {workers} workers"
         );
     }
-    let mut timings = level_timings(name, SchedulerMode::Serial, &serial, &steps);
+    let mut timings = level_timings(name, ("serial", 1), &serial, &steps);
     timings.extend(level_timings(
         name,
-        SchedulerMode::Parallel,
+        ("parallel", workers),
         &parallel,
         &steps,
     ));
@@ -163,8 +168,8 @@ pub fn sweep_label(meta: &cextend_workloads::WorkloadMeta) -> u32 {
     meta.scale_labels.iter().copied().max().unwrap_or(1)
 }
 
-/// Solves per scheduler mode: at least three even when `--runs 1`. The
-/// level walls are minima, and a single sample per mode would turn the
+/// Solves per arm: at least three even when `--runs 1`. The level walls
+/// are minima, and a single sample per arm would turn the
 /// serial-vs-parallel comparison into a scheduling-jitter coin flip.
 pub fn sweep_runs(opts: &ExperimentOpts) -> usize {
     opts.runs.max(3)
@@ -201,6 +206,7 @@ pub fn sweep_all(opts: &ExperimentOpts) -> Vec<LevelTiming> {
             sub.n_ccs,
             sub.seed,
             sweep_runs(opts),
+            opts.workers,
         ));
     }
     out
@@ -212,7 +218,8 @@ pub fn run(opts: &ExperimentOpts) {
     let mut table = Table::new(
         "sched",
         &format!(
-            "Step scheduler — serial vs parallel wall per level (min of {} runs, factor {})",
+            "Step scheduler — 1 vs {} workers, wall per level (min of {} runs, factor {})",
+            opts.workers,
             opts.runs.max(3),
             opts.scale_factor
         ),
@@ -228,14 +235,10 @@ pub fn run(opts: &ExperimentOpts) {
             "Proposition 5.5 violated on {} level {}",
             t.workload, t.level
         );
-        let speedup = if t.mode == SchedulerMode::Parallel {
+        let speedup = if t.mode == "parallel" {
             let serial = timings
                 .iter()
-                .find(|s| {
-                    s.workload == t.workload
-                        && s.level == t.level
-                        && s.mode == SchedulerMode::Serial
-                })
+                .find(|s| s.workload == t.workload && s.level == t.level && s.mode == "serial")
                 .expect("serial twin exists");
             format!("{:.2}x", serial.wall_s / t.wall_s.max(1e-9))
         } else {
@@ -245,7 +248,7 @@ pub fn run(opts: &ExperimentOpts) {
             t.workload.clone(),
             format!(
                 "{}{}",
-                t.mode.label(),
+                t.mode,
                 if t.parallel { "*" } else { "" } // * = actually concurrent
             ),
             t.level.to_string(),
@@ -300,12 +303,15 @@ pub fn run(opts: &ExperimentOpts) {
         .expect("write snapshot");
         println!("[snapshot written to {}]\n", path.display());
     }
-    println!("[sched equivalence: parallel and serial relations bit-identical on every run]\n");
+    println!(
+        "[sched equivalence: relations at 1 and {} workers bit-identical on every run]\n",
+        opts.workers
+    );
 }
 
 /// The `sched.json` snapshot: the sweep's actual parameters (per-workload
 /// scale labels and resolved knobs — `Table::emit`'s single-workload stamp
-/// cannot describe a cross-workload sweep) plus one record per level × mode.
+/// cannot describe a cross-workload sweep) plus one record per level × arm.
 #[derive(Debug, Serialize)]
 struct SchedSnapshot {
     /// Experiment id.
@@ -316,7 +322,7 @@ struct SchedSnapshot {
     scale_factor: f64,
     /// CC-set size requested per step.
     n_ccs: usize,
-    /// Effective solves per scheduler mode (walls are minima over these).
+    /// Effective solves per arm (walls are minima over these).
     runs: usize,
     /// Base RNG seed.
     seed: u64,
@@ -324,7 +330,7 @@ struct SchedSnapshot {
     scale_labels: BTreeMap<String, u32>,
     /// Resolved knob map per swept workload.
     knobs: BTreeMap<String, BTreeMap<String, i64>>,
-    /// One record per workload × scheduler mode × level.
+    /// One record per workload × arm × level.
     records: Vec<SchedRecord>,
 }
 
@@ -333,8 +339,10 @@ struct SchedSnapshot {
 struct SchedRecord {
     /// Workload name.
     workload: String,
-    /// Scheduler mode label (`serial` / `parallel`).
+    /// Arm label (`serial` / `parallel`).
     mode: String,
+    /// Worker width the arm solved at.
+    workers: usize,
     /// Level index in execution order.
     level: usize,
     /// `Owner→Target` labels of the level's steps.
@@ -363,7 +371,8 @@ impl From<&LevelTiming> for SchedRecord {
     fn from(t: &LevelTiming) -> SchedRecord {
         SchedRecord {
             workload: t.workload.clone(),
-            mode: t.mode.label().to_owned(),
+            mode: t.mode.to_owned(),
+            workers: t.workers,
             level: t.level,
             steps: t.step_labels.clone(),
             parallel: t.parallel,

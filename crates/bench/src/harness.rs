@@ -8,7 +8,7 @@
 use cextend_constraints::{CardinalityConstraint, DenialConstraint};
 use cextend_core::metrics::{evaluate, median, EvaluationReport};
 use cextend_core::snowflake::{solve_snowflake, SnowflakeStep};
-use cextend_core::{solve, SchedulerMode, SolveStats, SolverConfig};
+use cextend_core::{solve, SolveStats, SolverConfig};
 use cextend_obs::narrate;
 use cextend_workloads::{
     workload_by_name, CcFamily, DcSet, Workload, WorkloadData, WorkloadParams,
@@ -18,30 +18,24 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// Build/environment metadata stamped into `BENCH_perf.json`, the `scale`
+/// Build and worker metadata stamped into `BENCH_perf.json`, the `scale`
 /// section and `trace.json` exports, so every committed artifact records
-/// the build and worker configuration that produced it. None of these
-/// fields participate in `perf-check`'s comparability gate (which reads a
-/// fixed parameter list) — they are provenance, not parameters.
+/// the build and worker width that produced it. None of these fields
+/// participate in `perf-check`'s comparability gate (which reads a fixed
+/// parameter list) — they are provenance, not parameters.
 #[derive(Clone, Debug, Serialize)]
 pub struct RunMeta {
     /// `git rev-parse --short HEAD`, when a git binary and repository are
     /// available (absent otherwise — e.g. release tarballs).
     #[serde(skip_serializing_if = "Option::is_none")]
     pub git_commit: Option<String>,
-    /// Worker-pool width an unbounded batch would run at
-    /// ([`cextend_sched::pool_width`]): the `CEXTEND_SCHED_WORKERS`
-    /// override when set, else detected hardware parallelism.
-    pub pool_width: usize,
-    /// The raw `CEXTEND_SCHED_WORKERS` value, when set (distinguishes a
-    /// pinned pool from a detected one of the same width).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub sched_workers: Option<String>,
+    /// Worker-pool width the run solved at ([`ExperimentOpts::workers`]).
+    pub workers: usize,
 }
 
-/// Captures [`RunMeta`] from the environment. Tolerates every failure
-/// mode: no git binary, not a repository, unset variables.
-pub fn run_meta() -> RunMeta {
+/// Captures [`RunMeta`] for a run at `workers`. Tolerates every failure
+/// mode of the git lookup: no git binary, not a repository.
+pub fn run_meta(workers: usize) -> RunMeta {
     let git_commit = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
@@ -51,8 +45,7 @@ pub fn run_meta() -> RunMeta {
         .filter(|s| !s.is_empty());
     RunMeta {
         git_commit,
-        pool_width: cextend_sched::pool_width(usize::MAX),
-        sched_workers: std::env::var("CEXTEND_SCHED_WORKERS").ok(),
+        workers,
     }
 }
 
@@ -64,10 +57,7 @@ impl RunMeta {
         if let Some(commit) = &self.git_commit {
             pairs.push(("git_commit".to_owned(), commit.clone()));
         }
-        pairs.push(("pool_width".to_owned(), self.pool_width.to_string()));
-        if let Some(w) = &self.sched_workers {
-            pairs.push(("sched_workers".to_owned(), w.clone()));
-        }
+        pairs.push(("workers".to_owned(), self.workers.to_string()));
         pairs
     }
 }
@@ -95,11 +85,11 @@ pub struct ExperimentOpts {
     /// Committed perf baseline `perf-check` compares against (`None` means
     /// `BENCH_perf.json` in the working directory).
     pub baseline: Option<PathBuf>,
-    /// Step scheduler the solver runs chains with (`--scheduler`).
-    pub scheduler: SchedulerMode,
-    /// Shard Phase I's bulk work across the `CEXTEND_SCHED_WORKERS` pool
-    /// (`--phase1 parallel|serial`); output is bit-identical either way.
-    pub parallel_phase1: bool,
+    /// Worker-pool width of the solves (`--workers`; default
+    /// [`cextend_sched::pool_width`]`(usize::MAX)`): concurrent chain
+    /// steps, sharded Phase I completion and the Phase II partition
+    /// pipeline. Output is bit-identical at every width.
+    pub workers: usize,
     /// `BENCH_history.jsonl` path `perf-trend` reads (`--history`; `None`
     /// means the file in the working directory, i.e. the committed one).
     pub history: Option<PathBuf>,
@@ -125,8 +115,7 @@ impl Default for ExperimentOpts {
             knobs: BTreeMap::new(),
             out_dir: None,
             baseline: None,
-            scheduler: SchedulerMode::Serial,
-            parallel_phase1: false,
+            workers: cextend_sched::pool_width(usize::MAX),
             history: None,
             label: "dev".to_owned(),
             stamp: "unstamped".to_owned(),
@@ -184,12 +173,9 @@ impl ExperimentOpts {
         self.workload().dcs(set)
     }
 
-    /// The hybrid solver configuration with the CLI-selected step
-    /// scheduler and Phase 1 mode applied.
+    /// The hybrid solver configuration at the CLI-selected width.
     pub fn solver_config(&self) -> SolverConfig {
-        SolverConfig::hybrid()
-            .with_scheduler(self.scheduler)
-            .with_parallel_phase1(self.parallel_phase1)
+        SolverConfig::hybrid().with_workers(self.workers)
     }
 
     /// The fully resolved knob map of the selected workload: every

@@ -9,8 +9,6 @@
 //! | [`SolverConfig::baseline`] | Alg. 1 without marginal rows, random completion | random FK among candidates |
 //! | [`SolverConfig::baseline_with_marginals`] | Alg. 1 with all-way marginals | random FK among candidates |
 
-pub use cextend_sched::SchedulerMode;
-
 /// Which Phase I algorithm completes `V_join`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Phase1Strategy {
@@ -116,14 +114,6 @@ pub struct SolverConfig {
     pub coloring: ColoringMode,
     /// ILP settings (only used when Phase I reaches Algorithm 1).
     pub ilp: IlpSettings,
-    /// Color partitions on multiple threads (Section A.3). Deterministic:
-    /// results are merged in partition order.
-    pub parallel_coloring: bool,
-    /// Shard Phase I's bulk work (per-CC row-match bitmaps, leftover-row
-    /// completion) across the `CEXTEND_SCHED_WORKERS` pool. Deterministic:
-    /// RNG draws come from fixed per-shard streams derived from the seed,
-    /// so output is bit-identical to the serial path at any worker count.
-    pub parallel_phase1: bool,
     /// Permit inventing fresh `R2` tuples for skipped/invalid tuples
     /// (Algorithm 4 lines 11–14). Disable to make the solver *decide*
     /// C-Extension instead of always succeeding.
@@ -134,11 +124,14 @@ pub struct SolverConfig {
     /// columns); the default keeps the paper's "only columns used in S_CC"
     /// optimization.
     pub complete_all_r2_columns: bool,
-    /// How `solve_snowflake` executes a chain's completion steps: in
-    /// declared order, or level by level with independent steps running
-    /// concurrently (results are bit-identical either way under a fixed
-    /// seed — see `cextend_core::stepgraph`).
-    pub scheduler: SchedulerMode,
+    /// Width of every worker pool the solver runs: independent chain steps
+    /// (`solve_snowflake` runs a schedule level concurrently when
+    /// `workers.min(level size) > 1`), Phase I's sharded completion and the
+    /// Phase II partition pipeline (Section A.3). 1 runs everything inline.
+    /// Output is bit-identical at every width: results merge in step,
+    /// shard and partition order, and RNG draws come from per-shard streams
+    /// derived from the seed.
+    pub workers: usize,
     /// RNG seed (baseline random choices, tie-breaking).
     pub seed: u64,
 }
@@ -157,11 +150,9 @@ impl SolverConfig {
             phase2: Phase2Strategy::Coloring,
             coloring: ColoringMode::Greedy,
             ilp: IlpSettings::default(),
-            parallel_coloring: false,
-            parallel_phase1: false,
             allow_augmenting_r2: true,
             complete_all_r2_columns: false,
-            scheduler: SchedulerMode::Serial,
+            workers: 1,
             seed: 0,
         }
     }
@@ -199,30 +190,51 @@ impl SolverConfig {
         self
     }
 
-    /// Builder-style step-scheduler override.
-    pub fn with_scheduler(mut self, scheduler: SchedulerMode) -> SolverConfig {
-        self.scheduler = scheduler;
+    /// Builder-style worker-pool width (see [`SolverConfig::workers`]).
+    pub fn with_workers(mut self, workers: usize) -> SolverConfig {
+        self.workers = workers;
         self
     }
 
-    /// Builder-style parallel-coloring override. Phase II conflict building
-    /// and coloring are sharded by partition across the
-    /// `CEXTEND_SCHED_WORKERS` pool when enabled; results are merged in
-    /// partition order, so output is bit-identical to the serial path.
-    pub fn with_parallel_coloring(mut self, parallel: bool) -> SolverConfig {
-        self.parallel_coloring = parallel;
-        self
+    /// Sets [`SolverConfig::workers`]: [`SchedulerMode::Parallel`] to
+    /// [`cextend_sched::pool_width`]`(usize::MAX)`, [`SchedulerMode::Serial`]
+    /// to 1.
+    #[deprecated(note = "set the width with `with_workers`")]
+    pub fn with_scheduler(self, mode: SchedulerMode) -> SolverConfig {
+        self.with_pool(mode == SchedulerMode::Parallel)
     }
 
-    /// Builder-style parallel-Phase-1 override. Per-CC row-match bitmap
-    /// construction and leftover-row completion are sharded across the
-    /// `CEXTEND_SCHED_WORKERS` pool when enabled; per-shard RNG streams are
-    /// derived from the seed, so output is bit-identical to the serial
-    /// path at any worker count.
-    pub fn with_parallel_phase1(mut self, parallel: bool) -> SolverConfig {
-        self.parallel_phase1 = parallel;
-        self
+    /// Sets [`SolverConfig::workers`]: `true` to
+    /// [`cextend_sched::pool_width`]`(usize::MAX)`, `false` to 1.
+    #[deprecated(note = "set the width with `with_workers`")]
+    pub fn with_parallel_phase1(self, parallel: bool) -> SolverConfig {
+        self.with_pool(parallel)
     }
+
+    /// Sets [`SolverConfig::workers`]: `true` to
+    /// [`cextend_sched::pool_width`]`(usize::MAX)`, `false` to 1.
+    #[deprecated(note = "set the width with `with_workers`")]
+    pub fn with_parallel_coloring(self, parallel: bool) -> SolverConfig {
+        self.with_pool(parallel)
+    }
+
+    /// The deprecated shims' one rule: on means the environment's width.
+    fn with_pool(self, on: bool) -> SolverConfig {
+        self.with_workers(if on {
+            cextend_sched::pool_width(usize::MAX)
+        } else {
+            1
+        })
+    }
+}
+
+/// Argument of the deprecated [`SolverConfig::with_scheduler`] shim.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SchedulerMode {
+    /// Sets `workers` to 1.
+    Serial,
+    /// Sets `workers` to [`cextend_sched::pool_width`]`(usize::MAX)`.
+    Parallel,
 }
 
 #[cfg(test)]
@@ -250,33 +262,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_coloring_builder() {
-        assert!(!SolverConfig::hybrid().parallel_coloring);
-        assert!(
-            SolverConfig::hybrid()
-                .with_parallel_coloring(true)
-                .parallel_coloring
-        );
+    fn workers_default_to_one() {
+        assert_eq!(SolverConfig::hybrid().workers, 1);
+        assert_eq!(SolverConfig::baseline().workers, 1);
+        assert_eq!(SolverConfig::hybrid().with_workers(4).workers, 4);
     }
 
+    /// The shims keep the benchmark harness solving at the environment's
+    /// width in every layer.
     #[test]
-    fn parallel_phase1_builder() {
-        assert!(!SolverConfig::hybrid().parallel_phase1);
-        assert!(
-            SolverConfig::hybrid()
-                .with_parallel_phase1(true)
-                .parallel_phase1
-        );
-    }
-
-    #[test]
-    fn scheduler_defaults_to_serial() {
-        assert_eq!(SolverConfig::hybrid().scheduler, SchedulerMode::Serial);
-        assert_eq!(
-            SolverConfig::hybrid()
-                .with_scheduler(SchedulerMode::Parallel)
-                .scheduler,
-            SchedulerMode::Parallel
-        );
+    #[allow(deprecated)]
+    fn deprecated_shims_set_workers() {
+        let on = SolverConfig::hybrid()
+            .with_scheduler(SchedulerMode::Parallel)
+            .with_parallel_phase1(true)
+            .with_parallel_coloring(true);
+        assert_eq!(on.workers, cextend_sched::pool_width(usize::MAX));
+        let wide = SolverConfig::hybrid().with_workers(8);
+        assert_eq!(wide.with_scheduler(SchedulerMode::Serial).workers, 1);
+        assert_eq!(wide.with_parallel_phase1(false).workers, 1);
+        assert_eq!(wide.with_parallel_coloring(false).workers, 1);
     }
 }

@@ -198,10 +198,7 @@ mod solve_tests {
             SolverConfig::hybrid(),
             SolverConfig::baseline(),
             SolverConfig::baseline_with_marginals(),
-            SolverConfig {
-                parallel_coloring: true,
-                ..SolverConfig::hybrid()
-            },
+            SolverConfig::hybrid().with_workers(2),
             SolverConfig {
                 coloring: ColoringMode::Exact { max_steps: 100_000 },
                 ..SolverConfig::hybrid()
@@ -210,7 +207,6 @@ mod solve_tests {
                 phase1: Phase1Strategy::HasseOnly,
                 ..SolverConfig::hybrid()
             },
-            SolverConfig::hybrid().with_parallel_phase1(true),
         ] {
             let solution = solve(&instance, &config).unwrap();
             let fk = solution.r1_hat.schema().fk_col().unwrap();
@@ -221,29 +217,27 @@ mod solve_tests {
     }
 
     #[test]
-    fn parallel_phase1_is_bit_identical_to_serial() {
+    fn solves_are_bit_identical_at_every_width() {
         let instance = fixtures::running_example();
         let serial = solve(&instance, &SolverConfig::hybrid().with_seed(5)).unwrap();
-        let parallel = solve(
-            &instance,
-            &SolverConfig::hybrid()
-                .with_seed(5)
-                .with_parallel_phase1(true),
-        )
-        .unwrap();
-        assert!(cextend_table::relations_equal_ordered(
-            &serial.r1_hat,
-            &parallel.r1_hat
-        ));
-        assert!(cextend_table::relations_equal_ordered(
-            &serial.r2_hat,
-            &parallel.r2_hat
-        ));
-        assert!(cextend_table::relations_equal_ordered(
-            &serial.vjoin,
-            &parallel.vjoin
-        ));
-        assert_eq!(serial.stats.counters, parallel.stats.counters);
+        for workers in [2, 4] {
+            let wide = solve(
+                &instance,
+                &SolverConfig::hybrid().with_seed(5).with_workers(workers),
+            )
+            .unwrap();
+            for (a, b) in [
+                (&serial.r1_hat, &wide.r1_hat),
+                (&serial.r2_hat, &wide.r2_hat),
+                (&serial.vjoin, &wide.vjoin),
+            ] {
+                assert!(
+                    cextend_table::relations_equal_ordered(a, b),
+                    "workers {workers}"
+                );
+            }
+            assert_eq!(serial.stats.counters, wide.stats.counters);
+        }
     }
 
     #[test]
@@ -251,10 +245,7 @@ mod solve_tests {
         let instance = fixtures::running_example();
         for config in [
             SolverConfig::hybrid(),
-            SolverConfig {
-                parallel_coloring: true,
-                ..SolverConfig::hybrid()
-            },
+            SolverConfig::hybrid().with_workers(2),
             SolverConfig {
                 phase1: Phase1Strategy::IlpOnly { marginals: true },
                 phase2: Phase2Strategy::Coloring,

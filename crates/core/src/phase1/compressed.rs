@@ -26,10 +26,10 @@
 //!   [`Relation::batch_set_syms`] instead of per-cell `set` calls.
 //!
 //! Parallelism: per-combo CC masks, per-group candidate lists and
-//! per-shard RNG choices are pure reads and run on the `cextend-sched`
-//! pool; all view mutation stays serial. RNG draws come from fixed
-//! per-shard streams ([`super::shard_rng`]) that depend only on
-//! `(seed, stage, shard)`, so serial and parallel runs at any worker count
+//! per-shard RNG choices are pure reads and run on a `cextend-sched` pool
+//! of `SolverConfig::workers` threads; all view mutation stays serial. RNG
+//! draws come from fixed per-shard streams ([`super::shard_rng`]) that
+//! depend only on `(seed, stage, shard)`, so runs at any worker count
 //! produce bit-identical views — and so does the scalar oracle, which
 //! shares the same streams.
 
@@ -40,20 +40,16 @@ use cextend_table::{ColId, IntColumnView, Relation, RowId, Sym, SymColumnView, V
 use rand::Rng;
 use std::collections::HashMap;
 
-/// Runs `n` independent, infallible subtasks: inline, or on the scoped pool
-/// at an explicit `width` (determinism tests) or the environment width.
-fn run_pool<T, F>(n: usize, parallel: bool, width: Option<usize>, task: F) -> Vec<T>
+/// Runs `n` independent, infallible subtasks on up to `workers` threads
+/// (inline below 2).
+fn run_pool<T, F>(n: usize, workers: usize, task: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let ids: Vec<usize> = (0..n).collect();
     let wrapped = |i: usize| Ok::<T, std::convert::Infallible>(task(i));
-    let res = match width {
-        Some(w) => cextend_sched::run_tasks_with_width(&ids, parallel, w, wrapped),
-        None => cextend_sched::run_tasks(&ids, parallel, wrapped),
-    };
-    match res {
+    match cextend_sched::run_tasks(&ids, workers, wrapped) {
         Ok(v) => v,
         Err(never) => match never {},
     }
@@ -305,18 +301,25 @@ fn apply_choices(p1: &mut P1, rows: &[RowId], choices: &[(usize, u32)]) -> Resul
     Ok(())
 }
 
-/// Code-compressed, indexed `phase1::complete_leftovers`: group leftover
-/// rows by (partial, R1 mask), compute each group's candidate-combo list
-/// once, then draw one combo per row from the per-shard RNG streams and
-/// apply all writes as column batches. Bit-identical to the scalar oracle.
+/// Final completion of rows that are not fully assigned (Algorithm 2 lines
+/// 14–17, generalized): pick for each such row a combo consistent with its
+/// partial assignment that adds **no new contribution** to any CC. Rows for
+/// which no such combo exists stay incomplete — the paper's *invalid
+/// tuples* — and are resolved by Phase II's `solveInvalidTuples`. Returns
+/// the invalid row ids.
+///
+/// Leftover rows are grouped by (partial, R1 mask), each group's
+/// candidate-combo list is computed once, then one combo per row is drawn
+/// from the per-shard RNG streams and all writes apply as column batches,
+/// with the pure reads on up to `workers` threads. Bit-identical to the
+/// scalar oracle [`super::complete_leftovers_scalar`] at every width.
 ///
 /// `ccs` must be the CCs `p1` was built from: their `R1` matches are
 /// `p1.cc_r1_bits`.
 pub fn complete_leftovers(
     p1: &mut P1,
     ccs: &[CardinalityConstraint],
-    parallel: bool,
-    width: Option<usize>,
+    workers: usize,
 ) -> Result<Vec<RowId>> {
     assert_eq!(ccs.len(), p1.cc_r1_bits.len(), "the CCs p1 was built from");
     let leftover = leftover_rows(p1);
@@ -325,7 +328,7 @@ pub fn complete_leftovers(
     }
     let words = ccs.len().div_ceil(64).max(1);
     // Which R2-side conditions each combo meets, as a CC bitmask.
-    let combo_masks: Vec<Vec<u64>> = run_pool(p1.combos.len(), parallel, width, |i| {
+    let combo_masks: Vec<Vec<u64>> = run_pool(p1.combos.len(), workers, |i| {
         let mut mask = vec![0u64; words];
         for (ci, cc) in ccs.iter().enumerate() {
             if p1.combo_satisfies(&p1.combos[i], &cc.r2) {
@@ -342,7 +345,7 @@ pub fn complete_leftovers(
     // and contributing to no CC the row newly matches. A CC is *not* newly
     // matched when the partial assignment already pins its R2 side
     // (Algorithm 2 counted pinned rows when it assigned them).
-    let candidates: Vec<Vec<u32>> = run_pool(groups.len(), parallel, width, |g| {
+    let candidates: Vec<Vec<u32>> = run_pool(groups.len(), workers, |g| {
         let grp = &groups[g];
         let mut row_mask = grp.r1_mask.clone();
         for (ci, cc) in ccs.iter().enumerate() {
@@ -374,7 +377,7 @@ pub fn complete_leftovers(
 
     // One RNG draw per row with candidates, from the shard's own stream.
     let n_shards = leftover.len().div_ceil(SHARD_SIZE);
-    let shard_choices: Vec<Vec<(usize, u32)>> = run_pool(n_shards, parallel, width, |shard| {
+    let shard_choices: Vec<Vec<(usize, u32)>> = run_pool(n_shards, workers, |shard| {
         let mut rng = shard_rng(p1.seed, LEFTOVERS_SALT, shard as u64);
         let lo = shard * SHARD_SIZE;
         let hi = (lo + SHARD_SIZE).min(leftover.len());
@@ -410,10 +413,14 @@ pub fn complete_leftovers(
     Ok(invalid)
 }
 
-/// Code-compressed `phase1::complete_randomly`: same grouping and shard
-/// streams, but candidates are only partial-consistency matches and a group
-/// with no match falls back to the full combo pool (Section 6.1's baseline).
-pub fn complete_randomly(p1: &mut P1, parallel: bool, width: Option<usize>) -> Result<usize> {
+/// Baseline completion: every not-fully-assigned row gets a uniformly
+/// random existing combo consistent with its partial assignment (Section
+/// 6.1: "Any V_join tuple without an assignment is completed by randomly
+/// assigning values in B1..Bq"); a group with no match falls back to the
+/// full combo pool. Same grouping, shard streams and `workers` pool as
+/// [`complete_leftovers`]; bit-identical to the scalar oracle
+/// [`super::complete_randomly_scalar`]. Returns the completed row count.
+pub fn complete_randomly(p1: &mut P1, workers: usize) -> Result<usize> {
     let rows = leftover_rows(p1);
     if rows.is_empty() {
         return Ok(0);
@@ -421,7 +428,7 @@ pub fn complete_randomly(p1: &mut P1, parallel: bool, width: Option<usize>) -> R
     let (groups, row_group) = group_rows(p1, &rows, &[]);
     let cols = p1.view_cc_ids.len();
     let combo_codes = encode_combos(p1);
-    let candidates: Vec<Vec<u32>> = run_pool(groups.len(), parallel, width, |g| {
+    let candidates: Vec<Vec<u32>> = run_pool(groups.len(), workers, |g| {
         (0..p1.combos.len())
             .filter(|&i| combo_matches_group(&combo_codes, cols, i, &groups[g]))
             .map(|i| i as u32)
@@ -430,7 +437,7 @@ pub fn complete_randomly(p1: &mut P1, parallel: bool, width: Option<usize>) -> R
 
     let n_combos = p1.combos.len();
     let n_shards = rows.len().div_ceil(SHARD_SIZE);
-    let shard_choices: Vec<Vec<(usize, u32)>> = run_pool(n_shards, parallel, width, |shard| {
+    let shard_choices: Vec<Vec<(usize, u32)>> = run_pool(n_shards, workers, |shard| {
         let mut rng = shard_rng(p1.seed, RANDOM_SALT, shard as u64);
         let lo = shard * SHARD_SIZE;
         let hi = (lo + SHARD_SIZE).min(rows.len());
@@ -497,9 +504,9 @@ mod tests {
         let mut scalar = P1::build(&instance, &config).unwrap();
         let inv_scalar =
             crate::phase1::complete_leftovers_scalar(&mut scalar, &instance.ccs).unwrap();
-        for (parallel, width) in [(false, None), (true, Some(2)), (true, Some(4))] {
+        for workers in [1, 2, 4] {
             let mut fast = P1::build(&instance, &config).unwrap();
-            let inv_fast = complete_leftovers(&mut fast, &instance.ccs, parallel, width).unwrap();
+            let inv_fast = complete_leftovers(&mut fast, &instance.ccs, workers).unwrap();
             assert_eq!(inv_scalar, inv_fast);
             assert!(relations_equal_ordered(&scalar.view, &fast.view));
         }
@@ -510,9 +517,9 @@ mod tests {
         let (instance, config) = built_p1();
         let mut scalar = P1::build(&instance, &config).unwrap();
         let n_scalar = crate::phase1::complete_randomly_scalar(&mut scalar).unwrap();
-        for (parallel, width) in [(false, None), (true, Some(2)), (true, Some(4))] {
+        for workers in [1, 2, 4] {
             let mut fast = P1::build(&instance, &config).unwrap();
-            let n_fast = complete_randomly(&mut fast, parallel, width).unwrap();
+            let n_fast = complete_randomly(&mut fast, workers).unwrap();
             assert_eq!(n_scalar, n_fast);
             assert!(relations_equal_ordered(&scalar.view, &fast.view));
         }
@@ -522,12 +529,12 @@ mod tests {
     fn shard_streams_do_not_depend_on_worker_count() {
         let (instance, config) = built_p1();
         let mut base: Option<cextend_table::Relation> = None;
-        for width in [1usize, 2, 4] {
+        for workers in [1, 2, 4] {
             let mut p1 = P1::build(&instance, &config).unwrap();
-            complete_leftovers(&mut p1, &instance.ccs, true, Some(width)).unwrap();
+            complete_leftovers(&mut p1, &instance.ccs, workers).unwrap();
             match &base {
                 None => base = Some(p1.view),
-                Some(b) => assert!(relations_equal_ordered(b, &p1.view), "width {width}"),
+                Some(b) => assert!(relations_equal_ordered(b, &p1.view), "workers {workers}"),
             }
         }
     }

@@ -12,7 +12,8 @@
 use crate::config::{Phase1Strategy, SolverConfig};
 use crate::error::Result;
 use crate::instance::CExtensionInstance;
-use crate::phase1::{complete_leftovers, complete_randomly, hasse_rec, ilp_based, P1};
+use crate::phase1::compressed::{complete_leftovers, complete_randomly};
+use crate::phase1::{hasse_rec, ilp_based, P1};
 use crate::report::{SolveStats, StageTimings};
 use cextend_constraints::{CardinalityConstraint, HasseDiagram, RelationshipMatrix};
 use cextend_table::RowId;
@@ -50,7 +51,7 @@ pub(crate) fn run(
             stats.counters.s2_ccs = instance.ccs.len();
             // Baseline completion: random combos for every leftover row.
             let random_stage = cextend_obs::stage("random");
-            complete_randomly(&mut p1, config.parallel_phase1, None)?;
+            complete_randomly(&mut p1, config.workers)?;
             drop(random_stage);
         }
     }
@@ -160,7 +161,7 @@ fn run_hybrid(
 
     // ---- Completion (Algorithm 2 lines 14–17, generalized). -------------
     let leftovers_stage = cextend_obs::stage("leftovers");
-    complete_leftovers(p1, &instance.ccs, config.parallel_phase1, None)?;
+    complete_leftovers(p1, &instance.ccs, config.workers)?;
     drop(leftovers_stage);
     Ok(())
 }

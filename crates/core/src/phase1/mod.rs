@@ -279,32 +279,10 @@ pub(crate) fn combo_masks(
     masks
 }
 
-/// Final completion of rows that are not fully assigned (Algorithm 2 lines
-/// 14–17, generalized): pick for each such row a combo consistent with its
-/// partial assignment that adds **no new contribution** to any CC. Rows for
-/// which no such combo exists stay incomplete — the paper's *invalid
-/// tuples* — and are resolved by Phase II's `solveInvalidTuples`.
-///
-/// Returns the invalid row ids.
-///
-/// This is the production entry point; it runs the code-compressed, indexed
-/// implementation in [`compressed`]. The row-at-a-time scalar oracle is
-/// retained as [`complete_leftovers_scalar`] and equivalence-tested against
-/// it. `width` pins the worker count (tests); `None` honors
-/// `CEXTEND_SCHED_WORKERS`.
-pub fn complete_leftovers(
-    p1: &mut P1,
-    ccs: &[CardinalityConstraint],
-    parallel: bool,
-    width: Option<usize>,
-) -> Result<Vec<RowId>> {
-    compressed::complete_leftovers(p1, ccs, parallel, width)
-}
-
-/// The scalar oracle for `complete_leftovers`: boxed per-row reads, per-row
-/// candidate scans. Kept for equivalence tests and the criterion benches; it
-/// draws from the same per-shard RNG streams as the compressed path, so both
-/// produce bit-identical views.
+/// The scalar oracle for [`compressed::complete_leftovers`]: boxed per-row
+/// reads, per-row candidate scans. Kept for equivalence tests and the
+/// criterion benches; it draws from the same per-shard RNG streams as the
+/// compressed path, so both produce bit-identical views.
 pub fn complete_leftovers_scalar(p1: &mut P1, ccs: &[CardinalityConstraint]) -> Result<Vec<RowId>> {
     use rand::Rng;
     let bound_r1: Vec<BoundPredicate> = ccs
@@ -408,19 +386,9 @@ fn combo_matches_partial(combo: &[Value], partial: &[Option<Value>]) -> bool {
         .all(|(cv, pv)| pv.is_none_or(|pv| *cv == pv))
 }
 
-/// Baseline completion: every not-fully-assigned row gets a uniformly
-/// random existing combo consistent with its partial assignment (Section
-/// 6.1: "Any V_join tuple without an assignment is completed by randomly
-/// assigning values in B1..Bq").
-///
-/// Production entry point — runs the code-compressed implementation in
-/// [`compressed`]; the scalar oracle is [`complete_randomly_scalar`].
-pub fn complete_randomly(p1: &mut P1, parallel: bool, width: Option<usize>) -> Result<usize> {
-    compressed::complete_randomly(p1, parallel, width)
-}
-
-/// The scalar oracle for `complete_randomly`: boxed per-row reads, per-row
-/// candidate scans, same per-shard RNG streams as the compressed path.
+/// The scalar oracle for [`compressed::complete_randomly`]: boxed per-row
+/// reads, per-row candidate scans, same per-shard RNG streams as the
+/// compressed path.
 pub fn complete_randomly_scalar(p1: &mut P1) -> Result<usize> {
     use rand::Rng;
     let mut completed = 0usize;

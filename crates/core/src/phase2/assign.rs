@@ -105,33 +105,32 @@ pub(crate) fn color_partition(
 /// Colors all partitions and hands each [`PartitionResult`] to `sink` in
 /// partition order — the streaming core of the Phase II pipeline.
 ///
-/// Serially, `sink` runs right after each partition colors. In parallel
-/// mode, workers pull partition indexes from a shared atomic counter
-/// (work-stealing: a worker stuck on a huge partition never strands queued
-/// small ones behind it) and stream results over a channel; the
-/// coordinator reorders arrivals so `sink` still observes strict partition
-/// order while later partitions are still coloring. Either way the sink
-/// sees the same sequence, so downstream minting stays bit-identical across
-/// modes and worker widths. The caller compiles `builder` once; each worker
-/// colors with its own clone (the compiled plans plus reusable scratch).
-/// The worker count honors `CEXTEND_SCHED_WORKERS` via
-/// [`cextend_sched::pool_width`]. The first error `sink` returns stops the
+/// With one worker (or one partition), `sink` runs right after each
+/// partition colors. Otherwise up to `workers` threads pull partition
+/// indexes from a shared atomic counter (work-stealing: a worker stuck on a
+/// huge partition never strands queued small ones behind it) and stream
+/// results over a channel; the coordinator reorders arrivals so `sink`
+/// still observes strict partition order while later partitions are still
+/// coloring. Either way the sink sees the same sequence, so downstream
+/// minting stays bit-identical across worker widths. The caller compiles
+/// `builder` once; each worker colors with its own clone (the compiled
+/// plans plus reusable scratch). The first error `sink` returns stops the
 /// stream and is returned; workers finish the partition in hand and exit.
 pub(crate) fn color_partitions_streamed(
     view: &Relation,
     partitions: &[(Vec<cextend_table::Value>, Vec<RowId>, usize)],
     mode: ColoringMode,
     mut builder: ConflictBuilder,
-    parallel: bool,
+    workers: usize,
     mut sink: impl FnMut(PartitionResult) -> Result<()>,
 ) -> Result<()> {
-    if !parallel || partitions.len() < 2 {
+    let n_threads = workers.min(partitions.len());
+    if n_threads < 2 {
         for (i, (_, rows, n_cand)) in partitions.iter().enumerate() {
             sink(color_partition(i, view, rows, *n_cand, mode, &mut builder))?;
         }
         return Ok(());
     }
-    let n_threads = cextend_sched::pool_width(partitions.len());
     let next = std::sync::atomic::AtomicUsize::new(0);
     let builder = &builder;
     std::thread::scope(|scope| {
@@ -238,7 +237,7 @@ mod tests {
     }
 
     /// Streams every partition of the Chicago/NYC view through `sink`.
-    fn stream(parallel: bool, sink: impl FnMut(PartitionResult) -> Result<()>) -> Result<()> {
+    fn stream(workers: usize, sink: impl FnMut(PartitionResult) -> Result<()>) -> Result<()> {
         let (view, dcs) = chicago_setup();
         let partitions = vec![
             (vec![Value::str("Chicago")], (0..7).collect::<Vec<_>>(), 4),
@@ -250,40 +249,42 @@ mod tests {
             &partitions,
             ColoringMode::Greedy,
             builder,
-            parallel,
+            workers,
             sink,
         )
     }
 
     #[test]
-    fn parallel_and_serial_agree() {
-        let collect = |parallel: bool| {
+    fn every_width_streams_the_same_results() {
+        let collect = |workers: usize| {
             let mut out = Vec::new();
-            stream(parallel, |r| {
+            stream(workers, |r| {
                 out.push(r);
                 Ok(())
             })
             .unwrap();
             out
         };
-        let parallel = collect(true);
-        let serial = collect(false);
+        let serial = collect(1);
         assert_eq!(serial.len(), 2);
-        assert_eq!(serial.len(), parallel.len());
-        for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-            assert_eq!(s.partition, i, "sink sees partition order");
-            assert_eq!(p.partition, i, "sink sees partition order");
-            assert_eq!(s.assignments, p.assignments);
-            assert_eq!(s.fresh_colors, p.fresh_colors);
-            assert_eq!(s.index_stats, p.index_stats);
+        for workers in [2, 4] {
+            let wide = collect(workers);
+            assert_eq!(serial.len(), wide.len());
+            for (i, (s, w)) in serial.iter().zip(&wide).enumerate() {
+                assert_eq!(s.partition, i, "sink sees partition order");
+                assert_eq!(w.partition, i, "sink sees partition order");
+                assert_eq!(s.assignments, w.assignments);
+                assert_eq!(s.fresh_colors, w.fresh_colors);
+                assert_eq!(s.index_stats, w.index_stats);
+            }
         }
     }
 
     #[test]
     fn sink_errors_stop_the_stream() {
-        for parallel in [false, true] {
+        for workers in [1, 2] {
             let mut seen = 0;
-            let err = stream(parallel, |_| {
+            let err = stream(workers, |_| {
                 seen += 1;
                 Err(CoreError::Validation("stop".into()))
             });

@@ -134,33 +134,28 @@ pub(crate) fn solve_invalid(
         scored.sort();
 
         // First DC-safe household among the best combos wins.
-        let mut assigned = false;
-        'combos: for &(_, k) in &scored {
-            let combo = ctx.combos[k].clone();
-            let keys = ctx.households_of_combo(&combo);
-            for r2_row in keys {
-                let members = ctx.household_members(r2_row);
-                if !conflicts_with_household(&ctx.view, dcs, row, &members) {
-                    ctx.assign_row(row, r2_row)?;
-                    for_each_fed(i, k, &mut |ci| counts[ci] += 1);
-                    assigned = true;
-                    break 'combos;
-                }
-            }
-        }
-        if !assigned {
-            if !allow_augmenting_r2 {
+        let safe = scored.iter().find_map(|&(_, k)| {
+            let hh = &ctx.households;
+            hh.of_combo(&ctx.combos[k])
+                .iter()
+                .find(|&&r2_row| !conflicts_with_household(&ctx.view, dcs, row, hh.members(r2_row)))
+                .map(|&r2_row| (k, r2_row))
+        });
+        let (k, r2_row) = match safe {
+            Some(found) => found,
+            None if !allow_augmenting_r2 => {
                 return Err(CoreError::NoSolutionWithoutAugmentation {
                     unassignable: invalid.len(),
                 });
             }
-            let best = scored[0].1;
-            let combo = ctx.combos[best].clone();
-            let r2_row = ctx.mint_household(&combo)?;
-            ctx.assign_row(row, r2_row)?;
-            for_each_fed(i, best, &mut |ci| counts[ci] += 1);
-            minted += 1;
-        }
+            None => {
+                let best = scored[0].1;
+                minted += 1;
+                (best, ctx.households.mint(&ctx.combos[best])?)
+            }
+        };
+        ctx.assign_row(row, r2_row)?;
+        for_each_fed(i, k, &mut |ci| counts[ci] += 1);
     }
     Ok(minted)
 }

@@ -94,50 +94,44 @@ impl KeyMinter {
     }
 }
 
-/// Phase II working state shared by the coloring and invalid-handling steps.
-pub(crate) struct Phase2Ctx {
-    /// The completed view (B columns filled progressively).
-    pub view: Relation,
+/// The `R̂2` side of Phase II: `R2` plus minted tuples, the households of
+/// each combo, their members and the key minter. It is everything the
+/// streaming coloring sink mutates, kept apart from the view so that
+/// workers read [`Phase2Ctx::view`] while the sink mints.
+pub(crate) struct Households {
     /// `R2` plus minted tuples.
-    pub r2_hat: Relation,
-    /// Distinct existing combos over the CC-referenced `R2` columns.
-    pub combos: Vec<Combo>,
-    r2_cc_cols: Vec<String>,
-    view_cc_ids: Vec<ColId>,
-    /// All `R2` attribute columns and their ids in the view (aligned).
-    r2_attr_ids: Vec<ColId>,
-    view_r2_attr_ids: Vec<ColId>,
+    r2_hat: Relation,
     k2: ColId,
+    /// `R2`'s attribute columns and, aligned, the combo position a minted
+    /// tuple takes each from (`None`: copied from a donor household).
+    attr_ids: Vec<ColId>,
+    attr_combo_pos: Vec<Option<usize>>,
     /// `R̂2` rows per combo, in insertion order.
     combo_rows: HashMap<Combo, Vec<usize>>,
-    /// Per view row, the assigned `R̂2` row.
-    row_key: Vec<Option<usize>>,
     /// Per `R̂2` row, the view rows assigned to it.
-    key_members: Vec<Vec<RowId>>,
+    members: Vec<Vec<RowId>>,
     minter: KeyMinter,
 }
 
-impl Phase2Ctx {
-    fn build(instance: &CExtensionInstance, p1: &P1) -> Result<Phase2Ctx> {
-        let r2 = &instance.r2;
+impl Households {
+    /// `R2`'s households, grouped by their combo over `r2_cc_cols`.
+    fn build(r2: &Relation, r2_cc_cols: &[String]) -> Result<Households> {
         let k2 = r2.schema().key_col().expect("validated");
-        let r2_cc_col_ids: Vec<ColId> = p1
-            .r2_cc_cols
+        let r2_cc_col_ids: Vec<ColId> = r2_cc_cols
             .iter()
             .map(|c| r2.schema().require(c, r2.name()))
             .collect::<std::result::Result<Vec<_>, _>>()?;
-        let r2_attr_ids = r2.schema().attr_cols();
-        let view_r2_attr_ids = r2_attr_ids
+        let attr_ids = r2.schema().attr_cols();
+        let attr_combo_pos = attr_ids
             .iter()
             .map(|&c| {
-                p1.view
-                    .schema()
-                    .require(&r2.schema().column(c).name, p1.view.name())
+                let name = &r2.schema().column(c).name;
+                r2_cc_cols.iter().position(|cc| cc == name)
             })
-            .collect::<std::result::Result<Vec<_>, _>>()?;
+            .collect();
         // Group R2 rows by combo — one dictionary-code group-by instead of
         // a boxed-Value key per row; rows with missing combo cells (keys
-        // containing `None`) are dropped, as before.
+        // containing `None`) are dropped.
         let grouped = cextend_table::marginals::group_rows(r2, &r2_cc_col_ids);
         let mut combo_rows: HashMap<Combo, Vec<usize>> = HashMap::new();
         for (key, rows) in grouped.iter() {
@@ -147,53 +141,39 @@ impl Phase2Ctx {
             let combo: Combo = key.iter().map(|v| v.expect("checked")).collect();
             combo_rows.insert(combo, rows.to_vec());
         }
-        Ok(Phase2Ctx {
-            view: p1.view.clone(),
+        Ok(Households {
             r2_hat: r2.clone(),
-            combos: p1.combos.clone(),
-            r2_cc_cols: p1.r2_cc_cols.clone(),
-            view_cc_ids: p1.view_cc_ids.clone(),
-            r2_attr_ids,
-            view_r2_attr_ids,
             k2,
+            attr_ids,
+            attr_combo_pos,
             combo_rows,
-            row_key: vec![None; p1.view.n_rows()],
-            key_members: vec![Vec::new(); r2.n_rows()],
+            members: vec![Vec::new(); r2.n_rows()],
             minter: KeyMinter::new(r2, k2),
         })
     }
 
     /// `R̂2` rows (households) carrying `combo`.
-    pub fn households_of_combo(&self, combo: &[Value]) -> Vec<usize> {
-        self.combo_rows.get(combo).cloned().unwrap_or_default()
+    pub fn of_combo(&self, combo: &[Value]) -> &[usize] {
+        self.combo_rows.get(combo).map_or(&[], Vec::as_slice)
     }
 
     /// The view rows currently assigned to household `r2_row`.
-    pub fn household_members(&self, r2_row: usize) -> Vec<RowId> {
-        self.key_members[r2_row].clone()
+    pub fn members(&self, r2_row: usize) -> &[RowId] {
+        &self.members[r2_row]
     }
 
     /// Appends a fresh household with `combo` values; other attribute
     /// columns are inherited from the first existing household of the same
     /// combo (the paper's new tuples copy the partition's `B` values).
-    pub fn mint_household(&mut self, combo: &[Value]) -> Result<usize> {
-        let donor = self
-            .combo_rows
-            .get(combo)
-            .and_then(|rows| rows.first().copied());
+    pub fn mint(&mut self, combo: &[Value]) -> Result<usize> {
+        let donor = self.of_combo(combo).first().copied();
         let key = self.minter.mint(&self.r2_hat, self.k2);
         let mut row: Vec<Option<Value>> = vec![None; self.r2_hat.schema().len()];
         row[self.k2] = Some(key);
-        for (i, &c) in self.r2_attr_ids.iter().enumerate() {
-            let name = &self.r2_hat.schema().column(c).name;
-            let from_combo = self
-                .r2_cc_cols
-                .iter()
-                .position(|cc| cc == name)
-                .map(|p| combo[p]);
-            row[c] = match from_combo {
-                Some(v) => Some(v),
-                None => donor.and_then(|d| self.r2_hat.get(d, self.r2_attr_ids[i])),
+        for (&c, pos) in self.attr_ids.iter().zip(&self.attr_combo_pos) {
+            row[c] = match pos {
+                Some(p) => Some(combo[*p]),
+                None => donor.and_then(|d| self.r2_hat.get(d, c)),
             };
         }
         let new_row = self.r2_hat.push_row(&row)?;
@@ -201,8 +181,62 @@ impl Phase2Ctx {
             .entry(combo.to_vec())
             .or_default()
             .push(new_row);
-        self.key_members.push(Vec::new());
+        self.members.push(Vec::new());
         Ok(new_row)
+    }
+}
+
+/// Phase II working state shared by the coloring and invalid-handling steps:
+/// Phase I's context, moved in, plus the assignment state.
+pub(crate) struct Phase2Ctx {
+    /// The completed view (B columns filled progressively).
+    pub view: Relation,
+    /// Distinct existing combos over the CC-referenced `R2` columns.
+    pub combos: Vec<Combo>,
+    /// The CC-referenced `R2` columns the combos range over.
+    r2_cc_cols: Vec<String>,
+    view_cc_ids: Vec<ColId>,
+    /// The view ids of `R2`'s attribute columns, aligned with
+    /// `Households::attr_ids`.
+    view_r2_attr_ids: Vec<ColId>,
+    /// Per view row, the assigned `R̂2` row.
+    row_key: Vec<Option<usize>>,
+    /// `R̂2` and its households; all the coloring sink writes.
+    pub households: Households,
+    /// Seeded RNG for the random-assignment baseline.
+    rng: StdRng,
+}
+
+impl Phase2Ctx {
+    fn build(instance: &CExtensionInstance, p1: P1) -> Result<Phase2Ctx> {
+        let P1 {
+            view,
+            r2_cc_cols,
+            view_cc_ids,
+            combos,
+            rng,
+            ..
+        } = p1;
+        let r2 = &instance.r2;
+        let households = Households::build(r2, &r2_cc_cols)?;
+        let view_r2_attr_ids = households
+            .attr_ids
+            .iter()
+            .map(|&c| {
+                view.schema()
+                    .require(&r2.schema().column(c).name, view.name())
+            })
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        Ok(Phase2Ctx {
+            row_key: vec![None; view.n_rows()],
+            view,
+            combos,
+            r2_cc_cols,
+            view_cc_ids,
+            view_r2_attr_ids,
+            households,
+            rng,
+        })
     }
 
     /// Assigns view row `row` to household `r2_row`: records membership and
@@ -211,33 +245,33 @@ impl Phase2Ctx {
     pub fn assign_row(&mut self, row: RowId, r2_row: usize) -> Result<()> {
         debug_assert!(self.row_key[row].is_none(), "row {row} assigned twice");
         self.row_key[row] = Some(r2_row);
-        self.key_members[r2_row].push(row);
-        for (i, &vc) in self.view_r2_attr_ids.iter().enumerate() {
-            let v = self.r2_hat.get(r2_row, self.r2_attr_ids[i]);
-            self.view.set(row, vc, v)?;
+        let hh = &mut self.households;
+        hh.members[r2_row].push(row);
+        for (&vc, &rc) in self.view_r2_attr_ids.iter().zip(&hh.attr_ids) {
+            self.view.set(row, vc, hh.r2_hat.get(r2_row, rc))?;
         }
         Ok(())
     }
 
     /// [`Phase2Ctx::assign_row`] over a whole batch, column at a time: the
-    /// membership bookkeeping runs in batch order (so `key_members` matches
-    /// the row-at-a-time path exactly), then each `R2` attribute column is
+    /// membership bookkeeping runs in batch order (so `members` matches the
+    /// row-at-a-time path exactly), then each `R2` attribute column is
     /// copied into the view with one typed bulk write instead of a boxed
     /// [`Relation::set`] per cell. Household cells that are missing fall
     /// back to a per-cell blank — the batch API only writes present values.
     pub fn assign_rows_bulk(&mut self, assignments: &[(RowId, usize)]) -> Result<()> {
+        let hh = &mut self.households;
         for &(row, r2_row) in assignments {
             debug_assert!(self.row_key[row].is_none(), "row {row} assigned twice");
             self.row_key[row] = Some(r2_row);
-            self.key_members[r2_row].push(row);
+            hh.members[r2_row].push(row);
         }
         let mut ints: Vec<(RowId, i64)> = Vec::new();
         let mut syms: Vec<(RowId, Sym)> = Vec::new();
         let mut blanks: Vec<RowId> = Vec::new();
-        for (i, &vc) in self.view_r2_attr_ids.iter().enumerate() {
-            let rc = self.r2_attr_ids[i];
+        for (&vc, &rc) in self.view_r2_attr_ids.iter().zip(&hh.attr_ids) {
             blanks.clear();
-            if let Some(src) = self.r2_hat.int_view(rc) {
+            if let Some(src) = hh.r2_hat.int_view(rc) {
                 ints.clear();
                 for &(row, r2_row) in assignments {
                     match src.get(r2_row) {
@@ -247,7 +281,7 @@ impl Phase2Ctx {
                 }
                 self.view.batch_set_ints(vc, &ints)?;
             } else {
-                let src = self.r2_hat.sym_view(rc).expect("attr column is int or str");
+                let src = hh.r2_hat.sym_view(rc).expect("attr column is int or str");
                 syms.clear();
                 for &(row, r2_row) in assignments {
                     match src.get(r2_row) {
@@ -280,12 +314,12 @@ impl Phase2Ctx {
 pub(crate) fn run_phase2(
     instance: &CExtensionInstance,
     config: &SolverConfig,
-    mut p1: P1,
+    p1: P1,
     invalid: Vec<RowId>,
     stats: &mut SolveStats,
 ) -> Result<(Relation, Relation, Relation)> {
     let frame = cextend_obs::frame();
-    let mut ctx = Phase2Ctx::build(instance, &p1)?;
+    let mut ctx = Phase2Ctx::build(instance, p1)?;
     let invalid_set: std::collections::HashSet<RowId> = invalid.iter().copied().collect();
 
     match config.phase2 {
@@ -325,7 +359,7 @@ pub(crate) fn run_phase2(
                     )));
                 }
                 let combo: Combo = key.iter().map(|v| v.expect("checked")).collect();
-                let n_cand = ctx.households_of_combo(&combo).len();
+                let n_cand = ctx.households.of_combo(&combo).len();
                 partitions.push((combo, rows, n_cand));
             }
             stats.counters.partitions = partitions.len();
@@ -344,23 +378,23 @@ pub(crate) fn run_phase2(
             drop(partition_stage);
 
             // ---- Color partitions, applying results as they stream in. ---
-            // Workers read `p1.view`, of which `ctx.view` is a clone that
-            // nothing writes before `assign_rows_bulk`, so the sink can
-            // mutate `ctx`. Colors resolve to `R̂2` rows partition by
-            // partition (minting is order-sensitive: fresh keys run in
-            // partition order); the attribute copy-back runs once over the
-            // whole batch, column at a time.
+            // Workers read `ctx.view`, which nothing writes before
+            // `assign_rows_bulk`; the sink mutates only `ctx.households`.
+            // Colors resolve to `R̂2` rows partition by partition (minting
+            // is order-sensitive: fresh keys run in partition order); the
+            // attribute copy-back runs once over the whole batch, column at
+            // a time.
             let mut assignments: Vec<(RowId, usize)> = Vec::with_capacity(ctx.view.n_rows());
             // Without augmentation the solve fails once any partition
             // needs a fresh key; results are still folded so the error
             // reports every skipped vertex.
             let mut refused = false;
             assign::color_partitions_streamed(
-                &p1.view,
+                &ctx.view,
                 &partitions,
                 config.coloring,
                 builder,
-                config.parallel_coloring,
+                config.workers,
                 |r| {
                     stats.counters.conflict_edges += r.edges;
                     stats.counters.skipped_vertices += r.skipped;
@@ -377,9 +411,9 @@ pub(crate) fn run_phase2(
                     let _apply = cextend_obs::stage("coloring");
                     let (combo, _, n_cand) = &partitions[r.partition];
                     let fresh_rows = (0..r.fresh_colors)
-                        .map(|_| ctx.mint_household(combo))
+                        .map(|_| ctx.households.mint(combo))
                         .collect::<Result<Vec<usize>>>()?;
-                    let households = ctx.households_of_combo(combo);
+                    let households = ctx.households.of_combo(combo);
                     for (row, color) in r.assignments {
                         let r2_row = if (color as usize) < *n_cand {
                             households[color as usize]
@@ -464,20 +498,19 @@ pub(crate) fn run_phase2(
             // Baseline: uniformly random candidate household per row, DCs
             // ignored; rows without candidates take any household.
             let random_stage = cextend_obs::stage("coloring");
-            let rng: &mut StdRng = &mut p1.rng;
-            let n_r2 = ctx.r2_hat.n_rows();
+            let n_r2 = ctx.households.r2_hat.n_rows();
             if n_r2 == 0 {
                 return Err(CoreError::Validation("R2 has no tuples".into()));
             }
             for row in 0..ctx.view.n_rows() {
-                let candidates = ctx
-                    .row_combo(row)
-                    .map(|combo| ctx.households_of_combo(&combo))
-                    .unwrap_or_default();
+                let combo = ctx.row_combo(row);
+                let candidates = combo
+                    .as_deref()
+                    .map_or(&[][..], |c| ctx.households.of_combo(c));
                 let r2_row = if candidates.is_empty() {
-                    rng.gen_range(0..n_r2)
+                    ctx.rng.gen_range(0..n_r2)
                 } else {
-                    candidates[rng.gen_range(0..candidates.len())]
+                    candidates[ctx.rng.gen_range(0..candidates.len())]
                 };
                 ctx.assign_row(row, r2_row)?;
             }
@@ -493,7 +526,8 @@ pub(crate) fn run_phase2(
     // cells at paper scale, where per-cell boxed `set` calls dominate.
     let mut r1_hat = instance.r1.clone();
     let fk = r1_hat.schema().fk_col().expect("validated");
-    if let Some(keys) = ctx.r2_hat.int_view(ctx.k2) {
+    let Households { r2_hat, k2, .. } = ctx.households;
+    if let Some(keys) = r2_hat.int_view(k2) {
         let mut cells: Vec<(RowId, i64)> = Vec::with_capacity(ctx.view.n_rows());
         for row in 0..ctx.view.n_rows() {
             let r2_row = ctx.row_key[row].ok_or_else(|| {
@@ -503,10 +537,7 @@ pub(crate) fn run_phase2(
         }
         r1_hat.batch_set_ints(fk, &cells)?;
     } else {
-        let keys = ctx
-            .r2_hat
-            .sym_view(ctx.k2)
-            .expect("key column is int or str");
+        let keys = r2_hat.sym_view(k2).expect("key column is int or str");
         let mut cells: Vec<(RowId, Sym)> = Vec::with_capacity(ctx.view.n_rows());
         for row in 0..ctx.view.n_rows() {
             let r2_row = ctx.row_key[row].ok_or_else(|| {
@@ -516,6 +547,6 @@ pub(crate) fn run_phase2(
         }
         r1_hat.batch_set_syms(fk, &cells)?;
     }
-    stats.counters.new_r2_tuples = ctx.r2_hat.n_rows() - instance.r2.n_rows();
-    Ok((r1_hat, ctx.r2_hat, ctx.view))
+    stats.counters.new_r2_tuples = r2_hat.n_rows() - instance.r2.n_rows();
+    Ok((r1_hat, r2_hat, ctx.view))
 }

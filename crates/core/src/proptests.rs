@@ -193,12 +193,7 @@ proptest! {
                 ..SolverConfig::hybrid()
             }
             .with_seed(seed),
-            SolverConfig {
-                parallel_coloring: true,
-                ..SolverConfig::hybrid()
-            }
-            .with_seed(seed),
-            SolverConfig::hybrid().with_seed(seed).with_parallel_phase1(true),
+            SolverConfig::hybrid().with_seed(seed).with_workers(2),
         ] {
             let solution = crate::solve(&instance, &config).unwrap();
             let report = evaluate(&instance, &solution).unwrap();
@@ -215,21 +210,21 @@ proptest! {
         }
     }
 
-    /// Phase 1's parallel mode is a pure scheduling change: the full solve
-    /// is bit-identical to the serial run on arbitrary instances.
+    /// The worker-pool width is a pure scheduling change: full solves at
+    /// widths 2 and 4 are bit-identical to the inline run on arbitrary
+    /// instances.
     #[test]
-    fn parallel_phase1_solve_is_bit_identical(si in arb_instance(), seed in 0u64..4) {
+    fn solves_are_bit_identical_at_every_width(si in arb_instance(), seed in 0u64..4) {
         let instance = build(&si);
-        let serial = crate::solve(&instance, &SolverConfig::hybrid().with_seed(seed)).unwrap();
-        let parallel = crate::solve(
-            &instance,
-            &SolverConfig::hybrid().with_seed(seed).with_parallel_phase1(true),
-        )
-        .unwrap();
-        prop_assert!(relations_equal_ordered(&serial.r1_hat, &parallel.r1_hat));
-        prop_assert!(relations_equal_ordered(&serial.r2_hat, &parallel.r2_hat));
-        prop_assert!(relations_equal_ordered(&serial.vjoin, &parallel.vjoin));
-        prop_assert_eq!(serial.stats.counters, parallel.stats.counters);
+        let config = SolverConfig::hybrid().with_seed(seed);
+        let serial = crate::solve(&instance, &config).unwrap();
+        for workers in [2, 4] {
+            let wide = crate::solve(&instance, &config.with_workers(workers)).unwrap();
+            prop_assert!(relations_equal_ordered(&serial.r1_hat, &wide.r1_hat));
+            prop_assert!(relations_equal_ordered(&serial.r2_hat, &wide.r2_hat));
+            prop_assert!(relations_equal_ordered(&serial.vjoin, &wide.vjoin));
+            prop_assert_eq!(&serial.stats.counters, &wide.stats.counters);
+        }
     }
 
     /// Baselines always produce *complete* (if DC-violating) assignments

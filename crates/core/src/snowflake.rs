@@ -20,10 +20,10 @@
 //!   solver (reads a table snapshot, returns an outcome plus the writes to
 //!   apply) and the scheduled chain driver: `solve_snowflake` plans a
 //!   dependency schedule over the steps (`crate::stepgraph`) and runs it
-//!   per [`crate::SolverConfig::scheduler`] — declared order, or level by
-//!   level with independent steps solving concurrently on a scoped worker
-//!   pool. Outcomes merge back in declared step order, so both modes are
-//!   bit-identical under a fixed seed.
+//!   level by level, the independent steps of a level solving concurrently
+//!   on a scoped pool of [`crate::SolverConfig::workers`] threads.
+//!   Outcomes merge back in declared step order, so every width is
+//!   bit-identical to the one-worker run under a fixed seed.
 //!
 //! One deliberate difference from the paper's sketch, recorded in DESIGN.md
 //! §8: second-level dimensions (Majors → Departments) are solved with the
@@ -32,7 +32,7 @@
 //! department key per view row could assign one major several departments;
 //! solving at the owner keeps the FK functional.
 
-use crate::config::{SchedulerMode, SolverConfig};
+use crate::config::SolverConfig;
 use crate::error::{CoreError, Result};
 use crate::instance::CExtensionInstance;
 use crate::metrics::{evaluate, EvaluationReport};
@@ -289,14 +289,13 @@ pub struct StepOutcome {
 pub struct LevelOutcome {
     /// Declared indices of the steps in this level, ascending.
     pub steps: Vec<usize>,
-    /// Wall-clock time of the level. Under the serial scheduler this is
-    /// the sum of the member steps' walls; under the parallel scheduler it
-    /// is the measured spawn-to-join time of the level's worker pool.
+    /// Wall-clock time of the level: the measured spawn-to-join time of its
+    /// worker pool when [`LevelOutcome::parallel`], else the sum of the
+    /// member steps' walls.
     pub wall: Duration,
-    /// Whether the level's steps actually ran concurrently — `false` under
-    /// the serial scheduler, for single-step levels, *and* on machines
-    /// whose `available_parallelism` is 1 (where the worker pool runs
-    /// inline and a "parallel" wall would really measure a serial loop).
+    /// Whether the level's steps ran concurrently: exactly when
+    /// [`crate::SolverConfig::workers`] and the level's step count both
+    /// exceed 1.
     pub parallel: bool,
 }
 
@@ -427,17 +426,13 @@ pub fn execute_step(
 /// Completes every FK listed in `steps`.
 ///
 /// The steps are first planned into a dependency schedule
-/// ([`crate::stepgraph::plan_steps`]); execution then follows
-/// [`crate::SolverConfig::scheduler`]:
-///
-/// - [`SchedulerMode::Serial`] runs the steps in declared order, applying
-///   each step's writes before the next solves (the classic loop).
-/// - [`SchedulerMode::Parallel`] runs the schedule level by level: all
-///   steps of a level solve concurrently against the level-start snapshot,
-///   then their [`StepDelta`]s apply in declared order.
+/// ([`crate::stepgraph::plan_steps`]), then run level by level: the steps
+/// of a level solve against the level-start snapshot, concurrently on up to
+/// [`crate::SolverConfig::workers`] threads, and their [`StepDelta`]s apply
+/// in declared order.
 ///
 /// Because two steps share a level only when neither reads anything the
-/// other writes, every step sees the same input tables in both modes, and
+/// other writes, every step sees the same input tables at every width, and
 /// the completed relations are bit-identical under a fixed seed.
 pub fn solve_snowflake(
     mut tables: Vec<Relation>,
@@ -449,11 +444,9 @@ pub fn solve_snowflake(
     outcomes.resize_with(steps.len(), || None);
     let mut levels: Vec<LevelOutcome> = Vec::with_capacity(plan.schedule.levels().len());
     for level in plan.schedule.levels() {
-        let parallel = config.scheduler == SchedulerMode::Parallel
-            && level.len() > 1
-            && cextend_sched::pool_width(level.len()) > 1;
+        let parallel = config.workers.min(level.len()) > 1;
         let level_start = Instant::now();
-        let solved = cextend_sched::run_tasks(level, parallel, |i| {
+        let solved = cextend_sched::run_tasks(level, config.workers, |i| {
             solve_step(&tables, &plan.joined[i], &steps[i], config)
         })?;
         // Both walls cover exactly the solves (deltas apply outside): the
@@ -651,7 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scheduler_is_bit_identical_on_a_chain() {
+    fn chain_solves_are_bit_identical_at_every_width() {
         let steps = vec![
             SnowflakeStep {
                 edge: FkEdge::new("Students", "Majors", "major_id"),
@@ -667,27 +660,22 @@ mod tests {
         ];
         let config = SolverConfig::hybrid().with_seed(3);
         let serial = solve_snowflake(university(), &steps, &config).unwrap();
-        let parallel = solve_snowflake(
-            university(),
-            &steps,
-            &config.with_scheduler(SchedulerMode::Parallel),
-        )
-        .unwrap();
-        for (s, p) in serial.tables.iter().zip(&parallel.tables) {
-            assert!(
-                cextend_table::relations_equal_ordered(s, p),
-                "{} diverged between schedulers",
-                s.name()
-            );
-        }
-        assert_eq!(
-            serial.total_stats().counters,
-            parallel.total_stats().counters
-        );
-        // A chain has one step per level, so nothing actually ran
-        // concurrently even in parallel mode.
         assert_eq!(serial.levels.len(), 2);
-        assert!(parallel.levels.iter().all(|l| !l.parallel));
+        for workers in [2, 4] {
+            let wide =
+                solve_snowflake(university(), &steps, &config.with_workers(workers)).unwrap();
+            for (s, w) in serial.tables.iter().zip(&wide.tables) {
+                assert!(
+                    cextend_table::relations_equal_ordered(s, w),
+                    "{} diverged at {workers} workers",
+                    s.name()
+                );
+            }
+            assert_eq!(serial.total_stats().counters, wide.total_stats().counters);
+            // A chain has one step per level, so no level runs its steps
+            // concurrently at any width.
+            assert!(wide.levels.iter().all(|l| !l.parallel));
+        }
     }
 
     #[test]

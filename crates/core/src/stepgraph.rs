@@ -24,9 +24,9 @@
 //! branching schema. The scheduler therefore joins an earlier same-owner
 //! dimension only when the step's constraints actually reference one of
 //! that dimension's attribute columns (a column that belongs to neither the
-//! owner nor the step target). Both scheduler modes use the same pruned
-//! join sets, so serial and parallel execution see identical step inputs —
-//! the determinism argument in DESIGN.md §9.
+//! owner nor the step target). Every worker width uses the same pruned
+//! join sets, so serial and concurrent execution see identical step inputs
+//! — the determinism argument in DESIGN.md §9.
 
 use crate::error::{CoreError, Result};
 use crate::snowflake::{FkEdge, SnowflakeStep};

@@ -14,9 +14,11 @@
 //!   with a clear [`SchedError::Cycle`] instead of deadlocking at run time)
 //!   and computes topological levels: every task sits one level past its
 //!   deepest dependency, so all tasks of a level are mutually independent.
-//! - [`run_tasks`] — executes one level's tasks, serially or on a
-//!   `std::thread::scope` worker pool, returning results (and the first
-//!   error, chosen by task order) deterministically either way.
+//! - [`run_tasks`] — executes one level's tasks on up to `width` threads of
+//!   a `std::thread::scope` worker pool (inline below 2), returning results
+//!   (and the first error, chosen by task order) deterministically at any
+//!   width.
+//! - [`pool_width`] — the default width, for front ends to resolve once.
 //!
 //! ```
 //! use cextend_sched::{derive_deps, Access, Resource, Schedule};
@@ -39,50 +41,4 @@ mod graph;
 mod pool;
 
 pub use graph::{derive_deps, Access, Resource, SchedError, Schedule};
-pub use pool::{pool_width, run_tasks, run_tasks_with_width};
-
-/// How a chain of completion steps is executed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedulerMode {
-    /// Declared order, one step at a time (the classic loop).
-    #[default]
-    Serial,
-    /// Topological levels: the independent steps of each level run
-    /// concurrently on a scoped worker pool, and their outcomes are merged
-    /// back in declared step order — solutions are bit-identical to
-    /// [`SchedulerMode::Serial`] under a fixed seed.
-    Parallel,
-}
-
-impl SchedulerMode {
-    /// Lower-case label used in CLIs and snapshot records.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerMode::Serial => "serial",
-            SchedulerMode::Parallel => "parallel",
-        }
-    }
-
-    /// Parses a CLI label.
-    pub fn parse(s: &str) -> Option<SchedulerMode> {
-        match s {
-            "serial" => Some(SchedulerMode::Serial),
-            "parallel" => Some(SchedulerMode::Parallel),
-            _ => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mode_labels_round_trip() {
-        for mode in [SchedulerMode::Serial, SchedulerMode::Parallel] {
-            assert_eq!(SchedulerMode::parse(mode.label()), Some(mode));
-        }
-        assert_eq!(SchedulerMode::parse("nope"), None);
-        assert_eq!(SchedulerMode::default(), SchedulerMode::Serial);
-    }
-}
+pub use pool::{pool_width, run_tasks};

@@ -1,15 +1,14 @@
-//! The level runner: executes one batch of independent tasks, serially or
-//! on a `std::thread::scope` worker pool (the same striding shape as the
+//! The level runner: executes one batch of independent tasks, inline or on
+//! a `std::thread::scope` worker pool (the same striding shape as the
 //! partition-coloring pool in `cextend-core`'s Phase II).
 
-/// Number of workers a batch of `n` tasks would actually run on: the
+/// The default worker count for a batch of `n` tasks: the
 /// `CEXTEND_SCHED_WORKERS` environment variable when set to a positive
-/// integer (pinning the pool for reproducible runs — CI uses this to
-/// exercise the parallel scheduler deterministically on 1-CPU runners),
-/// otherwise the machine's `available_parallelism`; either way capped at
-/// `n`. A result below 2 means [`run_tasks`] will run the batch inline
-/// even when asked for parallelism — callers can use this to report
-/// honestly whether anything ran concurrently.
+/// integer, otherwise the machine's `available_parallelism`; either way
+/// capped at `n`. This is the only reader of `CEXTEND_SCHED_WORKERS`, and
+/// it belongs at the edge: front ends (the `experiments` CLI, the
+/// benchmark harness) resolve a width here once and pass it down as
+/// `SolverConfig::workers`; no solver pool calls it.
 pub fn pool_width(n: usize) -> usize {
     let hw = std::env::var("CEXTEND_SCHED_WORKERS")
         .ok()
@@ -29,42 +28,21 @@ fn parse_worker_override(s: &str) -> Option<usize> {
     s.trim().parse::<usize>().ok().filter(|&w| w >= 1)
 }
 
-/// Runs `task` for every id in `ids`, returning the results in `ids`
-/// order. With `parallel` (and more than one task) the tasks run on up to
-/// [`pool_width`] scoped threads; results still come back in `ids` order,
-/// and when several tasks fail, the error of the *first* failing id is
-/// returned — the same error a serial left-to-right run whose earlier
-/// tasks succeeded would surface. The caller guarantees the tasks are
-/// independent (a [`crate::Schedule`] level).
-pub fn run_tasks<T, E, F>(ids: &[usize], parallel: bool, task: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    run_tasks_with_width(ids, parallel, pool_width(ids.len()), task)
-}
-
-/// [`run_tasks`] with the worker count pinned by the caller instead of
-/// resolved from the environment. Phase 1's determinism tests use this to
-/// run the same batch on 1, 2 and 4 workers without mutating
-/// `CEXTEND_SCHED_WORKERS` (env writes race across test threads). The
-/// width is still capped at the task count; below 2 the batch runs inline.
-pub fn run_tasks_with_width<T, E, F>(
-    ids: &[usize],
-    parallel: bool,
-    width: usize,
-    task: F,
-) -> Result<Vec<T>, E>
+/// Runs `task` for every id in `ids` on up to `width` scoped threads,
+/// returning the results in `ids` order. When `width` capped at the task
+/// count is below 2 the batch runs inline, with no thread spawned. When
+/// several tasks fail, the error of the *first* failing id is returned —
+/// the same error a serial left-to-right run whose earlier tasks succeeded
+/// would surface. The caller guarantees the tasks are independent (a
+/// [`crate::Schedule`] level).
+pub fn run_tasks<T, E, F>(ids: &[usize], width: usize, task: F) -> Result<Vec<T>, E>
 where
     T: Send,
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
     let n_threads = width.min(ids.len());
-    // One worker means the pool would just serialize with extra spawn
-    // overhead — run inline so parallel mode costs nothing on 1-CPU boxes.
-    if !parallel || ids.len() < 2 || n_threads < 2 {
+    if n_threads < 2 {
         return ids.iter().map(|&id| task(id)).collect();
     }
     let mut slots: Vec<Option<Result<T, E>>> = Vec::new();
@@ -105,27 +83,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serial_and_parallel_agree() {
-        let ids: Vec<usize> = (0..20).collect();
-        let f = |id: usize| -> Result<usize, String> { Ok(id * id) };
-        let serial = run_tasks(&ids, false, f).unwrap();
-        let parallel = run_tasks(&ids, true, f).unwrap();
-        assert_eq!(serial, parallel);
-        assert_eq!(serial[7], 49);
-    }
-
-    #[test]
-    fn first_failing_id_wins() {
-        let ids: Vec<usize> = (0..16).collect();
-        let f = |id: usize| -> Result<usize, String> {
-            if id % 5 == 3 {
+    fn results_and_first_error_agree_across_widths() {
+        let ids: Vec<usize> = (0..23).collect();
+        let f = |id: usize| -> Result<usize, String> { Ok(id * 3 + 1) };
+        let inline = run_tasks(&ids, 1, f).unwrap();
+        assert_eq!(inline[7], 22);
+        let failing = |id: usize| -> Result<usize, String> {
+            if id >= 7 && id % 2 == 1 {
                 Err(format!("task {id} failed"))
             } else {
                 Ok(id)
             }
         };
-        assert_eq!(run_tasks(&ids, true, f).unwrap_err(), "task 3 failed");
-        assert_eq!(run_tasks(&ids, false, f).unwrap_err(), "task 3 failed");
+        for width in [0, 1, 2, 4, 64] {
+            assert_eq!(run_tasks(&ids, width, f).unwrap(), inline, "width {width}");
+            assert_eq!(
+                run_tasks(&ids, width, failing).unwrap_err(),
+                "task 7 failed",
+                "width {width}"
+            );
+        }
     }
 
     #[test]
@@ -140,30 +117,7 @@ mod tests {
     #[test]
     fn empty_and_singleton_batches() {
         let f = |id: usize| -> Result<usize, String> { Ok(id + 1) };
-        assert_eq!(run_tasks(&[], true, f).unwrap(), Vec::<usize>::new());
-        assert_eq!(run_tasks(&[9], true, f).unwrap(), vec![10]);
-    }
-
-    #[test]
-    fn explicit_width_agrees_across_worker_counts() {
-        let ids: Vec<usize> = (0..23).collect();
-        let f = |id: usize| -> Result<usize, String> { Ok(id * 3 + 1) };
-        let inline = run_tasks_with_width(&ids, false, 4, f).unwrap();
-        for width in [1, 2, 4, 64] {
-            assert_eq!(run_tasks_with_width(&ids, true, width, f).unwrap(), inline);
-        }
-        let failing = |id: usize| -> Result<usize, String> {
-            if id >= 7 {
-                Err(format!("task {id} failed"))
-            } else {
-                Ok(id)
-            }
-        };
-        for width in [1, 2, 4] {
-            assert_eq!(
-                run_tasks_with_width(&ids, true, width, failing).unwrap_err(),
-                "task 7 failed"
-            );
-        }
+        assert_eq!(run_tasks(&[], 4, f).unwrap(), Vec::<usize>::new());
+        assert_eq!(run_tasks(&[9], 4, f).unwrap(), vec![10]);
     }
 }

@@ -8,10 +8,10 @@
 //! exclusive pairs over the fact-wide `[0, 900]` load domain so real
 //! conflict edges exist.
 //!
-//! [`run_differential_oracles`] then solves each generated spec three
-//! ways — serial, under the parallel step scheduler and on the parallel
-//! Phase 1 path — and demands bit-identical tables and solve counters. A
-//! fourth, edge-set arm checks that the conflict builder Phase II runs
+//! [`run_differential_oracles`] then solves each generated spec at 1, 2
+//! and 4 workers (concurrent step levels, sharded Phase 1 completion and
+//! the Phase II pipeline) and demands bit-identical tables and solve
+//! counters. A fourth, edge-set arm checks that the conflict builder Phase II runs
 //! produces the naive reference builder's edge set on a row window of
 //! every step's ground-truth view, and a fifth, CC-count arm that the
 //! one-pass membership kernel counts every step CC on that view exactly
@@ -22,7 +22,7 @@ use crate::lower::SpecWorkload;
 use cextend_constraints::cc_counts;
 use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder};
 use cextend_core::snowflake::{solve_snowflake, SnowflakeSolution, SnowflakeStep};
-use cextend_core::{SchedulerMode, SolverConfig};
+use cextend_core::SolverConfig;
 use cextend_table::{relations_equal_ordered, RowId};
 use cextend_workloads::{CcFamily, DcSet, Workload, WorkloadParams};
 use rand::rngs::StdRng;
@@ -224,9 +224,8 @@ pub fn fuzz_workload(seed: u64, iter: usize) -> Result<SpecWorkload> {
     crate::load_source(&src, &format!("<fuzz-{seed}-{iter}>"))
 }
 
-/// Solves a spec workload under the reference configurations and demands
-/// bit-identity between the serial ≡ parallel schedulers and the serial ≡
-/// parallel Phase 1 paths, then checks the conflict builder against the
+/// Solves a spec workload at 1, 2 and 4 workers and demands bit-identity
+/// between the runs, then checks the conflict builder against the
 /// naive reference and the membership kernel's CC counts against
 /// `count_in` on every step's ground-truth view. Returns the serial
 /// schedule's shape on success, a divergence description on failure.
@@ -249,21 +248,16 @@ pub fn run_differential_oracles(
             dcs: workload.step_dcs(i, DcSet::All),
         })
         .collect();
-    let solve = |config: SolverConfig, what: &str| {
-        solve_snowflake(data.relations.clone(), &steps, &config.with_seed(seed))
-            .map_err(|e| format!("{}: solve failed under {what}: {e}", meta.name))
+    let solve = |workers: usize| {
+        let config = SolverConfig::hybrid().with_seed(seed).with_workers(workers);
+        solve_snowflake(data.relations.clone(), &steps, &config)
+            .map_err(|e| format!("{}: solve failed at {workers} workers: {e}", meta.name))
     };
-    let base = solve(SolverConfig::hybrid(), "the serial scheduler")?;
-    let par = solve(
-        SolverConfig::hybrid().with_scheduler(SchedulerMode::Parallel),
-        "the parallel scheduler",
-    )?;
-    compare(meta.name, &base, &par, "serial vs parallel scheduler")?;
-    let par_p1 = solve(
-        SolverConfig::hybrid().with_parallel_phase1(true),
-        "parallel phase 1",
-    )?;
-    compare(meta.name, &base, &par_p1, "serial vs parallel phase 1")?;
+    let base = solve(1)?;
+    for workers in [2, 4] {
+        let wide = solve(workers)?;
+        compare(meta.name, &base, &wide, &format!("1 vs {workers} workers"))?;
+    }
     // Edge-set arm: fuzzed DC blocks mix gap pairs (a single binary atom,
     // bulk-emitted as sorted-run windows) with exclusive pairs (pure-unary
     // cliques), so both bulk-emission branches meet the naive reference.

@@ -24,9 +24,9 @@
 //! [`cextend_workloads::Workload`] interface, so the `experiments`
 //! harness drives `--workload spec:<path>` exactly like a built-in
 //! workload. The [`fuzz`] module generates random well-typed specs and
-//! pushes them through differential oracles (serial ≡ parallel scheduler
-//! and Phase 1, conflict builder ≡ naive reference edge sets, membership
-//! kernel ≡ per-CC `count_in` counts).
+//! pushes them through differential oracles (solves at 1 ≡ 2 ≡ 4 workers,
+//! conflict builder ≡ naive reference edge sets, membership kernel ≡
+//! per-CC `count_in` counts).
 
 #![warn(missing_docs)]
 

@@ -1,8 +1,7 @@
 //! Differential proptest over the well-typed spec fuzzer.
 //!
 //! Every fuzzer iteration must (a) produce a spec that parses, checks and
-//! lowers cleanly, and (b) solve bit-identically under the three reference
-//! solver configurations — serial ≡ parallel scheduler ≡ parallel Phase 1 —
+//! lowers cleanly, and (b) solve bit-identically at 1, 2 and 4 workers,
 //! with the conflict builder matching the naive reference's edge sets on
 //! every step. The fuzzer seed is fixed so failures reproduce; the
 //! iteration index is the only proptest-drawn input, and the case count is

@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 /// The handle *is* the leaked `&'static str`, so reading a symbol
 /// ([`Sym::as_str`], comparisons, hashing) never touches the interner lock
 /// — only [`Sym::intern`] does. That matters once solves run concurrently
-/// (parallel partition coloring, the parallel step scheduler): an id-based
+/// (partition coloring and chain steps on a multi-worker pool): an id-based
 /// handle whose every `as_str` took a read lock made two concurrent chain
 /// steps *slower* than the serial loop from cache-line contention alone.
 ///
@@ -30,9 +30,8 @@ use std::sync::OnceLock;
 pub struct Sym(&'static str);
 
 /// Number of interner shards. Million-row bulk loads intern from every
-/// worker of the `CEXTEND_SCHED_WORKERS` pool at once; sharding by string
-/// hash keeps concurrent `intern` calls for *different* strings off the
-/// same lock. 16 comfortably exceeds any pool width we run.
+/// worker of a solver pool at once; sharding by string hash keeps
+/// concurrent `intern` calls for *different* strings off the same lock. 16 comfortably exceeds any pool width we run.
 const SHARDS: usize = 16;
 
 /// The sharded intern dictionary. Each shard maps string contents to the

@@ -121,7 +121,7 @@ mod tests {
         let ccs = w.ccs(CcFamily::Bad, 120, &data, 11);
         let instance = data.to_instance(ccs, w.dcs(DcSet::Good)).unwrap();
         let mut p1 = P1::build(&instance, &SolverConfig::hybrid()).unwrap();
-        complete_randomly(&mut p1, false, None).unwrap();
+        complete_randomly(&mut p1, 1).unwrap();
         let (repaired, protected): (Vec<usize>, Vec<usize>) =
             (0..instance.ccs.len()).partition(|i| i % 4 != 0);
         let error = |view: &cextend_table::Relation| -> u64 {

@@ -17,7 +17,7 @@
 //!   driving `cextend_core::snowflake` end to end.
 //! - [`LogisticsWorkload`] — a three-relation **branching star**
 //!   (shipments → {warehouses, carriers}) whose two completion steps are
-//!   resource-independent, exercising the parallel step scheduler with
+//!   resource-independent, exercising concurrent step scheduling with
 //!   anchored gap DCs on both dimension edges.
 //! - [`DcDenseWorkload`] — the **adversarial DC-dense** Events/Slots
 //!   scenario: few large `V_join` partitions and a DC set mixing anchored

@@ -30,7 +30,7 @@
 //! with Mode/Reach carrier conditions (step 1). Crucially, step 1's
 //! constraints reference **no warehouse attribute**, so the step scheduler
 //! (`cextend_core::stepgraph`) derives no dependency between the steps and
-//! `SchedulerMode::Parallel` solves them concurrently — the star-vs-chain
+//! a solver with more than one worker solves them concurrently — the star-vs-chain
 //! comparison against `supply` in the `sched`/`perf` experiments.
 
 use crate::ccgen::{bad_family, good_family, sample_zipf, zipf_cumulative};

@@ -6,12 +6,12 @@
 //! augmented view, so the generated CC set is simultaneously satisfiable
 //! and the solver's guarantees are testable against it.
 
-use crate::workload::{all_workloads, CcFamily, DcSet, WorkloadParams};
+use crate::workload::{all_workloads, CcFamily, DcSet, Workload, WorkloadParams};
 use cextend_constraints::cc_counts;
 use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder};
 use cextend_core::metrics::dc_error_on;
-use cextend_core::snowflake::{solve_snowflake, SnowflakeStep};
-use cextend_core::{SchedulerMode, SolverConfig};
+use cextend_core::snowflake::{solve_snowflake, SnowflakeSolution, SnowflakeStep};
+use cextend_core::SolverConfig;
 use proptest::prelude::*;
 
 /// The one-pass membership kernel counts every CC of both families, at
@@ -35,6 +35,53 @@ fn membership_kernel_counts_match_count_in_on_every_workload() {
             }
         }
     }
+}
+
+/// Solves `w`'s good-family chain at 1, 2 and 4 workers, asserting every
+/// completed relation and the solve counters are bit-identical to the
+/// one-worker run; returns the 4-worker solution.
+fn solves_at_every_width(
+    w: &dyn Workload,
+    scale: f64,
+    seed: u64,
+) -> Result<SnowflakeSolution, TestCaseError> {
+    let data = w.generate(&WorkloadParams::new(scale, seed));
+    let steps: Vec<SnowflakeStep> = data
+        .steps
+        .iter()
+        .enumerate()
+        .map(|(i, edge)| SnowflakeStep {
+            edge: edge.clone(),
+            ccs: w.step_ccs(i, CcFamily::Good, 12, &data, seed),
+            dcs: w.step_dcs(i, DcSet::All),
+        })
+        .collect();
+    let solve = |workers: usize| {
+        let config = SolverConfig::hybrid().with_seed(seed).with_workers(workers);
+        solve_snowflake(data.relations.clone(), &steps, &config).expect("solve")
+    };
+    let serial = solve(1);
+    let mut wide = None;
+    for workers in [2, 4] {
+        let solved = wide.insert(solve(workers));
+        for (s, p) in serial.tables.iter().zip(&solved.tables) {
+            prop_assert!(
+                cextend_table::relations_equal_ordered(s, p),
+                "{}: relation {} diverged at {} workers",
+                w.meta().name,
+                s.name(),
+                workers
+            );
+        }
+        prop_assert_eq!(
+            serial.total_stats().counters,
+            solved.total_stats().counters,
+            "{} counters diverged at {} workers",
+            w.meta().name,
+            workers
+        );
+    }
+    Ok(wide.expect("solved at width 4"))
 }
 
 proptest! {
@@ -103,7 +150,7 @@ proptest! {
     }
 
     #[test]
-    fn parallel_and_serial_schedulers_are_bit_identical(
+    fn chain_and_star_solves_are_bit_identical_at_every_width(
         seed in 0u64..1_000,
         scale_mil in 3u32..8,
     ) {
@@ -113,90 +160,27 @@ proptest! {
         let scale = f64::from(scale_mil) / 1_000.0;
         for name in ["supply", "logistics"] {
             let w = crate::workload::workload_by_name(name).expect("registered");
-            let data = w.generate(&WorkloadParams::new(scale, seed));
-            let steps: Vec<SnowflakeStep> = data
-                .steps
-                .iter()
-                .enumerate()
-                .map(|(i, edge)| SnowflakeStep {
-                    edge: edge.clone(),
-                    ccs: w.step_ccs(i, CcFamily::Good, 12, &data, seed),
-                    dcs: w.step_dcs(i, DcSet::All),
-                })
-                .collect();
-            let config = SolverConfig::hybrid().with_seed(seed);
-            let serial =
-                solve_snowflake(data.relations.clone(), &steps, &config).expect("serial solve");
-            let parallel = solve_snowflake(
-                data.relations.clone(),
-                &steps,
-                &config.with_scheduler(SchedulerMode::Parallel),
-            )
-            .expect("parallel solve");
-            for (s, p) in serial.tables.iter().zip(&parallel.tables) {
-                prop_assert!(
-                    cextend_table::relations_equal_ordered(s, p),
-                    "{name}: relation {} diverged between scheduler modes",
-                    s.name()
-                );
-            }
-            prop_assert_eq!(
-                serial.total_stats().counters,
-                parallel.total_stats().counters,
-                "{} counters diverged between scheduler modes",
-                name
-            );
-            // The star's two steps share the single level; the chain's don't.
-            let widest = parallel.levels.iter().map(|l| l.steps.len()).max();
+            let wide = solves_at_every_width(w.as_ref(), scale, seed)?;
+            // The star's two steps share the single level and run
+            // concurrently at width > 1; the chain's don't.
+            let widest = wide.levels.iter().map(|l| l.steps.len()).max();
             prop_assert_eq!(widest, Some(if name == "logistics" { 2 } else { 1 }));
+            prop_assert_eq!(wide.levels[0].parallel, name == "logistics");
         }
     }
 
     #[test]
-    fn parallel_phase1_full_solves_are_bit_identical_on_every_workload(
+    fn full_solves_are_bit_identical_at_every_width_on_every_workload(
         seed in 0u64..500,
         scale_mil in 3u32..8,
     ) {
-        // Phase 1's determinism contract: sharding the per-CC bitmaps,
-        // leftover grouping and RNG draws across the pool must not change a
-        // single bit of any completed relation, on every registered
-        // workload shape (chain, star, dc-dense, census).
+        // Sharding Phase 1's completion, the Phase II pipeline and the step
+        // levels across the pool must not change a single bit of any
+        // completed relation, on every registered workload shape (chain,
+        // star, dc-dense, census).
         let scale = f64::from(scale_mil) / 1_000.0;
         for w in all_workloads() {
-            let data = w.generate(&WorkloadParams::new(scale, seed));
-            let steps: Vec<SnowflakeStep> = data
-                .steps
-                .iter()
-                .enumerate()
-                .map(|(i, edge)| SnowflakeStep {
-                    edge: edge.clone(),
-                    ccs: w.step_ccs(i, CcFamily::Good, 12, &data, seed),
-                    dcs: w.step_dcs(i, DcSet::All),
-                })
-                .collect();
-            let config = SolverConfig::hybrid().with_seed(seed);
-            let serial =
-                solve_snowflake(data.relations.clone(), &steps, &config).expect("serial solve");
-            let parallel = solve_snowflake(
-                data.relations.clone(),
-                &steps,
-                &config.with_parallel_phase1(true),
-            )
-            .expect("parallel solve");
-            for (s, p) in serial.tables.iter().zip(&parallel.tables) {
-                prop_assert!(
-                    cextend_table::relations_equal_ordered(s, p),
-                    "{}: relation {} diverged between phase1 modes",
-                    w.meta().name,
-                    s.name()
-                );
-            }
-            prop_assert_eq!(
-                serial.total_stats().counters,
-                parallel.total_stats().counters,
-                "{} counters diverged between phase1 modes",
-                w.meta().name
-            );
+            solves_at_every_width(w.as_ref(), scale, seed)?;
         }
     }
 
@@ -245,61 +229,16 @@ proptest! {
     }
 
     #[test]
-    fn coloring_widths_and_schedulers_are_bit_identical_end_to_end(
+    fn dcdense_solves_are_bit_identical_at_every_width_end_to_end(
         seed in 0u64..200,
         scale_mil in 3u32..7,
     ) {
-        // Phase-2 output must not depend on the coloring mode, the pinned
-        // pool width or the step scheduler: solve dcdense (the DC-dense
-        // stress shape) with serial coloring as the reference, then compare
-        // the streamed pipeline at every width and the parallel scheduler
-        // bit for bit. Widths are pinned via CEXTEND_SCHED_WORKERS — the
-        // same knob CI's scale-smoke pins — so the work-stealing pipeline's
-        // reassembly is exercised even on a single-CPU machine.
-        let scale = f64::from(scale_mil) / 1_000.0;
+        // Phase-2 output must not depend on the worker width on dcdense,
+        // the DC-dense stress shape. The width is an explicit config value,
+        // so the work-stealing pipeline's reassembly is exercised even on a
+        // single-CPU machine.
         let w = crate::workload::workload_by_name("dcdense").expect("registered");
-        let data = w.generate(&WorkloadParams::new(scale, seed));
-        let steps: Vec<SnowflakeStep> = data
-            .steps
-            .iter()
-            .enumerate()
-            .map(|(i, edge)| SnowflakeStep {
-                edge: edge.clone(),
-                ccs: w.step_ccs(i, CcFamily::Good, 12, &data, seed),
-                dcs: w.step_dcs(i, DcSet::All),
-            })
-            .collect();
-        let solve = |config: SolverConfig| {
-            solve_snowflake(data.relations.clone(), &steps, &config).expect("solve")
-        };
-        let config = SolverConfig::hybrid().with_seed(seed);
-        let reference = solve(config);
-        let mut others = Vec::new();
-        for width in ["1", "2", "4"] {
-            std::env::set_var("CEXTEND_SCHED_WORKERS", width);
-            others.push((format!("width {width}"), solve(config.with_parallel_coloring(true))));
-            std::env::remove_var("CEXTEND_SCHED_WORKERS");
-        }
-        others.push((
-            "parallel scheduler".to_owned(),
-            solve(config.with_scheduler(SchedulerMode::Parallel)),
-        ));
-        for (what, other) in &others {
-            for (a, b) in reference.tables.iter().zip(&other.tables) {
-                prop_assert!(
-                    cextend_table::relations_equal_ordered(a, b),
-                    "relation {} diverged under {}",
-                    a.name(),
-                    what
-                );
-            }
-            prop_assert_eq!(
-                reference.total_stats().counters,
-                other.total_stats().counters,
-                "solve counters diverged under {}",
-                what
-            );
-        }
+        solves_at_every_width(w.as_ref(), f64::from(scale_mil) / 1_000.0, seed)?;
     }
 
     #[test]

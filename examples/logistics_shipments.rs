@@ -1,6 +1,6 @@
 //! The Logistics branching star, end to end: generate shipments with both
 //! FK columns hidden, complete the two independent dimension edges
-//! *concurrently* with the parallel step scheduler, and verify the paper's
+//! *concurrently* on two workers, and verify the paper's
 //! guarantees on both groupings of the same fact table.
 //!
 //! ```sh
@@ -10,7 +10,7 @@
 use cextend::core::snowflake::{solve_snowflake, SnowflakeStep};
 use cextend::table::fk_join_on;
 use cextend::workloads::{workload_by_name, CcFamily, DcSet, WorkloadParams};
-use cextend::{SchedulerMode, SolverConfig};
+use cextend::SolverConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Generate the star (both FKs erased; ground truth stays hidden). ----
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     // --- Complete both FK edges concurrently. -------------------------------
-    let config = SolverConfig::hybrid().with_scheduler(SchedulerMode::Parallel);
+    let config = SolverConfig::hybrid().with_workers(2);
     let solved = solve_snowflake(data.relations.clone(), &steps, &config)?;
     for step in &solved.steps {
         println!(

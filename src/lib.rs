@@ -52,6 +52,6 @@ pub use cextend_workloads as workloads;
 
 pub use cextend_core::{
     solve, solve_baseline, solve_baseline_with_marginals, solve_hybrid, CExtensionInstance,
-    ColoringMode, CoreError, IlpBackend, IlpSettings, Phase1Strategy, Phase2Strategy,
-    SchedulerMode, Solution, SolveStats, SolverConfig,
+    ColoringMode, CoreError, IlpBackend, IlpSettings, Phase1Strategy, Phase2Strategy, Solution,
+    SolveStats, SolverConfig,
 };

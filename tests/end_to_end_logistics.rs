@@ -1,13 +1,13 @@
 //! End-to-end integration on the Logistics branching star: both FK edges
-//! of the fact table complete under either step scheduler with identical
-//! results, the Proposition 5.5 guarantees hold per step, and the parallel
-//! scheduler actually co-schedules the two independent steps.
+//! of the fact table complete with identical results at every worker
+//! width, the Proposition 5.5 guarantees hold per step, and two workers
+//! actually co-schedule the two independent steps.
 
 use cextend::core::metrics::dc_error_on;
 use cextend::core::snowflake::{solve_snowflake, SnowflakeSolution, SnowflakeStep};
 use cextend::table::fk_join_on;
 use cextend::workloads::{workload_by_name, CcFamily, DcSet, Workload, WorkloadData};
-use cextend::{SchedulerMode, SolverConfig};
+use cextend::SolverConfig;
 use cextend_workloads::WorkloadParams;
 
 fn logistics() -> Box<dyn Workload> {
@@ -26,51 +26,49 @@ fn chain_steps(w: &dyn Workload, data: &WorkloadData, family: CcFamily) -> Vec<S
         .collect()
 }
 
-fn solve_star(family: CcFamily, scheduler: SchedulerMode) -> (WorkloadData, SnowflakeSolution) {
+fn solve_star(family: CcFamily, workers: usize) -> (WorkloadData, SnowflakeSolution) {
     let w = logistics();
     let data = w.generate(&WorkloadParams::new(0.03, 99));
     let steps = chain_steps(w.as_ref(), &data, family);
-    let config = SolverConfig::hybrid().with_scheduler(scheduler);
+    let config = SolverConfig::hybrid().with_workers(workers);
     let solved = solve_snowflake(data.relations.clone(), &steps, &config).unwrap();
     (data, solved)
 }
 
 #[test]
 fn both_schedulers_produce_bit_identical_relations() {
-    let (_, serial) = solve_star(CcFamily::Good, SchedulerMode::Serial);
-    let (_, parallel) = solve_star(CcFamily::Good, SchedulerMode::Parallel);
-    for (s, p) in serial.tables.iter().zip(&parallel.tables) {
-        assert!(
-            cextend::table::relations_equal_ordered(s, p),
-            "{} diverged between scheduler modes",
-            s.name()
-        );
+    let (_, serial) = solve_star(CcFamily::Good, 1);
+    for workers in [2, 4] {
+        let (_, wide) = solve_star(CcFamily::Good, workers);
+        for (s, w) in serial.tables.iter().zip(&wide.tables) {
+            assert!(
+                cextend::table::relations_equal_ordered(s, w),
+                "{} diverged at {workers} workers",
+                s.name()
+            );
+        }
+        assert_eq!(serial.total_stats().counters, wide.total_stats().counters);
     }
-    assert_eq!(
-        serial.total_stats().counters,
-        parallel.total_stats().counters
-    );
 }
 
 #[test]
 fn parallel_scheduler_coschedules_the_independent_steps() {
-    let (_, solved) = solve_star(CcFamily::Good, SchedulerMode::Parallel);
-    // The star's two steps share one level; they actually run concurrently
-    // whenever the machine has more than one CPU (the flag is honest about
-    // the inline fallback on 1-CPU boxes).
+    // The star's two steps share one level, which two workers run
+    // concurrently.
+    let (_, solved) = solve_star(CcFamily::Good, 2);
     assert_eq!(solved.levels.len(), 1);
     assert_eq!(solved.levels[0].steps, vec![0, 1]);
-    assert_eq!(solved.levels[0].parallel, cextend::sched::pool_width(2) > 1);
-    // Under the serial scheduler the same steps form one level too, but
-    // nothing runs concurrently.
-    let (_, serial) = solve_star(CcFamily::Good, SchedulerMode::Serial);
+    assert!(solved.levels[0].parallel);
+    // At one worker the same steps form one level too, but nothing runs
+    // concurrently.
+    let (_, serial) = solve_star(CcFamily::Good, 1);
     assert_eq!(serial.levels.len(), 1);
     assert!(!serial.levels[0].parallel);
 }
 
 #[test]
 fn zero_dc_error_on_both_groupings() {
-    let (data, solved) = solve_star(CcFamily::Good, SchedulerMode::Parallel);
+    let (data, solved) = solve_star(CcFamily::Good, 2);
     let w = logistics();
     assert_eq!(solved.steps.len(), 2);
     for (i, outcome) in solved.steps.iter().enumerate() {
@@ -85,7 +83,7 @@ fn zero_dc_error_on_both_groupings() {
 
 #[test]
 fn both_fk_columns_complete_and_star_joins_recover() {
-    let (data, solved) = solve_star(CcFamily::Bad, SchedulerMode::Parallel);
+    let (data, solved) = solve_star(CcFamily::Bad, 2);
     let shipments = solved.table("Shipments").unwrap();
     for edge in &data.steps {
         let fk = shipments.schema().col_id(&edge.fk_col).unwrap();
@@ -116,7 +114,7 @@ fn both_fk_columns_complete_and_star_joins_recover() {
 
 #[test]
 fn good_family_star_keeps_cc_error_zero() {
-    let (_, solved) = solve_star(CcFamily::Good, SchedulerMode::Parallel);
+    let (_, solved) = solve_star(CcFamily::Good, 2);
     for outcome in &solved.steps {
         assert_eq!(
             outcome.report.cc_median, 0.0,

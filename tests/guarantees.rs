@@ -98,35 +98,29 @@ fn bad_ccs_keep_error_low_but_dcs_stay_exact() {
 
 #[test]
 fn parallel_coloring_is_equivalent_to_serial() {
-    let serial = run(
-        0.02,
-        6,
-        CcFamily::Good,
-        40,
-        true,
-        3,
-        &SolverConfig::hybrid(),
-    );
-    let parallel = run(
-        0.02,
-        6,
-        CcFamily::Good,
-        40,
-        true,
-        3,
-        &SolverConfig {
-            parallel_coloring: true,
-            ..SolverConfig::hybrid()
-        },
-    );
-    assert!(cextend::table::relations_equal_ordered(
-        &serial.1.r1_hat,
-        &parallel.1.r1_hat
-    ));
-    assert!(cextend::table::relations_equal_ordered(
-        &serial.1.r2_hat,
-        &parallel.1.r2_hat
-    ));
+    let solve = |workers: usize| {
+        run(
+            0.02,
+            6,
+            CcFamily::Good,
+            40,
+            true,
+            3,
+            &SolverConfig::hybrid().with_workers(workers),
+        )
+    };
+    let serial = solve(1);
+    for workers in [2, 4] {
+        let wide = solve(workers);
+        assert!(cextend::table::relations_equal_ordered(
+            &serial.1.r1_hat,
+            &wide.1.r1_hat
+        ));
+        assert!(cextend::table::relations_equal_ordered(
+            &serial.1.r2_hat,
+            &wide.1.r2_hat
+        ));
+    }
 }
 
 #[test]

@@ -36,12 +36,10 @@ fn build_dcdense() -> CExtensionInstance {
     data.to_instance(ccs, w.dcs(DcSet::All)).unwrap()
 }
 
-/// Solves once with the recorder armed and both parallel paths on,
-/// returning the collected trace.
-fn traced_solve(instance: &CExtensionInstance) -> obs::Trace {
-    let config = SolverConfig::hybrid()
-        .with_parallel_phase1(true)
-        .with_parallel_coloring(true);
+/// Solves once at `workers` with the recorder armed, returning the
+/// collected trace.
+fn traced_solve(instance: &CExtensionInstance, workers: usize) -> obs::Trace {
+    let config = SolverConfig::hybrid().with_workers(workers);
     let _ = obs::take_trace();
     obs::set_recording(true);
     let solution = solve(instance, &config).unwrap();
@@ -55,12 +53,10 @@ fn counters_are_bit_identical_across_worker_widths() {
     let _guard = recording_lock();
     for (input, instance) in [("census", build()), ("dcdense", build_dcdense())] {
         let mut baseline = None;
-        for width in ["1", "2", "4"] {
-            std::env::set_var("CEXTEND_SCHED_WORKERS", width);
-            let trace = traced_solve(&instance);
-            std::env::remove_var("CEXTEND_SCHED_WORKERS");
+        for workers in [1, 2, 4] {
+            let trace = traced_solve(&instance, workers);
             trace.validate().unwrap_or_else(|e| {
-                panic!("{input}: trace invalid at CEXTEND_SCHED_WORKERS={width}: {e}");
+                panic!("{input}: trace invalid at {workers} workers: {e}");
             });
             assert!(
                 !trace.counters.is_empty(),
@@ -72,12 +68,12 @@ fn counters_are_bit_identical_across_worker_widths() {
             assert_eq!(
                 counter("phase2.plans_cost") + counter("phase2.plans_static_fallback"),
                 instance.dcs.len() as u64,
-                "{input}: plan decisions at CEXTEND_SCHED_WORKERS={width}"
+                "{input}: plan decisions at {workers} workers"
             );
             if input == "dcdense" {
                 assert!(
                     trace.counters.contains_key("phase2.index_hash"),
-                    "dcdense: no hash-index depth at CEXTEND_SCHED_WORKERS={width}"
+                    "dcdense: no hash-index depth at {workers} workers"
                 );
             }
             // Counters are commutative sums of deterministic per-shard and
@@ -87,7 +83,7 @@ fn counters_are_bit_identical_across_worker_widths() {
                 None => baseline = Some(trace.counters),
                 Some(expected) => assert_eq!(
                     expected, &trace.counters,
-                    "{input}: counters diverged at CEXTEND_SCHED_WORKERS={width}"
+                    "{input}: counters diverged at {workers} workers"
                 ),
             }
         }
@@ -105,9 +101,7 @@ fn counters_are_bit_identical_across_worker_widths() {
 fn chrome_trace_round_trips_through_serde_json() {
     let _guard = recording_lock();
     let instance = build();
-    std::env::set_var("CEXTEND_SCHED_WORKERS", "2");
-    let trace = traced_solve(&instance);
-    std::env::remove_var("CEXTEND_SCHED_WORKERS");
+    let trace = traced_solve(&instance, 2);
     trace.validate().unwrap();
     assert!(trace.spans.iter().any(|s| s.name == "solve"));
     assert!(trace.spans.iter().any(|s| s.name == "leftovers"));
@@ -156,11 +150,10 @@ fn chrome_trace_round_trips_through_serde_json() {
 
 /// The in-step evaluation runs under an `evaluate` span: exactly one inside
 /// every `step:*` span of a traced snowflake solve, on the step's thread,
-/// under both step schedulers.
+/// whether the steps run inline or concurrently.
 #[test]
 fn every_step_span_holds_exactly_one_evaluate_span() {
     use cextend::core::snowflake::{solve_snowflake, SnowflakeStep};
-    use cextend::core::SchedulerMode;
     use cextend::workloads::{workload_by_name, CcFamily, DcSet, WorkloadParams};
     let _guard = recording_lock();
     let w = workload_by_name("logistics").expect("registered");
@@ -173,14 +166,12 @@ fn every_step_span_holds_exactly_one_evaluate_span() {
         })
         .collect();
     assert!(steps.len() >= 2, "a multi-step chain");
-    for scheduler in [SchedulerMode::Serial, SchedulerMode::Parallel] {
-        let config = SolverConfig::hybrid().with_scheduler(scheduler);
-        std::env::set_var("CEXTEND_SCHED_WORKERS", "2");
+    for workers in [1, 2] {
+        let config = SolverConfig::hybrid().with_workers(workers);
         let _ = obs::take_trace();
         obs::set_recording(true);
         solve_snowflake(data.relations.clone(), &steps, &config).unwrap();
         obs::set_recording(false);
-        std::env::remove_var("CEXTEND_SCHED_WORKERS");
         let trace = obs::take_trace();
         trace.validate().unwrap();
         let end = |s: &obs::SpanEvent| s.ts_ns + s.dur_ns;
@@ -189,7 +180,7 @@ fn every_step_span_holds_exactly_one_evaluate_span() {
             .iter()
             .filter(|s| s.name.starts_with("step:"))
             .collect();
-        assert_eq!(step_spans.len(), steps.len(), "{scheduler:?}");
+        assert_eq!(step_spans.len(), steps.len(), "{workers} workers");
         for step in step_spans {
             let inside = trace
                 .spans
@@ -199,11 +190,11 @@ fn every_step_span_holds_exactly_one_evaluate_span() {
                 .count();
             assert_eq!(
                 inside, 1,
-                "{scheduler:?}: `evaluate` spans in {}",
+                "{workers} workers: `evaluate` spans in {}",
                 step.name
             );
         }
         let evaluations = trace.spans.iter().filter(|s| s.name == "evaluate").count();
-        assert_eq!(evaluations, steps.len(), "{scheduler:?}");
+        assert_eq!(evaluations, steps.len(), "{workers} workers");
     }
 }
