@@ -7,11 +7,14 @@
 //! and 4 workers, demanding bit-identical tables and solve counters. It also checks that
 //! the conflict builder produces the naive reference's edge set, and that
 //! the membership kernel counts every CC as `count_in` does, on every
-//! step's ground-truth view. Any divergence, solver error or self-rejected
-//! spec fails the run. The run also asserts coverage:
+//! step's ground-truth view, and that the certifier (`metrics::evaluate`)
+//! agrees with both references on every step's ground-truth completion
+//! and on a copy with a perturbed FK column. Any divergence, solver error
+//! or self-rejected spec fails the run. The run also asserts coverage:
 //! at least one generated schedule must have ≥ 3 levels and a ≥ 3-wide
 //! level, so the oracles demonstrably exercised both chain scheduling and
-//! star parallelism.
+//! star parallelism, and some perturbed completion must violate a DC and
+//! miss a CC, so the certifier arm was never vacuous.
 //!
 //! `spec-check` parses + statically checks every `specs/*.spec` and
 //! asserts every `specs/bad/*.spec` is rejected by the checker.
@@ -32,6 +35,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         opts.iters, opts.seed, n_ccs
     );
     let (mut best_levels, mut best_width) = (0usize, 0usize);
+    let (mut dc_error, mut cc_error) = (0.0f64, 0.0f64);
     for iter in 0..opts.iters {
         let workload = fuzz_workload(opts.seed, iter).map_err(|e| {
             format!("iteration {iter}: generated spec failed its own static checks: {e}")
@@ -44,6 +48,8 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         );
         best_levels = best_levels.max(out.levels);
         best_width = best_width.max(out.max_width);
+        dc_error = dc_error.max(out.perturbed_dc_error);
+        cc_error = cc_error.max(out.perturbed_cc_error);
     }
     if best_levels < 3 || best_width < 3 {
         return Err(format!(
@@ -51,10 +57,18 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
              {best_width} (need ≥ 3 of each across the run)"
         ));
     }
+    if dc_error == 0.0 || cc_error == 0.0 {
+        return Err(format!(
+            "fuzz-spec certifier arm was vacuous: the perturbed completions reached DC error \
+             {dc_error} and CC error {cc_error} (need both > 0 across the run)"
+        ));
+    }
     println!(
         "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets, kernel ≡ count_in CC \
-         counts and 1 ≡ 2 ≡ 4 workers on every spec (deepest schedule {best_levels} levels, \
-         widest level {best_width})",
+         counts, certifier ≡ naive/kernel references on truth and perturbed completions \
+         (largest perturbed DC error {dc_error:.3}, CC error {cc_error:.3}) and 1 ≡ 2 ≡ 4 \
+         workers on every spec (deepest schedule {best_levels} levels, widest level \
+         {best_width})",
         opts.iters
     );
     Ok(())

@@ -21,7 +21,7 @@
 //! | `perf-trend` | per-record wall-time trend table over the accumulated `BENCH_history.jsonl` lines (+ markdown when `--out` is set) |
 //! | `scale` | paper-scale runs (census + dcdense at ≥10⁶ `R1` tuples under `--paper-scale`) at `--workers`; merges a wall + peak-RSS `scale` section into `BENCH_perf.json` |
 //! | `profile` | one traced chain run → `<out>/trace.json` (Chrome Trace Event Format, opens in Perfetto) + per-stage self-time table cross-checked against `StageTimings` |
-//! | `fuzz-spec` | seeded well-typed spec fuzzer: `--iters` random specs through the 1 ≡ 2 ≡ 4 worker differential oracles and the builder ≡ naive edge-set check |
+//! | `fuzz-spec` | seeded well-typed spec fuzzer: `--iters` random specs through the 1 ≡ 2 ≡ 4 worker differential oracles, the builder ≡ naive edge-set check, the kernel ≡ `count_in` CC check and the certifier ≡ references check |
 //! | `spec-check` | corpus gate: every `specs/*.spec` passes the static checker, every `specs/bad/*.spec` is rejected |
 
 pub mod ablate;

@@ -15,7 +15,7 @@
 //! `S_bad` samples its (intersecting) rows freely.
 
 use crate::generator::CensusData;
-use cextend_constraints::{CardinalityConstraint, NormalizedCond};
+use cextend_constraints::{set_targets, CardinalityConstraint, NormalizedCond};
 use cextend_table::{fk_join, Atom, Predicate, Relation, ValueSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -185,18 +185,9 @@ fn containment_components(rows: &[PredRow]) -> Vec<Vec<usize>> {
     comps.into_values().collect()
 }
 
-fn make_cc(
-    name: String,
-    row: &PredRow,
-    r2: &NormalizedCond,
-    truth_join: &Relation,
-) -> CardinalityConstraint {
-    let r1 = row.cond();
-    let combined = r1.intersect(r2).to_predicate();
-    let target = combined
-        .count(truth_join)
-        .expect("ground-truth join carries all CC columns");
-    CardinalityConstraint::new(name, r1, r2.clone(), target)
+/// A CC whose target [`generate_ccs_from`] measures afterwards.
+fn make_cc(name: String, row: &PredRow, r2: &NormalizedCond) -> CardinalityConstraint {
+    CardinalityConstraint::new(name, row.cond(), r2.clone(), 0)
 }
 
 /// Generates `n` CCs of the given family over `data`, with ground-truth
@@ -237,12 +228,7 @@ pub fn generate_ccs_from(
                     if ccs.len() >= n {
                         break;
                     }
-                    ccs.push(make_cc(
-                        format!("good-{}", ccs.len()),
-                        &GOOD_ROWS[i],
-                        &cond,
-                        &truth_join,
-                    ));
+                    ccs.push(make_cc(format!("good-{}", ccs.len()), &GOOD_ROWS[i], &cond));
                 }
             }
             // Then singleton rows crossed with the full condition pool.
@@ -264,7 +250,6 @@ pub fn generate_ccs_from(
                     format!("good-{}", ccs.len()),
                     &GOOD_ROWS[r],
                     &conds[c],
-                    &truth_join,
                 ));
             }
         }
@@ -281,11 +266,11 @@ pub fn generate_ccs_from(
                     format!("bad-{}", ccs.len()),
                     &BAD_ROWS[r],
                     &conds[c],
-                    &truth_join,
                 ));
             }
         }
     }
+    set_targets(&mut ccs, &truth_join).expect("ground-truth join carries all CC columns");
     ccs
 }
 

@@ -12,8 +12,9 @@
 //!   intersecting classification (Definitions 4.2–4.4).
 //! - [`HasseDiagram`] — cover edges of the containment order (Section 4.2).
 //! - [`ColumnIntervals`] / [`Binning`] — intervalization (Section 4.1).
-//! - [`CcMembership`] / [`cc_counts`] — one-pass CC membership of every
-//!   row through per-column lookup tables cut by the same rule.
+//! - [`CcMembership`] / [`cc_counts`] / [`set_targets`] — one-pass CC
+//!   membership of every row through per-column lookup tables cut by the
+//!   same rule.
 //! - [`marginal_ccs`] / [`restrict_marginals`] — all-way and modified
 //!   marginal augmentation (Sections 4.1, 4.3).
 //! - [`parse_cc`] / [`parse_dc`] — a text DSL in the paper's notation.
@@ -49,6 +50,6 @@ pub use error::{ConstraintError, Result};
 pub use hasse::HasseDiagram;
 pub use intervalize::{domain_ranges, BinDim, BinKey, Binning, BoundBinning, ColumnIntervals};
 pub use marginals::{marginal_ccs, marginal_counts, restrict_marginals};
-pub use membership::{cc_counts, CcMembership};
+pub use membership::{cc_counts, set_targets, CcMembership};
 pub use parser::{parse_cc, parse_dc, parse_predicate};
 pub use relationship::{classify, CcRelationship, RelationshipMatrix};

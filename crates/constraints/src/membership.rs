@@ -263,6 +263,16 @@ pub fn cc_counts(view: &Relation, ccs: &[CardinalityConstraint]) -> Result<Vec<u
     Ok(CcMembership::build(view, &combined)?.counts())
 }
 
+/// Sets every CC's target to its count on `view` (workloads measure their
+/// targets on the ground-truth join this way), all CCs in one kernel pass.
+pub fn set_targets(ccs: &mut [CardinalityConstraint], view: &Relation) -> Result<()> {
+    let counts = cc_counts(view, ccs)?;
+    for (cc, count) in ccs.iter_mut().zip(counts) {
+        cc.target = count;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,6 +403,18 @@ mod tests {
                 cc_of(cond(vec![Atom::eq("Age", i64::MIN)])),
             ],
         );
+    }
+
+    #[test]
+    fn set_targets_writes_each_count_as_the_target() {
+        let r = people();
+        let mut ccs = vec![
+            cc_of(cond(vec![Atom::eq("Rel", "Owner")])),
+            cc_of(cond(vec![Atom::cmp("Age", CmpOp::Ge, 0)])),
+        ];
+        set_targets(&mut ccs, &r).unwrap();
+        let targets: Vec<u64> = ccs.iter().map(|cc| cc.target).collect();
+        assert_eq!(targets, cc_counts(&r, &ccs).unwrap());
     }
 
     #[test]

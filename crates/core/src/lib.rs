@@ -217,6 +217,22 @@ mod solve_tests {
     }
 
     #[test]
+    fn exhausted_exact_budgets_are_counted_at_every_width() {
+        // One backtracking step cannot color either running-example
+        // partition, so both fall back to greedy and are counted.
+        let instance = fixtures::running_example();
+        for workers in [1, 2, 4] {
+            let config = SolverConfig {
+                coloring: ColoringMode::Exact { max_steps: 1 },
+                ..SolverConfig::hybrid().with_workers(workers)
+            };
+            let solution = solve(&instance, &config).unwrap();
+            assert_eq!(solution.stats.counters.exact_budget_fallbacks, 2);
+            assert_eq!(evaluate(&instance, &solution).unwrap().dc_error, 0.0);
+        }
+    }
+
+    #[test]
     fn solves_are_bit_identical_at_every_width() {
         let instance = fixtures::running_example();
         let serial = solve(&instance, &SolverConfig::hybrid().with_seed(5)).unwrap();

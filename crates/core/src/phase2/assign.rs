@@ -33,6 +33,9 @@ pub(crate) struct PartitionResult {
     pub edges: usize,
     /// Vertices the greedy pass skipped.
     pub skipped: usize,
+    /// `true` if exact coloring ran out of its step budget and greedy
+    /// took over.
+    pub exact_budget_fallback: bool,
     /// Time spent building the conflict hypergraph.
     pub build_time: Duration,
     /// Time spent coloring.
@@ -58,19 +61,22 @@ pub(crate) fn color_partition(
         (builder.build(view, rows), builder.take_stats())
     });
 
-    let ((g, coloring, skipped_vertices, fresh), color_time) =
+    let ((g, coloring, skipped_vertices, fresh, exact_budget_fallback), color_time) =
         cextend_obs::timed("coloring", move || {
             let candidates: Vec<Color> = (0..n_candidates as Color).collect();
             let shared = CandidateLists::Shared(&candidates);
             let mut coloring = Coloring::new(rows.len());
             let mut skipped_vertices = Vec::new();
             let mut solved_exactly = false;
+            let mut exact_budget_fallback = false;
             if let ColoringMode::Exact { max_steps } = mode {
-                if let ExactResult::Colorable(c) =
-                    exact_list_coloring(&g, &coloring, &shared, max_steps)
-                {
-                    coloring = c;
-                    solved_exactly = true;
+                match exact_list_coloring(&g, &coloring, &shared, max_steps) {
+                    ExactResult::Colorable(c) => {
+                        coloring = c;
+                        solved_exactly = true;
+                    }
+                    ExactResult::Unknown => exact_budget_fallback = true,
+                    ExactResult::Uncolorable => {}
                 }
             }
             if !solved_exactly {
@@ -82,7 +88,7 @@ pub(crate) fn color_partition(
                 &skipped_vertices,
                 n_candidates as Color,
             );
-            (g, coloring, skipped_vertices, fresh)
+            (g, coloring, skipped_vertices, fresh, exact_budget_fallback)
         });
 
     debug_assert!(cextend_hypergraph::is_proper_complete(&g, &coloring));
@@ -96,6 +102,7 @@ pub(crate) fn color_partition(
         fresh_colors: fresh.len(),
         edges: g.n_edges(),
         skipped: skipped_vertices.len(),
+        exact_budget_fallback,
         build_time,
         color_time,
         index_stats,
@@ -234,6 +241,16 @@ mod tests {
         let r = color_chicago(4, ColoringMode::Exact { max_steps: 100_000 });
         assert_eq!(r.skipped, 0);
         assert_eq!(r.fresh_colors, 0);
+        assert!(!r.exact_budget_fallback);
+    }
+
+    #[test]
+    fn an_exhausted_exact_budget_falls_back_to_greedy_and_says_so() {
+        let r = color_chicago(4, ColoringMode::Exact { max_steps: 1 });
+        assert!(r.exact_budget_fallback);
+        assert_eq!(r.assignments.len(), 7);
+        // Greedy alone is not a budget fallback.
+        assert!(!color_chicago(4, ColoringMode::Greedy).exact_budget_fallback);
     }
 
     /// Streams every partition of the Chicago/NYC view through `sink`.

@@ -4,21 +4,21 @@
 //! DC's condition φ holds becomes a hyperedge: those tuples must not all
 //! receive the same FK. This module builds that graph two ways:
 //!
-//! - [`ConflictBuilder`] — the builder Phase II and the `dc_error` metric
-//!   run. Each DC is compiled to an equality-saturated [`DcPlan`]
-//!   (per-variable unary filters, binary atoms, interchangeable-variable
-//!   classes) and costed against sampled column statistics. Pair DCs with
-//!   at most one binary atom are bulk-emitted as cliques, bi-cliques or
-//!   sorted-run windows. The rest enumerate: candidates per variable are
-//!   pre-filtered once, the variables are ordered most selective first, and
-//!   each enumeration level is driven by a per-partition value index — a
-//!   hash bucket for equality atoms, a sorted run for ordering atoms — when
-//!   the estimate says the index amortizes, so the inner loop visits only
-//!   rows that can still satisfy φ. Binary atoms are verified incrementally
-//!   on partial assignments (pruning whole subtrees) rather than
-//!   re-evaluating φ at `O(|P|^k)` leaves, and interchangeable variables
-//!   are restricted to ascending vertex ids so each undirected edge is
-//!   emitted once instead of once per symmetric variable order.
+//! - [`ConflictBuilder`] — the builder Phase II runs. Each DC is compiled
+//!   to an equality-saturated [`DcPlan`] (per-variable unary filters,
+//!   binary atoms, interchangeable-variable classes) and costed against
+//!   sampled column statistics. Pair DCs with at most one binary atom are
+//!   bulk-emitted as cliques, bi-cliques or sorted-run windows. The rest
+//!   enumerate: candidates per variable are pre-filtered once, the
+//!   variables are ordered most selective first, and each enumeration level
+//!   is driven by a per-partition value index — a hash bucket for equality
+//!   atoms, a sorted run for ordering atoms — when the estimate says the
+//!   index amortizes, so the inner loop visits only rows that can still
+//!   satisfy φ. Binary atoms are verified incrementally on partial
+//!   assignments (pruning whole subtrees) rather than re-evaluating φ at
+//!   `O(|P|^k)` leaves, and interchangeable variables are restricted to
+//!   ascending vertex ids so each undirected edge is emitted once instead
+//!   of once per symmetric variable order.
 //! - [`build_conflict_graph_naive`] — the original per-leaf `φ` evaluation,
 //!   kept as the reference the tests, the spec fuzzer and the
 //!   `conflict_build` criterion bench compare the builder against.
@@ -95,10 +95,9 @@ impl ConflictStats {
 /// A reusable conflict-graph builder.
 ///
 /// Compiling the [`DcPlan`]s once and reusing the scratch buffers matters
-/// when the caller builds graphs for thousands of small partitions (the
-/// `dc_error` metric groups by FK value; Phase II colors every `V_join`
-/// partition). Phase II compiles one builder and clones it into each
-/// worker.
+/// when the caller builds graphs for thousands of small partitions (Phase
+/// II colors every `V_join` partition). Phase II compiles one builder and
+/// clones it into each worker.
 #[derive(Clone)]
 pub struct ConflictBuilder {
     plans: Vec<DcPlan>,
@@ -135,8 +134,8 @@ pub struct ConflictBuilder {
     /// Sorted scratch for edge insertion.
     edge_buf: Vec<u32>,
     /// Variable-order / atom-schedule scratch, reused across DCs and
-    /// builds (per-FK-group callers like `dc_error` build thousands of
-    /// tiny graphs, where per-call allocation would dominate).
+    /// builds (Phase II builds thousands of tiny partition graphs, where
+    /// per-call allocation would dominate).
     order: Vec<usize>,
     sched: Vec<Vec<usize>>,
     drivers: Vec<Option<usize>>,

@@ -398,6 +398,7 @@ pub(crate) fn run_phase2(
                 |r| {
                     stats.counters.conflict_edges += r.edges;
                     stats.counters.skipped_vertices += r.skipped;
+                    stats.counters.exact_budget_fallbacks += usize::from(r.exact_budget_fallback);
                     // Workers measured (and, when recording, emitted spans
                     // for) these intervals; fold the same durations into
                     // the frame.
@@ -436,6 +437,10 @@ pub(crate) fn run_phase2(
             cextend_obs::counter_add(
                 "phase2.skipped_vertices",
                 stats.counters.skipped_vertices as u64,
+            );
+            cextend_obs::counter_add(
+                "phase2.exact_budget_fallbacks",
+                stats.counters.exact_budget_fallbacks as u64,
             );
             cextend_obs::counter_add("phase2.indexes_built", index_stats.indexes_built as u64);
             cextend_obs::counter_add("phase2.eq_probes", index_stats.eq_probes as u64);

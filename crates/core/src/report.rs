@@ -137,6 +137,9 @@ pub struct SolveCounters {
     pub ilp_assigned_rows: usize,
     /// Row-combo switches applied by the local-search repair pass.
     pub repair_moves: usize,
+    /// Partitions whose exact coloring ran out of its step budget, so the
+    /// greedy coloring took over ([`crate::ColoringMode::Exact`]).
+    pub exact_budget_fallbacks: usize,
 }
 
 impl SolveCounters {
@@ -158,6 +161,7 @@ impl SolveCounters {
         self.hasse_assigned_rows += other.hasse_assigned_rows;
         self.ilp_assigned_rows += other.ilp_assigned_rows;
         self.repair_moves += other.repair_moves;
+        self.exact_budget_fallbacks += other.exact_budget_fallbacks;
     }
 }
 
@@ -297,6 +301,7 @@ mod tests {
             counters: SolveCounters {
                 new_r2_tuples: 3,
                 ilp_rounded: true,
+                exact_budget_fallbacks: 2,
                 ..SolveCounters::default()
             },
         };
@@ -306,6 +311,7 @@ mod tests {
         assert_eq!(a.timings.phase2(), Duration::from_millis(1));
         assert_eq!(a.counters.new_r2_tuples, 5);
         assert!(a.counters.ilp_rounded);
+        assert_eq!(a.counters.exact_budget_fallbacks, 2);
     }
 
     #[test]

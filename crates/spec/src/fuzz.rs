@@ -13,9 +13,13 @@
 //! the Phase II pipeline) and demands bit-identical tables and solve
 //! counters. A fourth, edge-set arm checks that the conflict builder Phase II runs
 //! produces the naive reference builder's edge set on a row window of
-//! every step's ground-truth view, and a fifth, CC-count arm that the
+//! every step's ground-truth view, a fifth, CC-count arm that the
 //! one-pass membership kernel counts every step CC on that view exactly
-//! as the per-CC `count_in` reference does.
+//! as the per-CC `count_in` reference does, and a sixth, certifier arm
+//! that `metrics::evaluate` reports the naive builder's DC error and the
+//! kernel's CC errors on every step's ground-truth completion and on a
+//! copy with a perturbed FK column
+//! ([`cextend_workloads::agreement`]).
 
 use crate::error::Result;
 use crate::lower::SpecWorkload;
@@ -24,6 +28,7 @@ use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder};
 use cextend_core::snowflake::{solve_snowflake, SnowflakeSolution, SnowflakeStep};
 use cextend_core::SolverConfig;
 use cextend_table::{relations_equal_ordered, RowId};
+use cextend_workloads::agreement::certifier_agrees_on_step;
 use cextend_workloads::{CcFamily, DcSet, Workload, WorkloadParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,6 +54,10 @@ pub struct FuzzOutcome {
     pub levels: usize,
     /// Widest level (number of steps sharing one level).
     pub max_width: usize,
+    /// Largest DC error the certifier arm found on a perturbed completion.
+    pub perturbed_dc_error: f64,
+    /// Largest CC error the certifier arm found on a perturbed completion.
+    pub perturbed_cc_error: f64,
 }
 
 /// Deterministically derives the RNG seed of one fuzz iteration.
@@ -261,6 +270,7 @@ pub fn run_differential_oracles(
     // Edge-set arm: fuzzed DC blocks mix gap pairs (a single binary atom,
     // bulk-emitted as sorted-run windows) with exclusive pairs (pure-unary
     // cliques), so both bulk-emission branches meet the naive reference.
+    let (mut perturbed_dc_error, mut perturbed_cc_error) = (0.0f64, 0.0f64);
     for (step, instance) in steps.iter().enumerate() {
         let view = data.step_truth_view(step);
         let dcs = instance
@@ -295,12 +305,24 @@ pub fn run_differential_oracles(
                 ));
             }
         }
+        // Certifier arm: `evaluate` against both references on the step's
+        // ground-truth completion and a perturbed copy.
+        let (_, perturbed) =
+            certifier_agrees_on_step(&data, step, instance.ccs.clone(), instance.dcs.clone())
+                .map_err(|e| format!("{}: certifier: {e}", meta.name))?;
+        perturbed_dc_error = perturbed_dc_error.max(perturbed.dc_error);
+        perturbed_cc_error = perturbed
+            .cc_errors
+            .iter()
+            .fold(perturbed_cc_error, |m, &e| m.max(e));
     }
     Ok(FuzzOutcome {
         name: meta.name.to_owned(),
         n_steps: steps.len(),
         levels: base.levels.len(),
         max_width: base.levels.iter().map(|l| l.steps.len()).max().unwrap_or(0),
+        perturbed_dc_error,
+        perturbed_cc_error,
     })
 }
 

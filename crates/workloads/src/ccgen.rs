@@ -13,7 +13,7 @@
 //! Definition 4.4 (see the paper's Example 4.5). A **bad** family samples
 //! its (row, condition) pairs freely.
 
-use cextend_constraints::{CardinalityConstraint, NormalizedCond};
+use cextend_constraints::{set_targets, CardinalityConstraint, NormalizedCond};
 use cextend_table::Relation;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -85,18 +85,18 @@ pub fn rows_are_laminar(conds: &[NormalizedCond]) -> bool {
     true
 }
 
-fn make_cc(
-    name: String,
-    r1: &NormalizedCond,
-    r2: &NormalizedCond,
+/// A CC whose target [`measured`] fills in.
+fn make_cc(name: String, r1: &NormalizedCond, r2: &NormalizedCond) -> CardinalityConstraint {
+    CardinalityConstraint::new(name, r1.clone(), r2.clone(), 0)
+}
+
+/// `ccs` with every target set to its count on the ground-truth join.
+fn measured(
+    mut ccs: Vec<CardinalityConstraint>,
     truth_join: &Relation,
-) -> CardinalityConstraint {
-    let target = r1
-        .intersect(r2)
-        .to_predicate()
-        .count(truth_join)
-        .expect("ground-truth join carries all CC columns");
-    CardinalityConstraint::new(name, r1.clone(), r2.clone(), target)
+) -> Vec<CardinalityConstraint> {
+    set_targets(&mut ccs, truth_join).expect("ground-truth join carries all CC columns");
+    ccs
 }
 
 /// Builds a **good** family: related row bundles share one `R2` condition;
@@ -121,12 +121,7 @@ pub fn good_family(
             if ccs.len() >= n {
                 break;
             }
-            ccs.push(make_cc(
-                format!("{prefix}-{}", ccs.len()),
-                &rows[i],
-                &cond,
-                truth_join,
-            ));
+            ccs.push(make_cc(format!("{prefix}-{}", ccs.len()), &rows[i], &cond));
         }
     }
     // Then singleton rows crossed with the full condition pool.
@@ -148,10 +143,9 @@ pub fn good_family(
             format!("{prefix}-{}", ccs.len()),
             &rows[r],
             &pool[c],
-            truth_join,
         ));
     }
-    ccs
+    measured(ccs, truth_join)
 }
 
 /// Builds a **bad** family: all (row, condition) pairs, shuffled.
@@ -178,10 +172,9 @@ pub fn bad_family(
             format!("{prefix}-{}", ccs.len()),
             &rows[r],
             &pool[c],
-            truth_join,
         ));
     }
-    ccs
+    measured(ccs, truth_join)
 }
 
 #[cfg(test)]

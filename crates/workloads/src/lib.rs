@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 
+pub mod agreement;
 pub mod ccgen;
 mod census;
 mod dcdense;

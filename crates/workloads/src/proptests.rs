@@ -6,6 +6,7 @@
 //! augmented view, so the generated CC set is simultaneously satisfiable
 //! and the solver's guarantees are testable against it.
 
+use crate::agreement::certifier_agrees_on_step;
 use crate::workload::{all_workloads, CcFamily, DcSet, Workload, WorkloadParams};
 use cextend_constraints::cc_counts;
 use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder};
@@ -346,6 +347,48 @@ proptest! {
             // The first step must validate as a solver instance as-is.
             let ccs = w.ccs(CcFamily::Good, 5, &data, seed);
             prop_assert!(data.to_instance(ccs, w.dcs(DcSet::All)).is_ok());
+        }
+    }
+}
+
+proptest! {
+    // Each case certifies four completions per step of every workload (two
+    // CC families, truth and perturbed) against the naive references; 48
+    // cases keep that quick in debug builds.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn certifier_agrees_with_the_references_on_every_workload(
+        seed in 0u64..1_000,
+        scale_mil in 4u32..12,
+    ) {
+        // The certifier against the naive conflict builder and the
+        // membership kernel, on each step's ground-truth completion (zero
+        // error) and on a perturbed copy, for both CC families. Some
+        // perturbed copy of every workload must violate a DC and miss a CC.
+        let scale = f64::from(scale_mil) / 1_000.0;
+        for w in all_workloads() {
+            let data = w.generate(&WorkloadParams::new(scale, seed));
+            let (mut dc_error, mut cc_error) = (0.0f64, 0.0f64);
+            for step in 0..data.n_steps() {
+                for family in [CcFamily::Good, CcFamily::Bad] {
+                    let ccs = w.step_ccs(step, family, 200, &data, seed);
+                    let (truth, perturbed) =
+                        certifier_agrees_on_step(&data, step, ccs, w.step_dcs(step, DcSet::All))
+                            .map_err(|e| {
+                                TestCaseError::fail(format!("{} {family:?}: {e}", w.meta().name))
+                            })?;
+                    prop_assert!(
+                        truth.dc_error == 0.0 && truth.cc_errors.iter().all(|&e| e == 0.0),
+                        "{} step {step}: the ground truth certifies with errors {truth:?}",
+                        w.meta().name
+                    );
+                    dc_error = dc_error.max(perturbed.dc_error);
+                    cc_error = perturbed.cc_errors.iter().fold(cc_error, |m, &e| m.max(e));
+                }
+            }
+            prop_assert!(dc_error > 0.0, "{}: no perturbed copy violates a DC", w.meta().name);
+            prop_assert!(cc_error > 0.0, "{}: no perturbed copy misses a CC", w.meta().name);
         }
     }
 }

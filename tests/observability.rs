@@ -3,8 +3,9 @@
 //! Chrome-trace JSON round-trip through the vendored `serde_json`.
 
 use cextend::census::{generate, generate_ccs, s_all_dc, CcFamily, CensusConfig};
+use cextend::core::metrics::evaluate;
 use cextend::obs;
-use cextend::{solve, CExtensionInstance, SolverConfig};
+use cextend::{solve, CExtensionInstance, ColoringMode, Solution, SolverConfig};
 use std::sync::{Mutex, MutexGuard};
 
 /// The obs recorder is process-global, so tests that arm it must not
@@ -39,13 +40,18 @@ fn build_dcdense() -> CExtensionInstance {
 /// Solves once at `workers` with the recorder armed, returning the
 /// collected trace.
 fn traced_solve(instance: &CExtensionInstance, workers: usize) -> obs::Trace {
-    let config = SolverConfig::hybrid().with_workers(workers);
+    traced(instance, &SolverConfig::hybrid().with_workers(workers)).0
+}
+
+/// Solves once under `config` with the recorder armed, returning the
+/// collected trace and the solution.
+fn traced(instance: &CExtensionInstance, config: &SolverConfig) -> (obs::Trace, Solution) {
     let _ = obs::take_trace();
     obs::set_recording(true);
-    let solution = solve(instance, &config).unwrap();
+    let solution = solve(instance, config).unwrap();
     obs::set_recording(false);
     assert!(solution.r1_hat.n_rows() > 0);
-    obs::take_trace()
+    (obs::take_trace(), solution)
 }
 
 #[test]
@@ -95,6 +101,33 @@ fn counters_are_bit_identical_across_worker_widths() {
             );
         }
     }
+}
+
+#[test]
+fn exact_budget_fallbacks_are_counted_identically_at_every_width() {
+    // One backtracking step colors no partition with a conflict edge, so
+    // each of those falls back to greedy, is counted, and still ends
+    // DC-clean.
+    let _guard = recording_lock();
+    let instance = build();
+    let mut counts = Vec::new();
+    for workers in [1, 2, 4] {
+        let config = SolverConfig {
+            coloring: ColoringMode::Exact { max_steps: 1 },
+            ..SolverConfig::hybrid().with_workers(workers)
+        };
+        let (trace, solution) = traced(&instance, &config);
+        let counted = solution.stats.counters.exact_budget_fallbacks;
+        assert_eq!(
+            trace.counters.get("phase2.exact_budget_fallbacks").copied(),
+            Some(counted as u64),
+            "{workers} workers"
+        );
+        assert_eq!(evaluate(&instance, &solution).unwrap().dc_error, 0.0);
+        counts.push(counted);
+    }
+    assert!(counts[0] > 0, "no partition exhausted a one-step budget");
+    assert_eq!(counts, vec![counts[0]; 3]);
 }
 
 #[test]
