@@ -61,7 +61,7 @@ fn bench_dcdense_coloring(c: &mut Criterion) {
                 .filter(|&&r| view.get(r, kind) == Some(cextend_table::Value::str("Anchor")))
                 .count();
             let colors: Vec<Color> = (0..n_cand as Color).collect();
-            let g = ConflictBuilder::new(&dcs, &view, rows.len()).build(&view, &rows);
+            let g = ConflictBuilder::new(&dcs).build(&view, &rows);
             let id = format!("p{}_{density}_e{}", rows.len(), g.n_edges());
             group.bench_with_input(BenchmarkId::from_parameter(id), &g, |b, g| {
                 b.iter(|| {

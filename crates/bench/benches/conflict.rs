@@ -1,8 +1,8 @@
 //! Micro-benchmarks for Phase II's conflict-hypergraph construction.
 //!
 //! `conflict_build` measures the conflict builder Phase II runs
-//! (`cextend_core::conflict::ConflictBuilder`, with sampled-statistics
-//! planning and bulk pair emission; compile included) head to head against
+//! (`cextend_core::conflict::ConflictBuilder`, with indexed enumeration
+//! and bulk pair emission; compile included) head to head against
 //! the naive `O(|P|^k)` reference enumeration on real `dcdense` partitions,
 //! parameterized by partition size (scale label) and DC density (`good` =
 //! anchored gap rows only, `all` = these plus Anchor cliques and the
@@ -25,9 +25,7 @@ fn bench_conflict_build(c: &mut Criterion) {
             let edges = build_conflict_graph_naive(&view, &rows, &dcs).n_edges();
             assert_eq!(
                 edges,
-                ConflictBuilder::new(&dcs, &view, rows.len())
-                    .build(&view, &rows)
-                    .n_edges(),
+                ConflictBuilder::new(&dcs).build(&view, &rows).n_edges(),
                 "builders must agree before being timed"
             );
             for builder in ["indexed", "naive"] {
@@ -35,9 +33,7 @@ fn bench_conflict_build(c: &mut Criterion) {
                 group.bench_with_input(BenchmarkId::from_parameter(id), &view, |b, view| {
                     b.iter(|| {
                         let g = match builder {
-                            "indexed" => {
-                                ConflictBuilder::new(&dcs, view, rows.len()).build(view, &rows)
-                            }
+                            "indexed" => ConflictBuilder::new(&dcs).build(view, &rows),
                             _ => build_conflict_graph_naive(view, &rows, &dcs),
                         };
                         assert_eq!(g.n_edges(), edges);

@@ -13,8 +13,10 @@
 //! or self-rejected spec fails the run. The run also asserts coverage:
 //! at least one generated schedule must have ≥ 3 levels and a ≥ 3-wide
 //! level, so the oracles demonstrably exercised both chain scheduling and
-//! star parallelism, and some perturbed completion must violate a DC and
-//! miss a CC, so the certifier arm was never vacuous.
+//! star parallelism, some perturbed completion must violate a DC and
+//! miss a CC, so the certifier arm was never vacuous, and the edge-set
+//! arm must have driven enumeration through both hash buckets and sorted
+//! runs, so both index kinds met the naive reference.
 //!
 //! `spec-check` parses + statically checks every `specs/*.spec` and
 //! asserts every `specs/bad/*.spec` is rejected by the checker.
@@ -36,6 +38,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     );
     let (mut best_levels, mut best_width) = (0usize, 0usize);
     let (mut dc_error, mut cc_error) = (0.0f64, 0.0f64);
+    let (mut index_hash, mut index_sorted) = (0usize, 0usize);
     for iter in 0..opts.iters {
         let workload = fuzz_workload(opts.seed, iter).map_err(|e| {
             format!("iteration {iter}: generated spec failed its own static checks: {e}")
@@ -50,6 +53,8 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         best_width = best_width.max(out.max_width);
         dc_error = dc_error.max(out.perturbed_dc_error);
         cc_error = cc_error.max(out.perturbed_cc_error);
+        index_hash += out.index_hash;
+        index_sorted += out.index_sorted;
     }
     if best_levels < 3 || best_width < 3 {
         return Err(format!(
@@ -63,12 +68,18 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
              {dc_error} and CC error {cc_error} (need both > 0 across the run)"
         ));
     }
+    if index_hash == 0 || index_sorted == 0 {
+        return Err(format!(
+            "fuzz-spec edge-set arm never enumerated through both index kinds: {index_hash} \
+             hash / {index_sorted} sorted depths (need both > 0 across the run)"
+        ));
+    }
     println!(
-        "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets, kernel ≡ count_in CC \
-         counts, certifier ≡ naive/kernel references on truth and perturbed completions \
-         (largest perturbed DC error {dc_error:.3}, CC error {cc_error:.3}) and 1 ≡ 2 ≡ 4 \
-         workers on every spec (deepest schedule {best_levels} levels, widest level \
-         {best_width})",
+        "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets ({index_hash} hash / \
+         {index_sorted} sorted depths), kernel ≡ count_in CC counts, certifier ≡ \
+         naive/kernel references on truth and perturbed completions (largest perturbed DC \
+         error {dc_error:.3}, CC error {cc_error:.3}) and 1 ≡ 2 ≡ 4 workers on every spec \
+         (deepest schedule {best_levels} levels, widest level {best_width})",
         opts.iters
     );
     Ok(())

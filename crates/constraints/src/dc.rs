@@ -311,7 +311,7 @@ pub struct BinaryAtomPlan {
 
 impl BinaryAtomPlan {
     /// `true` for `=` atoms — probeable through a hash bucket index (the
-    /// most selective driver; see `cextend_core::conflict`).
+    /// preferred driver; see `cextend_core::conflict`).
     pub fn is_equality(&self) -> bool {
         self.op == CmpOp::Eq
     }
@@ -373,8 +373,8 @@ fn canonical_binary_key(a: &BinaryAtomPlan) -> (usize, ColId, u8, usize, ColId, 
 /// A compiled evaluation plan for one [`BoundDc`].
 ///
 /// The plan splits φ into per-variable unary filters (candidate
-/// pre-filtering) and binary atoms carrying selectivity hints (equality
-/// atoms probe hash buckets, ordering atoms probe sorted runs), and
+/// pre-filtering) and binary atoms (equality atoms probe hash buckets,
+/// ordering atoms probe sorted runs), and
 /// detects **interchangeable tuple variables**: variables whose swap is an
 /// automorphism of φ, so enumeration can restrict their assignments to
 /// ascending vertex ids and emit each undirected conflict edge exactly once

@@ -12,11 +12,11 @@
 //!   intersecting classification (Definitions 4.2–4.4).
 //! - [`HasseDiagram`] — cover edges of the containment order (Section 4.2).
 //! - [`ColumnIntervals`] / [`Binning`] — intervalization (Section 4.1).
+//!   Phase I's ILP bins rows with a [`Binning`] and adds the all-way or
+//!   modified marginals (Sections 4.1, 4.3) per bin itself.
 //! - [`CcMembership`] / [`cc_counts`] / [`set_targets`] — one-pass CC
 //!   membership of every row through per-column lookup tables cut by the
 //!   same rule.
-//! - [`marginal_ccs`] / [`restrict_marginals`] — all-way and modified
-//!   marginal augmentation (Sections 4.1, 4.3).
 //! - [`parse_cc`] / [`parse_dc`] — a text DSL in the paper's notation.
 //!
 //! ```
@@ -33,23 +33,19 @@
 #![warn(missing_docs)]
 
 mod cc;
-mod cost;
 mod dc;
 mod error;
 mod hasse;
 mod intervalize;
-mod marginals;
 mod membership;
 mod parser;
 mod relationship;
 
 pub use cc::{CardinalityConstraint, NormalizedCond};
-pub use cost::PlanCost;
 pub use dc::{BinaryAtomPlan, BoundDc, DcAtom, DcPlan, DenialConstraint, UnaryFilter};
 pub use error::{ConstraintError, Result};
 pub use hasse::HasseDiagram;
 pub use intervalize::{domain_ranges, BinDim, BinKey, Binning, BoundBinning, ColumnIntervals};
-pub use marginals::{marginal_ccs, marginal_counts, restrict_marginals};
 pub use membership::{cc_counts, set_targets, CcMembership};
 pub use parser::{parse_cc, parse_dc, parse_predicate};
 pub use relationship::{classify, CcRelationship, RelationshipMatrix};

@@ -72,8 +72,8 @@ pub use config::{
     SolverConfig,
 };
 
-/// Conflict-hypergraph construction (Definition 5.1): the cost-planned
-/// indexed builder Phase II runs, the naive reference builder, and the
+/// Conflict-hypergraph construction (Definition 5.1): the indexed
+/// builder Phase II runs, the naive reference builder, and the
 /// build statistics. Public so the bench harness can time the production
 /// builder against the reference and the workload and spec crates can
 /// property-test their edge-set equivalence.

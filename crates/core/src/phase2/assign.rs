@@ -212,7 +212,7 @@ mod tests {
     fn color_chicago(n_cand: usize, mode: ColoringMode) -> PartitionResult {
         let (view, dcs) = chicago_setup();
         let rows: Vec<RowId> = (0..7).collect();
-        let mut builder = ConflictBuilder::new(&dcs, &view, rows.len());
+        let mut builder = ConflictBuilder::new(&dcs);
         color_partition(0, &view, &rows, n_cand, mode, &mut builder)
     }
 
@@ -260,7 +260,7 @@ mod tests {
             (vec![Value::str("Chicago")], (0..7).collect::<Vec<_>>(), 4),
             (vec![Value::str("NYC")], vec![7, 8], 2),
         ];
-        let builder = ConflictBuilder::new(&dcs, &view, 7);
+        let builder = ConflictBuilder::new(&dcs);
         color_partitions_streamed(
             &view,
             &partitions,

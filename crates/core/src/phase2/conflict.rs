@@ -6,19 +6,19 @@
 //!
 //! - [`ConflictBuilder`] — the builder Phase II runs. Each DC is compiled
 //!   to an equality-saturated [`DcPlan`] (per-variable unary filters,
-//!   binary atoms, interchangeable-variable classes) and costed against
-//!   sampled column statistics. Pair DCs with at most one binary atom are
-//!   bulk-emitted as cliques, bi-cliques or sorted-run windows. The rest
-//!   enumerate: candidates per variable are pre-filtered once, the
-//!   variables are ordered most selective first, and each enumeration level
-//!   is driven by a per-partition value index — a hash bucket for equality
-//!   atoms, a sorted run for ordering atoms — when the estimate says the
-//!   index amortizes, so the inner loop visits only rows that can still
-//!   satisfy φ. Binary atoms are verified incrementally on partial
-//!   assignments (pruning whole subtrees) rather than re-evaluating φ at
-//!   `O(|P|^k)` leaves, and interchangeable variables are restricted to
-//!   ascending vertex ids so each undirected edge is emitted once instead
-//!   of once per symmetric variable order.
+//!   binary atoms, interchangeable-variable classes). Pair DCs with at
+//!   most one binary atom are bulk-emitted as cliques, bi-cliques or
+//!   sorted-run windows. The rest enumerate: candidates per variable are
+//!   pre-filtered once per partition, the variables are ordered by those
+//!   exact candidate counts, and each enumeration depth with a binary atom
+//!   is driven by a per-partition value index over its first equality atom
+//!   (hash buckets) or else its first ordering atom (a sorted run), so the
+//!   inner loop visits only rows that can still satisfy φ. Binary atoms
+//!   are verified incrementally on partial assignments (pruning whole
+//!   subtrees) rather than re-evaluating φ at `O(|P|^k)` leaves, and
+//!   interchangeable variables are restricted to ascending vertex ids so
+//!   each undirected edge is emitted once instead of once per symmetric
+//!   variable order.
 //! - [`build_conflict_graph_naive`] — the original per-leaf `φ` evaluation,
 //!   kept as the reference the tests, the spec fuzzer and the
 //!   `conflict_build` criterion bench compare the builder against.
@@ -26,19 +26,10 @@
 //! Both builders produce the **identical edge set** on any input (property-
 //! tested across all workloads in `cextend-workloads`).
 
-use cextend_constraints::{BinaryAtomPlan, BoundDc, DcPlan, PlanCost};
+use cextend_constraints::{BinaryAtomPlan, BoundDc, DcPlan};
 use cextend_hypergraph::Hypergraph;
 use cextend_table::{CmpOp, ColId, IntColumnView, Relation, RowId, Sym, SymColumnView, Value};
 use std::collections::HashMap;
-
-/// Per-entry cost of building a value index (hashing / sorting /
-/// allocation), in scan-visit units. The builder keeps a driver's
-/// index only when the scans it replaces outweigh `BUILD × n` plus the
-/// probe overhead — a handful of probes over a handful of rows scans.
-const INDEX_BUILD_FACTOR: f64 = 4.0;
-/// Fixed per-probe overhead (hash lookup / binary search) in scan-visit
-/// units, on top of visiting the matching candidates themselves.
-const INDEX_PROBE_COST: f64 = 2.0;
 
 /// What the indexed builder did, for `CEXTEND_TRACE` diagnostics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -60,19 +51,10 @@ pub struct ConflictStats {
     /// (duplicate or degenerate edges — symmetric-variable permutations of
     /// an edge already stored, or pairs a bulk-emitted DC already owns).
     pub dedup_hits: usize,
-    /// DCs planned from sampled column statistics (compile time; see
-    /// [`ConflictBuilder::plan_stats`]).
-    pub plans_cost: usize,
-    /// DCs whose cost estimate fell back to fixed default selectivities
-    /// because some column had no usable statistics (compile time).
-    pub plans_static_fallback: usize,
-    /// Enumeration depths executed with a hash-bucket index.
+    /// Enumeration depths driven by an equality atom's hash buckets.
     pub index_hash: usize,
-    /// Enumeration depths executed with a sorted-run index.
+    /// Enumeration depths driven by an ordering atom's sorted run.
     pub index_sorted: usize,
-    /// Enumeration depths demoted to a plain scan (candidate list below
-    /// the index-amortization threshold).
-    pub index_scan: usize,
 }
 
 impl ConflictStats {
@@ -84,11 +66,8 @@ impl ConflictStats {
         self.scanned_candidates += other.scanned_candidates;
         self.dead_dcs += other.dead_dcs;
         self.dedup_hits += other.dedup_hits;
-        self.plans_cost += other.plans_cost;
-        self.plans_static_fallback += other.plans_static_fallback;
         self.index_hash += other.index_hash;
         self.index_sorted += other.index_sorted;
-        self.index_scan += other.index_scan;
     }
 }
 
@@ -101,9 +80,6 @@ impl ConflictStats {
 #[derive(Clone)]
 pub struct ConflictBuilder {
     plans: Vec<DcPlan>,
-    /// Sampled-statistics cost estimate per plan; `None` exactly for plans
-    /// equality saturation proved can never hold.
-    costs: Vec<Option<PlanCost>>,
     /// Execution order over `plans`: bulk-emitted DCs first (so unchecked
     /// bulk edges exist before any checked leaf has to dedup against
     /// them), then declaration order.
@@ -186,13 +162,14 @@ struct ValueIndex {
 struct DcCtx<'a> {
     rows: &'a [RowId],
     plan: &'a DcPlan,
-    /// Variable assignment order, most selective first.
+    /// Variable assignment order (see [`plan_order`]).
     order: &'a [usize],
     /// Per depth: indices into `plan.binary_atoms()` that become fully
     /// assigned (and must hold) at that depth.
     sched: &'a [Vec<usize>],
-    /// Per depth: the scheduled atom chosen to drive the candidate loop via
-    /// an index probe (equality preferred over range), if any.
+    /// Per depth: the scheduled atom that drives the candidate loop via an
+    /// index probe (the first equality atom, else the first ordering
+    /// atom), if any.
     drivers: &'a [Option<usize>],
     /// Per depth: the slot in `indexes` the driver probes (set iff
     /// `drivers[depth]` is).
@@ -274,17 +251,12 @@ fn bulk_emitted(
 
 impl ConflictBuilder {
     /// Compiles the DC set: plans are equality-saturated (merging
-    /// interchangeable variables, detecting contradictions), costed against
-    /// `view`'s sampled column statistics for a nominal partition of
-    /// `rows_hint` rows, and ordered with bulk-emittable pair DCs first.
-    /// The builder is then reusable across any number of `(view, rows)`
-    /// builds.
-    pub fn new(dcs: &[BoundDc], view: &Relation, rows_hint: usize) -> ConflictBuilder {
+    /// interchangeable variables, detecting contradictions) and ordered
+    /// with bulk-emittable pair DCs first. Everything else is decided per
+    /// build from the partition's exact candidate lists, so the builder is
+    /// reusable across any number of `(view, rows)` builds.
+    pub fn new(dcs: &[BoundDc]) -> ConflictBuilder {
         let plans: Vec<DcPlan> = dcs.iter().map(|d| d.plan().saturate_equalities()).collect();
-        let costs: Vec<Option<PlanCost>> = plans
-            .iter()
-            .map(|p| (!p.never_holds()).then(|| PlanCost::estimate(p, view, rows_hint)))
-            .collect();
         let max_arity = plans.iter().map(DcPlan::arity).max().unwrap_or(0);
         let mut bulk_slot = vec![None; plans.len()];
         let mut n_bulk = 0usize;
@@ -301,7 +273,6 @@ impl ConflictBuilder {
         dc_order.sort_by_key(|&i| (bulk_slot[i].is_none(), i));
         ConflictBuilder {
             plans,
-            costs,
             dc_order,
             bulk_slot,
             n_bulk,
@@ -319,22 +290,6 @@ impl ConflictBuilder {
             driver_ix: Vec::new(),
             stats: ConflictStats::default(),
         }
-    }
-
-    /// The compile-time plan decisions: `plans_cost` and
-    /// `plans_static_fallback` set, every other field zero. Plans equality
-    /// saturation proved can never hold are a statistics-independent
-    /// decision; each build counts them in `dead_dcs` instead.
-    pub fn plan_stats(&self) -> ConflictStats {
-        let mut stats = ConflictStats::default();
-        for cost in self.costs.iter().flatten() {
-            if cost.from_stats {
-                stats.plans_cost += 1;
-            } else {
-                stats.plans_static_fallback += 1;
-            }
-        }
-        stats
     }
 
     /// Cumulative statistics over every `build` so far.
@@ -364,7 +319,6 @@ impl ConflictBuilder {
         }
         let plans = std::mem::take(&mut self.plans);
         let dc_order = std::mem::take(&mut self.dc_order);
-        let costs = std::mem::take(&mut self.costs);
         // Per-slot predicate table for the registry dedup tests. A
         // single-atom bulk DC whose columns fail to type as integers stays
         // `None`: `build_one_dc` kills such a DC before it registers any
@@ -398,7 +352,6 @@ impl ConflictBuilder {
                 view,
                 rows,
                 &plans[ix],
-                costs[ix].as_ref(),
                 bulk,
                 &bulk_preds,
                 bulk_uncond,
@@ -407,7 +360,6 @@ impl ConflictBuilder {
         }
         self.plans = plans;
         self.dc_order = dc_order;
-        self.costs = costs;
         g
     }
 
@@ -417,18 +369,17 @@ impl ConflictBuilder {
         view: &Relation,
         rows: &[RowId],
         plan: &DcPlan,
-        cost: Option<&PlanCost>,
         bulk: Option<u8>,
         bulk_preds: &[Option<BulkPred<'_>>],
         bulk_uncond: u64,
         g: &mut Hypergraph,
     ) {
-        let Some(cost) = cost else {
+        if plan.never_holds() {
             // Equality saturation found contradictory atoms at compile
-            // time (e.g. `t1.A = t2.A + 1 ∧ t2.A = t1.A`): never costed.
+            // time (e.g. `t1.A = t2.A + 1 ∧ t2.A = t1.A`).
             self.stats.dead_dcs += 1;
             return;
-        };
+        }
         let arity = plan.arity();
         // Typed views for every binary atom column. A binary atom over a
         // non-integer column can never hold (missing/typed-out cells make
@@ -486,19 +437,19 @@ impl ConflictBuilder {
             return;
         }
 
-        // Selectivity-driven variable order: start from the smallest
-        // candidate list; then prefer variables linked by a binary atom to
-        // the already-ordered set (so an index can drive their loop),
-        // breaking ties by candidate count, then variable index. The
-        // var-index tie-break keeps interchangeable variables in original
-        // relative order, which the symmetry dedup relies on.
+        // Variable order from the exact candidate counts: start from the
+        // smallest candidate list; then prefer variables linked by a
+        // binary atom to the already-ordered set (so an index can drive
+        // their loop), breaking ties by candidate count, then variable
+        // index. The var-index tie-break keeps interchangeable variables
+        // in original relative order, which the symmetry dedup relies on.
         plan_order(plan, &self.cands[..arity], &mut self.order);
         let order = &self.order;
 
         // Atom schedule: each binary atom runs at the depth where its last
         // variable gets assigned; one scheduled atom per depth is promoted
-        // to loop driver — the one with the lowest estimated selectivity
-        // (ties prefer equality).
+        // to loop driver — the first equality atom, else the first
+        // ordering atom.
         while self.sched.len() < arity {
             self.sched.push(Vec::new());
         }
@@ -511,63 +462,36 @@ impl ConflictBuilder {
         for (a, atom) in plan.binary_atoms().iter().enumerate() {
             let depth = depth_of(atom.lvar).max(depth_of(atom.rvar));
             sched[depth].push(a);
-            // Self-atoms (both sides one variable) cannot drive a probe.
-            if atom.lvar != atom.rvar {
-                let better = match drivers[depth] {
-                    None => true,
-                    Some(d) => {
-                        let cur = &plan.binary_atoms()[d];
-                        let (sa, sc) = (cost.atom_selectivity[a], cost.atom_selectivity[d]);
-                        sa < sc || (sa == sc && atom.is_equality() && !cur.is_equality())
-                    }
-                };
-                if better && (atom.is_equality() || atom.is_range()) {
-                    drivers[depth] = Some(a);
-                }
+            // Self-atoms (both sides one variable) cannot drive a probe,
+            // and `≠` has no index.
+            if atom.lvar == atom.rvar || !(atom.is_equality() || atom.is_range()) {
+                continue;
             }
-        }
-
-        // Index-kind decision: keep a depth's driver index only when it
-        // amortizes. The index replaces, per enumeration
-        // reaching this depth, a scan of the whole candidate list with a
-        // probe that visits `n × sel` matches; it costs one build over the
-        // list per partition. The probe count is the product of the
-        // surviving loop widths above this depth (selective drivers narrow
-        // each level to `n × sel` survivors whether they execute as index
-        // or scan — the scheduled-atom check in `try_candidate` filters
-        // identically). A demoted depth scans: same edges, no build.
-        let mut est_probes = 1.0f64;
-        for depth in 0..arity {
-            let n = self.cands[order[depth]].len() as f64;
-            let sel = match drivers[depth] {
-                Some(a) => cost.atom_selectivity[a],
-                None => 1.0,
+            let better = match drivers[depth] {
+                None => true,
+                Some(d) => atom.is_equality() && !plan.binary_atoms()[d].is_equality(),
             };
-            if let Some(a) = drivers[depth] {
-                let scan_cost = est_probes * n;
-                let index_cost = INDEX_BUILD_FACTOR * n + est_probes * (INDEX_PROBE_COST + n * sel);
-                if scan_cost <= index_cost {
-                    drivers[depth] = None;
-                    self.stats.index_scan += 1;
-                } else if plan.binary_atoms()[a].is_equality() {
-                    self.stats.index_hash += 1;
-                } else {
-                    self.stats.index_sorted += 1;
-                }
+            if better {
+                drivers[depth] = Some(a);
             }
-            est_probes *= (n * sel).max(1.0);
         }
 
         // Per-partition value indexes for the driver atoms' probe columns:
-        // build only the structure each driver probes (buckets for
-        // equality, the sorted run for ordering), and remember the slot
-        // per depth so enumeration probes by direct array read.
+        // every driver depth is indexed, building only the structure its
+        // driver probes (buckets for equality, the sorted run for
+        // ordering); the slot per depth lets enumeration probe by direct
+        // array read.
         let mut indexes: Vec<ValueIndex> = Vec::new();
         self.driver_ix.clear();
         self.driver_ix.resize(arity, None);
         for depth in 0..arity {
             let Some(a) = drivers[depth] else { continue };
             let atom = &plan.binary_atoms()[a];
+            if atom.is_equality() {
+                self.stats.index_hash += 1;
+            } else {
+                self.stats.index_sorted += 1;
+            }
             let var = order[depth];
             let col = if atom.lvar == var {
                 atom.lcol
@@ -826,8 +750,9 @@ struct EnumState<'a> {
     stats: &'a mut ConflictStats,
 }
 
-/// Selectivity-driven variable ordering (see `build_one_dc`), written
-/// into the reused `order` scratch. `used` is a bitmask — arity is tiny.
+/// Variable ordering from the exact per-partition candidate counts (see
+/// `build_one_dc`), written into the reused `order` scratch. `used` is a
+/// bitmask — arity is tiny.
 fn plan_order(plan: &DcPlan, cands: &[Vec<u32>], order: &mut Vec<usize>) {
     let arity = plan.arity();
     order.clear();
@@ -1107,7 +1032,17 @@ mod tests {
     /// The builder and the naive reference on the same input, asserting
     /// identical edge sets and returning the builder's graph.
     fn build_both(view: &Relation, rows: &[RowId], dcs: &[BoundDc]) -> Hypergraph {
-        let built = ConflictBuilder::new(dcs, view, rows.len()).build(view, rows);
+        build_both_with_stats(view, rows, dcs).0
+    }
+
+    /// [`build_both`], also returning the builder's statistics.
+    fn build_both_with_stats(
+        view: &Relation,
+        rows: &[RowId],
+        dcs: &[BoundDc],
+    ) -> (Hypergraph, ConflictStats) {
+        let mut builder = ConflictBuilder::new(dcs);
+        let built = builder.build(view, rows);
         let naive = build_conflict_graph_naive(view, rows, dcs);
         let edge_set = |g: &Hypergraph| {
             let mut edges: Vec<Vec<u32>> = g.edges().map(<[u32]>::to_vec).collect();
@@ -1119,7 +1054,7 @@ mod tests {
         assert_eq!(edge_set(&built), reference, "builder diverged from naive");
         // No duplicate edges (degrees would diverge).
         assert_eq!(built.n_edges(), reference.len(), "duplicate edges");
-        built
+        (built, builder.take_stats())
     }
 
     /// Figure 7's Chicago component: applying the Figure 2a DCs to the
@@ -1269,18 +1204,14 @@ mod tests {
         })
         .collect();
         let rows: Vec<RowId> = (0..5).collect();
-        let g = build_both(&r, &rows, &dcs);
+        let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
         // The Age ≥ 30 clique subsumes everything: C(5,2) edges.
         assert_eq!(g.n_edges(), 10);
-
-        let mut b = ConflictBuilder::new(&dcs, &r, rows.len());
-        b.build(&r, &rows);
-        let stats = b.stats();
         // Owner clique (3 pairs) + spouse×partner (1) rediscovered by the
         // big clique, plus the same-age DC's two pairs — every DC here is
         // bulk-emitted, so nothing enumerates and no index is built.
         assert_eq!(stats.dedup_hits, 6);
-        assert_eq!(stats.index_scan, 0);
+        assert_eq!(stats.index_hash + stats.index_sorted, 0);
         assert_eq!(stats.indexes_built, 0);
     }
 
@@ -1333,18 +1264,16 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let g = build_both(&r, &rows, &bound);
+        let (g, stats) = build_both_with_stats(&r, &rows, &bound);
         assert!(g.n_edges() > 0);
         // The registry dedup is predicate-aware: a mask hit alone (shared
         // membership under DC w2, whose candidate lists are all five rows)
         // must not suppress pairs w2 itself never emitted.
-        let mut b = ConflictBuilder::new(&bound, &r, rows.len());
-        b.build(&r, &rows);
-        assert!(b.stats().dedup_hits > 0);
+        assert!(stats.dedup_hits > 0);
     }
 
     #[test]
-    fn cost_planner_skips_contradictory_dcs() {
+    fn builder_skips_contradictory_dcs() {
         use cextend_constraints::parse_dc;
         let r = bulk_fixture();
         // t1.Age = t2.Age + 1 ∧ t2.Age = t1.Age is unsatisfiable; equality
@@ -1358,12 +1287,10 @@ mod tests {
         .bind(r.schema(), "Persons")
         .unwrap();
         let rows: Vec<RowId> = (0..5).collect();
-        let g = build_both(&r, &rows, std::slice::from_ref(&dc));
+        let (g, stats) = build_both_with_stats(&r, &rows, &[dc]);
         assert_eq!(g.n_edges(), 0);
-        let mut b = ConflictBuilder::new(&[dc], &r, rows.len());
-        b.build(&r, &rows);
-        assert_eq!(b.stats().dead_dcs, 1);
-        assert_eq!(b.stats().scanned_candidates, 0, "no enumeration ran");
+        assert_eq!(stats.dead_dcs, 1);
+        assert_eq!(stats.scanned_candidates, 0, "no enumeration ran");
     }
 
     #[test]
@@ -1376,19 +1303,15 @@ mod tests {
             .map(|d| d.bind(view.schema(), view.name()).unwrap())
             .collect();
         let rows: Vec<RowId> = (0..7).collect(); // owners + spouse + children
-        let mut builder = ConflictBuilder::new(&dcs, &view, rows.len());
-        // Every referenced column exists with data, so every plan is costed
-        // from statistics.
-        let plans = builder.plan_stats();
-        assert_eq!(plans.plans_cost, dcs.len());
-        assert_eq!(plans.plans_static_fallback, 0);
+        let mut builder = ConflictBuilder::new(&dcs);
         let a = builder.build(&view, &rows);
+        let once = builder.stats();
         let b = builder.build(&view, &rows);
         assert_eq!(a.n_edges(), b.n_edges(), "builder reuse changed output");
-        let stats = builder.take_stats();
-        assert_eq!(stats.plans_cost, 0, "builds do not count plan decisions");
+        let mut twice = once;
+        twice.absorb(&once);
+        assert_eq!(builder.take_stats(), twice, "stats accumulate");
         assert_eq!(builder.stats(), ConflictStats::default());
-        assert_eq!(builder.plan_stats(), plans, "taking stats keeps the plans");
     }
 
     #[test]
@@ -1423,5 +1346,107 @@ mod tests {
         // by distinctness on one side only): edges {1,2} once.
         assert_eq!(g.n_edges(), 1);
         assert_eq!(g.edge(0), &[1, 2]);
+    }
+
+    /// `n` rows with an integer `Age` (distinct neighbours, some repeats),
+    /// an integer `Grp` and an empty `fk`, for the enumerate-driver tests.
+    fn ages_fixture(n: usize) -> Relation {
+        use cextend_table::{ColumnDef, Dtype, Schema};
+        let schema = Schema::new(vec![
+            ColumnDef::attr("Age", Dtype::Int),
+            ColumnDef::attr("Grp", Dtype::Int),
+            ColumnDef::foreign_key("fk", Dtype::Int),
+        ])
+        .unwrap();
+        let mut r = Relation::new("t", schema);
+        for i in 0..n as i64 {
+            let age = 20 + (i * 7) % 13;
+            r.push_row(&[Some(Value::Int(age)), Some(Value::Int(i % 3)), None])
+                .unwrap();
+        }
+        r
+    }
+
+    fn bind_all(r: &Relation, dcs: &[&str]) -> Vec<BoundDc> {
+        dcs.iter()
+            .enumerate()
+            .map(|(i, s)| {
+                cextend_constraints::parse_dc(&format!("d{i}"), s, "fk")
+                    .unwrap()
+                    .bind(r.schema(), r.name())
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    /// Two ordering atoms on one column: not bulk-emittable, so the pair
+    /// enumerates, and its second depth runs through a sorted run.
+    const BAND: &str = "!(t2.Age > t1.Age + 1 & t2.Age < t1.Age + 6 & t1.fk = t2.fk)";
+
+    #[test]
+    fn band_pair_drives_a_sorted_run() {
+        let r = ages_fixture(24);
+        let rows: Vec<RowId> = (0..24).collect();
+        let (g, stats) = build_both_with_stats(&r, &rows, &bind_all(&r, &[BAND]));
+        assert!(g.n_edges() > 0);
+        assert_eq!((stats.index_sorted, stats.index_hash), (1, 0));
+        assert_eq!(stats.indexes_built, 1);
+        // Depth 0 scans its 24 candidates; depth 1 probes once per row.
+        assert_eq!(stats.range_probes, 24);
+        assert_eq!(stats.scanned_candidates, 24);
+    }
+
+    #[test]
+    fn equality_drives_over_an_earlier_ordering_atom() {
+        let r = ages_fixture(24);
+        let rows: Vec<RowId> = (0..24).collect();
+        // Both binary atoms complete at depth 1; the ordering atom comes
+        // first, the equality atom drives.
+        let dcs = bind_all(
+            &r,
+            &["!(t1.Age < t2.Age & t1.Grp = t2.Grp & t1.fk = t2.fk)"],
+        );
+        let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
+        assert!(g.n_edges() > 0);
+        assert_eq!((stats.index_hash, stats.index_sorted), (1, 0));
+        assert_eq!((stats.eq_probes, stats.range_probes), (24, 0));
+    }
+
+    #[test]
+    fn ternary_ordering_chain_indexes_every_later_depth() {
+        let r = ages_fixture(18);
+        let rows: Vec<RowId> = (0..18).collect();
+        let dcs = bind_all(
+            &r,
+            &["!(t1.Age < t2.Age & t2.Age < t3.Age + 2 & t1.fk = t2.fk & t2.fk = t3.fk)"],
+        );
+        let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
+        assert!(g.n_edges() > 0);
+        assert!(g.edges().all(|e| e.len() == 3));
+        assert_eq!((stats.index_sorted, stats.index_hash), (2, 0));
+        assert!(stats.range_probes > 18, "depth 2 probes per surviving pair");
+    }
+
+    #[test]
+    fn tiny_candidate_lists_are_indexed_too() {
+        // Partitions of one to six rows: every driver depth still builds
+        // its index, so only depth 0 scans.
+        for n in 1..=6 {
+            let r = ages_fixture(n);
+            let rows: Vec<RowId> = (0..n).collect();
+            let dcs = bind_all(
+                &r,
+                &[
+                    BAND,
+                    "!(t1.Grp = t2.Grp & t1.Age <= t2.Age & t1.fk = t2.fk)",
+                    "!(t1.Grp = t2.Grp & t2.Grp = t3.Grp & t1.fk = t2.fk & t2.fk = t3.fk)",
+                ],
+            );
+            let (_, stats) = build_both_with_stats(&r, &rows, &dcs);
+            assert_eq!(stats.dead_dcs, 0, "{n} rows");
+            assert_eq!(stats.index_sorted, 1, "{n} rows");
+            assert_eq!(stats.index_hash, 1 + 2, "{n} rows");
+            assert_eq!(stats.scanned_candidates, 3 * n, "{n} rows");
+        }
     }
 }

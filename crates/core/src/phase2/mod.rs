@@ -15,7 +15,7 @@ use crate::config::{Phase2Strategy, SolverConfig};
 use crate::error::{CoreError, Result};
 use crate::instance::CExtensionInstance;
 use crate::phase1::{Combo, P1};
-use crate::phase2::conflict::ConflictBuilder;
+use crate::phase2::conflict::{ConflictBuilder, ConflictStats};
 use crate::report::{SolveStats, StageTimings};
 use cextend_constraints::BoundDc;
 use cextend_obs::tracef;
@@ -368,13 +368,9 @@ pub(crate) fn run_phase2(
                 partitions.len(),
                 partitions.iter().map(|p| p.1.len()).max()
             );
-            // Compile the DC plans once, with cost estimates nominal for
-            // the largest partition; workers color with clones. The plan
-            // decisions are counted from this one compile, so they are the
-            // same at any worker width.
-            let rows_hint = partitions.iter().map(|p| p.1.len()).max().unwrap_or(0);
-            let builder = ConflictBuilder::new(&dcs, &ctx.view, rows_hint);
-            let mut index_stats = builder.plan_stats();
+            // Compile the DC plans once; workers color with clones.
+            let builder = ConflictBuilder::new(&dcs);
+            let mut index_stats = ConflictStats::default();
             drop(partition_stage);
 
             // ---- Color partitions, applying results as they stream in. ---
@@ -451,27 +447,15 @@ pub(crate) fn run_phase2(
             );
             cextend_obs::counter_add("phase2.dead_dcs", index_stats.dead_dcs as u64);
             cextend_obs::counter_add("phase2.dedup_hits", index_stats.dedup_hits as u64);
-            cextend_obs::counter_add("phase2.plans_cost", index_stats.plans_cost as u64);
-            cextend_obs::counter_add(
-                "phase2.plans_static_fallback",
-                index_stats.plans_static_fallback as u64,
-            );
             cextend_obs::counter_add("phase2.index_hash", index_stats.index_hash as u64);
             cextend_obs::counter_add("phase2.index_sorted", index_stats.index_sorted as u64);
-            cextend_obs::counter_add("phase2.index_scan", index_stats.index_scan as u64);
             tracef!(
-                "phase2: planner: {} cost plans, {} static fallbacks, \
-                 {} hash / {} sorted / {} scan depths",
-                index_stats.plans_cost,
-                index_stats.plans_static_fallback,
+                "phase2: conflict ({} edges): {} hash / {} sorted depths, {} indexes, \
+                 {} eq probes, {} range probes, {} scanned candidates, {} dead DCs, \
+                 {} dedup hits",
+                stats.counters.conflict_edges,
                 index_stats.index_hash,
                 index_stats.index_sorted,
-                index_stats.index_scan,
-            );
-            tracef!(
-                "phase2: conflict ({} edges): {} indexes, {} eq probes, \
-                 {} range probes, {} scanned candidates, {} dead DCs, {} dedup hits",
-                stats.counters.conflict_edges,
                 index_stats.indexes_built,
                 index_stats.eq_probes,
                 index_stats.range_probes,

@@ -13,8 +13,6 @@
 //!   skipped vertices (lines 11–14 of Algorithm 4).
 //! - [`exact_list_coloring`] — backtracking exact solver for validation,
 //!   ablations and the NAE-3SAT completeness tests.
-//! - [`connected_components`], [`graph_stats`] — partitioning (§5.2, §A.3)
-//!   and "good vs bad DC" diagnostics.
 //!
 //! ```
 //! use cextend_hypergraph::{coloring_lf, CandidateLists, Coloring, Hypergraph};
@@ -32,15 +30,11 @@
 #![warn(missing_docs)]
 
 mod coloring;
-mod components;
 mod exact;
 mod graph;
-mod stats;
 
 pub use coloring::{color_skipped_with_fresh, coloring_lf, CandidateLists};
-pub use components::connected_components;
 pub use exact::{exact_list_coloring, ExactResult};
 pub use graph::{
     edge_is_monochromatic, is_proper_complete, Color, Coloring, EdgeId, Hypergraph, VertexId,
 };
-pub use stats::{graph_stats, is_clique, GraphStats};

@@ -4,16 +4,18 @@
 //! a fact with a 3–4-wide star of dimensions whose first dimension heads a
 //! 2–5-hop chain, so every generated schedule has ≥ 3 levels with a
 //! ≥ 3-wide first level. Good CC rows are laminar by construction (nested
-//! ranges per kind, distinct kinds disjoint), DC blocks mix gap pairs and
-//! exclusive pairs over the fact-wide `[0, 900]` load domain so real
-//! conflict edges exist.
+//! ranges per kind, distinct kinds disjoint), DC blocks mix gap pairs,
+//! exclusive pairs, a two-atom band pair and sometimes a ternary equality
+//! chain over the fact-wide `[0, 900]` load domain so real conflict edges
+//! exist and the conflict builder both bulk-emits and enumerates.
 //!
 //! [`run_differential_oracles`] then solves each generated spec at 1, 2
 //! and 4 workers (concurrent step levels, sharded Phase 1 completion and
 //! the Phase II pipeline) and demands bit-identical tables and solve
-//! counters. A fourth, edge-set arm checks that the conflict builder Phase II runs
-//! produces the naive reference builder's edge set on a row window of
-//! every step's ground-truth view, a fifth, CC-count arm that the
+//! counters. A fourth, edge-set arm checks that the conflict builder Phase
+//! II runs produces the naive reference builder's edge set on a row window
+//! of every step's ground-truth view, and counts the enumeration depths it
+//! drove through hash buckets and sorted runs; a fifth, CC-count arm that the
 //! one-pass membership kernel counts every step CC on that view exactly
 //! as the per-CC `count_in` reference does, and a sixth, certifier arm
 //! that `metrics::evaluate` reports the naive builder's DC error and the
@@ -58,6 +60,12 @@ pub struct FuzzOutcome {
     pub perturbed_dc_error: f64,
     /// Largest CC error the certifier arm found on a perturbed completion.
     pub perturbed_cc_error: f64,
+    /// Enumeration depths the edge-set arm's builds drove through hash
+    /// buckets, summed over steps.
+    pub index_hash: usize,
+    /// Enumeration depths the edge-set arm's builds drove through sorted
+    /// runs, summed over steps.
+    pub index_sorted: usize,
 }
 
 /// Deterministically derives the RNG seed of one fuzz iteration.
@@ -221,6 +229,21 @@ pub fn fuzz_source(seed: u64, iter: usize) -> String {
                 "  all dc \"s{step}-excl\" arity 2 {{ t0.{sym_col} == \"{a}\"; t1.{sym_col} == \"{a}\"; }}"
             );
         }
+        // Two binary atoms keep these off the bulk path: the band pair
+        // enumerates through a sorted run, the ternary chain through hash
+        // buckets.
+        let band_lo = rng.gen_range(0..=int_hi / 20);
+        let band_hi = band_lo + rng.gen_range(10..=int_hi / 10);
+        let _ = writeln!(
+            s,
+            "  all dc \"s{step}-band\" arity 2 {{ t1.{int_col} > t0.{int_col} + {band_lo}; t1.{int_col} < t0.{int_col} + {band_hi}; }}"
+        );
+        if rng.gen_bool(0.5) {
+            let _ = writeln!(
+                s,
+                "  all dc \"s{step}-tri\" arity 3 {{ t0.{sym_col} == \"{b}\"; t1.{int_col} == t0.{int_col}; t2.{int_col} == t1.{int_col}; }}"
+            );
+        }
         let _ = writeln!(s, "}}");
     }
     s
@@ -269,8 +292,10 @@ pub fn run_differential_oracles(
     }
     // Edge-set arm: fuzzed DC blocks mix gap pairs (a single binary atom,
     // bulk-emitted as sorted-run windows) with exclusive pairs (pure-unary
-    // cliques), so both bulk-emission branches meet the naive reference.
+    // cliques), so both bulk-emission branches meet the naive reference;
+    // band pairs and ternary chains enumerate through both index kinds.
     let (mut perturbed_dc_error, mut perturbed_cc_error) = (0.0f64, 0.0f64);
+    let (mut index_hash, mut index_sorted) = (0usize, 0usize);
     for (step, instance) in steps.iter().enumerate() {
         let view = data.step_truth_view(step);
         let dcs = instance
@@ -280,7 +305,10 @@ pub fn run_differential_oracles(
             .collect::<std::result::Result<Vec<_>, _>>()
             .map_err(|e| format!("{}: step {step} DCs do not bind: {e}", meta.name))?;
         let rows: Vec<RowId> = (0..view.n_rows().min(EDGE_WINDOW)).collect();
-        let built = ConflictBuilder::new(&dcs, &view, rows.len()).build(&view, &rows);
+        let mut builder = ConflictBuilder::new(&dcs);
+        let built = builder.build(&view, &rows);
+        index_hash += builder.stats().index_hash;
+        index_sorted += builder.stats().index_sorted;
         let naive = build_conflict_graph_naive(&view, &rows, &dcs);
         if sorted_edges(built.edges()) != sorted_edges(naive.edges()) {
             return Err(format!(
@@ -323,6 +351,8 @@ pub fn run_differential_oracles(
         max_width: base.levels.iter().map(|l| l.steps.len()).max().unwrap_or(0),
         perturbed_dc_error,
         perturbed_cc_error,
+        index_hash,
+        index_sorted,
     })
 }
 

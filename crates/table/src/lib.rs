@@ -53,7 +53,6 @@ mod mem;
 mod predicate;
 mod relation;
 mod schema;
-mod stats;
 mod value;
 mod valueset;
 
@@ -69,6 +68,5 @@ pub use relation::{
     SymColumnView,
 };
 pub use schema::{ColId, ColumnDef, Role, Schema};
-pub use stats::{ColumnStats, SAMPLE_TARGET, TOP_K};
 pub use value::{Dtype, Sym, Value};
 pub use valueset::ValueSet;

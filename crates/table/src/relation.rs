@@ -377,9 +377,6 @@ pub struct Relation {
     schema: Schema,
     cols: Vec<ColumnData>,
     n_rows: usize,
-    /// Lazily-computed sampled column statistics (see `crate::stats`);
-    /// version-stamped, invalidated on mutation, reset on clone.
-    stats: crate::stats::StatsCache,
 }
 
 impl Relation {
@@ -395,7 +392,6 @@ impl Relation {
             schema,
             cols,
             n_rows: 0,
-            stats: Default::default(),
         }
     }
 
@@ -411,7 +407,6 @@ impl Relation {
             schema,
             cols,
             n_rows: 0,
-            stats: Default::default(),
         }
     }
 
@@ -465,7 +460,6 @@ impl Relation {
         for (col, v) in self.cols.iter_mut().zip(row.iter()) {
             col.push(*v).expect("types validated above");
         }
-        self.stats.bump();
         self.n_rows += 1;
         debug_assert!(self.cols.iter().all(|c| c.len() == self.n_rows));
         Ok(self.n_rows - 1)
@@ -545,7 +539,6 @@ impl Relation {
                 len: self.n_rows,
             });
         }
-        self.stats.bump();
         self.cols[col]
             .set(row, value)
             .map_err(|got| TableError::TypeMismatch {
@@ -568,7 +561,6 @@ impl Relation {
                 len: self.n_rows,
             });
         }
-        self.stats.bump();
         match &mut self.cols[col] {
             ColumnData::Int(c) => {
                 for &(row, x) in cells {
@@ -595,7 +587,6 @@ impl Relation {
                 len: self.n_rows,
             });
         }
-        self.stats.bump();
         match &mut self.cols[col] {
             ColumnData::Str(c) => {
                 for &(row, s) in cells {
@@ -615,7 +606,6 @@ impl Relation {
     /// Blanks every cell of a column (e.g. erasing the FK column of `R1`).
     /// O(rows/64): clears the validity bitmap, leaving data slots in place.
     pub fn clear_column(&mut self, col: ColId) {
-        self.stats.bump();
         match &mut self.cols[col] {
             ColumnData::Int(c) => c.validity.iter_mut().for_each(|b| *b = 0),
             ColumnData::Str(c) => c.validity.iter_mut().for_each(|b| *b = 0),
@@ -718,13 +708,6 @@ impl Relation {
     /// bytes (the [`MemStats`](crate::MemStats) accounting hook).
     pub fn heap_bytes(&self) -> usize {
         self.cols.iter().map(ColumnData::heap_bytes).sum()
-    }
-
-    /// The version-stamped stats cache (`crate::stats` implements
-    /// [`Relation::column_stats`] on top of it).
-    #[inline]
-    pub(crate) fn stats_cache(&self) -> &crate::stats::StatsCache {
-        &self.stats
     }
 }
 
@@ -917,7 +900,6 @@ impl RelationBuilder {
             schema: self.schema,
             cols: self.cols,
             n_rows,
-            stats: Default::default(),
         })
     }
 }

@@ -194,9 +194,9 @@ proptest! {
         // The conflict builder's correctness oracle: on every workload's
         // ground-truth view (real DC shapes: unary-anchored gaps, mixed
         // equality+range atoms, the ternary nae-track chain), the builder
-        // Phase II runs — cost planning, bulk pair emission, index-kind
-        // choice — must produce the naive builder's edge set over the same
-        // row window. The window is one artificial "partition" — larger and
+        // Phase II runs — bulk pair emission, indexed enumeration — must
+        // produce the naive builder's edge set over the same row window.
+        // The window is one artificial "partition" — larger and
         // denser than any per-FK group, so enumeration is genuinely
         // exercised.
         let scale = f64::from(scale_mil) / 1_000.0;
@@ -210,7 +210,7 @@ proptest! {
                     .map(|d| d.bind(truth.schema(), truth.name()).expect("DCs bind"))
                     .collect();
                 let rows: Vec<usize> = (0..truth.n_rows().min(n_rows)).collect();
-                let built = ConflictBuilder::new(&dcs, truth, rows.len()).build(truth, &rows);
+                let built = ConflictBuilder::new(&dcs).build(truth, &rows);
                 let naive = build_conflict_graph_naive(truth, &rows, &dcs);
                 let edge_set = |g: &cextend_hypergraph::Hypergraph| {
                     let mut edges: Vec<Vec<u32>> = g.edges().map(<[u32]>::to_vec).collect();
