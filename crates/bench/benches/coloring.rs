@@ -62,7 +62,8 @@ fn bench_dcdense_coloring(c: &mut Criterion) {
                 .count();
             let colors: Vec<Color> = (0..n_cand as Color).collect();
             let g = ConflictBuilder::new(&dcs).build(&view, &rows);
-            let id = format!("p{}_{density}_e{}", rows.len(), g.n_edges());
+            let edges = g.n_edges() as u64 + g.n_implicit_edges();
+            let id = format!("p{}_{density}_e{edges}", rows.len());
             group.bench_with_input(BenchmarkId::from_parameter(id), &g, |b, g| {
                 b.iter(|| {
                     let mut coloring = Coloring::new(g.n_vertices());

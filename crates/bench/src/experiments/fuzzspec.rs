@@ -16,7 +16,9 @@
 //! star parallelism, some perturbed completion must violate a DC and
 //! miss a CC, so the certifier arm was never vacuous, and the edge-set
 //! arm must have driven enumeration through both hash buckets and sorted
-//! runs, so both index kinds met the naive reference.
+//! runs, emitted at least one capacity group and kept at least one
+//! capacity-shaped DC on explicit edges, so both index kinds and both
+//! capacity routes met the naive reference.
 //!
 //! `spec-check` parses + statically checks every `specs/*.spec` and
 //! asserts every `specs/bad/*.spec` is rejected by the checker.
@@ -39,6 +41,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     let (mut best_levels, mut best_width) = (0usize, 0usize);
     let (mut dc_error, mut cc_error) = (0.0f64, 0.0f64);
     let (mut index_hash, mut index_sorted) = (0usize, 0usize);
+    let (mut capacity_groups, mut capacity_edge_dcs) = (0usize, 0usize);
     for iter in 0..opts.iters {
         let workload = fuzz_workload(opts.seed, iter).map_err(|e| {
             format!("iteration {iter}: generated spec failed its own static checks: {e}")
@@ -55,6 +58,8 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         cc_error = cc_error.max(out.perturbed_cc_error);
         index_hash += out.index_hash;
         index_sorted += out.index_sorted;
+        capacity_groups += out.capacity_groups;
+        capacity_edge_dcs += out.capacity_edge_dcs;
     }
     if best_levels < 3 || best_width < 3 {
         return Err(format!(
@@ -74,9 +79,17 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
              hash / {index_sorted} sorted depths (need both > 0 across the run)"
         ));
     }
+    if capacity_groups == 0 || capacity_edge_dcs == 0 {
+        return Err(format!(
+            "fuzz-spec edge-set arm never met both capacity routes: {capacity_groups} \
+             capacity groups emitted, {capacity_edge_dcs} capacity-shaped DCs kept on edges \
+             (need both > 0 across the run)"
+        ));
+    }
     println!(
         "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets ({index_hash} hash / \
-         {index_sorted} sorted depths), kernel ≡ count_in CC counts, certifier ≡ \
+         {index_sorted} sorted depths, {capacity_groups} capacity groups, \
+         {capacity_edge_dcs} capacity-shaped DCs on edges), kernel ≡ count_in CC counts, certifier ≡ \
          naive/kernel references on truth and perturbed completions (largest perturbed DC \
          error {dc_error:.3}, CC error {cc_error:.3}) and 1 ≡ 2 ≡ 4 workers on every spec \
          (deepest schedule {best_levels} levels, widest level {best_width})",

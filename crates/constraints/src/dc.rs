@@ -571,6 +571,76 @@ impl DcPlan {
             }
     }
 
+    /// The plan's capacity shape, if φ says only "no `k` distinct rows
+    /// passing one unary filter and sharing one key value may share an
+    /// FK". That holds when the plan is live with arity `k ≥ 2`, every
+    /// variable carries the same unary atoms (so after
+    /// [saturation](DcPlan::saturate_equalities) all variables form one
+    /// interchangeability class), and every binary atom is an offset-0 `=`
+    /// between two variables on one column `X`, the atoms together linking
+    /// all `k` variables. Then the conflict edges are exactly the
+    /// `k`-subsets of each group of filter-passing rows with one `X` value
+    /// (rows missing `X` join no group), or of all filter-passing rows when
+    /// φ has no binary atom.
+    pub fn capacity_shape(&self) -> Option<CapacityShape> {
+        if self.never_holds || self.arity < 2 {
+            return None;
+        }
+        let shared = unary_multiset(&self.unary[0]);
+        if (1..self.arity).any(|v| unary_multiset(&self.unary[v]) != shared) {
+            return None;
+        }
+        let Some(first) = self.binary.first() else {
+            return Some(CapacityShape {
+                k: self.arity,
+                key: None,
+            });
+        };
+        let key = first.lcol;
+        // Union-find over the variables the `=` atoms link.
+        let mut root: Vec<usize> = (0..self.arity).collect();
+        fn find(root: &mut [usize], v: usize) -> usize {
+            let mut v = v;
+            while root[v] != v {
+                root[v] = root[root[v]];
+                v = root[v];
+            }
+            v
+        }
+        for a in &self.binary {
+            if !a.is_equality()
+                || a.offset != 0
+                || a.lcol != key
+                || a.rcol != key
+                || a.lvar == a.rvar
+            {
+                return None;
+            }
+            let (l, r) = (find(&mut root, a.lvar), find(&mut root, a.rvar));
+            root[l] = r;
+        }
+        let linked = (1..self.arity).all(|v| find(&mut root, v) == find(&mut root, 0));
+        linked.then_some(CapacityShape {
+            k: self.arity,
+            key: Some(key),
+        })
+    }
+
+    /// `true` if some variable of this plan carries a unary atom that no
+    /// row passing every atom of `filter` can pass: an atom on a column
+    /// `filter` pins with `=` to a constant the atom rejects, or an `=`
+    /// atom whose constant `filter` rejects. Then none of this plan's
+    /// conflict edges lies wholly inside the rows `filter` admits.
+    pub fn provably_disjoint(&self, filter: &[UnaryFilter]) -> bool {
+        self.unary.iter().flatten().any(|a| {
+            filter.iter().any(|f| {
+                f.col == a.col
+                    && ((f.op == CmpOp::Eq && !a.op.eval(f.value, a.value))
+                        || (a.op == CmpOp::Eq && !f.op.eval(a.value, f.value)))
+            })
+        })
+    }
+
     /// Number of tuple variables.
     pub fn arity(&self) -> usize {
         self.arity
@@ -601,6 +671,27 @@ impl DcPlan {
     }
 }
 
+/// A capacity DC's shape (see [`DcPlan::capacity_shape`]): at most
+/// `k − 1` filter-passing rows with one `key` value share an FK.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CapacityShape {
+    /// The arity `k`.
+    pub k: usize,
+    /// The key column `X`; `None` when φ has no binary atom, so every
+    /// filter-passing row is in one group.
+    pub key: Option<ColId>,
+}
+
+/// A variable's unary atoms as a sorted multiset, for comparing filters.
+fn unary_multiset(filters: &[UnaryFilter]) -> Vec<(ColId, u8, Value)> {
+    let mut k: Vec<(ColId, u8, Value)> = filters
+        .iter()
+        .map(|f| (f.col, canonical_binary_key_rank(f.op), f.value))
+        .collect();
+    k.sort();
+    k
+}
+
 /// Groups tuple variables into interchangeability classes: `var` joins the
 /// class of the smallest `prev` such that swapping `var` with *every*
 /// member of `prev`'s class is an automorphism of φ (unary multisets equal,
@@ -612,14 +703,6 @@ fn symmetry_classes(
     unary: &[Vec<UnaryFilter>],
     binary: &[BinaryAtomPlan],
 ) -> Vec<usize> {
-    let unary_key = |var: usize| -> Vec<(ColId, u8, Value)> {
-        let mut k: Vec<(ColId, u8, Value)> = unary[var]
-            .iter()
-            .map(|f| (f.col, canonical_binary_key_rank(f.op), f.value))
-            .collect();
-        k.sort();
-        k
-    };
     let canon_multiset = |atoms: &[BinaryAtomPlan]| -> Vec<(usize, ColId, u8, usize, ColId, i64)> {
         let mut k: Vec<_> = atoms.iter().map(canonical_binary_key).collect();
         k.sort_unstable();
@@ -627,7 +710,7 @@ fn symmetry_classes(
     };
     let base = canon_multiset(binary);
     let interchangeable = |a: usize, b: usize| -> bool {
-        if unary_key(a) != unary_key(b) {
+        if unary_multiset(&unary[a]) != unary_multiset(&unary[b]) {
             return false;
         }
         let swapped: Vec<BinaryAtomPlan> = binary
@@ -990,6 +1073,146 @@ mod tests {
             .unwrap()
             .plan()
             .is_pure_unary_pair());
+    }
+
+    /// Binds `dc` against [`persons`] and saturates it, as the conflict
+    /// builder does.
+    fn saturated(dc: &DenialConstraint) -> DcPlan {
+        dc.bind(persons().schema(), "Persons")
+            .unwrap()
+            .plan()
+            .saturate_equalities()
+    }
+
+    fn eq_atom(lvar: usize, lcol: &str, rvar: usize, rcol: &str, offset: i64) -> DcAtom {
+        DcAtom::Binary {
+            lvar,
+            lcol: lcol.into(),
+            op: CmpOp::Eq,
+            rvar,
+            rcol: rcol.into(),
+            offset,
+        }
+    }
+
+    #[test]
+    fn capacity_shape_classification() {
+        let age = persons().schema().require("Age", "Persons").unwrap();
+        // No binary atom: one group over every Owner.
+        assert_eq!(
+            saturated(&dc_oo()).capacity_shape(),
+            Some(CapacityShape { k: 2, key: None })
+        );
+        // A chain linking all three variables on Age: keyed triples. The
+        // unsaturated plan qualifies too; saturation only adds atoms of the
+        // same form.
+        let chain = DenialConstraint::new(
+            "c",
+            3,
+            vec![
+                eq_atom(0, "Age", 1, "Age", 0),
+                eq_atom(1, "Age", 2, "Age", 0),
+            ],
+        )
+        .unwrap();
+        let want = Some(CapacityShape {
+            k: 3,
+            key: Some(age),
+        });
+        assert_eq!(saturated(&chain).capacity_shape(), want);
+        assert_eq!(
+            chain
+                .bind(persons().schema(), "Persons")
+                .unwrap()
+                .plan()
+                .capacity_shape(),
+            want
+        );
+        // Not capacity-shaped: different filters, an ordering atom, an
+        // offset, two key columns, an unlinked variable, a contradiction.
+        assert_eq!(saturated(&dc_os_low()).capacity_shape(), None);
+        let not = |atoms: Vec<DcAtom>, arity: usize| {
+            let dc = DenialConstraint::new("n", arity, atoms).unwrap();
+            assert_eq!(saturated(&dc).capacity_shape(), None, "{dc}");
+        };
+        not(vec![eq_atom(0, "Age", 1, "Age", 1)], 2);
+        not(vec![eq_atom(0, "Age", 1, "Multi-ling", 0)], 2);
+        not(
+            vec![
+                eq_atom(0, "Age", 1, "Age", 0),
+                eq_atom(0, "Multi-ling", 1, "Multi-ling", 0),
+            ],
+            2,
+        );
+        not(vec![eq_atom(0, "Age", 1, "Age", 0)], 3);
+        not(
+            vec![
+                eq_atom(0, "Age", 1, "Age", 1),
+                eq_atom(1, "Age", 0, "Age", 1),
+            ],
+            2,
+        );
+        let mut ordered = dc_oo();
+        ordered.atoms.push(DcAtom::Binary {
+            lvar: 0,
+            lcol: "Age".into(),
+            op: CmpOp::Lt,
+            rvar: 1,
+            rcol: "Age".into(),
+            offset: 0,
+        });
+        not(ordered.atoms, 2);
+    }
+
+    #[test]
+    fn disjointness_needs_a_pinned_rejected_constant() {
+        let owner = saturated(&dc_oo());
+        let filter = owner.unary_filters(0);
+        // DC_OS_low's t2 must be a Spouse: no Owner passes it.
+        assert!(saturated(&dc_os_low()).provably_disjoint(filter));
+        // The owner DC itself is not disjoint from its own filter.
+        assert!(!owner.provably_disjoint(filter));
+        let unary = |column: &str, op: CmpOp, value: Value| DcAtom::Unary {
+            var: 1,
+            column: column.into(),
+            op,
+            value,
+        };
+        let other = |atom: DcAtom| saturated(&DenialConstraint::new("o", 2, vec![atom]).unwrap());
+        // `Rel != "Owner"` rejects the pinned constant; `Rel >= "Owner"`
+        // and an atom on another column do not.
+        assert!(other(unary("Rel", CmpOp::Ne, Value::str("Owner"))).provably_disjoint(filter));
+        assert!(!other(unary("Rel", CmpOp::Ge, Value::str("Owner"))).provably_disjoint(filter));
+        assert!(!other(unary("Age", CmpOp::Eq, Value::Int(3))).provably_disjoint(filter));
+        // The other direction: an `=` constant the filter rejects.
+        let young = DenialConstraint::new(
+            "young",
+            2,
+            vec![
+                DcAtom::Unary {
+                    var: 0,
+                    column: "Age".into(),
+                    op: CmpOp::Lt,
+                    value: Value::Int(30),
+                },
+                DcAtom::Unary {
+                    var: 1,
+                    column: "Age".into(),
+                    op: CmpOp::Lt,
+                    value: Value::Int(30),
+                },
+            ],
+        )
+        .unwrap();
+        let young = saturated(&young);
+        assert!(other(unary("Age", CmpOp::Eq, Value::Int(40)))
+            .provably_disjoint(young.unary_filters(0)));
+        assert!(!other(unary("Age", CmpOp::Eq, Value::Int(20)))
+            .provably_disjoint(young.unary_filters(0)));
+        // `Age > 40` is disjoint from `Age < 30` in fact, but neither side
+        // pins a constant, so the rule does not prove it.
+        assert!(!other(unary("Age", CmpOp::Gt, Value::Int(40)))
+            .provably_disjoint(young.unary_filters(0)));
     }
 
     #[test]

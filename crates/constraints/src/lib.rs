@@ -42,7 +42,9 @@ mod parser;
 mod relationship;
 
 pub use cc::{CardinalityConstraint, NormalizedCond};
-pub use dc::{BinaryAtomPlan, BoundDc, DcAtom, DcPlan, DenialConstraint, UnaryFilter};
+pub use dc::{
+    BinaryAtomPlan, BoundDc, CapacityShape, DcAtom, DcPlan, DenialConstraint, UnaryFilter,
+};
 pub use error::{ConstraintError, Result};
 pub use hasse::HasseDiagram;
 pub use intervalize::{domain_ranges, BinDim, BinKey, Binning, BoundBinning, ColumnIntervals};

@@ -78,7 +78,9 @@ pub use config::{
 /// builder against the reference and the workload and spec crates can
 /// property-test their edge-set equivalence.
 pub mod conflict {
-    pub use crate::phase2::conflict::{build_conflict_graph_naive, ConflictBuilder, ConflictStats};
+    pub use crate::phase2::conflict::{
+        build_conflict_graph_naive, ConflictBuilder, ConflictStats, DcRoute,
+    };
 }
 pub use error::{CoreError, Result};
 pub use instance::CExtensionInstance;

@@ -171,6 +171,11 @@ fn record_ilp(stats: &mut SolveStats, out: &ilp_based::IlpOutcome) {
     stats.counters.ilp_rows += out.rows;
     stats.counters.ilp_nodes += out.nodes;
     stats.counters.ilp_rounded |= out.rounded;
+    stats.counters.ilp_budget_fallbacks += usize::from(out.budget_fallback);
+    cextend_obs::counter_add(
+        "phase1.ilp_budget_fallbacks",
+        u64::from(out.budget_fallback),
+    );
     stats.counters.ilp_assigned_rows += out.assigned_rows;
     stats.counters.bins = stats.counters.bins.max(out.bins);
 }
@@ -278,6 +283,34 @@ mod tests {
         // The ILP never ran.
         assert_eq!(stats.counters.ilp_vars, 0);
         drop(p1);
+    }
+
+    #[test]
+    fn ilp_budget_stops_are_counted() {
+        let instance = fixtures::running_example();
+        let solve = |instance: &CExtensionInstance, bb_nodes: usize| {
+            let mut config = SolverConfig::hybrid();
+            config.ilp.bb_nodes = bb_nodes;
+            let mut stats = SolveStats::default();
+            run(instance, &config, &mut stats).unwrap();
+            stats.counters
+        };
+        // A zero node budget stops the one ILP solve before its first node.
+        let stopped = solve(&instance, 0);
+        assert!(stopped.s2_ccs > 0);
+        assert_eq!(stopped.ilp_budget_fallbacks, 1);
+        // The default budget finishes this tiny program.
+        assert_eq!(solve(&instance, 2000).ilp_budget_fallbacks, 0);
+        // CC1 and CC2 are disjoint: no S2 CC, no ILP, nothing to count.
+        let clean = CExtensionInstance::new(
+            instance.r1.clone(),
+            instance.r2.clone(),
+            instance.ccs[..2].to_vec(),
+            instance.dcs.clone(),
+        )
+        .unwrap();
+        let counters = solve(&clean, 0);
+        assert_eq!((counters.s2_ccs, counters.ilp_budget_fallbacks), (0, 0));
     }
 
     #[test]

@@ -42,6 +42,9 @@ pub(crate) struct IlpOutcome {
     pub rows: usize,
     pub nodes: usize,
     pub rounded: bool,
+    /// Branch-and-bound stopped on its node budget (the size gate's zero
+    /// budget included): the incumbent was kept, or the LP was rounded.
+    pub budget_fallback: bool,
     pub assigned_rows: usize,
     pub bins: usize,
 }
@@ -193,6 +196,10 @@ pub(crate) fn run(
     } else {
         solve_ilp::<f64>(&problem, &bb)
     };
+    out.budget_fallback = matches!(
+        &ilp_result,
+        Ok(sol) if matches!(sol.status, IlpStatus::Feasible | IlpStatus::Unknown)
+    );
     let values: Vec<i64> = match ilp_result {
         Ok(sol) if matches!(sol.status, IlpStatus::Optimal | IlpStatus::Feasible) => {
             out.nodes = sol.nodes;
@@ -348,6 +355,7 @@ mod tests {
         };
         let out = run(&mut p1, &instance.ccs, MarginalMode::AllWay, &settings).unwrap();
         assert!(out.rounded);
+        assert!(out.budget_fallback, "a zero node budget is a budget stop");
         // Hard rows exact ⇒ every row assigned.
         assert_eq!(out.assigned_rows, 9);
     }

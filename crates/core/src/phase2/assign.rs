@@ -29,7 +29,8 @@ pub(crate) struct PartitionResult {
     pub assignments: Vec<(RowId, Color)>,
     /// Number of fresh colors minted.
     pub fresh_colors: usize,
-    /// Conflict edges in this partition.
+    /// Conflict edges in this partition: explicit ones plus those the
+    /// clique groups stand for.
     pub edges: usize,
     /// Vertices the greedy pass skipped.
     pub skipped: usize,
@@ -100,7 +101,9 @@ pub(crate) fn color_partition(
         partition,
         assignments,
         fresh_colors: fresh.len(),
-        edges: g.n_edges(),
+        edges: g
+            .n_edges()
+            .saturating_add(usize::try_from(g.n_implicit_edges()).unwrap_or(usize::MAX)),
         skipped: skipped_vertices.len(),
         exact_budget_fallback,
         build_time,

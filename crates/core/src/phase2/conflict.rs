@@ -6,9 +6,14 @@
 //!
 //! - [`ConflictBuilder`] — the builder Phase II runs. Each DC is compiled
 //!   to an equality-saturated [`DcPlan`] (per-variable unary filters,
-//!   binary atoms, interchangeable-variable classes). Pair DCs with at
-//!   most one binary atom are bulk-emitted as cliques, bi-cliques or
-//!   sorted-run windows. The rest enumerate: candidates per variable are
+//!   binary atoms, interchangeable-variable classes). A *capacity DC*
+//!   ([`DcPlan::capacity_shape`]) that every other live DC of its arity is
+//!   [provably disjoint](DcPlan::provably_disjoint) from emits no edge at
+//!   all: one clique group per key value stands for its `k`-subsets
+//!   ([`Hypergraph::add_clique_group`]), and the coloring counts instead
+//!   of enumerating. Pair DCs with at most one binary atom are
+//!   bulk-emitted as bi-cliques or sorted-run windows. The rest
+//!   enumerate: candidates per variable are
 //!   pre-filtered once per partition, the variables are ordered by those
 //!   exact candidate counts, and each enumeration depth with a binary atom
 //!   is driven by a per-partition value index over its first equality atom
@@ -23,10 +28,11 @@
 //!   kept as the reference the tests, the spec fuzzer and the
 //!   `conflict_build` criterion bench compare the builder against.
 //!
-//! Both builders produce the **identical edge set** on any input (property-
-//! tested across all workloads in `cextend-workloads`).
+//! Both builders produce the **identical edge set** on any input, the
+//! builder's groups counted in their [expanded](Hypergraph::expanded) form
+//! (property-tested across all workloads in `cextend-workloads`).
 
-use cextend_constraints::{BinaryAtomPlan, BoundDc, DcPlan};
+use cextend_constraints::{BinaryAtomPlan, BoundDc, CapacityShape, DcPlan};
 use cextend_hypergraph::Hypergraph;
 use cextend_table::{CmpOp, ColId, IntColumnView, Relation, RowId, Sym, SymColumnView, Value};
 use std::collections::HashMap;
@@ -55,6 +61,8 @@ pub struct ConflictStats {
     pub index_hash: usize,
     /// Enumeration depths driven by an ordering atom's sorted run.
     pub index_sorted: usize,
+    /// Clique groups emitted for capacity DCs.
+    pub capacity_groups: usize,
 }
 
 impl ConflictStats {
@@ -68,7 +76,22 @@ impl ConflictStats {
         self.dedup_hits += other.dedup_hits;
         self.index_hash += other.index_hash;
         self.index_sorted += other.index_sorted;
+        self.capacity_groups += other.capacity_groups;
     }
+}
+
+/// How [`ConflictBuilder`] turns one DC into conflict structure.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum DcRoute {
+    /// Explicit edges, bulk-emitted or enumerated.
+    Edges,
+    /// Capacity-shaped, but some other live DC of its arity is not
+    /// provably disjoint from it, so the two could emit one vertex set
+    /// twice: explicit edges, deduplicated.
+    CapacityEdges,
+    /// Capacity-shaped and disjoint from every other live DC of its arity:
+    /// one clique group per key value.
+    Groups,
 }
 
 /// A reusable conflict-graph builder.
@@ -80,6 +103,8 @@ impl ConflictStats {
 #[derive(Clone)]
 pub struct ConflictBuilder {
     plans: Vec<DcPlan>,
+    /// Per plan, its capacity shape when it takes the group route.
+    groups: Vec<Option<CapacityShape>>,
     /// Execution order over `plans`: bulk-emitted DCs first (so unchecked
     /// bulk edges exist before any checked leaf has to dedup against
     /// them), then declaration order.
@@ -95,8 +120,9 @@ pub struct ConflictBuilder {
     /// indexed arity-2 leaves apply before adding the pair again.
     bulk_a: Vec<u64>,
     bulk_b: Vec<u64>,
-    /// Sorted-run scratch for single-atom bulk DCs: `(cell value,
-    /// candidate position)` over the second variable's candidates.
+    /// `(cell value, candidate position)` scratch: the sorted run of a
+    /// single-atom bulk DC over its second variable's candidates, or a
+    /// capacity DC's candidates by key.
     bulk_run: Vec<(i64, u32)>,
     /// Candidate positions per tuple variable (indices into `rows`).
     cands: Vec<Vec<u32>>,
@@ -251,20 +277,39 @@ fn bulk_emitted(
 
 impl ConflictBuilder {
     /// Compiles the DC set: plans are equality-saturated (merging
-    /// interchangeable variables, detecting contradictions) and ordered
-    /// with bulk-emittable pair DCs first. Everything else is decided per
-    /// build from the partition's exact candidate lists, so the builder is
-    /// reusable across any number of `(view, rows)` builds.
+    /// interchangeable variables, detecting contradictions), routed (see
+    /// [`DcRoute`]) and ordered with bulk-emittable pair DCs first.
+    /// Everything else is decided per build from the partition's exact
+    /// candidate lists, so the builder is reusable across any number of
+    /// `(view, rows)` builds.
     pub fn new(dcs: &[BoundDc]) -> ConflictBuilder {
         let plans: Vec<DcPlan> = dcs.iter().map(|d| d.plan().saturate_equalities()).collect();
         let max_arity = plans.iter().map(DcPlan::arity).max().unwrap_or(0);
+        // A group stands for all its `k`-subsets, so a capacity DC takes
+        // the group route only when no other DC of its arity can emit one
+        // of them too (a duplicate would count twice in the degrees).
+        let groups: Vec<Option<CapacityShape>> = plans
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let shape = p.capacity_shape()?;
+                let filter = p.unary_filters(0);
+                let disjoint = plans.iter().enumerate().all(|(j, q)| {
+                    j == i
+                        || q.never_holds()
+                        || q.arity() != p.arity()
+                        || q.provably_disjoint(filter)
+                });
+                disjoint.then_some(shape)
+            })
+            .collect();
         let mut bulk_slot = vec![None; plans.len()];
         let mut n_bulk = 0usize;
         for (i, p) in plans.iter().enumerate() {
             // The registry masks are u64s, so at most 64 DCs can be
             // bulk-emitted; any excess enumerates (identical edges, just
             // slower).
-            if p.is_bulk_pair() && !p.never_holds() && n_bulk < 64 {
+            if groups[i].is_none() && p.is_bulk_pair() && !p.never_holds() && n_bulk < 64 {
                 bulk_slot[i] = Some(n_bulk as u8);
                 n_bulk += 1;
             }
@@ -273,6 +318,7 @@ impl ConflictBuilder {
         dc_order.sort_by_key(|&i| (bulk_slot[i].is_none(), i));
         ConflictBuilder {
             plans,
+            groups,
             dc_order,
             bulk_slot,
             n_bulk,
@@ -292,6 +338,17 @@ impl ConflictBuilder {
         }
     }
 
+    /// The route DC `dc` (an index into the builder's DC list) takes.
+    pub fn route(&self, dc: usize) -> DcRoute {
+        if self.groups[dc].is_some() {
+            DcRoute::Groups
+        } else if self.plans[dc].capacity_shape().is_some() {
+            DcRoute::CapacityEdges
+        } else {
+            DcRoute::Edges
+        }
+    }
+
     /// Cumulative statistics over every `build` so far.
     pub fn stats(&self) -> ConflictStats {
         self.stats
@@ -303,7 +360,8 @@ impl ConflictBuilder {
     }
 
     /// Builds the conflict hypergraph over `rows` of `view` (vertex `i`
-    /// corresponds to `rows[i]`).
+    /// corresponds to `rows[i]`): explicit edges plus the capacity DCs'
+    /// clique groups.
     pub fn build(&mut self, view: &Relation, rows: &[RowId]) -> Hypergraph {
         let mut g = Hypergraph::new(rows.len());
         if self.member.len() < rows.len() {
@@ -352,6 +410,7 @@ impl ConflictBuilder {
                 view,
                 rows,
                 &plans[ix],
+                self.groups[ix],
                 bulk,
                 &bulk_preds,
                 bulk_uncond,
@@ -369,6 +428,7 @@ impl ConflictBuilder {
         view: &Relation,
         rows: &[RowId],
         plan: &DcPlan,
+        capacity: Option<CapacityShape>,
         bulk: Option<u8>,
         bulk_preds: &[Option<BulkPred<'_>>],
         bulk_uncond: u64,
@@ -398,11 +458,13 @@ impl ConflictBuilder {
 
         // Candidate positions per variable: the unary pre-filter, run
         // through typed column views (the loop visits |P| · arity rows per
-        // DC and is itself hot on index-free DCs).
-        while self.cands.len() < arity {
+        // DC and is itself hot on index-free DCs). A capacity DC's
+        // variables share one filter, so it filters once.
+        let filtered = if capacity.is_some() { 1 } else { arity };
+        while self.cands.len() < filtered {
             self.cands.push(Vec::new());
         }
-        for var in 0..arity {
+        for var in 0..filtered {
             let filters: Vec<TypedUnary<'_>> = plan
                 .unary_filters(var)
                 .iter()
@@ -426,6 +488,11 @@ impl ConflictBuilder {
                 self.stats.dead_dcs += 1;
                 return;
             }
+        }
+
+        if let Some(shape) = capacity {
+            self.emit_groups(shape, view, rows, g);
+            return;
         }
 
         // Bulk emission: a pair DC with at most one binary atom writes its
@@ -566,14 +633,55 @@ impl ConflictBuilder {
         enumerate(&ctx, &mut state, 0, g);
     }
 
+    /// Adds a capacity DC's clique groups: its candidates (already in
+    /// `self.cands[0]`) grouped by key value, or all of them when the DC
+    /// has no key. Rows missing the key join no group, as they fail every
+    /// `=` atom, and a group under `k` members stands for no edge.
+    fn emit_groups(
+        &mut self,
+        shape: CapacityShape,
+        view: &Relation,
+        rows: &[RowId],
+        g: &mut Hypergraph,
+    ) {
+        let cand = &self.cands[0];
+        let Some(key) = shape.key else {
+            if cand.len() >= shape.k {
+                g.add_clique_group(shape.k, cand);
+                self.stats.capacity_groups += 1;
+            }
+            return;
+        };
+        let cells = view
+            .int_view(key)
+            .expect("build_one_dc kills a DC whose key column is not integer");
+        let run = &mut self.bulk_run;
+        run.clear();
+        run.extend(
+            cand.iter()
+                .filter_map(|&p| cells.get(rows[p as usize]).map(|v| (v, p))),
+        );
+        run.sort_unstable();
+        let members = &mut self.edge_buf;
+        for same_key in run.chunk_by(|a, b| a.0 == b.0) {
+            if same_key.len() >= shape.k {
+                members.clear();
+                members.extend(same_key.iter().map(|&(_, p)| p));
+                g.add_clique_group(shape.k, members);
+                self.stats.capacity_groups += 1;
+            }
+        }
+    }
+
     /// Writes a bulk DC's pairs straight into the graph. The candidate
     /// sets are already in `self.cands[0..2]`; `k` is the DC's registry
-    /// bit. A pure-unary DC emits a clique (interchangeable variables) or
-    /// bi-clique; a single-atom DC sorts the second variable's candidates
-    /// by the atom column and emits one violation window per first-variable
-    /// candidate. Mirrored visits emit canonically on the one whose
-    /// first-set element is smaller; pairs some earlier bulk DC already
-    /// owns are skipped via the registry, so unchecked adds stay unique.
+    /// bit. A pure-unary DC emits a bi-clique (identical candidate sets
+    /// make it a clique, each pair visited once in ascending order); a
+    /// single-atom DC sorts the second variable's candidates by the atom
+    /// column and emits one violation window per first-variable candidate.
+    /// Mirrored visits emit canonically on the one whose first-set element
+    /// is smaller; pairs some earlier bulk DC already owns are skipped via
+    /// the registry, so unchecked adds stay unique.
     #[allow(clippy::too_many_arguments)] // private helper of `build_one_dc`
     fn emit_bulk_pairs(
         &mut self,
@@ -653,24 +761,6 @@ impl ConflictBuilder {
                 }
             }
             self.bulk_run = run;
-        } else if plan.sym_class(0) == plan.sym_class(1) {
-            // Identical unary filters ⇒ identical candidate sets: a clique.
-            let cand = &self.cands[0];
-            debug_assert_eq!(*cand, self.cands[1]);
-            for &p in cand {
-                self.bulk_a[p as usize] |= bit;
-                self.bulk_b[p as usize] |= bit;
-            }
-            g.reserve_edges(cand.len() * cand.len().saturating_sub(1) / 2, 2);
-            for (i, &s) in cand.iter().enumerate() {
-                for &t in &cand[i + 1..] {
-                    if emitted_before(&self.bulk_a, &self.bulk_b, s, t) {
-                        self.stats.dedup_hits += 1;
-                        continue;
-                    }
-                    g.add_sorted_edge_unchecked(&[s, t]);
-                }
-            }
         } else {
             let (ca, cb) = (&self.cands[0], &self.cands[1]);
             for &p in ca {
@@ -1030,9 +1120,15 @@ mod tests {
     use cextend_table::init_join_view;
 
     /// The builder and the naive reference on the same input, asserting
-    /// identical edge sets and returning the builder's graph.
+    /// identical edge sets (the builder's groups expanded) and degrees, and
+    /// returning the builder's graph.
     fn build_both(view: &Relation, rows: &[RowId], dcs: &[BoundDc]) -> Hypergraph {
         build_both_with_stats(view, rows, dcs).0
+    }
+
+    /// Explicit plus implicit edges.
+    fn total_edges(g: &Hypergraph) -> u64 {
+        g.n_edges() as u64 + g.n_implicit_edges()
     }
 
     /// [`build_both`], also returning the builder's statistics.
@@ -1051,9 +1147,20 @@ mod tests {
             edges
         };
         let reference = edge_set(&naive);
-        assert_eq!(edge_set(&built), reference, "builder diverged from naive");
-        // No duplicate edges (degrees would diverge).
-        assert_eq!(built.n_edges(), reference.len(), "duplicate edges");
+        assert_eq!(
+            edge_set(&built.expanded()),
+            reference,
+            "builder diverged from naive"
+        );
+        // No duplicate edges, explicit or implicit (degrees would diverge).
+        assert_eq!(
+            total_edges(&built),
+            reference.len() as u64,
+            "duplicate edges"
+        );
+        for v in 0..rows.len() as u32 {
+            assert_eq!(built.degree(v), naive.degree(v), "degree of vertex {v}");
+        }
         (built, builder.take_stats())
     }
 
@@ -1081,28 +1188,37 @@ mod tests {
         // Chicago partition: rows 0..7 (pids 1..7).
         let rows: Vec<RowId> = (0..7).collect();
         let g = build_both(&view, &rows, &dcs);
-        // Owners (pids 1,2,3,4 → vertices 0..4) form C(4,2)=6 pairwise
-        // edges; spouse 24 conflicts with both 75-year-old owners (2);
-        // children (age 10) conflict with the multi-lingual 75-year-old
-        // owner via DC_OC_low (10 < 75−50) — and with no one else: for the
-        // multi-lingual 25-year-old, 10 > 25−12 is false.
-        assert_eq!(g.n_edges(), 6 + 2 + 2);
-        // NYC partition: two owners, one edge.
+        // Owners (pids 1,2,3,4 → vertices 0..4) form one clique group
+        // standing for C(4,2)=6 pairwise edges; spouse 24 conflicts with
+        // both 75-year-old owners (2 explicit edges); children (age 10)
+        // conflict with the multi-lingual 75-year-old owner via DC_OC_low
+        // (10 < 75−50) — and with no one else: for the multi-lingual
+        // 25-year-old, 10 > 25−12 is false.
+        assert_eq!((g.n_groups(), g.n_edges()), (1, 2 + 2));
+        assert_eq!(total_edges(&g), 6 + 2 + 2);
+        // NYC partition: two owners, one group of one edge.
         let rows: Vec<RowId> = vec![7, 8];
         let g = build_both(&view, &rows, &dcs);
-        assert_eq!(g.n_edges(), 1);
+        assert_eq!((g.n_groups(), g.n_edges()), (1, 0));
+        assert_eq!(total_edges(&g), 1);
     }
 
     #[test]
     fn symmetric_dcs_do_not_duplicate_edges() {
-        // Owner-owner conflicts are enumerated in one canonical variable
-        // order (symmetry dedup) and still collapse to one undirected edge.
+        // The owner-owner DC alone is one clique group standing for the
+        // one undirected edge. Declared twice, neither copy is disjoint
+        // from the other, so both emit explicit edges and the second copy
+        // dedups against the first: still one edge.
         let instance = fixtures::running_example();
         let (view, _) = init_join_view(&instance.r1, &instance.r2).unwrap();
         let dc = instance.dcs[0].bind(view.schema(), view.name()).unwrap();
         let rows: Vec<RowId> = vec![0, 1]; // two owners
-        let g = build_both(&view, &rows, &[dc]);
-        assert_eq!(g.n_edges(), 1);
+        let g = build_both(&view, &rows, std::slice::from_ref(&dc));
+        assert_eq!((g.n_groups(), g.n_edges()), (1, 0));
+        assert_eq!(total_edges(&g), 1);
+        let (g, stats) = build_both_with_stats(&view, &rows, &[dc.clone(), dc]);
+        assert_eq!((g.n_groups(), g.n_edges()), (0, 1));
+        assert_eq!(stats.dedup_hits, 1);
     }
 
     #[test]
@@ -1144,9 +1260,114 @@ mod tests {
         let bound = dc.bind(rel.schema(), "t").unwrap();
         let rows: Vec<RowId> = (0..4).collect();
         let g = build_both(&rel, &rows, &[bound]);
-        // Only {0,1,2} share Cls=7.
-        assert_eq!(g.n_edges(), 1);
-        assert_eq!(g.edge(0), &[0, 1, 2]);
+        // Only {0,1,2} share Cls=7: a capacity DC, so one group of three
+        // whose single 3-subset is the hyperedge.
+        assert_eq!((g.n_groups(), g.n_edges()), (1, 0));
+        assert_eq!(g.group(0), (3, &[0, 1, 2][..]));
+        let expanded = g.expanded();
+        assert_eq!(expanded.n_edges(), 1);
+        assert_eq!(expanded.edge(0), &[0, 1, 2]);
+    }
+
+    /// `rows` of a relation with a nullable integer `Key`, a `Kind` string
+    /// and an empty `fk`.
+    fn keyed_fixture(rows: &[(Option<i64>, &str)]) -> Relation {
+        use cextend_table::{ColumnDef, Dtype, Schema};
+        let schema = Schema::new(vec![
+            ColumnDef::attr("Key", Dtype::Int),
+            ColumnDef::attr("Kind", Dtype::Str),
+            ColumnDef::foreign_key("fk", Dtype::Int),
+        ])
+        .unwrap();
+        let mut r = Relation::new("t", schema);
+        for &(key, kind) in rows {
+            r.push_row(&[key.map(Value::Int), Some(Value::str(kind)), None])
+                .unwrap();
+        }
+        r
+    }
+
+    #[test]
+    fn capacity_groups_split_by_key_and_skip_missing_keys() {
+        let r = keyed_fixture(&[
+            (Some(1), "a"),
+            (None, "a"),
+            (Some(2), "a"),
+            (Some(1), "a"),
+            (Some(1), "b"),
+            (Some(2), "a"),
+            (Some(1), "a"),
+            (Some(3), "a"),
+        ]);
+        let rows: Vec<RowId> = (0..8).collect();
+        // Per Key among the `a` rows: {0,3,6} (Key 1), {2,5} (Key 2), {7}
+        // (Key 3); row 1's missing Key joins nothing.
+        let dcs = bind_all(
+            &r,
+            &[
+                r#"!(t1.Kind = "a" & t2.Kind = "a" & t3.Kind = "a" & t1.Key = t2.Key & t2.Key = t3.Key & t1.fk = t2.fk & t2.fk = t3.fk)"#,
+                r#"!(t1.Kind = "a" & t2.Kind = "a" & t1.Key = t2.Key & t1.fk = t2.fk)"#,
+            ],
+        );
+        let builder = ConflictBuilder::new(&dcs);
+        assert_eq!(builder.route(0), DcRoute::Groups);
+        assert_eq!(builder.route(1), DcRoute::Groups);
+        let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
+        assert_eq!(g.n_edges(), 0);
+        let groups: Vec<(usize, Vec<u32>)> = g.groups().map(|(k, m)| (k, m.to_vec())).collect();
+        assert_eq!(
+            groups,
+            vec![(3, vec![0, 3, 6]), (2, vec![0, 3, 6]), (2, vec![2, 5])]
+        );
+        assert_eq!(stats.capacity_groups, 3);
+        assert_eq!(total_edges(&g), 1 + 3 + 1);
+        assert_eq!(
+            stats.index_hash + stats.scanned_candidates,
+            0,
+            "nothing enumerates"
+        );
+    }
+
+    #[test]
+    fn capacity_dcs_keep_edges_unless_provably_disjoint() {
+        let r = keyed_fixture(&[
+            (Some(1), "a"),
+            (Some(1), "b"),
+            (Some(1), "a"),
+            (Some(2), "b"),
+        ]);
+        let rows: Vec<RowId> = (0..4).collect();
+        let excl_a = r#"!(t1.Kind = "a" & t2.Kind = "a" & t1.fk = t2.fk)"#;
+        let excl_b = r#"!(t1.Kind = "b" & t2.Kind = "b" & t1.fk = t2.fk)"#;
+        let same_key = "!(t1.Key = t2.Key & t1.fk = t2.fk)";
+        let triple = "!(t1.Key = t2.Key & t2.Key = t3.Key & t1.fk = t2.fk & t2.fk = t3.fk)";
+        let contra = "!(t1.Key = t2.Key + 1 & t2.Key = t1.Key & t1.fk = t2.fk)";
+        let routes = |dcs: &[&str]| {
+            let bound = bind_all(&r, dcs);
+            build_both(&r, &rows, &bound);
+            let builder = ConflictBuilder::new(&bound);
+            (0..dcs.len()).map(|i| builder.route(i)).collect::<Vec<_>>()
+        };
+        use DcRoute::*;
+        // `Kind = "a"` and `Kind = "b"` pin rejecting constants both ways;
+        // a contradictory DC is not live; another arity does not overlap.
+        assert_eq!(
+            routes(&[excl_a, excl_b, contra, triple]),
+            [Groups, Groups, Edges, Groups]
+        );
+        // The keyed pair pins nothing, so it overlaps both exclusives.
+        assert_eq!(
+            routes(&[excl_a, excl_b, same_key]),
+            [CapacityEdges, CapacityEdges, CapacityEdges]
+        );
+        // A gap pair whose second variable is pinned off `a`.
+        assert_eq!(
+            routes(&[
+                excl_a,
+                r#"!(t1.Kind = "a" & t2.Kind = "b" & t2.Key > t1.Key & t1.fk = t2.fk)"#
+            ]),
+            [Groups, Edges]
+        );
     }
 
     /// Persons with a mix of categorical and integer attributes, used by
@@ -1439,7 +1660,10 @@ mod tests {
                 &[
                     BAND,
                     "!(t1.Grp = t2.Grp & t1.Age <= t2.Age & t1.fk = t2.fk)",
-                    "!(t1.Grp = t2.Grp & t2.Grp = t3.Grp & t1.fk = t2.fk & t2.fk = t3.fk)",
+                    // `t1.Age >= 0` holds on every row but breaks the
+                    // capacity shape (one shared filter), so the chain
+                    // enumerates through hash buckets.
+                    "!(t1.Grp = t2.Grp & t2.Grp = t3.Grp & t1.Age >= 0 & t1.fk = t2.fk & t2.fk = t3.fk)",
                 ],
             );
             let (_, stats) = build_both_with_stats(&r, &rows, &dcs);

@@ -449,11 +449,13 @@ pub(crate) fn run_phase2(
             cextend_obs::counter_add("phase2.dedup_hits", index_stats.dedup_hits as u64);
             cextend_obs::counter_add("phase2.index_hash", index_stats.index_hash as u64);
             cextend_obs::counter_add("phase2.index_sorted", index_stats.index_sorted as u64);
+            cextend_obs::counter_add("phase2.capacity_groups", index_stats.capacity_groups as u64);
             tracef!(
-                "phase2: conflict ({} edges): {} hash / {} sorted depths, {} indexes, \
-                 {} eq probes, {} range probes, {} scanned candidates, {} dead DCs, \
-                 {} dedup hits",
+                "phase2: conflict ({} edges, {} capacity groups): {} hash / {} sorted depths, \
+                 {} indexes, {} eq probes, {} range probes, {} scanned candidates, \
+                 {} dead DCs, {} dedup hits",
                 stats.counters.conflict_edges,
+                index_stats.capacity_groups,
                 index_stats.index_hash,
                 index_stats.index_sorted,
                 index_stats.indexes_built,

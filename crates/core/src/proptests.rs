@@ -4,7 +4,8 @@
 //! `R1`/`R2` instances with age-gap and exclusivity DCs and random CCs, the
 //! solver must uphold Proposition 5.5 (all DCs satisfied, join recovered)
 //! in every configuration, and the decision variant must never fabricate
-//! `R2` tuples.
+//! `R2` tuples. Random DC sets (duplicates, contradictions, type-mismatched
+//! and missing cells included) must never make the solver panic.
 
 use crate::config::{Phase1Strategy, SolverConfig};
 use crate::instance::CExtensionInstance;
@@ -179,8 +180,186 @@ fn build(si: &SmallInstance) -> CExtensionInstance {
     CExtensionInstance::new(r1, r2, ccs, dcs).expect("valid instance")
 }
 
+/// One random DC: arity 2 or 3, a few atoms. Unary atoms compare a
+/// column with a constant of the column's type; binary atoms are `=`
+/// (offset 0 or not) or `<`, on any column — `Group` is a string column,
+/// so a binary atom there can never hold. Half the DCs are drawn
+/// capacity-shaped (one unary filter repeated on every variable, then an
+/// offset-0 `=` chain on one column or none), and half of those keep their
+/// random binary atoms too, which may break the shape again.
+#[derive(Clone, Debug)]
+struct RandomDc {
+    arity: usize,
+    /// `(var, column, op, constant)`.
+    unary: Vec<(usize, usize, usize, i64)>,
+    /// `(lvar, rvar, column, is_eq, offset)`.
+    binary: Vec<(usize, usize, usize, bool, i64)>,
+}
+
+const DC_COLUMNS: [&str; 3] = ["Group", "Age", "Flag"];
+const UNARY_OPS: [cextend_table::CmpOp; 4] = [
+    cextend_table::CmpOp::Eq,
+    cextend_table::CmpOp::Ne,
+    cextend_table::CmpOp::Lt,
+    cextend_table::CmpOp::Ge,
+];
+
+fn arb_dc() -> impl Strategy<Value = RandomDc> {
+    (
+        2usize..4,
+        proptest::collection::vec((0usize..3, 0usize..3, 0usize..4, 0i64..60), 0..3),
+        proptest::collection::vec((0usize..3, 0usize..3, 0usize..3, 0usize..3, -2i64..3), 0..3),
+        0usize..4,
+        0usize..4,
+    )
+        .prop_map(|(arity, unary, binary, shape, key)| {
+            let mut dc = RandomDc {
+                arity,
+                unary: unary
+                    .into_iter()
+                    .map(|(v, c, op, k)| (v % arity, c, op, k))
+                    .collect(),
+                binary: binary
+                    .into_iter()
+                    // Mostly `=` atoms, a third of them offset 0.
+                    .map(|(l, r, c, kind, off)| {
+                        let offset = if kind == 0 { 0 } else { off };
+                        (l % arity, r % arity, c, kind < 2, offset)
+                    })
+                    .collect(),
+            };
+            if shape >= 2 {
+                let filter: Vec<_> = dc.unary.iter().map(|&(_, c, op, k)| (c, op, k)).collect();
+                dc.unary = (0..arity)
+                    .flat_map(|v| filter.iter().map(move |&(c, op, k)| (v, c, op, k)))
+                    .collect();
+                if shape == 2 {
+                    dc.binary.clear();
+                }
+                if key < 3 {
+                    dc.binary
+                        .extend((1..arity).map(|v| (v - 1, v, key, true, 0)));
+                }
+            }
+            dc
+        })
+}
+
+impl RandomDc {
+    fn to_dc(&self, name: String) -> DenialConstraint {
+        let value = |col: usize, k: i64| match col {
+            0 => Value::str(GROUPS[k.rem_euclid(3) as usize]),
+            1 => Value::Int(k),
+            _ => Value::Int(k % 2),
+        };
+        let mut atoms: Vec<DcAtom> = self
+            .unary
+            .iter()
+            .map(|&(var, col, op, k)| DcAtom::Unary {
+                var,
+                column: DC_COLUMNS[col].into(),
+                op: UNARY_OPS[op],
+                value: value(col, k),
+            })
+            .collect();
+        atoms.extend(
+            self.binary
+                .iter()
+                .map(|&(lvar, rvar, col, is_eq, offset)| DcAtom::Binary {
+                    lvar,
+                    lcol: DC_COLUMNS[col].into(),
+                    op: if is_eq {
+                        cextend_table::CmpOp::Eq
+                    } else {
+                        cextend_table::CmpOp::Lt
+                    },
+                    rvar,
+                    rcol: DC_COLUMNS[col].into(),
+                    offset,
+                }),
+        );
+        DenialConstraint::new(name, self.arity, atoms).expect("variables in range")
+    }
+}
+
+/// [`build`]'s relations and CCs with person cells blanked where `missing`
+/// says (`(age, group, flag)`) and a random DC set in place of the fixed
+/// one: each DC declared once, or twice when its `dup` flag is set.
+fn build_with_dcs(
+    si: &SmallInstance,
+    missing: &[(bool, bool, bool)],
+    dcs: &[(RandomDc, bool)],
+) -> CExtensionInstance {
+    let base = build(si);
+    let mut r1 = base.r1.clone();
+    let cols = ["Age", "Group", "Flag"].map(|c| r1.schema().col_id(c).expect("column"));
+    for (row, &(age, group, flag)) in missing.iter().enumerate().take(r1.n_rows()) {
+        for (col, blank) in cols.iter().zip([age, group, flag]) {
+            if blank {
+                r1.set(row, *col, None).expect("cell");
+            }
+        }
+    }
+    let mut declared = Vec::new();
+    for (i, (dc, dup)) in dcs.iter().enumerate() {
+        declared.push(dc.to_dc(format!("dc{i}")));
+        if *dup {
+            declared.push(dc.to_dc(format!("dc{i}-again")));
+        }
+    }
+    CExtensionInstance {
+        r1,
+        dcs: declared,
+        ..base
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// No instance that passes `validate()` makes the solver panic, however
+    /// its DCs look: random arities and atoms, duplicated DCs (which keep
+    /// capacity DCs off the group route), contradictions and missing cells
+    /// (rows missing a key join no capacity group). With augmentation on,
+    /// every such instance solves DC-clean, recovers the join, and solves
+    /// identically at widths 1 and 2.
+    #[test]
+    fn random_dc_sets_never_panic_the_solver(
+        si in arb_instance(),
+        missing in proptest::collection::vec(
+            (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
+            14,
+        ),
+        blank in 0u32..4,
+        dcs in proptest::collection::vec((arb_dc(), proptest::bool::ANY), 1..5),
+        seed in 0u64..4,
+    ) {
+        // Blank cells only in every fourth row (offset by `blank`).
+        let missing: Vec<(bool, bool, bool)> = missing
+            .iter()
+            .enumerate()
+            .map(|(i, &cells)| {
+                if (i as u32 + blank).is_multiple_of(4) {
+                    cells
+                } else {
+                    (false, false, false)
+                }
+            })
+            .collect();
+        let instance = build_with_dcs(&si, &missing, &dcs);
+        prop_assume!(instance.validate().is_ok());
+        let config = SolverConfig::hybrid().with_seed(seed);
+        prop_assert!(config.allow_augmenting_r2);
+        let serial = crate::solve(&instance, &config).unwrap();
+        let report = evaluate(&instance, &serial).unwrap();
+        prop_assert_eq!(report.dc_error, 0.0);
+        prop_assert!(report.join_recovered);
+        let wide = crate::solve(&instance, &config.with_workers(2)).unwrap();
+        prop_assert!(relations_equal_ordered(&serial.r1_hat, &wide.r1_hat));
+        prop_assert!(relations_equal_ordered(&serial.r2_hat, &wide.r2_hat));
+        prop_assert!(relations_equal_ordered(&serial.vjoin, &wide.vjoin));
+        prop_assert_eq!(&serial.stats.counters, &wide.stats.counters);
+    }
 
     /// Proposition 5.5 on arbitrary instances, every pipeline.
     #[test]

@@ -121,9 +121,15 @@ pub struct SolveCounters {
     pub ilp_nodes: usize,
     /// `true` if the ILP fell back to LP rounding.
     pub ilp_rounded: bool,
+    /// ILP solves whose branch-and-bound stopped on its node budget
+    /// (`IlpSettings::bb_nodes`, or the zero budget `bb_max_size` imposes
+    /// on large programs): the best incumbent is kept, or, with none, the
+    /// LP relaxation is rounded.
+    pub ilp_budget_fallbacks: usize,
     /// `V_join` partitions processed in Phase II.
     pub partitions: usize,
-    /// Conflict hyperedges across all partitions.
+    /// Conflict hyperedges across all partitions, counting the edges each
+    /// capacity group stands for.
     pub conflict_edges: usize,
     /// Vertices skipped by the greedy coloring.
     pub skipped_vertices: usize,
@@ -153,6 +159,7 @@ impl SolveCounters {
         self.ilp_rows += other.ilp_rows;
         self.ilp_nodes += other.ilp_nodes;
         self.ilp_rounded |= other.ilp_rounded;
+        self.ilp_budget_fallbacks += other.ilp_budget_fallbacks;
         self.partitions += other.partitions;
         self.conflict_edges += other.conflict_edges;
         self.skipped_vertices += other.skipped_vertices;

@@ -7,8 +7,14 @@
 //! color; if none remains it is *skipped* and returned to the caller, which
 //! resolves skips by minting fresh colors (= fresh `R2` tuples, lines 11–14
 //! of Algorithm 4).
+//!
+//! Clique groups apply the same rule by counting: a group of arity `k`
+//! forbids color `c` for a member exactly when `k − 1` other members
+//! already hold `c` — the case in which one of its implicit edges would
+//! have all its other vertices colored `c`.
 
 use crate::graph::{Color, Coloring, Hypergraph, VertexId};
+use std::collections::HashMap;
 
 /// A generation-stamped forbidden-color set: `mark`/`is_marked` are O(1)
 /// array reads and "clearing" between vertices is a stamp increment — no
@@ -52,6 +58,80 @@ impl ForbiddenSet {
     }
 }
 
+/// splitmix64-finalizing hasher for the `(group, color)` count keys.
+#[derive(Clone, Copy, Debug, Default)]
+struct MixHasher(u64);
+
+impl std::hash::Hasher for MixHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
+    }
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("count keys hash via write_u64");
+    }
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+}
+
+/// Per-(group, color) member counts plus, per group, its *saturated*
+/// colors: those at least `k − 1` members hold, which no further member
+/// may take.
+struct GroupCounts {
+    counts: HashMap<u64, u32, std::hash::BuildHasherDefault<MixHasher>>,
+    saturated: Vec<Vec<Color>>,
+}
+
+impl GroupCounts {
+    /// Counts every member the partial `coloring` already colors.
+    fn new(g: &Hypergraph, coloring: &Coloring) -> GroupCounts {
+        let mut gc = GroupCounts {
+            counts: HashMap::default(),
+            saturated: vec![Vec::new(); g.n_groups()],
+        };
+        for i in 0..g.n_groups() as u32 {
+            for &v in g.group(i).1 {
+                if let Some(c) = coloring.get(v) {
+                    gc.add(g, i, c);
+                }
+            }
+        }
+        gc
+    }
+
+    fn add(&mut self, g: &Hypergraph, group: u32, c: Color) {
+        let n = self
+            .counts
+            .entry(u64::from(group) << 32 | u64::from(c))
+            .or_insert(0);
+        *n += 1;
+        if *n as usize == g.group(group).0 - 1 {
+            self.saturated[group as usize].push(c);
+        }
+    }
+
+    /// Marks the colors the groups of the uncolored vertex `v` forbid.
+    fn forbid(&self, g: &Hypergraph, v: VertexId, forbidden: &mut ForbiddenSet) {
+        for &group in g.groups_of(v) {
+            for &c in &self.saturated[group as usize] {
+                forbidden.mark(c);
+            }
+        }
+    }
+
+    /// Counts the newly colored `v` in each of its groups.
+    fn colored(&mut self, g: &Hypergraph, v: VertexId, c: Color) {
+        for &group in g.groups_of(v) {
+            self.add(g, group, c);
+        }
+    }
+}
+
 /// Candidate color lists: either one shared list for every vertex (the
 /// common case inside a `V_join` partition, where candidates are the keys of
 /// `R2` matching the partition's `B` values) or a list per vertex (used for
@@ -79,7 +159,8 @@ impl CandidateLists<'_> {
 /// in processing order.
 ///
 /// Matches Algorithm 3: already-colored vertices are left untouched; each
-/// uncolored vertex gets `min(L(v) \ forbidden)` or is skipped.
+/// uncolored vertex gets `min(L(v) \ forbidden)` or is skipped. Forbidden
+/// colors come from the explicit edges and the groups' counts alike.
 pub fn coloring_lf(
     g: &Hypergraph,
     coloring: &mut Coloring,
@@ -97,6 +178,7 @@ pub fn coloring_lf(
         .filter(|&v| !coloring.is_colored(v))
         .collect();
     let mut forbidden = ForbiddenSet::new();
+    let mut groups = GroupCounts::new(g, coloring);
     for v in order {
         forbidden.next_vertex();
         for &e in g.incident_edges(v) {
@@ -104,6 +186,7 @@ pub fn coloring_lf(
                 forbidden.mark(c);
             }
         }
+        groups.forbid(g, v, &mut forbidden);
         let choice = candidates
             .get(v)
             .iter()
@@ -111,7 +194,10 @@ pub fn coloring_lf(
             .filter(|&c| !forbidden.is_marked(c))
             .min();
         match choice {
-            Some(c) => coloring.set(v, c),
+            Some(c) => {
+                coloring.set(v, c);
+                groups.colored(g, v, c);
+            }
             None => skipped.push(v),
         }
     }
@@ -143,15 +229,17 @@ fn lone_uncolored_color(
     color
 }
 
-/// Colors the `skipped` vertices with fresh colors starting at `next_color`,
-/// reusing a fresh color across skips when doing so keeps all edges
-/// non-monochromatic (the paper adds "the least number of new colors").
+/// Colors the `skipped` (still uncolored) vertices with fresh colors
+/// starting at `next_color`, reusing a fresh color across skips when doing
+/// so keeps all edges non-monochromatic (the paper adds "the least number
+/// of new colors").
 /// Returns the fresh colors actually used, in allocation order.
 ///
 /// Per vertex this is `O(degree + |fresh|)`: the forbidden colors are
 /// collected in one pass over the incident edges, then the first
 /// non-forbidden fresh color is taken (cliques of skipped vertices would
-/// otherwise cost `O(|skipped|² · degree)`).
+/// otherwise cost `O(|skipped|² · degree)`). Groups forbid through their
+/// counts, which the fresh colors join as they are handed out.
 pub fn color_skipped_with_fresh(
     g: &Hypergraph,
     coloring: &mut Coloring,
@@ -160,13 +248,16 @@ pub fn color_skipped_with_fresh(
 ) -> Vec<Color> {
     let mut fresh: Vec<Color> = Vec::new();
     let mut forbidden = ForbiddenSet::new();
+    let mut groups = GroupCounts::new(g, coloring);
     for &v in skipped {
+        debug_assert!(!coloring.is_colored(v), "skipped vertex {v} is colored");
         forbidden.next_vertex();
         for &e in g.incident_edges(v) {
             if let Some(c) = lone_uncolored_color(g, coloring, e, v) {
                 forbidden.mark(c);
             }
         }
+        groups.forbid(g, v, &mut forbidden);
         let reuse = fresh.iter().copied().find(|&c| !forbidden.is_marked(c));
         let c = reuse.unwrap_or_else(|| {
             let c = next_color + fresh.len() as Color;
@@ -174,6 +265,7 @@ pub fn color_skipped_with_fresh(
             c
         });
         coloring.set(v, c);
+        groups.colored(g, v, c);
     }
     fresh
 }
@@ -348,7 +440,106 @@ mod proptests {
             })
     }
 
+    /// Random explicit edges plus clique groups with `k` in 2..=4, drawn so
+    /// that no group `k`-subset duplicates an explicit edge or another
+    /// group's subset (a same-`k` group sharing `k` members with an earlier
+    /// one is dropped, and so is an explicit edge inside a group of its
+    /// size).
+    fn arb_grouped_graph() -> impl Strategy<Value = Hypergraph> {
+        (
+            4usize..13,
+            proptest::collection::vec((2usize..5, proptest::collection::vec(0u32..13, 2..9)), 0..5),
+            proptest::collection::vec(proptest::collection::vec(0u32..13, 2..5), 0..16),
+        )
+            .prop_map(|(n, groups, edges)| {
+                let mut g = Hypergraph::new(n);
+                let mut kept: Vec<(usize, Vec<u32>)> = Vec::new();
+                for (k, members) in groups {
+                    let mut members: Vec<u32> = members.into_iter().map(|v| v % n as u32).collect();
+                    members.sort_unstable();
+                    members.dedup();
+                    let overlaps = kept.iter().any(|(k2, m2)| {
+                        *k2 == k && members.iter().filter(|v| m2.contains(v)).count() >= k
+                    });
+                    if members.len() < k || overlaps {
+                        continue;
+                    }
+                    g.add_clique_group(k, &members);
+                    kept.push((k, members));
+                }
+                for e in edges {
+                    let mut e: Vec<u32> = e.into_iter().map(|v| v % n as u32).collect();
+                    e.sort_unstable();
+                    e.dedup();
+                    let inside = kept
+                        .iter()
+                        .any(|(k, m)| *k == e.len() && e.iter().all(|v| m.contains(v)));
+                    if !inside {
+                        g.add_edge(&e);
+                    }
+                }
+                g
+            })
+    }
+
     proptest! {
+        /// Clique groups are their expansion: the greedy pass, fresh-color
+        /// completion, degrees, the largest-first order, properness and the
+        /// exact search all agree between a grouped graph and the same graph
+        /// with every group `k`-subset stored as an explicit edge.
+        #[test]
+        fn group_coloring_matches_expanded_coloring(
+            g in arb_grouped_graph(),
+            n_colors in 0u32..4,
+            pre in proptest::collection::vec(proptest::option::of(0u32..4), 13),
+            complete in proptest::collection::vec(0u32..3, 13),
+        ) {
+            let e = g.expanded();
+            let n = g.n_vertices();
+            prop_assert_eq!(e.n_groups(), 0);
+            prop_assert_eq!(e.n_edges() as u64, g.n_edges() as u64 + g.n_implicit_edges());
+            for v in 0..n as VertexId {
+                prop_assert_eq!(g.degree(v), e.degree(v));
+            }
+            prop_assert_eq!(g.vertices_by_degree_desc(), e.vertices_by_degree_desc());
+
+            let colors: Vec<Color> = (0..n_colors).collect();
+            let mut partial = Coloring::new(n);
+            for (v, c) in pre.iter().take(n).enumerate() {
+                if let Some(c) = c {
+                    partial.set(v as VertexId, *c);
+                }
+            }
+            let (mut cg, mut ce) = (partial.clone(), partial.clone());
+            let sg = coloring_lf(&g, &mut cg, &CandidateLists::Shared(&colors));
+            let se = coloring_lf(&e, &mut ce, &CandidateLists::Shared(&colors));
+            prop_assert_eq!(&sg, &se);
+            prop_assert_eq!(&cg, &ce);
+            let fg = color_skipped_with_fresh(&g, &mut cg, &sg, 100);
+            let fe = color_skipped_with_fresh(&e, &mut ce, &se, 100);
+            prop_assert_eq!(fg, fe);
+            prop_assert_eq!(&cg, &ce);
+
+            let mut random = Coloring::new(n);
+            for (v, &c) in complete.iter().take(n).enumerate() {
+                random.set(v as VertexId, c);
+            }
+            prop_assert_eq!(
+                crate::graph::is_proper_complete(&g, &random),
+                crate::graph::is_proper_complete(&e, &random)
+            );
+            prop_assert_eq!(
+                crate::graph::is_proper_complete(&g, &cg),
+                crate::graph::is_proper_complete(&e, &ce)
+            );
+
+            let shared = CandidateLists::Shared(&colors);
+            prop_assert_eq!(
+                crate::exact::exact_list_coloring(&g, &partial, &shared, 20_000),
+                crate::exact::exact_list_coloring(&e, &partial, &shared, 20_000)
+            );
+        }
+
         /// Whatever the greedy does, it never *creates* a monochromatic
         /// edge: every fully-colored edge in the output is non-mono, and
         /// after fresh-color completion the coloring is proper.

@@ -25,12 +25,17 @@ pub enum ExactResult {
 ///
 /// Vertices are assigned in non-increasing degree order (most constrained
 /// first). A branch is pruned as soon as an edge becomes monochromatic.
+/// Clique groups are searched in their [expanded](Hypergraph::expanded)
+/// form, so the search sees exactly the edges the groups stand for.
 pub fn exact_list_coloring(
     g: &Hypergraph,
     partial: &Coloring,
     candidates: &CandidateLists<'_>,
     max_steps: usize,
 ) -> ExactResult {
+    if g.n_groups() > 0 {
+        return exact_list_coloring(&g.expanded(), partial, candidates, max_steps);
+    }
     assert_eq!(partial.len(), g.n_vertices());
     let order: Vec<VertexId> = g
         .vertices_by_degree_desc()

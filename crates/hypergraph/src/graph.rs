@@ -5,6 +5,13 @@
 //! same FK value. A *proper* coloring — at least two distinct colors inside
 //! every edge — therefore corresponds exactly to a DC-satisfying FK
 //! assignment (Proposition 5.2).
+//!
+//! Besides explicit edges, a graph holds *clique groups*: a group of `n`
+//! members with arity `k` stands for all `C(n, k)` of its `k`-subsets as
+//! edges without storing them. Capacity DCs ("no `k` rows of one class
+//! and one key value share an FK") emit groups instead of enumerating
+//! their `k`-subsets; degrees, the coloring and properness read them
+//! directly, and [`Hypergraph::expanded`] materializes them.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -38,7 +45,7 @@ impl std::hash::Hasher for FingerprintHasher {
 
 type FingerprintState = std::hash::BuildHasherDefault<FingerprintHasher>;
 
-/// Incidence in CSR form: vertex `v`'s incident edges live at
+/// Incidence in CSR form: vertex `v`'s incident edges (or groups) live at
 /// `edges[offsets[v] .. offsets[v + 1]]`, ascending.
 #[derive(Clone, Debug)]
 struct IncidenceCsr {
@@ -64,6 +71,9 @@ struct IncidenceCsr {
 /// incidence pushes — two amortized, reallocating `Vec` appends per edge —
 /// were pure overhead). Adding an edge afterwards just drops the cache; the
 /// next query rebuilds it.
+///
+/// Clique groups (see the module docs) live in a second flat buffer with
+/// their own deferred per-vertex membership lists.
 #[derive(Clone, Debug)]
 pub struct Hypergraph {
     n: usize,
@@ -71,6 +81,12 @@ pub struct Hypergraph {
     edge_offsets: Vec<u32>,
     edge_vertices: Vec<VertexId>,
     incidence: OnceLock<IncidenceCsr>,
+    /// Group `i` has arity `group_k[i]` and spans
+    /// `group_vertices[group_offsets[i] .. group_offsets[i+1]]`.
+    group_k: Vec<u32>,
+    group_offsets: Vec<u32>,
+    group_vertices: Vec<VertexId>,
+    group_incidence: OnceLock<IncidenceCsr>,
     /// Fingerprint → first edge with that fingerprint. Collisions between
     /// distinct edges overflow into `seen_overflow` (checked linearly —
     /// effectively never populated).
@@ -95,6 +111,50 @@ fn fingerprint(vs: &[VertexId]) -> u64 {
     h ^ (h >> 31)
 }
 
+/// `C(n, k)`, saturating at `u64::MAX`.
+fn binomial(n: u64, k: u64) -> u64 {
+    if k > n {
+        return 0;
+    }
+    let k = k.min(n - k);
+    let mut c: u128 = 1;
+    for i in 1..=u128::from(k) {
+        // `c · (n − k + i)` is divisible by `i`: it is `i · C(n − k + i, i)`.
+        c = c * (u128::from(n - k) + i) / i;
+        if c > u128::from(u64::MAX) {
+            return u64::MAX;
+        }
+    }
+    c as u64
+}
+
+/// Builds a CSR over `n` vertices from a flat member buffer delimited by
+/// `offsets`: item `i` (an edge or a group) lists its vertices at
+/// `members[offsets[i] .. offsets[i + 1]]`. A counting pass, a prefix sum
+/// and a fill pass that walks items in ascending id, so each vertex's list
+/// comes out ascending.
+fn build_csr(n: usize, offsets: &[u32], members: &[VertexId]) -> IncidenceCsr {
+    let mut vertex_offsets = vec![0u32; n + 1];
+    for &v in members {
+        vertex_offsets[v as usize + 1] += 1;
+    }
+    for i in 0..n {
+        vertex_offsets[i + 1] += vertex_offsets[i];
+    }
+    let mut next = vertex_offsets.clone();
+    let mut items = vec![0u32; members.len()];
+    for (i, w) in offsets.windows(2).enumerate() {
+        for &v in &members[w[0] as usize..w[1] as usize] {
+            items[next[v as usize] as usize] = i as u32;
+            next[v as usize] += 1;
+        }
+    }
+    IncidenceCsr {
+        offsets: vertex_offsets,
+        edges: items,
+    }
+}
+
 impl Default for Hypergraph {
     /// The empty hypergraph. A derived `Default` would leave
     /// `edge_offsets` without its leading `0` sentinel and break
@@ -112,6 +172,10 @@ impl Hypergraph {
             edge_offsets: vec![0],
             edge_vertices: Vec::new(),
             incidence: OnceLock::new(),
+            group_k: Vec::new(),
+            group_offsets: vec![0],
+            group_vertices: Vec::new(),
+            group_incidence: OnceLock::new(),
             seen: HashMap::default(),
             seen_overflow: Vec::new(),
             scratch: Vec::new(),
@@ -123,7 +187,8 @@ impl Hypergraph {
         self.n
     }
 
-    /// Number of (distinct) edges.
+    /// Number of (distinct) explicit edges; clique groups are counted by
+    /// [`Hypergraph::n_implicit_edges`].
     pub fn n_edges(&self) -> usize {
         self.edge_offsets.len() - 1
     }
@@ -260,31 +325,117 @@ impl Hypergraph {
         (0..self.n_edges() as EdgeId).map(|e| self.edge_slice(e))
     }
 
-    /// The incidence CSR, built on first use: a counting pass over
-    /// `edge_vertices`, a prefix sum, and a fill pass that walks edges in
-    /// ascending id — so each vertex's list comes out in the same ascending
-    /// edge order the old per-edge pushes produced.
+    /// The incidence CSR, built on first use (see [`build_csr`]).
     fn incidence(&self) -> &IncidenceCsr {
-        self.incidence.get_or_init(|| {
-            let mut offsets = vec![0u32; self.n + 1];
-            for &v in &self.edge_vertices {
-                offsets[v as usize + 1] += 1;
-            }
-            for i in 0..self.n {
-                offsets[i + 1] += offsets[i];
-            }
-            let mut next = offsets.clone();
-            let mut edges = vec![0 as EdgeId; self.edge_vertices.len()];
-            for e in 0..self.n_edges() {
-                let lo = self.edge_offsets[e] as usize;
-                let hi = self.edge_offsets[e + 1] as usize;
-                for &v in &self.edge_vertices[lo..hi] {
-                    edges[next[v as usize] as usize] = e as EdgeId;
-                    next[v as usize] += 1;
+        self.incidence
+            .get_or_init(|| build_csr(self.n, &self.edge_offsets, &self.edge_vertices))
+    }
+
+    /// Per-vertex group membership, built on first use.
+    fn group_incidence(&self) -> &IncidenceCsr {
+        self.group_incidence
+            .get_or_init(|| build_csr(self.n, &self.group_offsets, &self.group_vertices))
+    }
+
+    /// Adds a clique group: every `k`-subset of `members` is an edge of the
+    /// graph, though none is stored. The **caller guarantees** that
+    /// `members` is sorted ascending and that no `k`-subset duplicates an
+    /// explicit edge or a subset of another group — the contract of
+    /// [`add_sorted_edge_unchecked`](Hypergraph::add_sorted_edge_unchecked),
+    /// since a duplicate would count twice in every degree.
+    ///
+    /// # Panics
+    /// Panics if `k < 2`, if there are fewer than `k` members or a member
+    /// is out of range, and in debug builds if `members` is not strictly
+    /// ascending.
+    pub fn add_clique_group(&mut self, k: usize, members: &[VertexId]) {
+        assert!(
+            k >= 2 && members.len() >= k,
+            "a clique group needs k ≥ 2 and at least k members (k = {k}, {} members)",
+            members.len()
+        );
+        debug_assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "add_clique_group requires strictly ascending members"
+        );
+        for &v in members {
+            assert!(
+                (v as usize) < self.n,
+                "vertex {v} out of range (n = {})",
+                self.n
+            );
+        }
+        self.group_k.push(k as u32);
+        self.group_vertices.extend_from_slice(members);
+        self.group_offsets.push(self.group_vertices.len() as u32);
+        self.group_incidence.take();
+    }
+
+    /// Number of clique groups.
+    pub fn n_groups(&self) -> usize {
+        self.group_k.len()
+    }
+
+    /// Group `i`: its arity `k` and its members, ascending.
+    pub fn group(&self, i: u32) -> (usize, &[VertexId]) {
+        let lo = self.group_offsets[i as usize] as usize;
+        let hi = self.group_offsets[i as usize + 1] as usize;
+        (
+            self.group_k[i as usize] as usize,
+            &self.group_vertices[lo..hi],
+        )
+    }
+
+    /// All groups as `(k, members)`.
+    pub fn groups(&self) -> impl Iterator<Item = (usize, &[VertexId])> {
+        (0..self.n_groups() as u32).map(|i| self.group(i))
+    }
+
+    /// Ids of the groups containing `v`, ascending.
+    pub(crate) fn groups_of(&self, v: VertexId) -> &[u32] {
+        let inc = self.group_incidence();
+        let lo = inc.offsets[v as usize] as usize;
+        let hi = inc.offsets[v as usize + 1] as usize;
+        &inc.edges[lo..hi]
+    }
+
+    /// Number of edges the groups stand for: `Σ C(|G|, k)`, saturating.
+    pub fn n_implicit_edges(&self) -> u64 {
+        self.groups().fold(0u64, |total, (k, members)| {
+            total.saturating_add(binomial(members.len() as u64, k as u64))
+        })
+    }
+
+    /// The same hypergraph with every group's `k`-subsets stored as
+    /// explicit edges (through the deduplicating insert, so on a graph
+    /// that keeps the groups' contract `n_edges()` of the result is
+    /// `n_edges() + n_implicit_edges()`). Exact coloring and the tests read
+    /// this form.
+    pub fn expanded(&self) -> Hypergraph {
+        let mut out = Hypergraph::new(self.n);
+        for e in self.edges() {
+            out.add_sorted_edge(e);
+        }
+        let mut subset: Vec<VertexId> = Vec::new();
+        let mut pick: Vec<usize> = Vec::new();
+        for (k, members) in self.groups() {
+            // Lexicographic walk over the `k`-combinations of positions.
+            pick.clear();
+            pick.extend(0..k);
+            loop {
+                subset.clear();
+                subset.extend(pick.iter().map(|&i| members[i]));
+                out.add_sorted_edge(&subset);
+                let Some(i) = (0..k).rev().find(|&i| pick[i] < members.len() - k + i) else {
+                    break;
+                };
+                pick[i] += 1;
+                for j in i + 1..k {
+                    pick[j] = pick[j - 1] + 1;
                 }
             }
-            IncidenceCsr { offsets, edges }
-        })
+        }
+        out
     }
 
     /// Ids of edges incident to `v`, ascending.
@@ -295,19 +446,36 @@ impl Hypergraph {
         &inc.edges[lo..hi]
     }
 
-    /// Degree of `v` = number of incident edges.
-    pub fn degree(&self, v: VertexId) -> usize {
+    /// Degree of `v`: its explicit edges plus, for each group of `n`
+    /// members and arity `k` it belongs to, the `C(n − 1, k − 1)` subsets
+    /// holding it (saturating).
+    pub fn degree(&self, v: VertexId) -> u64 {
         let inc = self.incidence();
-        (inc.offsets[v as usize + 1] - inc.offsets[v as usize]) as usize
+        let explicit = u64::from(inc.offsets[v as usize + 1] - inc.offsets[v as usize]);
+        self.groups_of(v).iter().fold(explicit, |d, &i| {
+            let (k, members) = self.group(i);
+            d.saturating_add(binomial(members.len() as u64 - 1, k as u64 - 1))
+        })
     }
 
-    /// Vertices sorted by non-increasing degree (ties by vertex id, for
-    /// determinism) — the processing order of Algorithm 3. Degrees are read
-    /// once into a flat key vector before the sort, so the comparator does
-    /// not chase the incidence lists `O(n log n)` times.
+    /// Vertices sorted by non-increasing [`degree`](Hypergraph::degree)
+    /// (ties by vertex id, for determinism) — the processing order of
+    /// Algorithm 3. Degrees are read once into a flat key vector before the
+    /// sort, so the comparator does not chase the incidence lists
+    /// `O(n log n)` times.
     pub fn vertices_by_degree_desc(&self) -> Vec<VertexId> {
         let inc = self.incidence();
-        let degrees: Vec<u32> = inc.offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut degrees: Vec<u64> = inc
+            .offsets
+            .windows(2)
+            .map(|w| u64::from(w[1] - w[0]))
+            .collect();
+        for (k, members) in self.groups() {
+            let d = binomial(members.len() as u64 - 1, k as u64 - 1);
+            for &v in members {
+                degrees[v as usize] = degrees[v as usize].saturating_add(d);
+            }
+        }
         let mut vs: Vec<VertexId> = (0..self.n as VertexId).collect();
         vs.sort_by(|&a, &b| {
             degrees[b as usize]
@@ -394,10 +562,21 @@ pub fn edge_is_monochromatic(g: &Hypergraph, coloring: &Coloring, e: EdgeId) -> 
 }
 
 /// `true` if the coloring is complete and no edge is monochromatic — i.e. a
-/// proper coloring in the sense of Proposition 5.2.
+/// proper coloring in the sense of Proposition 5.2. A group of arity `k`
+/// is improper exactly when `k` of its members share a color.
 pub fn is_proper_complete(g: &Hypergraph, coloring: &Coloring) -> bool {
-    coloring.is_complete()
-        && (0..g.n_edges() as EdgeId).all(|e| !edge_is_monochromatic(g, coloring, e))
+    if !coloring.is_complete()
+        || (0..g.n_edges() as EdgeId).any(|e| edge_is_monochromatic(g, coloring, e))
+    {
+        return false;
+    }
+    let mut colors: Vec<Color> = Vec::new();
+    g.groups().all(|(k, members)| {
+        colors.clear();
+        colors.extend(members.iter().filter_map(|&v| coloring.get(v)));
+        colors.sort_unstable();
+        colors.chunk_by(|a, b| a == b).all(|run| run.len() < k)
+    })
 }
 
 #[cfg(test)]
@@ -523,6 +702,73 @@ mod tests {
             assert_eq!(e, edges[i]);
             assert_eq!(g.edge(i as EdgeId), edges[i]);
         }
+    }
+
+    #[test]
+    fn binomials_saturate() {
+        assert_eq!(binomial(5, 2), 10);
+        assert_eq!(binomial(169, 2), 14_196);
+        assert_eq!(binomial(3, 3), 1);
+        assert_eq!(binomial(2, 3), 0);
+        assert_eq!(binomial(0, 0), 1);
+        assert_eq!(binomial(1 << 40, 4), u64::MAX);
+    }
+
+    #[test]
+    fn clique_groups_count_as_their_subsets() {
+        let mut g = Hypergraph::new(6);
+        g.add_edge(&[0, 5]);
+        g.add_clique_group(3, &[0, 1, 2, 3]);
+        g.add_clique_group(2, &[3, 4]);
+        assert_eq!(g.n_edges(), 1);
+        assert_eq!(g.n_groups(), 2);
+        assert_eq!(g.n_implicit_edges(), 4 + 1);
+        // Vertex 0: one explicit edge plus C(3, 2) triples; vertex 3: three
+        // triples plus the pair.
+        assert_eq!(g.degree(0), 1 + 3);
+        assert_eq!(g.degree(3), 3 + 1);
+        assert_eq!(g.degree(5), 1);
+        assert_eq!(g.groups_of(3), &[0, 1]);
+        assert_eq!(g.vertices_by_degree_desc(), vec![0, 3, 1, 2, 4, 5]);
+        let e = g.expanded();
+        assert_eq!(e.n_groups(), 0);
+        assert_eq!(e.n_edges(), 6);
+        let mut edges: Vec<Vec<VertexId>> = e.edges().map(<[VertexId]>::to_vec).collect();
+        edges.sort();
+        assert_eq!(
+            edges,
+            vec![
+                vec![0, 1, 2],
+                vec![0, 1, 3],
+                vec![0, 2, 3],
+                vec![0, 5],
+                vec![1, 2, 3],
+                vec![3, 4]
+            ]
+        );
+        for v in 0..6 {
+            assert_eq!(g.degree(v), e.degree(v), "vertex {v}");
+        }
+    }
+
+    #[test]
+    fn a_group_is_improper_only_with_k_members_of_one_color() {
+        let mut g = Hypergraph::new(4);
+        g.add_clique_group(3, &[0, 1, 2, 3]);
+        let mut c = Coloring::new(4);
+        for (v, color) in [(0, 1), (1, 1), (2, 2), (3, 2)] {
+            c.set(v, color);
+        }
+        assert!(is_proper_complete(&g, &c));
+        c.set(3, 1);
+        assert!(!is_proper_complete(&g, &c));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least k members")]
+    fn a_group_smaller_than_its_arity_panics() {
+        let mut g = Hypergraph::new(3);
+        g.add_clique_group(3, &[0, 1]);
     }
 
     #[test]

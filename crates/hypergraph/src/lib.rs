@@ -7,7 +7,9 @@
 //! coloring (≥ 2 colors inside every edge) is exactly a DC-satisfying
 //! assignment (Proposition 5.2).
 //!
-//! - [`Hypergraph`], [`Coloring`] — the graph model with dedup and degrees.
+//! - [`Hypergraph`], [`Coloring`] — the graph model with dedup and degrees,
+//!   plus clique groups that stand for all their `k`-subsets
+//!   ([`Hypergraph::add_clique_group`]).
 //! - [`coloring_lf`] — greedy largest-first list coloring (Algorithm 3).
 //! - [`color_skipped_with_fresh`] — minting the fewest fresh colors for
 //!   skipped vertices (lines 11–14 of Algorithm 4).

@@ -5,19 +5,23 @@
 //! 2–5-hop chain, so every generated schedule has ≥ 3 levels with a
 //! ≥ 3-wide first level. Good CC rows are laminar by construction (nested
 //! ranges per kind, distinct kinds disjoint), DC blocks mix gap pairs,
-//! exclusive pairs, a two-atom band pair and sometimes a ternary equality
-//! chain over the fact-wide `[0, 900]` load domain so real conflict edges
-//! exist and the conflict builder both bulk-emits and enumerates.
+//! exclusive pairs, a two-atom band pair, sometimes a ternary equality
+//! chain and sometimes a capacity-shaped ternary over the fact-wide
+//! `[0, 900]` load domain, so real conflict edges exist and the conflict
+//! builder bulk-emits, enumerates and emits capacity groups.
 //!
 //! [`run_differential_oracles`] then solves each generated spec at 1, 2
 //! and 4 workers (concurrent step levels, sharded Phase 1 completion and
 //! the Phase II pipeline) and demands bit-identical tables and solve
 //! counters. A fourth, edge-set arm checks that the conflict builder Phase
 //! II runs produces the naive reference builder's edge set on a row window
-//! of every step's ground-truth view, and counts the enumeration depths it
-//! drove through hash buckets and sorted runs; a fifth, CC-count arm that the
-//! one-pass membership kernel counts every step CC on that view exactly
-//! as the per-CC `count_in` reference does, and a sixth, certifier arm
+//! of every step's ground-truth view (capacity groups expanded, and none
+//! duplicating an edge), and counts the enumeration depths it drove
+//! through hash buckets and sorted runs, the capacity groups it emitted
+//! and the capacity-shaped DCs it kept on explicit edges; a fifth,
+//! CC-count arm that the one-pass membership kernel counts every step CC
+//! on that view exactly as the per-CC `count_in` reference does, and a
+//! sixth, certifier arm
 //! that `metrics::evaluate` reports the naive builder's DC error and the
 //! kernel's CC errors on every step's ground-truth completion and on a
 //! copy with a perturbed FK column
@@ -26,7 +30,7 @@
 use crate::error::Result;
 use crate::lower::SpecWorkload;
 use cextend_constraints::cc_counts;
-use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder};
+use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder, DcRoute};
 use cextend_core::snowflake::{solve_snowflake, SnowflakeSolution, SnowflakeStep};
 use cextend_core::SolverConfig;
 use cextend_table::{relations_equal_ordered, RowId};
@@ -66,6 +70,13 @@ pub struct FuzzOutcome {
     /// Enumeration depths the edge-set arm's builds drove through sorted
     /// runs, summed over steps.
     pub index_sorted: usize,
+    /// Capacity groups the edge-set arm's builds emitted, summed over
+    /// steps.
+    pub capacity_groups: usize,
+    /// Capacity-shaped DCs the edge-set arm's builders kept on explicit
+    /// edges because another DC of their arity may emit the same vertex
+    /// sets, summed over steps.
+    pub capacity_edge_dcs: usize,
 }
 
 /// Deterministically derives the RNG seed of one fuzz iteration.
@@ -244,6 +255,23 @@ pub fn fuzz_source(seed: u64, iter: usize) -> String {
                 "  all dc \"s{step}-tri\" arity 3 {{ t0.{sym_col} == \"{b}\"; t1.{int_col} == t0.{int_col}; t2.{int_col} == t1.{int_col}; }}"
             );
         }
+        // Capacity-shaped: one shared filter, plus on a coin flip an `=`
+        // chain keying it on one column. `s{step}-tri` pins `t0` to `b`,
+        // so the two are provably disjoint and this DC emits groups; the
+        // exclusive pair above stays on edges, since the band pair pins
+        // nothing. Keys drawn from a wide uniform domain rarely repeat
+        // three times, so the unkeyed form is what reliably fills groups.
+        if rng.gen_bool(0.5) {
+            let key = if rng.gen_bool(0.5) {
+                format!(" t1.{int_col} == t0.{int_col}; t2.{int_col} == t1.{int_col};")
+            } else {
+                String::new()
+            };
+            let _ = writeln!(
+                s,
+                "  all dc \"s{step}-cap\" arity 3 {{ t0.{sym_col} == \"{a}\"; t1.{sym_col} == \"{a}\"; t2.{sym_col} == \"{a}\";{key} }}"
+            );
+        }
         let _ = writeln!(s, "}}");
     }
     s
@@ -293,9 +321,11 @@ pub fn run_differential_oracles(
     // Edge-set arm: fuzzed DC blocks mix gap pairs (a single binary atom,
     // bulk-emitted as sorted-run windows) with exclusive pairs (pure-unary
     // cliques), so both bulk-emission branches meet the naive reference;
-    // band pairs and ternary chains enumerate through both index kinds.
+    // band pairs and ternary chains enumerate through both index kinds, and
+    // capacity-shaped ternaries emit groups.
     let (mut perturbed_dc_error, mut perturbed_cc_error) = (0.0f64, 0.0f64);
     let (mut index_hash, mut index_sorted) = (0usize, 0usize);
+    let (mut capacity_groups, mut capacity_edge_dcs) = (0usize, 0usize);
     for (step, instance) in steps.iter().enumerate() {
         let view = data.step_truth_view(step);
         let dcs = instance
@@ -309,12 +339,23 @@ pub fn run_differential_oracles(
         let built = builder.build(&view, &rows);
         index_hash += builder.stats().index_hash;
         index_sorted += builder.stats().index_sorted;
+        capacity_groups += builder.stats().capacity_groups;
+        capacity_edge_dcs += (0..dcs.len())
+            .filter(|&i| builder.route(i) == DcRoute::CapacityEdges)
+            .count();
         let naive = build_conflict_graph_naive(&view, &rows, &dcs);
-        if sorted_edges(built.edges()) != sorted_edges(naive.edges()) {
+        let expanded = built.expanded();
+        if sorted_edges(expanded.edges()) != sorted_edges(naive.edges()) {
             return Err(format!(
                 "{}: conflict builder vs naive diverged on step {step} ({} rows)",
                 meta.name,
                 rows.len()
+            ));
+        }
+        if built.n_edges() as u64 + built.n_implicit_edges() != expanded.n_edges() as u64 {
+            return Err(format!(
+                "{}: a capacity group on step {step} duplicates another edge",
+                meta.name
             ));
         }
         // CC-count arm: one kernel pass over the whole view against one
@@ -353,6 +394,8 @@ pub fn run_differential_oracles(
         perturbed_cc_error,
         index_hash,
         index_sorted,
+        capacity_groups,
+        capacity_edge_dcs,
     })
 }
 

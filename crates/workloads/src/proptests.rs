@@ -217,14 +217,28 @@ proptest! {
                     edges.sort();
                     edges
                 };
+                // The builder's capacity groups count in their expanded
+                // form, and none may duplicate an edge: the greedy coloring
+                // reads degrees, which a duplicate would inflate.
+                let expanded = built.expanded();
                 prop_assert_eq!(
-                    edge_set(&built),
+                    edge_set(&expanded),
                     edge_set(&naive),
                     "{} step {}: builders diverged on {} rows",
                     w.meta().name,
                     step,
                     rows.len()
                 );
+                prop_assert_eq!(
+                    built.n_edges() as u64 + built.n_implicit_edges(),
+                    expanded.n_edges() as u64,
+                    "{} step {}: an implicit edge duplicates another",
+                    w.meta().name,
+                    step
+                );
+                for v in 0..rows.len() as u32 {
+                    prop_assert_eq!(built.degree(v), naive.degree(v), "vertex {}", v);
+                }
             }
         }
     }
@@ -391,4 +405,52 @@ proptest! {
             prop_assert!(cc_error > 0.0, "{}: no perturbed copy misses a CC", w.meta().name);
         }
     }
+}
+
+/// Which DCs Phase II's conflict builder turns into capacity groups, and
+/// which capacity-shaped DCs keep explicit edges because another DC of
+/// their arity may emit the same vertex sets, on every registered workload.
+#[test]
+fn capacity_dcs_route_to_groups_on_every_workload() {
+    use cextend_core::conflict::DcRoute;
+    let mut routed: Vec<(String, usize, String, DcRoute)> = Vec::new();
+    for w in all_workloads() {
+        let data = w.generate(&WorkloadParams::new(0.004, 3));
+        for step in 0..data.n_steps() {
+            let truth = data.step_owner_truth(step);
+            let dcs = w.step_dcs(step, DcSet::All);
+            let bound: Vec<_> = dcs
+                .iter()
+                .map(|d| d.bind(truth.schema(), truth.name()).expect("DCs bind"))
+                .collect();
+            let builder = ConflictBuilder::new(&bound);
+            for (i, dc) in dcs.iter().enumerate() {
+                let route = builder.route(i);
+                if route != DcRoute::Edges {
+                    routed.push((w.meta().name.to_owned(), step, dc.name.clone(), route));
+                }
+            }
+        }
+    }
+    let want = [
+        ("census", 0, "dc9", DcRoute::Groups),
+        ("census", 0, "dc12-ss", DcRoute::Groups),
+        ("census", 0, "dc12-uu", DcRoute::Groups),
+        ("retail", 0, "rdc6", DcRoute::Groups),
+        ("retail", 0, "rdc7", DcRoute::Groups),
+        ("supply", 0, "sdc4", DcRoute::Groups),
+        ("supply", 0, "sdc5", DcRoute::Groups),
+        // Hub–Hub exclusivity: `sdc7` (a Hub beside any store of higher
+        // capacity) can emit Hub–Hub pairs too.
+        ("supply", 1, "sdc9", DcRoute::CapacityEdges),
+        ("logistics", 0, "ldc3", DcRoute::Groups),
+        ("logistics", 1, "ldc7", DcRoute::Groups),
+        ("dcdense", 0, "ddc4", DcRoute::Groups),
+        ("dcdense", 0, "ddc5", DcRoute::Groups),
+    ];
+    let want: Vec<(String, usize, String, DcRoute)> = want
+        .iter()
+        .map(|&(w, step, dc, route)| (w.to_owned(), step, dc.to_owned(), route))
+        .collect();
+    assert_eq!(routed, want);
 }

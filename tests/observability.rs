@@ -27,8 +27,9 @@ fn build() -> CExtensionInstance {
 }
 
 /// A small dcdense instance: six `(Room, Shift)` partitions of about 130
-/// events, large enough that the ternary `nae-track` DC enumerates through
-/// hash indexes (census pair DCs are all bulk-emitted).
+/// events, large enough that `ddc3` enumerates through hash indexes and
+/// the capacity DCs `ddc4` and `ddc5` emit clique groups (census pair DCs
+/// are all bulk-emitted or grouped).
 fn build_dcdense() -> CExtensionInstance {
     use cextend::workloads::{workload_by_name, DcSet, WorkloadParams};
     let w = workload_by_name("dcdense").expect("registered");
@@ -72,6 +73,10 @@ fn counters_are_bit_identical_across_worker_widths() {
                 assert!(
                     trace.counters.contains_key("phase2.index_hash"),
                     "dcdense: no hash-index depth at {workers} workers"
+                );
+                assert!(
+                    trace.counters.contains_key("phase2.capacity_groups"),
+                    "dcdense: no capacity group at {workers} workers"
                 );
             }
             // Counters are commutative sums of deterministic per-shard and
@@ -120,6 +125,36 @@ fn exact_budget_fallbacks_are_counted_identically_at_every_width() {
     }
     assert!(counts[0] > 0, "no partition exhausted a one-step budget");
     assert_eq!(counts, vec![counts[0]; 3]);
+}
+
+#[test]
+fn ilp_budget_fallbacks_are_counted_identically_at_every_width() {
+    // The bad CC family intersects, so Algorithm 1 runs; a zero node
+    // budget stops its branch-and-bound before the first node.
+    let _guard = recording_lock();
+    let data = generate(&CensusConfig {
+        scale: 0.02,
+        n_areas: 4,
+        seed: 23,
+        ..CensusConfig::default()
+    });
+    let ccs = generate_ccs(CcFamily::Bad, 40, &data, 23);
+    let instance = CExtensionInstance::new(data.persons, data.housing, ccs, s_all_dc()).unwrap();
+    for workers in [1, 2, 4] {
+        let mut config = SolverConfig::hybrid().with_workers(workers);
+        config.ilp.bb_nodes = 0;
+        let (trace, solution) = traced(&instance, &config);
+        assert!(solution.stats.counters.s2_ccs > 0, "{workers} workers");
+        assert_eq!(
+            solution.stats.counters.ilp_budget_fallbacks, 1,
+            "{workers} workers"
+        );
+        assert_eq!(
+            trace.counters.get("phase1.ilp_budget_fallbacks").copied(),
+            Some(1),
+            "{workers} workers"
+        );
+    }
 }
 
 #[test]
