@@ -1,61 +1,51 @@
-//! Micro-benchmark: the LP/ILP substrate on Algorithm 1-shaped programs
-//! (hard bin rows + elastic CC rows), exact vs float arithmetic.
+//! Micro-benchmark: the LP engine against the exact `Rational` reference on
+//! Algorithm 1-shaped programs (hard bin rows + elastic CC rows), and the
+//! engine's branch-and-bound on a census-ilp-sized program.
 
-use cextend_ilp::{solve_ilp, solve_lp, BbConfig, Problem, Rational, Rel};
+use cextend_bench::benchdata::{algorithm1_shaped, Algorithm1Shape};
+use cextend_ilp::reference::solve_lp_exact;
+use cextend_ilp::{solve_ilp, solve_lp, BbConfig, IlpStatus};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-/// Builds a program with `bins` hard equality groups of `combos` variables
-/// each and `ccs` elastic rows over deterministic pseudo-random subsets.
-fn algorithm1_shaped(bins: usize, combos: usize, ccs: usize) -> Problem {
-    let mut p = Problem::new();
-    let mut bin_vars = Vec::new();
-    for b in 0..bins {
-        let first = p.add_vars(combos);
-        let vars: Vec<usize> = (first..first + combos).collect();
-        p.add_constraint(
-            vars.iter().map(|&v| (v, 1)).collect(),
-            Rel::Eq,
-            (b % 7 + 3) as i64,
-        );
-        bin_vars.push(vars);
-    }
-    for c in 0..ccs {
-        let terms: Vec<(usize, i64)> = bin_vars
-            .iter()
-            .enumerate()
-            .filter(|(b, _)| (b + c) % 3 == 0)
-            .map(|(_, vars)| (vars[c % combos], 1))
-            .collect();
-        if !terms.is_empty() {
-            p.add_soft_eq(terms, (c % 11) as i64, 1);
-        }
-    }
-    p
-}
-
 fn bench_lp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lp_float");
+    let mut group = c.benchmark_group("lp");
     group.sample_size(10);
-    for &(bins, combos, ccs) in &[(20usize, 4usize, 10usize), (60, 6, 30), (150, 8, 80)] {
-        let p = algorithm1_shaped(bins, combos, ccs);
-        let id = format!("{bins}bins_{combos}combos_{ccs}ccs");
-        group.bench_with_input(BenchmarkId::from_parameter(id), &p, |b, p| {
-            b.iter(|| solve_lp::<f64>(p).unwrap())
+    for shape in Algorithm1Shape::SMALL {
+        let p = algorithm1_shaped(shape);
+        // Same answers before timing: the engine's objective is the
+        // reference's.
+        let exact = solve_lp_exact(&p).unwrap();
+        let engine = solve_lp(&p).unwrap();
+        assert_eq!(exact.status, engine.status);
+        assert!((exact.objective.to_f64() - engine.objective).abs() < 1e-6);
+        let id = shape.label();
+        group.bench_with_input(BenchmarkId::new("engine", &id), &p, |b, p| {
+            b.iter(|| solve_lp(p).unwrap())
+        });
+        group.bench_with_input(BenchmarkId::new("reference", &id), &p, |b, p| {
+            b.iter(|| solve_lp_exact(p).unwrap())
         });
     }
+    // The census-sized program is beyond the dense reference (a tableau of
+    // about 4.5M fractions), so only the engine runs on it.
+    let p = algorithm1_shaped(Algorithm1Shape::CENSUS);
+    let id = Algorithm1Shape::CENSUS.label();
+    group.bench_with_input(BenchmarkId::new("engine", &id), &p, |b, p| {
+        b.iter(|| solve_lp(p).unwrap())
+    });
     group.finish();
 }
 
-fn bench_exact_vs_float_ilp(c: &mut Criterion) {
-    let p = algorithm1_shaped(8, 3, 6);
-    let cfg = BbConfig { max_nodes: 500 };
-    c.bench_function("ilp_exact_small", |b| {
-        b.iter(|| solve_ilp::<Rational>(&p, &cfg).unwrap())
-    });
-    c.bench_function("ilp_float_small", |b| {
-        b.iter(|| solve_ilp::<f64>(&p, &cfg).unwrap())
-    });
+fn bench_bb(c: &mut Criterion) {
+    let p = algorithm1_shaped(Algorithm1Shape::CENSUS);
+    let cfg = BbConfig { max_nodes: 200 };
+    assert_eq!(solve_ilp(&p, &cfg).unwrap().status, IlpStatus::Optimal);
+    let mut group = c.benchmark_group("ilp");
+    group.sample_size(10);
+    let id = format!("bb/{}", Algorithm1Shape::CENSUS.label());
+    group.bench_function(id, |b| b.iter(|| solve_ilp(&p, &cfg).unwrap()));
+    group.finish();
 }
 
-criterion_group!(benches, bench_lp, bench_exact_vs_float_ilp);
+criterion_group!(benches, bench_lp, bench_bb);
 criterion_main!(benches);

@@ -50,32 +50,12 @@ pub enum ColoringMode {
     },
 }
 
-/// ILP arithmetic selection.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum IlpBackend {
-    /// Exact rationals below `exact_var_limit` variables, floats above.
-    Auto,
-    /// Always exact rationals.
-    Exact,
-    /// Always `f64`.
-    Float,
-}
-
 /// ILP solve settings.
 #[derive(Clone, Copy, Debug)]
 pub struct IlpSettings {
-    /// Arithmetic backend.
-    pub backend: IlpBackend,
-    /// Problem size (variables + rows) up to which `Auto` stays exact.
-    pub exact_var_limit: usize,
     /// Branch-and-bound node budget before falling back to
     /// largest-remainder rounding of the LP relaxation.
     pub bb_nodes: usize,
-    /// Problem size (variables + rows) above which branch-and-bound is
-    /// skipped entirely in favour of one LP solve plus rounding: every B&B
-    /// node re-solves the LP from scratch, which is prohibitive on the
-    /// thousands-of-variables programs the bad CC families produce.
-    pub bb_max_size: usize,
     /// Materialize one variable per `(bin, combo)` pair like the original
     /// Arasu-style formulation, instead of only pairs that count toward
     /// some CC. The naive space is what makes the paper's baseline ILP its
@@ -93,10 +73,7 @@ pub struct IlpSettings {
 impl Default for IlpSettings {
     fn default() -> Self {
         IlpSettings {
-            backend: IlpBackend::Auto,
-            exact_var_limit: 160,
             bb_nodes: 200,
-            bb_max_size: 1200,
             naive_variables: false,
             repair_passes: 2,
         }

@@ -68,8 +68,7 @@ pub mod stepgraph;
 
 pub use baseline::{solve_baseline, solve_baseline_with_marginals, solve_hybrid};
 pub use config::{
-    ColoringMode, IlpBackend, IlpSettings, Phase1Strategy, Phase2Strategy, SchedulerMode,
-    SolverConfig,
+    ColoringMode, IlpSettings, Phase1Strategy, Phase2Strategy, SchedulerMode, SolverConfig,
 };
 
 /// Conflict-hypergraph construction (Definition 5.1): the indexed

@@ -14,12 +14,12 @@
 //! into one *neutral* variable per bin, whose rows are later completed with
 //! non-contributing combos.
 
-use crate::config::{IlpBackend, IlpSettings};
+use crate::config::IlpSettings;
 use crate::error::Result;
 use crate::phase1::P1;
 use cextend_constraints::{BinKey, CardinalityConstraint, NormalizedCond};
 use cextend_ilp::{
-    largest_remainder, solve_ilp, solve_lp, BbConfig, IlpStatus, LpStatus, Problem, Rational, Rel,
+    largest_remainder, solve_ilp, solve_lp, BbConfig, IlpStatus, LpStatus, Problem, Rel,
 };
 use cextend_table::RowId;
 
@@ -42,8 +42,8 @@ pub(crate) struct IlpOutcome {
     pub rows: usize,
     pub nodes: usize,
     pub rounded: bool,
-    /// Branch-and-bound stopped on its node budget (the size gate's zero
-    /// budget included): the incumbent was kept, or the LP was rounded.
+    /// Branch-and-bound stopped on its node budget: the incumbent was
+    /// kept, or the LP was rounded.
     pub budget_fallback: bool,
     pub assigned_rows: usize,
     pub bins: usize,
@@ -85,19 +85,26 @@ pub(crate) fn run(
 
     // ---- Bin scope (modified marginals). ------------------------------
     let in_scope: Vec<bool> = match &mode {
-        MarginalMode::Restricted(conds) => bins
-            .iter()
-            .map(|bin| {
-                conds.iter().any(|cond| {
-                    let projected = NormalizedCond::from_sets(
+        MarginalMode::Restricted(conds) => {
+            // Each condition projected onto the binning columns, once.
+            let projected: Vec<NormalizedCond> = conds
+                .iter()
+                .map(|cond| {
+                    NormalizedCond::from_sets(
                         cond.iter()
                             .filter(|(col, _)| p1.binning.columns().iter().any(|c| c == col))
                             .map(|(col, set)| (col.to_owned(), set.clone())),
-                    );
-                    p1.binning.bin_satisfies(bin, &projected).unwrap_or(false)
+                    )
                 })
-            })
-            .collect::<Vec<bool>>(),
+                .collect();
+            bins.iter()
+                .map(|bin| {
+                    projected
+                        .iter()
+                        .any(|cond| p1.binning.bin_satisfies(bin, cond).unwrap_or(false))
+                })
+                .collect()
+        }
         _ => vec![true; bins.len()],
     };
 
@@ -174,28 +181,12 @@ pub(crate) fn run(
 
     // ---- Solve. ----------------------------------------------------------
     let solve_stage = cextend_obs::stage("ilp_solve");
-    let size = problem.n_vars() + problem.n_constraints();
-    let bb = BbConfig {
-        max_nodes: settings.bb_nodes,
-    };
-    let exact = match settings.backend {
-        IlpBackend::Exact => true,
-        IlpBackend::Float => false,
-        IlpBackend::Auto => size <= settings.exact_var_limit,
-    };
-    // Large programs skip branch-and-bound: every node re-solves the dense
-    // LP, so the budget is only affordable on small instances. The rounding
-    // fallback keeps the hard rows exact either way.
-    let bb = if size > settings.bb_max_size {
-        BbConfig { max_nodes: 0 }
-    } else {
-        bb
-    };
-    let ilp_result = if exact {
-        solve_ilp::<Rational>(&problem, &bb).or_else(|_| solve_ilp::<f64>(&problem, &bb))
-    } else {
-        solve_ilp::<f64>(&problem, &bb)
-    };
+    let ilp_result = solve_ilp(
+        &problem,
+        &BbConfig {
+            max_nodes: settings.bb_nodes,
+        },
+    );
     out.budget_fallback = matches!(
         &ilp_result,
         Ok(sol) if matches!(sol.status, IlpStatus::Feasible | IlpStatus::Unknown)
@@ -212,7 +203,7 @@ pub(crate) fn run(
                 out.nodes = sol.nodes;
             }
             out.rounded = true;
-            let lp = solve_lp::<f64>(&problem);
+            let lp = solve_lp(&problem);
             match lp {
                 Ok(lp) if lp.status == LpStatus::Optimal => {
                     let mut x = vec![0i64; problem.n_vars()];
@@ -332,24 +323,10 @@ mod tests {
     }
 
     #[test]
-    fn float_backend_matches_exact_on_running_example() {
-        let (instance, mut p1) = setup();
-        let settings = IlpSettings {
-            backend: IlpBackend::Float,
-            ..IlpSettings::default()
-        };
-        run(&mut p1, &instance.ccs, MarginalMode::AllWay, &settings).unwrap();
-        for cc in &instance.ccs {
-            assert_eq!(cc.count_in(&p1.view).unwrap(), cc.target, "{cc}");
-        }
-    }
-
-    #[test]
     fn rounding_fallback_keeps_bin_rows_exact() {
         // Force rounding by allowing zero B&B nodes.
         let (instance, mut p1) = setup();
         let settings = IlpSettings {
-            backend: IlpBackend::Float,
             bb_nodes: 0,
             ..IlpSettings::default()
         };

@@ -122,9 +122,8 @@ pub struct SolveCounters {
     /// `true` if the ILP fell back to LP rounding.
     pub ilp_rounded: bool,
     /// ILP solves whose branch-and-bound stopped on its node budget
-    /// (`IlpSettings::bb_nodes`, or the zero budget `bb_max_size` imposes
-    /// on large programs): the best incumbent is kept, or, with none, the
-    /// LP relaxation is rounded.
+    /// (`IlpSettings::bb_nodes`): the best incumbent is kept, or, with
+    /// none, the LP relaxation is rounded.
     pub ilp_budget_fallbacks: usize,
     /// `V_join` partitions processed in Phase II.
     pub partitions: usize,

@@ -2,15 +2,16 @@
 //!
 //! Depth-first search branching on the most fractional variable, pruning by
 //! the LP bound (valid because objective coefficients are integral, the bound
-//! can be rounded up). A node budget keeps worst cases in check; when it is
-//! exhausted the best incumbent so far is returned with
-//! [`IlpStatus::Feasible`], and Phase I of the solver falls back to
-//! largest-remainder rounding (see [`crate::rounding`]).
+//! can be rounded up). Branches tighten variable bounds, and each child
+//! re-optimizes from its parent's basis with the dual simplex. A node budget
+//! keeps worst cases in check; when it is exhausted the best incumbent so far
+//! is returned with [`IlpStatus::Feasible`], and Phase I of the solver falls
+//! back to largest-remainder rounding (see [`crate::rounding`]).
 
 use crate::error::Result;
 use crate::problem::{Problem, Rel, VarId};
-use crate::scalar::Scalar;
-use crate::simplex::{solve_lp, LpStatus};
+use crate::simplex::{Basis, LpStatus, SparseLp, F64_INT_EPS};
+use std::rc::Rc;
 
 /// Outcome of an ILP solve.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -55,20 +56,40 @@ impl Default for BbConfig {
 }
 
 struct Node {
-    /// Extra variable bounds accumulated along the branch:
+    /// Variable bounds accumulated along the branch:
     /// `(var, sense, bound)` with sense ∈ {Le, Ge}.
     bounds: Vec<(VarId, Rel, i64)>,
+    /// The solved parent, whose basis this node warm-starts from (`None`
+    /// for the root).
+    parent: Option<Rc<Parent>>,
 }
 
-/// Solves `problem` to integrality with arithmetic `T`.
-pub fn solve_ilp<T: Scalar>(problem: &Problem, cfg: &BbConfig) -> Result<IlpSolution> {
+struct Parent {
+    /// The parent's number in solve order.
+    id: usize,
+    basis: Basis,
+}
+
+/// Solves `problem` to integrality with the sparse LP engine.
+///
+/// The root is solved cold from the crash basis. A child branches by
+/// tightening one variable bound and re-optimizes with the dual simplex
+/// from its parent's optimal basis: on the live eta file when it is popped
+/// right after its parent, else after restoring the parent's basis and
+/// rebuilding the eta file.
+pub fn solve_ilp(problem: &Problem, cfg: &BbConfig) -> Result<IlpSolution> {
     problem.validate()?;
     let n = problem.n_vars();
-    let mut stack = vec![Node { bounds: Vec::new() }];
+    let mut lp = SparseLp::new(problem);
+    let mut stack = vec![Node {
+        bounds: Vec::new(),
+        parent: None,
+    }];
     let mut incumbent: Option<(Vec<i64>, i64)> = None;
     let mut nodes = 0usize;
-    let mut lp_iterations = 0usize;
     let mut exhausted = false;
+    // The node whose solve left the engine's current basis.
+    let mut live = 0usize;
 
     while let Some(node) = stack.pop() {
         if nodes >= cfg.max_nodes {
@@ -76,83 +97,70 @@ pub fn solve_ilp<T: Scalar>(problem: &Problem, cfg: &BbConfig) -> Result<IlpSolu
             break;
         }
         nodes += 1;
-        // Build the node problem: base + branch bounds as rows.
-        let mut p = problem.clone();
-        for &(v, rel, b) in &node.bounds {
-            p.add_constraint(vec![(v, 1)], rel, b);
-        }
-        let lp = solve_lp::<T>(&p)?;
-        lp_iterations += lp.iterations;
-        match lp.status {
-            LpStatus::Infeasible => continue,
-            LpStatus::Unbounded => {
-                // Integral restriction of an unbounded LP: report the best
-                // we can. Our workloads always have bounded objectives, so
-                // treat it as a dead end rather than guessing.
-                continue;
+        let status = match &node.parent {
+            None => lp.solve()?,
+            Some(_) if !lp.set_bounds(&node.bounds) => LpStatus::Infeasible,
+            Some(parent) => {
+                if parent.id != live {
+                    lp.restore(&parent.basis)?;
+                }
+                lp.reoptimize()?
             }
-            LpStatus::Optimal => {}
+        };
+        live = nodes;
+        // An unbounded relaxation is a dead end, like an infeasible one:
+        // Algorithm 1's objectives are bounded below by zero.
+        if status != LpStatus::Optimal {
+            continue;
         }
         // Prune by bound: integer objective ≥ ceil(LP objective − eps).
-        let lower = (lp.objective.to_f64() - 1e-6).ceil() as i64;
-        if let Some((_, inc_obj)) = &incumbent {
-            if lower >= *inc_obj {
-                continue;
-            }
+        let lower = (lp.objective() - 1e-6).ceil() as i64;
+        if incumbent.as_ref().is_some_and(|(_, best)| lower >= *best) {
+            continue;
         }
-        // Find the most fractional structural variable.
+        // The most fractional variable, the lowest index on ties.
+        let values = lp.values();
         let mut branch_var: Option<(VarId, f64)> = None;
-        for v in 0..n {
-            if lp.values[v].is_integral() {
-                continue;
-            }
-            let x = lp.values[v].to_f64();
+        for (v, &x) in values.iter().enumerate() {
             let frac_dist = (x - x.round()).abs();
-            match branch_var {
-                None => branch_var = Some((v, frac_dist)),
-                Some((_, best)) if frac_dist > best => branch_var = Some((v, frac_dist)),
-                _ => {}
+            if frac_dist >= F64_INT_EPS && branch_var.is_none_or(|(_, best)| frac_dist > best) {
+                branch_var = Some((v, frac_dist));
             }
         }
-        match branch_var {
-            None => {
-                // Integral LP solution → candidate incumbent.
-                let cand: Vec<i64> = lp.values.iter().map(|v| v.round_i64().max(0)).collect();
-                if problem.is_feasible_point(&cand)
-                    && node.bounds.iter().all(|&(v, rel, b)| match rel {
-                        Rel::Le => cand[v] <= b,
-                        Rel::Ge => cand[v] >= b,
-                        Rel::Eq => cand[v] == b,
-                    })
-                {
-                    let obj = problem.objective_at(&cand);
-                    let better = incumbent
-                        .as_ref()
-                        .map(|(_, best)| obj < *best)
-                        .unwrap_or(true);
-                    if better {
-                        incumbent = Some((cand, obj));
-                    }
+        let Some((v, _)) = branch_var else {
+            // Integral LP solution → candidate incumbent, checked exactly.
+            let cand: Vec<i64> = values.iter().map(|x| (x.round() as i64).max(0)).collect();
+            let within_bounds = node.bounds.iter().all(|&(v, rel, b)| match rel {
+                Rel::Le => cand[v] <= b,
+                Rel::Ge => cand[v] >= b,
+                Rel::Eq => cand[v] == b,
+            });
+            if within_bounds && problem.is_feasible_point(&cand) {
+                let obj = problem.objective_at(&cand);
+                if incumbent.as_ref().is_none_or(|(_, best)| obj < *best) {
+                    incumbent = Some((cand, obj));
                 }
             }
-            Some((v, _)) => {
-                let x = lp.values[v].to_f64();
-                let fl = x.floor() as i64;
-                // Explore the side closer to the LP value first (pushed last).
-                let down = Node {
-                    bounds: with_bound(&node.bounds, v, Rel::Le, fl),
-                };
-                let up = Node {
-                    bounds: with_bound(&node.bounds, v, Rel::Ge, fl + 1),
-                };
-                if x - x.floor() > 0.5 {
-                    stack.push(down);
-                    stack.push(up);
-                } else {
-                    stack.push(up);
-                    stack.push(down);
-                }
-            }
+            continue;
+        };
+        let x = values[v];
+        let fl = x.floor() as i64;
+        let parent = Rc::new(Parent {
+            id: nodes,
+            basis: lp.basis(),
+        });
+        let child = |rel, b| Node {
+            bounds: with_bound(&node.bounds, v, rel, b),
+            parent: Some(Rc::clone(&parent)),
+        };
+        // Explore the side closer to the LP value first (pushed last).
+        let (down, up) = (child(Rel::Le, fl), child(Rel::Ge, fl + 1));
+        if x - x.floor() > 0.5 {
+            stack.push(down);
+            stack.push(up);
+        } else {
+            stack.push(up);
+            stack.push(down);
         }
     }
 
@@ -168,7 +176,7 @@ pub fn solve_ilp<T: Scalar>(problem: &Problem, cfg: &BbConfig) -> Result<IlpSolu
         values,
         objective,
         nodes,
-        lp_iterations,
+        lp_iterations: lp.iterations(),
     })
 }
 
@@ -181,7 +189,6 @@ fn with_bound(bounds: &[(VarId, Rel, i64)], v: VarId, rel: Rel, b: i64) -> Vec<(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rational::Rational;
 
     /// Knapsack-ish: max 5x+4y s.t. 6x+4y<=24, x+2y<=6. The LP optimum is
     /// fractional (x=3, y=1.5, obj 21); the integer optimum is x=4, y=0
@@ -195,7 +202,7 @@ mod tests {
         p.set_objective(y, -4);
         p.add_constraint(vec![(x, 6), (y, 4)], Rel::Le, 24);
         p.add_constraint(vec![(x, 1), (y, 2)], Rel::Le, 6);
-        let s = solve_ilp::<Rational>(&p, &BbConfig::default()).unwrap();
+        let s = solve_ilp(&p, &BbConfig::default()).unwrap();
         assert_eq!(s.status, IlpStatus::Optimal);
         assert_eq!(s.objective, -20);
         assert_eq!(s.values, vec![4, 0]);
@@ -207,7 +214,7 @@ mod tests {
         let mut p = Problem::new();
         let x = p.add_var("x");
         p.add_constraint(vec![(x, 2)], Rel::Eq, 3);
-        let s = solve_ilp::<Rational>(&p, &BbConfig::default()).unwrap();
+        let s = solve_ilp(&p, &BbConfig::default()).unwrap();
         assert_eq!(s.status, IlpStatus::Infeasible);
     }
 
@@ -217,7 +224,7 @@ mod tests {
         let x = p.add_var("x");
         p.set_objective(x, 1);
         p.add_constraint(vec![(x, 1)], Rel::Ge, 4);
-        let s = solve_ilp::<Rational>(&p, &BbConfig::default()).unwrap();
+        let s = solve_ilp(&p, &BbConfig::default()).unwrap();
         assert_eq!(s.status, IlpStatus::Optimal);
         assert_eq!(s.values, vec![4]);
     }
@@ -231,7 +238,7 @@ mod tests {
         p.set_objective(y, -4);
         p.add_constraint(vec![(x, 6), (y, 4)], Rel::Le, 24);
         p.add_constraint(vec![(x, 1), (y, 2)], Rel::Le, 6);
-        let s = solve_ilp::<Rational>(&p, &BbConfig { max_nodes: 1 }).unwrap();
+        let s = solve_ilp(&p, &BbConfig { max_nodes: 1 }).unwrap();
         assert!(matches!(s.status, IlpStatus::Unknown | IlpStatus::Feasible));
     }
 
@@ -243,31 +250,56 @@ mod tests {
         let x = p.add_var("x");
         p.add_soft_eq(vec![(x, 1)], 2, 1);
         p.add_soft_eq(vec![(x, 1)], 5, 1);
-        let s = solve_ilp::<Rational>(&p, &BbConfig::default()).unwrap();
+        let s = solve_ilp(&p, &BbConfig::default()).unwrap();
         assert_eq!(s.status, IlpStatus::Optimal);
         assert_eq!(s.objective, 3);
         assert!((2..=5).contains(&s.values[0]));
     }
 
     #[test]
-    fn float_backend_agrees() {
+    fn hostile_programs_solve_or_fail_cleanly() {
+        // Empty rows, zero and cancelling coefficients, contradictory soft
+        // rows and bounds that fix a variable.
         let mut p = Problem::new();
         let x = p.add_var("x");
         let y = p.add_var("y");
-        p.set_objective(x, -5);
-        p.set_objective(y, -4);
-        p.add_constraint(vec![(x, 6), (y, 4)], Rel::Le, 24);
-        p.add_constraint(vec![(x, 1), (y, 2)], Rel::Le, 6);
-        let s = solve_ilp::<f64>(&p, &BbConfig::default()).unwrap();
+        p.add_constraint(vec![], Rel::Eq, 0);
+        p.add_constraint(vec![(x, 0), (y, 3), (y, -3)], Rel::Le, 4);
+        p.add_soft_eq(vec![(x, 2)], 3, 1);
+        p.add_soft_eq(vec![(x, 2)], 8, 1);
+        p.add_constraint(vec![(y, 1)], Rel::Le, 2);
+        p.add_constraint(vec![(y, 1)], Rel::Ge, 2);
+        let s = solve_ilp(&p, &BbConfig::default()).unwrap();
         assert_eq!(s.status, IlpStatus::Optimal);
-        assert_eq!(s.objective, -20);
+        assert_eq!(s.objective, 5);
+        assert_eq!(s.values[y], 2);
+        assert!(p.is_feasible_point(&s.values));
+
+        p.add_constraint(vec![], Rel::Ge, 1);
+        let s = solve_ilp(&p, &BbConfig::default()).unwrap();
+        assert_eq!(s.status, IlpStatus::Infeasible);
+    }
+
+    #[test]
+    fn backtracking_restores_the_parent_basis() {
+        // 2x + 2y + 2z = 5 has no integer point, but only a search over
+        // several branches (some reached by backtracking) proves it.
+        let mut p = Problem::new();
+        let v: Vec<_> = (0..3).map(|i| p.add_var(format!("x{i}"))).collect();
+        p.set_objective(v[0], 1);
+        p.add_constraint(v.iter().map(|&x| (x, 2)).collect(), Rel::Eq, 5);
+        for &x in &v {
+            p.add_constraint(vec![(x, 1)], Rel::Le, 2);
+        }
+        let s = solve_ilp(&p, &BbConfig::default()).unwrap();
+        assert_eq!(s.status, IlpStatus::Infeasible);
+        assert!(s.nodes > 3, "{} nodes", s.nodes);
     }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::rational::Rational;
     use proptest::prelude::*;
 
     /// Brute force over a small box, for cross-checking.
@@ -333,7 +365,7 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn bb_matches_brute_force(p in arb_bounded_problem()) {
-            let s = solve_ilp::<Rational>(&p, &BbConfig { max_nodes: 50_000 }).unwrap();
+            let s = solve_ilp(&p, &BbConfig { max_nodes: 50_000 }).unwrap();
             let brute = brute_force(&p, 6);
             match brute {
                 Some(best) => {

@@ -7,11 +7,14 @@ use std::fmt;
 /// itself could not proceed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IlpError {
-    /// Exact rational arithmetic overflowed `i128`. Callers typically retry
-    /// with float arithmetic.
+    /// Exact rational arithmetic overflowed `i128` (the exact reference
+    /// only).
     Overflow,
     /// Division by zero inside a pivot (indicates a logic error upstream).
     DivideByZero,
+    /// The basis became numerically singular: an eta-file rebuild or a
+    /// dual pivot found no usable pivot.
+    SingularBasis,
     /// The simplex iteration limit was exceeded (cycling or a pathological
     /// instance under float arithmetic).
     IterationLimit {
@@ -27,6 +30,7 @@ impl fmt::Display for IlpError {
         match self {
             IlpError::Overflow => f.write_str("exact rational arithmetic overflowed i128"),
             IlpError::DivideByZero => f.write_str("division by zero during pivoting"),
+            IlpError::SingularBasis => f.write_str("the simplex basis became singular"),
             IlpError::IterationLimit { iterations } => {
                 write!(
                     f,

@@ -4,14 +4,18 @@
 //! system `Ax = b` over non-negative integer variables and hands it to an
 //! ILP solver (PuLP/CBC in the authors' implementation). No comparable
 //! solver exists in this project's allowed dependency set, so this crate
-//! implements one:
+//! implements one (DESIGN.md §17):
 //!
-//! - [`Rational`] — exact `i128` fractions with overflow *detection*.
-//! - [`Scalar`] — one simplex, two arithmetics (exact for ground truth and
-//!   tests, `f64` for scale).
-//! - [`solve_lp`] — dense two-phase primal simplex with anti-cycling.
-//! - [`solve_ilp`] — branch-and-bound with LP-bound pruning and a node
-//!   budget.
+//! - [`solve_lp`] — the LP engine: a bounded-variable revised simplex in
+//!   `f64` over sparse columns, started from a crash basis of column
+//!   singletons, with a product-form eta file for the basis inverse.
+//! - [`solve_ilp`] — branch-and-bound that branches by tightening variable
+//!   bounds and re-optimizes each node from its parent's basis with the
+//!   dual simplex, under a node budget. Incumbents are checked in exact
+//!   integers.
+//! - [`reference::solve_lp_exact`] — a dense two-phase simplex over exact
+//!   [`Rational`]s, the reference tests and benches compare the engine
+//!   with. No production path runs it.
 //! - [`Problem::add_soft_eq`] — *elastic* equalities: CC rows may be
 //!   violated at a linear cost, marginal rows stay hard, so Phase I can
 //!   always return *a* completion (the paper "tolerates possible errors in
@@ -20,7 +24,7 @@
 //!   budget runs out.
 //!
 //! ```
-//! use cextend_ilp::{solve_ilp, BbConfig, IlpStatus, Problem, Rational, Rel};
+//! use cextend_ilp::{solve_ilp, BbConfig, IlpStatus, Problem, Rel};
 //!
 //! // max 5x + 4y  s.t. 6x + 4y <= 24, x + 2y <= 6, x,y >= 0 integer
 //! let mut p = Problem::new();
@@ -30,7 +34,7 @@
 //! p.set_objective(y, -4);
 //! p.add_constraint(vec![(x, 6), (y, 4)], Rel::Le, 24);
 //! p.add_constraint(vec![(x, 1), (y, 2)], Rel::Le, 6);
-//! let s = solve_ilp::<Rational>(&p, &BbConfig::default()).unwrap();
+//! let s = solve_ilp(&p, &BbConfig::default()).unwrap();
 //! assert_eq!(s.status, IlpStatus::Optimal);
 //! assert_eq!((s.values[x], s.values[y]), (4, 0)); // obj 20 beats rounded LP's 19
 //! ```
@@ -39,11 +43,12 @@
 
 mod branch_bound;
 mod error;
+mod eta;
 mod matrix;
 mod problem;
 mod rational;
+pub mod reference;
 mod rounding;
-mod scalar;
 mod simplex;
 
 pub use branch_bound::{solve_ilp, BbConfig, IlpSolution, IlpStatus};
@@ -52,5 +57,4 @@ pub use matrix::Matrix;
 pub use problem::{Constraint, Problem, Rel, VarId};
 pub use rational::Rational;
 pub use rounding::largest_remainder;
-pub use scalar::{Scalar, F64_EPS, F64_INT_EPS};
-pub use simplex::{solve_lp, LpSolution, LpStatus};
+pub use simplex::{solve_lp, LpSolution, LpStatus, F64_INT_EPS};

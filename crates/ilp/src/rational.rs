@@ -1,10 +1,10 @@
 //! Exact rational arithmetic over `i128` with overflow detection.
 //!
 //! The simplex method over rationals is exact: no tolerances, no cycling
-//! caused by round-off, and results that tests can compare with `==`. The
-//! price is potential coefficient growth; every operation here uses checked
-//! `i128` math and reports [`IlpError::Overflow`] instead of wrapping, so
-//! callers can fall back to float arithmetic.
+//! caused by round-off, and results that tests can compare with `==`, which
+//! is what makes [`crate::reference`] a reference. The price is potential
+//! coefficient growth; every operation here uses checked `i128` math and
+//! reports [`IlpError::Overflow`] instead of wrapping.
 
 use crate::error::{IlpError, Result};
 use std::cmp::Ordering;
