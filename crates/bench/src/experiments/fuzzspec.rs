@@ -18,7 +18,10 @@
 //! arm must have driven enumeration through both hash buckets and sorted
 //! runs, emitted at least one capacity group and kept at least one
 //! capacity-shaped DC on explicit edges, so both index kinds and both
-//! capacity routes met the naive reference.
+//! capacity routes met the naive reference. Its classification arm checks
+//! the compiled CC relationship matrix against per-pair `classify` on
+//! every step's CCs, and must have met disjoint, contained-in and
+//! intersecting pairs.
 //!
 //! `spec-check` parses + statically checks every `specs/*.spec` and
 //! asserts every `specs/bad/*.spec` is rejected by the checker.
@@ -42,6 +45,8 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     let (mut dc_error, mut cc_error) = (0.0f64, 0.0f64);
     let (mut index_hash, mut index_sorted) = (0usize, 0usize);
     let (mut capacity_groups, mut capacity_edge_dcs) = (0usize, 0usize);
+    let (mut disjoint, mut equal, mut contained, mut intersecting) =
+        (0usize, 0usize, 0usize, 0usize);
     for iter in 0..opts.iters {
         let workload = fuzz_workload(opts.seed, iter).map_err(|e| {
             format!("iteration {iter}: generated spec failed its own static checks: {e}")
@@ -60,6 +65,10 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         index_sorted += out.index_sorted;
         capacity_groups += out.capacity_groups;
         capacity_edge_dcs += out.capacity_edge_dcs;
+        disjoint += out.disjoint_pairs;
+        equal += out.equal_pairs;
+        contained += out.contained_pairs;
+        intersecting += out.intersecting_pairs;
     }
     if best_levels < 3 || best_width < 3 {
         return Err(format!(
@@ -86,10 +95,19 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
              (need both > 0 across the run)"
         ));
     }
+    if disjoint == 0 || contained == 0 || intersecting == 0 {
+        return Err(format!(
+            "fuzz-spec classification arm missed a relationship kind: {disjoint} disjoint, \
+             {contained} contained-in and {intersecting} intersecting ordered pairs (need all \
+             three > 0 across the run)"
+        ));
+    }
     println!(
         "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets ({index_hash} hash / \
          {index_sorted} sorted depths, {capacity_groups} capacity groups, \
-         {capacity_edge_dcs} capacity-shaped DCs on edges), kernel ≡ count_in CC counts, certifier ≡ \
+         {capacity_edge_dcs} capacity-shaped DCs on edges), kernel ≡ count_in CC counts, compiled \
+         matrix ≡ classify ({disjoint} disjoint, {equal} equal, {contained} contained-in, \
+         {intersecting} intersecting ordered pairs), certifier ≡ \
          naive/kernel references on truth and perturbed completions (largest perturbed DC \
          error {dc_error:.3}, CC error {cc_error:.3}) and 1 ≡ 2 ≡ 4 workers on every spec \
          (deepest schedule {best_levels} levels, widest level {best_width})",

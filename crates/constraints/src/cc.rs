@@ -16,7 +16,10 @@ use std::fmt;
 /// The empty condition is `true` everywhere. A condition whose atoms
 /// contradict each other on some column normalizes to an *unsatisfiable*
 /// condition (some column maps to [`ValueSet::Empty`]).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+///
+/// Equal conditions hash equally, so a CC list can be deduplicated by
+/// condition in one hash lookup per CC.
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct NormalizedCond {
     sets: BTreeMap<String, ValueSet>,
 }

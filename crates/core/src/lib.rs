@@ -85,15 +85,17 @@ pub use error::{CoreError, Result};
 pub use instance::CExtensionInstance;
 pub use report::{Solution, SolveCounters, SolveStats, StageTimings};
 
-/// Phase I internals (Algorithm 2 and the completion passes), exposed for
-/// the criterion benches and the oracle-equivalence tests: the
-/// code-compressed production paths next to the retained scalar oracles,
-/// plus the per-shard RNG stream machinery the determinism tests pin down.
+/// Phase I internals (Algorithm 2, Algorithm 1's program build and the
+/// completion passes), exposed for the criterion benches and the
+/// oracle-equivalence tests: the code-compressed production paths next to
+/// the retained scalar oracles, plus the per-shard RNG stream machinery the
+/// determinism tests pin down.
 pub mod phase1_internals {
     pub use crate::phase1::compressed::{complete_leftovers, complete_randomly};
     pub use crate::phase1::hasse_rec::{
         run as run_hasse, run_scalar as run_hasse_scalar, HasseOutcome,
     };
+    pub use crate::phase1::ilp_based::{build as build_ilp, IlpBuild, MarginalMode};
     pub use crate::phase1::repair::{repair, RepairOutcome};
     pub use crate::phase1::{
         complete_leftovers_scalar, complete_randomly_scalar, shard_rng, Combo, P1, SHARD_SIZE,

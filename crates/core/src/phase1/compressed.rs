@@ -154,19 +154,25 @@ pub(crate) fn leftover_rows(p1: &P1) -> Vec<RowId> {
     if p1.view_cc_ids.is_empty() || n == 0 {
         return Vec::new();
     }
-    let words = n.div_ceil(64);
-    let mut full = vec![!0u64; words];
+    let mut missing = vec![0u64; n.div_ceil(64)];
     for &col in &p1.view_cc_ids {
-        for (o, &v) in full.iter_mut().zip(col_validity(&p1.view, col)) {
-            *o &= v;
+        for (o, &v) in missing.iter_mut().zip(col_validity(&p1.view, col)) {
+            *o |= !v;
         }
     }
-    let mut rows = Vec::new();
-    for (wi, &w) in full.iter().enumerate() {
-        let mut m = !w;
-        if wi == words - 1 && !n.is_multiple_of(64) {
-            m &= (1u64 << (n % 64)) - 1;
+    if !n.is_multiple_of(64) {
+        if let Some(last) = missing.last_mut() {
+            *last &= (1u64 << (n % 64)) - 1;
         }
+    }
+    bitmap_rows(&missing)
+}
+
+/// The set bits of `bits` as ascending row ids.
+pub(crate) fn bitmap_rows(bits: &[u64]) -> Vec<RowId> {
+    let mut rows = Vec::new();
+    for (wi, &w) in bits.iter().enumerate() {
+        let mut m = w;
         while m != 0 {
             rows.push((wi << 6) | m.trailing_zeros() as usize);
             m &= m - 1;

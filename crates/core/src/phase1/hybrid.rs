@@ -12,12 +12,15 @@
 use crate::config::{Phase1Strategy, SolverConfig};
 use crate::error::Result;
 use crate::instance::CExtensionInstance;
-use crate::phase1::compressed::{complete_leftovers, complete_randomly};
+use crate::phase1::compressed::{complete_leftovers, complete_randomly, leftover_rows};
 use crate::phase1::{hasse_rec, ilp_based, P1};
 use crate::report::{SolveStats, StageTimings};
-use cextend_constraints::{CardinalityConstraint, HasseDiagram, RelationshipMatrix};
+use cextend_constraints::{
+    CardinalityConstraint, HasseDiagram, NormalizedCond, RelationshipMatrix,
+};
 use cextend_table::RowId;
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 /// Runs the configured Phase I strategy. Returns the filled context and the
 /// invalid rows (rows with no complete, CC-neutral assignment).
@@ -58,7 +61,7 @@ pub(crate) fn run(
     // Phase II never reads the `R1` bitmaps; free them before it allocates.
     p1.cc_r1_bits = Vec::new();
     // Whatever strategy ran, rows still incomplete are the invalid tuples.
-    let invalid: Vec<RowId> = p1.view.rows().filter(|&r| !p1.row_full(r)).collect();
+    let invalid = leftover_rows(&p1);
     stats.counters.invalid_tuples = invalid.len();
     stats
         .timings
@@ -78,23 +81,24 @@ fn run_hybrid(
     // `p1.cc_r1_bits[kept_src[j]]`.
     let mut kept: Vec<CardinalityConstraint> = Vec::new();
     let mut kept_src: Vec<usize> = Vec::new();
+    // The first kept CC of each `(R1, R2)` condition pair.
+    let mut first: HashMap<(&NormalizedCond, &NormalizedCond), usize> = HashMap::new();
     let mut conflicted: HashSet<usize> = HashSet::new(); // indices into `kept`
     for (i, cc) in instance.ccs.iter().enumerate() {
-        match kept
-            .iter()
-            .position(|k| k.r1.same_condition(&cc.r1) && k.r2.same_condition(&cc.r2))
-        {
-            Some(j) if kept[j].target == cc.target => {
+        match first.entry((&cc.r1, &cc.r2)) {
+            Entry::Occupied(j) if kept[*j.get()].target == cc.target => {
                 stats.counters.deduped_ccs += 1;
                 continue;
             }
-            Some(j) => {
+            Entry::Occupied(j) => {
                 // Equal conditions, different targets: contradictory. Both
                 // go to the ILP, whose elastic rows split the difference.
-                conflicted.insert(j);
+                conflicted.insert(*j.get());
                 conflicted.insert(kept.len());
             }
-            None => {}
+            Entry::Vacant(slot) => {
+                slot.insert(kept.len());
+            }
         }
         kept.push(cc.clone());
         kept_src.push(i);
@@ -229,10 +233,13 @@ mod tests {
         instance.ccs = vec![
             parse_cc("a", r#"| Rel = "Owner" & Area = "Chicago" | = 2"#, &r2).unwrap(),
             parse_cc("b", r#"| Rel = "Owner" & Area = "Chicago" | = 5"#, &r2).unwrap(),
+            // `a` again, atoms swapped: a duplicate of the first match.
+            parse_cc("a2", r#"| Area = "Chicago" & Rel = "Owner" | = 2"#, &r2).unwrap(),
         ];
         let config = SolverConfig::hybrid();
         let mut stats = SolveStats::default();
         let (p1, _) = run(&instance, &config, &mut stats).unwrap();
+        assert_eq!(stats.counters.deduped_ccs, 1);
         assert_eq!(stats.counters.s2_ccs, 2);
         let got = instance.ccs[0].count_in(&p1.view).unwrap();
         assert!((2..=5).contains(&got));

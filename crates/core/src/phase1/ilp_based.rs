@@ -16,16 +16,17 @@
 
 use crate::config::IlpSettings;
 use crate::error::Result;
-use crate::phase1::P1;
-use cextend_constraints::{BinKey, CardinalityConstraint, NormalizedCond};
+use crate::phase1::compressed::{bitmap_rows, empty_rows_bitmap};
+use crate::phase1::{cond_masks, holds, P1};
+use cextend_constraints::{BinDim, BinKey, CardinalityConstraint, ConstraintError, NormalizedCond};
 use cextend_ilp::{
     largest_remainder, solve_ilp, solve_lp, BbConfig, IlpStatus, LpStatus, Problem, Rel,
 };
-use cextend_table::RowId;
+use cextend_table::{RowId, Value, ValueSet};
 
 /// Which marginal rows to add (Sections 4.1 and 4.3).
 #[derive(Clone, Debug)]
-pub(crate) enum MarginalMode<'a> {
+pub enum MarginalMode<'a> {
     /// No marginal rows (the plain baseline).
     None,
     /// All-way marginals over every bin.
@@ -49,21 +50,48 @@ pub(crate) struct IlpOutcome {
     pub bins: usize,
 }
 
-/// Runs Algorithm 1 for `ccs` over the currently unassigned view rows.
-pub(crate) fn run(
-    p1: &mut P1,
-    ccs: &[CardinalityConstraint],
-    mode: MarginalMode<'_>,
-    settings: &IlpSettings,
-) -> Result<IlpOutcome> {
-    let mut out = IlpOutcome::default();
+/// Algorithm 1's program over the currently unassigned view rows.
+#[derive(Clone, Debug)]
+pub struct IlpBuild {
+    /// The bins of the unassigned rows, in order of their first row.
+    pub bins: Vec<BinKey>,
+    /// Each bin's rows, ascending.
+    pub bin_rows: Vec<Vec<RowId>>,
+    /// Bins that get variables (all of them unless marginals are
+    /// restricted).
+    pub in_scope: Vec<bool>,
+    /// Variables `x_b{bin}_c{combo}` and `x_b{bin}_neutral`, the hard bin
+    /// rows, then one elastic row per CC.
+    pub problem: Problem,
+    /// Per variable: its bin, and its combo (`None` for the neutral one).
+    pub vars: Vec<(usize, Option<usize>)>,
+    /// Each bin's variables, ascending.
+    pub(crate) bin_vars: Vec<Vec<usize>>,
+}
 
+/// Builds Algorithm 1's program for `ccs`; `None` when no row is
+/// unassigned or `R2` has no combo.
+///
+/// Each CC's `R1` columns are resolved to binning positions and its `R2`
+/// columns to combo positions once (`cond_masks`). Every bin then gets one
+/// mask over the CCs whose `R1` side it satisfies (an interval bin tested
+/// at its start, as [`cextend_constraints::Binning::bin_satisfies`] does),
+/// and every combo one over the CCs whose `R2` side it satisfies. A
+/// `(bin, combo)` variable counts toward exactly the CCs in the AND of the
+/// two masks, so one pass over the variables in ascending order both
+/// decides which exist and collects every elastic row's terms.
+pub fn build(
+    p1: &P1,
+    ccs: &[CardinalityConstraint],
+    mode: &MarginalMode<'_>,
+    naive_variables: bool,
+) -> Result<Option<IlpBuild>> {
     // ---- Bin the unassigned rows. -------------------------------------
-    let empty_rows = p1.empty_rows();
+    let empty_rows = bitmap_rows(&empty_rows_bitmap(p1));
     if empty_rows.is_empty() || p1.combos.is_empty() {
-        return Ok(out);
+        return Ok(None);
     }
-    let build_stage = cextend_obs::stage("ilp_build");
+    let _build_stage = cextend_obs::stage("ilp_build");
     let bound = p1.binning.bind(p1.view.schema(), p1.view.name())?;
     let mut bins: Vec<BinKey> = Vec::new();
     let mut bin_rows: Vec<Vec<RowId>> = Vec::new();
@@ -81,70 +109,87 @@ pub(crate) fn run(
             bin_rows[slot].push(r);
         }
     }
-    out.bins = bins.len();
 
-    // ---- Bin scope (modified marginals). ------------------------------
-    let in_scope: Vec<bool> = match &mode {
+    // ---- Per-bin and per-combo CC masks. --------------------------------
+    let bin_cols = p1.binning.columns();
+    let binned = |col: &str| bin_cols.iter().position(|c| c == col);
+    if let Some(col) = ccs
+        .iter()
+        .flat_map(|cc| cc.r1.columns())
+        .find(|&col| binned(col).is_none())
+    {
+        return Err(ConstraintError::UnknownColumn(col.to_owned()).into());
+    }
+    // Each bin as the values its conditions are tested at.
+    let starts: Vec<Option<&[(i64, i64)]>> = bin_cols
+        .iter()
+        .map(|c| p1.binning.intervals().intervals(c))
+        .collect();
+    let bin_values: Vec<Vec<Value>> = bins
+        .iter()
+        .map(|bin| {
+            bin.iter()
+                .zip(bin_cols.iter().zip(&starts))
+                .map(|(dim, (col, ivs))| match dim {
+                    BinDim::Interval(i) => ivs
+                        .map(|ivs| Value::Int(ivs[*i as usize].0))
+                        .ok_or_else(|| ConstraintError::UnknownColumn(col.clone()).into()),
+                    BinDim::Val(v) => Ok(*v),
+                })
+                .collect::<Result<Vec<_>>>()
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let in_scope: Vec<bool> = match mode {
         MarginalMode::Restricted(conds) => {
-            // Each condition projected onto the binning columns, once.
-            let projected: Vec<NormalizedCond> = conds
+            // Each condition projected onto the binning columns.
+            let projected: Vec<Vec<(usize, &ValueSet)>> = conds
                 .iter()
                 .map(|cond| {
-                    NormalizedCond::from_sets(
-                        cond.iter()
-                            .filter(|(col, _)| p1.binning.columns().iter().any(|c| c == col))
-                            .map(|(col, set)| (col.to_owned(), set.clone())),
-                    )
+                    cond.iter()
+                        .filter_map(|(col, set)| Some((binned(col)?, set)))
+                        .collect()
                 })
                 .collect();
-            bins.iter()
-                .map(|bin| {
-                    projected
-                        .iter()
-                        .any(|cond| p1.binning.bin_satisfies(bin, cond).unwrap_or(false))
-                })
+            bin_values
+                .iter()
+                .map(|values| projected.iter().any(|cond| holds(cond, values)))
                 .collect()
         }
         _ => vec![true; bins.len()],
     };
+    let words = ccs.len().div_ceil(64);
+    let r1s: Vec<&NormalizedCond> = ccs.iter().map(|cc| &cc.r1).collect();
+    let r2s: Vec<&NormalizedCond> = ccs.iter().map(|cc| &cc.r2).collect();
+    let bin_masks = cond_masks(bin_cols, &bin_values, &r1s, words);
+    let combo_masks = cond_masks(&p1.r2_cc_cols, &p1.combos, &r2s, words);
 
-    // ---- Match tables. -------------------------------------------------
-    let n_ccs = ccs.len();
-    let mut bin_match = vec![false; n_ccs * bins.len()];
-    for (ci, cc) in ccs.iter().enumerate() {
-        for (bi, bin) in bins.iter().enumerate() {
-            bin_match[ci * bins.len() + bi] = p1.binning.bin_satisfies(bin, &cc.r1)?;
-        }
-    }
-    let mut combo_match = vec![false; n_ccs * p1.combos.len()];
-    for (ci, cc) in ccs.iter().enumerate() {
-        for (ki, combo) in p1.combos.iter().enumerate() {
-            combo_match[ci * p1.combos.len() + ki] = p1.combo_satisfies(combo, &cc.r2);
-        }
-    }
-
-    // ---- Variables. -----------------------------------------------------
+    // ---- Variables and every elastic row's terms, in one pass. ----------
     let with_marginals = !matches!(mode, MarginalMode::None);
     let mut problem = Problem::new();
-    // (bin, Some(combo)) or (bin, None) for the neutral variable.
     let mut vars: Vec<(usize, Option<usize>)> = Vec::new();
     let mut bin_vars: Vec<Vec<usize>> = vec![Vec::new(); bins.len()];
-    for bi in 0..bins.len() {
-        if !in_scope[bi] {
-            continue;
-        }
+    let mut cc_terms: Vec<Vec<(usize, i64)>> = vec![Vec::new(); ccs.len()];
+    for bi in (0..bins.len()).filter(|&bi| in_scope[bi]) {
+        let bin_mask = &bin_masks[bi * words..(bi + 1) * words];
         for ki in 0..p1.combos.len() {
-            let relevant = settings.naive_variables
-                || (0..n_ccs).any(|ci| {
-                    bin_match[ci * bins.len() + bi] && combo_match[ci * p1.combos.len() + ki]
-                });
-            if relevant {
-                let v = problem.add_var(format!("x_b{bi}_c{ki}"));
-                vars.push((bi, Some(ki)));
-                bin_vars[bi].push(v);
+            let combo_mask = &combo_masks[ki * words..(ki + 1) * words];
+            let relevant =
+                naive_variables || bin_mask.iter().zip(combo_mask).any(|(b, c)| b & c != 0);
+            if !relevant {
+                continue;
+            }
+            let v = problem.add_var(format!("x_b{bi}_c{ki}"));
+            vars.push((bi, Some(ki)));
+            bin_vars[bi].push(v);
+            for (wi, (b, c)) in bin_mask.iter().zip(combo_mask).enumerate() {
+                let mut w = b & c;
+                while w != 0 {
+                    cc_terms[(wi << 6) | w.trailing_zeros() as usize].push((v, 1));
+                    w &= w - 1;
+                }
             }
         }
-        if with_marginals && !settings.naive_variables {
+        if with_marginals && !naive_variables {
             // The reduced space needs a catch-all per bin; the naive space
             // already enumerates every combo.
             let v = problem.add_var(format!("x_b{bi}_neutral"));
@@ -162,22 +207,42 @@ pub(crate) fn run(
             }
         }
     }
-    for (ci, cc) in ccs.iter().enumerate() {
-        let terms: Vec<(usize, i64)> = vars
-            .iter()
-            .enumerate()
-            .filter(|(_, &(bi, k))| {
-                k.is_some_and(|ki| {
-                    bin_match[ci * bins.len() + bi] && combo_match[ci * p1.combos.len() + ki]
-                })
-            })
-            .map(|(v, _)| (v, 1))
-            .collect();
+    for (cc, terms) in ccs.iter().zip(cc_terms) {
         problem.add_soft_eq(terms, cc.target.min(i64::MAX as u64) as i64, 1);
     }
+    Ok(Some(IlpBuild {
+        bins,
+        bin_rows,
+        in_scope,
+        problem,
+        vars,
+        bin_vars,
+    }))
+}
+
+/// Runs Algorithm 1 for `ccs` over the currently unassigned view rows.
+pub(crate) fn run(
+    p1: &mut P1,
+    ccs: &[CardinalityConstraint],
+    mode: MarginalMode<'_>,
+    settings: &IlpSettings,
+) -> Result<IlpOutcome> {
+    let mut out = IlpOutcome::default();
+    let Some(IlpBuild {
+        bins,
+        bin_rows,
+        in_scope,
+        problem,
+        vars,
+        bin_vars,
+    }) = build(p1, ccs, &mode, settings.naive_variables)?
+    else {
+        return Ok(out);
+    };
+    let with_marginals = !matches!(mode, MarginalMode::None);
+    out.bins = bins.len();
     out.vars = vars.len();
     out.rows = problem.n_constraints();
-    drop(build_stage);
 
     // ---- Solve. ----------------------------------------------------------
     let solve_stage = cextend_obs::stage("ilp_solve");
@@ -261,6 +326,123 @@ mod tests {
         let instance = fixtures::running_example();
         let p1 = P1::build(&instance, &SolverConfig::hybrid()).unwrap();
         (instance, p1)
+    }
+
+    /// Algorithm 1's program built pair by pair: bins from `row_state`,
+    /// bin scope from `bin_satisfies` on the projected conditions, match
+    /// tables from per-(CC, bin) `bin_satisfies` and per-(CC, combo)
+    /// `combo_satisfies`, and each elastic row filtering every variable.
+    fn reference_problem(
+        p1: &P1,
+        ccs: &[CardinalityConstraint],
+        mode: &MarginalMode<'_>,
+        naive: bool,
+    ) -> Problem {
+        use crate::phase1::RowState;
+        let bound = p1.binning.bind(p1.view.schema(), p1.view.name()).unwrap();
+        let (mut bins, mut bin_sizes): (Vec<BinKey>, Vec<i64>) = (Vec::new(), Vec::new());
+        for r in p1.view.rows() {
+            if p1.row_state(r) != RowState::Empty {
+                continue;
+            }
+            let Some(key) = bound.bin_of_row(&p1.view, r) else {
+                continue;
+            };
+            match bins.iter().position(|b| *b == key) {
+                Some(bi) => bin_sizes[bi] += 1,
+                None => {
+                    bins.push(key);
+                    bin_sizes.push(1);
+                }
+            }
+        }
+        let binned = |col: &str| p1.binning.columns().iter().any(|c| c == col);
+        let in_scope: Vec<bool> = bins
+            .iter()
+            .map(|bin| match mode {
+                MarginalMode::Restricted(conds) => conds.iter().any(|cond| {
+                    let projected = NormalizedCond::from_sets(
+                        cond.iter()
+                            .filter(|(col, _)| binned(col))
+                            .map(|(col, set)| (col.to_owned(), set.clone())),
+                    );
+                    p1.binning.bin_satisfies(bin, &projected).unwrap()
+                }),
+                _ => true,
+            })
+            .collect();
+        let bin_match: Vec<Vec<bool>> = ccs
+            .iter()
+            .map(|cc| {
+                bins.iter()
+                    .map(|bin| p1.binning.bin_satisfies(bin, &cc.r1).unwrap())
+                    .collect()
+            })
+            .collect();
+        let combo_match: Vec<Vec<bool>> = ccs
+            .iter()
+            .map(|cc| {
+                p1.combos
+                    .iter()
+                    .map(|combo| p1.combo_satisfies(combo, &cc.r2))
+                    .collect()
+            })
+            .collect();
+        let counts = |ci: usize, bi: usize, ki: usize| bin_match[ci][bi] && combo_match[ci][ki];
+        let with_marginals = !matches!(mode, MarginalMode::None);
+        let mut problem = Problem::new();
+        let mut vars: Vec<(usize, Option<usize>)> = Vec::new();
+        let mut bin_vars: Vec<Vec<usize>> = vec![Vec::new(); bins.len()];
+        for bi in (0..bins.len()).filter(|&bi| in_scope[bi]) {
+            for ki in 0..p1.combos.len() {
+                if naive || (0..ccs.len()).any(|ci| counts(ci, bi, ki)) {
+                    bin_vars[bi].push(problem.add_var(format!("x_b{bi}_c{ki}")));
+                    vars.push((bi, Some(ki)));
+                }
+            }
+            if with_marginals && !naive {
+                bin_vars[bi].push(problem.add_var(format!("x_b{bi}_neutral")));
+                vars.push((bi, None));
+            }
+        }
+        if with_marginals {
+            for (bi, bin_vars) in bin_vars.iter().enumerate() {
+                if in_scope[bi] && !bin_vars.is_empty() {
+                    let terms = bin_vars.iter().map(|&v| (v, 1)).collect();
+                    problem.add_constraint(terms, Rel::Eq, bin_sizes[bi]);
+                }
+            }
+        }
+        for (ci, cc) in ccs.iter().enumerate() {
+            let terms = (0..vars.len())
+                .filter(|&v| vars[v].1.is_some_and(|ki| counts(ci, vars[v].0, ki)))
+                .map(|v| (v, 1))
+                .collect();
+            problem.add_soft_eq(terms, cc.target as i64, 1);
+        }
+        problem
+    }
+
+    #[test]
+    fn built_program_matches_the_pairwise_reference() {
+        let (instance, mut p1) = setup();
+        // One assigned row: binning skips it.
+        let combo = p1.combos[0].clone();
+        p1.assign_combo(0, &combo).unwrap();
+        let conds = vec![instance.ccs[0].r1.clone(), instance.ccs[2].r1.clone()];
+        let modes = [
+            MarginalMode::None,
+            MarginalMode::AllWay,
+            MarginalMode::Restricted(&conds),
+        ];
+        for mode in &modes {
+            for naive in [false, true] {
+                let built = build(&p1, &instance.ccs, mode, naive).unwrap().unwrap();
+                assert!(built.bin_rows.iter().flatten().all(|&r| r != 0));
+                let want = reference_problem(&p1, &instance.ccs, mode, naive);
+                assert_eq!(built.problem, want, "{mode:?}, naive {naive}");
+            }
+        }
     }
 
     #[test]

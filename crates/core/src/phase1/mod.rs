@@ -23,7 +23,7 @@ use cextend_constraints::{
 };
 use cextend_table::{
     init_join_view, marginals::distinct_combos, BoundPredicate, ColId, Dtype, Relation, RowId,
-    Value,
+    Value, ValueSet,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -239,14 +239,6 @@ impl P1 {
             .to_predicate()
             .bind(self.view.schema(), self.view.name())?)
     }
-
-    /// Row ids currently in `RowState::Empty`.
-    pub fn empty_rows(&self) -> Vec<RowId> {
-        self.view
-            .rows()
-            .filter(|&r| self.row_state(r) == RowState::Empty)
-            .collect()
-    }
 }
 
 /// `true` if `combo` (aligned with `cols`) satisfies `cond`. Conditions
@@ -259,24 +251,38 @@ pub(crate) fn combo_satisfies(cols: &[String], combo: &[Value], cond: &Normalize
     })
 }
 
-/// One condition bitset per combo, `words` words each, row-major: bit `c`
-/// of combo `k` is set iff `combos[k]` (aligned with `cols`) satisfies
-/// `conds[c]`.
-pub(crate) fn combo_masks(
+/// One condition bitset per key, `words` words each, row-major: bit `c` of
+/// key `k` is set iff `keys[k]` (aligned with `cols`) satisfies `conds[c]`,
+/// as [`combo_satisfies`] decides it. Each condition's columns are resolved
+/// to key positions once.
+pub(crate) fn cond_masks(
     cols: &[String],
-    combos: &[Combo],
+    keys: &[Vec<Value>],
     conds: &[&NormalizedCond],
     words: usize,
 ) -> Vec<u64> {
-    let mut masks = vec![0u64; combos.len() * words];
-    for (k, combo) in combos.iter().enumerate() {
-        for (c, cond) in conds.iter().enumerate() {
-            if combo_satisfies(cols, combo, cond) {
+    let resolved: Vec<Option<Vec<(usize, &ValueSet)>>> = conds
+        .iter()
+        .map(|cond| {
+            cond.iter()
+                .map(|(col, set)| Some((cols.iter().position(|c| c == col)?, set)))
+                .collect()
+        })
+        .collect();
+    let mut masks = vec![0u64; keys.len() * words];
+    for (k, key) in keys.iter().enumerate() {
+        for (c, at) in resolved.iter().enumerate() {
+            if at.as_ref().is_some_and(|at| holds(at, key)) {
                 masks[k * words + c / 64] |= 1 << (c % 64);
             }
         }
     }
     masks
+}
+
+/// `true` if every set holds the value at its position in `key`.
+pub(crate) fn holds(at: &[(usize, &ValueSet)], key: &[Value]) -> bool {
+    at.iter().all(|&(pos, set)| set.contains(key[pos]))
 }
 
 /// The scalar oracle for [`compressed::complete_leftovers`]: boxed per-row

@@ -12,7 +12,7 @@
 //! guarantee for the clean set survives.
 
 use crate::error::Result;
-use crate::phase1::{combo_masks, P1};
+use crate::phase1::{cond_masks, P1};
 use cextend_constraints::{CardinalityConstraint, CcMembership, NormalizedCond};
 use cextend_table::{RowId, Value};
 
@@ -67,8 +67,8 @@ pub fn repair(
     let (prot_words, prot_rows) = row_masks(&p1.cc_r1_bits, protected, n_rows);
     let r2_sides =
         |idx: &[usize]| -> Vec<&NormalizedCond> { idx.iter().map(|&i| &ccs[i].r2).collect() };
-    let rep_combos = combo_masks(&p1.r2_cc_cols, &p1.combos, &r2_sides(repaired), rep_words);
-    let prot_combos = combo_masks(&p1.r2_cc_cols, &p1.combos, &r2_sides(protected), prot_words);
+    let rep_combos = cond_masks(&p1.r2_cc_cols, &p1.combos, &r2_sides(repaired), rep_words);
+    let prot_combos = cond_masks(&p1.r2_cc_cols, &p1.combos, &r2_sides(protected), prot_words);
     let feeds_protected = |k: usize, row: RowId| {
         let combo = &prot_combos[k * prot_words..(k + 1) * prot_words];
         let hits = &prot_rows[row * prot_words..(row + 1) * prot_words];

@@ -9,7 +9,7 @@
 //! violates no FK DC, since DCs quantify over at least two tuples.
 
 use crate::error::{CoreError, Result};
-use crate::phase1::combo_masks;
+use crate::phase1::cond_masks;
 use crate::phase2::Phase2Ctx;
 use cextend_constraints::{
     cc_counts, BoundDc, CardinalityConstraint, CcMembership, NormalizedCond,
@@ -97,7 +97,7 @@ pub(crate) fn solve_invalid(
         kernel.row_mask(row, &mut r1_masks[i * words..(i + 1) * words]);
     }
     let r2_sides: Vec<&NormalizedCond> = ccs.iter().map(|cc| &cc.r2).collect();
-    let combo_masks = combo_masks(&ctx.r2_cc_cols, &ctx.combos, &r2_sides, words);
+    let combo_masks = cond_masks(&ctx.r2_cc_cols, &ctx.combos, &r2_sides, words);
     // Calls `f(ci)` for every CC that row `i` of `invalid` feeds under
     // combo `k`, ascending.
     let for_each_fed = |i: usize, k: usize, f: &mut dyn FnMut(usize)| {

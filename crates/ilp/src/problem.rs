@@ -35,7 +35,7 @@ impl fmt::Display for Rel {
 }
 
 /// One linear constraint `Σ coeff·x ◦ rhs`.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Constraint {
     /// Sparse left-hand side.
     pub terms: Vec<(VarId, i64)>,
@@ -46,7 +46,7 @@ pub struct Constraint {
 }
 
 /// A minimization LP/ILP with non-negative variables.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Problem {
     names: Vec<String>,
     objective: Vec<i64>,

@@ -20,16 +20,18 @@
 //! through hash buckets and sorted runs, the capacity groups it emitted
 //! and the capacity-shaped DCs it kept on explicit edges; a fifth,
 //! CC-count arm that the one-pass membership kernel counts every step CC
-//! on that view exactly as the per-CC `count_in` reference does, and a
-//! sixth, certifier arm
-//! that `metrics::evaluate` reports the naive builder's DC error and the
-//! kernel's CC errors on every step's ground-truth completion and on a
-//! copy with a perturbed FK column
-//! ([`cextend_workloads::agreement`]).
+//! on that view exactly as the per-CC `count_in` reference does, a sixth,
+//! certifier arm that `metrics::evaluate` reports the naive builder's DC
+//! error and the kernel's CC errors on every step's ground-truth completion
+//! and on a copy with a perturbed FK column
+//! ([`cextend_workloads::agreement`]), and a seventh, classification arm
+//! that the compiled [`RelationshipMatrix::build`] classifies every ordered
+//! pair of each step's CCs as the per-pair [`classify`] reference does,
+//! counting the pairs of each kind.
 
 use crate::error::Result;
 use crate::lower::SpecWorkload;
-use cextend_constraints::cc_counts;
+use cextend_constraints::{cc_counts, classify, CcRelationship, RelationshipMatrix};
 use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder, DcRoute};
 use cextend_core::snowflake::{solve_snowflake, SnowflakeSolution, SnowflakeStep};
 use cextend_core::SolverConfig;
@@ -77,6 +79,16 @@ pub struct FuzzOutcome {
     /// edges because another DC of their arity may emit the same vertex
     /// sets, summed over steps.
     pub capacity_edge_dcs: usize,
+    /// Ordered CC pairs the classification arm found disjoint, summed over
+    /// steps.
+    pub disjoint_pairs: usize,
+    /// Ordered CC pairs with equal conditions, summed over steps.
+    pub equal_pairs: usize,
+    /// Ordered CC pairs whose first CC is strictly contained in the second
+    /// (each `contains` pair is the mirror of one), summed over steps.
+    pub contained_pairs: usize,
+    /// Ordered CC pairs found intersecting, summed over steps.
+    pub intersecting_pairs: usize,
 }
 
 /// Deterministically derives the RNG seed of one fuzz iteration.
@@ -326,6 +338,7 @@ pub fn run_differential_oracles(
     let (mut perturbed_dc_error, mut perturbed_cc_error) = (0.0f64, 0.0f64);
     let (mut index_hash, mut index_sorted) = (0usize, 0usize);
     let (mut capacity_groups, mut capacity_edge_dcs) = (0usize, 0usize);
+    let mut pairs = [0usize; 4]; // disjoint, equal, contained-in, intersecting
     for (step, instance) in steps.iter().enumerate() {
         let view = data.step_truth_view(step);
         let dcs = instance
@@ -374,6 +387,29 @@ pub fn run_differential_oracles(
                 ));
             }
         }
+        // Classification arm: the compiled matrix against `classify` on
+        // every ordered pair.
+        let matrix = RelationshipMatrix::build(ccs);
+        for (i, a) in ccs.iter().enumerate() {
+            for (j, b) in ccs.iter().enumerate().filter(|&(j, _)| j != i) {
+                let want = classify(a, b);
+                let got = matrix.get(i, j);
+                if got != want {
+                    return Err(format!(
+                        "{}: step {step} pair ({}, {}) classified {got} by the matrix, {want} \
+                         by classify",
+                        meta.name, a.name, b.name
+                    ));
+                }
+                match want {
+                    CcRelationship::Disjoint => pairs[0] += 1,
+                    CcRelationship::Equal => pairs[1] += 1,
+                    CcRelationship::ContainedIn => pairs[2] += 1,
+                    CcRelationship::Intersecting => pairs[3] += 1,
+                    CcRelationship::Contains => {}
+                }
+            }
+        }
         // Certifier arm: `evaluate` against both references on the step's
         // ground-truth completion and a perturbed copy.
         let (_, perturbed) =
@@ -396,6 +432,10 @@ pub fn run_differential_oracles(
         index_sorted,
         capacity_groups,
         capacity_edge_dcs,
+        disjoint_pairs: pairs[0],
+        equal_pairs: pairs[1],
+        contained_pairs: pairs[2],
+        intersecting_pairs: pairs[3],
     })
 }
 

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 /// The set of values a conjunctive condition allows in one column.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum ValueSet {
     /// Integer interval `[lo, hi]` (inclusive). Always non-empty (`lo ≤ hi`).
     IntRange {
@@ -131,9 +131,16 @@ impl ValueSet {
         }
     }
 
-    /// `true` if the sets share no value.
+    /// `true` if the sets share no value: exactly when [`Self::intersect`]
+    /// is empty, decided without building the intersection.
     pub fn is_disjoint(&self, other: &ValueSet) -> bool {
-        self.intersect(other).is_empty()
+        match (self, other) {
+            (ValueSet::IntRange { lo: a, hi: b }, ValueSet::IntRange { lo: c, hi: d }) => {
+                (*a).max(*c) > (*b).min(*d)
+            }
+            (ValueSet::Strs(x), ValueSet::Strs(y)) => x.is_disjoint(y),
+            _ => true,
+        }
     }
 
     /// `true` if `v` belongs to the set.
@@ -368,6 +375,25 @@ mod proptests {
         (-100i64..100, -100i64..100).prop_map(|(a, b)| ValueSet::range(a.min(b), a.max(b)))
     }
 
+    /// Ranges (some collapsing to `Empty`), sets of one to four of six
+    /// symbols, and `Empty`.
+    fn arb_set() -> impl Strategy<Value = ValueSet> {
+        (
+            0u8..3,
+            (-10i64..10, -10i64..10),
+            prop::collection::vec(0usize..6, 1..5),
+        )
+            .prop_map(|(kind, (lo, hi), picks)| match kind {
+                0 => ValueSet::range(lo, hi),
+                1 => ValueSet::syms(
+                    picks
+                        .into_iter()
+                        .map(|i| Sym::intern(["a", "b", "c", "d", "e", "f"][i])),
+                ),
+                _ => ValueSet::Empty,
+            })
+    }
+
     proptest! {
         #[test]
         fn intersect_commutes(a in arb_range(), b in arb_range()) {
@@ -384,6 +410,13 @@ mod proptests {
         #[test]
         fn subset_iff_intersection_is_self(a in arb_range(), b in arb_range()) {
             prop_assert_eq!(a.is_subset(&b), a.intersect(&b) == a);
+        }
+
+        /// The allocation-free test agrees with the intersection it skips,
+        /// over ranges, symbol sets, `Empty` and mixed types.
+        #[test]
+        fn disjoint_iff_intersection_is_empty(a in arb_set(), b in arb_set()) {
+            prop_assert_eq!(a.is_disjoint(&b), a.intersect(&b).is_empty());
         }
 
         #[test]

@@ -151,6 +151,101 @@ mod tests {
         assert_eq!(protected_counts(&p1.view), kept);
     }
 
+    /// Algorithm 1's program, built from per-bin and per-combo CC masks,
+    /// equals the one built pair by pair from `bin_satisfies` and
+    /// `combo_satisfies` on a census bad-family instance (five mask
+    /// words), in the baselines' and the hybrid's configurations.
+    #[test]
+    fn ilp_build_matches_the_pairwise_reference_on_the_bad_family() {
+        use cextend_constraints::NormalizedCond;
+        use cextend_core::phase1_internals::{build_ilp, MarginalMode, P1};
+        use cextend_core::SolverConfig;
+        use cextend_ilp::{Problem, Rel};
+        let w = CensusWorkload;
+        let data = w.generate(&WorkloadParams::new(0.1, 1000));
+        let ccs = w.ccs(CcFamily::Bad, 300, &data, 1000);
+        let instance = data.to_instance(ccs, w.dcs(DcSet::Good)).unwrap();
+        let ccs = &instance.ccs;
+        assert!(ccs.len() > 256, "{} CCs", ccs.len());
+        let p1 = P1::build(&instance, &SolverConfig::hybrid()).unwrap();
+        let r1_conds: Vec<NormalizedCond> = ccs.iter().map(|cc| cc.r1.clone()).collect();
+        let configs = [
+            (MarginalMode::None, true),
+            (MarginalMode::AllWay, true),
+            (MarginalMode::AllWay, false),
+            (MarginalMode::Restricted(&r1_conds), false),
+        ];
+        for (mode, naive) in configs {
+            let built = build_ilp(&p1, ccs, &mode, naive).unwrap().unwrap();
+            // Every row starts empty and binned; scope and match tables
+            // come from the per-pair tests.
+            assert_eq!(built.bin_rows.iter().flatten().count(), p1.view.n_rows());
+            let bins = &built.bins;
+            let in_scope: Vec<bool> = bins
+                .iter()
+                .map(|bin| match mode {
+                    MarginalMode::Restricted(conds) => conds
+                        .iter()
+                        .any(|cond| p1.binning.bin_satisfies(bin, cond).unwrap()),
+                    _ => true,
+                })
+                .collect();
+            assert_eq!(built.in_scope, in_scope);
+            let bin_match: Vec<Vec<bool>> = ccs
+                .iter()
+                .map(|cc| {
+                    bins.iter()
+                        .map(|bin| p1.binning.bin_satisfies(bin, &cc.r1).unwrap())
+                        .collect()
+                })
+                .collect();
+            let combo_match: Vec<Vec<bool>> = ccs
+                .iter()
+                .map(|cc| {
+                    p1.combos
+                        .iter()
+                        .map(|k| p1.combo_satisfies(k, &cc.r2))
+                        .collect()
+                })
+                .collect();
+            let counts = |ci: usize, bi: usize, ki: usize| bin_match[ci][bi] && combo_match[ci][ki];
+            let with_marginals = !matches!(mode, MarginalMode::None);
+            let mut want = Problem::new();
+            let mut vars: Vec<(usize, Option<usize>)> = Vec::new();
+            let mut bin_vars: Vec<Vec<usize>> = vec![Vec::new(); bins.len()];
+            for bi in (0..bins.len()).filter(|&bi| in_scope[bi]) {
+                for ki in 0..p1.combos.len() {
+                    if naive || (0..ccs.len()).any(|ci| counts(ci, bi, ki)) {
+                        bin_vars[bi].push(want.add_var(format!("x_b{bi}_c{ki}")));
+                        vars.push((bi, Some(ki)));
+                    }
+                }
+                if with_marginals && !naive {
+                    bin_vars[bi].push(want.add_var(format!("x_b{bi}_neutral")));
+                    vars.push((bi, None));
+                }
+            }
+            for (bi, bin_vars) in bin_vars.iter().enumerate() {
+                if with_marginals && !bin_vars.is_empty() {
+                    let terms = bin_vars.iter().map(|&v| (v, 1)).collect();
+                    want.add_constraint(terms, Rel::Eq, built.bin_rows[bi].len() as i64);
+                }
+            }
+            for (ci, cc) in ccs.iter().enumerate() {
+                let terms = (0..vars.len())
+                    .filter(|&v| vars[v].1.is_some_and(|ki| counts(ci, vars[v].0, ki)))
+                    .map(|v| (v, 1))
+                    .collect();
+                want.add_soft_eq(terms, cc.target as i64, 1);
+            }
+            assert_eq!(built.vars, vars, "{mode:?}, naive {naive}");
+            assert!(
+                built.problem == want,
+                "{mode:?}, naive {naive}: the programs differ"
+            );
+        }
+    }
+
     #[test]
     fn r2_cols_progression_matches_meta() {
         let w = CensusWorkload;
