@@ -1,6 +1,6 @@
 //! Micro-benchmarks for Phase 1: Algorithm 2's Hasse recursion and
 //! leftover completion on census- and dcdense-shaped inputs, the retained
-//! scalar oracle against the code-compressed path (serial, and leftover
+//! scalar oracle against the production path (serial, and leftover
 //! completion at 4 workers), plus the CC-membership kernel against per-CC
 //! `count_in` scans. The paths compared in each group produce the same
 //! output (the equivalence tests assert it, and `cc_membership` asserts
@@ -56,7 +56,7 @@ fn bench_hasse(c: &mut Criterion) {
         group.bench_function("compressed", |b| {
             b.iter_batched(
                 || P1::build(&instance, &config).unwrap(),
-                |mut p1| run_hasse(&mut p1, &instance.ccs, &all, &hasse, &comps).unwrap(),
+                |mut p1| run_hasse(&mut p1, &instance.ccs, &all, &hasse, &comps),
                 BatchSize::PerIteration,
             )
         });
@@ -73,10 +73,13 @@ fn bench_leftovers(c: &mut Criterion) {
         let comps: Vec<&[usize]> = hasse.components().iter().map(|c| c.as_slice()).collect();
         let all: Vec<usize> = (0..instance.ccs.len()).collect();
         // Setup replays the recursion so the routine sees the real
-        // leftover population (partially assigned rows included).
+        // leftover population (partially assigned rows included), with the
+        // pins written into the view for the scalar oracle, which reads
+        // cells.
         let after_hasse = || {
             let mut p1 = P1::build(&instance, &config).unwrap();
-            run_hasse(&mut p1, &instance.ccs, &all, &hasse, &comps).unwrap();
+            run_hasse(&mut p1, &instance.ccs, &all, &hasse, &comps);
+            p1.write_pins(0..p1.view.n_rows()).unwrap();
             p1
         };
         let mut group = c.benchmark_group(format!("phase1_leftovers/{workload}"));
@@ -91,14 +94,14 @@ fn bench_leftovers(c: &mut Criterion) {
         group.bench_function("compressed-serial", |b| {
             b.iter_batched(
                 after_hasse,
-                |mut p1| complete_leftovers(&mut p1, &instance.ccs, 1).unwrap(),
+                |mut p1| complete_leftovers(&mut p1, 1),
                 BatchSize::PerIteration,
             )
         });
         group.bench_function("compressed-parallel4", |b| {
             b.iter_batched(
                 after_hasse,
-                |mut p1| complete_leftovers(&mut p1, &instance.ccs, 4).unwrap(),
+                |mut p1| complete_leftovers(&mut p1, 4),
                 BatchSize::PerIteration,
             )
         });

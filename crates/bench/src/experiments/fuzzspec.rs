@@ -21,7 +21,12 @@
 //! capacity routes met the naive reference. Its classification arm checks
 //! the compiled CC relationship matrix against per-pair `classify` on
 //! every step's CCs, and must have met disjoint, contained-in and
-//! intersecting pairs.
+//! intersecting pairs. Its Phase I arm checks Algorithm 2, leftover
+//! completion and random completion against their scalar oracles on every
+//! step's ground-truth instance with the FK erased, and must have met at
+//! least one row Algorithm 2 left partially pinned, so the completion
+//! passes were compared on rows that agree with their combo on some CC
+//! columns only.
 //!
 //! `spec-check` parses + statically checks every `specs/*.spec` and
 //! asserts every `specs/bad/*.spec` is rejected by the checker.
@@ -47,6 +52,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     let (mut capacity_groups, mut capacity_edge_dcs) = (0usize, 0usize);
     let (mut disjoint, mut equal, mut contained, mut intersecting) =
         (0usize, 0usize, 0usize, 0usize);
+    let mut partially_pinned = 0usize;
     for iter in 0..opts.iters {
         let workload = fuzz_workload(opts.seed, iter).map_err(|e| {
             format!("iteration {iter}: generated spec failed its own static checks: {e}")
@@ -69,6 +75,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         equal += out.equal_pairs;
         contained += out.contained_pairs;
         intersecting += out.intersecting_pairs;
+        partially_pinned += out.partially_pinned_rows;
     }
     if best_levels < 3 || best_width < 3 {
         return Err(format!(
@@ -102,12 +109,19 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
              three > 0 across the run)"
         ));
     }
+    if partially_pinned == 0 {
+        return Err(
+            "fuzz-spec Phase I arm never met a partially pinned row (need > 0 across the run)"
+                .to_owned(),
+        );
+    }
     println!(
         "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets ({index_hash} hash / \
          {index_sorted} sorted depths, {capacity_groups} capacity groups, \
          {capacity_edge_dcs} capacity-shaped DCs on edges), kernel ≡ count_in CC counts, compiled \
          matrix ≡ classify ({disjoint} disjoint, {equal} equal, {contained} contained-in, \
-         {intersecting} intersecting ordered pairs), certifier ≡ \
+         {intersecting} intersecting ordered pairs), Phase I ≡ scalar oracles \
+         ({partially_pinned} partially pinned rows), certifier ≡ \
          naive/kernel references on truth and perturbed completions (largest perturbed DC \
          error {dc_error:.3}, CC error {cc_error:.3}) and 1 ≡ 2 ≡ 4 workers on every spec \
          (deepest schedule {best_levels} levels, widest level {best_width})",

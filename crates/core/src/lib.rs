@@ -52,7 +52,6 @@
 
 #![warn(missing_docs)]
 
-mod baseline;
 mod config;
 mod error;
 mod instance;
@@ -66,7 +65,6 @@ mod report;
 pub mod snowflake;
 pub mod stepgraph;
 
-pub use baseline::{solve_baseline, solve_baseline_with_marginals, solve_hybrid};
 pub use config::{
     ColoringMode, IlpSettings, Phase1Strategy, Phase2Strategy, SchedulerMode, SolverConfig,
 };
@@ -87,9 +85,9 @@ pub use report::{Solution, SolveCounters, SolveStats, StageTimings};
 
 /// Phase I internals (Algorithm 2, Algorithm 1's program build and the
 /// completion passes), exposed for the criterion benches and the
-/// oracle-equivalence tests: the code-compressed production paths next to
-/// the retained scalar oracles, plus the per-shard RNG stream machinery the
-/// determinism tests pin down.
+/// oracle-equivalence tests: the production paths next to the retained
+/// scalar oracles, plus the per-shard RNG stream machinery the determinism
+/// tests pin down.
 pub mod phase1_internals {
     pub use crate::phase1::compressed::{complete_leftovers, complete_randomly};
     pub use crate::phase1::hasse_rec::{
@@ -98,7 +96,8 @@ pub mod phase1_internals {
     pub use crate::phase1::ilp_based::{build as build_ilp, IlpBuild, MarginalMode};
     pub use crate::phase1::repair::{repair, RepairOutcome};
     pub use crate::phase1::{
-        complete_leftovers_scalar, complete_randomly_scalar, shard_rng, Combo, P1, SHARD_SIZE,
+        complete_leftovers_scalar, complete_randomly_scalar, shard_rng, Combo, RowState, P1,
+        SHARD_SIZE,
     };
 }
 

@@ -8,8 +8,8 @@
 
 use crate::error::Result;
 use crate::phase1::{compressed, RowState, P1};
-use cextend_constraints::{CardinalityConstraint, HasseDiagram, NormalizedCond};
-use cextend_table::{BoundPredicate, RowId, Sym, Value};
+use cextend_constraints::{CardinalityConstraint, HasseDiagram};
+use cextend_table::{BoundPredicate, RowId};
 
 /// Outcome counters of one Algorithm 2 run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -59,63 +59,51 @@ fn choose_combo(
 /// processed. `ccs[i]`'s `R1` bitmap is `p1.cc_r1_bits[bits_of[i]]` (the
 /// hybrid deduplicates the instance's CCs before building the diagram).
 ///
-/// This is the code-compressed production path: each node's candidate scan
-/// is a bitmap intersection (`node & empty & !excluded`) over the `R1`
-/// bitmaps [`P1::build`] computed, instead of a row-at-a-time predicate
-/// walk. The recursion is serial — components are *not* row-disjoint (CCs
-/// disjoint through `R2` compete for the same empty rows), so node order is
-/// part of the algorithm's semantics. Its decisions read only the bitmaps
-/// and the `empty` set, never the view, so the claimed rows are written
-/// afterwards, in claim order. Bit-identical to [`run_scalar`].
+/// This is the production path: each node's candidate scan is a bitmap
+/// intersection (`node & empty & !excluded`) over the `R1` bitmaps
+/// [`P1::build`] computed, instead of a row-at-a-time predicate walk. The
+/// recursion is serial — components are *not* row-disjoint (CCs disjoint
+/// through `R2` compete for the same empty rows), so node order is part of
+/// the algorithm's semantics. Each claim records its combo and the CC
+/// columns the node's `R2` condition pins on the claimed rows
+/// (`P1::pin`). Bit-identical to [`run_scalar`] once [`P1::write_pins`]
+/// has written the pins into the view.
 pub fn run(
     p1: &mut P1,
     ccs: &[CardinalityConstraint],
     bits_of: &[usize],
     hasse: &HasseDiagram,
     components: &[&[usize]],
-) -> Result<HasseOutcome> {
+) -> HasseOutcome {
     assert_eq!(ccs.len(), bits_of.len(), "one bitmap index per CC");
-    let bits: Vec<&[u64]> = bits_of
-        .iter()
-        .map(|&i| p1.cc_r1_bits[i].as_slice())
-        .collect();
+    // The bitmaps are read while the claims are recorded into `p1`.
+    let r1_bits = std::mem::take(&mut p1.cc_r1_bits);
+    let bits: Vec<&[u64]> = bits_of.iter().map(|&i| r1_bits[i].as_slice()).collect();
     let mut empty = compressed::empty_rows_bitmap(p1);
     let mut out = HasseOutcome::default();
-    let mut claims: Vec<Claim> = Vec::new();
     for comp in components {
         for m in hasse.maximal_elements(comp) {
-            solve_node_bits(p1, ccs, hasse, &bits, &mut empty, m, &mut claims, &mut out);
+            solve_node_bits(p1, ccs, hasse, &bits, &mut empty, m, &mut out);
         }
     }
     drop(bits);
-    for claim in &claims {
-        write_claim(p1, &ccs[claim.node].r2, claim.combo, &claim.rows)?;
-    }
-    Ok(out)
+    p1.cc_r1_bits = r1_bits;
+    out
 }
 
-/// Rows one node claimed, and the combo whose `R2` values they take.
-struct Claim {
-    node: usize,
-    combo: usize,
-    rows: Vec<RowId>,
-}
-
-#[allow(clippy::too_many_arguments)] // private recursion of `run`
 fn solve_node_bits(
-    p1: &P1,
+    p1: &mut P1,
     ccs: &[CardinalityConstraint],
     hasse: &HasseDiagram,
     bits: &[&[u64]],
     empty: &mut Vec<u64>,
     node: usize,
-    claims: &mut Vec<Claim>,
     out: &mut HasseOutcome,
 ) {
     // Children first (lines 9–11).
     let children: Vec<usize> = hasse.children(node).to_vec();
     for &c in &children {
-        solve_node_bits(p1, ccs, hasse, bits, empty, c, claims, out);
+        solve_node_bits(p1, ccs, hasse, bits, empty, c, out);
     }
     // Demand left for this node after its children (line 12).
     let child_total: u64 = children.iter().map(|&c| ccs[c].target).sum();
@@ -159,42 +147,14 @@ fn solve_node_bits(
     }
     out.assigned_rows += rows.len();
     // Claimed rows leave the empty set — unless the node's condition
-    // constrains no CC column, in which case the partial assignment writes
-    // nothing and the rows really are still Empty (matching the scalar
-    // `row_state` check).
-    let writes = p1.r2_cc_cols.iter().any(|c| ccs[node].r2.get(c).is_some());
-    if writes && !rows.is_empty() {
+    // constrains no CC column, in which case the claim pins nothing and
+    // the rows really are still Empty (matching the scalar `row_state`
+    // check).
+    if p1.pin(&rows, combo_idx, &ccs[node].r2) {
         for &r in &rows {
             empty[r >> 6] &= !(1 << (r & 63));
         }
-        claims.push(Claim {
-            node,
-            combo: combo_idx,
-            rows,
-        });
     }
-}
-
-/// Writes the `cond`-constrained columns of combo `combo_idx` into `rows`
-/// (Algorithm 2's partial assignment), one column batch each.
-fn write_claim(p1: &mut P1, cond: &NormalizedCond, combo_idx: usize, rows: &[RowId]) -> Result<()> {
-    for j in 0..p1.r2_cc_cols.len() {
-        if cond.get(&p1.r2_cc_cols[j]).is_none() {
-            continue;
-        }
-        let col = p1.view_cc_ids[j];
-        match p1.combos[combo_idx][j] {
-            Value::Int(x) => {
-                let cells: Vec<(RowId, i64)> = rows.iter().map(|&r| (r, x)).collect();
-                p1.view.batch_set_ints(col, &cells)?;
-            }
-            Value::Str(s) => {
-                let cells: Vec<(RowId, Sym)> = rows.iter().map(|&r| (r, s)).collect();
-                p1.view.batch_set_syms(col, &cells)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The scalar oracle for [`run`]: boxed per-row state probes and compiled
@@ -355,10 +315,11 @@ mod tests {
         let hasse = HasseDiagram::build(&m);
         let comps: Vec<&[usize]> = hasse.components().iter().map(|c| c.as_slice()).collect();
         let all: Vec<usize> = (0..instance.ccs.len()).collect();
-        let out = run(&mut p1, &instance.ccs, &all, &hasse, &comps).unwrap();
+        let out = run(&mut p1, &instance.ccs, &all, &hasse, &comps);
+        p1.write_pins(0..p1.view.n_rows()).unwrap();
 
         // Every fixture doubles as an oracle-equivalence case: the scalar
-        // path and the compressed path must produce the same view and
+        // path and the production path must produce the same view and
         // counters.
         let mut scalar = P1::build(instance, &config).unwrap();
         let scalar_out = run_scalar(&mut scalar, &instance.ccs, &hasse, &comps).unwrap();

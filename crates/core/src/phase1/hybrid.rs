@@ -54,7 +54,7 @@ pub(crate) fn run(
             stats.counters.s2_ccs = instance.ccs.len();
             // Baseline completion: random combos for every leftover row.
             let random_stage = cextend_obs::stage("random");
-            complete_randomly(&mut p1, config.workers)?;
+            complete_randomly(&mut p1, config.workers);
             drop(random_stage);
         }
     }
@@ -128,7 +128,7 @@ fn run_hybrid(
 
     // ---- Algorithm 2 on the clean diagrams. -----------------------------
     let hasse_stage = cextend_obs::stage("hasse");
-    let out = hasse_rec::run(p1, &kept, &kept_src, &hasse, &clean)?;
+    let out = hasse_rec::run(p1, &kept, &kept_src, &hasse, &clean);
     stats.counters.hasse_assigned_rows += out.assigned_rows;
     drop(hasse_stage);
 
@@ -158,14 +158,14 @@ fn run_hybrid(
             &repaired_ccs,
             &protected,
             config.ilp.repair_passes,
-        )?;
+        );
         stats.counters.repair_moves += repaired.moves;
         drop(repair_stage);
     }
 
     // ---- Completion (Algorithm 2 lines 14–17, generalized). -------------
     let leftovers_stage = cextend_obs::stage("leftovers");
-    complete_leftovers(p1, &instance.ccs, config.workers)?;
+    complete_leftovers(p1, config.workers);
     drop(leftovers_stage);
     Ok(())
 }
@@ -190,12 +190,23 @@ mod tests {
     use crate::instance::fixtures;
     use cextend_constraints::parse_cc;
 
+    /// Runs Phase I and writes every row's pins into the view.
+    fn run_written(
+        instance: &CExtensionInstance,
+        config: &SolverConfig,
+        stats: &mut SolveStats,
+    ) -> (P1, Vec<RowId>) {
+        let (mut p1, invalid) = run(instance, config, stats).unwrap();
+        p1.write_pins(0..p1.view.n_rows()).unwrap();
+        (p1, invalid)
+    }
+
     #[test]
     fn running_example_hybrid_satisfies_all_ccs() {
         let instance = fixtures::running_example();
         let config = SolverConfig::hybrid();
         let mut stats = SolveStats::default();
-        let (p1, invalid) = run(&instance, &config, &mut stats).unwrap();
+        let (p1, invalid) = run_written(&instance, &config, &mut stats);
         assert!(invalid.is_empty());
         for cc in &instance.ccs {
             assert_eq!(cc.count_in(&p1.view).unwrap(), cc.target, "{cc}");
@@ -221,7 +232,7 @@ mod tests {
         instance.ccs.push(instance.ccs[0].clone());
         let config = SolverConfig::hybrid();
         let mut stats = SolveStats::default();
-        let (p1, _) = run(&instance, &config, &mut stats).unwrap();
+        let (p1, _) = run_written(&instance, &config, &mut stats);
         assert_eq!(stats.counters.deduped_ccs, 1);
         assert_eq!(instance.ccs[0].count_in(&p1.view).unwrap(), 4);
     }
@@ -238,7 +249,7 @@ mod tests {
         ];
         let config = SolverConfig::hybrid();
         let mut stats = SolveStats::default();
-        let (p1, _) = run(&instance, &config, &mut stats).unwrap();
+        let (p1, _) = run_written(&instance, &config, &mut stats);
         assert_eq!(stats.counters.deduped_ccs, 1);
         assert_eq!(stats.counters.s2_ccs, 2);
         let got = instance.ccs[0].count_in(&p1.view).unwrap();
@@ -253,7 +264,7 @@ mod tests {
         ] {
             let instance = fixtures::running_example();
             let mut stats = SolveStats::default();
-            let (p1, invalid) = run(&instance, &config, &mut stats).unwrap();
+            let (p1, invalid) = run_written(&instance, &config, &mut stats);
             assert!(invalid.is_empty());
             for r in p1.view.rows() {
                 assert!(p1.row_full(r));
@@ -267,12 +278,11 @@ mod tests {
         // CC counts (paper: "baseline with marginals satisfies all CCs").
         let instance = fixtures::running_example();
         let mut stats = SolveStats::default();
-        let (p1, _) = run(
+        let (p1, _) = run_written(
             &instance,
             &SolverConfig::baseline_with_marginals(),
             &mut stats,
-        )
-        .unwrap();
+        );
         for cc in &instance.ccs {
             assert_eq!(cc.count_in(&p1.view).unwrap(), cc.target, "{cc}");
         }

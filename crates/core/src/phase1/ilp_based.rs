@@ -302,11 +302,10 @@ pub(crate) fn run(
     for (v, &(bi, combo)) in vars.iter().enumerate() {
         let Some(ki) = combo else { continue };
         let mut want = values[v].max(0) as usize;
-        let combo_vals = p1.combos[ki].clone();
         while want > 0 && cursors[bi] < bin_rows[bi].len() {
             let row = bin_rows[bi][cursors[bi]];
             cursors[bi] += 1;
-            p1.assign_combo(row, &combo_vals)?;
+            p1.set_combo(row, ki);
             out.assigned_rows += 1;
             want -= 1;
         }
@@ -326,6 +325,12 @@ mod tests {
         let instance = fixtures::running_example();
         let p1 = P1::build(&instance, &SolverConfig::hybrid()).unwrap();
         (instance, p1)
+    }
+
+    /// `cc`'s count on the view once every row's pins are written.
+    fn count(p1: &mut P1, cc: &CardinalityConstraint) -> u64 {
+        p1.write_pins(0..p1.view.n_rows()).unwrap();
+        cc.count_in(&p1.view).unwrap()
     }
 
     /// Algorithm 1's program built pair by pair: bins from `row_state`,
@@ -427,8 +432,8 @@ mod tests {
     fn built_program_matches_the_pairwise_reference() {
         let (instance, mut p1) = setup();
         // One assigned row: binning skips it.
-        let combo = p1.combos[0].clone();
-        p1.assign_combo(0, &combo).unwrap();
+        p1.set_combo(0, 0);
+        p1.write_pins([0]).unwrap();
         let conds = vec![instance.ccs[0].r1.clone(), instance.ccs[2].r1.clone()];
         let modes = [
             MarginalMode::None,
@@ -459,7 +464,7 @@ mod tests {
         .unwrap();
         assert_eq!(out.assigned_rows, 9, "all nine view rows get an Area");
         for cc in &instance.ccs {
-            assert_eq!(cc.count_in(&p1.view).unwrap(), cc.target, "{cc}");
+            assert_eq!(count(&mut p1, cc), cc.target, "{cc}");
         }
         // Example 4.1's binning: 4 bins of distinct (Age-interval, Rel,
         // Multi-ling) combinations.
@@ -500,8 +505,8 @@ mod tests {
         .unwrap();
         // Owner rows: 6 of 9.
         assert_eq!(out.assigned_rows, 6);
-        assert_eq!(instance.ccs[0].count_in(&p1.view).unwrap(), 4);
-        assert_eq!(instance.ccs[1].count_in(&p1.view).unwrap(), 2);
+        assert_eq!(count(&mut p1, &instance.ccs[0]), 4);
+        assert_eq!(count(&mut p1, &instance.ccs[1]), 2);
     }
 
     #[test]
@@ -539,7 +544,7 @@ mod tests {
         .unwrap();
         let mut p1 = P1::build(&instance, &SolverConfig::hybrid()).unwrap();
         run(&mut p1, &ccs, MarginalMode::AllWay, &IlpSettings::default()).unwrap();
-        let got = ccs[0].count_in(&p1.view).unwrap();
+        let got = count(&mut p1, &ccs[0]);
         assert!((2..=5).contains(&got), "count {got} outside [2,5]");
     }
 

@@ -1,9 +1,10 @@
 //! Phase I: completing the join view `V_join` from the CCs (Section 4).
 //!
 //! The view starts as a copy of `R1` with empty `R2`-side columns
-//! (Section 3.1). Phase I fills the `R2`-side columns *referenced by CCs*
-//! ("in practice, we only consider columns used in S_CC"); the remaining
-//! `R2` columns are filled in Phase II from the chosen key. Three strategies
+//! (Section 3.1). Phase I decides the values of the `R2`-side columns
+//! *referenced by CCs* ("in practice, we only consider columns used in
+//! S_CC") as one combo id per row ([`P1`]); Phase II partitions the rows by
+//! that id and fills every `R2` column from the chosen key. Three strategies
 //! share this module's context: the exact Hasse recursion (Algorithm 2,
 //! [`hasse_rec`]), the ILP formulation (Algorithm 1, [`ilp_based`]) and the
 //! hybrid split of Section 4.3 ([`hybrid`]).
@@ -22,8 +23,8 @@ use cextend_constraints::{
     domain_ranges, Binning, CardinalityConstraint, CcMembership, ColumnIntervals, NormalizedCond,
 };
 use cextend_table::{
-    init_join_view, marginals::distinct_combos, BoundPredicate, ColId, Dtype, Relation, RowId,
-    Value, ValueSet,
+    init_join_view, marginals::group_rows, BoundPredicate, ColId, Dtype, Relation, RowId, Value,
+    ValueSet,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,7 +75,27 @@ pub enum RowState {
     Full,
 }
 
+/// Combo id of a row that holds no combo (it pins nothing).
+pub(crate) const NO_COMBO: u32 = u32::MAX;
+
+/// Pin set of a row that pins no CC column.
+const PIN_NONE: u32 = 0;
+
+/// Pin set of a row that pins every CC column: a complete row.
+const PIN_ALL: u32 = 1;
+
 /// Phase I working context.
+///
+/// Phase I's decisions live in one per-row record, never in the view's
+/// `R2`-side cells: the combo a row holds and its *pin set*, the CC columns
+/// it has fixed. Pin set 0 pins nothing (the row is empty and holds no
+/// combo), pin set 1 pins every CC column (the row is complete), and
+/// Algorithm 2 adds one set per distinct column subset its claims
+/// constrain. A row with any other pin set is partially pinned: it agrees
+/// with its combo on the pinned columns only. Phase II partitions rows by
+/// combo id and copies each household's `R2` attributes into the view;
+/// [`P1::write_pins`] puts a row's pinned values into the view cells for
+/// the scalar oracles, which read and write cells.
 pub struct P1 {
     /// The join view being completed (row `i` ↔ `R1` row `i`).
     pub view: Relation,
@@ -84,14 +105,32 @@ pub struct P1 {
     pub view_cc_ids: Vec<ColId>,
     /// Distinct existing combos over `r2_cc_cols` in `R2`, sorted.
     pub combos: Vec<Combo>,
+    /// Each combo's `R2` rows (its households), ascending.
+    pub(crate) households: Vec<Vec<RowId>>,
+    /// Words per CC mask: one bit per CC of the instance.
+    pub(crate) cc_words: usize,
+    /// `combo_ccs[k * cc_words..(k + 1) * cc_words]`: the CCs whose `R2`
+    /// side combo `k` satisfies (`cond_masks`).
+    pub(crate) combo_ccs: Vec<u64>,
     /// Binning of `R1`'s attribute columns (intervalized numerics).
     pub binning: Binning,
     /// `R1`-side membership of the instance's CCs: bit `row % 64` of word
     /// `row / 64` of `cc_r1_bits[i]` is set iff view row `row` satisfies
     /// `instance.ccs[i].r1`. Built once, in one pass, by [`P1::build`];
-    /// Phase I writes only `R2`-side columns, so it stays exact until the
+    /// Phase I decides only `R2`-side values, so it stays exact until the
     /// solve drops it after Phase I.
     pub cc_r1_bits: Vec<Vec<u64>>,
+    /// Per row, the combo it holds ([`NO_COMBO`] when it pins nothing).
+    row_combo: Vec<u32>,
+    /// Per row, its pin set.
+    row_pins: Vec<u32>,
+    /// Per pin set, which CC columns it pins.
+    pin_cols: Vec<Vec<bool>>,
+    /// Per pin set, `cc_words` words: the CCs all of whose `R2` columns it
+    /// pins.
+    pin_cover: Vec<u64>,
+    /// Per CC, the positions of its `R2` columns in `r2_cc_cols`.
+    cc_r2_pos: Vec<Vec<usize>>,
     /// The solver seed; completion stages derive per-shard streams from it
     /// via [`shard_rng`].
     pub seed: u64,
@@ -100,9 +139,12 @@ pub struct P1 {
 }
 
 impl P1 {
-    /// Builds the context: initializes `V_join`, enumerates existing `R2`
-    /// combos, intervalizes `R1`'s numeric attributes and classifies every
-    /// row against the CCs' `R1` sides ([`P1::cc_r1_bits`]).
+    /// Builds the context: initializes `V_join`, groups `R2` by its combo
+    /// over the CC columns (the combos, their households and their CC
+    /// masks), intervalizes `R1`'s numeric attributes and classifies every
+    /// row against the CCs' `R1` sides ([`P1::cc_r1_bits`]). Every row
+    /// starts empty, or complete on the one empty combo when no CC has an
+    /// `R2` condition.
     pub fn build(instance: &CExtensionInstance, config: &SolverConfig) -> Result<P1> {
         let (view, _layout) = init_join_view(&instance.r1, &instance.r2)?;
         let r2_cc_cols = if config.complete_all_r2_columns {
@@ -129,8 +171,33 @@ impl P1 {
             .iter()
             .map(|c| instance.r2.schema().require(c, instance.r2.name()))
             .collect::<std::result::Result<Vec<_>, _>>()?;
-        let combo_counts = distinct_combos(&instance.r2, &r2_col_ids);
-        let (combos, _key_counts): (Vec<Combo>, Vec<u64>) = combo_counts.into_iter().unzip();
+        // One group-by of R2: key-sorted groups are the sorted combos;
+        // households with a missing combo cell belong to none.
+        let (mut combos, mut households): (Vec<Combo>, Vec<Vec<RowId>>) =
+            group_rows(&instance.r2, &r2_col_ids)
+                .iter()
+                .filter(|(key, _)| key.iter().all(Option::is_some))
+                .map(|(key, rows)| (key.iter().flatten().copied().collect(), rows.to_vec()))
+                .unzip();
+        if r2_cc_cols.is_empty() && combos.is_empty() {
+            // No CC column: every row holds the empty combo, even over an
+            // empty R2.
+            combos.push(Vec::new());
+            households.push(Vec::new());
+        }
+        let cc_words = instance.ccs.len().div_ceil(64);
+        let r2_sides: Vec<&NormalizedCond> = instance.ccs.iter().map(|cc| &cc.r2).collect();
+        let combo_ccs = cond_masks(&r2_cc_cols, &combos, &r2_sides, cc_words);
+        let cc_r2_pos = instance
+            .ccs
+            .iter()
+            .map(|cc| {
+                cc.r2
+                    .columns()
+                    .filter_map(|col| r2_cc_cols.iter().position(|c| c == col))
+                    .collect()
+            })
+            .collect();
 
         // Intervalize R1's numeric attribute columns over their active domains.
         let r1_attr_names: Vec<String> = instance
@@ -165,19 +232,180 @@ impl P1 {
             CcMembership::build(&view, instance.ccs.iter().map(|cc| &cc.r1))?.bitmaps();
         drop(membership_span);
 
-        Ok(P1 {
+        let n = view.n_rows();
+        let (start_combo, start_pins) = if r2_cc_cols.is_empty() {
+            (0, PIN_ALL)
+        } else {
+            (NO_COMBO, PIN_NONE)
+        };
+        let mut p1 = P1 {
             view,
-            r2_cc_cols,
             view_cc_ids,
             combos,
+            households,
+            cc_words,
+            combo_ccs,
             binning,
             cc_r1_bits,
+            row_combo: vec![start_combo; n],
+            row_pins: vec![start_pins; n],
+            pin_cols: Vec::new(),
+            pin_cover: Vec::new(),
+            cc_r2_pos,
             seed: config.seed,
             rng: StdRng::seed_from_u64(config.seed),
-        })
+            r2_cc_cols,
+        };
+        let cols = p1.r2_cc_cols.len();
+        p1.add_pin_set(vec![false; cols]);
+        p1.add_pin_set(vec![true; cols]);
+        Ok(p1)
     }
 
-    /// Assignment state of `row`.
+    /// Appends a pin set over `cols` and returns its id.
+    fn add_pin_set(&mut self, cols: Vec<bool>) -> u32 {
+        let mut cover = vec![0u64; self.cc_words];
+        for (c, pos) in self.cc_r2_pos.iter().enumerate() {
+            if pos.iter().all(|&j| cols[j]) {
+                cover[c / 64] |= 1 << (c % 64);
+            }
+        }
+        self.pin_cover.extend_from_slice(&cover);
+        self.pin_cols.push(cols);
+        (self.pin_cols.len() - 1) as u32
+    }
+
+    /// The pin set of the CC columns `cond` constrains, added on first use.
+    fn pin_set_of(&mut self, cond: &NormalizedCond) -> u32 {
+        let cols: Vec<bool> = self
+            .r2_cc_cols
+            .iter()
+            .map(|c| cond.get(c).is_some())
+            .collect();
+        match self.pin_cols.iter().position(|p| *p == cols) {
+            Some(id) => id as u32,
+            None => self.add_pin_set(cols),
+        }
+    }
+
+    /// Records that `rows` take combo `combo` on the CC columns `cond`
+    /// constrains (Algorithm 2's partial assignment). Returns `false`, and
+    /// the rows stay empty, when `cond` constrains no CC column.
+    pub(crate) fn pin(&mut self, rows: &[RowId], combo: usize, cond: &NormalizedCond) -> bool {
+        let pins = self.pin_set_of(cond);
+        if pins == PIN_NONE {
+            return false;
+        }
+        for &r in rows {
+            self.row_combo[r] = combo as u32;
+            self.row_pins[r] = pins;
+        }
+        true
+    }
+
+    /// Completes `row` with combo `combo` on every CC column.
+    pub(crate) fn set_combo(&mut self, row: RowId, combo: usize) {
+        self.row_combo[row] = combo as u32;
+        self.row_pins[row] = PIN_ALL;
+    }
+
+    /// Assignment state of `row` in Phase I's per-row record;
+    /// [`P1::row_state`] says the same of the view cells once
+    /// [`P1::write_pins`] wrote them.
+    pub fn state(&self, row: RowId) -> RowState {
+        match self.row_pins[row] {
+            PIN_NONE => RowState::Empty,
+            PIN_ALL => RowState::Full,
+            _ => RowState::Partial,
+        }
+    }
+
+    /// The combo of `row` when it is complete.
+    pub(crate) fn complete_combo(&self, row: RowId) -> Option<usize> {
+        (self.row_pins[row] == PIN_ALL).then(|| self.row_combo[row] as usize)
+    }
+
+    /// Hands Phase II each row's combo id if the row is complete,
+    /// [`NO_COMBO`] if not, and drops the rest of the per-row record.
+    pub(crate) fn take_row_combos(&mut self) -> Vec<u32> {
+        let mut combos = std::mem::take(&mut self.row_combo);
+        for (k, &pins) in combos.iter_mut().zip(&std::mem::take(&mut self.row_pins)) {
+            if pins != PIN_ALL {
+                *k = NO_COMBO;
+            }
+        }
+        combos
+    }
+
+    /// The pin set and combo of `row`.
+    fn pins_and_combo(&self, row: RowId) -> (u32, u32) {
+        (self.row_pins[row], self.row_combo[row])
+    }
+
+    /// `true` if combo `k` agrees with combo `combo` on every column of pin
+    /// set `pins`.
+    fn agrees(&self, pins: u32, combo: u32, k: usize) -> bool {
+        if pins == PIN_NONE {
+            return true;
+        }
+        let (held, cand) = (&self.combos[combo as usize], &self.combos[k]);
+        self.pin_cols[pins as usize]
+            .iter()
+            .zip(held.iter().zip(cand))
+            .all(|(&pinned, (a, b))| !pinned || a == b)
+    }
+
+    /// Word `w` of the CCs whose `R2` side a row with pin set `pins` and
+    /// combo `combo` already satisfies on its pinned columns: those all of
+    /// whose `R2` columns the set pins and whose condition the combo meets.
+    /// An unpinned row satisfies only the CCs with no `R2` condition. A row
+    /// feeds exactly these of the CCs whose `R1` side it matches.
+    fn fed_word(&self, pins: u32, combo: u32, w: usize) -> u64 {
+        let cover = self.pin_cover[pins as usize * self.cc_words + w];
+        if pins == PIN_NONE {
+            cover
+        } else {
+            cover & self.combo_ccs[combo as usize * self.cc_words + w]
+        }
+    }
+
+    /// The rows that feed CC `c`'s count: the count it would have on the
+    /// view with every row's pins written.
+    pub(crate) fn fed_count(&self, c: usize) -> u64 {
+        let mut count = 0;
+        for (wi, &bits) in self.cc_r1_bits[c].iter().enumerate() {
+            let mut w = bits;
+            while w != 0 {
+                let row = (wi << 6) | w.trailing_zeros() as usize;
+                let (pins, combo) = self.pins_and_combo(row);
+                count += self.fed_word(pins, combo, c / 64) >> (c % 64) & 1;
+                w &= w - 1;
+            }
+        }
+        count
+    }
+
+    /// Writes each of `rows`' pinned CC columns into the view, from its
+    /// combo. Phase II writes the pins of invalid rows, which invalid
+    /// placement counts CCs over; the tests, benches and oracle comparisons
+    /// write every row's.
+    pub fn write_pins(&mut self, rows: impl IntoIterator<Item = RowId>) -> Result<()> {
+        for row in rows {
+            let (pins, combo) = self.pins_and_combo(row);
+            if pins == PIN_NONE {
+                continue;
+            }
+            let values = &self.combos[combo as usize];
+            for (j, &pinned) in self.pin_cols[pins as usize].iter().enumerate() {
+                if pinned {
+                    self.view.set(row, self.view_cc_ids[j], Some(values[j]))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Assignment state of `row`'s view cells.
     pub fn row_state(&self, row: RowId) -> RowState {
         if self.view_cc_ids.is_empty() {
             return RowState::Full;
@@ -196,23 +424,15 @@ impl P1 {
         }
     }
 
-    /// `true` if every CC column of `row` is assigned.
+    /// `true` if every CC column of `row` is assigned in the view.
     pub fn row_full(&self, row: RowId) -> bool {
         self.view_cc_ids
             .iter()
             .all(|&c| self.view.get(row, c).is_some())
     }
 
-    /// Writes a full combo into `row`.
-    pub fn assign_combo(&mut self, row: RowId, combo: &[Value]) -> Result<()> {
-        for (i, &v) in combo.iter().enumerate() {
-            self.view.set(row, self.view_cc_ids[i], Some(v))?;
-        }
-        Ok(())
-    }
-
     /// Writes only the columns constrained by `cond`, taking values from
-    /// `combo` (Algorithm 2's partial assignment).
+    /// `combo` (Algorithm 2's partial assignment, on the cells).
     pub fn assign_partial(
         &mut self,
         row: RowId,

@@ -11,10 +11,9 @@
 //! exactly by Algorithm 2) are never touched, so the hybrid's exactness
 //! guarantee for the clean set survives.
 
-use crate::error::Result;
 use crate::phase1::{cond_masks, P1};
-use cextend_constraints::{CardinalityConstraint, CcMembership, NormalizedCond};
-use cextend_table::{RowId, Value};
+use cextend_constraints::{CardinalityConstraint, NormalizedCond};
+use cextend_table::RowId;
 
 /// Outcome of a repair run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -37,31 +36,28 @@ pub fn repair(
     repaired: &[usize],
     protected: &[usize],
     passes: usize,
-) -> Result<RepairOutcome> {
+) -> RepairOutcome {
     let mut out = RepairOutcome::default();
     if passes == 0 || repaired.is_empty() || p1.combos.len() < 2 {
-        return Ok(out);
+        return out;
     }
-    // Current deviation per repaired CC, all counted in one kernel pass.
-    let combined: Vec<NormalizedCond> = repaired.iter().map(|&i| ccs[i].combined()).collect();
-    let counts = CcMembership::build(&p1.view, &combined)?.counts();
+    assert_eq!(ccs.len(), p1.cc_r1_bits.len(), "the CCs p1 was built from");
+    // Current deviation per repaired CC: the rows that already feed it.
     let mut dev: Vec<i64> = repaired
         .iter()
-        .zip(counts)
-        .map(|(&i, count)| count as i64 - ccs[i].target as i64)
+        .map(|&i| p1.fed_count(i) as i64 - ccs[i].target as i64)
         .collect();
     out.error_before = dev.iter().map(|d| d.unsigned_abs()).sum();
     out.error_after = out.error_before;
     if out.error_before == 0 {
-        return Ok(out);
+        return out;
     }
 
     // CC bitsets, one per row and one per combo: a row's R1-side matches
-    // (transposed from P1's per-CC bitmaps; combo switches rewrite only
-    // `R2`-side CC columns, so they are stable across every pass) and the
-    // CCs whose R2 side each combo satisfies. Row `row` under combo `k`
-    // feeds exactly the CCs set in both.
-    assert_eq!(ccs.len(), p1.cc_r1_bits.len(), "the CCs p1 was built from");
+    // (transposed from P1's per-CC bitmaps; combo switches change only
+    // `R2`-side values, so they are stable across every pass) and the CCs
+    // whose R2 side each combo satisfies. Row `row` under combo `k` feeds
+    // exactly the CCs set in both.
     let n_rows = p1.view.n_rows();
     let (rep_words, rep_rows) = row_masks(&p1.cc_r1_bits, repaired, n_rows);
     let (prot_words, prot_rows) = row_masks(&p1.cc_r1_bits, protected, n_rows);
@@ -90,26 +86,11 @@ pub fn repair(
         }
     };
 
-    // Current combo per row by hash lookup instead of a linear scan.
-    let combo_index: std::collections::HashMap<Vec<Value>, usize> = p1
-        .combos
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.clone(), i))
-        .collect();
-    let current_combo = |p1: &P1, row: RowId| -> Option<usize> {
-        let vals: Option<Vec<Value>> = p1
-            .view_cc_ids
-            .iter()
-            .map(|&c| p1.view.get(row, c))
-            .collect();
-        combo_index.get(&vals?).copied()
-    };
-
     for _ in 0..passes {
         let mut improved = false;
         for row in 0..n_rows {
-            let Some(from) = current_combo(p1, row) else {
+            // Only complete rows switch combos.
+            let Some(from) = p1.complete_combo(row) else {
                 continue;
             };
             let hits = &rep_rows[row * rep_words..(row + 1) * rep_words];
@@ -136,8 +117,7 @@ pub fn repair(
                 }
             }
             if let Some((delta, to)) = best {
-                let combo = p1.combos[to].clone();
-                p1.assign_combo(row, &combo)?;
+                p1.set_combo(row, to);
                 for_each_moved(row, from, to, &mut |c, change| dev[c] += change);
                 out.moves += 1;
                 out.error_after = (out.error_after as i64 + delta).max(0) as u64;
@@ -152,7 +132,7 @@ pub fn repair(
         out.error_after,
         dev.iter().map(|d| d.unsigned_abs()).sum::<u64>()
     );
-    Ok(out)
+    out
 }
 
 /// Row-major `R1` masks over the CCs `idx`: bit `c` of row `row`'s
@@ -176,9 +156,10 @@ fn row_masks(bits: &[Vec<u64>], idx: &[usize], n_rows: usize) -> (usize, Vec<u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SolverConfig;
+    use crate::config::{IlpSettings, SolverConfig};
     use crate::instance::fixtures;
     use crate::instance::CExtensionInstance;
+    use crate::phase1::ilp_based::{self, MarginalMode};
     use crate::phase1::P1;
     use cextend_table::Value;
 
@@ -187,16 +168,27 @@ mod tests {
     fn sabotaged() -> (CExtensionInstance, P1) {
         let instance = fixtures::running_example();
         let mut p1 = P1::build(&instance, &SolverConfig::hybrid()).unwrap();
+        let nyc = p1
+            .combos
+            .iter()
+            .position(|c| *c == [Value::str("NYC")])
+            .unwrap();
         for row in 0..p1.view.n_rows() {
-            p1.assign_combo(row, &[Value::str("NYC")]).unwrap();
+            p1.set_combo(row, nyc);
         }
         (instance, p1)
+    }
+
+    /// `cc`'s count on the view once every row's pins are written.
+    fn count(p1: &mut P1, cc: &CardinalityConstraint) -> u64 {
+        p1.write_pins(0..p1.view.n_rows()).unwrap();
+        cc.count_in(&p1.view).unwrap()
     }
 
     #[test]
     fn repair_recovers_running_example_targets() {
         let (instance, mut p1) = sabotaged();
-        let out = repair(&mut p1, &instance.ccs, &[0, 1, 2, 3], &[], 4).unwrap();
+        let out = repair(&mut p1, &instance.ccs, &[0, 1, 2, 3], &[], 4);
         assert!(out.error_before > 0);
         assert!(out.moves > 0);
         assert!(
@@ -206,7 +198,7 @@ mod tests {
         // The running example is fully repairable from any start: all four
         // CC targets are reachable by combo switches alone.
         for cc in &instance.ccs {
-            assert_eq!(cc.count_in(&p1.view).unwrap(), cc.target, "{cc}");
+            assert_eq!(count(&mut p1, cc), cc.target, "{cc}");
         }
         assert_eq!(out.error_after, 0);
     }
@@ -216,25 +208,27 @@ mod tests {
         let (instance, mut p1) = sabotaged();
         // Protect CC2 (owners in NYC): currently over target (6 owners in
         // NYC vs target 2), but its contributing rows may not move.
-        let before = instance.ccs[1].count_in(&p1.view).unwrap();
-        repair(&mut p1, &instance.ccs, &[2, 3], &[1], 4).unwrap();
-        assert_eq!(instance.ccs[1].count_in(&p1.view).unwrap(), before);
+        let before = count(&mut p1, &instance.ccs[1]);
+        repair(&mut p1, &instance.ccs, &[2, 3], &[1], 4);
+        assert_eq!(count(&mut p1, &instance.ccs[1]), before);
     }
 
     #[test]
     fn zero_passes_is_a_no_op() {
         let (instance, mut p1) = sabotaged();
-        let out = repair(&mut p1, &instance.ccs, &[0, 1, 2, 3], &[], 0).unwrap();
+        let out = repair(&mut p1, &instance.ccs, &[0, 1, 2, 3], &[], 0);
         assert_eq!(out, RepairOutcome::default());
     }
 
     #[test]
     fn already_exact_solution_is_untouched() {
+        // Algorithm 1 with all-way marginals solves the running example
+        // exactly.
         let instance = fixtures::running_example();
-        let mut stats = crate::report::SolveStats::default();
-        let (mut p1, _) =
-            crate::phase1::run_phase1(&instance, &SolverConfig::hybrid(), &mut stats).unwrap();
-        let out = repair(&mut p1, &instance.ccs, &[0, 1, 2, 3], &[], 2).unwrap();
+        let mut p1 = P1::build(&instance, &SolverConfig::hybrid()).unwrap();
+        let settings = IlpSettings::default();
+        ilp_based::run(&mut p1, &instance.ccs, MarginalMode::AllWay, &settings).unwrap();
+        let out = repair(&mut p1, &instance.ccs, &[0, 1, 2, 3], &[], 2);
         assert_eq!(out.error_before, 0);
         assert_eq!(out.moves, 0);
     }

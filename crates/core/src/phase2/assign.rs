@@ -128,7 +128,7 @@ pub(crate) fn color_partition(
 /// stream and is returned; workers finish the partition in hand and exit.
 pub(crate) fn color_partitions_streamed(
     view: &Relation,
-    partitions: &[(Vec<cextend_table::Value>, Vec<RowId>, usize)],
+    partitions: &[(usize, Vec<RowId>, usize)],
     mode: ColoringMode,
     mut builder: ConflictBuilder,
     workers: usize,
@@ -259,10 +259,7 @@ mod tests {
     /// Streams every partition of the Chicago/NYC view through `sink`.
     fn stream(workers: usize, sink: impl FnMut(PartitionResult) -> Result<()>) -> Result<()> {
         let (view, dcs) = chicago_setup();
-        let partitions = vec![
-            (vec![Value::str("Chicago")], (0..7).collect::<Vec<_>>(), 4),
-            (vec![Value::str("NYC")], vec![7, 8], 2),
-        ];
+        let partitions = vec![(0, (0..7).collect::<Vec<_>>(), 4), (1, vec![7, 8], 2)];
         let builder = ConflictBuilder::new(&dcs);
         color_partitions_streamed(
             &view,

@@ -9,11 +9,8 @@
 //! violates no FK DC, since DCs quantify over at least two tuples.
 
 use crate::error::{CoreError, Result};
-use crate::phase1::cond_masks;
 use crate::phase2::Phase2Ctx;
-use cextend_constraints::{
-    cc_counts, BoundDc, CardinalityConstraint, CcMembership, NormalizedCond,
-};
+use cextend_constraints::{cc_counts, BoundDc, CardinalityConstraint, CcMembership};
 use cextend_table::{Relation, RowId};
 
 /// `true` if adding `r` to a household currently holding `others` would
@@ -85,7 +82,7 @@ pub(crate) fn solve_invalid(
     // Current counts in one kernel pass, maintained incrementally as
     // invalid rows land. A (row, combo) pair feeds exactly the CCs set in
     // both the row's `R1` mask (its `R1` attributes never change here) and
-    // the combo's `R2` mask.
+    // the combo's `R2` mask, which Phase I built.
     let mut counts: Vec<i64> = cc_counts(&ctx.view, ccs)?
         .into_iter()
         .map(|c| c as i64)
@@ -96,8 +93,8 @@ pub(crate) fn solve_invalid(
     for (i, &row) in invalid.iter().enumerate() {
         kernel.row_mask(row, &mut r1_masks[i * words..(i + 1) * words]);
     }
-    let r2_sides: Vec<&NormalizedCond> = ccs.iter().map(|cc| &cc.r2).collect();
-    let combo_masks = cond_masks(&ctx.r2_cc_cols, &ctx.combos, &r2_sides, words);
+    // Invalid placement is the masks' last reader.
+    let combo_masks = std::mem::take(&mut ctx.combo_ccs);
     // Calls `f(ci)` for every CC that row `i` of `invalid` feeds under
     // combo `k`, ascending.
     let for_each_fed = |i: usize, k: usize, f: &mut dyn FnMut(usize)| {
@@ -110,15 +107,16 @@ pub(crate) fn solve_invalid(
         }
     };
 
+    let n_combos = ctx.households.n_combos();
     let mut minted = 0usize;
     for (i, &row) in invalid.iter().enumerate() {
-        if ctx.combos.is_empty() {
+        if n_combos == 0 {
             return Err(CoreError::Validation(
                 "R2 has no tuples; invalid rows cannot be assigned".into(),
             ));
         }
         // Score each combo by the CC error its assignment would add.
-        let mut scored: Vec<(i64, usize)> = (0..ctx.combos.len())
+        let mut scored: Vec<(i64, usize)> = (0..n_combos)
             .map(|k| {
                 let mut delta = 0i64;
                 for_each_fed(i, k, &mut |ci| {
@@ -136,7 +134,7 @@ pub(crate) fn solve_invalid(
         // First DC-safe household among the best combos wins.
         let safe = scored.iter().find_map(|&(_, k)| {
             let hh = &ctx.households;
-            hh.of_combo(&ctx.combos[k])
+            hh.of_combo(k)
                 .iter()
                 .find(|&&r2_row| !conflicts_with_household(&ctx.view, dcs, row, hh.members(r2_row)))
                 .map(|&r2_row| (k, r2_row))
@@ -151,7 +149,7 @@ pub(crate) fn solve_invalid(
             None => {
                 let best = scored[0].1;
                 minted += 1;
-                (best, ctx.households.mint(&ctx.combos[best])?)
+                (best, ctx.households.mint(best)?)
             }
         };
         ctx.assign_row(row, r2_row)?;

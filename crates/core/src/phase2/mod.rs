@@ -1,11 +1,13 @@
 //! Phase II: reverse-engineering `R1.FK` from the completed view
 //! (Section 5, Algorithm 4).
 //!
-//! The view is partitioned by its assigned `B` values; each partition's
-//! conflict hypergraph is list-colored with the matching `R2` keys as
-//! colors; skipped vertices get fresh keys (new `R̂2` tuples); invalid
-//! tuples are placed last with CC-error-minimizing combos. The result
-//! satisfies every DC (Proposition 5.5) and joins back to exactly the view.
+//! The view is partitioned by the `B` values Phase I assigned, as combo
+//! ids; each partition's conflict hypergraph is list-colored with the
+//! matching `R2` keys as colors; skipped vertices get fresh keys (new `R̂2`
+//! tuples); invalid tuples are placed last with CC-error-minimizing combos.
+//! Every row's `R2` cells are copied from the household it is assigned.
+//! The result satisfies every DC (Proposition 5.5) and joins back to
+//! exactly the view.
 
 pub(crate) mod assign;
 pub(crate) mod conflict;
@@ -14,7 +16,7 @@ pub(crate) mod invalid;
 use crate::config::{Phase2Strategy, SolverConfig};
 use crate::error::{CoreError, Result};
 use crate::instance::CExtensionInstance;
-use crate::phase1::{Combo, P1};
+use crate::phase1::{Combo, NO_COMBO, P1};
 use crate::phase2::conflict::{ConflictBuilder, ConflictStats};
 use crate::report::{SolveStats, StageTimings};
 use cextend_constraints::BoundDc;
@@ -22,7 +24,6 @@ use cextend_obs::tracef;
 use cextend_table::{ColId, Dtype, Relation, RowId, Sym, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Mints fresh `R2` key values that collide with nothing.
 enum KeyMinter {
@@ -106,21 +107,25 @@ pub(crate) struct Households {
     /// tuple takes each from (`None`: copied from a donor household).
     attr_ids: Vec<ColId>,
     attr_combo_pos: Vec<Option<usize>>,
-    /// `R̂2` rows per combo, in insertion order.
-    combo_rows: HashMap<Combo, Vec<usize>>,
+    /// Phase I's combos, by id.
+    combos: Vec<Combo>,
+    /// `R̂2` rows per combo id, in insertion order.
+    combo_rows: Vec<Vec<usize>>,
     /// Per `R̂2` row, the view rows assigned to it.
     members: Vec<Vec<RowId>>,
     minter: KeyMinter,
 }
 
 impl Households {
-    /// `R2`'s households, grouped by their combo over `r2_cc_cols`.
-    fn build(r2: &Relation, r2_cc_cols: &[String]) -> Result<Households> {
+    /// `R2`'s households, by the id of their combo over `r2_cc_cols`
+    /// (Phase I grouped them).
+    fn build(
+        r2: &Relation,
+        r2_cc_cols: &[String],
+        combos: Vec<Combo>,
+        combo_rows: Vec<Vec<usize>>,
+    ) -> Households {
         let k2 = r2.schema().key_col().expect("validated");
-        let r2_cc_col_ids: Vec<ColId> = r2_cc_cols
-            .iter()
-            .map(|c| r2.schema().require(c, r2.name()))
-            .collect::<std::result::Result<Vec<_>, _>>()?;
         let attr_ids = r2.schema().attr_cols();
         let attr_combo_pos = attr_ids
             .iter()
@@ -129,32 +134,26 @@ impl Households {
                 r2_cc_cols.iter().position(|cc| cc == name)
             })
             .collect();
-        // Group R2 rows by combo — one dictionary-code group-by instead of
-        // a boxed-Value key per row; rows with missing combo cells (keys
-        // containing `None`) are dropped.
-        let grouped = cextend_table::marginals::group_rows(r2, &r2_cc_col_ids);
-        let mut combo_rows: HashMap<Combo, Vec<usize>> = HashMap::new();
-        for (key, rows) in grouped.iter() {
-            if key.iter().any(Option::is_none) {
-                continue;
-            }
-            let combo: Combo = key.iter().map(|v| v.expect("checked")).collect();
-            combo_rows.insert(combo, rows.to_vec());
-        }
-        Ok(Households {
+        Households {
             r2_hat: r2.clone(),
             k2,
             attr_ids,
             attr_combo_pos,
+            combos,
             combo_rows,
             members: vec![Vec::new(); r2.n_rows()],
             minter: KeyMinter::new(r2, k2),
-        })
+        }
     }
 
-    /// `R̂2` rows (households) carrying `combo`.
-    pub fn of_combo(&self, combo: &[Value]) -> &[usize] {
-        self.combo_rows.get(combo).map_or(&[], Vec::as_slice)
+    /// Number of combos.
+    pub fn n_combos(&self) -> usize {
+        self.combos.len()
+    }
+
+    /// `R̂2` rows (households) carrying combo `k`.
+    pub fn of_combo(&self, k: usize) -> &[usize] {
+        &self.combo_rows[k]
     }
 
     /// The view rows currently assigned to household `r2_row`.
@@ -162,40 +161,34 @@ impl Households {
         &self.members[r2_row]
     }
 
-    /// Appends a fresh household with `combo` values; other attribute
+    /// Appends a fresh household with combo `k`'s values; other attribute
     /// columns are inherited from the first existing household of the same
     /// combo (the paper's new tuples copy the partition's `B` values).
-    pub fn mint(&mut self, combo: &[Value]) -> Result<usize> {
-        let donor = self.of_combo(combo).first().copied();
+    pub fn mint(&mut self, k: usize) -> Result<usize> {
+        let donor = self.of_combo(k).first().copied();
         let key = self.minter.mint(&self.r2_hat, self.k2);
         let mut row: Vec<Option<Value>> = vec![None; self.r2_hat.schema().len()];
         row[self.k2] = Some(key);
         for (&c, pos) in self.attr_ids.iter().zip(&self.attr_combo_pos) {
             row[c] = match pos {
-                Some(p) => Some(combo[*p]),
+                Some(p) => Some(self.combos[k][*p]),
                 None => donor.and_then(|d| self.r2_hat.get(d, c)),
             };
         }
         let new_row = self.r2_hat.push_row(&row)?;
-        self.combo_rows
-            .entry(combo.to_vec())
-            .or_default()
-            .push(new_row);
+        self.combo_rows[k].push(new_row);
         self.members.push(Vec::new());
         Ok(new_row)
     }
 }
 
 /// Phase II working state shared by the coloring and invalid-handling steps:
-/// Phase I's context, moved in, plus the assignment state.
+/// Phase I's view and combos, moved in, plus the assignment state.
 pub(crate) struct Phase2Ctx {
-    /// The completed view (B columns filled progressively).
+    /// The view; each row's `R2` cells are copied from its household.
     pub view: Relation,
-    /// Distinct existing combos over the CC-referenced `R2` columns.
-    pub combos: Vec<Combo>,
-    /// The CC-referenced `R2` columns the combos range over.
-    r2_cc_cols: Vec<String>,
-    view_cc_ids: Vec<ColId>,
+    /// Each combo's CC mask ([`P1::combo_ccs`]), one word per 64 CCs.
+    combo_ccs: Vec<u64>,
     /// The view ids of `R2`'s attribute columns, aligned with
     /// `Households::attr_ids`.
     view_r2_attr_ids: Vec<ColId>,
@@ -208,17 +201,21 @@ pub(crate) struct Phase2Ctx {
 }
 
 impl Phase2Ctx {
-    fn build(instance: &CExtensionInstance, p1: P1) -> Result<Phase2Ctx> {
+    /// Moves Phase I's context in. Returns the context and, per view row,
+    /// the combo it completed with ([`NO_COMBO`] for an incomplete row).
+    fn build(instance: &CExtensionInstance, mut p1: P1) -> Result<(Phase2Ctx, Vec<u32>)> {
+        let row_combos = p1.take_row_combos();
         let P1 {
             view,
             r2_cc_cols,
-            view_cc_ids,
             combos,
+            households,
+            combo_ccs,
             rng,
             ..
         } = p1;
         let r2 = &instance.r2;
-        let households = Households::build(r2, &r2_cc_cols)?;
+        let households = Households::build(r2, &r2_cc_cols, combos, households);
         let view_r2_attr_ids = households
             .attr_ids
             .iter()
@@ -227,16 +224,15 @@ impl Phase2Ctx {
                     .require(&r2.schema().column(c).name, view.name())
             })
             .collect::<std::result::Result<Vec<_>, _>>()?;
-        Ok(Phase2Ctx {
+        let ctx = Phase2Ctx {
             row_key: vec![None; view.n_rows()],
             view,
-            combos,
-            r2_cc_cols,
-            view_cc_ids,
+            combo_ccs,
             view_r2_attr_ids,
             households,
             rng,
-        })
+        };
+        Ok((ctx, row_combos))
     }
 
     /// Assigns view row `row` to household `r2_row`: records membership and
@@ -297,30 +293,22 @@ impl Phase2Ctx {
         }
         Ok(())
     }
-
-    /// The combo of a fully-assigned view row (boxed, row-at-a-time; only
-    /// the `RandomAssignment` baseline uses it — the coloring path
-    /// partitions all rows at once via the dictionary-code group-by).
-    fn row_combo(&self, row: RowId) -> Option<Combo> {
-        let mut combo = Vec::with_capacity(self.view_cc_ids.len());
-        for &c in &self.view_cc_ids {
-            combo.push(self.view.get(row, c)?);
-        }
-        Some(combo)
-    }
 }
 
 /// Runs Phase II, producing `R̂1`, `R̂2` and the final view.
 pub(crate) fn run_phase2(
     instance: &CExtensionInstance,
     config: &SolverConfig,
-    p1: P1,
+    mut p1: P1,
     invalid: Vec<RowId>,
     stats: &mut SolveStats,
 ) -> Result<(Relation, Relation, Relation)> {
     let frame = cextend_obs::frame();
-    let mut ctx = Phase2Ctx::build(instance, p1)?;
-    let invalid_set: std::collections::HashSet<RowId> = invalid.iter().copied().collect();
+    // Invalid placement counts CCs on the view, so it must see the columns
+    // Phase I pinned on invalid rows; every other row's `R2` cells are
+    // copied from its household.
+    p1.write_pins(invalid.iter().copied())?;
+    let (mut ctx, row_combos) = Phase2Ctx::build(instance, p1)?;
 
     match config.phase2 {
         Phase2Strategy::Coloring => {
@@ -333,35 +321,36 @@ pub(crate) fn run_phase2(
                 })
                 .collect::<Result<Vec<_>>>()?;
 
-            // ---- Partition the valid rows by combo. ----------------------
-            // One dictionary-code group-by over the CC-referenced view
-            // columns (u128 keys, CSR row-id slices) replaces the old
-            // boxed-`Value` key per row; `GroupedRows` comes back key-sorted,
-            // which for fully-assigned rows is exactly the old
-            // `partitions.sort_by(combo)` order, so results stay
-            // bit-identical.
+            // ---- Partition the complete rows by combo id. ----------------
+            // One counting pass: combos in id (= sorted value) order, rows
+            // ascending within each. Incomplete rows are the invalid ones.
             let partition_stage = cextend_obs::stage("conflict_build");
-            let grouped = cextend_table::marginals::group_rows(&ctx.view, &ctx.view_cc_ids);
-            let mut partitions: Vec<(Combo, Vec<RowId>, usize)> = Vec::with_capacity(grouped.len());
-            for (key, rows) in grouped.iter() {
-                let rows: Vec<RowId> = rows
-                    .iter()
-                    .copied()
-                    .filter(|r| !invalid_set.contains(r))
-                    .collect();
-                if rows.is_empty() {
-                    continue;
-                }
-                if key.iter().any(Option::is_none) {
-                    return Err(CoreError::Validation(format!(
-                        "row {} is neither fully assigned nor marked invalid",
-                        rows[0]
-                    )));
-                }
-                let combo: Combo = key.iter().map(|v| v.expect("checked")).collect();
-                let n_cand = ctx.households.of_combo(&combo).len();
-                partitions.push((combo, rows, n_cand));
+            let n_combos = ctx.households.n_combos();
+            let mut sizes = vec![0usize; n_combos];
+            for &k in row_combos.iter().filter(|&&k| k != NO_COMBO) {
+                sizes[k as usize] += 1;
             }
+            let stray = row_combos.len() - sizes.iter().sum::<usize>();
+            if stray != invalid.len() {
+                return Err(CoreError::Validation(format!(
+                    "{stray} incomplete rows, {} marked invalid",
+                    invalid.len()
+                )));
+            }
+            let mut by_combo: Vec<Vec<RowId>> =
+                sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+            for (row, &k) in row_combos.iter().enumerate() {
+                if k != NO_COMBO {
+                    by_combo[k as usize].push(row);
+                }
+            }
+            drop(row_combos);
+            let partitions: Vec<(usize, Vec<RowId>, usize)> = by_combo
+                .into_iter()
+                .enumerate()
+                .filter(|(_, rows)| !rows.is_empty())
+                .map(|(k, rows)| (k, rows, ctx.households.of_combo(k).len()))
+                .collect();
             stats.counters.partitions = partitions.len();
             tracef!(
                 "phase2: {} partitions, largest {:?}",
@@ -406,13 +395,13 @@ pub(crate) fn run_phase2(
                         return Ok(());
                     }
                     let _apply = cextend_obs::stage("coloring");
-                    let (combo, _, n_cand) = &partitions[r.partition];
+                    let (k, _, n_cand) = partitions[r.partition];
                     let fresh_rows = (0..r.fresh_colors)
-                        .map(|_| ctx.households.mint(combo))
+                        .map(|_| ctx.households.mint(k))
                         .collect::<Result<Vec<usize>>>()?;
-                    let households = ctx.households.of_combo(combo);
+                    let households = ctx.households.of_combo(k);
                     for (row, color) in r.assignments {
-                        let r2_row = if (color as usize) < *n_cand {
+                        let r2_row = if (color as usize) < n_cand {
                             households[color as usize]
                         } else {
                             fresh_rows[color as usize - n_cand]
@@ -493,11 +482,12 @@ pub(crate) fn run_phase2(
             if n_r2 == 0 {
                 return Err(CoreError::Validation("R2 has no tuples".into()));
             }
-            for row in 0..ctx.view.n_rows() {
-                let combo = ctx.row_combo(row);
-                let candidates = combo
-                    .as_deref()
-                    .map_or(&[][..], |c| ctx.households.of_combo(c));
+            for (row, &k) in row_combos.iter().enumerate() {
+                let candidates = if k == NO_COMBO {
+                    &[][..]
+                } else {
+                    ctx.households.of_combo(k as usize)
+                };
                 let r2_row = if candidates.is_empty() {
                     ctx.rng.gen_range(0..n_r2)
                 } else {

@@ -1,6 +1,9 @@
 //! The level runner: executes one batch of independent tasks, inline or on
-//! a `std::thread::scope` worker pool (the same striding shape as the
-//! partition-coloring pool in `cextend-core`'s Phase II).
+//! a `std::thread::scope` worker pool whose threads take the batch in fixed
+//! strides (thread `t` runs tasks `t`, `t + width`, …). Phase II's
+//! partition-coloring pool in `cextend-core` is shaped differently: its
+//! workers pull partition indexes from a shared atomic counter, so one
+//! huge partition never strands the small ones queued behind it.
 
 /// The default worker count for a batch of `n` tasks: the
 /// `CEXTEND_SCHED_WORKERS` environment variable when set to a positive

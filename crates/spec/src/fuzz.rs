@@ -27,14 +27,23 @@
 //! ([`cextend_workloads::agreement`]), and a seventh, classification arm
 //! that the compiled [`RelationshipMatrix::build`] classifies every ordered
 //! pair of each step's CCs as the per-pair [`classify`] reference does,
-//! counting the pairs of each kind.
+//! counting the pairs of each kind. An eighth, Phase I arm builds every
+//! step's instance from the ground truth with the FK erased and runs
+//! Algorithm 2 over every component of its CCs' Hasse diagram, then
+//! leftover and random completion, each against its scalar oracle (views,
+//! invalid rows and counters), counting the rows Algorithm 2 left
+//! partially pinned.
 
 use crate::error::Result;
 use crate::lower::SpecWorkload;
-use cextend_constraints::{cc_counts, classify, CcRelationship, RelationshipMatrix};
+use cextend_constraints::{cc_counts, classify, CcRelationship, HasseDiagram, RelationshipMatrix};
 use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder, DcRoute};
-use cextend_core::snowflake::{solve_snowflake, SnowflakeSolution, SnowflakeStep};
-use cextend_core::SolverConfig;
+use cextend_core::phase1_internals::{
+    complete_leftovers, complete_leftovers_scalar, complete_randomly, complete_randomly_scalar,
+    run_hasse, run_hasse_scalar, RowState, P1,
+};
+use cextend_core::snowflake::{solve_snowflake, AugmentedView, SnowflakeSolution, SnowflakeStep};
+use cextend_core::{CExtensionInstance, SolverConfig};
 use cextend_table::{relations_equal_ordered, RowId};
 use cextend_workloads::agreement::certifier_agrees_on_step;
 use cextend_workloads::{CcFamily, DcSet, Workload, WorkloadParams};
@@ -89,6 +98,9 @@ pub struct FuzzOutcome {
     pub contained_pairs: usize,
     /// Ordered CC pairs found intersecting, summed over steps.
     pub intersecting_pairs: usize,
+    /// Rows Algorithm 2 left partially pinned in the Phase I arm, summed
+    /// over steps.
+    pub partially_pinned_rows: usize,
 }
 
 /// Deterministically derives the RNG seed of one fuzz iteration.
@@ -299,8 +311,10 @@ pub fn fuzz_workload(seed: u64, iter: usize) -> Result<SpecWorkload> {
 /// Solves a spec workload at 1, 2 and 4 workers and demands bit-identity
 /// between the runs, then checks the conflict builder against the
 /// naive reference and the membership kernel's CC counts against
-/// `count_in` on every step's ground-truth view. Returns the serial
-/// schedule's shape on success, a divergence description on failure.
+/// `count_in` on every step's ground-truth view, and Phase I's passes
+/// against their scalar oracles on every step's ground-truth instance.
+/// Returns the serial schedule's shape on success, a divergence
+/// description on failure.
 pub fn run_differential_oracles(
     workload: &SpecWorkload,
     seed: u64,
@@ -339,6 +353,7 @@ pub fn run_differential_oracles(
     let (mut index_hash, mut index_sorted) = (0usize, 0usize);
     let (mut capacity_groups, mut capacity_edge_dcs) = (0usize, 0usize);
     let mut pairs = [0usize; 4]; // disjoint, equal, contained-in, intersecting
+    let mut partially_pinned_rows = 0usize;
     for (step, instance) in steps.iter().enumerate() {
         let view = data.step_truth_view(step);
         let dcs = instance
@@ -420,6 +435,17 @@ pub fn run_differential_oracles(
             .cc_errors
             .iter()
             .fold(perturbed_cc_error, |m, &e| m.max(e));
+        // Phase I arm: the step's instance over the ground truth, FK
+        // erased.
+        let erased = AugmentedView::plan(&data.truth, &data.steps[..step], &instance.edge)
+            .and_then(|plan| {
+                let r1 = plan.build(&data.truth, true)?;
+                let r2 = data.truth[plan.target_index()].clone();
+                CExtensionInstance::new(r1, r2, instance.ccs.clone(), instance.dcs.clone())
+            })
+            .map_err(|e| format!("{}: step {step} instance: {e}", meta.name))?;
+        partially_pinned_rows += phase1_agrees(&erased)
+            .map_err(|e| format!("{}: Phase I arm on step {step}: {e}", meta.name))?;
     }
     Ok(FuzzOutcome {
         name: meta.name.to_owned(),
@@ -436,7 +462,78 @@ pub fn run_differential_oracles(
         equal_pairs: pairs[1],
         contained_pairs: pairs[2],
         intersecting_pairs: pairs[3],
+        partially_pinned_rows,
     })
+}
+
+/// Runs Algorithm 2 over every component of `instance`'s Hasse diagram,
+/// then leftover and random completion, each against its scalar oracle:
+/// same views (the production path's pins written), invalid rows and
+/// counters. Returns the rows Algorithm 2 left partially pinned.
+fn phase1_agrees(instance: &CExtensionInstance) -> std::result::Result<usize, String> {
+    let ccs = &instance.ccs;
+    let config = SolverConfig::hybrid();
+    let hasse = HasseDiagram::build(&RelationshipMatrix::build(ccs));
+    let comps: Vec<&[usize]> = hasse.components().iter().map(|c| c.as_slice()).collect();
+    let all: Vec<usize> = (0..ccs.len()).collect();
+    let fresh = || P1::build(instance, &config).map_err(|e| e.to_string());
+    let after_hasse = || {
+        let mut p1 = fresh()?;
+        let out = run_hasse(&mut p1, ccs, &all, &hasse, &comps);
+        Ok::<_, String>((p1, out))
+    };
+    let written = |mut p1: P1| {
+        p1.write_pins(0..p1.view.n_rows())
+            .map_err(|e| e.to_string())?;
+        Ok::<_, String>(p1)
+    };
+    let (fast, out) = after_hasse()?;
+    let fast = written(fast)?;
+    let mut scalar = fresh()?;
+    let want = run_hasse_scalar(&mut scalar, ccs, &hasse, &comps).map_err(|e| e.to_string())?;
+    if (out.assigned_rows, out.deficits) != (want.assigned_rows, want.deficits) {
+        return Err(format!(
+            "Algorithm 2 assigned {} rows with {} deficits, its oracle {} with {}",
+            out.assigned_rows, out.deficits, want.assigned_rows, want.deficits
+        ));
+    }
+    if !relations_equal_ordered(&fast.view, &scalar.view) {
+        return Err("Algorithm 2 and its oracle wrote different views".to_owned());
+    }
+    let partial = (0..fast.view.n_rows())
+        .filter(|&r| fast.state(r) == RowState::Partial)
+        .count();
+
+    let mut scalar = written(after_hasse()?.0)?;
+    let invalid = complete_leftovers_scalar(&mut scalar, ccs).map_err(|e| e.to_string())?;
+    for workers in [1, 2] {
+        let mut fast = after_hasse()?.0;
+        if complete_leftovers(&mut fast, workers) != invalid {
+            return Err(format!(
+                "leftover completion and its oracle left different invalid rows at \
+                 {workers} workers"
+            ));
+        }
+        if !relations_equal_ordered(&written(fast)?.view, &scalar.view) {
+            return Err(format!(
+                "leftover completion and its oracle wrote different views at {workers} workers"
+            ));
+        }
+    }
+
+    let mut scalar = written(after_hasse()?.0)?;
+    let completed = complete_randomly_scalar(&mut scalar).map_err(|e| e.to_string())?;
+    let mut fast = after_hasse()?.0;
+    let got = complete_randomly(&mut fast, 1);
+    if got != completed {
+        return Err(format!(
+            "random completion completed {got} rows, its oracle {completed}"
+        ));
+    }
+    if !relations_equal_ordered(&written(fast)?.view, &scalar.view) {
+        return Err("random completion and its oracle wrote different views".to_owned());
+    }
+    Ok(partial)
 }
 
 /// A conflict graph's edges as a sorted list, for set comparison.

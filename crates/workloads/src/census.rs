@@ -121,7 +121,9 @@ mod tests {
         let ccs = w.ccs(CcFamily::Bad, 120, &data, 11);
         let instance = data.to_instance(ccs, w.dcs(DcSet::Good)).unwrap();
         let mut p1 = P1::build(&instance, &SolverConfig::hybrid()).unwrap();
-        complete_randomly(&mut p1, 1).unwrap();
+        complete_randomly(&mut p1, 1);
+        let rows = p1.view.n_rows();
+        p1.write_pins(0..rows).unwrap();
         let (repaired, protected): (Vec<usize>, Vec<usize>) =
             (0..instance.ccs.len()).partition(|i| i % 4 != 0);
         let error = |view: &cextend_table::Relation| -> u64 {
@@ -141,7 +143,8 @@ mod tests {
         };
         let before = error(&p1.view);
         let kept = protected_counts(&p1.view);
-        let out = repair(&mut p1, &instance.ccs, &repaired, &protected, 4).unwrap();
+        let out = repair(&mut p1, &instance.ccs, &repaired, &protected, 4);
+        p1.write_pins(0..rows).unwrap();
         assert_eq!(out.error_before, before);
         assert_eq!(out.error_after, error(&p1.view));
         assert!(

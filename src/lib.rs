@@ -51,7 +51,6 @@ pub use cextend_table as table;
 pub use cextend_workloads as workloads;
 
 pub use cextend_core::{
-    solve, solve_baseline, solve_baseline_with_marginals, solve_hybrid, CExtensionInstance,
-    ColoringMode, CoreError, IlpSettings, Phase1Strategy, Phase2Strategy, Solution, SolveStats,
-    SolverConfig,
+    solve, CExtensionInstance, ColoringMode, CoreError, IlpSettings, Phase1Strategy,
+    Phase2Strategy, Solution, SolveStats, SolverConfig,
 };
