@@ -246,6 +246,77 @@ pub(crate) mod fixtures {
         ]
     }
 
+    /// A Phase I record with a partially pinned invalid row. CC `A`
+    /// (Chicago owners, 3) has the children `D` (Chicago houses, 2) and `E`
+    /// (Chicago flats, 1). Owner 0 completes with a Chicago house and owner
+    /// 1 with a Chicago flat; owner 2 is pinned on `Area` = Chicago alone,
+    /// as Algorithm 2 claims for `A`; leftover completion then finishes
+    /// owner 3 and the child with Boston combos, but every combo that
+    /// agrees with owner 2's pin feeds `D` or `E`, which owner 2 newly
+    /// matches, so it stays invalid. (Algorithm 2 itself never leaves such
+    /// a row: it claims for `A` only rows that match no child its combo
+    /// feeds.) Combos: Boston flat, Boston house, Chicago flat, Chicago
+    /// house; one household each, in that order.
+    pub fn pinned_invalid() -> (CExtensionInstance, crate::phase1::P1) {
+        let schema = Schema::new(vec![
+            ColumnDef::key("pid", Dtype::Int),
+            ColumnDef::attr("Rel", Dtype::Str),
+            ColumnDef::foreign_key("hid", Dtype::Int),
+        ])
+        .unwrap();
+        let mut persons = Relation::new("Persons", schema);
+        for (pid, rel) in [
+            (1, "Owner"),
+            (2, "Owner"),
+            (3, "Owner"),
+            (4, "Owner"),
+            (5, "Child"),
+        ] {
+            persons
+                .push_row(&[Some(Value::Int(pid)), Some(Value::str(rel)), None])
+                .unwrap();
+        }
+        let schema = Schema::new(vec![
+            ColumnDef::key("hid", Dtype::Int),
+            ColumnDef::attr("Area", Dtype::Str),
+            ColumnDef::attr("Type", Dtype::Str),
+        ])
+        .unwrap();
+        let mut housing = Relation::new("Housing", schema);
+        for (hid, area, ty) in [
+            (1, "Boston", "Flat"),
+            (2, "Boston", "House"),
+            (3, "Chicago", "Flat"),
+            (4, "Chicago", "House"),
+        ] {
+            housing
+                .push_full_row(&[Value::Int(hid), Value::str(area), Value::str(ty)])
+                .unwrap();
+        }
+        let r2: std::collections::HashSet<String> =
+            ["Area".to_owned(), "Type".to_owned()].into_iter().collect();
+        let ccs = [
+            ("A", r#"| Rel = "Owner" & Area = "Chicago" | = 3"#),
+            (
+                "D",
+                r#"| Rel = "Owner" & Area = "Chicago" & Type = "House" | = 2"#,
+            ),
+            (
+                "E",
+                r#"| Rel = "Owner" & Area = "Chicago" & Type = "Flat" | = 1"#,
+            ),
+        ]
+        .map(|(name, cc)| parse_cc(name, cc, &r2).unwrap());
+        let instance = CExtensionInstance::new(persons, housing, ccs.to_vec(), vec![]).unwrap();
+        let mut p1 = crate::phase1::P1::build(&instance, &crate::SolverConfig::hybrid()).unwrap();
+        p1.set_combo(0, 3);
+        p1.set_combo(1, 2);
+        assert!(p1.pin(&[2], 2, &instance.ccs[0].r2));
+        let invalid = crate::phase1::compressed::complete_leftovers(&mut p1, 1);
+        assert_eq!(invalid, [2]);
+        (instance, p1)
+    }
+
     /// The full running-example instance.
     pub fn running_example() -> CExtensionInstance {
         CExtensionInstance::new(persons(), housing(), figure2_ccs(), figure2_dcs()).unwrap()

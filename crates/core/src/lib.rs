@@ -116,7 +116,7 @@ pub fn solve(instance: &CExtensionInstance, config: &SolverConfig) -> Result<Sol
     let _solve_span = cextend_obs::span("solve");
     tracef!("phase1 start: {} rows", instance.r1.n_rows());
     let (p1, invalid) = phase1::run_phase1(instance, config, &mut stats)?;
-    tracef!("phase1 done: {} invalid rows", invalid.len());
+    tracef!("phase1 done: {} invalid rows", invalid.rows.len());
     {
         let t = &stats.timings;
         tracef!(

@@ -13,17 +13,17 @@ use crate::config::{Phase1Strategy, SolverConfig};
 use crate::error::Result;
 use crate::instance::CExtensionInstance;
 use crate::phase1::compressed::{complete_leftovers, complete_randomly, leftover_rows};
-use crate::phase1::{hasse_rec, ilp_based, P1};
+use crate::phase1::{hasse_rec, ilp_based, InvalidRows, P1};
 use crate::report::{SolveStats, StageTimings};
 use cextend_constraints::{
     CardinalityConstraint, HasseDiagram, NormalizedCond, RelationshipMatrix,
 };
-use cextend_table::RowId;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// Runs the configured Phase I strategy. Returns the filled context and the
-/// invalid rows (rows with no complete, CC-neutral assignment).
+/// invalid rows (rows with no complete, CC-neutral assignment) with what
+/// invalid placement needs of the record about them.
 ///
 /// Stage timings are no longer hand-threaded: an `obs` frame collects the
 /// per-stage durations the `obs::stage` guards record, and `stats.timings`
@@ -33,7 +33,7 @@ pub(crate) fn run(
     instance: &CExtensionInstance,
     config: &SolverConfig,
     stats: &mut SolveStats,
-) -> Result<(P1, Vec<RowId>)> {
+) -> Result<(P1, InvalidRows)> {
     let frame = cextend_obs::frame();
     let mut p1 = P1::build(instance, config)?;
     match config.phase1 {
@@ -58,11 +58,12 @@ pub(crate) fn run(
             drop(random_stage);
         }
     }
-    // Phase II never reads the `R1` bitmaps; free them before it allocates.
-    p1.cc_r1_bits = Vec::new();
     // Whatever strategy ran, rows still incomplete are the invalid tuples.
-    let invalid = leftover_rows(&p1);
-    stats.counters.invalid_tuples = invalid.len();
+    // Phase II reads no `R1` bitmap: take what invalid placement needs from
+    // them, then free them before Phase II allocates.
+    let invalid = p1.invalid_rows(leftover_rows(&p1));
+    p1.cc_r1_bits = Vec::new();
+    stats.counters.invalid_tuples = invalid.rows.len();
     stats
         .timings
         .absorb(&StageTimings::from_named(&frame.totals()));
@@ -189,6 +190,7 @@ mod tests {
     use super::*;
     use crate::instance::fixtures;
     use cextend_constraints::parse_cc;
+    use cextend_table::RowId;
 
     /// Runs Phase I and writes every row's pins into the view.
     fn run_written(
@@ -198,7 +200,7 @@ mod tests {
     ) -> (P1, Vec<RowId>) {
         let (mut p1, invalid) = run(instance, config, stats).unwrap();
         p1.write_pins(0..p1.view.n_rows()).unwrap();
-        (p1, invalid)
+        (p1, invalid.rows)
     }
 
     #[test]
@@ -211,6 +213,20 @@ mod tests {
         for cc in &instance.ccs {
             assert_eq!(cc.count_in(&p1.view).unwrap(), cc.target, "{cc}");
         }
+    }
+
+    #[test]
+    fn handed_off_counts_are_the_view_counts_with_every_pin_written() {
+        let (instance, mut p1) = fixtures::pinned_invalid();
+        let handed = p1.invalid_rows(leftover_rows(&p1));
+        assert_eq!(handed.rows, [2]);
+        p1.write_pins(0..p1.view.n_rows()).unwrap();
+        let counted = cextend_constraints::cc_counts(&p1.view, &instance.ccs).unwrap();
+        assert_eq!(handed.fed, counted);
+        // Row 2's pin feeds `A` only; the Boston rows feed nothing.
+        assert_eq!(handed.fed, [3, 1, 1]);
+        // Row 2 matches every CC's `R1` side.
+        assert_eq!((handed.words, handed.r1_masks), (1, vec![0b111]));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! (Section 3.1). Phase I decides the values of the `R2`-side columns
 //! *referenced by CCs* ("in practice, we only consider columns used in
 //! S_CC") as one combo id per row ([`P1`]); Phase II partitions the rows by
-//! that id and fills every `R2` column from the chosen key. Three strategies
-//! share this module's context: the exact Hasse recursion (Algorithm 2,
-//! [`hasse_rec`]), the ILP formulation (Algorithm 1, [`ilp_based`]) and the
-//! hybrid split of Section 4.3 ([`hybrid`]).
+//! that id and joins each row to its chosen key's `R2` tuple. Three
+//! strategies share this module's context: the exact Hasse recursion
+//! (Algorithm 2, [`hasse_rec`]), the ILP formulation (Algorithm 1,
+//! [`ilp_based`]) and the hybrid split of Section 4.3 ([`hybrid`]).
 
 pub(crate) mod compressed;
 pub(crate) mod hasse_rec;
@@ -93,9 +93,9 @@ const PIN_ALL: u32 = 1;
 /// Algorithm 2 adds one set per distinct column subset its claims
 /// constrain. A row with any other pin set is partially pinned: it agrees
 /// with its combo on the pinned columns only. Phase II partitions rows by
-/// combo id and copies each household's `R2` attributes into the view;
-/// [`P1::write_pins`] puts a row's pinned values into the view cells for
-/// the scalar oracles, which read and write cells.
+/// combo id and records a household per row; [`P1::write_pins`] puts a
+/// row's pinned values into the view cells for the scalar oracles, which
+/// read and write cells.
 pub struct P1 {
     /// The join view being completed (row `i` ↔ `R1` row `i`).
     pub view: Relation,
@@ -385,10 +385,35 @@ impl P1 {
         count
     }
 
+    /// What invalid placement needs of the record for the invalid `rows`,
+    /// taken while the `R1` bitmaps exist: every CC's [`P1::fed_count`] and
+    /// each row's `R1` mask. Complete rows feed exactly their combo's CCs,
+    /// so the counts are those of the completed view before the invalid
+    /// rows are placed. Nothing is counted when there are no invalid rows.
+    pub(crate) fn invalid_rows(&self, rows: Vec<RowId>) -> InvalidRows {
+        if rows.is_empty() {
+            return InvalidRows::default();
+        }
+        let words = self.cc_words;
+        let mut r1_masks = vec![0u64; rows.len() * words];
+        for (c, bits) in self.cc_r1_bits.iter().enumerate() {
+            for (mask, &row) in r1_masks.chunks_exact_mut(words).zip(&rows) {
+                mask[c / 64] |= (bits[row >> 6] >> (row & 63) & 1) << (c % 64);
+            }
+        }
+        InvalidRows {
+            fed: (0..self.cc_r1_bits.len())
+                .map(|c| self.fed_count(c))
+                .collect(),
+            words,
+            r1_masks,
+            rows,
+        }
+    }
+
     /// Writes each of `rows`' pinned CC columns into the view, from its
-    /// combo. Phase II writes the pins of invalid rows, which invalid
-    /// placement counts CCs over; the tests, benches and oracle comparisons
-    /// write every row's.
+    /// combo, for the tests, benches and oracle comparisons, which read
+    /// cells.
     pub fn write_pins(&mut self, rows: impl IntoIterator<Item = RowId>) -> Result<()> {
         for row in rows {
             let (pins, combo) = self.pins_and_combo(row);
@@ -459,6 +484,23 @@ impl P1 {
             .to_predicate()
             .bind(self.view.schema(), self.view.name())?)
     }
+}
+
+/// The rows Phase I left incomplete — the paper's invalid tuples — and
+/// what Phase II's invalid placement needs of the record about them
+/// ([`P1::invalid_rows`]).
+#[derive(Default)]
+pub(crate) struct InvalidRows {
+    /// The rows, ascending.
+    pub rows: Vec<RowId>,
+    /// Per CC of the instance, the rows that feed it before the invalid
+    /// rows are placed.
+    pub fed: Vec<u64>,
+    /// Words per CC mask.
+    pub words: usize,
+    /// `r1_masks[i * words..(i + 1) * words]`: the CCs whose `R1` side
+    /// `rows[i]` matches.
+    pub r1_masks: Vec<u64>,
 }
 
 /// `true` if `combo` (aligned with `cols`) satisfies `cond`. Conditions
@@ -648,12 +690,12 @@ pub fn complete_randomly_scalar(p1: &mut P1) -> Result<usize> {
 }
 
 /// Runs the configured Phase I strategy, mutating `stats` with timings and
-/// counters. Returns the context (with the view filled) and the invalid
+/// counters. Returns the context (its record complete) and the invalid
 /// rows.
 pub(crate) fn run_phase1(
     instance: &CExtensionInstance,
     config: &SolverConfig,
     stats: &mut SolveStats,
-) -> Result<(P1, Vec<RowId>)> {
+) -> Result<(P1, InvalidRows)> {
     hybrid::run(instance, config, stats)
 }

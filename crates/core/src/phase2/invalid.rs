@@ -7,11 +7,17 @@
 //! conflict with the tuple under any DC wins. If every household of every
 //! combination conflicts, a fresh key is minted — a one-member household
 //! violates no FK DC, since DCs quantify over at least two tuples.
+//!
+//! The CC counts start from Phase I's record ([`InvalidRows`]), taken
+//! before Phase I freed its `R1` bitmaps, and are kept up to date as rows
+//! land; no pass over the view counts them. The household members the DC
+//! checks read come from the household record.
 
 use crate::error::{CoreError, Result};
-use crate::phase2::Phase2Ctx;
-use cextend_constraints::{cc_counts, BoundDc, CardinalityConstraint, CcMembership};
-use cextend_table::{Relation, RowId};
+use crate::phase1::InvalidRows;
+use crate::phase2::{record_id, Phase2Ctx};
+use cextend_constraints::{BoundDc, CardinalityConstraint};
+use cextend_table::{Relation, RowId, NO_MATCH};
 
 /// `true` if adding `r` to a household currently holding `others` would
 /// violate some DC (i.e. some DC's φ holds on a set of distinct tuples from
@@ -69,30 +75,23 @@ fn assignment_holds(
 }
 
 /// Assigns every invalid row a household, minimizing added CC error.
+/// Returns the number of households minted.
 pub(crate) fn solve_invalid(
     ctx: &mut Phase2Ctx,
-    invalid: &[RowId],
+    invalid: &InvalidRows,
     dcs: &[BoundDc],
     ccs: &[CardinalityConstraint],
     allow_augmenting_r2: bool,
 ) -> Result<usize> {
-    if invalid.is_empty() {
+    if invalid.rows.is_empty() {
         return Ok(0);
     }
-    // Current counts in one kernel pass, maintained incrementally as
-    // invalid rows land. A (row, combo) pair feeds exactly the CCs set in
-    // both the row's `R1` mask (its `R1` attributes never change here) and
-    // the combo's `R2` mask, which Phase I built.
-    let mut counts: Vec<i64> = cc_counts(&ctx.view, ccs)?
-        .into_iter()
-        .map(|c| c as i64)
-        .collect();
-    let kernel = CcMembership::build(&ctx.view, ccs.iter().map(|cc| &cc.r1))?;
-    let words = kernel.words();
-    let mut r1_masks = vec![0u64; invalid.len() * words];
-    for (i, &row) in invalid.iter().enumerate() {
-        kernel.row_mask(row, &mut r1_masks[i * words..(i + 1) * words]);
-    }
+    // Phase I's counts, maintained incrementally as invalid rows land. A
+    // (row, combo) pair feeds exactly the CCs set in both the row's `R1`
+    // mask (its `R1` attributes never change here) and the combo's `R2`
+    // mask, which Phase I built.
+    let mut counts: Vec<i64> = invalid.fed.iter().map(|&c| c as i64).collect();
+    let (words, r1_masks) = (invalid.words, &invalid.r1_masks);
     // Invalid placement is the masks' last reader.
     let combo_masks = std::mem::take(&mut ctx.combo_ccs);
     // Calls `f(ci)` for every CC that row `i` of `invalid` feeds under
@@ -106,10 +105,18 @@ pub(crate) fn solve_invalid(
             }
         }
     };
+    // Each household's members, from the record: only the DC checks below
+    // read them.
+    let mut members: Vec<Vec<RowId>> = vec![Vec::new(); ctx.households.r2_hat.n_rows()];
+    for (row, &h) in ctx.record.iter().enumerate() {
+        if h != NO_MATCH {
+            members[h as usize].push(row);
+        }
+    }
 
     let n_combos = ctx.households.n_combos();
     let mut minted = 0usize;
-    for (i, &row) in invalid.iter().enumerate() {
+    for (i, &row) in invalid.rows.iter().enumerate() {
         if n_combos == 0 {
             return Err(CoreError::Validation(
                 "R2 has no tuples; invalid rows cannot be assigned".into(),
@@ -133,27 +140,213 @@ pub(crate) fn solve_invalid(
 
         // First DC-safe household among the best combos wins.
         let safe = scored.iter().find_map(|&(_, k)| {
-            let hh = &ctx.households;
-            hh.of_combo(k)
+            ctx.households
+                .of_combo(k)
                 .iter()
-                .find(|&&r2_row| !conflicts_with_household(&ctx.view, dcs, row, hh.members(r2_row)))
-                .map(|&r2_row| (k, r2_row))
+                .find(|&&h| !conflicts_with_household(&ctx.view, dcs, row, &members[h]))
+                .map(|&h| (k, h))
         });
         let (k, r2_row) = match safe {
             Some(found) => found,
             None if !allow_augmenting_r2 => {
                 return Err(CoreError::NoSolutionWithoutAugmentation {
-                    unassignable: invalid.len(),
+                    unassignable: invalid.rows.len(),
                 });
             }
             None => {
                 let best = scored[0].1;
                 minted += 1;
+                members.push(Vec::new());
                 (best, ctx.households.mint(best)?)
             }
         };
-        ctx.assign_row(row, r2_row)?;
+        ctx.record[row] = record_id(r2_row)?;
+        members[r2_row].push(row);
         for_each_fed(i, k, &mut |ci| counts[ci] += 1);
     }
     Ok(minted)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SolverConfig;
+    use crate::instance::{fixtures, CExtensionInstance};
+    use crate::phase1::compressed::leftover_rows;
+    use crate::phase1::{NO_COMBO, P1};
+    use cextend_constraints::{parse_cc, parse_dc, DenialConstraint};
+    use cextend_table::Value;
+
+    /// The running example's people and households under `ccs` and `dcs`.
+    /// Combo 0 is Chicago (households 0–3), combo 1 NYC (households 4–5).
+    fn instance(ccs: &[&str], dcs: Vec<DenialConstraint>) -> CExtensionInstance {
+        let r2: std::collections::HashSet<String> = ["Area".to_owned()].into_iter().collect();
+        let ccs = ccs
+            .iter()
+            .enumerate()
+            .map(|(i, cc)| parse_cc(&format!("cc{i}"), cc, &r2).unwrap())
+            .collect();
+        CExtensionInstance::new(fixtures::persons(), fixtures::housing(), ccs, dcs).unwrap()
+    }
+
+    /// At most one person per household.
+    fn one_per_household() -> Vec<DenialConstraint> {
+        vec![parse_dc(
+            "one",
+            "!(t1.Age >= 0 & t2.Age >= 0 & t1.hid = t2.hid)",
+            "hid",
+        )
+        .unwrap()]
+    }
+
+    /// Phase II's context once Phase I's record is `p1`'s and coloring put
+    /// each complete row in its combo's first household, with the hand-off
+    /// of the rows `p1` left incomplete.
+    fn phase2(instance: &CExtensionInstance, p1: P1) -> (Phase2Ctx, InvalidRows) {
+        let invalid = p1.invalid_rows(leftover_rows(&p1));
+        let (mut ctx, row_combos) = Phase2Ctx::build(instance, p1);
+        for (row, &k) in row_combos.iter().enumerate() {
+            if k != NO_COMBO {
+                ctx.record[row] = ctx.households.of_combo(k as usize)[0] as u32;
+            }
+        }
+        (ctx, invalid)
+    }
+
+    /// [`phase2`] with each `(row, combo, h)` of `placed` completed with
+    /// `combo` and colored into household `h`; the other rows are invalid.
+    fn placed(
+        instance: &CExtensionInstance,
+        placed: &[(RowId, usize, usize)],
+    ) -> (Phase2Ctx, InvalidRows) {
+        let mut p1 = P1::build(instance, &SolverConfig::hybrid()).unwrap();
+        for &(row, k, _) in placed {
+            p1.set_combo(row, k);
+        }
+        let (mut ctx, invalid) = phase2(instance, p1);
+        for &(row, _, h) in placed {
+            ctx.record[row] = h as u32;
+        }
+        (ctx, invalid)
+    }
+
+    fn place(
+        ctx: &mut Phase2Ctx,
+        invalid: &InvalidRows,
+        instance: &CExtensionInstance,
+        allow_augmenting_r2: bool,
+    ) -> Result<usize> {
+        let dcs: Vec<BoundDc> = instance
+            .dcs
+            .iter()
+            .map(|d| d.bind(ctx.view.schema(), ctx.view.name()).unwrap())
+            .collect();
+        solve_invalid(ctx, invalid, &dcs, &instance.ccs, allow_augmenting_r2)
+    }
+
+    #[test]
+    fn least_added_error_wins_and_ties_take_the_lower_combo() {
+        let instance = instance(
+            &[
+                r#"| Rel = "Owner" & Area = "Chicago" | = 4"#,
+                r#"| Rel = "Owner" & Area = "NYC" | = 1"#,
+            ],
+            vec![],
+        );
+        // Four Chicago owners and the spouse are placed; the two children
+        // and two owners are invalid.
+        let (mut ctx, invalid) = placed(
+            &instance,
+            &[(0, 0, 0), (1, 0, 1), (2, 0, 2), (3, 0, 3), (4, 0, 0)],
+        );
+        assert_eq!(invalid.rows, [5, 6, 7, 8]);
+        assert_eq!(invalid.fed, [4, 0]);
+        assert_eq!(place(&mut ctx, &invalid, &instance, true).unwrap(), 0);
+        // The children feed no CC: every combo ties and Chicago, combo 0,
+        // wins. The first owner fills NYC's one place; the second then
+        // adds one error anywhere, and the tie goes to Chicago again.
+        assert_eq!(ctx.record, [0, 1, 2, 3, 0, 0, 0, 4, 0]);
+    }
+
+    #[test]
+    fn first_dc_safe_household_wins_minted_ones_included() {
+        let instance = instance(
+            &[r#"| Rel = "Spouse" & Area = "NYC" | = 0"#],
+            one_per_household(),
+        );
+        let (mut ctx, invalid) = placed(
+            &instance,
+            &[(0, 0, 0), (1, 0, 1), (2, 0, 2), (3, 0, 3), (4, 1, 4)],
+        );
+        // Coloring minted one more Chicago household, still empty.
+        assert_eq!(ctx.households.mint(0).unwrap(), 6);
+        assert_eq!(invalid.rows, [5, 6, 7, 8]);
+        // No invalid row feeds the CC, so Chicago is tried first: row 5
+        // takes the minted household, row 6 NYC's empty one, and rows 7
+        // and 8 find every household taken.
+        assert_eq!(place(&mut ctx, &invalid, &instance, true).unwrap(), 2);
+        assert_eq!(ctx.record, [0, 1, 2, 3, 4, 6, 5, 7, 8]);
+    }
+
+    #[test]
+    fn a_fresh_key_is_minted_when_every_household_conflicts() {
+        let instance = instance(
+            &[r#"| Rel = "Spouse" & Area = "NYC" | = 0"#],
+            one_per_household(),
+        );
+        let (mut ctx, invalid) = placed(
+            &instance,
+            &[
+                (0, 0, 0),
+                (1, 0, 1),
+                (2, 0, 2),
+                (3, 0, 3),
+                (4, 1, 4),
+                (5, 1, 5),
+            ],
+        );
+        assert_eq!(place(&mut ctx, &invalid, &instance, true).unwrap(), 3);
+        assert_eq!(ctx.record[6..], [6, 7, 8]);
+        // The minted households are Chicago ones with fresh keys.
+        let r2_hat = &ctx.households.r2_hat;
+        for (row, hid) in [(6, 7), (7, 8), (8, 9)] {
+            assert_eq!(
+                r2_hat.row(row),
+                [Some(Value::Int(hid)), Some(Value::str("Chicago"))]
+            );
+        }
+    }
+
+    #[test]
+    fn without_augmentation_a_conflicted_row_is_refused() {
+        let instance = instance(
+            &[r#"| Rel = "Spouse" & Area = "NYC" | = 0"#],
+            one_per_household(),
+        );
+        let (mut ctx, invalid) = placed(
+            &instance,
+            &[
+                (0, 0, 0),
+                (1, 0, 1),
+                (2, 0, 2),
+                (3, 0, 3),
+                (4, 1, 4),
+                (5, 1, 5),
+            ],
+        );
+        assert!(matches!(
+            place(&mut ctx, &invalid, &instance, false),
+            Err(CoreError::NoSolutionWithoutAugmentation { unassignable: 3 })
+        ));
+    }
+
+    #[test]
+    fn an_r2_past_the_u32_record_is_an_error() {
+        assert_eq!(record_id(7).unwrap(), 7);
+        assert!(matches!(
+            record_id(NO_MATCH as usize),
+            Err(CoreError::Validation(_))
+        ));
+        assert!(matches!(record_id(1 << 40), Err(CoreError::Validation(_))));
+    }
 }

@@ -5,9 +5,11 @@
 //! ids; each partition's conflict hypergraph is list-colored with the
 //! matching `R2` keys as colors; skipped vertices get fresh keys (new `R̂2`
 //! tuples); invalid tuples are placed last with CC-error-minimizing combos.
-//! Every row's `R2` cells are copied from the household it is assigned.
-//! The result satisfies every DC (Proposition 5.5) and joins back to
-//! exactly the view.
+//! Every decision lands in one household record, a `u32` `R̂2` row per view
+//! row, and nothing here writes a view cell. One typed gather through the
+//! record then builds `R̂1` (each row's FK is its household's key) and
+//! another builds `V_join = R̂1 ⋈ R̂2`, so the result satisfies every DC
+//! (Proposition 5.5) and joins back to exactly the view.
 
 pub(crate) mod assign;
 pub(crate) mod conflict;
@@ -16,12 +18,14 @@ pub(crate) mod invalid;
 use crate::config::{Phase2Strategy, SolverConfig};
 use crate::error::{CoreError, Result};
 use crate::instance::CExtensionInstance;
-use crate::phase1::{Combo, NO_COMBO, P1};
+use crate::phase1::{Combo, InvalidRows, NO_COMBO, P1};
 use crate::phase2::conflict::{ConflictBuilder, ConflictStats};
 use crate::report::{SolveStats, StageTimings};
 use cextend_constraints::BoundDc;
 use cextend_obs::tracef;
-use cextend_table::{ColId, Dtype, Relation, RowId, Sym, Value};
+use cextend_table::{
+    gather, join_matched, ColId, Dtype, Relation, RowId, Source, Sym, Value, NO_MATCH,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -96,9 +100,9 @@ impl KeyMinter {
 }
 
 /// The `R̂2` side of Phase II: `R2` plus minted tuples, the households of
-/// each combo, their members and the key minter. It is everything the
-/// streaming coloring sink mutates, kept apart from the view so that
-/// workers read [`Phase2Ctx::view`] while the sink mints.
+/// each combo and the key minter. It is everything the streaming coloring
+/// sink mutates besides the household record, kept apart from the view so
+/// that workers read [`Phase2Ctx::view`] while the sink mints.
 pub(crate) struct Households {
     /// `R2` plus minted tuples.
     r2_hat: Relation,
@@ -111,8 +115,6 @@ pub(crate) struct Households {
     combos: Vec<Combo>,
     /// `R̂2` rows per combo id, in insertion order.
     combo_rows: Vec<Vec<usize>>,
-    /// Per `R̂2` row, the view rows assigned to it.
-    members: Vec<Vec<RowId>>,
     minter: KeyMinter,
 }
 
@@ -141,7 +143,6 @@ impl Households {
             attr_combo_pos,
             combos,
             combo_rows,
-            members: vec![Vec::new(); r2.n_rows()],
             minter: KeyMinter::new(r2, k2),
         }
     }
@@ -154,11 +155,6 @@ impl Households {
     /// `R̂2` rows (households) carrying combo `k`.
     pub fn of_combo(&self, k: usize) -> &[usize] {
         &self.combo_rows[k]
-    }
-
-    /// The view rows currently assigned to household `r2_row`.
-    pub fn members(&self, r2_row: usize) -> &[RowId] {
-        &self.members[r2_row]
     }
 
     /// Appends a fresh household with combo `k`'s values; other attribute
@@ -177,24 +173,35 @@ impl Households {
         }
         let new_row = self.r2_hat.push_row(&row)?;
         self.combo_rows[k].push(new_row);
-        self.members.push(Vec::new());
         Ok(new_row)
     }
 }
 
+/// The household record's entry for `R̂2` row `r2_row`. An `R̂2` that
+/// outgrows the `u32` record is an error.
+fn record_id(r2_row: usize) -> Result<u32> {
+    u32::try_from(r2_row)
+        .ok()
+        .filter(|&id| id != NO_MATCH)
+        .ok_or_else(|| {
+            CoreError::Validation(format!(
+                "R̂2 row {r2_row} does not fit the u32 household record"
+            ))
+        })
+}
+
 /// Phase II working state shared by the coloring and invalid-handling steps:
-/// Phase I's view and combos, moved in, plus the assignment state.
+/// Phase I's view and combos, moved in, plus the household record.
 pub(crate) struct Phase2Ctx {
-    /// The view; each row's `R2` cells are copied from its household.
+    /// Phase I's view. Phase II reads its `R1` cells only: the DCs live on
+    /// `R1`'s attributes.
     pub view: Relation,
     /// Each combo's CC mask ([`P1::combo_ccs`]), one word per 64 CCs.
     combo_ccs: Vec<u64>,
-    /// The view ids of `R2`'s attribute columns, aligned with
-    /// `Households::attr_ids`.
-    view_r2_attr_ids: Vec<ColId>,
-    /// Per view row, the assigned `R̂2` row.
-    row_key: Vec<Option<usize>>,
-    /// `R̂2` and its households; all the coloring sink writes.
+    /// The household record: per view row, its `R̂2` row, [`NO_MATCH`]
+    /// until assigned. The only thing Phase II decides.
+    record: Vec<u32>,
+    /// `R̂2` and its households.
     pub households: Households,
     /// Seeded RNG for the random-assignment baseline.
     rng: StdRng,
@@ -203,7 +210,7 @@ pub(crate) struct Phase2Ctx {
 impl Phase2Ctx {
     /// Moves Phase I's context in. Returns the context and, per view row,
     /// the combo it completed with ([`NO_COMBO`] for an incomplete row).
-    fn build(instance: &CExtensionInstance, mut p1: P1) -> Result<(Phase2Ctx, Vec<u32>)> {
+    fn build(instance: &CExtensionInstance, mut p1: P1) -> (Phase2Ctx, Vec<u32>) {
         let row_combos = p1.take_row_combos();
         let P1 {
             view,
@@ -214,84 +221,14 @@ impl Phase2Ctx {
             rng,
             ..
         } = p1;
-        let r2 = &instance.r2;
-        let households = Households::build(r2, &r2_cc_cols, combos, households);
-        let view_r2_attr_ids = households
-            .attr_ids
-            .iter()
-            .map(|&c| {
-                view.schema()
-                    .require(&r2.schema().column(c).name, view.name())
-            })
-            .collect::<std::result::Result<Vec<_>, _>>()?;
         let ctx = Phase2Ctx {
-            row_key: vec![None; view.n_rows()],
+            record: vec![NO_MATCH; view.n_rows()],
             view,
             combo_ccs,
-            view_r2_attr_ids,
-            households,
+            households: Households::build(&instance.r2, &r2_cc_cols, combos, households),
             rng,
         };
-        Ok((ctx, row_combos))
-    }
-
-    /// Assigns view row `row` to household `r2_row`: records membership and
-    /// copies every `R2` attribute of the household into the view (so the
-    /// final view equals `R̂1 ⋈ R̂2` cell for cell).
-    pub fn assign_row(&mut self, row: RowId, r2_row: usize) -> Result<()> {
-        debug_assert!(self.row_key[row].is_none(), "row {row} assigned twice");
-        self.row_key[row] = Some(r2_row);
-        let hh = &mut self.households;
-        hh.members[r2_row].push(row);
-        for (&vc, &rc) in self.view_r2_attr_ids.iter().zip(&hh.attr_ids) {
-            self.view.set(row, vc, hh.r2_hat.get(r2_row, rc))?;
-        }
-        Ok(())
-    }
-
-    /// [`Phase2Ctx::assign_row`] over a whole batch, column at a time: the
-    /// membership bookkeeping runs in batch order (so `members` matches the
-    /// row-at-a-time path exactly), then each `R2` attribute column is
-    /// copied into the view with one typed bulk write instead of a boxed
-    /// [`Relation::set`] per cell. Household cells that are missing fall
-    /// back to a per-cell blank — the batch API only writes present values.
-    pub fn assign_rows_bulk(&mut self, assignments: &[(RowId, usize)]) -> Result<()> {
-        let hh = &mut self.households;
-        for &(row, r2_row) in assignments {
-            debug_assert!(self.row_key[row].is_none(), "row {row} assigned twice");
-            self.row_key[row] = Some(r2_row);
-            hh.members[r2_row].push(row);
-        }
-        let mut ints: Vec<(RowId, i64)> = Vec::new();
-        let mut syms: Vec<(RowId, Sym)> = Vec::new();
-        let mut blanks: Vec<RowId> = Vec::new();
-        for (&vc, &rc) in self.view_r2_attr_ids.iter().zip(&hh.attr_ids) {
-            blanks.clear();
-            if let Some(src) = hh.r2_hat.int_view(rc) {
-                ints.clear();
-                for &(row, r2_row) in assignments {
-                    match src.get(r2_row) {
-                        Some(v) => ints.push((row, v)),
-                        None => blanks.push(row),
-                    }
-                }
-                self.view.batch_set_ints(vc, &ints)?;
-            } else {
-                let src = hh.r2_hat.sym_view(rc).expect("attr column is int or str");
-                syms.clear();
-                for &(row, r2_row) in assignments {
-                    match src.get(r2_row) {
-                        Some(s) => syms.push((row, s)),
-                        None => blanks.push(row),
-                    }
-                }
-                self.view.batch_set_syms(vc, &syms)?;
-            }
-            for &row in &blanks {
-                self.view.set(row, vc, None)?;
-            }
-        }
-        Ok(())
+        (ctx, row_combos)
     }
 }
 
@@ -299,16 +236,12 @@ impl Phase2Ctx {
 pub(crate) fn run_phase2(
     instance: &CExtensionInstance,
     config: &SolverConfig,
-    mut p1: P1,
-    invalid: Vec<RowId>,
+    p1: P1,
+    invalid: InvalidRows,
     stats: &mut SolveStats,
 ) -> Result<(Relation, Relation, Relation)> {
     let frame = cextend_obs::frame();
-    // Invalid placement counts CCs on the view, so it must see the columns
-    // Phase I pinned on invalid rows; every other row's `R2` cells are
-    // copied from its household.
-    p1.write_pins(invalid.iter().copied())?;
-    let (mut ctx, row_combos) = Phase2Ctx::build(instance, p1)?;
+    let (mut ctx, row_combos) = Phase2Ctx::build(instance, p1);
 
     match config.phase2 {
         Phase2Strategy::Coloring => {
@@ -331,10 +264,10 @@ pub(crate) fn run_phase2(
                 sizes[k as usize] += 1;
             }
             let stray = row_combos.len() - sizes.iter().sum::<usize>();
-            if stray != invalid.len() {
+            if stray != invalid.rows.len() {
                 return Err(CoreError::Validation(format!(
                     "{stray} incomplete rows, {} marked invalid",
-                    invalid.len()
+                    invalid.rows.len()
                 )));
             }
             let mut by_combo: Vec<Vec<RowId>> =
@@ -362,14 +295,11 @@ pub(crate) fn run_phase2(
             let mut index_stats = ConflictStats::default();
             drop(partition_stage);
 
-            // ---- Color partitions, applying results as they stream in. ---
-            // Workers read `ctx.view`, which nothing writes before
-            // `assign_rows_bulk`; the sink mutates only `ctx.households`.
-            // Colors resolve to `R̂2` rows partition by partition (minting
-            // is order-sensitive: fresh keys run in partition order); the
-            // attribute copy-back runs once over the whole batch, column at
-            // a time.
-            let mut assignments: Vec<(RowId, usize)> = Vec::with_capacity(ctx.view.n_rows());
+            // ---- Color partitions, recording results as they stream in. --
+            // Workers read `ctx.view`, which nothing writes; the sink
+            // mutates only `ctx.households` and the record. Colors resolve
+            // to `R̂2` rows partition by partition (minting is
+            // order-sensitive: fresh keys run in partition order).
             // Without augmentation the solve fails once any partition
             // needs a fresh key; results are still folded so the error
             // reports every skipped vertex.
@@ -406,7 +336,8 @@ pub(crate) fn run_phase2(
                         } else {
                             fresh_rows[color as usize - n_cand]
                         };
-                        assignments.push((row, r2_row));
+                        debug_assert_eq!(ctx.record[row], NO_MATCH, "row {row} assigned twice");
+                        ctx.record[row] = record_id(r2_row)?;
                     }
                     Ok(())
                 },
@@ -459,9 +390,6 @@ pub(crate) fn run_phase2(
                     unassignable: stats.counters.skipped_vertices,
                 });
             }
-            let apply_stage = cextend_obs::stage("coloring");
-            ctx.assign_rows_bulk(&assignments)?;
-            drop(apply_stage);
 
             // ---- Invalid tuples last. -------------------------------------
             let invalid_stage = cextend_obs::stage("invalid");
@@ -493,41 +421,50 @@ pub(crate) fn run_phase2(
                 } else {
                     candidates[ctx.rng.gen_range(0..candidates.len())]
                 };
-                ctx.assign_row(row, r2_row)?;
+                ctx.record[row] = record_id(r2_row)?;
             }
             drop(random_stage);
         }
     }
+
+    // ---- R̂1 and V_join: one gather each through the record. -------------
+    // Timed with the coloring, whose decisions it writes out. Phase I's
+    // view goes first: `V_join` is `R1`'s cells beside the assigned
+    // households' `R̂2` cells, and `R̂1` is `R1` with each row's household
+    // key as its FK.
+    let output_stage = cextend_obs::stage("coloring");
+    let Phase2Ctx {
+        view,
+        record,
+        households,
+        ..
+    } = ctx;
+    let view_name = view.name().to_owned();
+    drop(view);
+    if let Some(row) = record.iter().position(|&h| h == NO_MATCH) {
+        return Err(CoreError::Validation(format!(
+            "row {row} left without an FK assignment"
+        )));
+    }
+    let Households { r2_hat, k2, .. } = households;
+    let r1 = &instance.r1;
+    let fk = r1.schema().fk_col().expect("validated");
+    let sources: Vec<Source> = (0..r1.schema().len())
+        .map(|c| {
+            if c == fk {
+                Source::Matched(&r2_hat, k2, &record)
+            } else {
+                Source::Rows(r1, c)
+            }
+        })
+        .collect();
+    let r1_hat = gather(r1.name(), r1.schema().clone(), r1.n_rows(), &sources)?;
+    let vjoin = join_matched(&view_name, r1, &r2_hat, &record)?;
+    drop(output_stage);
     stats
         .timings
         .absorb(&StageTimings::from_named(&frame.totals()));
 
-    // ---- Finalize R̂1. -----------------------------------------------------
-    // One typed batch write per dtype: the FK column receives a million
-    // cells at paper scale, where per-cell boxed `set` calls dominate.
-    let mut r1_hat = instance.r1.clone();
-    let fk = r1_hat.schema().fk_col().expect("validated");
-    let Households { r2_hat, k2, .. } = ctx.households;
-    if let Some(keys) = r2_hat.int_view(k2) {
-        let mut cells: Vec<(RowId, i64)> = Vec::with_capacity(ctx.view.n_rows());
-        for row in 0..ctx.view.n_rows() {
-            let r2_row = ctx.row_key[row].ok_or_else(|| {
-                CoreError::Validation(format!("row {row} left without an FK assignment"))
-            })?;
-            cells.push((row, keys.get(r2_row).expect("R̂2 keys are present")));
-        }
-        r1_hat.batch_set_ints(fk, &cells)?;
-    } else {
-        let keys = r2_hat.sym_view(k2).expect("key column is int or str");
-        let mut cells: Vec<(RowId, Sym)> = Vec::with_capacity(ctx.view.n_rows());
-        for row in 0..ctx.view.n_rows() {
-            let r2_row = ctx.row_key[row].ok_or_else(|| {
-                CoreError::Validation(format!("row {row} left without an FK assignment"))
-            })?;
-            cells.push((row, keys.get(r2_row).expect("R̂2 keys are present")));
-        }
-        r1_hat.batch_set_syms(fk, &cells)?;
-    }
     stats.counters.new_r2_tuples = r2_hat.n_rows() - instance.r2.n_rows();
-    Ok((r1_hat, r2_hat, ctx.view))
+    Ok((r1_hat, r2_hat, vjoin))
 }

@@ -38,8 +38,9 @@ use crate::instance::CExtensionInstance;
 use crate::metrics::{evaluate, EvaluationReport};
 use crate::report::SolveStats;
 use cextend_constraints::{CardinalityConstraint, DenialConstraint};
-use cextend_table::{ColId, ColumnDef, Relation, Role, Schema, Value};
-use std::collections::HashMap;
+use cextend_table::{
+    fk_matches, gather, ColId, ColumnDef, Relation, Role, RowId, Schema, Source, Sym,
+};
 use std::time::{Duration, Instant};
 
 /// One FK edge of a schema graph: `owner.fk_col → target`.
@@ -218,47 +219,35 @@ impl AugmentedView {
     /// solver input); without it the owner's FK values are copied through
     /// (ground-truth measurement views).
     pub fn build(&self, tables: &[Relation], erase_fk: bool) -> Result<Relation> {
+        // A typed copy of the owner's columns, plus one gather per joined
+        // dimension through the owner's FK matches (a missing or dangling
+        // FK leaves the dimension's cells missing).
         let owner = &tables[self.owner_idx];
-        let width = self.schema.len();
-        let mut out = Relation::with_capacity(
-            &format!("{}*", self.edge.owner),
-            self.schema.clone(),
-            owner.n_rows(),
-        );
-        // Key lookups for joined dims.
-        let dim_indexes: Vec<HashMap<Value, usize>> = self
+        let matches = self
             .joined
             .iter()
-            .map(|d| {
-                let dim = &tables[d.table];
-                let k = dim.schema().key_col().expect("dimension has a key");
-                dim.rows()
-                    .filter_map(|r| dim.get(r, k).map(|v| (v, r)))
-                    .collect()
-            })
+            .map(|d| fk_matches(owner, d.via_fk, &tables[d.table]))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        let mut sources: Vec<Source> = std::iter::once(self.key_id)
+            .chain(self.attr_ids.iter().copied())
+            .map(|c| Source::Rows(owner, c))
             .collect();
-        for row in owner.rows() {
-            let mut cells: Vec<Option<Value>> = Vec::with_capacity(width);
-            cells.push(owner.get(row, self.key_id));
-            for &a in &self.attr_ids {
-                cells.push(owner.get(row, a));
-            }
-            for (ji, d) in self.joined.iter().enumerate() {
-                let dim_row = owner
-                    .get(row, d.via_fk)
-                    .and_then(|k| dim_indexes[ji].get(&k).copied());
-                for &a in &d.attrs {
-                    cells.push(dim_row.and_then(|r| tables[d.table].get(r, a)));
-                }
-            }
-            cells.push(if erase_fk {
-                None
-            } else {
-                owner.get(row, self.fk_id)
-            });
-            out.push_row(&cells)?;
+        for (d, m) in self.joined.iter().zip(&matches) {
+            let dim = &tables[d.table];
+            sources.extend(d.attrs.iter().map(|&a| Source::Matched(dim, a, m)));
         }
-        Ok(out)
+        sources.push(if erase_fk {
+            Source::Missing
+        } else {
+            Source::Rows(owner, self.fk_id)
+        });
+        let name = format!("{}*", self.edge.owner);
+        Ok(gather(
+            &name,
+            self.schema.clone(),
+            owner.n_rows(),
+            &sources,
+        )?)
     }
 }
 
@@ -336,16 +325,38 @@ impl SnowflakeSolution {
 pub struct StepDelta {
     owner_idx: usize,
     fk_id: ColId,
-    fk_values: Vec<Option<Value>>,
+    fk_cells: FkCells,
     target_idx: usize,
     new_target: Relation,
+}
+
+/// The owner's completed FK column, typed, one cell per row in row order.
+#[derive(Clone, Debug)]
+enum FkCells {
+    Int(Vec<(RowId, i64)>),
+    Str(Vec<(RowId, Sym)>),
+}
+
+impl FkCells {
+    /// Column `fk` of `r1_hat`, whose every cell Phase II filled.
+    fn of(r1_hat: &Relation, fk: ColId) -> FkCells {
+        match r1_hat.int_view(fk) {
+            Some(v) => FkCells::Int((0..v.len()).filter_map(|r| Some((r, v.get(r)?))).collect()),
+            None => {
+                let v = r1_hat.sym_view(fk).expect("columns are int or sym");
+                FkCells::Str((0..v.len()).filter_map(|r| Some((r, v.get(r)?))).collect())
+            }
+        }
+    }
 }
 
 impl StepDelta {
     /// Applies the writes to the table set the step was solved against.
     pub fn apply(self, tables: &mut [Relation]) -> Result<()> {
-        for (row, v) in self.fk_values.into_iter().enumerate() {
-            tables[self.owner_idx].set(row, self.fk_id, v)?;
+        let owner = &mut tables[self.owner_idx];
+        match &self.fk_cells {
+            FkCells::Int(cells) => owner.batch_set_ints(self.fk_id, cells)?,
+            FkCells::Str(cells) => owner.batch_set_syms(self.fk_id, cells)?,
         }
         tables[self.target_idx] = self.new_target;
         Ok(())
@@ -389,9 +400,7 @@ pub fn solve_step(
         .schema()
         .col_id(&step.edge.fk_col)
         .expect("planned fk column exists");
-    let fk_values: Vec<Option<Value>> = (0..tables[owner_idx].n_rows())
-        .map(|row| solution.r1_hat.get(row, sol_fk))
-        .collect();
+    let fk_cells = FkCells::of(&solution.r1_hat, sol_fk);
     let outcome = StepOutcome {
         label: step.edge.label(),
         n_r1,
@@ -403,7 +412,7 @@ pub fn solve_step(
     let delta = StepDelta {
         owner_idx,
         fk_id,
-        fk_values,
+        fk_cells,
         target_idx: plan.target_index(),
         new_target: solution.r2_hat,
     };
@@ -487,7 +496,7 @@ mod tests {
     use super::*;
     use crate::metrics::dc_error;
     use cextend_constraints::{parse_cc, parse_dc};
-    use cextend_table::Dtype;
+    use cextend_table::{fk_join_on, Dtype, Value};
 
     /// Example 5.6's university schema, miniaturized.
     fn university() -> Vec<Relation> {
@@ -641,6 +650,135 @@ mod tests {
         assert!(erased.column_is_missing(out_fk));
         assert!(kept.column_is_complete(out_fk));
         assert_eq!(kept.schema().fk_col(), Some(out_fk));
+    }
+
+    /// A star: `Sales` joins `Stores` (Int key) and `Regions` (Str key)
+    /// through completed FKs, one of each missing and one dangling, and
+    /// `item_id` is the step's FK.
+    fn star() -> Vec<Relation> {
+        let sales = {
+            let schema = Schema::new(vec![
+                ColumnDef::key("sid", Dtype::Int),
+                ColumnDef::attr("Qty", Dtype::Int),
+                ColumnDef::foreign_key("store_id", Dtype::Int),
+                ColumnDef::foreign_key("region", Dtype::Str),
+                ColumnDef::foreign_key("item_id", Dtype::Int),
+            ])
+            .unwrap();
+            let mut r = Relation::new("Sales", schema);
+            for (sid, store, region, item) in [
+                (1, Some(2), Some("n"), Some(7)),
+                (2, None, Some("s"), Some(8)),
+                (3, Some(9), Some("n"), None),
+                (4, Some(1), Some("zz"), Some(7)),
+                (5, Some(2), None, Some(8)),
+            ] {
+                r.push_row(&[
+                    Some(Value::Int(sid)),
+                    Some(Value::Int(10 * sid)),
+                    store.map(Value::Int),
+                    region.map(Value::str),
+                    item.map(Value::Int),
+                ])
+                .unwrap();
+            }
+            r
+        };
+        let stores = {
+            let schema = Schema::new(vec![
+                ColumnDef::key("store", Dtype::Int),
+                ColumnDef::attr("City", Dtype::Str),
+                ColumnDef::attr("Size", Dtype::Int),
+            ])
+            .unwrap();
+            let mut r = Relation::new("Stores", schema);
+            for (store, city, size) in [(1, "Oslo", 3), (2, "Lima", 5)] {
+                r.push_full_row(&[Value::Int(store), Value::str(city), Value::Int(size)])
+                    .unwrap();
+            }
+            r
+        };
+        let regions = {
+            let schema = Schema::new(vec![
+                ColumnDef::key("code", Dtype::Str),
+                ColumnDef::attr("Zone", Dtype::Str),
+            ])
+            .unwrap();
+            let mut r = Relation::new("Regions", schema);
+            for (code, zone) in [("s", "South"), ("n", "North")] {
+                r.push_full_row(&[Value::str(code), Value::str(zone)])
+                    .unwrap();
+            }
+            r
+        };
+        let items = {
+            let schema = Schema::new(vec![
+                ColumnDef::key("iid", Dtype::Int),
+                ColumnDef::attr("Kind", Dtype::Str),
+            ])
+            .unwrap();
+            let mut r = Relation::new("Items", schema);
+            for (iid, kind) in [(7, "Tool"), (8, "Toy")] {
+                r.push_full_row(&[Value::Int(iid), Value::str(kind)])
+                    .unwrap();
+            }
+            r
+        };
+        vec![sales, stores, regions, items]
+    }
+
+    #[test]
+    fn augmented_view_matches_fk_join_on_over_joined_dimensions() {
+        let tables = star();
+        let completed = [
+            FkEdge::new("Sales", "Stores", "store_id"),
+            FkEdge::new("Sales", "Regions", "region"),
+        ];
+        let plan = AugmentedView::plan(
+            &tables,
+            &completed,
+            &FkEdge::new("Sales", "Items", "item_id"),
+        )
+        .unwrap();
+        let joins = [
+            fk_join_on(&tables[0], &tables[1], "store_id").unwrap(),
+            fk_join_on(&tables[0], &tables[2], "region").unwrap(),
+        ];
+        let sales = &tables[0];
+        for erase_fk in [true, false] {
+            let view = plan.build(&tables, erase_fk).unwrap();
+            let names: Vec<&str> = view
+                .schema()
+                .columns()
+                .iter()
+                .map(|c| c.name.as_str())
+                .collect();
+            assert_eq!(names, ["sid", "Qty", "City", "Size", "Zone", "item_id"]);
+            assert_eq!(view.n_rows(), sales.n_rows());
+            // Every column but the step's FK equals the same-named column
+            // of the join through its dimension's FK.
+            for (c, name) in names[..5].iter().enumerate() {
+                let join = joins
+                    .iter()
+                    .find(|j| j.schema().col_id(name).is_some())
+                    .unwrap();
+                let jc = join.schema().col_id(name).unwrap();
+                for r in view.rows() {
+                    assert_eq!(view.get(r, c), join.get(r, jc), "{name} row {r}");
+                }
+            }
+            let fk = sales.schema().col_id("item_id").unwrap();
+            for r in view.rows() {
+                let want = if erase_fk { None } else { sales.get(r, fk) };
+                assert_eq!(view.get(r, 5), want, "item_id row {r}");
+            }
+            // The missing and dangling FKs leave their dimension's cells
+            // missing.
+            assert_eq!((view.get(1, 2), view.get(2, 3)), (None, None));
+            assert_eq!((view.get(3, 4), view.get(4, 4)), (None, None));
+            assert_eq!(view.get(0, 2), Some(Value::str("Lima")));
+            assert_eq!(view.get(1, 4), Some(Value::str("South")));
+        }
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! (Section 3.1). Because of the foreign-key dependence, `|V_join| = |R1|`
 //! and row `i` of `V_join` corresponds to row `i` of `R1` — an invariant the
 //! whole solver relies on.
+//!
+//! Every view here comes out of one typed [`gather`]: each output column is
+//! a column of some relation read row for row, read through a vector of
+//! row matches, or missing. [`fk_join_on`] is the [`fk_matches`] key probe
+//! followed by that gather; the solver gathers `V_join` and `R̂1` through
+//! Phase II's household record and each snowflake step's augmented view
+//! through its dimensions' matches.
 
 use crate::error::{Result, TableError};
 use crate::relation::{Relation, RelationBuilder, RowId};
@@ -63,40 +70,133 @@ pub fn join_schema(r1: &Schema, r2: &Schema) -> Result<(Schema, JoinLayout)> {
     ))
 }
 
-/// Copies column `src` of `from` wholesale into column `dst` of a bulk
-/// load — the columnar fast path (typed views, no boxed cells).
-fn append_column(b: &mut RelationBuilder, dst: ColId, from: &Relation, src: ColId) -> Result<()> {
-    if let Some(v) = from.int_view(src) {
-        let chunk: Vec<Option<i64>> = (0..v.len()).map(|r| v.get(r)).collect();
-        b.append_opt_ints(dst, &chunk)
-    } else {
-        let v = from.sym_view(src).expect("columns are int or sym");
-        let chunk: Vec<Option<crate::value::Sym>> = (0..v.len()).map(|r| v.get(r)).collect();
-        b.append_opt_syms(dst, &chunk)
+/// Match of a row that joins no row: its FK cell is missing or names no
+/// key. [`gather`] leaves the row's matched cells missing.
+pub const NO_MATCH: u32 = u32::MAX;
+
+/// Where [`gather`] reads one output column.
+#[derive(Clone, Copy, Debug)]
+pub enum Source<'a> {
+    /// A column of a relation, row for row.
+    Rows(&'a Relation, ColId),
+    /// A column of a relation at the row each output row matches: entry
+    /// `i` of the matches names the row output row `i` reads, or is
+    /// [`NO_MATCH`].
+    Matched(&'a Relation, ColId, &'a [u32]),
+    /// A missing cell in every row.
+    Missing,
+}
+
+/// The typed gather behind every join view: a relation named `name` over
+/// `schema` with `n_rows` rows, whose column `j` reads `sources[j]`. Cells
+/// move as typed values, never boxed.
+pub fn gather(
+    name: &str,
+    schema: Schema,
+    n_rows: usize,
+    sources: &[Source<'_>],
+) -> Result<Relation> {
+    if sources.len() != schema.len() {
+        return Err(TableError::ArityMismatch {
+            expected: schema.len(),
+            got: sources.len(),
+        });
     }
+    let mut b = RelationBuilder::new(name, schema, n_rows);
+    for (col, source) in sources.iter().enumerate() {
+        match *source {
+            Source::Rows(from, src) => {
+                b.append_gather(col, from, src, (0..from.n_rows()).map(Some))?
+            }
+            Source::Matched(from, src, matches) => {
+                let rows = matches
+                    .iter()
+                    .map(|&m| (m != NO_MATCH).then_some(m as RowId));
+                b.append_gather(col, from, src, rows)?;
+            }
+            Source::Missing => b.append_missing(col, n_rows),
+        }
+    }
+    b.freeze()
 }
 
 /// Initializes `V_join` as a copy of `R1` (key + attributes, same row order)
 /// with every `R2`-originated column empty (Section 3.1, Example 3.1).
-/// Bulk-loads column by column through [`RelationBuilder`].
 pub fn init_join_view(r1: &Relation, r2: &Relation) -> Result<(Relation, JoinLayout)> {
     let (schema, layout) = join_schema(r1.schema(), r2.schema())?;
-    let key = r1.schema().key_col().expect("validated by join_schema");
-    let r1_attrs = r1.schema().attr_cols();
-    let mut b = RelationBuilder::new(
-        &format!("VJoin({}, {})", r1.name(), r2.name()),
-        schema,
-        r1.n_rows(),
-    );
-    append_column(&mut b, layout.key_col, r1, key)?;
-    for (vi, &ri) in layout.r1_attr_cols.iter().zip(r1_attrs.iter()) {
-        append_column(&mut b, *vi, r1, ri)?;
-    }
-    for &vi in &layout.r2_attr_cols {
-        b.append_missing(vi, r1.n_rows());
-    }
-    let view = b.freeze()?;
+    let mut sources = r1_sources(r1);
+    sources.extend(layout.r2_attr_cols.iter().map(|_| Source::Missing));
+    let name = format!("VJoin({}, {})", r1.name(), r2.name());
+    let view = gather(&name, schema, r1.n_rows(), &sources)?;
     Ok((view, layout))
+}
+
+/// `R1`'s key and attribute columns, row for row: the first columns of
+/// every join view.
+fn r1_sources(r1: &Relation) -> Vec<Source<'_>> {
+    let key = r1.schema().key_col().expect("validated by join_schema");
+    std::iter::once(key)
+        .chain(r1.schema().attr_cols())
+        .map(|c| Source::Rows(r1, c))
+        .collect()
+}
+
+/// `R1 ⋈ R2` with row `i` of `r1` joined to row `matches[i]` of `r2` (its
+/// `R2`-side cells missing where that is [`NO_MATCH`]), in `R1` order.
+pub fn join_matched(name: &str, r1: &Relation, r2: &Relation, matches: &[u32]) -> Result<Relation> {
+    let (schema, layout) = join_schema(r1.schema(), r2.schema())?;
+    let mut sources = r1_sources(r1);
+    sources.extend(
+        layout
+            .r2_source_cols
+            .iter()
+            .map(|&b| Source::Matched(r2, b, matches)),
+    );
+    gather(name, schema, r1.n_rows(), &sources)
+}
+
+/// The typed key probe: per row of `r1`, the row of `r2` whose key equals
+/// its `fk` cell, or [`NO_MATCH`] when that cell is missing or dangling. A
+/// dtype mismatch between the FK and the key matches nothing; of rows
+/// repeating a key, the last wins.
+pub fn fk_matches(r1: &Relation, fk: ColId, r2: &Relation) -> Result<Vec<u32>> {
+    let k2 = r2
+        .schema()
+        .key_col()
+        .ok_or_else(|| TableError::SchemaViolation("R2 must have exactly one key column".into()))?;
+    if r2.n_rows() >= NO_MATCH as usize {
+        return Err(TableError::SchemaViolation(format!(
+            "`{}` has more rows than a match can name",
+            r2.name()
+        )));
+    }
+    fn probe<K: Eq + std::hash::Hash>(
+        keys: impl Iterator<Item = Option<K>>,
+        fks: impl Iterator<Item = Option<K>>,
+    ) -> Vec<u32> {
+        let by_key: HashMap<K, u32> = keys
+            .enumerate()
+            .filter_map(|(r, k)| Some((k?, r as u32)))
+            .collect();
+        fks.map(|k| k.and_then(|k| by_key.get(&k).copied()).unwrap_or(NO_MATCH))
+            .collect()
+    }
+    let (n1, n2) = (r1.n_rows(), r2.n_rows());
+    Ok(
+        match (r1.schema().column(fk).dtype, r2.schema().column(k2).dtype) {
+            (Dtype::Int, Dtype::Int) => {
+                let (fkv, kv) = (r1.int_view(fk), r2.int_view(k2));
+                let (fkv, kv) = (fkv.expect("dtype checked"), kv.expect("dtype checked"));
+                probe((0..n2).map(|r| kv.get(r)), (0..n1).map(|r| fkv.get(r)))
+            }
+            (Dtype::Str, Dtype::Str) => {
+                let (fkv, kv) = (r1.sym_view(fk), r2.sym_view(k2));
+                let (fkv, kv) = (fkv.expect("dtype checked"), kv.expect("dtype checked"));
+                probe((0..n2).map(|r| kv.get(r)), (0..n1).map(|r| fkv.get(r)))
+            }
+            _ => vec![NO_MATCH; n1],
+        },
+    )
 }
 
 /// Computes the real foreign-key join `R1 ⋈_{FK=K2} R2`, producing rows in
@@ -111,9 +211,9 @@ pub fn fk_join(r1: &Relation, r2: &Relation) -> Result<Relation> {
 }
 
 /// [`fk_join`] through a named FK column (for relations with several
-/// foreign keys).
+/// foreign keys): the [`fk_matches`] probe, then the [`join_matched`]
+/// gather.
 pub fn fk_join_on(r1: &Relation, r2: &Relation, fk_col: &str) -> Result<Relation> {
-    let (schema, layout) = join_schema(r1.schema(), r2.schema())?;
     let fk = r1.schema().require(fk_col, r1.name())?;
     if r1.schema().column(fk).role != Role::ForeignKey {
         return Err(TableError::SchemaViolation(format!(
@@ -121,68 +221,9 @@ pub fn fk_join_on(r1: &Relation, r2: &Relation, fk_col: &str) -> Result<Relation
             r1.name()
         )));
     }
-    let k2 = r2
-        .schema()
-        .key_col()
-        .ok_or_else(|| TableError::SchemaViolation("R2 must have exactly one key column".into()))?;
-    let key = r1.schema().key_col().expect("validated by join_schema");
-    let r1_attrs = r1.schema().attr_cols();
-
-    // Typed key probe: resolve each R1 row's FK to an R2 row id once, then
-    // gather every R2-side column through that match vector (no boxed
-    // `Value` per cell). A dtype mismatch between FK and K2 matches nothing,
-    // like the old `Value`-keyed map.
-    let matches: Vec<Option<RowId>> =
-        match (r1.schema().column(fk).dtype, r2.schema().column(k2).dtype) {
-            (Dtype::Int, Dtype::Int) => {
-                let fkv = r1.int_view(fk).expect("dtype checked");
-                let kv = r2.int_view(k2).expect("dtype checked");
-                let by_key: HashMap<i64, RowId> = (0..kv.len())
-                    .filter_map(|r| kv.get(r).map(|v| (v, r)))
-                    .collect();
-                (0..r1.n_rows())
-                    .map(|r| fkv.get(r).and_then(|v| by_key.get(&v).copied()))
-                    .collect()
-            }
-            (Dtype::Str, Dtype::Str) => {
-                let fkv = r1.sym_view(fk).expect("dtype checked");
-                let kv = r2.sym_view(k2).expect("dtype checked");
-                let by_key: HashMap<crate::value::Sym, RowId> = (0..kv.len())
-                    .filter_map(|r| kv.get(r).map(|v| (v, r)))
-                    .collect();
-                (0..r1.n_rows())
-                    .map(|r| fkv.get(r).and_then(|v| by_key.get(&v).copied()))
-                    .collect()
-            }
-            _ => vec![None; r1.n_rows()],
-        };
-
-    let mut b = RelationBuilder::new(
-        &format!("Join({}, {})", r1.name(), r2.name()),
-        schema,
-        r1.n_rows(),
-    );
-    append_column(&mut b, layout.key_col, r1, key)?;
-    for (vi, &ri) in layout.r1_attr_cols.iter().zip(r1_attrs.iter()) {
-        append_column(&mut b, *vi, r1, ri)?;
-    }
-    for (vi, &bi) in layout.r2_attr_cols.iter().zip(layout.r2_source_cols.iter()) {
-        if let Some(v) = r2.int_view(bi) {
-            let chunk: Vec<Option<i64>> = matches
-                .iter()
-                .map(|m| m.and_then(|r2_row| v.get(r2_row)))
-                .collect();
-            b.append_opt_ints(*vi, &chunk)?;
-        } else {
-            let v = r2.sym_view(bi).expect("columns are int or sym");
-            let chunk: Vec<Option<crate::value::Sym>> = matches
-                .iter()
-                .map(|m| m.and_then(|r2_row| v.get(r2_row)))
-                .collect();
-            b.append_opt_syms(*vi, &chunk)?;
-        }
-    }
-    b.freeze()
+    let matches = fk_matches(r1, fk, r2)?;
+    let name = format!("Join({}, {})", r1.name(), r2.name());
+    join_matched(&name, r1, r2, &matches)
 }
 
 /// `true` if two relations have identical schemas (names, types, roles) and

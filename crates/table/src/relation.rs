@@ -869,6 +869,45 @@ impl RelationBuilder {
         }
     }
 
+    /// Appends column `src` of `from` gathered through `rows`: one cell per
+    /// entry, `from`'s cell at that row or a missing cell for `None` — the
+    /// typed gather behind every join (see [`crate::join::gather`]). Values
+    /// move unboxed; a categorical column translates `from`'s codes through
+    /// a table filled on first use, so no cell is hashed.
+    pub fn append_gather(
+        &mut self,
+        col: ColId,
+        from: &Relation,
+        src: ColId,
+        rows: impl IntoIterator<Item = Option<RowId>>,
+    ) -> Result<()> {
+        match (&mut self.cols[col], &from.cols[src]) {
+            (ColumnData::Int(out), ColumnData::Int(cells)) => {
+                for row in rows {
+                    out.push(row.and_then(|r| cells.get(r)));
+                }
+            }
+            (ColumnData::Str(out), ColumnData::Str(cells)) => {
+                let mut code_of = vec![u32::MAX; cells.dict.len()];
+                for row in rows {
+                    match row.filter(|&r| bit_get(&cells.validity, r)) {
+                        Some(r) => {
+                            let c = cells.codes[r] as usize;
+                            if code_of[c] == u32::MAX {
+                                code_of[c] = out.code_for(cells.dict[c]);
+                            }
+                            bit_push(&mut out.validity, out.codes.len(), true);
+                            out.codes.push(code_of[c]);
+                        }
+                        None => out.push(None),
+                    }
+                }
+            }
+            _ => return Err(self.type_err(col, from.schema.column(src).dtype)),
+        }
+        Ok(())
+    }
+
     /// Appends a chunk of optional boxed values (type-checked per cell) —
     /// the generic adapter for callers that already hold `Value`s.
     pub fn append_values(&mut self, col: ColId, chunk: &[Option<Value>]) -> Result<()> {
