@@ -225,8 +225,9 @@ mod tests {
         assert_eq!(handed.fed, counted);
         // Row 2's pin feeds `A` only; the Boston rows feed nothing.
         assert_eq!(handed.fed, [3, 1, 1]);
-        // Row 2 matches every CC's `R1` side.
+        // Row 2 matches every CC's `R1` side, and its pin feeds `A`.
         assert_eq!((handed.words, handed.r1_masks), (1, vec![0b111]));
+        assert_eq!(handed.pinned, [0b001]);
     }
 
     #[test]

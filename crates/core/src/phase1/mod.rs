@@ -386,10 +386,11 @@ impl P1 {
     }
 
     /// What invalid placement needs of the record for the invalid `rows`,
-    /// taken while the `R1` bitmaps exist: every CC's [`P1::fed_count`] and
-    /// each row's `R1` mask. Complete rows feed exactly their combo's CCs,
-    /// so the counts are those of the completed view before the invalid
-    /// rows are placed. Nothing is counted when there are no invalid rows.
+    /// taken while the `R1` bitmaps exist: every CC's [`P1::fed_count`],
+    /// and each row's `R1` mask and the CCs its pins already feed. Complete
+    /// rows feed exactly their combo's CCs, so the counts are those of the
+    /// completed view before the invalid rows are placed. Nothing is
+    /// counted when there are no invalid rows.
     pub(crate) fn invalid_rows(&self, rows: Vec<RowId>) -> InvalidRows {
         if rows.is_empty() {
             return InvalidRows::default();
@@ -401,12 +402,20 @@ impl P1 {
                 mask[c / 64] |= (bits[row >> 6] >> (row & 63) & 1) << (c % 64);
             }
         }
+        let mut pinned = r1_masks.clone();
+        for (mask, &row) in pinned.chunks_exact_mut(words).zip(&rows) {
+            let (pins, combo) = self.pins_and_combo(row);
+            for (w, word) in mask.iter_mut().enumerate() {
+                *word &= self.fed_word(pins, combo, w);
+            }
+        }
         InvalidRows {
             fed: (0..self.cc_r1_bits.len())
                 .map(|c| self.fed_count(c))
                 .collect(),
             words,
             r1_masks,
+            pinned,
             rows,
         }
     }
@@ -501,6 +510,9 @@ pub(crate) struct InvalidRows {
     /// `r1_masks[i * words..(i + 1) * words]`: the CCs whose `R1` side
     /// `rows[i]` matches.
     pub r1_masks: Vec<u64>,
+    /// Laid out like `r1_masks`: the CCs `rows[i]` already feeds through
+    /// its pins, counted in `fed`. Its placement replaces them.
+    pub pinned: Vec<u64>,
 }
 
 /// `true` if `combo` (aligned with `cols`) satisfies `cond`. Conditions

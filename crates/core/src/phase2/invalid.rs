@@ -91,19 +91,16 @@ pub(crate) fn solve_invalid(
     // mask (its `R1` attributes never change here) and the combo's `R2`
     // mask, which Phase I built.
     let mut counts: Vec<i64> = invalid.fed.iter().map(|&c| c as i64).collect();
-    let (words, r1_masks) = (invalid.words, &invalid.r1_masks);
+    let words = invalid.words;
     // Invalid placement is the masks' last reader.
     let combo_masks = std::mem::take(&mut ctx.combo_ccs);
-    // Calls `f(ci)` for every CC that row `i` of `invalid` feeds under
-    // combo `k`, ascending.
-    let for_each_fed = |i: usize, k: usize, f: &mut dyn FnMut(usize)| {
-        for wi in 0..words {
-            let mut w = r1_masks[i * words + wi] & combo_masks[k * words + wi];
-            while w != 0 {
-                f(wi * 64 + w.trailing_zeros() as usize);
-                w &= w - 1;
-            }
-        }
+    // The CCs that row `i` of `invalid` feeds under combo `k`, ascending.
+    let fed = |i: usize, k: usize| {
+        let (r1, combo) = (
+            mask(&invalid.r1_masks, words, i),
+            mask(&combo_masks, words, k),
+        );
+        ones(r1.iter().zip(combo).map(|(r, c)| r & c))
     };
     // Each household's members, from the record: only the DC checks below
     // read them.
@@ -122,19 +119,22 @@ pub(crate) fn solve_invalid(
                 "R2 has no tuples; invalid rows cannot be assigned".into(),
             ));
         }
-        // Score each combo by the CC error its assignment would add.
+        // The row's pins feed some CCs already; the combo it takes
+        // replaces them.
+        for ci in ones(mask(&invalid.pinned, words, i).iter().copied()) {
+            counts[ci] -= 1;
+        }
+        // Score each combo by the CC error its assignment would add: one
+        // per fed CC already at its target, minus one per CC below it.
+        let added = |ci: usize| {
+            if counts[ci] >= ccs[ci].target as i64 {
+                1
+            } else {
+                -1
+            }
+        };
         let mut scored: Vec<(i64, usize)> = (0..n_combos)
-            .map(|k| {
-                let mut delta = 0i64;
-                for_each_fed(i, k, &mut |ci| {
-                    delta += if counts[ci] >= ccs[ci].target as i64 {
-                        1
-                    } else {
-                        -1
-                    };
-                });
-                (delta, k)
-            })
+            .map(|k| (fed(i, k).map(added).sum(), k))
             .collect();
         scored.sort();
 
@@ -162,9 +162,27 @@ pub(crate) fn solve_invalid(
         };
         ctx.record[row] = record_id(r2_row)?;
         members[r2_row].push(row);
-        for_each_fed(i, k, &mut |ci| counts[ci] += 1);
+        for ci in fed(i, k) {
+            counts[ci] += 1;
+        }
     }
     Ok(minted)
+}
+
+/// Mask `i` of `masks`, which hold `words` words each.
+fn mask(masks: &[u64], words: usize, i: usize) -> &[u64] {
+    &masks[i * words..(i + 1) * words]
+}
+
+/// The set bits of a word-per-64 mask, ascending.
+fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(wi, mut w)| {
+        std::iter::from_fn(move || {
+            let bit = (w != 0).then(|| w.trailing_zeros() as usize)?;
+            w &= w - 1;
+            Some(wi * 64 + bit)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -338,6 +356,23 @@ mod tests {
             place(&mut ctx, &invalid, &instance, false),
             Err(CoreError::NoSolutionWithoutAugmentation { unassignable: 3 })
         ));
+    }
+
+    #[test]
+    fn a_pinned_row_is_scored_without_its_own_pinned_contribution() {
+        // Owner 2's pin feeds `A` (3 of 3). Without that contribution `A`
+        // is one short, and so is `D` (1 of 2): a Chicago house adds no
+        // error and fixes both. Counting the pin again would make `A` look
+        // full, tie the Chicago house with the Boston combos and send the
+        // owner to the first of those, leaving `A` and `D` one short.
+        let (instance, p1) = fixtures::pinned_invalid();
+        let (mut ctx, invalid) = phase2(&instance, p1);
+        assert_eq!(
+            (invalid.rows.as_slice(), invalid.fed.as_slice()),
+            (&[2][..], &[3, 1, 1][..])
+        );
+        place(&mut ctx, &invalid, &instance, true).unwrap();
+        assert_eq!(ctx.record[2], 3, "the Chicago house");
     }
 
     #[test]
