@@ -14,6 +14,7 @@
 //! checks read come from the household record.
 
 use crate::error::{CoreError, Result};
+use crate::phase1::compressed::bitmap_rows;
 use crate::phase1::InvalidRows;
 use crate::phase2::{record_id, Phase2Ctx};
 use cextend_constraints::{BoundDc, CardinalityConstraint};
@@ -100,7 +101,7 @@ pub(crate) fn solve_invalid(
             mask(&invalid.r1_masks, words, i),
             mask(&combo_masks, words, k),
         );
-        ones(r1.iter().zip(combo).map(|(r, c)| r & c))
+        bitmap_rows(&r1.iter().zip(combo).map(|(r, c)| r & c).collect::<Vec<_>>())
     };
     // Each household's members, from the record: only the DC checks below
     // read them.
@@ -121,7 +122,7 @@ pub(crate) fn solve_invalid(
         }
         // The row's pins feed some CCs already; the combo it takes
         // replaces them.
-        for ci in ones(mask(&invalid.pinned, words, i).iter().copied()) {
+        for ci in bitmap_rows(mask(&invalid.pinned, words, i)) {
             counts[ci] -= 1;
         }
         // Score each combo by the CC error its assignment would add: one
@@ -134,7 +135,7 @@ pub(crate) fn solve_invalid(
             }
         };
         let mut scored: Vec<(i64, usize)> = (0..n_combos)
-            .map(|k| (fed(i, k).map(added).sum(), k))
+            .map(|k| (fed(i, k).into_iter().map(added).sum(), k))
             .collect();
         scored.sort();
 
@@ -172,17 +173,6 @@ pub(crate) fn solve_invalid(
 /// Mask `i` of `masks`, which hold `words` words each.
 fn mask(masks: &[u64], words: usize, i: usize) -> &[u64] {
     &masks[i * words..(i + 1) * words]
-}
-
-/// The set bits of a word-per-64 mask, ascending.
-fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
-    words.enumerate().flat_map(|(wi, mut w)| {
-        std::iter::from_fn(move || {
-            let bit = (w != 0).then(|| w.trailing_zeros() as usize)?;
-            w &= w - 1;
-            Some(wi * 64 + bit)
-        })
-    })
 }
 
 #[cfg(test)]

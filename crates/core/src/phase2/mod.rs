@@ -180,14 +180,12 @@ impl Households {
 /// The household record's entry for `R̂2` row `r2_row`. An `R̂2` that
 /// outgrows the `u32` record is an error.
 fn record_id(r2_row: usize) -> Result<u32> {
-    u32::try_from(r2_row)
-        .ok()
-        .filter(|&id| id != NO_MATCH)
-        .ok_or_else(|| {
-            CoreError::Validation(format!(
-                "R̂2 row {r2_row} does not fit the u32 household record"
-            ))
-        })
+    match u32::try_from(r2_row) {
+        Ok(id) if id != NO_MATCH => Ok(id),
+        _ => Err(CoreError::Validation(format!(
+            "R̂2 row {r2_row} does not fit the u32 household record"
+        ))),
+    }
 }
 
 /// Phase II working state shared by the coloring and invalid-handling steps:
@@ -433,20 +431,14 @@ pub(crate) fn run_phase2(
     // households' `R̂2` cells, and `R̂1` is `R1` with each row's household
     // key as its FK.
     let output_stage = cextend_obs::stage("coloring");
-    let Phase2Ctx {
-        view,
-        record,
-        households,
-        ..
-    } = ctx;
-    let view_name = view.name().to_owned();
-    drop(view);
+    let view_name = ctx.view.name().to_owned();
+    drop(ctx.view);
+    let (record, r2_hat, k2) = (ctx.record, ctx.households.r2_hat, ctx.households.k2);
     if let Some(row) = record.iter().position(|&h| h == NO_MATCH) {
         return Err(CoreError::Validation(format!(
             "row {row} left without an FK assignment"
         )));
     }
-    let Households { r2_hat, k2, .. } = households;
     let r1 = &instance.r1;
     let fk = r1.schema().fk_col().expect("validated");
     let sources: Vec<Source> = (0..r1.schema().len())

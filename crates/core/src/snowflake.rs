@@ -337,19 +337,6 @@ enum FkCells {
     Str(Vec<(RowId, Sym)>),
 }
 
-impl FkCells {
-    /// Column `fk` of `r1_hat`, whose every cell Phase II filled.
-    fn of(r1_hat: &Relation, fk: ColId) -> FkCells {
-        match r1_hat.int_view(fk) {
-            Some(v) => FkCells::Int((0..v.len()).filter_map(|r| Some((r, v.get(r)?))).collect()),
-            None => {
-                let v = r1_hat.sym_view(fk).expect("columns are int or sym");
-                FkCells::Str((0..v.len()).filter_map(|r| Some((r, v.get(r)?))).collect())
-            }
-        }
-    }
-}
-
 impl StepDelta {
     /// Applies the writes to the table set the step was solved against.
     pub fn apply(self, tables: &mut [Relation]) -> Result<()> {
@@ -400,7 +387,13 @@ pub fn solve_step(
         .schema()
         .col_id(&step.edge.fk_col)
         .expect("planned fk column exists");
-    let fk_cells = FkCells::of(&solution.r1_hat, sol_fk);
+    // Phase II filled every cell of the FK column.
+    let (r1_hat, rows) = (&solution.r1_hat, 0..solution.r1_hat.n_rows());
+    let fk_cells = match (r1_hat.int_view(sol_fk), r1_hat.sym_view(sol_fk)) {
+        (Some(v), _) => FkCells::Int(rows.filter_map(|r| Some((r, v.get(r)?))).collect()),
+        (_, Some(v)) => FkCells::Str(rows.filter_map(|r| Some((r, v.get(r)?))).collect()),
+        (None, None) => unreachable!("columns are int or sym"),
+    };
     let outcome = StepOutcome {
         label: step.edge.label(),
         n_r1,

@@ -7,17 +7,13 @@
 //! and row `i` of `V_join` corresponds to row `i` of `R1` — an invariant the
 //! whole solver relies on.
 //!
-//! Every view here comes out of one typed [`gather`]: each output column is
-//! a column of some relation read row for row, read through a vector of
-//! row matches, or missing. [`fk_join_on`] is the [`fk_matches`] key probe
-//! followed by that gather; the solver gathers `V_join` and `R̂1` through
-//! Phase II's household record and each snowflake step's augmented view
-//! through its dimensions' matches.
+//! Every view here is one typed [`gather`] of columns read row for row,
+//! through row matches, or left missing: [`fk_join_on`] is the
+//! [`fk_matches`] key probe followed by that gather.
 
 use crate::error::{Result, TableError};
 use crate::relation::{Relation, RelationBuilder, RowId};
 use crate::schema::{ColId, Role, Schema};
-use crate::value::Dtype;
 use std::collections::HashMap;
 
 /// Column bookkeeping for a join view `V_join(K1, A1..Ap, B1..Bq)`.
@@ -181,20 +177,17 @@ pub fn fk_matches(r1: &Relation, fk: ColId, r2: &Relation) -> Result<Vec<u32>> {
         fks.map(|k| k.and_then(|k| by_key.get(&k).copied()).unwrap_or(NO_MATCH))
             .collect()
     }
-    let (n1, n2) = (r1.n_rows(), r2.n_rows());
+    let (rows1, rows2) = (0..r1.n_rows(), 0..r2.n_rows());
     Ok(
-        match (r1.schema().column(fk).dtype, r2.schema().column(k2).dtype) {
-            (Dtype::Int, Dtype::Int) => {
-                let (fkv, kv) = (r1.int_view(fk), r2.int_view(k2));
-                let (fkv, kv) = (fkv.expect("dtype checked"), kv.expect("dtype checked"));
-                probe((0..n2).map(|r| kv.get(r)), (0..n1).map(|r| fkv.get(r)))
-            }
-            (Dtype::Str, Dtype::Str) => {
-                let (fkv, kv) = (r1.sym_view(fk), r2.sym_view(k2));
-                let (fkv, kv) = (fkv.expect("dtype checked"), kv.expect("dtype checked"));
-                probe((0..n2).map(|r| kv.get(r)), (0..n1).map(|r| fkv.get(r)))
-            }
-            _ => vec![NO_MATCH; n1],
+        match (
+            r1.int_view(fk),
+            r2.int_view(k2),
+            r1.sym_view(fk),
+            r2.sym_view(k2),
+        ) {
+            (Some(f), Some(k), ..) => probe(rows2.map(|r| k.get(r)), rows1.map(|r| f.get(r))),
+            (.., Some(f), Some(k)) => probe(rows2.map(|r| k.get(r)), rows1.map(|r| f.get(r))),
+            _ => vec![NO_MATCH; r1.n_rows()],
         },
     )
 }
