@@ -874,7 +874,7 @@ impl RelationBuilder {
     /// typed gather behind every join (see [`crate::join::gather`]). Values
     /// move unboxed; a categorical column translates `from`'s codes through
     /// a table filled on first use, so no cell is hashed.
-    pub fn append_gather(
+    pub(crate) fn append_gather(
         &mut self,
         col: ColId,
         from: &Relation,
