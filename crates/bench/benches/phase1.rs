@@ -11,7 +11,7 @@ use cextend_constraints::{
     cc_counts, CardinalityConstraint, HasseDiagram, NormalizedCond, RelationshipMatrix,
 };
 use cextend_core::phase1_internals::{
-    complete_leftovers, complete_leftovers_scalar, run_hasse, run_hasse_scalar, P1,
+    complete_leftovers, complete_leftovers_scalar, pinned_view, run_hasse, run_hasse_scalar, P1,
 };
 use cextend_core::{CExtensionInstance, SolverConfig};
 use cextend_workloads::{CcFamily, DcSet, WorkloadData};
@@ -48,8 +48,14 @@ fn bench_hasse(c: &mut Criterion) {
         group.sample_size(10);
         group.bench_function("scalar", |b| {
             b.iter_batched(
-                || P1::build(&instance, &config).unwrap(),
-                |mut p1| run_hasse_scalar(&mut p1, &instance.ccs, &hasse, &comps).unwrap(),
+                || {
+                    let p1 = P1::build(&instance, &config).unwrap();
+                    let view = pinned_view(&p1, &instance).unwrap();
+                    (p1, view)
+                },
+                |(p1, mut view)| {
+                    run_hasse_scalar(&p1, &mut view, &instance.ccs, &hasse, &comps).unwrap()
+                },
                 BatchSize::PerIteration,
             )
         });
@@ -73,21 +79,24 @@ fn bench_leftovers(c: &mut Criterion) {
         let comps: Vec<&[usize]> = hasse.components().iter().map(|c| c.as_slice()).collect();
         let all: Vec<usize> = (0..instance.ccs.len()).collect();
         // Setup replays the recursion so the routine sees the real
-        // leftover population (partially assigned rows included), with the
-        // pins written into the view for the scalar oracle, which reads
-        // cells.
+        // leftover population (partially assigned rows included); the
+        // scalar oracle, which reads cells, gets the record's pinned view.
         let after_hasse = || {
             let mut p1 = P1::build(&instance, &config).unwrap();
             run_hasse(&mut p1, &instance.ccs, &all, &hasse, &comps);
-            p1.write_pins(0..p1.view.n_rows()).unwrap();
             p1
+        };
+        let with_view = || {
+            let p1 = after_hasse();
+            let view = pinned_view(&p1, &instance).unwrap();
+            (p1, view)
         };
         let mut group = c.benchmark_group(format!("phase1_leftovers/{workload}"));
         group.sample_size(10);
         group.bench_function("scalar", |b| {
             b.iter_batched(
-                after_hasse,
-                |mut p1| complete_leftovers_scalar(&mut p1, &instance.ccs).unwrap(),
+                with_view,
+                |(p1, mut view)| complete_leftovers_scalar(&p1, &mut view, &instance.ccs).unwrap(),
                 BatchSize::PerIteration,
             )
         });

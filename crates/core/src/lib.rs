@@ -85,20 +85,21 @@ pub use report::{Solution, SolveCounters, SolveStats, StageTimings};
 
 /// Phase I internals (Algorithm 2, Algorithm 1's program build and the
 /// completion passes), exposed for the criterion benches and the
-/// oracle-equivalence tests: the production paths next to the retained
-/// scalar oracles, plus the per-shard RNG stream machinery the determinism
-/// tests pin down.
+/// oracle-equivalence tests: the production paths, which decide into
+/// [`P1`](phase1_internals::P1)'s per-row record, next to the retained
+/// scalar oracles, which read and write the cells of the view
+/// [`pinned_view`](phase1_internals::pinned_view) builds from that record,
+/// plus the per-shard RNG stream machinery the determinism tests pin down.
 pub mod phase1_internals {
     pub use crate::phase1::compressed::{complete_leftovers, complete_randomly};
-    pub use crate::phase1::hasse_rec::{
-        run as run_hasse, run_scalar as run_hasse_scalar, HasseOutcome,
-    };
+    pub use crate::phase1::hasse_rec::{run as run_hasse, HasseOutcome};
     pub use crate::phase1::ilp_based::{build as build_ilp, IlpBuild, MarginalMode};
-    pub use crate::phase1::repair::{repair, RepairOutcome};
-    pub use crate::phase1::{
-        complete_leftovers_scalar, complete_randomly_scalar, shard_rng, Combo, RowState, P1,
-        SHARD_SIZE,
+    pub use crate::phase1::oracle::{
+        cc_col_ids, complete_leftovers_scalar, complete_randomly_scalar, pinned_view, row_state,
+        run_hasse_scalar,
     };
+    pub use crate::phase1::repair::{repair, RepairOutcome};
+    pub use crate::phase1::{shard_rng, Combo, RowState, P1, SHARD_SIZE};
 }
 
 /// Solves a C-Extension instance with the given configuration.
@@ -368,5 +369,75 @@ mod solve_tests {
         let report = evaluate(&instance, &solution).unwrap();
         assert_eq!(report.cc_median, 0.0);
         assert!(report.join_recovered);
+    }
+
+    /// `rel` with its columns in the order `names`, rows unchanged.
+    fn reordered(rel: &cextend_table::Relation, names: &[&str]) -> cextend_table::Relation {
+        let ids: Vec<usize> = names
+            .iter()
+            .map(|n| rel.schema().col_id(n).unwrap())
+            .collect();
+        let schema = cextend_table::Schema::new(
+            ids.iter()
+                .map(|&c| rel.schema().column(c).clone())
+                .collect(),
+        )
+        .unwrap();
+        let sources: Vec<cextend_table::Source> = ids
+            .iter()
+            .map(|&c| cextend_table::Source::Rows(rel, c))
+            .collect();
+        cextend_table::gather(rel.name(), schema, rel.n_rows(), &sources).unwrap()
+    }
+
+    /// The cells of `rel`'s column `name`, top to bottom.
+    fn column(rel: &cextend_table::Relation, name: &str) -> Vec<Option<cextend_table::Value>> {
+        let c = rel.schema().col_id(name).unwrap();
+        rel.rows().map(|r| rel.get(r, c)).collect()
+    }
+
+    #[test]
+    fn a_solve_does_not_depend_on_r1_column_order() {
+        // Both phases bind the CCs' and DCs' `R1` columns against `R1`'s
+        // own schema. Every registered workload's `R1` puts its key first
+        // and its FK last, as the running example does; permute `Persons`
+        // so the FK comes first, then so it sits in the middle.
+        let canonical = fixtures::running_example();
+        for order in [
+            ["hid", "Multi-ling", "pid", "Rel", "Age"],
+            ["Age", "Rel", "hid", "pid", "Multi-ling"],
+        ] {
+            let instance = CExtensionInstance::new(
+                reordered(&canonical.r1, &order),
+                canonical.r2.clone(),
+                canonical.ccs.clone(),
+                canonical.dcs.clone(),
+            )
+            .unwrap();
+            for workers in [1, 2] {
+                let config = SolverConfig::hybrid().with_seed(3).with_workers(workers);
+                let want = solve(&canonical, &config).unwrap();
+                let got = solve(&instance, &config).unwrap();
+                for (a, b) in [(&want.r1_hat, &got.r1_hat), (&want.vjoin, &got.vjoin)] {
+                    assert_eq!(a.name(), b.name());
+                    assert_eq!(a.schema().len(), b.schema().len());
+                    for col in a.schema().columns() {
+                        assert_eq!(
+                            column(a, &col.name),
+                            column(b, &col.name),
+                            "{order:?} at {workers} workers: {}.{}",
+                            a.name(),
+                            col.name
+                        );
+                    }
+                }
+                assert!(cextend_table::relations_equal_ordered(
+                    &want.r2_hat,
+                    &got.r2_hat
+                ));
+                assert_eq!(want.stats.counters, got.stats.counters);
+                assert_eq!(evaluate(&instance, &got).unwrap().dc_error, 0.0);
+            }
+        }
     }
 }

@@ -6,10 +6,9 @@
 //! child's count is disturbed. Proposition 4.7: if the CC set has no
 //! intersecting pair and a satisfying view exists, the result is exact.
 
-use crate::error::Result;
-use crate::phase1::{compressed, RowState, P1};
+use crate::phase1::{compressed, P1};
 use cextend_constraints::{CardinalityConstraint, HasseDiagram};
-use cextend_table::{BoundPredicate, RowId};
+use cextend_table::RowId;
 
 /// Outcome counters of one Algorithm 2 run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -29,7 +28,7 @@ pub struct HasseOutcome {
 /// into those children, which keeps the paper's line 12 row filter (¬σ_c)
 /// restricted to the children the combo could actually feed. `None` when no
 /// real R2 tuple satisfies the node's R2 side.
-fn choose_combo(
+pub(crate) fn choose_combo(
     p1: &P1,
     ccs: &[CardinalityConstraint],
     node: usize,
@@ -66,8 +65,10 @@ fn choose_combo(
 /// through `R2` compete for the same empty rows), so node order is part of
 /// the algorithm's semantics. Each claim records its combo and the CC
 /// columns the node's `R2` condition pins on the claimed rows
-/// (`P1::pin`). Bit-identical to [`run_scalar`] once [`P1::write_pins`]
-/// has written the pins into the view.
+/// (`P1::pin`). The view the record stands for is bit-identical to the one
+/// the scalar oracle [`oracle::run_hasse_scalar`] writes.
+///
+/// [`oracle::run_hasse_scalar`]: crate::phase1::oracle::run_hasse_scalar
 pub fn run(
     p1: &mut P1,
     ccs: &[CardinalityConstraint],
@@ -148,7 +149,7 @@ fn solve_node_bits(
     out.assigned_rows += rows.len();
     // Claimed rows leave the empty set — unless the node's condition
     // constrains no CC column, in which case the claim pins nothing and
-    // the rows really are still Empty (matching the scalar `row_state`
+    // the rows really are still Empty (matching the oracle's `row_state`
     // check).
     if p1.pin(&rows, combo_idx, &ccs[node].r2) {
         for &r in &rows {
@@ -157,99 +158,12 @@ fn solve_node_bits(
     }
 }
 
-/// The scalar oracle for [`run`]: boxed per-row state probes and compiled
-/// predicate walks over all rows, per node. Kept for the equivalence tests
-/// and the criterion benches.
-pub fn run_scalar(
-    p1: &mut P1,
-    ccs: &[CardinalityConstraint],
-    hasse: &HasseDiagram,
-    components: &[&[usize]],
-) -> Result<HasseOutcome> {
-    let bound_r1: Vec<BoundPredicate> = ccs
-        .iter()
-        .map(|cc| p1.bind_r1(&cc.r1))
-        .collect::<Result<Vec<_>>>()?;
-    let mut out = HasseOutcome::default();
-    for comp in components {
-        for m in hasse.maximal_elements(comp) {
-            solve_node(p1, ccs, hasse, &bound_r1, m, &mut out)?;
-        }
-    }
-    Ok(out)
-}
-
-fn solve_node(
-    p1: &mut P1,
-    ccs: &[CardinalityConstraint],
-    hasse: &HasseDiagram,
-    bound_r1: &[BoundPredicate],
-    node: usize,
-    out: &mut HasseOutcome,
-) -> Result<()> {
-    // Children first (lines 9–11).
-    let children: Vec<usize> = hasse.children(node).to_vec();
-    for &c in &children {
-        solve_node(p1, ccs, hasse, bound_r1, c, out)?;
-    }
-    // Demand left for this node after its children (line 12).
-    let child_total: u64 = children.iter().map(|&c| ccs[c].target).sum();
-    let need = ccs[node].target.saturating_sub(child_total);
-    if ccs[node].target < child_total {
-        out.deficits += 1;
-    }
-    if need == 0 {
-        return Ok(());
-    }
-    let Some(combo_idx) = choose_combo(p1, ccs, node, &children) else {
-        // No real R2 tuple can satisfy this CC's R2 side.
-        out.deficits += 1;
-        return Ok(());
-    };
-    let combo = p1.combos[combo_idx].clone();
-    // Children whose count the chosen combo could still contribute to: rows
-    // matching their R1 condition must be excluded (line 12's ¬σ_c).
-    let excluded: Vec<usize> = children
-        .iter()
-        .copied()
-        .filter(|&c| p1.combo_satisfies(&combo, &ccs[c].r2))
-        .collect();
-    // Candidate scan over typed column buffers. The compiled predicates
-    // borrow the view, so candidates are collected before any assignment;
-    // this is sound because `assign_partial` writes only the assigned row's
-    // `R2`-side columns while the predicates read `R1` attributes, and an
-    // `Empty` row stays `Empty` until this very loop assigns it.
-    let candidates: Vec<usize> = {
-        let node_pred = bound_r1[node].compile(&p1.view);
-        let excluded_preds: Vec<_> = excluded
-            .iter()
-            .map(|&c| bound_r1[c].compile(&p1.view))
-            .collect();
-        (0..p1.view.n_rows())
-            .filter(|&row| {
-                p1.row_state(row) == RowState::Empty
-                    && node_pred.eval(row)
-                    && !excluded_preds.iter().any(|p| p.eval(row))
-            })
-            .take(need as usize)
-            .collect()
-    };
-    let taken = candidates.len() as u64;
-    for row in candidates {
-        p1.assign_partial(row, &combo, &ccs[node].r2)?;
-        out.assigned_rows += 1;
-    }
-    if taken < need {
-        out.deficits += 1;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SolverConfig;
     use crate::instance::CExtensionInstance;
+    use crate::phase1::oracle::{assert_hasse_agrees, cell_counts};
     use cextend_constraints::{parse_cc, RelationshipMatrix};
     use cextend_table::{ColumnDef, Dtype, Relation, Schema, Value};
     use std::collections::HashSet;
@@ -308,28 +222,27 @@ mod tests {
         ["Area".to_owned()].into_iter().collect()
     }
 
-    fn run_all(instance: &CExtensionInstance) -> (P1, HasseOutcome) {
-        let config = SolverConfig::hybrid();
-        let mut p1 = P1::build(instance, &config).unwrap();
+    /// Runs Algorithm 2 over every component and returns every CC's count
+    /// on the cells of the record's pinned view.
+    fn run_all(instance: &CExtensionInstance) -> (Vec<u64>, HasseOutcome) {
+        let mut p1 = P1::build(instance, &SolverConfig::hybrid()).unwrap();
         let m = RelationshipMatrix::build(&instance.ccs);
         let hasse = HasseDiagram::build(&m);
         let comps: Vec<&[usize]> = hasse.components().iter().map(|c| c.as_slice()).collect();
         let all: Vec<usize> = (0..instance.ccs.len()).collect();
         let out = run(&mut p1, &instance.ccs, &all, &hasse, &comps);
-        p1.write_pins(0..p1.view.n_rows()).unwrap();
-
         // Every fixture doubles as an oracle-equivalence case: the scalar
         // path and the production path must produce the same view and
         // counters.
-        let mut scalar = P1::build(instance, &config).unwrap();
-        let scalar_out = run_scalar(&mut scalar, &instance.ccs, &hasse, &comps).unwrap();
-        assert_eq!(out.assigned_rows, scalar_out.assigned_rows);
-        assert_eq!(out.deficits, scalar_out.deficits);
-        assert!(cextend_table::relations_equal_ordered(
-            &scalar.view,
-            &p1.view
-        ));
-        (p1, out)
+        assert_hasse_agrees(instance, &p1, &out, &hasse, &comps);
+        (cell_counts(&p1, instance), out)
+    }
+
+    /// Asserts that every CC of `instance` meets its target.
+    fn exact(instance: &CExtensionInstance, counts: &[u64]) {
+        for (cc, &count) in instance.ccs.iter().zip(counts) {
+            assert_eq!(count, cc.target, "{cc}");
+        }
     }
 
     #[test]
@@ -344,12 +257,10 @@ mod tests {
             parse_cc("b", r#"| Age in [30, 39] & Area = "NYC" | = 7"#, &r2cols()).unwrap(),
         ];
         let instance = example_instance(ccs);
-        let (p1, out) = run_all(&instance);
+        let (counts, out) = run_all(&instance);
         assert_eq!(out.deficits, 0);
         assert_eq!(out.assigned_rows, 12);
-        for cc in &instance.ccs {
-            assert_eq!(cc.count_in(&p1.view).unwrap(), cc.target, "{cc}");
-        }
+        exact(&instance, &counts);
     }
 
     #[test]
@@ -371,11 +282,9 @@ mod tests {
             .unwrap(),
         ];
         let instance = example_instance(ccs);
-        let (p1, out) = run_all(&instance);
+        let (counts, out) = run_all(&instance);
         assert_eq!(out.deficits, 0);
-        for cc in &instance.ccs {
-            assert_eq!(cc.count_in(&p1.view).unwrap(), cc.target, "{cc}");
-        }
+        exact(&instance, &counts);
         // Exactly 30 rows assigned in total: the child's 4 count toward the
         // parent's 30.
         assert_eq!(out.assigned_rows, 30);
@@ -400,11 +309,9 @@ mod tests {
             .unwrap(),
         ];
         let instance = example_instance(ccs);
-        let (p1, out) = run_all(&instance);
+        let (counts, out) = run_all(&instance);
         assert_eq!(out.deficits, 0);
-        for cc in &instance.ccs {
-            assert_eq!(cc.count_in(&p1.view).unwrap(), cc.target, "{cc}");
-        }
+        exact(&instance, &counts);
         assert_eq!(out.deficits, 0);
     }
 
@@ -431,10 +338,10 @@ mod tests {
         )
         .unwrap()];
         let instance = example_instance(ccs);
-        let (p1, out) = run_all(&instance);
+        let (counts, out) = run_all(&instance);
         assert!(out.deficits > 0);
         assert_eq!(out.assigned_rows, 0);
-        assert_eq!(instance.ccs[0].count_in(&p1.view).unwrap(), 0);
+        assert_eq!(counts, [0]);
     }
 
     #[test]
@@ -460,10 +367,8 @@ mod tests {
             .unwrap(),
         ];
         let instance = example_instance(ccs);
-        let (p1, out) = run_all(&instance);
+        let (counts, out) = run_all(&instance);
         assert_eq!(out.deficits, 0);
-        for cc in &instance.ccs {
-            assert_eq!(cc.count_in(&p1.view).unwrap(), cc.target, "{cc}");
-        }
+        exact(&instance, &counts);
     }
 }

@@ -49,7 +49,7 @@ pub(crate) fn run(
             } else {
                 ilp_based::MarginalMode::None
             };
-            let out = ilp_based::run(&mut p1, &instance.ccs, mode, &config.ilp)?;
+            let out = ilp_based::run(&mut p1, &instance.r1, &instance.ccs, mode, &config.ilp)?;
             record_ilp(stats, &out);
             stats.counters.s2_ccs = instance.ccs.len();
             // Baseline completion: random combos for every leftover row.
@@ -140,6 +140,7 @@ fn run_hybrid(
             subset.iter().map(|cc| cc.r1.clone()).collect();
         let out = ilp_based::run(
             p1,
+            &instance.r1,
             &subset,
             ilp_based::MarginalMode::Restricted(&conds),
             &config.ilp,
@@ -189,18 +190,25 @@ fn record_ilp(stats: &mut SolveStats, out: &ilp_based::IlpOutcome) {
 mod tests {
     use super::*;
     use crate::instance::fixtures;
+    use crate::phase1::oracle::cell_counts;
+    use crate::phase1::RowState;
     use cextend_constraints::parse_cc;
     use cextend_table::RowId;
 
-    /// Runs Phase I and writes every row's pins into the view.
-    fn run_written(
+    /// Runs Phase I and returns the context, every CC's count on the cells
+    /// of its record's pinned view and the invalid rows.
+    fn run_counted(
         instance: &CExtensionInstance,
         config: &SolverConfig,
         stats: &mut SolveStats,
-    ) -> (P1, Vec<RowId>) {
-        let (mut p1, invalid) = run(instance, config, stats).unwrap();
-        p1.write_pins(0..p1.view.n_rows()).unwrap();
-        (p1, invalid.rows)
+    ) -> (P1, Vec<u64>, Vec<RowId>) {
+        let (p1, invalid) = run(instance, config, stats).unwrap();
+        let counts = cell_counts(&p1, instance);
+        (p1, counts, invalid.rows)
+    }
+
+    fn targets(instance: &CExtensionInstance) -> Vec<u64> {
+        instance.ccs.iter().map(|cc| cc.target).collect()
     }
 
     #[test]
@@ -208,21 +216,17 @@ mod tests {
         let instance = fixtures::running_example();
         let config = SolverConfig::hybrid();
         let mut stats = SolveStats::default();
-        let (p1, invalid) = run_written(&instance, &config, &mut stats);
+        let (_, counts, invalid) = run_counted(&instance, &config, &mut stats);
         assert!(invalid.is_empty());
-        for cc in &instance.ccs {
-            assert_eq!(cc.count_in(&p1.view).unwrap(), cc.target, "{cc}");
-        }
+        assert_eq!(counts, targets(&instance));
     }
 
     #[test]
     fn handed_off_counts_are_the_view_counts_with_every_pin_written() {
-        let (instance, mut p1) = fixtures::pinned_invalid();
+        let (instance, p1) = fixtures::pinned_invalid();
         let handed = p1.invalid_rows(leftover_rows(&p1));
         assert_eq!(handed.rows, [2]);
-        p1.write_pins(0..p1.view.n_rows()).unwrap();
-        let counted = cextend_constraints::cc_counts(&p1.view, &instance.ccs).unwrap();
-        assert_eq!(handed.fed, counted);
+        assert_eq!(handed.fed, cell_counts(&p1, &instance));
         // Row 2's pin feeds `A` only; the Boston rows feed nothing.
         assert_eq!(handed.fed, [3, 1, 1]);
         // Row 2 matches every CC's `R1` side, and its pin feeds `A`.
@@ -249,9 +253,9 @@ mod tests {
         instance.ccs.push(instance.ccs[0].clone());
         let config = SolverConfig::hybrid();
         let mut stats = SolveStats::default();
-        let (p1, _) = run_written(&instance, &config, &mut stats);
+        let (_, counts, _) = run_counted(&instance, &config, &mut stats);
         assert_eq!(stats.counters.deduped_ccs, 1);
-        assert_eq!(instance.ccs[0].count_in(&p1.view).unwrap(), 4);
+        assert_eq!(counts[0], 4);
     }
 
     #[test]
@@ -266,10 +270,10 @@ mod tests {
         ];
         let config = SolverConfig::hybrid();
         let mut stats = SolveStats::default();
-        let (p1, _) = run_written(&instance, &config, &mut stats);
+        let (_, counts, _) = run_counted(&instance, &config, &mut stats);
         assert_eq!(stats.counters.deduped_ccs, 1);
         assert_eq!(stats.counters.s2_ccs, 2);
-        let got = instance.ccs[0].count_in(&p1.view).unwrap();
+        let got = counts[0];
         assert!((2..=5).contains(&got));
     }
 
@@ -281,10 +285,10 @@ mod tests {
         ] {
             let instance = fixtures::running_example();
             let mut stats = SolveStats::default();
-            let (p1, invalid) = run_written(&instance, &config, &mut stats);
+            let (p1, _, invalid) = run_counted(&instance, &config, &mut stats);
             assert!(invalid.is_empty());
-            for r in p1.view.rows() {
-                assert!(p1.row_full(r));
+            for r in 0..p1.n_rows() {
+                assert_eq!(p1.state(r), RowState::Full);
             }
         }
     }
@@ -295,14 +299,12 @@ mod tests {
         // CC counts (paper: "baseline with marginals satisfies all CCs").
         let instance = fixtures::running_example();
         let mut stats = SolveStats::default();
-        let (p1, _) = run_written(
+        let (_, counts, _) = run_counted(
             &instance,
             &SolverConfig::baseline_with_marginals(),
             &mut stats,
         );
-        for cc in &instance.ccs {
-            assert_eq!(cc.count_in(&p1.view).unwrap(), cc.target, "{cc}");
-        }
+        assert_eq!(counts, targets(&instance));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use cextend_constraints::{BinDim, BinKey, CardinalityConstraint, ConstraintError
 use cextend_ilp::{
     largest_remainder, solve_ilp, solve_lp, BbConfig, IlpStatus, LpStatus, Problem, Rel,
 };
-use cextend_table::{RowId, Value, ValueSet};
+use cextend_table::{Relation, RowId, Value, ValueSet};
 
 /// Which marginal rows to add (Sections 4.1 and 4.3).
 #[derive(Clone, Debug)]
@@ -50,7 +50,7 @@ pub(crate) struct IlpOutcome {
     pub bins: usize,
 }
 
-/// Algorithm 1's program over the currently unassigned view rows.
+/// Algorithm 1's program over the currently unassigned rows.
 #[derive(Clone, Debug)]
 pub struct IlpBuild {
     /// The bins of the unassigned rows, in order of their first row.
@@ -69,7 +69,8 @@ pub struct IlpBuild {
     pub(crate) bin_vars: Vec<Vec<usize>>,
 }
 
-/// Builds Algorithm 1's program for `ccs`; `None` when no row is
+/// Builds Algorithm 1's program for `ccs` over the rows of `r1` (the `R1`
+/// `p1` was built from) that `p1` left empty; `None` when no row is
 /// unassigned or `R2` has no combo.
 ///
 /// Each CC's `R1` columns are resolved to binning positions and its `R2`
@@ -82,6 +83,7 @@ pub struct IlpBuild {
 /// decides which exist and collects every elastic row's terms.
 pub fn build(
     p1: &P1,
+    r1: &Relation,
     ccs: &[CardinalityConstraint],
     mode: &MarginalMode<'_>,
     naive_variables: bool,
@@ -92,13 +94,13 @@ pub fn build(
         return Ok(None);
     }
     let _build_stage = cextend_obs::stage("ilp_build");
-    let bound = p1.binning.bind(p1.view.schema(), p1.view.name())?;
+    let bound = p1.binning.bind(r1.schema(), r1.name())?;
     let mut bins: Vec<BinKey> = Vec::new();
     let mut bin_rows: Vec<Vec<RowId>> = Vec::new();
     {
         let mut index: std::collections::HashMap<BinKey, usize> = std::collections::HashMap::new();
         for &r in &empty_rows {
-            let Some(key) = bound.bin_of_row(&p1.view, r) else {
+            let Some(key) = bound.bin_of_row(r1, r) else {
                 continue; // missing R1 attribute cell: cannot be binned
             };
             let slot = *index.entry(key.clone()).or_insert_with(|| {
@@ -220,9 +222,10 @@ pub fn build(
     }))
 }
 
-/// Runs Algorithm 1 for `ccs` over the currently unassigned view rows.
+/// Runs Algorithm 1 for `ccs` over the rows of `r1` that `p1` left empty.
 pub(crate) fn run(
     p1: &mut P1,
+    r1: &Relation,
     ccs: &[CardinalityConstraint],
     mode: MarginalMode<'_>,
     settings: &IlpSettings,
@@ -235,7 +238,7 @@ pub(crate) fn run(
         problem,
         vars,
         bin_vars,
-    }) = build(p1, ccs, &mode, settings.naive_variables)?
+    }) = build(p1, r1, ccs, &mode, settings.naive_variables)?
     else {
         return Ok(out);
     };
@@ -320,6 +323,7 @@ mod tests {
     use crate::config::SolverConfig;
     use crate::instance::fixtures;
     use crate::instance::CExtensionInstance;
+    use crate::phase1::oracle::cell_counts;
 
     fn setup() -> (CExtensionInstance, P1) {
         let instance = fixtures::running_example();
@@ -327,30 +331,26 @@ mod tests {
         (instance, p1)
     }
 
-    /// `cc`'s count on the view once every row's pins are written.
-    fn count(p1: &mut P1, cc: &CardinalityConstraint) -> u64 {
-        p1.write_pins(0..p1.view.n_rows()).unwrap();
-        cc.count_in(&p1.view).unwrap()
-    }
-
-    /// Algorithm 1's program built pair by pair: bins from `row_state`,
-    /// bin scope from `bin_satisfies` on the projected conditions, match
-    /// tables from per-(CC, bin) `bin_satisfies` and per-(CC, combo)
-    /// `combo_satisfies`, and each elastic row filtering every variable.
+    /// Algorithm 1's program built pair by pair over `r1`'s rows: bins
+    /// from each empty row's [`P1::state`], bin scope from `bin_satisfies`
+    /// on the projected conditions, match tables from per-(CC, bin)
+    /// `bin_satisfies` and per-(CC, combo) `combo_satisfies`, and each
+    /// elastic row filtering every variable.
     fn reference_problem(
         p1: &P1,
+        r1: &Relation,
         ccs: &[CardinalityConstraint],
         mode: &MarginalMode<'_>,
         naive: bool,
     ) -> Problem {
         use crate::phase1::RowState;
-        let bound = p1.binning.bind(p1.view.schema(), p1.view.name()).unwrap();
+        let bound = p1.binning.bind(r1.schema(), r1.name()).unwrap();
         let (mut bins, mut bin_sizes): (Vec<BinKey>, Vec<i64>) = (Vec::new(), Vec::new());
-        for r in p1.view.rows() {
-            if p1.row_state(r) != RowState::Empty {
+        for r in r1.rows() {
+            if p1.state(r) != RowState::Empty {
                 continue;
             }
-            let Some(key) = bound.bin_of_row(&p1.view, r) else {
+            let Some(key) = bound.bin_of_row(r1, r) else {
                 continue;
             };
             match bins.iter().position(|b| *b == key) {
@@ -433,7 +433,6 @@ mod tests {
         let (instance, mut p1) = setup();
         // One assigned row: binning skips it.
         p1.set_combo(0, 0);
-        p1.write_pins([0]).unwrap();
         let conds = vec![instance.ccs[0].r1.clone(), instance.ccs[2].r1.clone()];
         let modes = [
             MarginalMode::None,
@@ -442,9 +441,11 @@ mod tests {
         ];
         for mode in &modes {
             for naive in [false, true] {
-                let built = build(&p1, &instance.ccs, mode, naive).unwrap().unwrap();
+                let built = build(&p1, &instance.r1, &instance.ccs, mode, naive)
+                    .unwrap()
+                    .unwrap();
                 assert!(built.bin_rows.iter().flatten().all(|&r| r != 0));
-                let want = reference_problem(&p1, &instance.ccs, mode, naive);
+                let want = reference_problem(&p1, &instance.r1, &instance.ccs, mode, naive);
                 assert_eq!(built.problem, want, "{mode:?}, naive {naive}");
             }
         }
@@ -457,15 +458,15 @@ mod tests {
         let (instance, mut p1) = setup();
         let out = run(
             &mut p1,
+            &instance.r1,
             &instance.ccs,
             MarginalMode::AllWay,
             &IlpSettings::default(),
         )
         .unwrap();
         assert_eq!(out.assigned_rows, 9, "all nine view rows get an Area");
-        for cc in &instance.ccs {
-            assert_eq!(count(&mut p1, cc), cc.target, "{cc}");
-        }
+        let targets: Vec<u64> = instance.ccs.iter().map(|cc| cc.target).collect();
+        assert_eq!(cell_counts(&p1, &instance), targets);
         // Example 4.1's binning: 4 bins of distinct (Age-interval, Rel,
         // Multi-ling) combinations.
         assert_eq!(out.bins, 4);
@@ -479,6 +480,7 @@ mod tests {
         let (instance, mut p1) = setup();
         let out = run(
             &mut p1,
+            &instance.r1,
             &instance.ccs,
             MarginalMode::None,
             &IlpSettings::default(),
@@ -498,6 +500,7 @@ mod tests {
         let subset = vec![instance.ccs[0].clone(), instance.ccs[1].clone()];
         let out = run(
             &mut p1,
+            &instance.r1,
             &subset,
             MarginalMode::Restricted(&conds),
             &IlpSettings::default(),
@@ -505,8 +508,7 @@ mod tests {
         .unwrap();
         // Owner rows: 6 of 9.
         assert_eq!(out.assigned_rows, 6);
-        assert_eq!(count(&mut p1, &instance.ccs[0]), 4);
-        assert_eq!(count(&mut p1, &instance.ccs[1]), 2);
+        assert_eq!(cell_counts(&p1, &instance)[..2], [4, 2]);
     }
 
     #[test]
@@ -517,7 +519,14 @@ mod tests {
             bb_nodes: 0,
             ..IlpSettings::default()
         };
-        let out = run(&mut p1, &instance.ccs, MarginalMode::AllWay, &settings).unwrap();
+        let out = run(
+            &mut p1,
+            &instance.r1,
+            &instance.ccs,
+            MarginalMode::AllWay,
+            &settings,
+        )
+        .unwrap();
         assert!(out.rounded);
         assert!(out.budget_fallback, "a zero node budget is a budget stop");
         // Hard rows exact ⇒ every row assigned.
@@ -543,15 +552,17 @@ mod tests {
         )
         .unwrap();
         let mut p1 = P1::build(&instance, &SolverConfig::hybrid()).unwrap();
-        run(&mut p1, &ccs, MarginalMode::AllWay, &IlpSettings::default()).unwrap();
-        let got = count(&mut p1, &ccs[0]);
+        let settings = IlpSettings::default();
+        run(&mut p1, &instance.r1, &ccs, MarginalMode::AllWay, &settings).unwrap();
+        let got = cell_counts(&p1, &instance)[0];
         assert!((2..=5).contains(&got), "count {got} outside [2,5]");
     }
 
     #[test]
     fn empty_cc_set_is_a_no_op() {
-        let (_, mut p1) = setup();
-        let out = run(&mut p1, &[], MarginalMode::AllWay, &IlpSettings::default()).unwrap();
+        let (instance, mut p1) = setup();
+        let settings = IlpSettings::default();
+        let out = run(&mut p1, &instance.r1, &[], MarginalMode::AllWay, &settings).unwrap();
         // Bins exist, each gets only a neutral var; nothing is filled.
         assert_eq!(out.assigned_rows, 0);
     }

@@ -1,31 +1,30 @@
-//! Phase I: completing the join view `V_join` from the CCs (Section 4).
+//! Phase I: deciding the `R2`-side values of `V_join` from the CCs
+//! (Section 4).
 //!
-//! The view starts as a copy of `R1` with empty `R2`-side columns
-//! (Section 3.1). Phase I decides the values of the `R2`-side columns
-//! *referenced by CCs* ("in practice, we only consider columns used in
-//! S_CC") as one combo id per row ([`P1`]); Phase II partitions the rows by
-//! that id and joins each row to its chosen key's `R2` tuple. Three
-//! strategies share this module's context: the exact Hasse recursion
-//! (Algorithm 2, [`hasse_rec`]), the ILP formulation (Algorithm 1,
-//! [`ilp_based`]) and the hybrid split of Section 4.3 ([`hybrid`]).
+//! The paper starts the view as a copy of `R1` with empty `R2`-side columns
+//! and fills those columns (Section 3.1). Phase I here decides the values of
+//! the `R2`-side columns *referenced by CCs* ("in practice, we only consider
+//! columns used in S_CC") as one combo id per row of `R1` ([`P1`]), reading
+//! `R1` itself and writing no view; Phase II partitions the rows by that id
+//! and joins each row to its chosen key's `R2` tuple. Three strategies
+//! share this module's context: the exact Hasse recursion (Algorithm 2,
+//! [`hasse_rec`]), the ILP formulation (Algorithm 1, [`ilp_based`]) and the
+//! hybrid split of Section 4.3 ([`hybrid`]). The view itself is built only
+//! by [`oracle`], for the scalar oracles that read and write its cells.
 
 pub(crate) mod compressed;
 pub(crate) mod hasse_rec;
 pub(crate) mod hybrid;
 pub(crate) mod ilp_based;
+pub(crate) mod oracle;
 pub(crate) mod repair;
 
 use crate::config::SolverConfig;
 use crate::error::Result;
 use crate::instance::CExtensionInstance;
 use crate::report::SolveStats;
-use cextend_constraints::{
-    domain_ranges, Binning, CardinalityConstraint, CcMembership, ColumnIntervals, NormalizedCond,
-};
-use cextend_table::{
-    init_join_view, marginals::group_rows, BoundPredicate, ColId, Dtype, Relation, RowId, Value,
-    ValueSet,
-};
+use cextend_constraints::{domain_ranges, Binning, CcMembership, ColumnIntervals, NormalizedCond};
+use cextend_table::{join_schema, marginals::group_rows, Dtype, RowId, Value, ValueSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -64,7 +63,7 @@ pub fn shard_rng(seed: u64, salt: u64, shard: u64) -> StdRng {
     StdRng::seed_from_u64(x)
 }
 
-/// Assignment state of a view row over the CC-referenced `R2` columns.
+/// Assignment state of a row over the CC-referenced `R2` columns.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RowState {
     /// No CC column assigned.
@@ -84,25 +83,20 @@ const PIN_NONE: u32 = 0;
 /// Pin set of a row that pins every CC column: a complete row.
 const PIN_ALL: u32 = 1;
 
-/// Phase I working context.
+/// Phase I working context: Phase I's decisions.
 ///
-/// Phase I's decisions live in one per-row record, never in the view's
-/// `R2`-side cells: the combo a row holds and its *pin set*, the CC columns
-/// it has fixed. Pin set 0 pins nothing (the row is empty and holds no
-/// combo), pin set 1 pins every CC column (the row is complete), and
-/// Algorithm 2 adds one set per distinct column subset its claims
-/// constrain. A row with any other pin set is partially pinned: it agrees
-/// with its combo on the pinned columns only. Phase II partitions rows by
-/// combo id and records a household per row; [`P1::write_pins`] puts a
-/// row's pinned values into the view cells for the scalar oracles, which
-/// read and write cells.
+/// They live in one per-row record over `R1`'s rows: the combo a row holds
+/// and its *pin set*, the CC columns it has fixed. Pin set 0 pins nothing
+/// (the row is empty and holds no combo), pin set 1 pins every CC column
+/// (the row is complete), and Algorithm 2 adds one set per distinct column
+/// subset its claims constrain. A row with any other pin set is partially
+/// pinned: it agrees with its combo on the pinned columns only. Phase II
+/// partitions rows by combo id and records a household per row. Only the
+/// oracle module (`phase1/oracle.rs`) builds the view the record stands
+/// for, for the scalar oracles, which read and write cells.
 pub struct P1 {
-    /// The join view being completed (row `i` ↔ `R1` row `i`).
-    pub view: Relation,
     /// CC-referenced `R2` attribute columns, sorted.
     pub r2_cc_cols: Vec<String>,
-    /// Their column ids in the view.
-    pub view_cc_ids: Vec<ColId>,
     /// Distinct existing combos over `r2_cc_cols` in `R2`, sorted.
     pub combos: Vec<Combo>,
     /// Each combo's `R2` rows (its households), ascending.
@@ -115,7 +109,7 @@ pub struct P1 {
     /// Binning of `R1`'s attribute columns (intervalized numerics).
     pub binning: Binning,
     /// `R1`-side membership of the instance's CCs: bit `row % 64` of word
-    /// `row / 64` of `cc_r1_bits[i]` is set iff view row `row` satisfies
+    /// `row / 64` of `cc_r1_bits[i]` is set iff `R1` row `row` satisfies
     /// `instance.ccs[i].r1`. Built once, in one pass, by [`P1::build`];
     /// Phase I decides only `R2`-side values, so it stays exact until the
     /// solve drops it after Phase I.
@@ -134,19 +128,17 @@ pub struct P1 {
     /// The solver seed; completion stages derive per-shard streams from it
     /// via [`shard_rng`].
     pub seed: u64,
-    /// Seeded RNG for Phase II's random-assignment baseline.
-    pub rng: StdRng,
 }
 
 impl P1 {
-    /// Builds the context: initializes `V_join`, groups `R2` by its combo
-    /// over the CC columns (the combos, their households and their CC
-    /// masks), intervalizes `R1`'s numeric attributes and classifies every
-    /// row against the CCs' `R1` sides ([`P1::cc_r1_bits`]). Every row
-    /// starts empty, or complete on the one empty combo when no CC has an
-    /// `R2` condition.
+    /// Builds the context: groups `R2` by its combo over the CC columns (the
+    /// combos, their households and their CC masks), intervalizes `R1`'s
+    /// numeric attributes and classifies every row of `R1` against the
+    /// CCs' `R1` sides ([`P1::cc_r1_bits`]). Every row starts empty, or
+    /// complete on the one empty combo when no CC has an `R2` condition.
     pub fn build(instance: &CExtensionInstance, config: &SolverConfig) -> Result<P1> {
-        let (view, _layout) = init_join_view(&instance.r1, &instance.r2)?;
+        // `V_join`'s schema must exist: `R1` and `R2` share no column name.
+        join_schema(instance.r1.schema(), instance.r2.schema())?;
         let r2_cc_cols = if config.complete_all_r2_columns {
             // Figure 12 mode: treat every R2 attribute as CC-relevant so
             // Phase I assigns full B-tuples and Phase II partitions on all
@@ -163,10 +155,6 @@ impl P1 {
         } else {
             instance.r2_cc_columns()
         };
-        let view_cc_ids = r2_cc_cols
-            .iter()
-            .map(|c| view.schema().require(c, view.name()))
-            .collect::<std::result::Result<Vec<_>, _>>()?;
         let r2_col_ids = r2_cc_cols
             .iter()
             .map(|c| instance.r2.schema().require(c, instance.r2.name()))
@@ -229,18 +217,16 @@ impl P1 {
 
         let membership_span = cextend_obs::span("cc_membership");
         let cc_r1_bits =
-            CcMembership::build(&view, instance.ccs.iter().map(|cc| &cc.r1))?.bitmaps();
+            CcMembership::build(&instance.r1, instance.ccs.iter().map(|cc| &cc.r1))?.bitmaps();
         drop(membership_span);
 
-        let n = view.n_rows();
+        let n = instance.r1.n_rows();
         let (start_combo, start_pins) = if r2_cc_cols.is_empty() {
             (0, PIN_ALL)
         } else {
             (NO_COMBO, PIN_NONE)
         };
         let mut p1 = P1 {
-            view,
-            view_cc_ids,
             combos,
             households,
             cc_words,
@@ -253,7 +239,6 @@ impl P1 {
             pin_cover: Vec::new(),
             cc_r2_pos,
             seed: config.seed,
-            rng: StdRng::seed_from_u64(config.seed),
             r2_cc_cols,
         };
         let cols = p1.r2_cc_cols.len();
@@ -309,9 +294,14 @@ impl P1 {
         self.row_pins[row] = PIN_ALL;
     }
 
+    /// Rows of `R1` the record covers.
+    pub fn n_rows(&self) -> usize {
+        self.row_pins.len()
+    }
+
     /// Assignment state of `row` in Phase I's per-row record;
-    /// [`P1::row_state`] says the same of the view cells once
-    /// [`P1::write_pins`] wrote them.
+    /// [`row_state`](crate::phase1_internals::row_state) says the same of
+    /// the cells of the view the record stands for.
     pub fn state(&self, row: RowId) -> RowState {
         match self.row_pins[row] {
             PIN_NONE => RowState::Empty,
@@ -420,78 +410,9 @@ impl P1 {
         }
     }
 
-    /// Writes each of `rows`' pinned CC columns into the view, from its
-    /// combo, for the tests, benches and oracle comparisons, which read
-    /// cells.
-    pub fn write_pins(&mut self, rows: impl IntoIterator<Item = RowId>) -> Result<()> {
-        for row in rows {
-            let (pins, combo) = self.pins_and_combo(row);
-            if pins == PIN_NONE {
-                continue;
-            }
-            let values = &self.combos[combo as usize];
-            for (j, &pinned) in self.pin_cols[pins as usize].iter().enumerate() {
-                if pinned {
-                    self.view.set(row, self.view_cc_ids[j], Some(values[j]))?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Assignment state of `row`'s view cells.
-    pub fn row_state(&self, row: RowId) -> RowState {
-        if self.view_cc_ids.is_empty() {
-            return RowState::Full;
-        }
-        let present = self
-            .view_cc_ids
-            .iter()
-            .filter(|&&c| self.view.get(row, c).is_some())
-            .count();
-        if present == 0 {
-            RowState::Empty
-        } else if present == self.view_cc_ids.len() {
-            RowState::Full
-        } else {
-            RowState::Partial
-        }
-    }
-
-    /// `true` if every CC column of `row` is assigned in the view.
-    pub fn row_full(&self, row: RowId) -> bool {
-        self.view_cc_ids
-            .iter()
-            .all(|&c| self.view.get(row, c).is_some())
-    }
-
-    /// Writes only the columns constrained by `cond`, taking values from
-    /// `combo` (Algorithm 2's partial assignment, on the cells).
-    pub fn assign_partial(
-        &mut self,
-        row: RowId,
-        combo: &[Value],
-        cond: &NormalizedCond,
-    ) -> Result<()> {
-        for (i, col_name) in self.r2_cc_cols.iter().enumerate() {
-            if cond.get(col_name).is_some() {
-                self.view.set(row, self.view_cc_ids[i], Some(combo[i]))?;
-            }
-        }
-        Ok(())
-    }
-
     /// `true` if `combo` satisfies the `R2`-side condition `cond`.
     pub fn combo_satisfies(&self, combo: &[Value], cond: &NormalizedCond) -> bool {
         combo_satisfies(&self.r2_cc_cols, combo, cond)
-    }
-
-    /// Binds a CC's `R1`-side condition against the view schema (the
-    /// scalar oracles' per-CC predicates).
-    pub fn bind_r1(&self, cond: &NormalizedCond) -> Result<BoundPredicate> {
-        Ok(cond
-            .to_predicate()
-            .bind(self.view.schema(), self.view.name())?)
     }
 }
 
@@ -557,148 +478,6 @@ pub(crate) fn cond_masks(
 /// `true` if every set holds the value at its position in `key`.
 pub(crate) fn holds(at: &[(usize, &ValueSet)], key: &[Value]) -> bool {
     at.iter().all(|&(pos, set)| set.contains(key[pos]))
-}
-
-/// The scalar oracle for [`compressed::complete_leftovers`]: boxed per-row
-/// reads, per-row candidate scans. Kept for equivalence tests and the
-/// criterion benches; it draws from the same per-shard RNG streams as the
-/// compressed path, so both produce bit-identical views.
-pub fn complete_leftovers_scalar(p1: &mut P1, ccs: &[CardinalityConstraint]) -> Result<Vec<RowId>> {
-    use rand::Rng;
-    let bound_r1: Vec<BoundPredicate> = ccs
-        .iter()
-        .map(|cc| p1.bind_r1(&cc.r1))
-        .collect::<Result<Vec<_>>>()?;
-    // Bitmask of CCs per combo: which R2-side conditions each combo meets.
-    let words = ccs.len().div_ceil(64).max(1);
-    let combo_masks: Vec<Vec<u64>> = p1
-        .combos
-        .iter()
-        .map(|combo| {
-            let mut mask = vec![0u64; words];
-            for (ci, cc) in ccs.iter().enumerate() {
-                if p1.combo_satisfies(combo, &cc.r2) {
-                    mask[ci / 64] |= 1 << (ci % 64);
-                }
-            }
-            mask
-        })
-        .collect();
-    // R1-side match mask per leftover row, computed in one typed pass
-    // *before* the mutation loop below. Sound because the loop writes only
-    // `R2`-side CC columns while these predicates read `R1` attributes.
-    let leftover: Vec<RowId> = p1.view.rows().filter(|&r| !p1.row_full(r)).collect();
-    let r1_masks: Vec<Vec<u64>> = {
-        let compiled: Vec<_> = bound_r1.iter().map(|b| b.compile(&p1.view)).collect();
-        leftover
-            .iter()
-            .map(|&row| {
-                let mut mask = vec![0u64; words];
-                for (ci, pred) in compiled.iter().enumerate() {
-                    if pred.eval(row) {
-                        mask[ci / 64] |= 1 << (ci % 64);
-                    }
-                }
-                mask
-            })
-            .collect()
-    };
-    let mut invalid = Vec::new();
-    let mut candidates: Vec<usize> = Vec::new();
-    let mut row_mask = vec![0u64; words];
-    let view_cc_ids = p1.view_cc_ids.clone();
-    for (shard, rows) in leftover.chunks(SHARD_SIZE).enumerate() {
-        let mut rng = shard_rng(p1.seed, LEFTOVERS_SALT, shard as u64);
-        for (k, &row) in rows.iter().enumerate() {
-            let li = shard * SHARD_SIZE + k;
-            let partial: Vec<Option<Value>> =
-                view_cc_ids.iter().map(|&c| p1.view.get(row, c)).collect();
-            // CCs that would gain a *new* contribution from this row: the
-            // R1 side holds and the partial assignment has not already
-            // pinned the R2 side (Algorithm 2 counted pinned rows when it
-            // assigned them).
-            row_mask.copy_from_slice(&r1_masks[li]);
-            for (ci, cc) in ccs.iter().enumerate() {
-                if r1_masks[li][ci / 64] & (1 << (ci % 64)) == 0 {
-                    continue;
-                }
-                let already = cc.r2.iter().all(|(col, set)| {
-                    p1.r2_cc_cols
-                        .iter()
-                        .position(|c| c == col)
-                        .and_then(|i| partial[i])
-                        .is_some_and(|v| set.contains(v))
-                });
-                if already {
-                    row_mask[ci / 64] &= !(1 << (ci % 64));
-                }
-            }
-            candidates.clear();
-            candidates.extend((0..p1.combos.len()).filter(|&i| {
-                combo_matches_partial(&p1.combos[i], &partial)
-                    && combo_masks[i]
-                        .iter()
-                        .zip(row_mask.iter())
-                        .all(|(c, r)| c & r == 0)
-            }));
-            if candidates.is_empty() {
-                invalid.push(row);
-                continue;
-            }
-            // The paper assigns a *random* combination from the unused
-            // pool. Spreading leftovers across combos also keeps Phase II
-            // partitions balanced — picking one fixed combo would funnel
-            // every leftover row into a single giant conflict graph.
-            let idx = candidates[rng.gen_range(0..candidates.len())];
-            for (ci, &col) in view_cc_ids.iter().enumerate() {
-                let v = p1.combos[idx][ci];
-                p1.view.set(row, col, Some(v))?;
-            }
-        }
-    }
-    Ok(invalid)
-}
-
-fn combo_matches_partial(combo: &[Value], partial: &[Option<Value>]) -> bool {
-    combo
-        .iter()
-        .zip(partial.iter())
-        .all(|(cv, pv)| pv.is_none_or(|pv| *cv == pv))
-}
-
-/// The scalar oracle for [`compressed::complete_randomly`]: boxed per-row
-/// reads, per-row candidate scans, same per-shard RNG streams as the
-/// compressed path.
-pub fn complete_randomly_scalar(p1: &mut P1) -> Result<usize> {
-    use rand::Rng;
-    let mut completed = 0usize;
-    let rows: Vec<RowId> = p1.view.rows().filter(|&r| !p1.row_full(r)).collect();
-    let view_cc_ids = p1.view_cc_ids.clone();
-    for (shard, chunk) in rows.chunks(SHARD_SIZE).enumerate() {
-        let mut rng = shard_rng(p1.seed, RANDOM_SALT, shard as u64);
-        for &row in chunk {
-            let partial: Vec<Option<Value>> =
-                view_cc_ids.iter().map(|&c| p1.view.get(row, c)).collect();
-            let candidates: Vec<usize> = (0..p1.combos.len())
-                .filter(|&i| combo_matches_partial(&p1.combos[i], &partial))
-                .collect();
-            let idx = if candidates.is_empty() {
-                // Nothing matches the partial values; fall back to any combo.
-                if p1.combos.is_empty() {
-                    continue;
-                }
-                rng.gen_range(0..p1.combos.len())
-            } else {
-                candidates[rng.gen_range(0..candidates.len())]
-            };
-            for (ci, &col) in view_cc_ids.iter().enumerate() {
-                let v = p1.combos[idx][ci];
-                p1.view.set(row, col, Some(v))?;
-            }
-            completed += 1;
-        }
-    }
-    Ok(completed)
 }
 
 /// Runs the configured Phase I strategy, mutating `stats` with timings and

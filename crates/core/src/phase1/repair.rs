@@ -58,7 +58,7 @@ pub fn repair(
     // `R2`-side values, so they are stable across every pass) and the CCs
     // whose R2 side each combo satisfies. Row `row` under combo `k` feeds
     // exactly the CCs set in both.
-    let n_rows = p1.view.n_rows();
+    let n_rows = p1.n_rows();
     let (rep_words, rep_rows) = row_masks(&p1.cc_r1_bits, repaired, n_rows);
     let (prot_words, prot_rows) = row_masks(&p1.cc_r1_bits, protected, n_rows);
     let r2_sides =
@@ -160,6 +160,7 @@ mod tests {
     use crate::instance::fixtures;
     use crate::instance::CExtensionInstance;
     use crate::phase1::ilp_based::{self, MarginalMode};
+    use crate::phase1::oracle::cell_counts;
     use crate::phase1::P1;
     use cextend_table::Value;
 
@@ -173,16 +174,10 @@ mod tests {
             .iter()
             .position(|c| *c == [Value::str("NYC")])
             .unwrap();
-        for row in 0..p1.view.n_rows() {
+        for row in 0..p1.n_rows() {
             p1.set_combo(row, nyc);
         }
         (instance, p1)
-    }
-
-    /// `cc`'s count on the view once every row's pins are written.
-    fn count(p1: &mut P1, cc: &CardinalityConstraint) -> u64 {
-        p1.write_pins(0..p1.view.n_rows()).unwrap();
-        cc.count_in(&p1.view).unwrap()
     }
 
     #[test]
@@ -197,9 +192,8 @@ mod tests {
         );
         // The running example is fully repairable from any start: all four
         // CC targets are reachable by combo switches alone.
-        for cc in &instance.ccs {
-            assert_eq!(count(&mut p1, cc), cc.target, "{cc}");
-        }
+        let targets: Vec<u64> = instance.ccs.iter().map(|cc| cc.target).collect();
+        assert_eq!(cell_counts(&p1, &instance), targets);
         assert_eq!(out.error_after, 0);
     }
 
@@ -208,9 +202,9 @@ mod tests {
         let (instance, mut p1) = sabotaged();
         // Protect CC2 (owners in NYC): currently over target (6 owners in
         // NYC vs target 2), but its contributing rows may not move.
-        let before = count(&mut p1, &instance.ccs[1]);
+        let before = cell_counts(&p1, &instance)[1];
         repair(&mut p1, &instance.ccs, &[2, 3], &[1], 4);
-        assert_eq!(count(&mut p1, &instance.ccs[1]), before);
+        assert_eq!(cell_counts(&p1, &instance)[1], before);
     }
 
     #[test]
@@ -227,7 +221,14 @@ mod tests {
         let instance = fixtures::running_example();
         let mut p1 = P1::build(&instance, &SolverConfig::hybrid()).unwrap();
         let settings = IlpSettings::default();
-        ilp_based::run(&mut p1, &instance.ccs, MarginalMode::AllWay, &settings).unwrap();
+        ilp_based::run(
+            &mut p1,
+            &instance.r1,
+            &instance.ccs,
+            MarginalMode::AllWay,
+            &settings,
+        )
+        .unwrap();
         let out = repair(&mut p1, &instance.ccs, &[0, 1, 2, 3], &[], 2);
         assert_eq!(out.error_before, 0);
         assert_eq!(out.moves, 0);

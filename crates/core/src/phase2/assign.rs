@@ -1,6 +1,6 @@
 //! Per-partition coloring (the core loop of Algorithm 4).
 //!
-//! Each partition of `V_join` (same assigned `B` values) is colored
+//! Each partition of `R1`'s rows (same assigned `B` values) is colored
 //! independently: candidate colors are the `R2` keys carrying the
 //! partition's combo, skipped vertices get the fewest fresh colors that
 //! keep the coloring proper (lines 10–14). Partitions are independent
@@ -23,7 +23,7 @@ use std::time::Duration;
 pub(crate) struct PartitionResult {
     /// Index of the partition in the driver's ordering.
     pub partition: usize,
-    /// `(view row, color)`: colors `< n_candidates` index the partition's
+    /// `(R1 row, color)`: colors `< n_candidates` index the partition's
     /// candidate keys; colors `≥ n_candidates` are fresh
     /// (`color - n_candidates` is the fresh ordinal).
     pub assignments: Vec<(RowId, Color)>,
@@ -45,11 +45,12 @@ pub(crate) struct PartitionResult {
     pub index_stats: ConflictStats,
 }
 
-/// Colors one partition. Pure apart from the reused `builder` scratch:
-/// mutates nothing outside its return value.
+/// Colors one partition of `r1`'s rows; the builder's DCs are bound
+/// against `r1`. Pure apart from the reused `builder` scratch: mutates
+/// nothing outside its return value.
 pub(crate) fn color_partition(
     partition: usize,
-    view: &Relation,
+    r1: &Relation,
     rows: &[RowId],
     n_candidates: usize,
     mode: ColoringMode,
@@ -59,7 +60,7 @@ pub(crate) fn color_partition(
     // clock reads, so the coordinator's `stage_add` of the returned
     // durations matches the trace aggregate exactly.
     let ((g, index_stats), build_time) = cextend_obs::timed("conflict_build", || {
-        (builder.build(view, rows), builder.take_stats())
+        (builder.build(r1, rows), builder.take_stats())
     });
 
     let ((g, coloring, skipped_vertices, fresh, exact_budget_fallback), color_time) =
@@ -112,8 +113,9 @@ pub(crate) fn color_partition(
     }
 }
 
-/// Colors all partitions and hands each [`PartitionResult`] to `sink` in
-/// partition order — the streaming core of the Phase II pipeline.
+/// Colors all partitions of `r1`'s rows and hands each [`PartitionResult`]
+/// to `sink` in partition order — the streaming core of the Phase II
+/// pipeline.
 ///
 /// With one worker (or one partition), `sink` runs right after each
 /// partition colors. Otherwise up to `workers` threads pull partition
@@ -127,7 +129,7 @@ pub(crate) fn color_partition(
 /// plans plus reusable scratch). The first error `sink` returns stops the
 /// stream and is returned; workers finish the partition in hand and exit.
 pub(crate) fn color_partitions_streamed(
-    view: &Relation,
+    r1: &Relation,
     partitions: &[(usize, Vec<RowId>, usize)],
     mode: ColoringMode,
     mut builder: ConflictBuilder,
@@ -137,7 +139,7 @@ pub(crate) fn color_partitions_streamed(
     let n_threads = workers.min(partitions.len());
     if n_threads < 2 {
         for (i, (_, rows, n_cand)) in partitions.iter().enumerate() {
-            sink(color_partition(i, view, rows, *n_cand, mode, &mut builder))?;
+            sink(color_partition(i, r1, rows, *n_cand, mode, &mut builder))?;
         }
         return Ok(());
     }
@@ -156,7 +158,7 @@ pub(crate) fn color_partitions_streamed(
                     let Some((_, rows, n_cand)) = partitions.get(i) else {
                         break;
                     };
-                    let r = color_partition(i, view, rows, *n_cand, mode, &mut builder);
+                    let r = color_partition(i, r1, rows, *n_cand, mode, &mut builder);
                     if tx.send(r).is_err() {
                         break; // coordinator gone (sink error or panic)
                     }
@@ -190,33 +192,25 @@ mod tests {
     use crate::error::CoreError;
     use crate::instance::fixtures;
     use cextend_constraints::BoundDc;
-    use cextend_table::{init_join_view, Value};
 
+    /// The running example's people and the Figure 2a DCs bound against
+    /// them. Rows 0..7 are the Chicago partition of Figure 5, rows 7..9 the
+    /// NYC one.
     fn chicago_setup() -> (Relation, Vec<BoundDc>) {
-        let instance = fixtures::running_example();
-        let (mut view, layout) = init_join_view(&instance.r1, &instance.r2).unwrap();
-        let area = layout.r2_attr_cols[0];
-        let vals = [
-            "Chicago", "Chicago", "Chicago", "Chicago", "Chicago", "Chicago", "Chicago", "NYC",
-            "NYC",
-        ];
-        for (r, a) in vals.iter().enumerate() {
-            view.set(r, area, Some(Value::str(a))).unwrap();
-        }
-        let dcs = instance
-            .dcs
+        let r1 = fixtures::running_example().r1;
+        let dcs = fixtures::figure2_dcs()
             .iter()
-            .map(|d| d.bind(view.schema(), view.name()).unwrap())
+            .map(|d| d.bind(r1.schema(), r1.name()).unwrap())
             .collect();
-        (view, dcs)
+        (r1, dcs)
     }
 
     /// Colors the Chicago partition (rows 0..7) with `n_cand` candidates.
     fn color_chicago(n_cand: usize, mode: ColoringMode) -> PartitionResult {
-        let (view, dcs) = chicago_setup();
+        let (r1, dcs) = chicago_setup();
         let rows: Vec<RowId> = (0..7).collect();
         let mut builder = ConflictBuilder::new(&dcs);
-        color_partition(0, &view, &rows, n_cand, mode, &mut builder)
+        color_partition(0, &r1, &rows, n_cand, mode, &mut builder)
     }
 
     #[test]
@@ -256,13 +250,13 @@ mod tests {
         assert!(!color_chicago(4, ColoringMode::Greedy).exact_budget_fallback);
     }
 
-    /// Streams every partition of the Chicago/NYC view through `sink`.
+    /// Streams the Chicago and NYC partitions through `sink`.
     fn stream(workers: usize, sink: impl FnMut(PartitionResult) -> Result<()>) -> Result<()> {
-        let (view, dcs) = chicago_setup();
+        let (r1, dcs) = chicago_setup();
         let partitions = vec![(0, (0..7).collect::<Vec<_>>(), 4), (1, vec![7, 8], 2)];
         let builder = ConflictBuilder::new(&dcs);
         color_partitions_streamed(
-            &view,
+            &r1,
             &partitions,
             ColoringMode::Greedy,
             builder,

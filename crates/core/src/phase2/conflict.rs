@@ -1117,7 +1117,6 @@ fn enumerate_naive(
 mod tests {
     use super::*;
     use crate::instance::fixtures;
-    use cextend_table::init_join_view;
 
     /// The builder and the naive reference on the same input, asserting
     /// identical edge sets (the builder's groups expanded) and degrees, and
@@ -1164,30 +1163,26 @@ mod tests {
         (built, builder.take_stats())
     }
 
+    /// The running example's `R1` and the Figure 2a DCs bound against it,
+    /// as Phase II binds them.
+    fn running_r1() -> (Relation, Vec<BoundDc>) {
+        let r1 = fixtures::running_example().r1;
+        let dcs = fixtures::figure2_dcs()
+            .iter()
+            .map(|d| d.bind(r1.schema(), r1.name()).unwrap())
+            .collect();
+        (r1, dcs)
+    }
+
     /// Figure 7's Chicago component: applying the Figure 2a DCs to the
-    /// Figure 5 view partitioned by Area.
+    /// Figure 5 view's rows partitioned by Area (the DCs read `R1`'s cells
+    /// only).
     #[test]
     fn figure7_chicago_partition() {
-        let instance = fixtures::running_example();
-        let (mut view, layout) = init_join_view(&instance.r1, &instance.r2).unwrap();
-        // Fill the Area column as in Figure 5.
-        let area = layout.r2_attr_cols[0];
-        let values = [
-            "Chicago", "Chicago", "Chicago", "Chicago", "Chicago", "Chicago", "Chicago", "NYC",
-            "NYC",
-        ];
-        for (r, a) in values.iter().enumerate() {
-            view.set(r, area, Some(cextend_table::Value::str(a)))
-                .unwrap();
-        }
-        let dcs: Vec<BoundDc> = instance
-            .dcs
-            .iter()
-            .map(|d| d.bind(view.schema(), view.name()).unwrap())
-            .collect();
+        let (r1, dcs) = running_r1();
         // Chicago partition: rows 0..7 (pids 1..7).
         let rows: Vec<RowId> = (0..7).collect();
-        let g = build_both(&view, &rows, &dcs);
+        let g = build_both(&r1, &rows, &dcs);
         // Owners (pids 1,2,3,4 → vertices 0..4) form one clique group
         // standing for C(4,2)=6 pairwise edges; spouse 24 conflicts with
         // both 75-year-old owners (2 explicit edges); children (age 10)
@@ -1198,7 +1193,7 @@ mod tests {
         assert_eq!(total_edges(&g), 6 + 2 + 2);
         // NYC partition: two owners, one group of one edge.
         let rows: Vec<RowId> = vec![7, 8];
-        let g = build_both(&view, &rows, &dcs);
+        let g = build_both(&r1, &rows, &dcs);
         assert_eq!((g.n_groups(), g.n_edges()), (1, 0));
         assert_eq!(total_edges(&g), 1);
     }
@@ -1209,30 +1204,23 @@ mod tests {
         // one undirected edge. Declared twice, neither copy is disjoint
         // from the other, so both emit explicit edges and the second copy
         // dedups against the first: still one edge.
-        let instance = fixtures::running_example();
-        let (view, _) = init_join_view(&instance.r1, &instance.r2).unwrap();
-        let dc = instance.dcs[0].bind(view.schema(), view.name()).unwrap();
+        let (r1, dcs) = running_r1();
+        let dc = dcs[0].clone();
         let rows: Vec<RowId> = vec![0, 1]; // two owners
-        let g = build_both(&view, &rows, std::slice::from_ref(&dc));
+        let g = build_both(&r1, &rows, std::slice::from_ref(&dc));
         assert_eq!((g.n_groups(), g.n_edges()), (1, 0));
         assert_eq!(total_edges(&g), 1);
-        let (g, stats) = build_both_with_stats(&view, &rows, &[dc.clone(), dc]);
+        let (g, stats) = build_both_with_stats(&r1, &rows, &[dc.clone(), dc]);
         assert_eq!((g.n_groups(), g.n_edges()), (0, 1));
         assert_eq!(stats.dedup_hits, 1);
     }
 
     #[test]
     fn no_candidates_no_edges() {
-        let instance = fixtures::running_example();
-        let (view, _) = init_join_view(&instance.r1, &instance.r2).unwrap();
-        let dcs: Vec<BoundDc> = instance
-            .dcs
-            .iter()
-            .map(|d| d.bind(view.schema(), view.name()).unwrap())
-            .collect();
+        let (r1, dcs) = running_r1();
         // A spouse and a child: no DC matches this pair.
         let rows: Vec<RowId> = vec![4, 5];
-        let g = build_both(&view, &rows, &dcs);
+        let g = build_both(&r1, &rows, &dcs);
         assert_eq!(g.n_edges(), 0);
     }
 
@@ -1516,18 +1504,12 @@ mod tests {
 
     #[test]
     fn builder_reuse_and_stats() {
-        let instance = fixtures::running_example();
-        let (view, _) = init_join_view(&instance.r1, &instance.r2).unwrap();
-        let dcs: Vec<BoundDc> = instance
-            .dcs
-            .iter()
-            .map(|d| d.bind(view.schema(), view.name()).unwrap())
-            .collect();
+        let (r1, dcs) = running_r1();
         let rows: Vec<RowId> = (0..7).collect(); // owners + spouse + children
         let mut builder = ConflictBuilder::new(&dcs);
-        let a = builder.build(&view, &rows);
+        let a = builder.build(&r1, &rows);
         let once = builder.stats();
-        let b = builder.build(&view, &rows);
+        let b = builder.build(&r1, &rows);
         assert_eq!(a.n_edges(), b.n_edges(), "builder reuse changed output");
         let mut twice = once;
         twice.absorb(&once);

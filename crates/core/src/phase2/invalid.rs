@@ -10,8 +10,8 @@
 //!
 //! The CC counts start from Phase I's record ([`InvalidRows`]), taken
 //! before Phase I freed its `R1` bitmaps, and are kept up to date as rows
-//! land; no pass over the view counts them. The household members the DC
-//! checks read come from the household record.
+//! land; no pass over a view counts them. The household members the DC
+//! checks read come from the household record, their cells from `R1`.
 
 use crate::error::{CoreError, Result};
 use crate::phase1::compressed::bitmap_rows;
@@ -22,9 +22,9 @@ use cextend_table::{Relation, RowId, NO_MATCH};
 
 /// `true` if adding `r` to a household currently holding `others` would
 /// violate some DC (i.e. some DC's φ holds on a set of distinct tuples from
-/// `{r} ∪ others` that includes `r`).
+/// `{r} ∪ others` that includes `r`). The DCs are bound against `r1`.
 pub(crate) fn conflicts_with_household(
-    view: &Relation,
+    r1: &Relation,
     dcs: &[BoundDc],
     r: RowId,
     others: &[RowId],
@@ -37,24 +37,19 @@ pub(crate) fn conflicts_with_household(
         if dc.arity > pool.len() {
             return false;
         }
-        assignment_holds(view, dc, &pool, &mut chosen)
+        assignment_holds(r1, dc, &pool, &mut chosen)
     })
 }
 
 /// Tries every assignment of distinct pool members to the DC's variables
 /// that uses pool[0] (the new tuple) at least once.
-fn assignment_holds(
-    view: &Relation,
-    dc: &BoundDc,
-    pool: &[RowId],
-    chosen: &mut Vec<usize>,
-) -> bool {
+fn assignment_holds(r1: &Relation, dc: &BoundDc, pool: &[RowId], chosen: &mut Vec<usize>) -> bool {
     if chosen.len() == dc.arity {
         if !chosen.contains(&0) {
             return false; // must involve the new tuple
         }
         let rows: Vec<RowId> = chosen.iter().map(|&i| pool[i]).collect();
-        return dc.holds(view, &rows);
+        return dc.holds(r1, &rows);
     }
     let var = chosen.len();
     for i in 0..pool.len() {
@@ -62,11 +57,11 @@ fn assignment_holds(
             continue;
         }
         // Cheap pre-filter on this variable's unary atoms.
-        if !dc.var_candidate(view, var, pool[i]) {
+        if !dc.var_candidate(r1, var, pool[i]) {
             continue;
         }
         chosen.push(i);
-        if assignment_holds(view, dc, pool, chosen) {
+        if assignment_holds(r1, dc, pool, chosen) {
             chosen.pop();
             return true;
         }
@@ -75,10 +70,12 @@ fn assignment_holds(
     false
 }
 
-/// Assigns every invalid row a household, minimizing added CC error.
-/// Returns the number of households minted.
+/// Assigns every invalid row of `r1` a household, minimizing added CC
+/// error. The DCs are bound against `r1`. Returns the number of households
+/// minted.
 pub(crate) fn solve_invalid(
     ctx: &mut Phase2Ctx,
+    r1: &Relation,
     invalid: &InvalidRows,
     dcs: &[BoundDc],
     ccs: &[CardinalityConstraint],
@@ -105,14 +102,14 @@ pub(crate) fn solve_invalid(
     };
     // Each household's members, from the record: only the DC checks below
     // read them.
-    let mut members: Vec<Vec<RowId>> = vec![Vec::new(); ctx.households.r2_hat.n_rows()];
+    let mut members: Vec<Vec<RowId>> = vec![Vec::new(); ctx.r2_hat.n_rows()];
     for (row, &h) in ctx.record.iter().enumerate() {
         if h != NO_MATCH {
             members[h as usize].push(row);
         }
     }
 
-    let n_combos = ctx.households.n_combos();
+    let n_combos = ctx.n_combos();
     let mut minted = 0usize;
     for (i, &row) in invalid.rows.iter().enumerate() {
         if n_combos == 0 {
@@ -141,10 +138,9 @@ pub(crate) fn solve_invalid(
 
         // First DC-safe household among the best combos wins.
         let safe = scored.iter().find_map(|&(_, k)| {
-            ctx.households
-                .of_combo(k)
+            ctx.of_combo(k)
                 .iter()
-                .find(|&&h| !conflicts_with_household(&ctx.view, dcs, row, &members[h]))
+                .find(|&&h| !conflicts_with_household(r1, dcs, row, &members[h]))
                 .map(|&h| (k, h))
         });
         let (k, r2_row) = match safe {
@@ -158,7 +154,7 @@ pub(crate) fn solve_invalid(
                 let best = scored[0].1;
                 minted += 1;
                 members.push(Vec::new());
-                (best, ctx.households.mint(best)?)
+                (best, ctx.mint(best)?)
             }
         };
         ctx.record[row] = record_id(r2_row)?;
@@ -215,7 +211,7 @@ mod tests {
         let (mut ctx, row_combos) = Phase2Ctx::build(instance, p1);
         for (row, &k) in row_combos.iter().enumerate() {
             if k != NO_COMBO {
-                ctx.record[row] = ctx.households.of_combo(k as usize)[0] as u32;
+                ctx.record[row] = ctx.of_combo(k as usize)[0] as u32;
             }
         }
         (ctx, invalid)
@@ -244,12 +240,13 @@ mod tests {
         instance: &CExtensionInstance,
         allow_augmenting_r2: bool,
     ) -> Result<usize> {
+        let r1 = &instance.r1;
         let dcs: Vec<BoundDc> = instance
             .dcs
             .iter()
-            .map(|d| d.bind(ctx.view.schema(), ctx.view.name()).unwrap())
+            .map(|d| d.bind(r1.schema(), r1.name()).unwrap())
             .collect();
-        solve_invalid(ctx, invalid, &dcs, &instance.ccs, allow_augmenting_r2)
+        solve_invalid(ctx, r1, invalid, &dcs, &instance.ccs, allow_augmenting_r2)
     }
 
     #[test]
@@ -287,7 +284,7 @@ mod tests {
             &[(0, 0, 0), (1, 0, 1), (2, 0, 2), (3, 0, 3), (4, 1, 4)],
         );
         // Coloring minted one more Chicago household, still empty.
-        assert_eq!(ctx.households.mint(0).unwrap(), 6);
+        assert_eq!(ctx.mint(0).unwrap(), 6);
         assert_eq!(invalid.rows, [5, 6, 7, 8]);
         // No invalid row feeds the CC, so Chicago is tried first: row 5
         // takes the minted household, row 6 NYC's empty one, and rows 7
@@ -316,7 +313,7 @@ mod tests {
         assert_eq!(place(&mut ctx, &invalid, &instance, true).unwrap(), 3);
         assert_eq!(ctx.record[6..], [6, 7, 8]);
         // The minted households are Chicago ones with fresh keys.
-        let r2_hat = &ctx.households.r2_hat;
+        let r2_hat = &ctx.r2_hat;
         for (row, hid) in [(6, 7), (7, 8), (8, 9)] {
             assert_eq!(
                 r2_hat.row(row),

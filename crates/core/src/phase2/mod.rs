@@ -1,12 +1,13 @@
-//! Phase II: reverse-engineering `R1.FK` from the completed view
+//! Phase II: reverse-engineering `R1.FK` from Phase I's combos
 //! (Section 5, Algorithm 4).
 //!
-//! The view is partitioned by the `B` values Phase I assigned, as combo
-//! ids; each partition's conflict hypergraph is list-colored with the
-//! matching `R2` keys as colors; skipped vertices get fresh keys (new `R̂2`
-//! tuples); invalid tuples are placed last with CC-error-minimizing combos.
-//! Every decision lands in one household record, a `u32` `R̂2` row per view
-//! row, and nothing here writes a view cell. One typed gather through the
+//! `R1`'s rows are partitioned by the `B` values Phase I assigned, as combo
+//! ids; each partition's conflict hypergraph, built over the DCs bound
+//! against `R1`'s own schema, is list-colored with the matching `R2` keys
+//! as colors; skipped vertices get fresh keys (new `R̂2` tuples); invalid
+//! tuples are placed last with CC-error-minimizing combos. Every decision
+//! lands in one household record, a `u32` `R̂2` row per `R1` row, and
+//! nothing here builds or writes a view. One typed gather through the
 //! record then builds `R̂1` (each row's FK is its household's key) and
 //! another builds `V_join = R̂1 ⋈ R̂2`, so the result satisfies every DC
 //! (Proposition 5.5) and joins back to exactly the view.
@@ -24,10 +25,11 @@ use crate::report::{SolveStats, StageTimings};
 use cextend_constraints::BoundDc;
 use cextend_obs::tracef;
 use cextend_table::{
-    gather, join_matched, ColId, Dtype, Relation, RowId, Source, Sym, Value, NO_MATCH,
+    gather, join_matched, join_view_name, ColId, Dtype, Relation, RowId, Source, Sym, Value,
+    NO_MATCH,
 };
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// Mints fresh `R2` key values that collide with nothing.
 enum KeyMinter {
@@ -99,11 +101,23 @@ impl KeyMinter {
     }
 }
 
-/// The `R̂2` side of Phase II: `R2` plus minted tuples, the households of
-/// each combo and the key minter. It is everything the streaming coloring
-/// sink mutates besides the household record, kept apart from the view so
-/// that workers read [`Phase2Ctx::view`] while the sink mints.
-pub(crate) struct Households {
+/// The household record's entry for `R̂2` row `r2_row`. An `R̂2` that
+/// outgrows the `u32` record is an error.
+fn record_id(r2_row: usize) -> Result<u32> {
+    match u32::try_from(r2_row) {
+        Ok(id) if id != NO_MATCH => Ok(id),
+        _ => Err(CoreError::Validation(format!(
+            "R̂2 row {r2_row} does not fit the u32 household record"
+        ))),
+    }
+}
+
+/// Phase II working state shared by the coloring and invalid-handling
+/// steps: `R̂2` (`R2` plus minted tuples), the households of each of Phase
+/// I's combos, the key minter and the household record. The coloring
+/// workers and the DC checks read `R1` itself, which nothing here writes;
+/// the coloring sink mutates the rest.
+pub(crate) struct Phase2Ctx {
     /// `R2` plus minted tuples.
     r2_hat: Relation,
     k2: ColId,
@@ -113,38 +127,44 @@ pub(crate) struct Households {
     attr_combo_pos: Vec<Option<usize>>,
     /// Phase I's combos, by id.
     combos: Vec<Combo>,
+    /// Each combo's CC mask ([`P1::combo_ccs`]), one word per 64 CCs.
+    combo_ccs: Vec<u64>,
     /// `R̂2` rows per combo id, in insertion order.
     combo_rows: Vec<Vec<usize>>,
     minter: KeyMinter,
+    /// The household record: per `R1` row, its `R̂2` row, [`NO_MATCH`]
+    /// until assigned. The only thing Phase II decides.
+    record: Vec<u32>,
 }
 
-impl Households {
-    /// `R2`'s households, by the id of their combo over `r2_cc_cols`
-    /// (Phase I grouped them).
-    fn build(
-        r2: &Relation,
-        r2_cc_cols: &[String],
-        combos: Vec<Combo>,
-        combo_rows: Vec<Vec<usize>>,
-    ) -> Households {
+impl Phase2Ctx {
+    /// Moves Phase I's combos and households (`R2`'s rows grouped by combo
+    /// id) in. Returns the context and, per `R1` row, the combo it
+    /// completed with ([`NO_COMBO`] for an incomplete row).
+    fn build(instance: &CExtensionInstance, mut p1: P1) -> (Phase2Ctx, Vec<u32>) {
+        let row_combos = p1.take_row_combos();
+        let r2 = &instance.r2;
         let k2 = r2.schema().key_col().expect("validated");
         let attr_ids = r2.schema().attr_cols();
         let attr_combo_pos = attr_ids
             .iter()
             .map(|&c| {
                 let name = &r2.schema().column(c).name;
-                r2_cc_cols.iter().position(|cc| cc == name)
+                p1.r2_cc_cols.iter().position(|cc| cc == name)
             })
             .collect();
-        Households {
+        let ctx = Phase2Ctx {
             r2_hat: r2.clone(),
             k2,
             attr_ids,
             attr_combo_pos,
-            combos,
-            combo_rows,
+            combos: p1.combos,
+            combo_ccs: p1.combo_ccs,
+            combo_rows: p1.households,
             minter: KeyMinter::new(r2, k2),
-        }
+            record: vec![NO_MATCH; row_combos.len()],
+        };
+        (ctx, row_combos)
     }
 
     /// Number of combos.
@@ -177,59 +197,6 @@ impl Households {
     }
 }
 
-/// The household record's entry for `R̂2` row `r2_row`. An `R̂2` that
-/// outgrows the `u32` record is an error.
-fn record_id(r2_row: usize) -> Result<u32> {
-    match u32::try_from(r2_row) {
-        Ok(id) if id != NO_MATCH => Ok(id),
-        _ => Err(CoreError::Validation(format!(
-            "R̂2 row {r2_row} does not fit the u32 household record"
-        ))),
-    }
-}
-
-/// Phase II working state shared by the coloring and invalid-handling steps:
-/// Phase I's view and combos, moved in, plus the household record.
-pub(crate) struct Phase2Ctx {
-    /// Phase I's view. Phase II reads its `R1` cells only: the DCs live on
-    /// `R1`'s attributes.
-    pub view: Relation,
-    /// Each combo's CC mask ([`P1::combo_ccs`]), one word per 64 CCs.
-    combo_ccs: Vec<u64>,
-    /// The household record: per view row, its `R̂2` row, [`NO_MATCH`]
-    /// until assigned. The only thing Phase II decides.
-    record: Vec<u32>,
-    /// `R̂2` and its households.
-    pub households: Households,
-    /// Seeded RNG for the random-assignment baseline.
-    rng: StdRng,
-}
-
-impl Phase2Ctx {
-    /// Moves Phase I's context in. Returns the context and, per view row,
-    /// the combo it completed with ([`NO_COMBO`] for an incomplete row).
-    fn build(instance: &CExtensionInstance, mut p1: P1) -> (Phase2Ctx, Vec<u32>) {
-        let row_combos = p1.take_row_combos();
-        let P1 {
-            view,
-            r2_cc_cols,
-            combos,
-            households,
-            combo_ccs,
-            rng,
-            ..
-        } = p1;
-        let ctx = Phase2Ctx {
-            record: vec![NO_MATCH; view.n_rows()],
-            view,
-            combo_ccs,
-            households: Households::build(&instance.r2, &r2_cc_cols, combos, households),
-            rng,
-        };
-        (ctx, row_combos)
-    }
-}
-
 /// Runs Phase II, producing `R̂1`, `R̂2` and the final view.
 pub(crate) fn run_phase2(
     instance: &CExtensionInstance,
@@ -240,23 +207,21 @@ pub(crate) fn run_phase2(
 ) -> Result<(Relation, Relation, Relation)> {
     let frame = cextend_obs::frame();
     let (mut ctx, row_combos) = Phase2Ctx::build(instance, p1);
+    let r1 = &instance.r1;
 
     match config.phase2 {
         Phase2Strategy::Coloring => {
             let dcs: Vec<BoundDc> = instance
                 .dcs
                 .iter()
-                .map(|d| {
-                    d.bind(ctx.view.schema(), ctx.view.name())
-                        .map_err(CoreError::from)
-                })
+                .map(|d| d.bind(r1.schema(), r1.name()).map_err(CoreError::from))
                 .collect::<Result<Vec<_>>>()?;
 
             // ---- Partition the complete rows by combo id. ----------------
             // One counting pass: combos in id (= sorted value) order, rows
             // ascending within each. Incomplete rows are the invalid ones.
             let partition_stage = cextend_obs::stage("conflict_build");
-            let n_combos = ctx.households.n_combos();
+            let n_combos = ctx.n_combos();
             let mut sizes = vec![0usize; n_combos];
             for &k in row_combos.iter().filter(|&&k| k != NO_COMBO) {
                 sizes[k as usize] += 1;
@@ -280,7 +245,7 @@ pub(crate) fn run_phase2(
                 .into_iter()
                 .enumerate()
                 .filter(|(_, rows)| !rows.is_empty())
-                .map(|(k, rows)| (k, rows, ctx.households.of_combo(k).len()))
+                .map(|(k, rows)| (k, rows, ctx.of_combo(k).len()))
                 .collect();
             stats.counters.partitions = partitions.len();
             tracef!(
@@ -294,8 +259,8 @@ pub(crate) fn run_phase2(
             drop(partition_stage);
 
             // ---- Color partitions, recording results as they stream in. --
-            // Workers read `ctx.view`, which nothing writes; the sink
-            // mutates only `ctx.households` and the record. Colors resolve
+            // Workers read `R1`, which nothing writes; the sink mutates
+            // only `ctx`. Colors resolve
             // to `R̂2` rows partition by partition (minting is
             // order-sensitive: fresh keys run in partition order).
             // Without augmentation the solve fails once any partition
@@ -303,7 +268,7 @@ pub(crate) fn run_phase2(
             // reports every skipped vertex.
             let mut refused = false;
             assign::color_partitions_streamed(
-                &ctx.view,
+                r1,
                 &partitions,
                 config.coloring,
                 builder,
@@ -325,9 +290,9 @@ pub(crate) fn run_phase2(
                     let _apply = cextend_obs::stage("coloring");
                     let (k, _, n_cand) = partitions[r.partition];
                     let fresh_rows = (0..r.fresh_colors)
-                        .map(|_| ctx.households.mint(k))
+                        .map(|_| ctx.mint(k))
                         .collect::<Result<Vec<usize>>>()?;
-                    let households = ctx.households.of_combo(k);
+                    let households = &ctx.combo_rows[k];
                     for (row, color) in r.assignments {
                         let r2_row = if (color as usize) < n_cand {
                             households[color as usize]
@@ -393,6 +358,7 @@ pub(crate) fn run_phase2(
             let invalid_stage = cextend_obs::stage("invalid");
             invalid::solve_invalid(
                 &mut ctx,
+                r1,
                 &invalid,
                 &dcs,
                 &instance.ccs,
@@ -402,9 +368,11 @@ pub(crate) fn run_phase2(
         }
         Phase2Strategy::RandomAssignment => {
             // Baseline: uniformly random candidate household per row, DCs
-            // ignored; rows without candidates take any household.
+            // ignored; rows without candidates take any household. The
+            // draws come from one stream seeded with the solver seed.
             let random_stage = cextend_obs::stage("coloring");
-            let n_r2 = ctx.households.r2_hat.n_rows();
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            let n_r2 = ctx.r2_hat.n_rows();
             if n_r2 == 0 {
                 return Err(CoreError::Validation("R2 has no tuples".into()));
             }
@@ -412,12 +380,12 @@ pub(crate) fn run_phase2(
                 let candidates = if k == NO_COMBO {
                     &[][..]
                 } else {
-                    ctx.households.of_combo(k as usize)
+                    ctx.of_combo(k as usize)
                 };
                 let r2_row = if candidates.is_empty() {
-                    ctx.rng.gen_range(0..n_r2)
+                    rng.gen_range(0..n_r2)
                 } else {
-                    candidates[ctx.rng.gen_range(0..candidates.len())]
+                    candidates[rng.gen_range(0..candidates.len())]
                 };
                 ctx.record[row] = record_id(r2_row)?;
             }
@@ -426,20 +394,16 @@ pub(crate) fn run_phase2(
     }
 
     // ---- R̂1 and V_join: one gather each through the record. -------------
-    // Timed with the coloring, whose decisions it writes out. Phase I's
-    // view goes first: `V_join` is `R1`'s cells beside the assigned
-    // households' `R̂2` cells, and `R̂1` is `R1` with each row's household
-    // key as its FK.
+    // Timed with the coloring, whose decisions it writes out. `V_join` is
+    // `R1`'s cells beside the assigned households' `R̂2` cells, and `R̂1` is
+    // `R1` with each row's household key as its FK.
     let output_stage = cextend_obs::stage("coloring");
-    let view_name = ctx.view.name().to_owned();
-    drop(ctx.view);
-    let (record, r2_hat, k2) = (ctx.record, ctx.households.r2_hat, ctx.households.k2);
+    let (record, r2_hat, k2) = (ctx.record, ctx.r2_hat, ctx.k2);
     if let Some(row) = record.iter().position(|&h| h == NO_MATCH) {
         return Err(CoreError::Validation(format!(
             "row {row} left without an FK assignment"
         )));
     }
-    let r1 = &instance.r1;
     let fk = r1.schema().fk_col().expect("validated");
     let sources: Vec<Source> = (0..r1.schema().len())
         .map(|c| {
@@ -451,7 +415,7 @@ pub(crate) fn run_phase2(
         })
         .collect();
     let r1_hat = gather(r1.name(), r1.schema().clone(), r1.n_rows(), &sources)?;
-    let vjoin = join_matched(&view_name, r1, &r2_hat, &record)?;
+    let vjoin = join_matched(&join_view_name(r1, &instance.r2), r1, &r2_hat, &record)?;
     drop(output_stage);
     stats
         .timings

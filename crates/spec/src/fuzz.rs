@@ -40,7 +40,7 @@ use cextend_constraints::{cc_counts, classify, CcRelationship, HasseDiagram, Rel
 use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder, DcRoute};
 use cextend_core::phase1_internals::{
     complete_leftovers, complete_leftovers_scalar, complete_randomly, complete_randomly_scalar,
-    run_hasse, run_hasse_scalar, RowState, P1,
+    pinned_view, run_hasse, run_hasse_scalar, RowState, P1,
 };
 use cextend_core::snowflake::{solve_snowflake, AugmentedView, SnowflakeSolution, SnowflakeStep};
 use cextend_core::{CExtensionInstance, SolverConfig};
@@ -482,30 +482,29 @@ fn phase1_agrees(instance: &CExtensionInstance) -> std::result::Result<usize, St
         let out = run_hasse(&mut p1, ccs, &all, &hasse, &comps);
         Ok::<_, String>((p1, out))
     };
-    let written = |mut p1: P1| {
-        p1.write_pins(0..p1.view.n_rows())
-            .map_err(|e| e.to_string())?;
-        Ok::<_, String>(p1)
-    };
+    let written = |p1: &P1| pinned_view(p1, instance).map_err(|e| e.to_string());
     let (fast, out) = after_hasse()?;
-    let fast = written(fast)?;
-    let mut scalar = fresh()?;
-    let want = run_hasse_scalar(&mut scalar, ccs, &hasse, &comps).map_err(|e| e.to_string())?;
+    let view = written(&fast)?;
+    let scalar = fresh()?;
+    let mut scalar_view = written(&scalar)?;
+    let want = run_hasse_scalar(&scalar, &mut scalar_view, ccs, &hasse, &comps)
+        .map_err(|e| e.to_string())?;
     if (out.assigned_rows, out.deficits) != (want.assigned_rows, want.deficits) {
         return Err(format!(
             "Algorithm 2 assigned {} rows with {} deficits, its oracle {} with {}",
             out.assigned_rows, out.deficits, want.assigned_rows, want.deficits
         ));
     }
-    if !relations_equal_ordered(&fast.view, &scalar.view) {
+    if !relations_equal_ordered(&view, &scalar_view) {
         return Err("Algorithm 2 and its oracle wrote different views".to_owned());
     }
-    let partial = (0..fast.view.n_rows())
+    let partial = (0..fast.n_rows())
         .filter(|&r| fast.state(r) == RowState::Partial)
         .count();
 
-    let mut scalar = written(after_hasse()?.0)?;
-    let invalid = complete_leftovers_scalar(&mut scalar, ccs).map_err(|e| e.to_string())?;
+    let mut scalar_view = view.clone();
+    let invalid =
+        complete_leftovers_scalar(&fast, &mut scalar_view, ccs).map_err(|e| e.to_string())?;
     for workers in [1, 2] {
         let mut fast = after_hasse()?.0;
         if complete_leftovers(&mut fast, workers) != invalid {
@@ -514,15 +513,15 @@ fn phase1_agrees(instance: &CExtensionInstance) -> std::result::Result<usize, St
                  {workers} workers"
             ));
         }
-        if !relations_equal_ordered(&written(fast)?.view, &scalar.view) {
+        if !relations_equal_ordered(&written(&fast)?, &scalar_view) {
             return Err(format!(
                 "leftover completion and its oracle wrote different views at {workers} workers"
             ));
         }
     }
 
-    let mut scalar = written(after_hasse()?.0)?;
-    let completed = complete_randomly_scalar(&mut scalar).map_err(|e| e.to_string())?;
+    let mut scalar_view = view;
+    let completed = complete_randomly_scalar(&fast, &mut scalar_view).map_err(|e| e.to_string())?;
     let mut fast = after_hasse()?.0;
     let got = complete_randomly(&mut fast, 1);
     if got != completed {
@@ -530,7 +529,7 @@ fn phase1_agrees(instance: &CExtensionInstance) -> std::result::Result<usize, St
             "random completion completed {got} rows, its oracle {completed}"
         ));
     }
-    if !relations_equal_ordered(&written(fast)?.view, &scalar.view) {
+    if !relations_equal_ordered(&written(&fast)?, &scalar_view) {
         return Err("random completion and its oracle wrote different views".to_owned());
     }
     Ok(partial)

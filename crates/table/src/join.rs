@@ -1,11 +1,14 @@
 //! Foreign-key join views.
 //!
-//! Phase I of the paper completes a view `V_join` that "represents"
-//! `R1 ⋈_{FK=K2} R2`: it is initialized with a copy of `R1`'s key and
-//! attribute columns plus one empty column per non-key column of `R2`
-//! (Section 3.1). Because of the foreign-key dependence, `|V_join| = |R1|`
-//! and row `i` of `V_join` corresponds to row `i` of `R1` — an invariant the
-//! whole solver relies on.
+//! The paper's `V_join` "represents" `R1 ⋈_{FK=K2} R2`: it is initialized
+//! with a copy of `R1`'s key and attribute columns plus one empty column
+//! per non-key column of `R2` (Section 3.1). Because of the foreign-key
+//! dependence, `|V_join| = |R1|` and row `i` of `V_join` corresponds to row
+//! `i` of `R1` — an invariant the whole solver relies on. The solver itself
+//! never builds that initial view ([`init_join_view`]): it decides the
+//! `R2`-side values per row of `R1` and gathers the final view once, with
+//! [`join_matched`]; the scalar oracles that test it read and write the
+//! initial view's cells.
 //!
 //! Every view here is one typed [`gather`] of columns read row for row,
 //! through row matches, or left missing: [`fk_join_on`] is the
@@ -116,14 +119,18 @@ pub fn gather(
     b.freeze()
 }
 
+/// The name of `V_join` over `r1` and `r2`: `VJoin(R1, R2)`.
+pub fn join_view_name(r1: &Relation, r2: &Relation) -> String {
+    format!("VJoin({}, {})", r1.name(), r2.name())
+}
+
 /// Initializes `V_join` as a copy of `R1` (key + attributes, same row order)
 /// with every `R2`-originated column empty (Section 3.1, Example 3.1).
 pub fn init_join_view(r1: &Relation, r2: &Relation) -> Result<(Relation, JoinLayout)> {
     let (schema, layout) = join_schema(r1.schema(), r2.schema())?;
     let mut sources = r1_sources(r1);
     sources.extend(layout.r2_attr_cols.iter().map(|_| Source::Missing));
-    let name = format!("VJoin({}, {})", r1.name(), r2.name());
-    let view = gather(&name, schema, r1.n_rows(), &sources)?;
+    let view = gather(&join_view_name(r1, r2), schema, r1.n_rows(), &sources)?;
     Ok((view, layout))
 }
 

@@ -59,7 +59,7 @@ mod valueset;
 pub use error::{Result, TableError};
 pub use join::{
     fk_join, fk_join_on, fk_matches, gather, init_join_view, join_matched, join_schema,
-    relations_equal_ordered, JoinLayout, Source, NO_MATCH,
+    join_view_name, relations_equal_ordered, JoinLayout, Source, NO_MATCH,
 };
 pub use marginals::{GroupKey, GroupedRows};
 pub use mem::{peak_rss_bytes, reset_peak_rss, MemStats};

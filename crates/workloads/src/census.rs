@@ -114,7 +114,7 @@ mod tests {
     /// bad-family instance; the protected CCs keep their counts.
     #[test]
     fn repair_reports_the_bad_family_error_before_and_after() {
-        use cextend_core::phase1_internals::{complete_randomly, repair, P1};
+        use cextend_core::phase1_internals::{complete_randomly, pinned_view, repair, P1};
         use cextend_core::SolverConfig;
         let w = CensusWorkload;
         let data = w.generate(&WorkloadParams::new(0.05, 11));
@@ -122,8 +122,6 @@ mod tests {
         let instance = data.to_instance(ccs, w.dcs(DcSet::Good)).unwrap();
         let mut p1 = P1::build(&instance, &SolverConfig::hybrid()).unwrap();
         complete_randomly(&mut p1, 1);
-        let rows = p1.view.n_rows();
-        p1.write_pins(0..rows).unwrap();
         let (repaired, protected): (Vec<usize>, Vec<usize>) =
             (0..instance.ccs.len()).partition(|i| i % 4 != 0);
         let error = |view: &cextend_table::Relation| -> u64 {
@@ -141,17 +139,18 @@ mod tests {
                 .map(|&i| instance.ccs[i].count_in(view).unwrap())
                 .collect()
         };
-        let before = error(&p1.view);
-        let kept = protected_counts(&p1.view);
+        let view = pinned_view(&p1, &instance).unwrap();
+        let before = error(&view);
+        let kept = protected_counts(&view);
         let out = repair(&mut p1, &instance.ccs, &repaired, &protected, 4);
-        p1.write_pins(0..rows).unwrap();
+        let view = pinned_view(&p1, &instance).unwrap();
         assert_eq!(out.error_before, before);
-        assert_eq!(out.error_after, error(&p1.view));
+        assert_eq!(out.error_after, error(&view));
         assert!(
             out.moves > 0 && out.error_after < out.error_before,
             "{out:?}"
         );
-        assert_eq!(protected_counts(&p1.view), kept);
+        assert_eq!(protected_counts(&view), kept);
     }
 
     /// Algorithm 1's program, built from per-bin and per-combo CC masks,
@@ -179,10 +178,12 @@ mod tests {
             (MarginalMode::Restricted(&r1_conds), false),
         ];
         for (mode, naive) in configs {
-            let built = build_ilp(&p1, ccs, &mode, naive).unwrap().unwrap();
+            let built = build_ilp(&p1, &instance.r1, ccs, &mode, naive)
+                .unwrap()
+                .unwrap();
             // Every row starts empty and binned; scope and match tables
             // come from the per-pair tests.
-            assert_eq!(built.bin_rows.iter().flatten().count(), p1.view.n_rows());
+            assert_eq!(built.bin_rows.iter().flatten().count(), p1.n_rows());
             let bins = &built.bins;
             let in_scope: Vec<bool> = bins
                 .iter()

@@ -12,11 +12,11 @@
 
 use cextend_constraints::{HasseDiagram, RelationshipMatrix};
 use cextend_core::phase1_internals::{
-    complete_leftovers, complete_leftovers_scalar, complete_randomly, complete_randomly_scalar,
-    repair, run_hasse, RowState, P1,
+    cc_col_ids, complete_leftovers, complete_leftovers_scalar, complete_randomly,
+    complete_randomly_scalar, pinned_view, repair, row_state, run_hasse, RowState, P1,
 };
 use cextend_core::{CExtensionInstance, SolverConfig};
-use cextend_table::relations_equal_ordered;
+use cextend_table::{relations_equal_ordered, Relation};
 use cextend_workloads::{workload_by_name, CcFamily, DcSet, WorkloadParams};
 
 /// The instance of `scenario` at scale 0.05, seed 1000, with 100 CCs of
@@ -40,11 +40,10 @@ fn after_hasse(instance: &CExtensionInstance) -> P1 {
     p1
 }
 
-/// `p1` with every row's pins written into its view: the scalar oracles'
-/// input, and the view the production path's choices stand for.
-fn written(mut p1: P1) -> P1 {
-    p1.write_pins(0..p1.view.n_rows()).unwrap();
-    p1
+/// `p1`'s pinned view: the scalar oracles' input, and the view the
+/// production path's choices stand for.
+fn written(instance: &CExtensionInstance, p1: &P1) -> Relation {
+    pinned_view(p1, instance).unwrap()
 }
 
 #[test]
@@ -53,29 +52,30 @@ fn completion_matches_the_scalar_oracles_on_partially_pinned_rows() {
         for family in [CcFamily::Good, CcFamily::Bad] {
             let what = format!("{scenario} {family:?}");
             let instance = instance(scenario, family);
-            let start = written(after_hasse(&instance));
-            let partial = start
-                .view
-                .rows()
+            let start = after_hasse(&instance);
+            let view = written(&instance, &start);
+            let partial = (0..start.n_rows())
                 .filter(|&r| start.state(r) == RowState::Partial)
                 .count();
             assert!(partial > 0, "{what}: no partially pinned row");
-            for r in start.view.rows() {
-                assert_eq!(start.state(r), start.row_state(r), "{what}: row {r}");
+            let cc_ids = cc_col_ids(&start, &view).unwrap();
+            for r in view.rows() {
+                let cells = row_state(&view, &cc_ids, r);
+                assert_eq!(start.state(r), cells, "{what}: row {r}");
             }
             // Repair's starting error counts the rows that already feed
             // each CC from Phase I's record; it must be the view's.
             let error: u64 = instance
                 .ccs
                 .iter()
-                .map(|cc| cc.count_in(&start.view).unwrap().abs_diff(cc.target))
+                .map(|cc| cc.count_in(&view).unwrap().abs_diff(cc.target))
                 .sum();
             let all: Vec<usize> = (0..instance.ccs.len()).collect();
             let out = repair(&mut after_hasse(&instance), &instance.ccs, &all, &[], 1);
             assert_eq!(out.error_before, error, "{what}: repair's starting error");
 
-            let mut scalar = written(after_hasse(&instance));
-            let invalid = complete_leftovers_scalar(&mut scalar, &instance.ccs).unwrap();
+            let mut scalar = view.clone();
+            let invalid = complete_leftovers_scalar(&start, &mut scalar, &instance.ccs).unwrap();
             for workers in [1, 2, 4] {
                 let mut fast = after_hasse(&instance);
                 let got = complete_leftovers(&mut fast, workers);
@@ -84,17 +84,17 @@ fn completion_matches_the_scalar_oracles_on_partially_pinned_rows() {
                     "{what}: leftover invalid rows, {workers} workers"
                 );
                 assert!(
-                    relations_equal_ordered(&written(fast).view, &scalar.view),
+                    relations_equal_ordered(&written(&instance, &fast), &scalar),
                     "{what}: leftover views differ at {workers} workers"
                 );
             }
 
-            let mut scalar = written(after_hasse(&instance));
-            let completed = complete_randomly_scalar(&mut scalar).unwrap();
+            let mut scalar = view;
+            let completed = complete_randomly_scalar(&start, &mut scalar).unwrap();
             let mut fast = after_hasse(&instance);
             assert_eq!(complete_randomly(&mut fast, 1), completed, "{what}");
             assert!(
-                relations_equal_ordered(&written(fast).view, &scalar.view),
+                relations_equal_ordered(&written(&instance, &fast), &scalar),
                 "{what}: random-completion views differ"
             );
         }
