@@ -239,7 +239,7 @@ impl BoundDc {
                 rcol,
                 offset,
             } => match (rel.get_int(rows[lvar], lcol), rel.get_int(rows[rvar], rcol)) {
-                (Some(l), Some(r)) => op.eval(Value::Int(l), Value::Int(r + offset)),
+                (Some(l), Some(r)) => cmp_offset(op, l, r, offset),
                 _ => false,
             },
         })
@@ -342,10 +342,18 @@ impl BinaryAtomPlan {
     #[inline]
     pub fn eval_cells(&self, l: Option<i64>, r: Option<i64>) -> bool {
         match (l, r) {
-            (Some(l), Some(r)) => self.op.test(l.cmp(&(r + self.offset))),
+            (Some(l), Some(r)) => cmp_offset(self.op, l, r, self.offset),
             _ => false,
         }
     }
+}
+
+/// `l ◦ r + offset` in exact arithmetic: the sum is taken in `i128`, so an
+/// offset near either end of `i64` compares as written instead of wrapping
+/// (or, in a debug build, panicking).
+#[inline]
+fn cmp_offset(op: CmpOp, l: i64, r: i64, offset: i64) -> bool {
+    op.test(i128::from(l).cmp(&(i128::from(r) + i128::from(offset))))
 }
 
 /// Canonical form of a binary atom used for the symmetry check only:

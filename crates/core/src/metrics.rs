@@ -554,7 +554,10 @@ impl BinaryAtom<'_> {
             self.lcells.get(rows[self.lvar]),
             self.rcells.get(rows[self.rvar]),
         ) {
-            (Some(l), Some(r)) => self.op.test(l.cmp(&r.wrapping_add(self.offset))),
+            // Exact: the sum cannot leave `i128`.
+            (Some(l), Some(r)) => self
+                .op
+                .test(i128::from(l).cmp(&(i128::from(r) + i128::from(self.offset)))),
             _ => false,
         }
     }

@@ -1502,6 +1502,67 @@ mod tests {
         assert_eq!(stats.scanned_candidates, 0, "no enumeration ran");
     }
 
+    /// `t1.Age > t2.Age + 9223372036854775800` between an owner and a
+    /// child, and the same atom flipped (`t2.Age < t1.Age − …`). For some
+    /// of these four people `r + offset` leaves `i64` in either
+    /// orientation; compared exactly, only the owner aged `i64::MAX` and
+    /// the child aged 1 conflict.
+    #[test]
+    fn binary_offsets_near_the_i64_ends_compare_exactly() {
+        use cextend_constraints::parse_dc;
+        use cextend_table::{ColumnDef, Dtype, Schema, Value};
+        let schema = Schema::new(vec![
+            ColumnDef::key("pid", Dtype::Int),
+            ColumnDef::attr("Age", Dtype::Int),
+            ColumnDef::attr("Rel", Dtype::Str),
+            ColumnDef::foreign_key("hid", Dtype::Int),
+        ])
+        .unwrap();
+        let mut persons = Relation::new("Persons", schema);
+        for (pid, age, rel) in [
+            (1, i64::MAX, "Owner"),
+            (2, -20, "Owner"),
+            (3, 1, "Child"),
+            (4, 10, "Child"),
+        ] {
+            persons
+                .push_row(&[
+                    Some(Value::Int(pid)),
+                    Some(Value::Int(age)),
+                    Some(Value::str(rel)),
+                    None,
+                ])
+                .unwrap();
+        }
+        let gap = [
+            "t1.Age > t2.Age + 9223372036854775800",
+            "t2.Age < t1.Age - 9223372036854775800",
+        ];
+        for atom in gap {
+            let text =
+                format!(r#"!(t1.Rel = "Owner" & t2.Rel = "Child" & {atom} & t1.hid = t2.hid)"#);
+            let dc = parse_dc("gap", &text, "hid").unwrap();
+            let bound = dc.bind(persons.schema(), persons.name()).unwrap();
+            let g = build_both(&persons, &[0, 1, 2, 3], &[bound]);
+            let edges: Vec<Vec<u32>> = g.expanded().edges().map(<[u32]>::to_vec).collect();
+            assert_eq!(edges, [[0, 2]], "{atom}");
+
+            // Two households: the solve separates the conflicting pair and
+            // certifies clean.
+            let instance = crate::CExtensionInstance::new(
+                persons.clone(),
+                fixtures::housing(),
+                vec![],
+                vec![dc],
+            )
+            .unwrap();
+            let solution = crate::solve(&instance, &crate::SolverConfig::hybrid()).unwrap();
+            assert_eq!(solution.stats.counters.conflict_edges, 1, "{atom}");
+            let report = crate::metrics::evaluate(&instance, &solution).unwrap();
+            assert_eq!(report.dc_error, 0.0, "{atom}");
+        }
+    }
+
     #[test]
     fn builder_reuse_and_stats() {
         let (r1, dcs) = running_r1();

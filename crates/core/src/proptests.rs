@@ -183,7 +183,8 @@ fn build(si: &SmallInstance) -> CExtensionInstance {
 /// One random DC: arity 2 or 3, a few atoms. Unary atoms compare a
 /// column with a constant of the column's type; binary atoms are `=`
 /// (offset 0 or not) or `<`, on any column — `Group` is a string column,
-/// so a binary atom there can never hold. Half the DCs are drawn
+/// so a binary atom there can never hold. Half the non-zero offsets lie
+/// within 2 of `i64::MAX` or `i64::MIN`, where `r + offset` leaves `i64`. Half the DCs are drawn
 /// capacity-shaped (one unary filter repeated on every variable, then an
 /// offset-0 `=` chain on one column or none), and half of those keep their
 /// random binary atoms too, which may break the shape again.
@@ -208,7 +209,17 @@ fn arb_dc() -> impl Strategy<Value = RandomDc> {
     (
         2usize..4,
         proptest::collection::vec((0usize..3, 0usize..3, 0usize..4, 0i64..60), 0..3),
-        proptest::collection::vec((0usize..3, 0usize..3, 0usize..3, 0usize..3, -2i64..3), 0..3),
+        proptest::collection::vec(
+            (
+                0usize..3,
+                0usize..3,
+                0usize..3,
+                0usize..3,
+                -2i64..3,
+                0usize..4,
+            ),
+            0..3,
+        ),
         0usize..4,
         0usize..4,
     )
@@ -222,8 +233,13 @@ fn arb_dc() -> impl Strategy<Value = RandomDc> {
                 binary: binary
                     .into_iter()
                     // Mostly `=` atoms, a third of them offset 0.
-                    .map(|(l, r, c, kind, off)| {
-                        let offset = if kind == 0 { 0 } else { off };
+                    .map(|(l, r, c, kind, off, end)| {
+                        let offset = match (kind, end) {
+                            (0, _) => 0,
+                            (_, 2) => i64::MAX - off.abs(),
+                            (_, 3) => i64::MIN + off.abs(),
+                            _ => off,
+                        };
                         (l % arity, r % arity, c, kind < 2, offset)
                     })
                     .collect(),
