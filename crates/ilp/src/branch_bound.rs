@@ -3,7 +3,9 @@
 //! Depth-first search branching on the most fractional variable, pruning by
 //! the LP bound (valid because objective coefficients are integral, the bound
 //! can be rounded up). Branches tighten variable bounds, and each child
-//! re-optimizes from its parent's basis with the dual simplex. A node budget
+//! re-optimizes from its parent's basis with the dual simplex. The search
+//! stops as soon as an incumbent meets the root bound: no integer point is
+//! below it, so that incumbent is [`IlpStatus::Optimal`]. A node budget
 //! keeps worst cases in check; when it is exhausted the best incumbent so far
 //! is returned with [`IlpStatus::Feasible`], and Phase I of the solver falls
 //! back to largest-remainder rounding (see [`crate::rounding`]).
@@ -86,6 +88,8 @@ pub fn solve_ilp(problem: &Problem, cfg: &BbConfig) -> Result<IlpSolution> {
         parent: None,
     }];
     let mut incumbent: Option<(Vec<i64>, i64)> = None;
+    // The root's bound holds for every integer point.
+    let mut root_bound = i64::MIN;
     let mut nodes = 0usize;
     let mut exhausted = false;
     // The node whose solve left the engine's current basis.
@@ -115,6 +119,9 @@ pub fn solve_ilp(problem: &Problem, cfg: &BbConfig) -> Result<IlpSolution> {
         }
         // Prune by bound: integer objective ≥ ceil(LP objective − eps).
         let lower = (lp.objective() - 1e-6).ceil() as i64;
+        if node.parent.is_none() {
+            root_bound = lower;
+        }
         if incumbent.as_ref().is_some_and(|(_, best)| lower >= *best) {
             continue;
         }
@@ -139,6 +146,9 @@ pub fn solve_ilp(problem: &Problem, cfg: &BbConfig) -> Result<IlpSolution> {
                 let obj = problem.objective_at(&cand);
                 if incumbent.as_ref().is_none_or(|(_, best)| obj < *best) {
                     incumbent = Some((cand, obj));
+                    if obj <= root_bound {
+                        break; // nothing left on the stack can beat it
+                    }
                 }
             }
             continue;
@@ -240,6 +250,23 @@ mod tests {
         p.add_constraint(vec![(x, 1), (y, 2)], Rel::Le, 6);
         let s = solve_ilp(&p, &BbConfig { max_nodes: 1 }).unwrap();
         assert!(matches!(s.status, IlpStatus::Unknown | IlpStatus::Feasible));
+    }
+
+    #[test]
+    fn an_incumbent_at_the_root_bound_is_optimal() {
+        // min x s.t. 5x ≥ 3: the root LP point x = 0.6 bounds the integer
+        // optimum below by ceil(0.6) = 1. The up branch, explored first,
+        // finds x = 1 at node 2 while the down branch is still on the
+        // stack; that incumbent meets the root bound, so it is optimal.
+        let mut p = Problem::new();
+        let x = p.add_var("x");
+        p.set_objective(x, 1);
+        p.add_constraint(vec![(x, 5)], Rel::Ge, 3);
+        for max_nodes in [2, 2000] {
+            let s = solve_ilp(&p, &BbConfig { max_nodes }).unwrap();
+            assert_eq!(s.status, IlpStatus::Optimal, "max_nodes {max_nodes}");
+            assert_eq!((s.values, s.objective, s.nodes), (vec![1], 1, 2));
+        }
     }
 
     #[test]
