@@ -101,17 +101,6 @@ impl KeyMinter {
     }
 }
 
-/// The household record's entry for `R̂2` row `r2_row`. An `R̂2` that
-/// outgrows the `u32` record is an error.
-fn record_id(r2_row: usize) -> Result<u32> {
-    match u32::try_from(r2_row) {
-        Ok(id) if id != NO_MATCH => Ok(id),
-        _ => Err(CoreError::Validation(format!(
-            "R̂2 row {r2_row} does not fit the u32 household record"
-        ))),
-    }
-}
-
 /// Phase II working state shared by the coloring and invalid-handling
 /// steps: `R̂2` (`R2` plus minted tuples), the households of each of Phase
 /// I's combos, the key minter and the household record. The coloring
@@ -197,6 +186,17 @@ impl Phase2Ctx {
     }
 }
 
+/// The household record's entry for `R̂2` row `r2_row`. An `R̂2` that
+/// outgrows the `u32` record is an error.
+fn record_id(r2_row: usize) -> Result<u32> {
+    match u32::try_from(r2_row) {
+        Ok(id) if id != NO_MATCH => Ok(id),
+        _ => Err(CoreError::Validation(format!(
+            "R̂2 row {r2_row} does not fit the u32 household record"
+        ))),
+    }
+}
+
 /// Runs Phase II, producing `R̂1`, `R̂2` and the final view.
 pub(crate) fn run_phase2(
     instance: &CExtensionInstance,
@@ -260,9 +260,9 @@ pub(crate) fn run_phase2(
 
             // ---- Color partitions, recording results as they stream in. --
             // Workers read `R1`, which nothing writes; the sink mutates
-            // only `ctx`. Colors resolve
-            // to `R̂2` rows partition by partition (minting is
-            // order-sensitive: fresh keys run in partition order).
+            // only `ctx`. Colors resolve to `R̂2` rows partition by
+            // partition (minting is order-sensitive: fresh keys run in
+            // partition order).
             // Without augmentation the solve fails once any partition
             // needs a fresh key; results are still folded so the error
             // reports every skipped vertex.
