@@ -732,15 +732,10 @@ impl ConflictBuilder {
                 let Some(o) = v0_view.get(rows[u as usize]) else {
                     continue;
                 };
-                // Up to two run windows; `None` (overflowing bound) falls
-                // back to verifying the atom per candidate.
-                let windows = bulk_windows(atom, o, &run);
-                let (w1, w2) = windows.clone().unwrap_or((0..run.len(), 0..0));
+                // Up to two run windows, exact for every offset.
+                let (w1, w2) = probe_windows(atom, 1, o, &run);
                 for &(_, v) in run[w1].iter().chain(run[w2].iter()) {
                     if v == u {
-                        continue;
-                    }
-                    if windows.is_none() && !own.eval(rows, u, v) {
                         continue;
                     }
                     // Mirrored visit `(v, u)`: emit only here if it does
@@ -796,39 +791,43 @@ impl ConflictBuilder {
     }
 }
 
-/// The (up to two) ranges of the sorted run satisfying `atom` against the
-/// variable-0 cell `o` — the bulk analogue of [`range_probe`], extended to
-/// equality (one equal run) and inequality (its complement). `None` when a
-/// bound computation overflows; the caller then verifies per candidate.
-fn bulk_windows(
+/// The (up to two) ranges of the sorted run `run` of `var`'s cells that
+/// satisfy `atom` against the other side's cell `o`: one window for an
+/// ordering atom or an equality (its equal run), two for `≠` (the
+/// complement). The bound `o ± offset` is taken in `i128`, so it is exact
+/// for every offset; one clamp per search keeps the run's comparisons in
+/// `i64`, and a bound beyond either end of `i64` selects the whole run or
+/// none of it.
+fn probe_windows(
     atom: &BinaryAtomPlan,
+    var: usize,
     o: i64,
     run: &[(i64, u32)],
-) -> Option<(std::ops::Range<usize>, std::ops::Range<usize>)> {
-    let below = |b: i64, inclusive: bool| -> std::ops::Range<usize> {
-        0..run.partition_point(|&(v, _)| if inclusive { v <= b } else { v < b })
+) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+    // Length of the run's prefix with cells at most `b`.
+    let upto = |b: i128| match i64::try_from(b) {
+        Ok(b) => run.partition_point(|&(v, _)| v <= b),
+        Err(_) if b < 0 => 0,
+        Err(_) => run.len(),
     };
-    let above = |b: i64, inclusive: bool| -> std::ops::Range<usize> {
-        run.partition_point(|&(v, _)| if inclusive { v < b } else { v <= b })..run.len()
-    };
-    let none = 0..0;
-    // The run holds variable 1's cells. When the atom reads variable 1 on
-    // its left side the window is `l ◦ (o + off)`; otherwise
-    // `o ◦ (r + off)` ⇔ `r ◦' (o − off)` with the comparison flipped.
-    let (b, flip) = if atom.lvar == 1 {
-        (o.checked_add(atom.offset)?, false)
+    // The window is `l ◦ (o + off)` when `var` is the atom's left side;
+    // otherwise `o ◦ (r + off)` ⇔ `r ◦' (o − off)` with the comparison
+    // flipped.
+    let (o, off) = (i128::from(o), i128::from(atom.offset));
+    let (b, flip) = if atom.lvar == var {
+        (o + off, false)
     } else {
-        (o.checked_sub(atom.offset)?, true)
+        (o - off, true)
     };
-    let op = atom.op;
-    Some(match (op, flip) {
-        (CmpOp::Eq, _) => (above(b, true).start..below(b, true).end, none),
-        (CmpOp::Ne, _) => (below(b, false), above(b, false)),
-        (CmpOp::Lt, false) | (CmpOp::Gt, true) => (below(b, false), none),
-        (CmpOp::Le, false) | (CmpOp::Ge, true) => (below(b, true), none),
-        (CmpOp::Gt, false) | (CmpOp::Lt, true) => (above(b, false), none),
-        (CmpOp::Ge, false) | (CmpOp::Le, true) => (above(b, true), none),
-    })
+    let (all, none) = (run.len(), 0..0);
+    match (atom.op, flip) {
+        (CmpOp::Eq, _) => (upto(b - 1)..upto(b), none),
+        (CmpOp::Ne, _) => (0..upto(b - 1), upto(b)..all),
+        (CmpOp::Lt, false) | (CmpOp::Gt, true) => (0..upto(b - 1), none),
+        (CmpOp::Le, false) | (CmpOp::Ge, true) => (0..upto(b), none),
+        (CmpOp::Gt, false) | (CmpOp::Lt, true) => (upto(b)..all, none),
+        (CmpOp::Ge, false) | (CmpOp::Le, true) => (upto(b - 1)..all, none),
+    }
 }
 
 /// The mutable half of the enumeration.
@@ -901,11 +900,8 @@ fn enumerate(ctx: &DcCtx<'_>, state: &mut EnumState<'_>, depth: usize, g: &mut H
     }
     let var = ctx.order[depth];
 
-    // Narrow the candidate loop through the driver atom's index, when the
-    // probe value computes without overflow; otherwise scan the variable's
-    // unary-filtered candidates (the driver then verifies like any other
-    // scheduled atom).
-    let mut probe: Option<(usize, std::ops::Range<usize>)> = None; // (index, run range)
+    // Narrow the candidate loop through the driver atom's index; a depth
+    // without a driver scans the variable's unary-filtered candidates.
     if let Some(a) = ctx.drivers[depth] {
         let atom = &ctx.plan.binary_atoms()[a];
         let other = atom.other_var(var);
@@ -919,84 +915,37 @@ fn enumerate(ctx: &DcCtx<'_>, state: &mut EnumState<'_>, depth: usize, g: &mut H
         let Some(o) = other_cell else {
             return; // missing cell: the driver atom can never hold
         };
-        let ix_pos = ctx.driver_ix[depth].expect("driver has an index slot");
-        let ix = &ctx.indexes[ix_pos];
+        let ix = &ctx.indexes[ctx.driver_ix[depth].expect("driver has an index slot")];
         if atom.is_equality() {
             // `l = r + off`: probing the l side needs `o + off`, the r side
-            // `o − off`.
+            // `o − off`; a target beyond `i64` has no bucket.
+            let off = i128::from(atom.offset);
             let target = if atom.lvar == var {
-                o.checked_add(atom.offset)
+                i128::from(o) + off
             } else {
-                o.checked_sub(atom.offset)
+                i128::from(o) - off
             };
-            if let Some(t) = target {
-                state.stats.eq_probes += 1;
-                let bucket = ix.buckets.get(&t).map(Vec::as_slice).unwrap_or(&[]);
-                for &pos in bucket {
-                    try_candidate(ctx, state, depth, var, pos, Some(a), g);
-                }
-                return;
+            state.stats.eq_probes += 1;
+            let bucket = i64::try_from(target)
+                .ok()
+                .and_then(|t| ix.buckets.get(&t))
+                .map_or(&[][..], Vec::as_slice);
+            for &pos in bucket {
+                try_candidate(ctx, state, depth, var, pos, Some(a), g);
             }
-        } else if let Some(range) = range_probe(atom, var, o, &ix.run) {
+        } else {
             state.stats.range_probes += 1;
-            probe = Some((ix_pos, range));
-        }
-    }
-
-    match probe {
-        Some((ix_pos, range)) => {
-            let driver = ctx.drivers[depth];
-            for &(_, pos) in &ctx.indexes[ix_pos].run[range] {
-                try_candidate(ctx, state, depth, var, pos, driver, g);
+            let (window, _) = probe_windows(atom, var, o, &ix.run);
+            for &(_, pos) in &ix.run[window] {
+                try_candidate(ctx, state, depth, var, pos, Some(a), g);
             }
         }
-        None => {
-            state.stats.scanned_candidates += ctx.cands[var].len();
-            for i in 0..ctx.cands[var].len() {
-                let pos = ctx.cands[var][i];
-                try_candidate(ctx, state, depth, var, pos, None, g);
-            }
-        }
+        return;
     }
-}
-
-/// The sorted-run index range satisfying a driver ordering atom, given the
-/// other side's cell value `o`. `None` when a bound computation overflows —
-/// the caller then falls back to scanning.
-fn range_probe(
-    atom: &BinaryAtomPlan,
-    var: usize,
-    o: i64,
-    run: &[(i64, u32)],
-) -> Option<std::ops::Range<usize>> {
-    let below = |b: i64, inclusive: bool| -> std::ops::Range<usize> {
-        let end = run.partition_point(|&(v, _)| if inclusive { v <= b } else { v < b });
-        0..end
-    };
-    let above = |b: i64, inclusive: bool| -> std::ops::Range<usize> {
-        let start = run.partition_point(|&(v, _)| if inclusive { v < b } else { v <= b });
-        start..run.len()
-    };
-    if atom.lvar == var {
-        // probe side is l: `l op (o + off)`.
-        let b = o.checked_add(atom.offset)?;
-        Some(match atom.op {
-            CmpOp::Lt => below(b, false),
-            CmpOp::Le => below(b, true),
-            CmpOp::Gt => above(b, false),
-            CmpOp::Ge => above(b, true),
-            _ => return None,
-        })
-    } else {
-        // probe side is r: `o op (r + off)` ⇔ `r op' (o − off)`.
-        let b = o.checked_sub(atom.offset)?;
-        Some(match atom.op {
-            CmpOp::Lt => above(b, false), // o < r + off ⇔ r > o − off
-            CmpOp::Le => above(b, true),
-            CmpOp::Gt => below(b, false),
-            CmpOp::Ge => below(b, true),
-            _ => return None,
-        })
+    state.stats.scanned_candidates += ctx.cands[var].len();
+    for i in 0..ctx.cands[var].len() {
+        let pos = ctx.cands[var][i];
+        try_candidate(ctx, state, depth, var, pos, None, g);
     }
 }
 
@@ -1658,6 +1607,21 @@ mod tests {
         // Depth 0 scans its 24 candidates; depth 1 probes once per row.
         assert_eq!(stats.range_probes, 24);
         assert_eq!(stats.scanned_candidates, 24);
+    }
+
+    /// The band with its driving atom's offset one below `i64::MAX`: the
+    /// bound `t1.Age + offset` leaves `i64` for every row, and compared
+    /// exactly it admits the whole run, so depth 1 still probes instead of
+    /// scanning.
+    #[test]
+    fn a_bound_beyond_i64_still_probes_the_sorted_run() {
+        let r = ages_fixture(24);
+        let rows: Vec<RowId> = (0..24).collect();
+        let band = "!(t2.Age < t1.Age + 9223372036854775806 & t2.Age > t1.Age + 1 & t1.fk = t2.fk)";
+        let (g, stats) = build_both_with_stats(&r, &rows, &bind_all(&r, &[band]));
+        assert!(g.n_edges() > 0);
+        assert_eq!(stats.range_probes, 24);
+        assert_eq!(stats.scanned_candidates, 24, "only depth 0 scans");
     }
 
     #[test]
