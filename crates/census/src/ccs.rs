@@ -15,8 +15,10 @@
 //! `S_bad` samples its (intersecting) rows freely.
 
 use crate::generator::CensusData;
-use cextend_constraints::{set_targets, CardinalityConstraint, NormalizedCond};
-use cextend_table::{fk_join, Atom, Predicate, Relation, ValueSet};
+use cextend_constraints::{
+    mine_pool, set_targets, CardinalityConstraint, NormalizedCond, PoolClause,
+};
+use cextend_table::{fk_join, Relation, ValueSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -127,28 +129,10 @@ impl PredRow {
 
 /// The `R2` condition pool: every existing Tenure-Area pair plus every Area
 /// alone (the paper: 469 Tenure-Area values and 121 Area-only values).
-pub fn r2_condition_pool(housing: &Relation) -> Vec<NormalizedCond> {
-    let tenure = housing.schema().col_id("Tenure").expect("Housing.Tenure");
-    let area = housing.schema().col_id("Area").expect("Housing.Area");
-    let pairs = cextend_table::marginals::distinct_combos(housing, &[tenure, area]);
-    let mut out: Vec<NormalizedCond> = pairs
-        .iter()
-        .map(|(combo, _)| {
-            NormalizedCond::from_predicate(&Predicate::new(vec![
-                Atom::eq("Tenure", combo[0]),
-                Atom::eq("Area", combo[1]),
-            ]))
-            .expect("equality atoms normalize")
-        })
-        .collect();
-    for v in housing.distinct_values(area) {
-        out.push(
-            NormalizedCond::from_predicate(&Predicate::new(vec![Atom::eq("Area", v)]))
-                .expect("equality atoms normalize"),
-        );
-    }
-    out
-}
+const R2_POOL: [PoolClause<'static>; 2] = [
+    PoolClause::Combos("Tenure", "Area"),
+    PoolClause::Values("Area"),
+];
 
 /// Union-find grouping of predicate rows into containment components.
 fn containment_components(rows: &[PredRow]) -> Vec<Vec<usize>> {
@@ -215,7 +199,7 @@ pub fn generate_ccs_from(
 ) -> Vec<CardinalityConstraint> {
     let mut rng = StdRng::seed_from_u64(seed);
     let truth_join = fk_join(ground_truth, housing).expect("ground truth joins cleanly");
-    let conds = r2_condition_pool(housing);
+    let conds = mine_pool(housing, &R2_POOL);
     assert!(!conds.is_empty(), "Housing must be non-empty");
     let mut ccs: Vec<CardinalityConstraint> = Vec::with_capacity(n);
     match family {
@@ -299,7 +283,7 @@ mod tests {
     #[test]
     fn r2_pool_covers_pairs_and_areas() {
         let d = data();
-        let pool = r2_condition_pool(&d.housing);
+        let pool = mine_pool(&d.housing, &R2_POOL);
         // Up to 6 areas × 4 tenures + 6 area-only conditions.
         assert!(pool.len() > 6);
         assert!(pool.iter().any(|c| c.get("Tenure").is_some()));

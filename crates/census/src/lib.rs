@@ -28,6 +28,6 @@ pub mod domains;
 mod generator;
 pub mod scales;
 
-pub use ccs::{generate_ccs, generate_ccs_from, r2_condition_pool, CcFamily};
+pub use ccs::{generate_ccs, generate_ccs_from, CcFamily};
 pub use dcs::{s_all_dc, s_good_dc, table4_row};
 pub use generator::{generate, CensusConfig, CensusData};

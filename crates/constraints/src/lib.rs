@@ -16,7 +16,8 @@
 //!   modified marginals (Sections 4.1, 4.3) per bin itself.
 //! - [`CcMembership`] / [`cc_counts`] / [`set_targets`] — one-pass CC
 //!   membership of every row through per-column lookup tables cut by the
-//!   same rule.
+//!   same rule; [`mine_pool`] mines the equality-condition pools the
+//!   workloads draw their CCs' `R2` sides from.
 //! - [`parse_cc`] / [`parse_dc`] — a text DSL in the paper's notation.
 //!
 //! ```
@@ -48,6 +49,6 @@ pub use dc::{
 pub use error::{ConstraintError, Result};
 pub use hasse::HasseDiagram;
 pub use intervalize::{domain_ranges, BinDim, BinKey, Binning, BoundBinning, ColumnIntervals};
-pub use membership::{cc_counts, set_targets, CcMembership};
+pub use membership::{cc_counts, mine_pool, set_targets, CcMembership, PoolClause};
 pub use parser::{parse_cc, parse_dc, parse_predicate};
 pub use relationship::{classify, CcRelationship, RelationshipMatrix};

@@ -28,7 +28,10 @@
 
 use crate::cc::{CardinalityConstraint, NormalizedCond};
 use crate::error::Result;
-use cextend_table::{ColId, Dtype, IntColumnView, Relation, RowId, SymColumnView, ValueSet};
+use cextend_table::marginals::distinct_combos;
+use cextend_table::{
+    Atom, ColId, Dtype, IntColumnView, Predicate, Relation, RowId, SymColumnView, ValueSet,
+};
 use std::collections::BTreeMap;
 
 /// How one referenced column maps a row to its table entry.
@@ -271,6 +274,47 @@ pub fn set_targets(ccs: &mut [CardinalityConstraint], view: &Relation) -> Result
         cc.target = count;
     }
     Ok(())
+}
+
+/// One clause of an `R2` condition pool mined from a step's target.
+#[derive(Clone, Copy, Debug)]
+pub enum PoolClause<'a> {
+    /// Every distinct fully-present `(A, B)` pair, as `A = a ∧ B = b`.
+    Combos(&'a str, &'a str),
+    /// Every distinct `A` value, as `A = a`.
+    Values(&'a str),
+}
+
+/// Mines the equality conditions of `clauses` from `target`, clause by
+/// clause in the order given; within a clause, in the relation's
+/// distinct-value order. Panics when a clause names a column `target`
+/// lacks.
+pub fn mine_pool(target: &Relation, clauses: &[PoolClause<'_>]) -> Vec<NormalizedCond> {
+    let col = |name: &str| {
+        target
+            .schema()
+            .col_id(name)
+            .unwrap_or_else(|| panic!("{}.{name} exists", target.name()))
+    };
+    let cond = |atoms| {
+        NormalizedCond::from_predicate(&Predicate::new(atoms)).expect("equality atoms normalize")
+    };
+    let mut out = Vec::new();
+    for clause in clauses {
+        match *clause {
+            PoolClause::Combos(a, b) => {
+                for (combo, _) in distinct_combos(target, &[col(a), col(b)]) {
+                    out.push(cond(vec![Atom::eq(a, combo[0]), Atom::eq(b, combo[1])]));
+                }
+            }
+            PoolClause::Values(a) => {
+                for v in target.distinct_values(col(a)) {
+                    out.push(cond(vec![Atom::eq(a, v)]));
+                }
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -15,9 +15,10 @@
 
 use crate::ast::{CcBlockKind, ColRole, DcAtomDecl, DcLit, Generate, PoolKind, Spec};
 use crate::check::row_cond;
-use cextend_constraints::{CardinalityConstraint, DcAtom, DenialConstraint, NormalizedCond};
-use cextend_table::marginals::distinct_combos;
-use cextend_table::{Atom, Predicate, Relation, Value};
+use cextend_constraints::{
+    mine_pool, CardinalityConstraint, DcAtom, DenialConstraint, NormalizedCond, PoolClause,
+};
+use cextend_table::Value;
 use cextend_workloads::ccgen::{bad_family, good_family};
 use cextend_workloads::{
     workload_by_name, CcFamily, DcSet, Workload, WorkloadData, WorkloadMeta, WorkloadParams,
@@ -188,44 +189,6 @@ fn build_meta(spec: &Spec, plugin: Option<&dyn Workload>) -> WorkloadMeta {
     }
 }
 
-/// Mines the `R2` condition pool for an explicit CC block — the same
-/// recipe the plugins use: each `combos(A, B)` contributes every distinct
-/// fully-present pair as a two-equality condition, each `values(A)` every
-/// distinct value as a single equality, in clause order.
-fn mine_pool(pools: &[crate::ast::PoolDecl], target: &Relation) -> Vec<NormalizedCond> {
-    let col = |name: &str| {
-        target
-            .schema()
-            .col_id(name)
-            .unwrap_or_else(|| panic!("checked: {}.{name} exists", target.name()))
-    };
-    let mut out = Vec::new();
-    for p in pools {
-        match &p.kind {
-            PoolKind::Combos(a, b) => {
-                for (combo, _) in distinct_combos(target, &[col(a), col(b)]) {
-                    out.push(
-                        NormalizedCond::from_predicate(&Predicate::new(vec![
-                            Atom::eq(a, combo[0]),
-                            Atom::eq(b, combo[1]),
-                        ]))
-                        .expect("equality atoms normalize"),
-                    );
-                }
-            }
-            PoolKind::Values(a) => {
-                for v in target.distinct_values(col(a)) {
-                    out.push(
-                        NormalizedCond::from_predicate(&Predicate::new(vec![Atom::eq(a, v)]))
-                            .expect("equality atoms normalize"),
-                    );
-                }
-            }
-        }
-    }
-    out
-}
-
 impl Workload for SpecWorkload {
     fn meta(&self) -> WorkloadMeta {
         self.meta
@@ -263,7 +226,14 @@ impl Workload for SpecWorkload {
                 let target = data
                     .relation(&self.spec.steps[step].target)
                     .expect("data carries the step target");
-                let pool = mine_pool(pools, target);
+                let clauses: Vec<PoolClause<'_>> = pools
+                    .iter()
+                    .map(|p| match &p.kind {
+                        PoolKind::Combos(a, b) => PoolClause::Combos(a, b),
+                        PoolKind::Values(a) => PoolClause::Values(a),
+                    })
+                    .collect();
+                let pool = mine_pool(target, &clauses);
                 let rows: Vec<NormalizedCond> = match family {
                     CcFamily::Good => good.iter().map(row_cond).collect(),
                     CcFamily::Bad => bad.iter().map(row_cond).collect(),

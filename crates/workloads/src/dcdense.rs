@@ -25,11 +25,10 @@
 
 use crate::ccgen::{bad_family, good_family};
 use crate::workload::{CcFamily, DcSet, Workload, WorkloadData, WorkloadMeta, WorkloadParams};
-use cextend_constraints::{CardinalityConstraint, DcAtom, DenialConstraint, NormalizedCond};
-use cextend_table::{
-    Atom, CmpOp, ColumnDef, Dtype, Predicate, Relation, RelationBuilder, Schema, Sym, Value,
-    ValueSet,
+use cextend_constraints::{
+    mine_pool, CardinalityConstraint, DcAtom, DenialConstraint, NormalizedCond, PoolClause,
 };
+use cextend_table::{CmpOp, ColumnDef, Dtype, RelationBuilder, Schema, Sym, Value, ValueSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -238,7 +237,13 @@ impl Workload for DcDenseWorkload {
     ) -> Vec<CardinalityConstraint> {
         assert_eq!(step, 0, "dcdense is a one-step workload");
         let truth_join = data.truth_join();
-        let pool = slots_condition_pool(data.r2());
+        let pool = mine_pool(
+            data.r2(),
+            &[
+                PoolClause::Combos("Room", "Shift"),
+                PoolClause::Values("Room"),
+            ],
+        );
         match family {
             CcFamily::Good => {
                 let rows: Vec<NormalizedCond> = GOOD_ROWS.iter().map(EventRow::cond).collect();
@@ -258,31 +263,6 @@ impl Workload for DcDenseWorkload {
             DcSet::All => s_all_dcdense_dc(),
         }
     }
-}
-
-/// The `R2` condition pool: every existing Room-Shift pair plus every Room
-/// alone (mirroring the Census Tenure-Area / Area pools).
-pub fn slots_condition_pool(slots: &Relation) -> Vec<NormalizedCond> {
-    let room = slots.schema().col_id("Room").expect("Slots.Room");
-    let shift = slots.schema().col_id("Shift").expect("Slots.Shift");
-    let pairs = cextend_table::marginals::distinct_combos(slots, &[room, shift]);
-    let mut out: Vec<NormalizedCond> = pairs
-        .iter()
-        .map(|(combo, _)| {
-            NormalizedCond::from_predicate(&Predicate::new(vec![
-                Atom::eq("Room", combo[0]),
-                Atom::eq("Shift", combo[1]),
-            ]))
-            .expect("equality atoms normalize")
-        })
-        .collect();
-    for v in slots.distinct_values(room) {
-        out.push(
-            NormalizedCond::from_predicate(&Predicate::new(vec![Atom::eq("Room", v)]))
-                .expect("equality atoms normalize"),
-        );
-    }
-    out
 }
 
 /// One `R1` predicate row: a `Load` interval and a `Kind` code.

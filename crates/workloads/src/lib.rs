@@ -62,21 +62,19 @@ mod workload;
 pub use census::CensusWorkload;
 pub use dcdense::{
     dcdense_dc_row, room_name as dcdense_room_name, s_all_dcdense_dc, s_good_dcdense_dc,
-    slots_condition_pool, DcDenseWorkload, KINDS, MAX_LOAD, SHIFTS,
+    DcDenseWorkload, KINDS, MAX_LOAD, SHIFTS,
 };
 pub use logistics::{
-    carriers_condition_pool, district_name, logistics_dc_row, mode_reach, tier_of,
-    warehouses_condition_pool, LogisticsWorkload, HANDLINGS, MAX_COST, MAX_WEIGHT, MODES,
-    SHIP_PRIORITIES,
+    district_name, logistics_dc_row, mode_reach, tier_of, LogisticsWorkload, HANDLINGS, MAX_COST,
+    MAX_WEIGHT, MODES, SHIP_PRIORITIES,
 };
 pub use retail::{
-    r2_condition_pool as retail_r2_condition_pool, region_market, region_name, retail_dc_row,
-    s_all_retail_dc, s_good_retail_dc, RetailWorkload, CHANNELS, MARKETS, MAX_AMOUNT, PRIORITIES,
-    SEGMENTS, TIERS,
+    region_market, region_name, retail_dc_row, s_all_retail_dc, s_good_retail_dc, RetailWorkload,
+    CHANNELS, MARKETS, MAX_AMOUNT, PRIORITIES, SEGMENTS, TIERS,
 };
 pub use supply::{
-    n_zones, region_zone, regions_condition_pool, size_class, stores_condition_pool, supply_dc_row,
-    zone_climate, zone_name, SupplyWorkload, CATEGORIES, CLIMATES, FORMATS, MAX_CAPACITY,
+    n_zones, region_zone, size_class, supply_dc_row, zone_climate, zone_name, SupplyWorkload,
+    CATEGORIES, CLIMATES, FORMATS, MAX_CAPACITY,
 };
 pub use workload::{
     all_workloads, workload_by_name, CcFamily, DcSet, FkEdge, Workload, WorkloadData, WorkloadMeta,

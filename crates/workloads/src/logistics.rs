@@ -37,8 +37,10 @@ use crate::ccgen::{bad_family, good_family, sample_zipf, zipf_cumulative};
 use crate::workload::{
     CcFamily, DcSet, FkEdge, Workload, WorkloadData, WorkloadMeta, WorkloadParams,
 };
-use cextend_constraints::{CardinalityConstraint, DcAtom, DenialConstraint, NormalizedCond};
-use cextend_table::{Atom, CmpOp, ColumnDef, Dtype, Predicate, Relation, Schema, Value, ValueSet};
+use cextend_constraints::{
+    mine_pool, CardinalityConstraint, DcAtom, DenialConstraint, NormalizedCond, PoolClause,
+};
+use cextend_table::{CmpOp, ColumnDef, Dtype, Relation, Schema, Value, ValueSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -302,12 +304,24 @@ impl Workload for LogisticsWorkload {
             0 => (
                 &SHIP_GOOD_ROWS,
                 &SHIP_BAD_ROWS,
-                warehouses_condition_pool(data.relation("Warehouses").expect("Warehouses exists")),
+                mine_pool(
+                    data.relation("Warehouses").expect("Warehouses exists"),
+                    &[
+                        PoolClause::Combos("District", "Tier"),
+                        PoolClause::Values("District"),
+                    ],
+                ),
             ),
             1 => (
                 &COST_GOOD_ROWS,
                 &COST_BAD_ROWS,
-                carriers_condition_pool(data.relation("Carriers").expect("Carriers exists")),
+                mine_pool(
+                    data.relation("Carriers").expect("Carriers exists"),
+                    &[
+                        PoolClause::Combos("Mode", "Reach"),
+                        PoolClause::Values("Mode"),
+                    ],
+                ),
             ),
             other => panic!("logistics has steps 0 and 1, not {other}"),
         };
@@ -332,59 +346,6 @@ impl Workload for LogisticsWorkload {
             (other, _) => panic!("logistics has steps 0 and 1, not {other}"),
         }
     }
-}
-
-/// The step-0 `R2` condition pool: every existing District-Tier pair plus
-/// every District alone (mined from the generated `Warehouses`).
-pub fn warehouses_condition_pool(warehouses: &Relation) -> Vec<NormalizedCond> {
-    let district = warehouses
-        .schema()
-        .col_id("District")
-        .expect("Warehouses.District");
-    let tier = warehouses.schema().col_id("Tier").expect("Warehouses.Tier");
-    let pairs = cextend_table::marginals::distinct_combos(warehouses, &[district, tier]);
-    let mut out: Vec<NormalizedCond> = pairs
-        .iter()
-        .map(|(combo, _)| {
-            NormalizedCond::from_predicate(&Predicate::new(vec![
-                Atom::eq("District", combo[0]),
-                Atom::eq("Tier", combo[1]),
-            ]))
-            .expect("equality atoms normalize")
-        })
-        .collect();
-    for v in warehouses.distinct_values(district) {
-        out.push(
-            NormalizedCond::from_predicate(&Predicate::new(vec![Atom::eq("District", v)]))
-                .expect("equality atoms normalize"),
-        );
-    }
-    out
-}
-
-/// The step-1 `R2` condition pool: every existing Mode-Reach pair plus
-/// every Mode alone (mined from the generated `Carriers`).
-pub fn carriers_condition_pool(carriers: &Relation) -> Vec<NormalizedCond> {
-    let mode = carriers.schema().col_id("Mode").expect("Carriers.Mode");
-    let reach = carriers.schema().col_id("Reach").expect("Carriers.Reach");
-    let pairs = cextend_table::marginals::distinct_combos(carriers, &[mode, reach]);
-    let mut out: Vec<NormalizedCond> = pairs
-        .iter()
-        .map(|(combo, _)| {
-            NormalizedCond::from_predicate(&Predicate::new(vec![
-                Atom::eq("Mode", combo[0]),
-                Atom::eq("Reach", combo[1]),
-            ]))
-            .expect("equality atoms normalize")
-        })
-        .collect();
-    for v in carriers.distinct_values(mode) {
-        out.push(
-            NormalizedCond::from_predicate(&Predicate::new(vec![Atom::eq("Mode", v)]))
-                .expect("equality atoms normalize"),
-        );
-    }
-    out
 }
 
 /// One `R1` predicate row: an integer interval over `int_col` plus an

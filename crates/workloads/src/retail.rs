@@ -17,8 +17,10 @@
 
 use crate::ccgen::{bad_family, good_family, sample_zipf, zipf_cumulative};
 use crate::workload::{CcFamily, DcSet, Workload, WorkloadData, WorkloadMeta, WorkloadParams};
-use cextend_constraints::{CardinalityConstraint, DcAtom, DenialConstraint, NormalizedCond};
-use cextend_table::{Atom, CmpOp, ColumnDef, Dtype, Predicate, Relation, Schema, Value, ValueSet};
+use cextend_constraints::{
+    mine_pool, CardinalityConstraint, DcAtom, DenialConstraint, NormalizedCond, PoolClause,
+};
+use cextend_table::{CmpOp, ColumnDef, Dtype, Relation, Schema, Value, ValueSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -259,7 +261,13 @@ impl Workload for RetailWorkload {
     ) -> Vec<CardinalityConstraint> {
         assert_eq!(step, 0, "retail is a one-step workload");
         let truth_join = data.truth_join();
-        let pool = r2_condition_pool(data.r2());
+        let pool = mine_pool(
+            data.r2(),
+            &[
+                PoolClause::Combos("Region", "Segment"),
+                PoolClause::Values("Region"),
+            ],
+        );
         match family {
             CcFamily::Good => {
                 let rows: Vec<NormalizedCond> = GOOD_ROWS.iter().map(OrderRow::cond).collect();
@@ -279,37 +287,6 @@ impl Workload for RetailWorkload {
             DcSet::All => s_all_retail_dc(),
         }
     }
-}
-
-/// The `R2` condition pool: every existing Region-Segment pair plus every
-/// Region alone (mirroring the Census Tenure-Area / Area pools).
-pub fn r2_condition_pool(customers: &Relation) -> Vec<NormalizedCond> {
-    let region = customers
-        .schema()
-        .col_id("Region")
-        .expect("Customers.Region");
-    let segment = customers
-        .schema()
-        .col_id("Segment")
-        .expect("Customers.Segment");
-    let pairs = cextend_table::marginals::distinct_combos(customers, &[region, segment]);
-    let mut out: Vec<NormalizedCond> = pairs
-        .iter()
-        .map(|(combo, _)| {
-            NormalizedCond::from_predicate(&Predicate::new(vec![
-                Atom::eq("Region", combo[0]),
-                Atom::eq("Segment", combo[1]),
-            ]))
-            .expect("equality atoms normalize")
-        })
-        .collect();
-    for v in customers.distinct_values(region) {
-        out.push(
-            NormalizedCond::from_predicate(&Predicate::new(vec![Atom::eq("Region", v)]))
-                .expect("equality atoms normalize"),
-        );
-    }
-    out
 }
 
 /// One `R1` predicate row: an `Amount` interval, a `Priority` code and

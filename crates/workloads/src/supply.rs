@@ -33,8 +33,10 @@ use crate::ccgen::{bad_family, good_family, sample_zipf, zipf_cumulative};
 use crate::workload::{
     CcFamily, DcSet, FkEdge, Workload, WorkloadData, WorkloadMeta, WorkloadParams,
 };
-use cextend_constraints::{CardinalityConstraint, DcAtom, DenialConstraint, NormalizedCond};
-use cextend_table::{Atom, CmpOp, ColumnDef, Dtype, Predicate, Relation, Schema, Value, ValueSet};
+use cextend_constraints::{
+    mine_pool, CardinalityConstraint, DcAtom, DenialConstraint, NormalizedCond, PoolClause,
+};
+use cextend_table::{CmpOp, ColumnDef, Dtype, Relation, Schema, Value, ValueSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -286,12 +288,24 @@ impl Workload for SupplyWorkload {
             0 => (
                 &ORDER_GOOD_ROWS,
                 &ORDER_BAD_ROWS,
-                stores_condition_pool(data.relation("Stores").expect("Stores exists")),
+                mine_pool(
+                    data.relation("Stores").expect("Stores exists"),
+                    &[
+                        PoolClause::Combos("Format", "SizeClass"),
+                        PoolClause::Values("Format"),
+                    ],
+                ),
             ),
             1 => (
                 &STORE_GOOD_ROWS,
                 &STORE_BAD_ROWS,
-                regions_condition_pool(data.relation("Regions").expect("Regions exists")),
+                mine_pool(
+                    data.relation("Regions").expect("Regions exists"),
+                    &[
+                        PoolClause::Combos("Zone", "Climate"),
+                        PoolClause::Values("Zone"),
+                    ],
+                ),
             ),
             other => panic!("supply has steps 0 and 1, not {other}"),
         };
@@ -316,59 +330,6 @@ impl Workload for SupplyWorkload {
             (other, _) => panic!("supply has steps 0 and 1, not {other}"),
         }
     }
-}
-
-/// The step-0 `R2` condition pool: every existing Format-SizeClass pair
-/// plus every Format alone (mined from the generated `Stores`).
-pub fn stores_condition_pool(stores: &Relation) -> Vec<NormalizedCond> {
-    let format = stores.schema().col_id("Format").expect("Stores.Format");
-    let size = stores
-        .schema()
-        .col_id("SizeClass")
-        .expect("Stores.SizeClass");
-    let pairs = cextend_table::marginals::distinct_combos(stores, &[format, size]);
-    let mut out: Vec<NormalizedCond> = pairs
-        .iter()
-        .map(|(combo, _)| {
-            NormalizedCond::from_predicate(&Predicate::new(vec![
-                Atom::eq("Format", combo[0]),
-                Atom::eq("SizeClass", combo[1]),
-            ]))
-            .expect("equality atoms normalize")
-        })
-        .collect();
-    for v in stores.distinct_values(format) {
-        out.push(
-            NormalizedCond::from_predicate(&Predicate::new(vec![Atom::eq("Format", v)]))
-                .expect("equality atoms normalize"),
-        );
-    }
-    out
-}
-
-/// The step-1 `R2` condition pool: every existing Zone-Climate pair plus
-/// every Zone alone (mined from the generated `Regions`).
-pub fn regions_condition_pool(regions: &Relation) -> Vec<NormalizedCond> {
-    let zone = regions.schema().col_id("Zone").expect("Regions.Zone");
-    let climate = regions.schema().col_id("Climate").expect("Regions.Climate");
-    let pairs = cextend_table::marginals::distinct_combos(regions, &[zone, climate]);
-    let mut out: Vec<NormalizedCond> = pairs
-        .iter()
-        .map(|(combo, _)| {
-            NormalizedCond::from_predicate(&Predicate::new(vec![
-                Atom::eq("Zone", combo[0]),
-                Atom::eq("Climate", combo[1]),
-            ]))
-            .expect("equality atoms normalize")
-        })
-        .collect();
-    for v in regions.distinct_values(zone) {
-        out.push(
-            NormalizedCond::from_predicate(&Predicate::new(vec![Atom::eq("Zone", v)]))
-                .expect("equality atoms normalize"),
-        );
-    }
-    out
 }
 
 /// One `R1` predicate row: an integer interval over `int_col` plus an
