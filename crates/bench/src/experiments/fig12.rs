@@ -22,14 +22,7 @@ pub fn run(opts: &ExperimentOpts) {
             "Hybrid runtime vs number of R2 columns — scale 10x, good DCs, good CCs ({})",
             meta.name
         ),
-        &[
-            "R2 cols",
-            "recursion",
-            "coloring",
-            "phase I",
-            "phase II",
-            "total",
-        ],
+        &["R2 cols", "recursion", "phase I", "phase II", "total"],
     )
     .with_scale_label(10);
     for &n_cols in meta.r2_col_counts {
@@ -42,8 +35,7 @@ pub fn run(opts: &ExperimentOpts) {
         let r = run_averaged(&data, &ccs, &dcs, &config, opts.runs);
         table.push(vec![
             n_cols.to_string(),
-            fmt_s(r.recursion_s),
-            fmt_s(r.coloring_s),
+            fmt_s(r.hasse_s),
             fmt_s(r.phase1_s),
             fmt_s(r.phase2_s),
             fmt_s(r.wall_s),

@@ -51,9 +51,9 @@ pub fn run(opts: &ExperimentOpts) {
                 n.to_string(),
                 format!("{family:?}"),
                 fmt_s(r.pairwise_s),
-                fmt_s(r.recursion_s),
+                fmt_s(r.hasse_s),
                 fmt_s(r.ilp_s),
-                fmt_s(r.coloring_s),
+                fmt_s(r.phase2_s),
                 fmt_s(r.wall_s),
                 format!("{ilp_pct:.1}%"),
             ]);

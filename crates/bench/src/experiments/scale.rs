@@ -264,13 +264,13 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
             n_r2: data.n_r2(),
             n_ccs: ccs.len(),
             phase1_s: result.phase1_s,
-            hasse_s: result.recursion_s,
+            hasse_s: result.hasse_s,
             repair_s: result.repair_s,
             leftovers_s: result.leftovers_s,
             random_s: result.random_s,
             phase2_s: result.phase2_s,
             conflict_s: result.conflict_s,
-            coloring_s: result.color_s,
+            coloring_s: result.coloring_s,
             invalid_s: result.invalid_s,
             wall_s: result.wall_s,
             cc_median: result.cc_median,

@@ -218,9 +218,9 @@ pub struct RunResult {
     pub phase2_s: f64,
     /// Pairwise-comparison seconds (Figure 13 row 1).
     pub pairwise_s: f64,
-    /// Algorithm 2 recursion seconds (Figure 13 row 2) — the `hasse_s`
-    /// sub-stage of the Phase 1 breakdown.
-    pub recursion_s: f64,
+    /// Algorithm 2 (Hasse recursion) seconds (Figure 13 row 2; Phase 1
+    /// breakdown).
+    pub hasse_s: f64,
     /// ILP build+solve seconds (Figure 13 row 3).
     pub ilp_s: f64,
     /// ILP greedy-fill seconds (part of the Phase 1 breakdown).
@@ -232,13 +232,10 @@ pub struct RunResult {
     pub leftovers_s: f64,
     /// Baseline random-completion seconds (Phase 1 breakdown).
     pub random_s: f64,
-    /// Conflict build + coloring seconds (Figure 13 row 4).
-    pub coloring_s: f64,
     /// Conflict-hypergraph build seconds (Phase II sub-stage).
     pub conflict_s: f64,
-    /// List-coloring + assignment-apply seconds (Phase II sub-stage; the
-    /// pure-coloring slice of `coloring_s`).
-    pub color_s: f64,
+    /// List-coloring + assignment-apply seconds (Phase II sub-stage).
+    pub coloring_s: f64,
     /// Invalid-tuple placement seconds (Phase II sub-stage).
     pub invalid_s: f64,
     /// Fresh `R2` tuples minted.
@@ -260,15 +257,14 @@ impl RunResult {
             phase1_s: t.phase1().as_secs_f64(),
             phase2_s: t.phase2().as_secs_f64(),
             pairwise_s: t.pairwise_comparison.as_secs_f64(),
-            recursion_s: t.recursion.as_secs_f64(),
+            hasse_s: t.recursion.as_secs_f64(),
             ilp_s: (t.ilp_build + t.ilp_solve).as_secs_f64(),
             fill_s: t.fill.as_secs_f64(),
             repair_s: t.repair.as_secs_f64(),
             leftovers_s: t.leftovers.as_secs_f64(),
             random_s: t.random.as_secs_f64(),
-            coloring_s: (t.conflict_build + t.coloring + t.invalid_handling).as_secs_f64(),
             conflict_s: t.conflict_build.as_secs_f64(),
-            color_s: t.coloring.as_secs_f64(),
+            coloring_s: t.coloring.as_secs_f64(),
             invalid_s: t.invalid_handling.as_secs_f64(),
             new_r2_tuples: stats.counters.new_r2_tuples,
             cc_errors: report.cc_errors,
@@ -312,15 +308,14 @@ fn average_results(results: Vec<RunResult>) -> RunResult {
         phase1_s: avg(|r| r.phase1_s),
         phase2_s: avg(|r| r.phase2_s),
         pairwise_s: avg(|r| r.pairwise_s),
-        recursion_s: avg(|r| r.recursion_s),
+        hasse_s: avg(|r| r.hasse_s),
         ilp_s: avg(|r| r.ilp_s),
         fill_s: avg(|r| r.fill_s),
         repair_s: avg(|r| r.repair_s),
         leftovers_s: avg(|r| r.leftovers_s),
         random_s: avg(|r| r.random_s),
-        coloring_s: avg(|r| r.coloring_s),
         conflict_s: avg(|r| r.conflict_s),
-        color_s: avg(|r| r.color_s),
+        coloring_s: avg(|r| r.coloring_s),
         invalid_s: avg(|r| r.invalid_s),
         new_r2_tuples: results.iter().map(|r| r.new_r2_tuples).sum::<usize>() / results.len(),
         cc_errors: results
@@ -754,7 +749,7 @@ mod tests {
             .chain(std::iter::once(&chain.total))
         {
             let stage_sum = r.pairwise_s
-                + r.recursion_s
+                + r.hasse_s
                 + r.ilp_s
                 + r.fill_s
                 + r.repair_s
