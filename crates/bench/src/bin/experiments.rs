@@ -22,9 +22,10 @@ experiments: table1 fig8a fig8b fig9 fig10 fig11a fig11b fig12 fig13 ablate
                    specs/, and asserts every specs/bad/*.spec is rejected)
              scale (paper-scale runs: census at 40x and dcdense at 62.5x —
                    both >=10^6 R1 tuples under --paper-scale — at
-                   --workers; merges a wall + per-phase +
-                   peak-RSS `scale` section into <out>/BENCH_perf.json and
-                   appends a \"kind\":\"scale\" line to BENCH_history.jsonl;
+                   --workers; writes a wall + per-stage + peak-RSS
+                   `scale` section into <out>/BENCH_perf.json, keeping its
+                   `perf` section, and appends a \"kind\":\"scale\" line
+                   to BENCH_history.jsonl;
                    CEXTEND_SCALE_MAX_WALL_S / CEXTEND_SCALE_MAX_RSS_MB set
                    hard budgets for CI smoke runs)
              profile (traces one chain run of --workload with the obs
@@ -35,11 +36,13 @@ experiments: table1 fig8a fig8b fig9 fig10 fig11a fig11b fig12 fig13 ablate
                    unbalanced span or non-monotone timestamp)
              perf (times the full chain on every workload — one record per
                    completion step plus per scheduler level at 1 worker
-                   and at --workers — writes BENCH_perf.json and appends
-                   to BENCH_history.jsonl)
-             perf-check (compares <out>/BENCH_perf.json against --baseline,
-                   fails on a >3x wall-time regression of any shared record;
-                   ignores BENCH_history.jsonl)
+                   and at --workers — writes the `perf` section of
+                   <out>/BENCH_perf.json, keeping its `scale` section, and
+                   appends a \"kind\":\"perf\" line to BENCH_history.jsonl)
+             perf-check (compares <out>/BENCH_perf.json against --baseline
+                   section by section: fails on a >3x wall-time regression
+                   of any shared perf record, and compares scale sections
+                   run at equal parameters; ignores BENCH_history.jsonl)
              perf-trend (renders the per-record wall-time trend over the
                    accumulated --history lines; writes <out>/perf_trend.md)
 

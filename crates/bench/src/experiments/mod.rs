@@ -16,10 +16,13 @@
 //! | `fig13` | Figure 13 — runtime breakdown at growing CC counts |
 //! | `ablate` | DESIGN.md ablations (worker width, exact coloring, B&B budget) |
 //! | `sched` | star-vs-chain step-scheduler sweep: 1 worker vs `--workers`, wall per level, with a bit-identity assertion |
-//! | `perf` | perf baseline over *all* workloads at `--workers` (one record per chain step + per scheduler level at 1 worker and at `--workers`) → `BENCH_perf.json` + `BENCH_history.jsonl` |
-//! | `perf-check` | regression guard: fresh `BENCH_perf.json` vs the committed baseline |
-//! | `perf-trend` | per-record wall-time trend table over the accumulated `BENCH_history.jsonl` lines (+ markdown when `--out` is set) |
-//! | `scale` | paper-scale runs (census + dcdense at ≥10⁶ `R1` tuples under `--paper-scale`) at `--workers`; merges a wall + peak-RSS `scale` section into `BENCH_perf.json` |
+//! | `perf` | perf baseline over *all* workloads at `--workers` (one record per chain step + per scheduler level at 1 worker and at `--workers`) → the `perf` section of `BENCH_perf.json` + a `BENCH_history.jsonl` line |
+//! | `perf-check` | regression guard: fresh `BENCH_perf.json` vs the committed baseline, section by section |
+//! | `perf-trend` | per-record wall-time trend table over the accumulated `BENCH_history.jsonl` perf lines (+ markdown when `--out` is set) |
+//! | `scale` | paper-scale runs (census + dcdense at ≥10⁶ `R1` tuples under `--paper-scale`) at `--workers` → the `scale` section of `BENCH_perf.json` (wall, stages, heap, peak RSS) + a `BENCH_history.jsonl` line |
+//!
+//! `perf` and `scale` persist through [`record`], the one record format
+//! `perf-check` and `perf-trend` read back.
 //! | `profile` | one traced chain run → `<out>/trace.json` (Chrome Trace Event Format, opens in Perfetto) + per-stage self-time table cross-checked against `StageTimings` |
 //! | `fuzz-spec` | seeded well-typed spec fuzzer: `--iters` random specs through the 1 ≡ 2 ≡ 4 worker differential oracles, the builder ≡ naive edge-set check, the kernel ≡ `count_in` CC check and the certifier ≡ references check |
 //! | `spec-check` | corpus gate: every `specs/*.spec` passes the static checker, every `specs/bad/*.spec` is rejected |
@@ -34,6 +37,7 @@ pub mod fig9;
 pub mod fuzzspec;
 pub mod perf;
 pub mod profile;
+pub mod record;
 pub mod scale;
 pub mod sched;
 pub mod table1;
@@ -41,12 +45,6 @@ pub mod trend;
 
 use crate::harness::ExperimentOpts;
 use cextend_workloads::CcFamily;
-
-/// Reads a named field from a parsed JSON object (shared by the
-/// `perf-check` and `perf-trend` document readers).
-pub(crate) fn json_field(obj: &[(String, serde::Value)], name: &str) -> Option<serde::Value> {
-    obj.iter().find(|(k, _)| k == name).map(|(_, v)| v.clone())
-}
 
 /// All figure/table experiment ids, in run order (`perf` is driven
 /// separately: it sweeps every workload and writes `BENCH_perf.json`).
@@ -70,7 +68,7 @@ pub fn run(id: &str, opts: &ExperimentOpts) -> Result<(), String> {
         "sched" => sched::run(opts),
         "scale" => scale::run(opts)?,
         "profile" => profile::run(opts)?,
-        "perf" => perf::run(opts),
+        "perf" => perf::run(opts)?,
         "perf-check" => perf::check_cli(opts)?,
         "perf-trend" => trend::run(opts)?,
         "fuzz-spec" => fuzzspec::run(opts)?,

@@ -2,35 +2,29 @@
 //!
 //! `perf` times the full FK-completion chain on **every registered
 //! workload** (both CC families, one record per completion step) at small
-//! scale and writes the timings to `BENCH_perf.json`, seeding the bench
-//! trajectory that CI uploads as an artifact on every run. Unlike the
-//! figure experiments this sweep ignores `--workload`: its whole point is a
-//! cross-workload baseline.
+//! scale and writes the timings as the `perf` section of `BENCH_perf.json`,
+//! seeding the bench trajectory that CI uploads as an artifact on every
+//! run. Unlike the figure experiments this sweep ignores `--workload`: its
+//! whole point is a cross-workload baseline.
+//!
+//! The per-step records solve at `--workers` and carry every stage of the
+//! run. Besides them, `perf` times every multi-step workload's chain at
+//! **1 worker and at `--workers`** (one `sched-L<k>-serial|parallel`
+//! record per scheduler level and arm, wall = min over runs — see
+//! `super::sched`). The section and its `BENCH_history.jsonl` line go
+//! through [`super::record::save`], which keeps any `scale` section already
+//! in the document.
 //!
 //! `perf-check` reads a freshly written `BENCH_perf.json` back and compares
-//! it against the committed baseline: any record present in both whose wall
-//! time regressed by more than [`REGRESSION_FACTOR`]× fails the check (new
-//! records are allowed; see [`check`] for the sub-millisecond noise floor).
-//! Every failure — parameter mismatches and regressed records alike — is
-//! collected and reported before the check exits non-zero, so one red
-//! record cannot hide the rest in CI logs.
-//!
-//! The per-step records solve at `--workers`. Besides them, `perf` times
-//! every multi-step workload's chain at **1 worker and at `--workers`**
-//! (one `sched-L<k>-serial|parallel` record per scheduler level and arm,
-//! wall = min over runs — see `super::sched`), and appends a one-line
-//! summary of the whole sweep to `BENCH_history.jsonl` next to
-//! `BENCH_perf.json`: the `--label` (git-describe-ish) and `--stamp`
-//! (timestamp) the caller passed, the run parameters, and every record's
-//! wall time. The baseline file is overwritten per run; the history file
-//! only ever grows, and `perf-check` never reads it.
+//! it, section by section, against the committed baseline (see [`check`]).
+//! Every failure is collected and reported before the check exits
+//! non-zero, so one red record cannot hide the rest in CI logs.
 
-use crate::harness::{fmt_s, run_chain_averaged, run_meta, ExperimentOpts, RunMeta, Table};
+use super::record::{save, Document, Kind, Record};
+use crate::harness::{fmt_s, run_chain_averaged, ExperimentOpts, Table};
 use cextend_obs::narrate;
 use cextend_workloads::{all_workloads, DcSet};
-use serde::Serialize;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Wall-time growth beyond which `perf-check` fails a record.
@@ -49,66 +43,9 @@ pub const RSS_REGRESSION_FACTOR: f64 = 1.5;
 /// below it, allocator and runtime baseline noise dominates the signal.
 pub const RSS_NOISE_FLOOR_BYTES: f64 = 64.0 * 1024.0 * 1024.0;
 
-/// One timed (workload, CC family, completion step) cell.
-#[derive(Debug, Serialize)]
-pub struct PerfRecord {
-    /// Workload name.
-    pub workload: String,
-    /// CC family label (`good` / `bad`).
-    pub family: String,
-    /// Completion-step label (`Owner→Target`).
-    pub step: String,
-    /// `R1` rows (the step owner's row count).
-    pub n_r1: usize,
-    /// `R2` rows (the step target's row count).
-    pub n_r2: usize,
-    /// CC-set size.
-    pub n_ccs: usize,
-    /// Phase I seconds (averaged over `runs`).
-    pub phase1_s: f64,
-    /// Phase II seconds.
-    pub phase2_s: f64,
-    /// Total wall-clock seconds.
-    pub wall_s: f64,
-    /// Median relative CC error (sanity: good families must be exact).
-    pub cc_median: f64,
-    /// DC error (must be 0.0 — Proposition 5.5).
-    pub dc_error: f64,
-}
-
-/// The `BENCH_perf.json` document.
-#[derive(Debug, Serialize)]
-pub struct PerfBaseline {
-    /// Snapshot format version.
-    pub schema_version: u32,
-    /// Scale factor the sweep ran at.
-    pub scale_factor: f64,
-    /// CC-set size requested.
-    pub n_ccs: usize,
-    /// Runs averaged per cell.
-    pub runs: usize,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// CLI-provided knob overrides the sweep ran with (each workload
-    /// resolves them against its own defaults).
-    pub knobs: BTreeMap<String, i64>,
-    /// Set when the sweep was extended with `--workload spec:<path>` —
-    /// identifies where the extra `spec:*` records came from. Deliberately
-    /// **not** a comparability parameter: a spec's records appear and
-    /// disappear like any workload's, so a label difference must not
-    /// false-flag the whole document as a parameter mismatch.
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub workload: Option<String>,
-    /// Build and worker-width provenance. Not a comparability parameter —
-    /// see [`RunMeta`].
-    pub meta: RunMeta,
-    /// One record per (workload, family, step).
-    pub records: Vec<PerfRecord>,
-}
-
-/// Runs the perf baseline and writes `BENCH_perf.json` (into `--out` when
-/// set, else the working directory).
-pub fn run(opts: &ExperimentOpts) {
+/// Runs the perf baseline and saves its section (into `--out` when set,
+/// else the working directory).
+pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     let mut table = Table::new(
         "perf",
         &format!(
@@ -162,32 +99,13 @@ pub fn run(opts: &ExperimentOpts) {
                 );
                 // Solved sizes, not generator sizes: later steps include the
                 // dimension tuples minted upstream.
-                let (n_r1, n_r2) = (step.n_r1, step.n_r2);
-                table.push(vec![
-                    meta.name.to_owned(),
-                    family.label().to_owned(),
-                    step.step.clone(),
-                    n_r1.to_string(),
-                    n_r2.to_string(),
-                    fmt_s(r.phase1_s),
-                    fmt_s(r.phase2_s),
-                    fmt_s(r.wall_s),
-                    format!("{:.3}", r.cc_median),
-                    format!("{:.3}", r.dc_error),
-                ]);
-                records.push(PerfRecord {
-                    workload: meta.name.to_owned(),
-                    family: family.label().to_owned(),
-                    step: step.step.clone(),
-                    n_r1,
-                    n_r2,
-                    n_ccs: step.n_ccs,
-                    phase1_s: r.phase1_s,
-                    phase2_s: r.phase2_s,
-                    wall_s: r.wall_s,
-                    cc_median: r.cc_median,
-                    dc_error: r.dc_error,
-                });
+                let record = Record {
+                    family: Some(family.label().to_owned()),
+                    step: Some(step.step.clone()),
+                    ..Record::solved(meta.name, (step.n_r1, step.n_r2, step.n_ccs), r)
+                };
+                table.push(row(&record, step.step.clone()));
+                records.push(record);
             }
         }
     }
@@ -197,22 +115,10 @@ pub fn run(opts: &ExperimentOpts) {
     // bit-identical relations before any timing is recorded.
     for t in super::sched::sweep_all(opts) {
         let step = format!("sched-L{}-{}", t.level, t.mode);
-        table.push(vec![
-            t.workload.clone(),
-            "good".to_owned(),
-            format!("{} [{}]", step, t.step_labels.join(" + ")),
-            t.n_r1.to_string(),
-            t.n_r2.to_string(),
-            fmt_s(t.phase1_s),
-            fmt_s(t.phase2_s),
-            fmt_s(t.wall_s),
-            format!("{:.3}", t.cc_median),
-            format!("{:.3}", t.dc_error),
-        ]);
-        records.push(PerfRecord {
+        let record = Record {
             workload: t.workload,
-            family: "good".to_owned(),
-            step,
+            family: Some("good".to_owned()),
+            step: Some(step.clone()),
             n_r1: t.n_r1,
             n_r2: t.n_r2,
             n_ccs: t.n_ccs,
@@ -221,344 +127,219 @@ pub fn run(opts: &ExperimentOpts) {
             wall_s: t.wall_s,
             cc_median: t.cc_median,
             dc_error: t.dc_error,
-        });
+            ..Record::default()
+        };
+        table.push(row(
+            &record,
+            format!("{step} [{}]", t.step_labels.join(" + ")),
+        ));
+        records.push(record);
     }
     println!("{}", table.render());
 
-    let baseline = PerfBaseline {
-        schema_version: 2,
-        scale_factor: opts.scale_factor,
-        n_ccs: opts.n_ccs,
-        runs: opts.runs,
-        seed: opts.seed,
-        knobs: opts.knobs.clone(),
-        workload: opts
-            .workload
-            .starts_with("spec:")
-            .then(|| opts.workload.clone()),
-        meta: run_meta(opts.workers),
+    let spec = opts.workload.clone();
+    save(
+        opts,
+        Kind::Perf,
+        spec.starts_with("spec:").then_some(spec),
         records,
-    };
-    let dir = opts
-        .out_dir
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    std::fs::create_dir_all(&dir).expect("create output dir");
-    let path = dir.join("BENCH_perf.json");
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&baseline).expect("serialize"),
     )
-    .expect("write BENCH_perf.json");
-    narrate!("[perf baseline written to {}]", path.display());
-
-    let history = dir.join("BENCH_history.jsonl");
-    append_history(&history, opts, &baseline);
-    narrate!("[perf history appended to {}]\n", history.display());
 }
 
-/// One `BENCH_history.jsonl` line: the whole sweep compressed to its
-/// identity (label + stamp + run parameters) and per-record wall times.
-#[derive(Debug, Serialize)]
-struct HistoryRecord {
-    /// Build label (`--label`, git-describe-ish).
-    label: String,
-    /// Timestamp stamp (`--stamp`).
-    stamp: String,
-    /// Snapshot format version (matches the baseline's).
-    schema_version: u32,
-    /// Scale factor the sweep ran at.
-    scale_factor: f64,
-    /// CC-set size requested.
-    n_ccs: usize,
-    /// Runs averaged per cell.
-    runs: usize,
-    /// Base RNG seed.
-    seed: u64,
-    /// The `spec:<path>` selection that extended the sweep, when one did
-    /// (same pass-through rule as the baseline's field).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    workload: Option<String>,
-    /// `workload/family/step` → wall seconds, every record of the sweep.
-    walls: BTreeMap<String, f64>,
+/// The table row of a perf record, its step shown as `step`.
+fn row(r: &Record, step: String) -> Vec<String> {
+    vec![
+        r.workload.clone(),
+        r.family.clone().unwrap_or_default(),
+        step,
+        r.n_r1.to_string(),
+        r.n_r2.to_string(),
+        fmt_s(r.phase1_s),
+        fmt_s(r.phase2_s),
+        fmt_s(r.wall_s),
+        format!("{:.3}", r.cc_median),
+        format!("{:.3}", r.dc_error),
+    ]
 }
 
-/// Appends the sweep to the perf history, one JSON line per `perf` run —
-/// the trajectory `BENCH_perf.json` (a single overwritten snapshot) cannot
-/// show. `perf-check` never reads this file.
-fn append_history(path: &Path, opts: &ExperimentOpts, baseline: &PerfBaseline) {
-    let record = HistoryRecord {
-        label: opts.label.clone(),
-        stamp: opts.stamp.clone(),
-        schema_version: baseline.schema_version,
-        scale_factor: baseline.scale_factor,
-        n_ccs: baseline.n_ccs,
-        runs: baseline.runs,
-        seed: baseline.seed,
-        workload: baseline.workload.clone(),
-        walls: baseline
-            .records
-            .iter()
-            .map(|r| (format!("{}/{}/{}", r.workload, r.family, r.step), r.wall_s))
-            .collect(),
-    };
-    let line = serde_json::to_string(&record).expect("serialize history record");
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .expect("open BENCH_history.jsonl");
-    writeln!(file, "{line}").expect("append history line");
+/// A unit of gated values: its growth bound, its noise floor and how its
+/// failure line prints.
+#[derive(Clone, Copy)]
+enum Unit {
+    Seconds,
+    Bytes,
 }
 
-/// A record's identity and wall time, parsed from a `BENCH_perf.json`.
-type WallTimes = BTreeMap<(String, String, String), f64>;
-
-/// Per-workload timings parsed from one `scale` record.
-struct ScaleTimes {
-    /// Total wall seconds.
-    wall: f64,
-    /// Peak RSS bytes — absent on platforms without `VmHWM`.
-    rss: Option<f64>,
-    /// Phase I seconds — absent on pre-v3 sections without phase fields.
-    phase1: Option<f64>,
-    /// Phase II seconds — same optionality as `phase1`.
-    phase2: Option<f64>,
-    /// Conflict-graph build seconds — absent on sections written before
-    /// the Phase II sub-stage fields existed.
-    conflict: Option<f64>,
-    /// Pure weighted-coloring seconds — same optionality as `conflict`.
-    coloring: Option<f64>,
-    /// Invalid-tuple handling seconds — same optionality as `conflict`.
-    invalid: Option<f64>,
-}
-
-/// The parsed `scale` section of a `BENCH_perf.json` (written by
-/// `experiments -- scale`): its own run parameters plus, per workload, the
-/// wall time, per-phase times and the peak RSS.
-struct ParsedScale {
-    /// Same rendered-string parameter gate as the perf records'.
-    params: Vec<(&'static str, String)>,
-    /// Workload → parsed timings.
-    records: BTreeMap<String, ScaleTimes>,
-}
-
-/// A parsed `BENCH_perf.json`: the run parameters wall times depend on,
-/// per-record wall times, and the optional paper-scale section.
-struct ParsedBaseline {
-    /// `(scale_factor, n_ccs, runs, seed, knobs)` — rendered as strings
-    /// for exact, float-formatting-stable comparison.
-    params: Vec<(&'static str, String)>,
-    walls: WallTimes,
-    /// The `scale` section, when the document carries one.
-    scale: Option<ParsedScale>,
-}
-
-fn parse_baseline(path: &Path) -> Result<ParsedBaseline, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read `{}`: {e}", path.display()))?;
-    let doc = serde_json::from_str(&text)
-        .map_err(|e| format!("cannot parse `{}`: {e}", path.display()))?;
-    let field = super::json_field;
-    let serde::Value::Object(top) = doc else {
-        return Err(format!("`{}` is not a JSON object", path.display()));
-    };
-    let Some(serde::Value::Array(records)) = field(&top, "records") else {
-        return Err(format!("`{}` has no `records` array", path.display()));
-    };
-    let params = render_params(&top);
-    let mut walls = WallTimes::new();
-    for rec in &records {
-        let serde::Value::Object(rec) = rec else {
-            return Err("non-object perf record".into());
+impl Unit {
+    /// The failure text when `now` grew past the bound over `base`.
+    fn regression(self, base: f64, now: f64) -> Option<String> {
+        let (factor, floor) = match self {
+            Unit::Seconds => (REGRESSION_FACTOR, NOISE_FLOOR_S),
+            Unit::Bytes => (RSS_REGRESSION_FACTOR, RSS_NOISE_FLOOR_BYTES),
         };
-        let text_field = |name: &str| -> Result<String, String> {
-            match field(rec, name) {
-                Some(serde::Value::Str(s)) => Ok(s),
-                // Pre-chain baselines (schema_version 1) have no `step`.
-                None if name == "step" => Ok(String::new()),
-                other => Err(format!("perf record field `{name}` is {other:?}")),
+        let (b, n) = (base.max(floor), now.max(floor));
+        (n > factor * b).then(|| match self {
+            Unit::Seconds => format!("regressed {:.1}×: {} → {}", n / b, fmt_s(base), fmt_s(now)),
+            Unit::Bytes => {
+                let mib = 1024.0 * 1024.0;
+                format!(
+                    "regressed {:.2}×: {:.0}MB → {:.0}MB",
+                    n / b,
+                    base / mib,
+                    now / mib
+                )
             }
-        };
-        let wall = match field(rec, "wall_s") {
-            Some(serde::Value::Float(x)) => x,
-            Some(serde::Value::Int(n)) => n as f64,
-            other => return Err(format!("perf record field `wall_s` is {other:?}")),
-        };
-        walls.insert(
-            (
-                text_field("workload")?,
-                text_field("family")?,
-                text_field("step")?,
-            ),
-            wall,
-        );
-    }
-    let scale = match field(&top, "scale") {
-        Some(serde::Value::Object(sec)) => Some(parse_scale(&sec)?),
-        _ => None,
-    };
-    Ok(ParsedBaseline {
-        params,
-        walls,
-        scale,
-    })
-}
-
-/// Renders the comparability-gate parameters of a perf document or its
-/// `scale` section (both carry the same fields).
-///
-/// Wall times are only comparable when both sweeps generated the same
-/// datasets and CC load; capture every parameter they depend on. The
-/// optional `workload` label (the `spec:<path>` that extended a sweep) is
-/// deliberately absent from this list: spec-driven records come and go per
-/// run like any workload's, and a label difference alone must not fail the
-/// whole document as a parameter mismatch. Older documents also carry
-/// `conflict` and `dcplan` builder labels; every solve now runs the one
-/// builder, so those fields are ignored.
-fn render_params(obj: &[(String, serde::Value)]) -> Vec<(&'static str, String)> {
-    let field = super::json_field;
-    let mut params: Vec<(&'static str, String)> = ["scale_factor", "n_ccs", "runs", "seed"]
-        .into_iter()
-        .map(|name| {
-            let rendered = match field(obj, name) {
-                Some(serde::Value::Float(x)) => x.to_string(),
-                Some(serde::Value::Int(n)) => n.to_string(),
-                other => format!("{other:?}"),
-            };
-            (name, rendered)
         })
-        .collect();
-    // Knob overrides reshape the generated data too. Absent (pre-v2
-    // baselines) means no overrides, i.e. an empty map.
-    let knobs = match field(obj, "knobs") {
-        Some(v @ serde::Value::Object(_)) => {
-            serde_json::to_string(&v).expect("re-render parsed JSON")
-        }
-        _ => "{}".to_owned(),
-    };
-    params.push(("knobs", knobs));
-    params
-}
-
-/// Parses a `scale` section object (see `super::scale::ScaleSection`).
-fn parse_scale(sec: &[(String, serde::Value)]) -> Result<ParsedScale, String> {
-    let field = super::json_field;
-    let mut records = BTreeMap::new();
-    if let Some(serde::Value::Array(recs)) = field(sec, "records") {
-        for rec in &recs {
-            let serde::Value::Object(rec) = rec else {
-                return Err("non-object scale record".into());
-            };
-            let Some(serde::Value::Str(workload)) = field(rec, "workload") else {
-                return Err("scale record has no `workload` string".into());
-            };
-            let num = |name: &str| match field(rec, name) {
-                Some(serde::Value::Float(x)) => Some(x),
-                Some(serde::Value::Int(n)) => Some(n as f64),
-                _ => None,
-            };
-            let wall = num("wall_s")
-                .ok_or_else(|| format!("scale record `{workload}` has no `wall_s` number"))?;
-            records.insert(
-                workload,
-                ScaleTimes {
-                    wall,
-                    // Absent on platforms without /proc (the record is
-                    // still wall-comparable).
-                    rss: num("peak_rss_bytes"),
-                    // Absent on older sections; a wall regression hidden
-                    // inside one phase still trips the per-stage bound when
-                    // both sides carry it.
-                    phase1: num("phase1_s"),
-                    phase2: num("phase2_s"),
-                    conflict: num("conflict_s"),
-                    coloring: num("coloring_s"),
-                    invalid: num("invalid_s"),
-                },
-            );
-        }
     }
-    Ok(ParsedScale {
-        params: render_params(sec),
-        records,
-    })
 }
 
-/// Compares a fresh `BENCH_perf.json` against the committed baseline.
+/// One gated field: its name as failure lines print it after the record
+/// (with a leading space; empty for a perf record's one field), its reader
+/// and its unit.
+type Gate = (&'static str, fn(&Record) -> Option<f64>, Unit);
+
+/// How `perf-check` compares one kind of section.
+struct Policy {
+    /// Names a record in failure lines.
+    noun: &'static str,
+    /// A parameter mismatch or a missing section fails the check; a
+    /// lenient kind skips the section with a note instead.
+    strict: bool,
+    /// The gated fields.
+    gates: &'static [Gate],
+}
+
+const PERF: Policy = Policy {
+    noun: "record",
+    strict: true,
+    gates: &[("", |r| Some(r.wall_s), Unit::Seconds)],
+};
+
+/// The committed scale section is a 100%-scale run while CI's smoke
+/// writes a 10% one; gating on that difference would make the smoke
+/// permanently red, so scale sections compare only at equal parameters.
+/// Per-stage bounds sit beside the wall: a stage that regresses inside an
+/// otherwise flat wall still fails.
+const SCALE: Policy = Policy {
+    noun: "scale record",
+    strict: false,
+    gates: &[
+        (" wall", |r| Some(r.wall_s), Unit::Seconds),
+        (" phase1_s", |r| Some(r.phase1_s), Unit::Seconds),
+        (" phase2_s", |r| Some(r.phase2_s), Unit::Seconds),
+        (" conflict_s", |r| r.conflict_s, Unit::Seconds),
+        (" coloring_s", |r| r.coloring_s, Unit::Seconds),
+        (" invalid_s", |r| r.invalid_s, Unit::Seconds),
+        (
+            " peak RSS",
+            |r| r.peak_rss_bytes.map(|b| b as f64),
+            Unit::Bytes,
+        ),
+    ],
+};
+
+fn policy(kind: Kind) -> &'static Policy {
+    match kind {
+        Kind::Perf => &PERF,
+        Kind::Scale => &SCALE,
+    }
+}
+
+/// Compares a fresh `BENCH_perf.json` against the committed baseline, one
+/// section kind at a time.
 ///
-/// The two documents must have been produced with the same run parameters
-/// (`scale_factor`, `n_ccs`, `runs`, `seed`, `knobs`) — a mismatch means
-/// the guard would
+/// Two sections compare only when their run parameters (`scale_factor`,
+/// `n_ccs`, `runs`, `seed`, `knobs`) are equal: otherwise the guard would
 /// compare apples to oranges (silently dead when the baseline is heavier,
-/// spuriously red when it is lighter), so it fails with a parameter
-/// mismatch instead. Given matching parameters, every record present in
-/// both documents must have a fresh wall time of at most
-/// [`REGRESSION_FACTOR`] × the baseline's, after clamping both sides up to
-/// [`NOISE_FLOOR_S`] (sub-millisecond solves jitter far more than 3×
-/// between CI machines). New records — new workloads, families or steps —
-/// are allowed; a record that *disappeared* fails the check, since that
-/// means lost coverage.
-///
-/// The documents' `scale` sections are compared too — but only when both
-/// carry one **and** the sections' own parameters match: the committed
-/// section is a 100%-scale run while CI's `scale-smoke` writes a 10% one,
-/// and gating on that difference would make the smoke permanently red, so
-/// an incomparable (or absent) section is skipped with a printed note
-/// instead. Within comparable sections, walls and the per-phase times
-/// (`phase1_s`/`phase2_s`, when both sides recorded them) use the same
-/// [`REGRESSION_FACTOR`] bound over [`NOISE_FLOOR_S`], peak RSS (when both
-/// sides recorded one) uses [`RSS_REGRESSION_FACTOR`] over
-/// [`RSS_NOISE_FLOOR_BYTES`], and a disappeared scale workload fails like a
-/// disappeared perf record.
+/// spuriously red when it is lighter). For the perf section a mismatch, or
+/// a document without the section, fails; a scale section is skipped with
+/// a note instead. Given matching parameters, every baseline record must
+/// still be in the fresh section — a record that disappeared is lost
+/// coverage and fails, a new record passes — and each of its gated fields
+/// may grow at most [`REGRESSION_FACTOR`]× for times, after clamping both
+/// sides up to [`NOISE_FLOOR_S`] (sub-millisecond solves jitter far more
+/// than 3× between CI machines), and [`RSS_REGRESSION_FACTOR`]× for peak
+/// RSS over [`RSS_NOISE_FLOOR_BYTES`]. Perf records gate `wall_s`; scale
+/// records gate `wall_s`, `phase1_s`, `phase2_s`, `conflict_s`,
+/// `coloring_s`, `invalid_s` and, when both sides measured it, peak RSS.
 pub fn check(baseline_path: &Path, fresh_path: &Path) -> Result<(), String> {
-    let baseline = parse_baseline(baseline_path)?;
-    let fresh = parse_baseline(fresh_path)?;
-    // Collect *every* failure — all parameter mismatches, then (when the
-    // parameters agree, so walls are comparable at all) every regressed or
-    // disappeared record — before exiting non-zero. A first-failure exit
-    // would hide the rest from CI logs.
+    let docs = [
+        (Document::read(baseline_path)?, baseline_path),
+        (Document::read(fresh_path)?, fresh_path),
+    ];
     let mut failures = Vec::new();
-    for ((name, base_value), (_, fresh_value)) in baseline.params.iter().zip(&fresh.params) {
-        if base_value != fresh_value {
-            failures.push(format!(
-                "parameter mismatch: `{name}` is {base_value} in {} but {fresh_value} in {} \
-                 — regenerate the committed baseline with the flags CI runs `perf` with",
-                baseline_path.display(),
-                fresh_path.display(),
-            ));
-        }
-    }
-    let comparable = failures.is_empty();
-    check_scale_sections(&baseline.scale, &fresh.scale, &mut failures);
-    let (baseline, fresh) = (baseline.walls, fresh.walls);
-    if comparable {
-        for (key, &base_wall) in &baseline {
-            let (workload, family, step) = key;
-            let label = format!("{workload}/{family}/{step}");
-            match fresh.get(key) {
-                None => failures.push(format!("record `{label}` disappeared from the fresh run")),
-                Some(&fresh_wall) => {
-                    let base = base_wall.max(NOISE_FLOOR_S);
-                    let now = fresh_wall.max(NOISE_FLOOR_S);
-                    if now > REGRESSION_FACTOR * base {
-                        failures.push(format!(
-                            "record `{label}` regressed {:.1}×: {} → {}",
-                            now / base,
-                            fmt_s(base_wall),
-                            fmt_s(fresh_wall),
-                        ));
+    for kind in Kind::ALL {
+        let (name, policy) = (kind.name(), policy(kind));
+        let (Some(base), Some(fresh)) = (docs[0].0.section(kind), docs[1].0.section(kind)) else {
+            if policy.strict {
+                for (doc, path) in &docs {
+                    if doc.section(kind).is_none() {
+                        failures.push(format!("`{}` has no {name} section", path.display()));
                     }
+                }
+            } else {
+                narrate!(
+                    "[perf-check: no {name} section in both documents — {name} records skipped]"
+                );
+            }
+            continue;
+        };
+        let mismatches: Vec<String> = base
+            .params
+            .rendered()
+            .into_iter()
+            .zip(fresh.params.rendered())
+            .filter(|((_, b), (_, f))| b != f)
+            .map(|((param, b), (_, f))| {
+                format!(
+                    "parameter mismatch: `{param}` is {b} in {} but {f} in {} \
+                     — regenerate the committed baseline with the flags CI runs `perf` with",
+                    baseline_path.display(),
+                    fresh_path.display(),
+                )
+            })
+            .collect();
+        if !mismatches.is_empty() {
+            if policy.strict {
+                failures.extend(mismatches);
+            } else {
+                // Expected whenever the committed 100%-scale section meets a
+                // CI smoke run at a lighter factor.
+                narrate!(
+                    "[perf-check: {name} sections ran at different parameters — \
+                     {name} records skipped]"
+                );
+            }
+            continue;
+        }
+        let fresh_records: BTreeMap<String, &Record> =
+            fresh.records.iter().map(|r| (r.key(), r)).collect();
+        for old in &base.records {
+            let key = old.key();
+            let Some(new) = fresh_records.get(&key) else {
+                failures.push(format!(
+                    "{} `{key}` disappeared from the fresh run",
+                    policy.noun
+                ));
+                continue;
+            };
+            for &(field, get, unit) in policy.gates {
+                let (Some(b), Some(n)) = (get(old), get(new)) else {
+                    continue;
+                };
+                if let Some(why) = unit.regression(b, n) {
+                    failures.push(format!("{} `{key}`{field} {why}", policy.noun));
                 }
             }
         }
-    }
-    if failures.is_empty() {
         narrate!(
-            "[perf-check ok: {} baseline records within {REGRESSION_FACTOR}x of {}]",
-            baseline.len(),
+            "[perf-check: {} {name} records compared against {}]",
+            base.records.len(),
             baseline_path.display()
         );
+    }
+    if failures.is_empty() {
+        narrate!("[perf-check ok against {}]", baseline_path.display());
         Ok(())
     } else {
         Err(format!(
@@ -567,83 +348,6 @@ pub fn check(baseline_path: &Path, fresh_path: &Path) -> Result<(), String> {
             failures.join("\n  ")
         ))
     }
-}
-
-/// Compares two optional `scale` sections (see [`check`] for the skip
-/// rules), appending any wall/RSS regression or disappeared workload to
-/// `failures`.
-fn check_scale_sections(
-    baseline: &Option<ParsedScale>,
-    fresh: &Option<ParsedScale>,
-    failures: &mut Vec<String>,
-) {
-    let (base, fresh) = match (baseline, fresh) {
-        (Some(b), Some(f)) => (b, f),
-        (None, _) | (_, None) => {
-            narrate!("[perf-check: no scale section in both documents — scale records skipped]");
-            return;
-        }
-    };
-    if base.params != fresh.params {
-        // Expected whenever the committed 100%-scale section meets a CI
-        // smoke run at a lighter factor; the perf records above still gate.
-        narrate!(
-            "[perf-check: scale sections ran at different parameters — scale records skipped]"
-        );
-        return;
-    }
-    for (workload, base_t) in &base.records {
-        let Some(fresh_t) = fresh.records.get(workload) else {
-            failures.push(format!(
-                "scale record `{workload}` disappeared from the fresh run"
-            ));
-            continue;
-        };
-        // Per-stage bounds alongside the total: a phase that regresses
-        // inside an otherwise-flat wall (e.g. Phase 1 slowing while Phase 2
-        // speeds up) still fails. Stages absent on either side (pre-phase
-        // baselines) are skipped, the wall always compares.
-        let stages = [
-            ("wall", Some(base_t.wall), Some(fresh_t.wall)),
-            ("phase1_s", base_t.phase1, fresh_t.phase1),
-            ("phase2_s", base_t.phase2, fresh_t.phase2),
-            ("conflict_s", base_t.conflict, fresh_t.conflict),
-            ("coloring_s", base_t.coloring, fresh_t.coloring),
-            ("invalid_s", base_t.invalid, fresh_t.invalid),
-        ];
-        for (stage, base_s, fresh_s) in stages {
-            let (Some(base_s), Some(fresh_s)) = (base_s, fresh_s) else {
-                continue;
-            };
-            let base_w = base_s.max(NOISE_FLOOR_S);
-            let now_w = fresh_s.max(NOISE_FLOOR_S);
-            if now_w > REGRESSION_FACTOR * base_w {
-                failures.push(format!(
-                    "scale record `{workload}` {stage} regressed {:.1}×: {} → {}",
-                    now_w / base_w,
-                    fmt_s(base_s),
-                    fmt_s(fresh_s),
-                ));
-            }
-        }
-        if let (Some(base_rss), Some(fresh_rss)) = (base_t.rss, fresh_t.rss) {
-            let base_m = base_rss.max(RSS_NOISE_FLOOR_BYTES);
-            let now_m = fresh_rss.max(RSS_NOISE_FLOOR_BYTES);
-            if now_m > RSS_REGRESSION_FACTOR * base_m {
-                failures.push(format!(
-                    "scale record `{workload}` peak RSS regressed {:.2}×: {:.0}MB → {:.0}MB",
-                    now_m / base_m,
-                    base_rss / (1024.0 * 1024.0),
-                    fresh_rss / (1024.0 * 1024.0),
-                ));
-            }
-        }
-    }
-    narrate!(
-        "[perf-check: {} scale records compared (walls and phase sub-stages within \
-         {REGRESSION_FACTOR}x, peak RSS within {RSS_REGRESSION_FACTOR}x)]",
-        base.records.len()
-    );
 }
 
 /// CLI entry point for `perf-check`: compares `<out>/BENCH_perf.json` (the
@@ -665,22 +369,83 @@ pub fn check_cli(opts: &ExperimentOpts) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::record::{Params, Section, SCHEMA_VERSION};
+    use crate::harness::RunMeta;
 
-    fn doc_at(scale: f64, records: &[(&str, &str, &str, f64)]) -> String {
-        let rows: Vec<String> = records
-            .iter()
-            .map(|(w, f, s, wall)| {
-                format!(r#"{{"workload":"{w}","family":"{f}","step":"{s}","wall_s":{wall}}}"#)
-            })
-            .collect();
-        format!(
-            r#"{{"schema_version":2,"scale_factor":{scale},"n_ccs":15,"runs":1,"records":[{}]}}"#,
-            rows.join(",")
-        )
+    /// A section of `kind` at `scale_factor` (perf sweeps take 15 CCs,
+    /// scale runs 150).
+    fn section(kind: Kind, scale_factor: f64, records: Vec<Record>) -> Section {
+        Section {
+            kind,
+            params: Params {
+                scale_factor,
+                n_ccs: if kind == Kind::Perf { 15 } else { 150 },
+                runs: 1,
+                seed: 7,
+                knobs: BTreeMap::new(),
+            },
+            workload: None,
+            meta: RunMeta {
+                git_commit: None,
+                workers: 1,
+            },
+            records,
+        }
     }
 
-    fn doc(records: &[(&str, &str, &str, f64)]) -> String {
-        doc_at(0.005, records)
+    fn perf_at(scale_factor: f64, records: &[(&str, &str, &str, f64)]) -> Section {
+        let records = records
+            .iter()
+            .map(|&(w, f, s, wall)| Record {
+                workload: w.to_owned(),
+                family: Some(f.to_owned()),
+                step: Some(s.to_owned()),
+                wall_s: wall,
+                ..Record::default()
+            })
+            .collect();
+        section(Kind::Perf, scale_factor, records)
+    }
+
+    fn perf(records: &[(&str, &str, &str, f64)]) -> Section {
+        perf_at(0.005, records)
+    }
+
+    /// A scale record with the given wall and peak RSS, every stage 0.
+    fn scale_record(workload: &str, wall: f64, rss: Option<u64>) -> Record {
+        Record {
+            workload: workload.to_owned(),
+            scale: Some(1.0),
+            knobs: Some(BTreeMap::new()),
+            hasse_s: Some(0.0),
+            repair_s: Some(0.0),
+            leftovers_s: Some(0.0),
+            random_s: Some(0.0),
+            conflict_s: Some(0.0),
+            coloring_s: Some(0.0),
+            invalid_s: Some(0.0),
+            wall_s: wall,
+            relation_heap_bytes: Some(0),
+            peak_rss_bytes: rss,
+            ..Record::default()
+        }
+    }
+
+    /// The perf section of [`perf`] plus a scale section at
+    /// `section_factor` holding `records`.
+    fn with_scale(section_factor: f64, records: Vec<Record>) -> Vec<Section> {
+        vec![
+            perf(&[("census", "good", "Persons→Housing", 0.1)]),
+            section(Kind::Scale, section_factor, records),
+        ]
+    }
+
+    fn doc(sections: Vec<Section>) -> String {
+        serde_json::to_string(&Document {
+            schema_version: SCHEMA_VERSION,
+            sections,
+        })
+        .unwrap()
     }
 
     fn write(dir: &Path, name: &str, text: &str) -> PathBuf {
@@ -689,42 +454,46 @@ mod tests {
         path
     }
 
+    fn test_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn check_passes_within_factor_and_allows_new_records() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-ok");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("cextend-perf-check-ok");
         let base = write(
             &dir,
             "base.json",
-            &doc(&[("census", "good", "Persons→Housing", 0.1)]),
+            &doc(vec![perf(&[("census", "good", "Persons→Housing", 0.1)])]),
         );
         let fresh = write(
             &dir,
             "fresh.json",
-            &doc(&[
+            &doc(vec![perf(&[
                 ("census", "good", "Persons→Housing", 0.25),
                 ("supply", "bad", "Stores→Regions", 9.0),
-            ]),
+            ])]),
         );
         check(&base, &fresh).unwrap();
     }
 
     #[test]
     fn check_fails_on_regression_and_missing_records() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-bad");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("cextend-perf-check-bad");
         let base = write(
             &dir,
             "base.json",
-            &doc(&[
+            &doc(vec![perf(&[
                 ("census", "good", "Persons→Housing", 0.1),
                 ("retail", "bad", "Orders→Customers", 0.1),
-            ]),
+            ])]),
         );
         let fresh = write(
             &dir,
             "fresh.json",
-            &doc(&[("census", "good", "Persons→Housing", 0.5)]),
+            &doc(vec![perf(&[("census", "good", "Persons→Housing", 0.5)])]),
         );
         let err = check(&base, &fresh).unwrap_err();
         assert!(err.contains("regressed"), "{err}");
@@ -733,44 +502,42 @@ mod tests {
 
     #[test]
     fn check_rejects_mismatched_run_parameters() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-params");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("cextend-perf-check-params");
         let records = [("census", "good", "Persons→Housing", 0.1)];
-        let base = write(&dir, "base.json", &doc_at(0.02, &records));
-        let fresh = write(&dir, "fresh.json", &doc_at(0.005, &records));
+        let base = write(&dir, "base.json", &doc(vec![perf_at(0.02, &records)]));
+        let fresh = write(&dir, "fresh.json", &doc(vec![perf_at(0.005, &records)]));
         let err = check(&base, &fresh).unwrap_err();
         assert!(err.contains("parameter mismatch"), "{err}");
         assert!(err.contains("scale_factor"), "{err}");
 
         // Knob overrides reshape the data, so they gate comparability too.
-        let with_knobs =
-            doc(&records).replace(r#""runs":1,"#, r#""runs":1,"knobs":{"regions":100},"#);
-        let base = write(&dir, "base-knobs.json", &with_knobs);
-        let fresh = write(&dir, "fresh-knobs.json", &doc(&records));
+        let mut with_knobs = perf(&records);
+        with_knobs.params.knobs.insert("regions".to_owned(), 100);
+        let base = write(&dir, "base-knobs.json", &doc(vec![with_knobs]));
+        let fresh = write(&dir, "fresh-knobs.json", &doc(vec![perf(&records)]));
         let err = check(&base, &fresh).unwrap_err();
         assert!(err.contains("knobs"), "{err}");
     }
 
     #[test]
     fn check_reports_every_failure_not_just_the_first() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-all");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("cextend-perf-check-all");
         let base = write(
             &dir,
             "base.json",
-            &doc(&[
+            &doc(vec![perf(&[
                 ("census", "good", "Persons→Housing", 0.1),
                 ("retail", "bad", "Orders→Customers", 0.1),
                 ("supply", "good", "Orders→Stores", 0.1),
-            ]),
+            ])]),
         );
         let fresh = write(
             &dir,
             "fresh.json",
-            &doc(&[
+            &doc(vec![perf(&[
                 ("census", "good", "Persons→Housing", 0.9),
                 ("retail", "bad", "Orders→Customers", 0.9),
-            ]),
+            ])]),
         );
         let err = check(&base, &fresh).unwrap_err();
         // Both regressions *and* the disappearance appear in one report.
@@ -780,12 +547,9 @@ mod tests {
         assert_eq!(err.matches("regressed").count(), 2, "{err}");
 
         // Parameter mismatches are also all reported at once.
-        let other = write(
-            &dir,
-            "other.json",
-            &doc_at(0.02, &[("census", "good", "Persons→Housing", 0.1)])
-                .replace(r#""n_ccs":15"#, r#""n_ccs":99"#),
-        );
+        let mut other = perf_at(0.02, &[("census", "good", "Persons→Housing", 0.1)]);
+        other.params.n_ccs = 99;
+        let other = write(&dir, "other.json", &doc(vec![other]));
         let err = check(&other, &fresh).unwrap_err();
         assert!(err.contains("scale_factor"), "{err}");
         assert!(err.contains("n_ccs"), "{err}");
@@ -793,29 +557,25 @@ mod tests {
 
     #[test]
     fn spec_workload_label_does_not_gate_comparability() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-speclabel");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("cextend-perf-check-speclabel");
         let records = [("spec:supply", "good", "Orders→Stores", 0.1)];
         // A baseline stamped with the `workload` pass-through label must
         // stay comparable to a fresh run without one (and vice versa) —
         // the label identifies spec-driven records, it is not a parameter.
-        let with_label = doc(&records).replace(
-            r#""runs":1,"#,
-            r#""runs":1,"workload":"spec:specs/supply.spec","#,
-        );
-        let base = write(&dir, "base.json", &with_label);
-        let fresh = write(&dir, "fresh.json", &doc(&records));
+        let mut with_label = perf(&records);
+        with_label.workload = Some("spec:specs/supply.spec".to_owned());
+        let base = write(&dir, "base.json", &doc(vec![with_label]));
+        let fresh = write(&dir, "fresh.json", &doc(vec![perf(&records)]));
         check(&base, &fresh).unwrap();
         check(&fresh, &base).unwrap();
     }
 
     #[test]
     fn history_file_is_ignored_by_the_guard() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-history");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("cextend-perf-check-history");
         let records = [("census", "good", "Persons→Housing", 0.1)];
-        let base = write(&dir, "base.json", &doc(&records));
-        let fresh = write(&dir, "BENCH_perf.json", &doc(&records));
+        let base = write(&dir, "base.json", &doc(vec![perf(&records)]));
+        let fresh = write(&dir, "BENCH_perf.json", &doc(vec![perf(&records)]));
         // A (even malformed) history file next to the fresh baseline must
         // not affect the guard — it only ever reads BENCH_perf.json.
         write(&dir, "BENCH_history.jsonl", "not json at all\n{broken");
@@ -824,101 +584,61 @@ mod tests {
 
     #[test]
     fn check_tolerates_sub_noise_floor_jitter() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-noise");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("cextend-perf-check-noise");
         let base = write(
             &dir,
             "base.json",
-            &doc(&[("census", "good", "Persons→Housing", 0.0004)]),
+            &doc(vec![perf(&[("census", "good", "Persons→Housing", 0.0004)])]),
         );
         // 10× worse in absolute terms, but still under the noise floor.
         let fresh = write(
             &dir,
             "fresh.json",
-            &doc(&[("census", "good", "Persons→Housing", 0.004)]),
+            &doc(vec![perf(&[("census", "good", "Persons→Housing", 0.004)])]),
         );
         check(&base, &fresh).unwrap();
     }
 
-    /// A perf doc with a `scale` section whose parameters are fixed and
-    /// whose records are `(workload, wall_s, peak_rss_bytes)` triples.
-    fn doc_with_scale(section_factor: f64, scale_records: &[(&str, f64, Option<u64>)]) -> String {
-        let rows: Vec<String> = scale_records
-            .iter()
-            .map(|(w, wall, rss)| {
-                let rss = rss.map_or(String::new(), |b| format!(r#","peak_rss_bytes":{b}"#));
-                format!(r#"{{"workload":"{w}","wall_s":{wall}{rss}}}"#)
-            })
-            .collect();
-        let scale = format!(
-            r#","scale":{{"scale_factor":{section_factor},"n_ccs":150,"runs":1,"seed":7,"knobs":{{}},"conflict":"indexed","records":[{}]}}"#,
-            rows.join(",")
-        );
-        // Splice the section in before the document's closing brace.
-        let base = doc(&[("census", "good", "Persons→Housing", 0.1)]);
-        format!("{}{scale}}}", &base[..base.len() - 1])
-    }
-
     #[test]
     fn scale_sections_compare_walls_and_rss_when_parameters_match() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-scale");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("cextend-perf-check-scale");
         let gib = 1u64 << 30;
-        let base = write(
-            &dir,
-            "base.json",
-            &doc_with_scale(1.0, &[("census", 100.0, Some(4 * gib))]),
-        );
+        let at = |wall, rss| doc(with_scale(1.0, vec![scale_record("census", wall, rss)]));
+        let base = write(&dir, "base.json", &at(100.0, Some(4 * gib)));
         // Within both bounds: passes.
-        let ok = write(
-            &dir,
-            "ok.json",
-            &doc_with_scale(1.0, &[("census", 150.0, Some(5 * gib))]),
-        );
+        let ok = write(&dir, "ok.json", &at(150.0, Some(5 * gib)));
         check(&base, &ok).unwrap();
         // Wall blown (>3x).
-        let slow = write(
-            &dir,
-            "slow.json",
-            &doc_with_scale(1.0, &[("census", 400.0, Some(4 * gib))]),
-        );
+        let slow = write(&dir, "slow.json", &at(400.0, Some(4 * gib)));
         let err = check(&base, &slow).unwrap_err();
         assert!(err.contains("wall regressed"), "{err}");
         // RSS blown (>1.5x) at unchanged wall.
-        let fat = write(
-            &dir,
-            "fat.json",
-            &doc_with_scale(1.0, &[("census", 100.0, Some(7 * gib))]),
-        );
+        let fat = write(&dir, "fat.json", &at(100.0, Some(7 * gib)));
         let err = check(&base, &fat).unwrap_err();
         assert!(err.contains("peak RSS regressed"), "{err}");
         // Disappeared scale workload fails.
-        let empty = write(&dir, "empty.json", &doc_with_scale(1.0, &[]));
+        let empty = write(&dir, "empty.json", &doc(with_scale(1.0, Vec::new())));
         let err = check(&base, &empty).unwrap_err();
         assert!(err.contains("scale record `census` disappeared"), "{err}");
     }
 
-    /// Like [`doc_with_scale`] but with phase sub-stage fields:
+    /// A document whose scale section holds one record per
     /// `(workload, wall_s, phase1_s, phase2_s)`.
-    fn doc_with_phases(scale_records: &[(&str, f64, f64, f64)]) -> String {
-        let rows: Vec<String> = scale_records
+    fn doc_with_phases(records: &[(&str, f64, f64, f64)]) -> String {
+        let records = records
             .iter()
-            .map(|(w, wall, p1, p2)| {
-                format!(r#"{{"workload":"{w}","wall_s":{wall},"phase1_s":{p1},"phase2_s":{p2}}}"#)
+            .map(|&(w, wall, p1, p2)| Record {
+                phase1_s: p1,
+                phase2_s: p2,
+                ..scale_record(w, wall, None)
             })
             .collect();
-        let scale = format!(
-            r#","scale":{{"scale_factor":1.0,"n_ccs":150,"runs":1,"seed":7,"knobs":{{}},"conflict":"indexed","records":[{}]}}"#,
-            rows.join(",")
-        );
-        let base = doc(&[("census", "good", "Persons→Housing", 0.1)]);
-        format!("{}{scale}}}", &base[..base.len() - 1])
+        doc(with_scale(1.0, records))
     }
 
     #[test]
     fn scale_sections_compare_phase_sub_stages() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-phases");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("cextend-perf-check-phases");
         let base = write(
             &dir,
             "base.json",
@@ -949,41 +669,26 @@ mod tests {
             &doc_with_phases(&[("dcdense", 120.0, 80.0, 40.0)]),
         );
         check(&base, &ok).unwrap();
-        // Phases absent on one side (pre-phase baseline): only the wall
-        // compares, so the mixed pair passes at flat wall.
-        let gib = 1u64 << 30;
-        let no_phases = write(
-            &dir,
-            "nophases.json",
-            &doc_with_scale(1.0, &[("dcdense", 100.0, Some(gib))]),
-        );
-        check(&no_phases, &p1_slow).unwrap();
-        check(&base, &no_phases).unwrap();
     }
 
-    /// Like [`doc_with_phases`] but with the Phase II sub-stage fields:
+    /// A document whose scale section holds one record per
     /// `(workload, wall_s, conflict_s, coloring_s, invalid_s)`.
-    fn doc_with_substages(scale_records: &[(&str, f64, f64, f64, f64)]) -> String {
-        let rows: Vec<String> = scale_records
+    fn doc_with_substages(records: &[(&str, f64, f64, f64, f64)]) -> String {
+        let records = records
             .iter()
-            .map(|(w, wall, cf, co, inv)| {
-                format!(
-                    r#"{{"workload":"{w}","wall_s":{wall},"conflict_s":{cf},"coloring_s":{co},"invalid_s":{inv}}}"#
-                )
+            .map(|&(w, wall, cf, co, inv)| Record {
+                conflict_s: Some(cf),
+                coloring_s: Some(co),
+                invalid_s: Some(inv),
+                ..scale_record(w, wall, None)
             })
             .collect();
-        let scale = format!(
-            r#","scale":{{"scale_factor":1.0,"n_ccs":150,"runs":1,"seed":7,"knobs":{{}},"conflict":"indexed","records":[{}]}}"#,
-            rows.join(",")
-        );
-        let base = doc(&[("census", "good", "Persons→Housing", 0.1)]);
-        format!("{}{scale}}}", &base[..base.len() - 1])
+        doc(with_scale(1.0, records))
     }
 
     #[test]
     fn scale_sections_compare_phase2_sub_stages() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-substages");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("cextend-perf-check-substages");
         let base = write(
             &dir,
             "base.json",
@@ -1008,53 +713,48 @@ mod tests {
             &doc_with_substages(&[("census", 110.0, 50.0, 35.0, 0.004)]),
         );
         check(&base, &ok).unwrap();
-        // Sub-stages absent on one side (older section): only the fields
-        // both sides carry compare.
-        let plain = write(
-            &dir,
-            "plain.json",
-            &doc_with_phases(&[("census", 100.0, 60.0, 40.0)]),
-        );
-        check(&base, &plain).unwrap();
-        check(&plain, &base).unwrap();
     }
 
     #[test]
     fn retired_builder_labels_are_ignored() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-labels");
-        std::fs::create_dir_all(&dir).unwrap();
-        let records = [("census", "good", "Persons→Housing", 0.1)];
-        // Committed documents still carry the `conflict`/`dcplan` labels
-        // of the retired builder knobs, and scale sections the `phase1`
-        // label of the retired parallelism switch; they must compare
-        // cleanly against fresh documents without them, whatever they say.
-        let labelled = doc(&records).replace(
-            r#""runs":1,"#,
-            r#""runs":1,"conflict":"naive","dcplan":"static","#,
-        );
-        let scale = doc_with_scale(1.0, &[("census", 100.0, Some(1 << 30))]);
-        let scale_labelled = scale.replace(
-            r#""conflict":"indexed","#,
-            r#""conflict":"indexed","dcplan":"cost","phase1":"parallel","meta":{"pool_width":1},"#,
-        );
-        assert_ne!(scale, scale_labelled);
-        for (old, new) in [(labelled, doc(&records)), (scale_labelled, scale)] {
-            let base = write(&dir, "base.json", &old);
-            let fresh = write(&dir, "fresh.json", &new);
-            check(&base, &fresh).unwrap();
-            check(&fresh, &base).unwrap();
-        }
+        let dir = test_dir("cextend-perf-check-labels");
+        // Documents written before the builder knobs and the parallelism
+        // switch retired carried `conflict`/`dcplan`/`phase1` labels; the
+        // reader ignores keys it does not know, so a document with them
+        // compares cleanly against one without them, whatever they say.
+        let clean = doc(with_scale(
+            1.0,
+            vec![scale_record("census", 100.0, Some(1 << 30))],
+        ));
+        let labelled = clean
+            .replacen(
+                r#""kind":"perf","#,
+                r#""kind":"perf","conflict":"naive","dcplan":"static","#,
+                1,
+            )
+            .replacen(
+                r#""kind":"scale","#,
+                r#""kind":"scale","conflict":"indexed","dcplan":"cost","phase1":"parallel","#,
+                1,
+            );
+        assert_eq!(labelled.matches("dcplan").count(), 2);
+        let base = write(&dir, "base.json", &labelled);
+        let fresh = write(&dir, "fresh.json", &clean);
+        check(&base, &fresh).unwrap();
+        check(&fresh, &base).unwrap();
     }
 
     #[test]
     fn scale_sections_skip_when_absent_or_incomparable() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-scale-skip");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("cextend-perf-check-scale-skip");
         let gib = 1u64 << 30;
         let committed = write(
             &dir,
             "committed.json",
-            &doc_with_scale(1.0, &[("census", 100.0, Some(4 * gib))]),
+            &doc(with_scale(
+                1.0,
+                vec![scale_record("census", 100.0, Some(4 * gib))],
+            )),
         );
         // The CI shape: the committed section is a 100% run, the smoke ran
         // at 10% — incomparable parameters skip the section, not fail it,
@@ -1062,14 +762,17 @@ mod tests {
         let smoke = write(
             &dir,
             "smoke.json",
-            &doc_with_scale(0.1, &[("census", 1000.0, Some(8 * gib))]),
+            &doc(with_scale(
+                0.1,
+                vec![scale_record("census", 1000.0, Some(8 * gib))],
+            )),
         );
         check(&committed, &smoke).unwrap();
         // No section at all on either side: also a skip.
         let plain = write(
             &dir,
             "plain.json",
-            &doc(&[("census", "good", "Persons→Housing", 0.1)]),
+            &doc(vec![perf(&[("census", "good", "Persons→Housing", 0.1)])]),
         );
         check(&committed, &plain).unwrap();
         check(&plain, &smoke).unwrap();
@@ -1077,7 +780,7 @@ mod tests {
         let no_rss = write(
             &dir,
             "norss.json",
-            &doc_with_scale(1.0, &[("census", 400.0, None)]),
+            &doc(with_scale(1.0, vec![scale_record("census", 400.0, None)])),
         );
         let err = check(&committed, &no_rss).unwrap_err();
         assert!(err.contains("wall regressed"), "{err}");
@@ -1085,22 +788,18 @@ mod tests {
     }
 
     #[test]
-    fn check_reads_pre_chain_baselines_without_step_fields() {
-        let dir = std::env::temp_dir().join("cextend-perf-check-v1");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn a_document_without_a_perf_section_fails() {
+        let dir = test_dir("cextend-perf-check-no-perf");
         let base = write(
             &dir,
             "base.json",
-            r#"{"schema_version":1,"scale_factor":0.005,"n_ccs":15,"runs":1,"records":[{"workload":"census","family":"good","wall_s":0.1}]}"#,
+            &doc(vec![perf(&[("census", "good", "Persons→Housing", 0.1)])]),
         );
-        let fresh = write(
-            &dir,
-            "fresh.json",
-            &doc(&[("census", "good", "Persons→Housing", 0.1)]),
+        let scale_only = write(&dir, "scale-only.json", &doc(Vec::new()));
+        let err = check(&base, &scale_only).unwrap_err();
+        assert!(
+            err.contains("scale-only.json` has no perf section"),
+            "{err}"
         );
-        // The v1 record keys under an empty step, so it reads cleanly but
-        // counts as disappeared — exactly the signal to regenerate.
-        let err = check(&base, &fresh).unwrap_err();
-        assert!(err.contains("disappeared"), "{err}");
     }
 }

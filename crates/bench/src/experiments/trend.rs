@@ -1,135 +1,38 @@
 //! `perf-trend`: the per-record wall-time trend over the accumulated
 //! `BENCH_history.jsonl` lines.
 //!
-//! `perf` appends one line per sweep (see `super::perf::append_history`);
-//! this experiment reads those lines back and renders the trajectory the
-//! single overwritten `BENCH_perf.json` snapshot cannot show: one row per
-//! `workload/family/step` record, one column per history line (oldest
-//! first, capped at the most recent [`MAX_COLUMNS`]), each cell the
-//! record's wall time plus its ratio to the previous line. A markdown
-//! rendering is written to `<out>/perf_trend.md` when `--out` is set —
-//! the ROADMAP's "benchmark dashboard" artifact.
+//! `perf` appends one line per sweep (see [`super::record::save`]); this
+//! experiment reads those lines back through [`super::record::read_history`]
+//! and renders the trajectory the single overwritten `BENCH_perf.json`
+//! snapshot cannot show: one row per `workload/family/step` record, one
+//! column per history line (oldest first, capped at the most recent
+//! [`MAX_COLUMNS`]), each cell the record's wall time plus its ratio to the
+//! previous line. A markdown rendering is written to `<out>/perf_trend.md`
+//! when `--out` is set — the ROADMAP's "benchmark dashboard" artifact.
 //!
-//! Lines whose run parameters (`scale_factor`, `n_ccs`, `runs`, `seed`)
-//! differ from the newest line's are still shown but flagged with `*` in
-//! the column header: their walls are not apples-to-apples, exactly the
-//! comparability rule `perf-check` enforces. The `conflict`/`dcplan`
-//! builder labels older lines carry are ignored, as `perf-check` ignores
-//! them.
+//! Lines whose run parameters differ from the newest line's are still shown
+//! but flagged with `*` in the column header: their walls are not
+//! apples-to-apples, exactly the comparability rule `perf-check` enforces.
 //!
 //! `"kind":"scale"` lines (appended by `experiments -- scale`) live in a
 //! different parameter space than the perf sweep — showing them here would
 //! make the newest scale line the comparability anchor and star every perf
 //! column — so they are skipped with a printed count.
 
-use super::json_field as field;
+use super::record::{read_history, HistoryLine, Kind};
 use crate::harness::{fmt_s, ExperimentOpts, Table};
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Most recent history lines shown (older lines are summarized away).
 pub const MAX_COLUMNS: usize = 6;
 
-/// One parsed `BENCH_history.jsonl` line.
-#[derive(Debug)]
-struct HistoryLine {
-    label: String,
-    stamp: String,
-    /// Rendered run parameters, for comparability flagging.
-    params: String,
-    /// The `spec:<path>` selection that extended the sweep, when one did.
-    /// Shown in the column header but **excluded** from `params`: a label
-    /// difference must not star the column as a parameter mismatch (the
-    /// spec's records simply appear/disappear like any workload's).
-    workload: Option<String>,
-    /// `workload/family/step` → wall seconds.
-    walls: BTreeMap<String, f64>,
-}
-
-fn parse_line(line: &str, lineno: usize) -> Result<HistoryLine, String> {
-    let doc = serde_json::from_str(line)
-        .map_err(|e| format!("history line {lineno} is not valid JSON: {e}"))?;
-    let serde::Value::Object(top) = doc else {
-        return Err(format!("history line {lineno} is not a JSON object"));
-    };
-    let text = |name: &str| -> String {
-        match field(&top, name) {
-            Some(serde::Value::Str(s)) => s,
-            other => format!("{other:?}"),
-        }
-    };
-    let num = |name: &str| -> String {
-        match field(&top, name) {
-            Some(serde::Value::Float(x)) => x.to_string(),
-            Some(serde::Value::Int(n)) => n.to_string(),
-            other => format!("{other:?}"),
-        }
-    };
-    let params = format!(
-        "scale_factor={} n_ccs={} runs={} seed={}",
-        num("scale_factor"),
-        num("n_ccs"),
-        num("runs"),
-        num("seed"),
-    );
-    let Some(serde::Value::Object(walls_obj)) = field(&top, "walls") else {
-        return Err(format!("history line {lineno} has no `walls` object"));
-    };
-    let mut walls = BTreeMap::new();
-    for (key, v) in walls_obj {
-        let wall = match v {
-            serde::Value::Float(x) => x,
-            serde::Value::Int(n) => n as f64,
-            other => return Err(format!("history line {lineno}: wall `{key}` is {other:?}")),
-        };
-        walls.insert(key, wall);
-    }
-    let workload = match field(&top, "workload") {
-        Some(serde::Value::Str(s)) => Some(s),
-        _ => None,
-    };
-    Ok(HistoryLine {
-        label: text("label"),
-        stamp: text("stamp"),
-        params,
-        workload,
-        walls,
-    })
-}
-
-/// `true` for `"kind":"scale"` lines — `experiments -- scale` appends
-/// those, and their walls/parameters live in a different space than the
-/// perf sweep's (unparsable lines are *not* scale lines; `parse_line`
-/// reports them properly).
-fn is_scale_line(line: &str) -> bool {
-    match serde_json::from_str(line) {
-        Ok(serde::Value::Object(top)) => {
-            matches!(field(&top, "kind"), Some(serde::Value::Str(k)) if k == "scale")
-        }
-        _ => false,
-    }
-}
-
 /// Reads the perf history lines, returning `(lines, scale_lines_skipped)`.
-fn read_history(path: &Path) -> Result<(Vec<HistoryLine>, usize), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        format!(
-            "cannot read history `{}`: {e} — run `experiments -- perf` first",
-            path.display()
-        )
-    })?;
-    let mut scale_skipped = 0;
-    let lines: Vec<HistoryLine> = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .filter(|(_, l)| {
-            let scale = is_scale_line(l);
-            scale_skipped += usize::from(scale);
-            !scale
-        })
-        .map(|(i, l)| parse_line(l, i + 1))
-        .collect::<Result<_, _>>()?;
+fn perf_lines(path: &Path) -> Result<(Vec<HistoryLine>, usize), String> {
+    let (lines, scale): (Vec<HistoryLine>, Vec<HistoryLine>) = read_history(path)?
+        .into_iter()
+        .partition(|l| l.kind == Kind::Perf);
+    let scale_skipped = scale.len();
     if lines.is_empty() {
         return Err(format!(
             "history `{}` has no perf lines — run `experiments -- perf` first",
@@ -158,15 +61,7 @@ fn render_rows(lines: &[HistoryLine]) -> (Vec<String>, Vec<Vec<String>>) {
             )
         }))
         .collect();
-    let mut keys: Vec<&String> = Vec::new();
-    for l in shown {
-        for k in l.walls.keys() {
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
-    }
-    keys.sort();
+    let keys: BTreeSet<&String> = shown.iter().flat_map(|l| l.walls.keys()).collect();
     let rows = keys
         .iter()
         .map(|&key| {
@@ -204,15 +99,7 @@ fn rising_records(lines: &[HistoryLine]) -> Vec<String> {
         .iter()
         .filter(|l| &l.params == newest_params)
         .collect();
-    let mut keys: Vec<&String> = Vec::new();
-    for l in &comparable {
-        for k in l.walls.keys() {
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
-    }
-    keys.sort();
+    let keys: BTreeSet<&String> = comparable.iter().flat_map(|l| l.walls.keys()).collect();
     let mut rising = Vec::new();
     for key in keys {
         let values: Vec<f64> = comparable
@@ -221,14 +108,7 @@ fn rising_records(lines: &[HistoryLine]) -> Vec<String> {
             .copied()
             .collect();
         // Trailing streak of strictly upward deltas.
-        let mut streak = 0;
-        for w in values.windows(2).rev() {
-            if w[1] > w[0] {
-                streak += 1;
-            } else {
-                break;
-            }
-        }
+        let streak = values.windows(2).rev().take_while(|w| w[1] > w[0]).count();
         if streak >= 2 {
             let first = values[values.len() - 1 - streak];
             let last = values[values.len() - 1];
@@ -288,7 +168,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         .history
         .clone()
         .unwrap_or_else(|| PathBuf::from("BENCH_history.jsonl"));
-    let (lines, scale_skipped) = read_history(&path)?;
+    let (lines, scale_skipped) = perf_lines(&path)?;
     if scale_skipped > 0 {
         println!(
             "[{scale_skipped} \"kind\":\"scale\" line(s) skipped — paper-scale records are \
@@ -338,13 +218,31 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::record::{Params, SCHEMA_VERSION};
+    use std::collections::BTreeMap;
 
-    fn line(label: &str, scale: f64, walls: &[(&str, f64)]) -> String {
-        let walls: Vec<String> = walls.iter().map(|(k, w)| format!(r#""{k}":{w}"#)).collect();
-        format!(
-            r#"{{"label":"{label}","stamp":"s","schema_version":2,"scale_factor":{scale},"n_ccs":15,"runs":1,"seed":7,"walls":{{{}}}}}"#,
-            walls.join(",")
-        )
+    /// A history line of `kind` at `scale_factor` with the given walls.
+    fn kind_line(kind: Kind, label: &str, scale_factor: f64, walls: &[(&str, f64)]) -> HistoryLine {
+        HistoryLine {
+            label: label.to_owned(),
+            stamp: "s".to_owned(),
+            kind,
+            schema_version: SCHEMA_VERSION,
+            params: Params {
+                scale_factor,
+                n_ccs: 15,
+                runs: 1,
+                seed: 7,
+                knobs: BTreeMap::new(),
+            },
+            workload: None,
+            walls: walls.iter().map(|&(k, w)| (k.to_owned(), w)).collect(),
+            peak_rss_mb: None,
+        }
+    }
+
+    fn line(label: &str, scale_factor: f64, walls: &[(&str, f64)]) -> String {
+        serde_json::to_string(&kind_line(Kind::Perf, label, scale_factor, walls)).unwrap()
     }
 
     fn write_history(name: &str, lines: &[String]) -> PathBuf {
@@ -368,7 +266,7 @@ mod tests {
                 ),
             ],
         );
-        let (lines, _) = read_history(&path).unwrap();
+        let (lines, _) = perf_lines(&path).unwrap();
         let (headers, rows) = render_rows(&lines);
         assert_eq!(headers.len(), 3);
         assert!(!headers[1].ends_with('*'), "same params: no flag");
@@ -389,7 +287,7 @@ mod tests {
                 line("new", 0.005, &[("census/good/s", 0.1)]),
             ],
         );
-        let (lines, _) = read_history(&path).unwrap();
+        let (lines, _) = perf_lines(&path).unwrap();
         let (headers, _) = render_rows(&lines);
         assert!(headers[1].ends_with('*'), "{headers:?}");
         assert!(!headers[2].ends_with('*'));
@@ -397,18 +295,19 @@ mod tests {
 
     #[test]
     fn retired_builder_labels_do_not_flag_lines() {
-        // Older lines carry the `conflict`/`dcplan` labels of the retired
-        // builder knobs; every solve now runs one builder, so a line with
-        // them is as comparable as one without.
+        // Lines written before the builder knobs retired carried their
+        // `conflict`/`dcplan` labels; the reader ignores keys it does not
+        // know, so a line with them is as comparable as one without.
         let labelled = line("old", 0.005, &[("dcdense/good/s", 0.1)]).replace(
-            r#""runs":1,"#,
-            r#""runs":1,"conflict":"indexed","dcplan":"cost","#,
+            r#""kind":"perf","#,
+            r#""kind":"perf","conflict":"indexed","dcplan":"cost","#,
         );
+        assert!(labelled.contains("dcplan"));
         let path = write_history(
             "retired-labels.jsonl",
             &[labelled, line("new", 0.005, &[("dcdense/good/s", 0.1)])],
         );
-        let (lines, _) = read_history(&path).unwrap();
+        let (lines, _) = perf_lines(&path).unwrap();
         let (headers, _) = render_rows(&lines);
         assert!(!headers[1].ends_with('*'), "{headers:?}");
         assert!(!headers[2].ends_with('*'));
@@ -419,15 +318,16 @@ mod tests {
         // A sweep extended with `--workload spec:<path>` stamps the label
         // into its history line; the trend shows it in the header without
         // treating it as a run-parameter difference.
-        let with_label = line("a", 0.005, &[("spec:supply/good/s", 0.1)]).replace(
-            r#""runs":1,"#,
-            r#""runs":1,"workload":"spec:specs/supply.spec","#,
-        );
+        let with_label = serde_json::to_string(&HistoryLine {
+            workload: Some("spec:specs/supply.spec".to_owned()),
+            ..kind_line(Kind::Perf, "a", 0.005, &[("spec:supply/good/s", 0.1)])
+        })
+        .unwrap();
         let path = write_history(
             "speclabel.jsonl",
             &[with_label, line("b", 0.005, &[("spec:supply/good/s", 0.1)])],
         );
-        let (lines, _) = read_history(&path).unwrap();
+        let (lines, _) = perf_lines(&path).unwrap();
         let (headers, _) = render_rows(&lines);
         assert!(
             headers[1].contains("(spec:specs/supply.spec)"),
@@ -446,7 +346,7 @@ mod tests {
             .map(|i| line(&format!("l{i}"), 0.005, &[("census/good/s", 0.1)]))
             .collect();
         let path = write_history("cap.jsonl", &many);
-        let (lines, _) = read_history(&path).unwrap();
+        let (lines, _) = perf_lines(&path).unwrap();
         let (headers, _) = render_rows(&lines);
         assert_eq!(headers.len(), MAX_COLUMNS + 1);
         assert!(headers[MAX_COLUMNS].starts_with("l9@"));
@@ -458,16 +358,20 @@ mod tests {
         // would become the comparability anchor and star every perf
         // column. Its walls keys (bare workload names) must not appear as
         // records either.
-        let scale_line = r#"{"label":"x","stamp":"s","schema_version":2,"kind":"scale","scale_factor":1.0,"n_ccs":150,"runs":1,"seed":7,"conflict":"indexed","walls":{"census":120.0},"peak_rss_mb":{"census":4096.0}}"#;
+        let scale_line = serde_json::to_string(&HistoryLine {
+            peak_rss_mb: Some([("census".to_owned(), 4096.0)].into_iter().collect()),
+            ..kind_line(Kind::Scale, "x", 1.0, &[("census", 120.0)])
+        })
+        .unwrap();
         let path = write_history(
             "scale-skip.jsonl",
             &[
                 line("a", 0.005, &[("census/good/s", 0.1)]),
                 line("b", 0.005, &[("census/good/s", 0.1)]),
-                scale_line.to_owned(),
+                scale_line,
             ],
         );
-        let (lines, scale_skipped) = read_history(&path).unwrap();
+        let (lines, scale_skipped) = perf_lines(&path).unwrap();
         assert_eq!(scale_skipped, 1);
         assert_eq!(lines.len(), 2);
         let (headers, rows) = render_rows(&lines);
@@ -480,16 +384,16 @@ mod tests {
 
     #[test]
     fn missing_or_empty_history_errors() {
-        let err = read_history(Path::new("/nonexistent/h.jsonl")).unwrap_err();
+        let err = perf_lines(Path::new("/nonexistent/h.jsonl")).unwrap_err();
         assert!(err.contains("run `experiments -- perf` first"), "{err}");
         let path = write_history("empty.jsonl", &[String::new()]);
-        assert!(read_history(&path).is_err());
+        assert!(perf_lines(&path).is_err());
     }
 
     #[test]
     fn markdown_contains_table_and_caveat() {
         let path = write_history("md.jsonl", &[line("a", 0.005, &[("census/good/s", 0.1)])]);
-        let (lines, _) = read_history(&path).unwrap();
+        let (lines, _) = perf_lines(&path).unwrap();
         let (headers, rows) = render_rows(&lines);
         let md = markdown("t", &headers, &rows, 2, &[]);
         assert!(md.contains("| Record |"));
@@ -517,7 +421,7 @@ mod tests {
                 line("c", 0.005, &[("census/good/s", 0.15), ("flat/good/s", 0.2)]),
             ],
         );
-        let (lines, _) = read_history(&path).unwrap();
+        let (lines, _) = perf_lines(&path).unwrap();
         let rising = rising_records(&lines);
         assert_eq!(rising.len(), 1, "{rising:?}");
         assert!(rising[0].starts_with("census/good/s (+50%"), "{rising:?}");
@@ -535,7 +439,7 @@ mod tests {
                 line("d", 0.005, &[("census/good/s", 0.18)]),
             ],
         );
-        let (lines, _) = read_history(&path).unwrap();
+        let (lines, _) = perf_lines(&path).unwrap();
         assert!(rising_records(&lines).is_empty());
         // Rising, but across lines with different parameters: the starred
         // lines drop out of the streak entirely.
@@ -547,7 +451,76 @@ mod tests {
                 line("c", 0.005, &[("census/good/s", 0.15)]),
             ],
         );
-        let (lines, _) = read_history(&path).unwrap();
+        let (lines, _) = perf_lines(&path).unwrap();
         assert!(rising_records(&lines).is_empty());
+    }
+
+    /// The whole format end to end: `perf` and `scale` sections saved into
+    /// one document, both history lines appended, and everything read back
+    /// through the one parser into `perf-check` and the trend renderer.
+    #[test]
+    fn saved_sections_read_back_into_check_and_trend() {
+        use crate::experiments::perf::check;
+        use crate::experiments::record::{save, Document, Record};
+        use crate::harness::ExperimentOpts;
+
+        let dir = std::env::temp_dir().join("cextend-record-round-trip");
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = ExperimentOpts {
+            out_dir: Some(dir.clone()),
+            label: "fresh".to_owned(),
+            stamp: "now".to_owned(),
+            ..ExperimentOpts::default()
+        };
+        let perf_record = Record {
+            workload: "census".to_owned(),
+            family: Some("good".to_owned()),
+            step: Some("Persons→Housing".to_owned()),
+            wall_s: 0.1,
+            ..Record::default()
+        };
+        let scale_record = Record {
+            workload: "census".to_owned(),
+            scale: Some(4.0),
+            knobs: Some(BTreeMap::new()),
+            hasse_s: Some(0.2),
+            repair_s: Some(0.0),
+            leftovers_s: Some(0.3),
+            random_s: Some(0.0),
+            conflict_s: Some(0.4),
+            coloring_s: Some(0.5),
+            invalid_s: Some(0.0),
+            wall_s: 1.5,
+            relation_heap_bytes: Some(1 << 20),
+            peak_rss_bytes: Some(200 << 20),
+            ..Record::default()
+        };
+        save(&opts, Kind::Perf, None, vec![perf_record]).unwrap();
+        save(&opts, Kind::Scale, None, vec![scale_record]).unwrap();
+
+        // A document checks clean against itself, and each gate still
+        // bites on a copy: a perf wall at 1 s, a scale peak RSS at 4×.
+        let fresh = dir.join("BENCH_perf.json");
+        check(&fresh, &fresh).unwrap();
+        let mut doc = Document::read(&fresh).unwrap();
+        doc.sections[0].records[0].wall_s = 1.0;
+        doc.sections[1].records[0].peak_rss_bytes = Some(800 << 20);
+        let copy = dir.join("copy.json");
+        std::fs::write(&copy, serde_json::to_string(&doc).unwrap()).unwrap();
+        let err = check(&fresh, &copy).unwrap_err();
+        assert!(
+            err.contains("record `census/good/Persons→Housing` regressed 10.0×: 100.0ms → 1.00s"),
+            "{err}"
+        );
+        assert!(
+            err.contains("scale record `census` peak RSS regressed 4.00×: 200MB → 800MB"),
+            "{err}"
+        );
+
+        let (lines, scale_skipped) = perf_lines(&dir.join("BENCH_history.jsonl")).unwrap();
+        assert_eq!(scale_skipped, 1);
+        let (headers, rows) = render_rows(&lines);
+        assert_eq!(headers, ["Record", "fresh@now"]);
+        assert_eq!(rows, [["census/good/Persons→Housing", "100.0ms"]]);
     }
 }
