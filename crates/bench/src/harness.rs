@@ -214,7 +214,8 @@ pub struct RunResult {
     pub wall_s: f64,
     /// Phase I seconds.
     pub phase1_s: f64,
-    /// Phase II seconds.
+    /// Phase II seconds: conflict build + coloring + invalid placement
+    /// (Figure 13 row 4).
     pub phase2_s: f64,
     /// Pairwise-comparison seconds (Figure 13 row 1).
     pub pairwise_s: f64,
