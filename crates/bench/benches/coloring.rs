@@ -61,7 +61,7 @@ fn bench_dcdense_coloring(c: &mut Criterion) {
                 .filter(|&&r| view.get(r, kind) == Some(cextend_table::Value::str("Anchor")))
                 .count();
             let colors: Vec<Color> = (0..n_cand as Color).collect();
-            let g = ConflictBuilder::new(&dcs).build(&view, &rows);
+            let g = ConflictBuilder::new(&dcs, &view).build(&rows);
             let edges = g.n_edges() as u64 + g.n_implicit_edges();
             let id = format!("p{}_{density}_e{edges}", rows.len());
             group.bench_with_input(BenchmarkId::from_parameter(id), &g, |b, g| {

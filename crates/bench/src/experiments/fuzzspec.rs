@@ -17,8 +17,10 @@
 //! miss a CC, so the certifier arm was never vacuous, and the edge-set
 //! arm must have driven enumeration through both hash buckets and sorted
 //! runs, emitted at least one capacity group and kept at least one
-//! capacity-shaped DC on explicit edges, so both index kinds and both
-//! capacity routes met the naive reference. Its classification arm checks
+//! capacity-shaped DC on explicit edges, and routed at least one pair DC
+//! to window groups and kept at least one on bulk edges, so both index
+//! kinds, both capacity routes and both window routes met the naive
+//! reference. Its classification arm checks
 //! the compiled CC relationship matrix against per-pair `classify` on
 //! every step's CCs, and must have met disjoint, contained-in and
 //! intersecting pairs. Its Phase I arm checks Algorithm 2, leftover
@@ -50,6 +52,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     let (mut dc_error, mut cc_error) = (0.0f64, 0.0f64);
     let (mut index_hash, mut index_sorted) = (0usize, 0usize);
     let (mut capacity_groups, mut capacity_edge_dcs) = (0usize, 0usize);
+    let (mut window_dcs, mut bulk_pair_dcs) = (0usize, 0usize);
     let (mut disjoint, mut equal, mut contained, mut intersecting) =
         (0usize, 0usize, 0usize, 0usize);
     let mut partially_pinned = 0usize;
@@ -71,6 +74,8 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         index_sorted += out.index_sorted;
         capacity_groups += out.capacity_groups;
         capacity_edge_dcs += out.capacity_edge_dcs;
+        window_dcs += out.window_dcs;
+        bulk_pair_dcs += out.bulk_pair_dcs;
         disjoint += out.disjoint_pairs;
         equal += out.equal_pairs;
         contained += out.contained_pairs;
@@ -102,6 +107,12 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
              (need both > 0 across the run)"
         ));
     }
+    if window_dcs == 0 || bulk_pair_dcs == 0 {
+        return Err(format!(
+            "fuzz-spec edge-set arm never met both window routes: {window_dcs} pair DCs routed \
+             to window groups, {bulk_pair_dcs} kept on bulk edges (need both > 0 across the run)"
+        ));
+    }
     if disjoint == 0 || contained == 0 || intersecting == 0 {
         return Err(format!(
             "fuzz-spec classification arm missed a relationship kind: {disjoint} disjoint, \
@@ -118,7 +129,8 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     println!(
         "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets ({index_hash} hash / \
          {index_sorted} sorted depths, {capacity_groups} capacity groups, \
-         {capacity_edge_dcs} capacity-shaped DCs on edges), kernel ≡ count_in CC counts, compiled \
+         {capacity_edge_dcs} capacity-shaped DCs on edges, {window_dcs} window pairs, \
+         {bulk_pair_dcs} bulk pairs), kernel ≡ count_in CC counts, compiled \
          matrix ≡ classify ({disjoint} disjoint, {equal} equal, {contained} contained-in, \
          {intersecting} intersecting ordered pairs), Phase I ≡ scalar oracles \
          ({partially_pinned} partially pinned rows), certifier ≡ \

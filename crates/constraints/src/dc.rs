@@ -361,20 +361,18 @@ fn cmp_offset(op: CmpOp, l: i64, r: i64, offset: i64) -> bool {
 /// both orientations map to one key (smaller variable on the left).
 fn canonical_binary_key(a: &BinaryAtomPlan) -> (usize, ColId, u8, usize, ColId, i64) {
     let rank = canonical_binary_key_rank;
-    let flip = |op: CmpOp| -> CmpOp {
-        match op {
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-            CmpOp::Eq | CmpOp::Ne => op,
-        }
-    };
     let keep = (a.lvar, a.lcol) <= (a.rvar, a.rcol) || a.offset.checked_neg().is_none();
     if keep {
         (a.lvar, a.lcol, rank(a.op), a.rvar, a.rcol, a.offset)
     } else {
-        (a.rvar, a.rcol, rank(flip(a.op)), a.lvar, a.lcol, -a.offset)
+        (
+            a.rvar,
+            a.rcol,
+            rank(flip_op(a.op)),
+            a.lvar,
+            a.lcol,
+            -a.offset,
+        )
     }
 }
 
@@ -558,13 +556,6 @@ impl DcPlan {
         self.never_holds
     }
 
-    /// `true` for an arity-2 DC whose φ is purely unary: every pair of one
-    /// candidate from each variable is a conflict edge, so the edge set is
-    /// a (bi-)clique over the candidate lists and can be emitted in bulk.
-    pub fn is_pure_unary_pair(&self) -> bool {
-        self.arity == 2 && self.binary.is_empty()
-    }
-
     /// `true` for an arity-2 DC bulk-emittable without enumeration: φ has
     /// at most one binary atom, and that atom links the two variables. With
     /// no atom the edge set is a (bi-)clique over the candidate lists; with
@@ -640,13 +631,77 @@ impl DcPlan {
     /// atom whose constant `filter` rejects. Then none of this plan's
     /// conflict edges lies wholly inside the rows `filter` admits.
     pub fn provably_disjoint(&self, filter: &[UnaryFilter]) -> bool {
-        self.unary.iter().flatten().any(|a| {
-            filter.iter().any(|f| {
-                f.col == a.col
-                    && ((f.op == CmpOp::Eq && !a.op.eval(f.value, a.value))
-                        || (a.op == CmpOp::Eq && !f.op.eval(a.value, f.value)))
-            })
+        self.unary.iter().any(|f| filters_disjoint(f, filter))
+    }
+
+    /// `true` for a live pair DC whose edges are *windows*: no row passes
+    /// both variables' filters ([`filters_disjoint`]), and φ has no binary
+    /// atom or one `<`, `≤`, `>`, `≥` or `=` atom linking the two
+    /// variables. Sorted by the atom's column on each side, every
+    /// candidate of one variable then conflicts with one contiguous range
+    /// of the other variable's candidates (all of them when φ is purely
+    /// unary), and each edge has exactly one orientation.
+    pub fn is_window_pair(&self) -> bool {
+        self.arity == 2
+            && !self.never_holds
+            && filters_disjoint(&self.unary[0], &self.unary[1])
+            && match self.binary.as_slice() {
+                [] => true,
+                [a] => a.lvar != a.rvar && (a.is_equality() || a.is_range()),
+                _ => false,
+            }
+    }
+
+    /// `true` if no pair of rows can be a conflict edge of both this plan
+    /// and `other`, two plans of arity 2. For each way of matching
+    /// `other`'s variables to this plan's, either some matched pair of
+    /// filters is [provably disjoint](filters_disjoint), or the matched
+    /// filters are the same and both plans have one binary atom over the
+    /// same column pair whose windows on `X − Y`, read in `i128`, do not
+    /// meet (a `-low`/`-up` pair: `t1.Age < t0.Age − 69` is `X − Y ≤ −70`
+    /// and `t1.Age > t0.Age − 12` is `X − Y ≥ −11`).
+    pub fn shares_no_edge_with(&self, other: &DcPlan) -> bool {
+        debug_assert_eq!((self.arity, other.arity), (2, 2));
+        [(0, 1), (1, 0)].into_iter().all(|(q0, q1)| {
+            filters_disjoint(&self.unary[0], &other.unary[q0])
+                || filters_disjoint(&self.unary[1], &other.unary[q1])
+                || (unary_multiset(&self.unary[0]) == unary_multiset(&other.unary[q0])
+                    && unary_multiset(&self.unary[1]) == unary_multiset(&other.unary[q1])
+                    && match (
+                        self.difference_window(0, 1),
+                        other.difference_window(q0, q1),
+                    ) {
+                        (Some(a), Some(b)) => {
+                            (a.x, a.y) == (b.x, b.y) && (a.hi < b.lo || b.hi < a.lo)
+                        }
+                        _ => false,
+                    })
         })
+    }
+
+    /// φ's single binary atom as the interval of `t_{v1}.X − t_{v0}.Y` it
+    /// admits, when it is an ordering or `=` atom between `v0` and `v1`.
+    fn difference_window(&self, v0: usize, v1: usize) -> Option<DifferenceWindow> {
+        let [a] = self.binary.as_slice() else {
+            return None;
+        };
+        // `l ◦ r + c` is `l − r ◦ c`; with `l` on `v0` it is `r − l ◦' −c`.
+        let (x, y, op, c) = if (a.lvar, a.rvar) == (v1, v0) {
+            (a.lcol, a.rcol, a.op, i128::from(a.offset))
+        } else if (a.lvar, a.rvar) == (v0, v1) {
+            (a.rcol, a.lcol, flip_op(a.op), -i128::from(a.offset))
+        } else {
+            return None;
+        };
+        let (lo, hi) = match op {
+            CmpOp::Lt => (i128::MIN, c - 1),
+            CmpOp::Le => (i128::MIN, c),
+            CmpOp::Gt => (c + 1, i128::MAX),
+            CmpOp::Ge => (c, i128::MAX),
+            CmpOp::Eq => (c, c),
+            CmpOp::Ne => return None,
+        };
+        Some(DifferenceWindow { x, y, lo, hi })
     }
 
     /// Number of tuple variables.
@@ -670,12 +725,37 @@ impl DcPlan {
     pub fn sym_class(&self, var: usize) -> usize {
         self.sym_class[var]
     }
+}
 
-    /// `true` if row `r` passes every unary atom of `var` (identical to
-    /// [`BoundDc::var_candidate`]).
-    #[inline]
-    pub fn row_passes_unary(&self, rel: &Relation, var: usize, r: RowId) -> bool {
-        self.unary[var].iter().all(|f| f.eval(rel, r))
+/// `true` if no row passes every atom of both `f` and `g`: on some column,
+/// one side pins an `=` constant that an atom of the other side rejects.
+pub fn filters_disjoint(f: &[UnaryFilter], g: &[UnaryFilter]) -> bool {
+    f.iter().any(|a| {
+        g.iter().any(|b| {
+            a.col == b.col
+                && ((b.op == CmpOp::Eq && !a.op.eval(b.value, a.value))
+                    || (a.op == CmpOp::Eq && !b.op.eval(a.value, b.value)))
+        })
+    })
+}
+
+/// The values `X − Y` a difference atom admits, `lo ..= hi` (see
+/// [`DcPlan::shares_no_edge_with`]).
+struct DifferenceWindow {
+    x: ColId,
+    y: ColId,
+    lo: i128,
+    hi: i128,
+}
+
+/// The operator of the flipped comparison: `l ◦ r` ⇔ `r ◦' l`.
+fn flip_op(op: CmpOp) -> CmpOp {
+    match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Ge => CmpOp::Le,
+        CmpOp::Eq | CmpOp::Ne => op,
     }
 }
 
@@ -1071,16 +1151,12 @@ mod tests {
     #[test]
     fn pure_unary_pair_classification() {
         let r = persons();
-        assert!(dc_oo()
-            .bind(r.schema(), "Persons")
-            .unwrap()
-            .plan()
-            .is_pure_unary_pair());
-        assert!(!dc_os_low()
-            .bind(r.schema(), "Persons")
-            .unwrap()
-            .plan()
-            .is_pure_unary_pair());
+        let pure_unary_pair = |dc: DenialConstraint| {
+            let plan = dc.bind(r.schema(), "Persons").unwrap().plan();
+            plan.arity() == 2 && plan.binary_atoms().is_empty()
+        };
+        assert!(pure_unary_pair(dc_oo()));
+        assert!(!pure_unary_pair(dc_os_low()));
     }
 
     /// Binds `dc` against [`persons`] and saturates it, as the conflict
@@ -1231,12 +1307,82 @@ mod tests {
         for var in 0..2 {
             for row in 0..r.n_rows() {
                 assert_eq!(
-                    plan.row_passes_unary(&r, var, row),
+                    plan.unary_filters(var).iter().all(|f| f.eval(&r, row)),
                     bound.var_candidate(&r, var, row),
                     "var {var} row {row}"
                 );
             }
         }
+    }
+
+    /// A pair DC over `Rel` filters `(left, right)` and `atoms`, saturated.
+    fn pair(left: &str, right: &str, atoms: Vec<DcAtom>) -> DcPlan {
+        let rel = |var: usize, v: &str| DcAtom::Unary {
+            var,
+            column: "Rel".into(),
+            op: CmpOp::Eq,
+            value: Value::str(v),
+        };
+        let mut all = vec![rel(0, left), rel(1, right)];
+        all.extend(atoms);
+        saturated(&DenialConstraint::new("p", 2, all).unwrap())
+    }
+
+    fn age(lvar: usize, op: CmpOp, rvar: usize, offset: i64) -> DcAtom {
+        DcAtom::Binary {
+            lvar,
+            lcol: "Age".into(),
+            op,
+            rvar,
+            rcol: "Age".into(),
+            offset,
+        }
+    }
+
+    #[test]
+    fn window_pairs_need_disjoint_sides_and_one_linking_window() {
+        assert!(pair("Owner", "Child", vec![]).is_window_pair());
+        assert!(pair("Owner", "Child", vec![age(1, CmpOp::Lt, 0, -69)]).is_window_pair());
+        assert!(pair("Owner", "Child", vec![age(0, CmpOp::Eq, 1, 20)]).is_window_pair());
+        // Overlapping sides, a `≠` atom, a self-atom, two atoms.
+        assert!(!pair("Owner", "Owner", vec![]).is_window_pair());
+        assert!(!pair("Owner", "Child", vec![age(1, CmpOp::Ne, 0, 0)]).is_window_pair());
+        assert!(!pair("Owner", "Child", vec![age(1, CmpOp::Lt, 1, 0)]).is_window_pair());
+        assert!(!pair(
+            "Owner",
+            "Child",
+            vec![age(1, CmpOp::Lt, 0, 0), age(1, CmpOp::Gt, 0, -9)]
+        )
+        .is_window_pair());
+    }
+
+    #[test]
+    fn windows_on_one_column_pair_share_no_edge_only_when_they_cannot_meet() {
+        let low = pair("Owner", "Child", vec![age(1, CmpOp::Lt, 0, -69)]);
+        let up = pair("Owner", "Child", vec![age(1, CmpOp::Gt, 0, -12)]);
+        assert!(low.shares_no_edge_with(&up) && up.shares_no_edge_with(&low));
+        // The same window written from the other variable: `t0.Age ≥ t1.Age
+        // + 70` is `X − Y ≤ −70`, which meets `≤ −69` but not `≥ −11`.
+        let flipped = pair("Owner", "Child", vec![age(0, CmpOp::Ge, 1, 70)]);
+        assert!(!low.shares_no_edge_with(&flipped));
+        assert!(up.shares_no_edge_with(&flipped));
+        // An `=` window inside `low`'s, and one next to it.
+        let inside = pair("Owner", "Child", vec![age(1, CmpOp::Eq, 0, -80)]);
+        let beside = pair("Owner", "Child", vec![age(1, CmpOp::Eq, 0, -69)]);
+        assert!(!low.shares_no_edge_with(&inside));
+        assert!(low.shares_no_edge_with(&beside));
+        // A pure-unary pair over the same classes meets every window.
+        assert!(!low.shares_no_edge_with(&pair("Owner", "Child", vec![])));
+        // Other classes: a disjoint side in each orientation settles it.
+        assert!(low.shares_no_edge_with(&pair("Owner", "Spouse", vec![])));
+        assert!(low.shares_no_edge_with(&pair("Owner", "Owner", vec![])));
+        assert!(low.shares_no_edge_with(&pair("Child", "Spouse", vec![])));
+        // The classes swapped: the rows of `low`'s edges, read the other
+        // way round, with an ordering of the same column pair that meets.
+        let swapped = pair("Child", "Owner", vec![age(0, CmpOp::Lt, 1, -69)]);
+        assert!(!low.shares_no_edge_with(&swapped));
+        let apart = pair("Child", "Owner", vec![age(0, CmpOp::Gt, 1, 0)]);
+        assert!(low.shares_no_edge_with(&apart));
     }
 
     #[test]

@@ -44,7 +44,8 @@ mod relationship;
 
 pub use cc::{CardinalityConstraint, NormalizedCond};
 pub use dc::{
-    BinaryAtomPlan, BoundDc, CapacityShape, DcAtom, DcPlan, DenialConstraint, UnaryFilter,
+    filters_disjoint, BinaryAtomPlan, BoundDc, CapacityShape, DcAtom, DcPlan, DenialConstraint,
+    UnaryFilter,
 };
 pub use error::{ConstraintError, Result};
 pub use hasse::HasseDiagram;

@@ -14,7 +14,7 @@ use cextend_hypergraph::{
     color_skipped_with_fresh, coloring_lf, exact_list_coloring, CandidateLists, Color, Coloring,
     ExactResult,
 };
-use cextend_table::{Relation, RowId};
+use cextend_table::RowId;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -45,22 +45,20 @@ pub(crate) struct PartitionResult {
     pub index_stats: ConflictStats,
 }
 
-/// Colors one partition of `r1`'s rows; the builder's DCs are bound
-/// against `r1`. Pure apart from the reused `builder` scratch: mutates
-/// nothing outside its return value.
+/// Colors one partition of the builder's view's rows. Pure apart from the
+/// reused `builder` scratch: mutates nothing outside its return value.
 pub(crate) fn color_partition(
     partition: usize,
-    r1: &Relation,
     rows: &[RowId],
     n_candidates: usize,
     mode: ColoringMode,
-    builder: &mut ConflictBuilder,
+    builder: &mut ConflictBuilder<'_>,
 ) -> PartitionResult {
     // `obs::timed` measures the interval *and* emits the span from the same
     // clock reads, so the coordinator's `stage_add` of the returned
     // durations matches the trace aggregate exactly.
     let ((g, index_stats), build_time) = cextend_obs::timed("conflict_build", || {
-        (builder.build(r1, rows), builder.take_stats())
+        (builder.build(rows), builder.take_stats())
     });
 
     let ((g, coloring, skipped_vertices, fresh, exact_budget_fallback), color_time) =
@@ -113,7 +111,8 @@ pub(crate) fn color_partition(
     }
 }
 
-/// Colors all partitions of `r1`'s rows and hands each [`PartitionResult`]
+/// Colors all partitions of the builder's view's rows and hands each
+/// [`PartitionResult`]
 /// to `sink` in partition order — the streaming core of the Phase II
 /// pipeline.
 ///
@@ -126,20 +125,20 @@ pub(crate) fn color_partition(
 /// coloring. Either way the sink sees the same sequence, so downstream
 /// minting stays bit-identical across worker widths. The caller compiles
 /// `builder` once; each worker colors with its own clone (the compiled
-/// plans plus reusable scratch). The first error `sink` returns stops the
-/// stream and is returned; workers finish the partition in hand and exit.
+/// plans plus reusable scratch, sharing the row masks). The first error
+/// `sink` returns stops the stream and is returned; workers finish the
+/// partition in hand and exit.
 pub(crate) fn color_partitions_streamed(
-    r1: &Relation,
     partitions: &[(usize, Vec<RowId>, usize)],
     mode: ColoringMode,
-    mut builder: ConflictBuilder,
+    mut builder: ConflictBuilder<'_>,
     workers: usize,
     mut sink: impl FnMut(PartitionResult) -> Result<()>,
 ) -> Result<()> {
     let n_threads = workers.min(partitions.len());
     if n_threads < 2 {
         for (i, (_, rows, n_cand)) in partitions.iter().enumerate() {
-            sink(color_partition(i, r1, rows, *n_cand, mode, &mut builder))?;
+            sink(color_partition(i, rows, *n_cand, mode, &mut builder))?;
         }
         return Ok(());
     }
@@ -158,7 +157,7 @@ pub(crate) fn color_partitions_streamed(
                     let Some((_, rows, n_cand)) = partitions.get(i) else {
                         break;
                     };
-                    let r = color_partition(i, r1, rows, *n_cand, mode, &mut builder);
+                    let r = color_partition(i, rows, *n_cand, mode, &mut builder);
                     if tx.send(r).is_err() {
                         break; // coordinator gone (sink error or panic)
                     }
@@ -192,6 +191,7 @@ mod tests {
     use crate::error::CoreError;
     use crate::instance::fixtures;
     use cextend_constraints::BoundDc;
+    use cextend_table::Relation;
 
     /// The running example's people and the Figure 2a DCs bound against
     /// them. Rows 0..7 are the Chicago partition of Figure 5, rows 7..9 the
@@ -209,8 +209,8 @@ mod tests {
     fn color_chicago(n_cand: usize, mode: ColoringMode) -> PartitionResult {
         let (r1, dcs) = chicago_setup();
         let rows: Vec<RowId> = (0..7).collect();
-        let mut builder = ConflictBuilder::new(&dcs);
-        color_partition(0, &r1, &rows, n_cand, mode, &mut builder)
+        let mut builder = ConflictBuilder::new(&dcs, &r1);
+        color_partition(0, &rows, n_cand, mode, &mut builder)
     }
 
     #[test]
@@ -254,15 +254,8 @@ mod tests {
     fn stream(workers: usize, sink: impl FnMut(PartitionResult) -> Result<()>) -> Result<()> {
         let (r1, dcs) = chicago_setup();
         let partitions = vec![(0, (0..7).collect::<Vec<_>>(), 4), (1, vec![7, 8], 2)];
-        let builder = ConflictBuilder::new(&dcs);
-        color_partitions_streamed(
-            &r1,
-            &partitions,
-            ColoringMode::Greedy,
-            builder,
-            workers,
-            sink,
-        )
+        let builder = ConflictBuilder::new(&dcs, &r1);
+        color_partitions_streamed(&partitions, ColoringMode::Greedy, builder, workers, sink)
     }
 
     #[test]

@@ -4,17 +4,24 @@
 //! DC's condition φ holds becomes a hyperedge: those tuples must not all
 //! receive the same FK. This module builds that graph two ways:
 //!
-//! - [`ConflictBuilder`] — the builder Phase II runs. Each DC is compiled
-//!   to an equality-saturated [`DcPlan`] (per-variable unary filters,
-//!   binary atoms, interchangeable-variable classes). A *capacity DC*
+//! - [`ConflictBuilder`] — the builder Phase II runs, one per view. Each DC
+//!   is compiled to an equality-saturated [`DcPlan`] (per-variable unary
+//!   filters, binary atoms, interchangeable-variable classes). The DC
+//!   set's distinct unary filters are compiled once, and every row of the
+//!   view is classified into them once (`UnaryFilterSet`,
+//!   `RowFilterMasks`); a build then collects each filter's candidates in
+//!   one pass over the partition's rows. A *capacity DC*
 //!   ([`DcPlan::capacity_shape`]) that every other live DC of its arity is
 //!   [provably disjoint](DcPlan::provably_disjoint) from emits no edge at
 //!   all: one clique group per key value stands for its `k`-subsets
 //!   ([`Hypergraph::add_clique_group`]), and the coloring counts instead
-//!   of enumerating. Pair DCs with at most one binary atom are
-//!   bulk-emitted as bi-cliques or sorted-run windows. The rest
-//!   enumerate: candidates per variable are
-//!   pre-filtered once per partition, the variables are ordered by those
+//!   of enumerating. A *window pair* ([`DcPlan::is_window_pair`]) that
+//!   [shares no edge](DcPlan::shares_no_edge_with) with any other live
+//!   pair DC emits no edge either: one window group per partition
+//!   ([`Hypergraph::add_window_group`]) gives each candidate the range of
+//!   the other side's sorted run it conflicts with. Other pair DCs with
+//!   at most one binary atom are bulk-emitted as bi-cliques or sorted-run
+//!   windows. The rest enumerate: the variables are ordered by their
 //!   exact candidate counts, and each enumeration depth with a binary atom
 //!   is driven by a per-partition value index over its first equality atom
 //!   (hash buckets) or else its first ordering atom (a sorted run), so the
@@ -32,10 +39,11 @@
 //! builder's groups counted in their [expanded](Hypergraph::expanded) form
 //! (property-tested across all workloads in `cextend-workloads`).
 
-use cextend_constraints::{BinaryAtomPlan, BoundDc, CapacityShape, DcPlan};
-use cextend_hypergraph::Hypergraph;
-use cextend_table::{CmpOp, ColId, IntColumnView, Relation, RowId, Sym, SymColumnView, Value};
+use cextend_constraints::{BinaryAtomPlan, BoundDc, CapacityShape, DcPlan, UnaryFilter};
+use cextend_hypergraph::{Hypergraph, WindowRun};
+use cextend_table::{CmpOp, ColId, IntColumnView, Relation, RowId, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// What the indexed builder did, for `CEXTEND_TRACE` diagnostics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -63,6 +71,8 @@ pub struct ConflictStats {
     pub index_sorted: usize,
     /// Clique groups emitted for capacity DCs.
     pub capacity_groups: usize,
+    /// Window groups emitted for window pairs.
+    pub window_groups: usize,
 }
 
 impl ConflictStats {
@@ -77,14 +87,19 @@ impl ConflictStats {
         self.index_hash += other.index_hash;
         self.index_sorted += other.index_sorted;
         self.capacity_groups += other.capacity_groups;
+        self.window_groups += other.window_groups;
     }
 }
 
 /// How [`ConflictBuilder`] turns one DC into conflict structure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DcRoute {
-    /// Explicit edges, bulk-emitted or enumerated.
+    /// Explicit edges, enumerated.
     Edges,
+    /// A pair DC with at most one binary atom that another DC may share
+    /// an edge with: explicit edges, written in bulk and deduplicated
+    /// against the other bulk DCs.
+    Bulk,
     /// Capacity-shaped, but some other live DC of its arity is not
     /// provably disjoint from it, so the two could emit one vertex set
     /// twice: explicit edges, deduplicated.
@@ -92,27 +107,139 @@ pub enum DcRoute {
     /// Capacity-shaped and disjoint from every other live DC of its arity:
     /// one clique group per key value.
     Groups,
+    /// A window pair that shares no edge with any other live pair DC: one
+    /// window group per partition.
+    Windows,
 }
 
-/// A reusable conflict-graph builder.
+/// The DC set's distinct unary filters, compiled once per builder. Atoms
+/// are distinct `(column, operator, constant)` triples, and a filter is a
+/// distinct set of atoms: the conjunction one tuple variable of some DC
+/// requires. A variable with no atom has the empty filter, which every
+/// row passes.
+#[derive(Default)]
+struct UnaryFilterSet {
+    /// The distinct atoms, as `(column, operator, constant)`.
+    atoms: Vec<(ColId, CmpOp, Value)>,
+    /// Per filter, its atoms' ids, ascending.
+    filters: Vec<Vec<usize>>,
+}
+
+impl UnaryFilterSet {
+    /// The id of the filter `atoms` requires, adding the filter and its
+    /// atoms when they are new.
+    fn intern(&mut self, atoms: &[UnaryFilter]) -> usize {
+        let mut ids: Vec<usize> = atoms
+            .iter()
+            .map(|a| intern(&mut self.atoms, (a.col, a.op, a.value)))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        intern(&mut self.filters, ids)
+    }
+
+    /// Classifies every row of `view`: each distinct atom is evaluated once
+    /// per row, into a bitmap over the view, and each filter's rows are
+    /// the AND of its atoms' bitmaps. Integer atoms compare the cell
+    /// directly; symbol atoms read a pass/fail table indexed by the
+    /// column's dictionary code, so each symbol is compared once per
+    /// dictionary entry, not once per row. A missing cell fails the atom,
+    /// and so does a constant whose type differs from the column's.
+    fn classify(&self, view: &Relation) -> RowFilterMasks {
+        let n = view.n_rows();
+        let row_words = n.div_ceil(64);
+        let atom_rows: Vec<Vec<u64>> = self.atoms.iter().map(|a| atom_rows(view, a)).collect();
+        let words = self.filters.len().div_ceil(64);
+        let mut masks = vec![0u64; n * words];
+        let mut passing = vec![0u64; row_words];
+        for (f, atoms) in self.filters.iter().enumerate() {
+            passing.fill(!0);
+            if !n.is_multiple_of(64) {
+                passing[row_words - 1] = (1u64 << (n % 64)) - 1;
+            }
+            for &a in atoms {
+                for (p, &w) in passing.iter_mut().zip(&atom_rows[a]) {
+                    *p &= w;
+                }
+            }
+            let bit = 1u64 << (f % 64);
+            for (i, &w) in passing.iter().enumerate() {
+                let mut w = w;
+                while w != 0 {
+                    let row = i * 64 + w.trailing_zeros() as usize;
+                    masks[row * words + f / 64] |= bit;
+                    w &= w - 1;
+                }
+            }
+        }
+        RowFilterMasks { words, masks }
+    }
+}
+
+/// The rows of `view` passing `atom`, as a bitmap (bit `row & 63` of word
+/// `row >> 6`).
+fn atom_rows(view: &Relation, &(col, op, value): &(ColId, CmpOp, Value)) -> Vec<u64> {
+    let n = view.n_rows();
+    match value {
+        Value::Int(c) => match view.int_view(col) {
+            Some(cells) => bitmap(n, |row| cells.get(row).is_some_and(|x| op.test(x.cmp(&c)))),
+            None => vec![0; n.div_ceil(64)],
+        },
+        Value::Str(s) => match view.sym_view(col) {
+            Some(cells) => {
+                let pass: Vec<bool> = cells.dict().iter().map(|d| op.test(d.cmp(&s))).collect();
+                bitmap(n, |row| {
+                    cells.code(row).is_some_and(|code| pass[code as usize])
+                })
+            }
+            None => vec![0; n.div_ceil(64)],
+        },
+    }
+}
+
+/// The rows `0..n` that `passes` as a bitmap, each word assembled without
+/// a branch on the rows' outcomes.
+fn bitmap(n: usize, passes: impl Fn(usize) -> bool) -> Vec<u64> {
+    (0..n.div_ceil(64))
+        .map(|w| {
+            (w * 64..n.min(w * 64 + 64)).fold(0u64, |word, row| {
+                word | u64::from(passes(row)) << (row % 64)
+            })
+        })
+        .collect()
+}
+
+/// Per-row filter masks over one view ([`UnaryFilterSet::classify`]): bit
+/// `f & 63` of word `f >> 6` of row `r`'s mask is set iff row `r` passes
+/// filter `f`. One word per row holds 64 filters; more take more words.
+struct RowFilterMasks {
+    words: usize,
+    masks: Vec<u64>,
+}
+
+impl RowFilterMasks {
+    /// Row `row`'s mask words.
+    fn of(&self, row: RowId) -> &[u64] {
+        &self.masks[row * self.words..(row + 1) * self.words]
+    }
+}
+
+/// A reusable conflict-graph builder over one view.
 ///
-/// Compiling the [`DcPlan`]s once and reusing the scratch buffers matters
-/// when the caller builds graphs for thousands of small partitions (Phase
-/// II colors every `V_join` partition). Phase II compiles one builder and
-/// clones it into each worker.
+/// Compiling the [`DcPlan`]s and classifying the view's rows once, and
+/// reusing the scratch buffers, matters when the caller builds graphs for
+/// thousands of small partitions (Phase II colors every `V_join`
+/// partition). Phase II builds one builder on the coordinator and clones
+/// it into each worker; the clones share everything it compiled, the row
+/// masks included, and keep scratch buffers of their own.
 #[derive(Clone)]
-pub struct ConflictBuilder {
-    plans: Vec<DcPlan>,
-    /// Per plan, its capacity shape when it takes the group route.
-    groups: Vec<Option<CapacityShape>>,
-    /// Execution order over `plans`: bulk-emitted DCs first (so unchecked
-    /// bulk edges exist before any checked leaf has to dedup against
-    /// them), then declaration order.
-    dc_order: Vec<usize>,
-    /// Bulk-emission slot per plan (bit position in the registry masks);
-    /// `Some` for at most 64 pair DCs with at most one binary atom.
-    bulk_slot: Vec<Option<u8>>,
-    n_bulk: usize,
+pub struct ConflictBuilder<'v> {
+    compiled: Arc<Compiled<'v>>,
+    /// Per filter, the build's candidate positions (indices into `rows`),
+    /// ascending.
+    filter_cands: Vec<Vec<u32>>,
+    /// The build's rows' masks, in row order.
+    row_masks: Vec<u64>,
     /// Per-vertex registry masks: bit `k` of `bulk_a[v]` / `bulk_b[v]`
     /// records that `v` is in bulk DC `k`'s first / second candidate set.
     /// A pair `{s,t}` was bulk-emitted iff some DC has an `a`-member and a
@@ -124,8 +251,16 @@ pub struct ConflictBuilder {
     /// single-atom bulk DC over its second variable's candidates, or a
     /// capacity DC's candidates by key.
     bulk_run: Vec<(i64, u32)>,
-    /// Candidate positions per tuple variable (indices into `rows`).
-    cands: Vec<Vec<u32>>,
+    /// Window-group scratch per build: each window run, sorted, and its
+    /// state; each run column's cells for the build's rows, in position
+    /// order, gathered on first use; each side's windows; and a member
+    /// buffer.
+    win_runs: Vec<Vec<(i64, u32)>>,
+    win_run_state: Vec<RunState>,
+    win_cells: Vec<Vec<Option<i64>>>,
+    win_cells_built: Vec<bool>,
+    win_ranges: [Vec<(u32, u32)>; 2],
+    win_members: Vec<u32>,
     /// Vertex chosen per tuple variable (by original variable index).
     chosen: Vec<u32>,
     /// Generation stamp per vertex: `member[v] == generation` means `v` is
@@ -145,27 +280,63 @@ pub struct ConflictBuilder {
     stats: ConflictStats,
 }
 
-/// A unary atom resolved against a typed borrowed column view, so the
-/// candidate pre-filter loop reads raw cells instead of constructing an
-/// `Option<Value>` (and re-matching the column dtype) per row. `Never`
-/// marks a dtype mismatch between the atom's constant and the column —
-/// such an atom can hold on no row, exactly as the boxed evaluation
-/// returns `false` on a type-mismatched comparison.
-enum TypedUnary<'a> {
-    Int(IntColumnView<'a>, CmpOp, i64),
-    Sym(SymColumnView<'a>, CmpOp, Sym),
-    Never,
+/// What [`ConflictBuilder::new`] compiles for one view.
+struct Compiled<'v> {
+    view: &'v Relation,
+    plans: Vec<DcPlan>,
+    /// Per plan, its capacity shape when it takes the group route.
+    groups: Vec<Option<CapacityShape>>,
+    /// Per plan, its window shape when it takes the window route.
+    windows: Vec<Option<WindowPlan>>,
+    /// Per plan and tuple variable, the id of the variable's filter (empty
+    /// for a plan that never holds).
+    var_filter: Vec<Vec<usize>>,
+    /// Per plan, typed views of each binary atom's two columns, aligned
+    /// with `plan.binary_atoms()`; `None` when the plan never holds or an
+    /// atom reads a non-integer column, where it can never hold either.
+    atom_views: Vec<Option<Vec<(IntColumnView<'v>, IntColumnView<'v>)>>>,
+    /// The view's rows classified into the DC set's distinct unary
+    /// filters (the ids `var_filter` holds).
+    masks: RowFilterMasks,
+    /// Execution order over `plans`: bulk-emitted DCs first (so unchecked
+    /// bulk edges exist before any checked leaf has to dedup against
+    /// them), then declaration order.
+    dc_order: Vec<usize>,
+    /// Bulk-emission slot per plan (bit position in the registry masks);
+    /// `Some` for at most 64 pair DCs with at most one binary atom.
+    bulk_slot: Vec<Option<u8>>,
+    n_bulk: usize,
+    /// Per bulk slot: the DC's binary atom bound to typed views (`None`
+    /// for a pure-unary slot, or for a dead DC, which registers no
+    /// membership), and the mask of pure-unary slots.
+    bulk_preds: Vec<Option<BulkPred<'v>>>,
+    bulk_uncond: u64,
+    /// The window pairs' runs: per run, the filter whose candidates it
+    /// holds and the index in `win_cols` of the column it sorts them by
+    /// (`None` for a pure-unary pair, whose run is in position order).
+    win_keys: Vec<(usize, Option<usize>)>,
+    /// The columns runs sort by.
+    win_cols: Vec<ColId>,
 }
 
-impl TypedUnary<'_> {
-    #[inline]
-    fn eval(&self, row: RowId) -> bool {
-        match self {
-            TypedUnary::Int(cells, op, c) => cells.get(row).is_some_and(|x| op.test(x.cmp(c))),
-            TypedUnary::Sym(cells, op, c) => cells.get(row).is_some_and(|x| op.test(x.cmp(c))),
-            TypedUnary::Never => false,
-        }
-    }
+/// A window pair's compiled shape: its binary atom, if any, and the run
+/// (an index into the builder's window runs) each variable's candidates
+/// are sorted into.
+#[derive(Clone, Copy)]
+struct WindowPlan {
+    atom: Option<BinaryAtomPlan>,
+    runs: [usize; 2],
+}
+
+/// How far one build has got with a window run.
+#[derive(Clone, Copy)]
+enum RunState {
+    /// Not built for this build's rows yet.
+    Stale,
+    /// Sorted, but in no group yet.
+    Sorted,
+    /// Sorted and added to the graph.
+    InGraph(WindowRun),
 }
 
 /// One per-partition value index over a variable's candidate list. Only
@@ -203,7 +374,10 @@ struct DcCtx<'a> {
     /// Typed views of each binary atom's two columns, aligned with
     /// `plan.binary_atoms()`.
     atom_views: &'a [(IntColumnView<'a>, IntColumnView<'a>)],
-    cands: &'a [Vec<u32>],
+    /// The build's candidates per filter, and the plan's filter per
+    /// variable.
+    filter_cands: &'a [Vec<u32>],
+    var_filter: &'a [usize],
     indexes: &'a [ValueIndex],
     /// Bulk-emission registry masks (empty when no DC was bulk-emitted).
     /// Arity-2 leaves consult them: a pair some bulk DC already owns must
@@ -216,10 +390,18 @@ struct DcCtx<'a> {
     bulk_uncond: u64,
 }
 
+impl DcCtx<'_> {
+    /// Variable `var`'s candidate positions.
+    fn cands(&self, var: usize) -> &[u32] {
+        &self.filter_cands[self.var_filter[var]]
+    }
+}
+
 /// A bulk DC's single binary atom bound to typed column views — the
 /// predicate the registry dedup tests re-evaluate: for these DCs the
 /// membership masks only *nominate* a pair, the atom decides whether it
 /// was actually emitted.
+#[derive(Clone, Copy)]
 struct BulkPred<'v> {
     atom: BinaryAtomPlan,
     lview: IntColumnView<'v>,
@@ -275,14 +457,16 @@ fn bulk_emitted(
     false
 }
 
-impl ConflictBuilder {
-    /// Compiles the DC set: plans are equality-saturated (merging
-    /// interchangeable variables, detecting contradictions), routed (see
-    /// [`DcRoute`]) and ordered with bulk-emittable pair DCs first.
-    /// Everything else is decided per build from the partition's exact
-    /// candidate lists, so the builder is reusable across any number of
-    /// `(view, rows)` builds.
-    pub fn new(dcs: &[BoundDc]) -> ConflictBuilder {
+impl<'v> ConflictBuilder<'v> {
+    /// Compiles the DC set for builds over `view`: plans are
+    /// equality-saturated (merging interchangeable variables, detecting
+    /// contradictions), routed (see [`DcRoute`]) and ordered with
+    /// bulk-emitted pair DCs first; their distinct unary filters are
+    /// compiled and every row of `view` is classified into them. Everything
+    /// else is decided per build from the partition's exact candidate
+    /// lists, so the builder is reusable across any number of builds over
+    /// rows of `view`.
+    pub fn new(dcs: &[BoundDc], view: &'v Relation) -> ConflictBuilder<'v> {
         let plans: Vec<DcPlan> = dcs.iter().map(|d| d.plan().saturate_equalities()).collect();
         let max_arity = plans.iter().map(DcPlan::arity).max().unwrap_or(0);
         // A group stands for all its `k`-subsets, so a capacity DC takes
@@ -303,29 +487,107 @@ impl ConflictBuilder {
                 disjoint.then_some(shape)
             })
             .collect();
+        let mut filters = UnaryFilterSet::default();
+        let var_filter: Vec<Vec<usize>> = plans
+            .iter()
+            .map(|p| {
+                let live = !p.never_holds();
+                (0..p.arity())
+                    .filter(|_| live)
+                    .map(|var| filters.intern(p.unary_filters(var)))
+                    .collect()
+            })
+            .collect();
+        // A window group stands for its pairs the same way, so a window
+        // pair takes the window route only when no other live pair DC can
+        // emit one of them. Window pairs reading one filter's candidates by
+        // one column share that run.
+        let (mut win_keys, mut win_cols) = (Vec::new(), Vec::new());
+        let windows: Vec<Option<WindowPlan>> = plans
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let routed = p.is_window_pair()
+                    && p.capacity_shape().is_none()
+                    && plans.iter().enumerate().all(|(j, q)| {
+                        j == i || q.never_holds() || q.arity() != 2 || p.shares_no_edge_with(q)
+                    });
+                if !routed {
+                    return None;
+                }
+                let atom = p.binary_atoms().first().copied();
+                let runs = [0, 1].map(|var| {
+                    let col = atom.map(|a| if a.lvar == var { a.lcol } else { a.rcol });
+                    let col = col.map(|c| intern(&mut win_cols, c));
+                    intern(&mut win_keys, (var_filter[i][var], col))
+                });
+                Some(WindowPlan { atom, runs })
+            })
+            .collect();
         let mut bulk_slot = vec![None; plans.len()];
         let mut n_bulk = 0usize;
         for (i, p) in plans.iter().enumerate() {
             // The registry masks are u64s, so at most 64 DCs can be
             // bulk-emitted; any excess enumerates (identical edges, just
             // slower).
-            if groups[i].is_none() && p.is_bulk_pair() && !p.never_holds() && n_bulk < 64 {
+            if groups[i].is_none()
+                && windows[i].is_none()
+                && p.is_bulk_pair()
+                && !p.never_holds()
+                && n_bulk < 64
+            {
                 bulk_slot[i] = Some(n_bulk as u8);
                 n_bulk += 1;
             }
         }
         let mut dc_order: Vec<usize> = (0..plans.len()).collect();
         dc_order.sort_by_key(|&i| (bulk_slot[i].is_none(), i));
+        let atom_views: Vec<Option<Vec<_>>> = plans
+            .iter()
+            .map(|p| {
+                let typed =
+                    |a: &BinaryAtomPlan| Some((view.int_view(a.lcol)?, view.int_view(a.rcol)?));
+                let views = p
+                    .binary_atoms()
+                    .iter()
+                    .map(typed)
+                    .collect::<Option<Vec<_>>>();
+                views.filter(|_| !p.never_holds())
+            })
+            .collect();
+        // The predicates the registry dedup tests re-evaluate. A dead
+        // single-atom DC keeps `None`: it registers no membership, so its
+        // entry is never read.
+        let mut bulk_preds = vec![None; n_bulk];
+        let mut bulk_uncond = 0u64;
+        for (i, plan) in plans.iter().enumerate() {
+            let Some(k) = bulk_slot[i] else { continue };
+            match (plan.binary_atoms(), atom_views[i].as_deref()) {
+                ([], _) => bulk_uncond |= 1u64 << k,
+                ([atom], Some(&[(lview, rview)])) => {
+                    bulk_preds[k as usize] = Some(BulkPred {
+                        atom: *atom,
+                        lview,
+                        rview,
+                    })
+                }
+                ([_], _) => {}
+                _ => unreachable!("bulk slots hold at most one binary atom"),
+            }
+        }
+        let masks = filters.classify(view);
         ConflictBuilder {
-            plans,
-            groups,
-            dc_order,
-            bulk_slot,
-            n_bulk,
+            filter_cands: vec![Vec::new(); filters.filters.len()],
+            row_masks: Vec::new(),
             bulk_a: Vec::new(),
             bulk_b: Vec::new(),
             bulk_run: Vec::new(),
-            cands: Vec::new(),
+            win_runs: vec![Vec::new(); win_keys.len()],
+            win_run_state: vec![RunState::Stale; win_keys.len()],
+            win_cells: vec![Vec::new(); win_cols.len()],
+            win_cells_built: vec![false; win_cols.len()],
+            win_ranges: Default::default(),
+            win_members: Vec::new(),
             chosen: vec![0; max_arity],
             member: Vec::new(),
             generation: 0,
@@ -335,15 +597,36 @@ impl ConflictBuilder {
             drivers: Vec::new(),
             driver_ix: Vec::new(),
             stats: ConflictStats::default(),
+            compiled: Arc::new(Compiled {
+                view,
+                plans,
+                groups,
+                windows,
+                var_filter,
+                atom_views,
+                masks,
+                dc_order,
+                bulk_slot,
+                n_bulk,
+                bulk_preds,
+                bulk_uncond,
+                win_keys,
+                win_cols,
+            }),
         }
     }
 
     /// The route DC `dc` (an index into the builder's DC list) takes.
     pub fn route(&self, dc: usize) -> DcRoute {
-        if self.groups[dc].is_some() {
+        let c = &self.compiled;
+        if c.groups[dc].is_some() {
             DcRoute::Groups
-        } else if self.plans[dc].capacity_shape().is_some() {
+        } else if c.plans[dc].capacity_shape().is_some() {
             DcRoute::CapacityEdges
+        } else if c.windows[dc].is_some() {
+            DcRoute::Windows
+        } else if c.bulk_slot[dc].is_some() {
+            DcRoute::Bulk
         } else {
             DcRoute::Edges
         }
@@ -359,15 +642,16 @@ impl ConflictBuilder {
         std::mem::take(&mut self.stats)
     }
 
-    /// Builds the conflict hypergraph over `rows` of `view` (vertex `i`
-    /// corresponds to `rows[i]`): explicit edges plus the capacity DCs'
-    /// clique groups.
-    pub fn build(&mut self, view: &Relation, rows: &[RowId]) -> Hypergraph {
+    /// Builds the conflict hypergraph over `rows` of the builder's view
+    /// (vertex `i` corresponds to `rows[i]`): explicit edges plus the
+    /// capacity DCs' clique groups and the window pairs' window groups.
+    pub fn build(&mut self, rows: &[RowId]) -> Hypergraph {
+        let c = Arc::clone(&self.compiled);
         let mut g = Hypergraph::new(rows.len());
         if self.member.len() < rows.len() {
             self.member.resize(rows.len(), 0);
         }
-        if self.n_bulk > 0 {
+        if c.n_bulk > 0 {
             if self.bulk_a.len() < rows.len() {
                 self.bulk_a.resize(rows.len(), 0);
                 self.bulk_b.resize(rows.len(), 0);
@@ -375,123 +659,67 @@ impl ConflictBuilder {
             self.bulk_a[..rows.len()].fill(0);
             self.bulk_b[..rows.len()].fill(0);
         }
-        let plans = std::mem::take(&mut self.plans);
-        let dc_order = std::mem::take(&mut self.dc_order);
-        // Per-slot predicate table for the registry dedup tests. A
-        // single-atom bulk DC whose columns fail to type as integers stays
-        // `None`: `build_one_dc` kills such a DC before it registers any
-        // membership bit, so its entry is never consulted.
-        let mut bulk_preds: Vec<Option<BulkPred<'_>>> = Vec::new();
-        let mut bulk_uncond = 0u64;
-        if self.n_bulk > 0 {
-            bulk_preds.resize_with(self.n_bulk, || None);
-            for (i, plan) in plans.iter().enumerate() {
-                let Some(k) = self.bulk_slot[i] else { continue };
-                match plan.binary_atoms() {
-                    [] => bulk_uncond |= 1u64 << k,
-                    [atom] => {
-                        if let (Some(l), Some(r)) =
-                            (view.int_view(atom.lcol), view.int_view(atom.rcol))
-                        {
-                            bulk_preds[k as usize] = Some(BulkPred {
-                                atom: *atom,
-                                lview: l,
-                                rview: r,
-                            });
-                        }
-                    }
-                    _ => unreachable!("bulk slots hold at most one binary atom"),
+        self.win_run_state.fill(RunState::Stale);
+        self.win_cells_built.fill(false);
+        // Every filter's candidates in one pass over the rows' masks. The
+        // masks are gathered first, in a loop of independent loads: the
+        // rows lie scattered over the view.
+        let mut filter_cands = std::mem::take(&mut self.filter_cands);
+        filter_cands.iter_mut().for_each(Vec::clear);
+        self.row_masks.clear();
+        self.row_masks
+            .extend(rows.iter().flat_map(|&row| c.masks.of(row)));
+        for (pos, mask) in self
+            .row_masks
+            .chunks_exact(c.masks.words.max(1))
+            .enumerate()
+        {
+            for (w, &word) in mask.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    filter_cands[w * 64 + bits.trailing_zeros() as usize].push(pos as u32);
+                    bits &= bits - 1;
                 }
             }
         }
-        for &ix in &dc_order {
-            let bulk = self.bulk_slot[ix];
-            self.build_one_dc(
-                view,
-                rows,
-                &plans[ix],
-                self.groups[ix],
-                bulk,
-                &bulk_preds,
-                bulk_uncond,
-                &mut g,
-            );
+        for &ix in &c.dc_order {
+            self.build_one_dc(&c, rows, ix, &filter_cands, &mut g);
         }
-        self.plans = plans;
-        self.dc_order = dc_order;
+        self.filter_cands = filter_cands;
         g
     }
 
-    #[allow(clippy::too_many_arguments)] // private per-DC driver of `build`
     fn build_one_dc(
         &mut self,
-        view: &Relation,
+        c: &Compiled<'_>,
         rows: &[RowId],
-        plan: &DcPlan,
-        capacity: Option<CapacityShape>,
-        bulk: Option<u8>,
-        bulk_preds: &[Option<BulkPred<'_>>],
-        bulk_uncond: u64,
+        ix: usize,
+        filter_cands: &[Vec<u32>],
         g: &mut Hypergraph,
     ) {
-        if plan.never_holds() {
-            // Equality saturation found contradictory atoms at compile
-            // time (e.g. `t1.A = t2.A + 1 ∧ t2.A = t1.A`).
+        let (plan, var_filter) = (&c.plans[ix], c.var_filter[ix].as_slice());
+        // Equality saturation found contradictory atoms at compile time
+        // (e.g. `t1.A = t2.A + 1 ∧ t2.A = t1.A`), a binary atom reads a
+        // non-integer column (so it never holds), or some variable has no
+        // candidate: the DC is dead before any per-DC setup.
+        let Some(atom_views) = c.atom_views[ix].as_deref() else {
+            self.stats.dead_dcs += 1;
+            return;
+        };
+        if var_filter.iter().any(|&f| filter_cands[f].is_empty()) {
             self.stats.dead_dcs += 1;
             return;
         }
+        let view = c.view;
         let arity = plan.arity();
-        // Typed views for every binary atom column. A binary atom over a
-        // non-integer column can never hold (missing/typed-out cells make
-        // the atom false), so the whole DC is dead.
-        let mut atom_views: Vec<(IntColumnView<'_>, IntColumnView<'_>)> =
-            Vec::with_capacity(plan.binary_atoms().len());
-        for atom in plan.binary_atoms() {
-            match (view.int_view(atom.lcol), view.int_view(atom.rcol)) {
-                (Some(l), Some(r)) => atom_views.push((l, r)),
-                _ => {
-                    self.stats.dead_dcs += 1;
-                    return;
-                }
-            }
-        }
+        let cands = |var: usize| filter_cands[var_filter[var]].as_slice();
 
-        // Candidate positions per variable: the unary pre-filter, run
-        // through typed column views (the loop visits |P| · arity rows per
-        // DC and is itself hot on index-free DCs). A capacity DC's
-        // variables share one filter, so it filters once.
-        let filtered = if capacity.is_some() { 1 } else { arity };
-        while self.cands.len() < filtered {
-            self.cands.push(Vec::new());
+        if let Some(shape) = c.groups[ix] {
+            self.emit_groups(view, shape, rows, cands(0), g);
+            return;
         }
-        for var in 0..filtered {
-            let filters: Vec<TypedUnary<'_>> = plan
-                .unary_filters(var)
-                .iter()
-                .map(|f| match f.value {
-                    Value::Int(c) => view
-                        .int_view(f.col)
-                        .map_or(TypedUnary::Never, |cells| TypedUnary::Int(cells, f.op, c)),
-                    Value::Str(s) => view
-                        .sym_view(f.col)
-                        .map_or(TypedUnary::Never, |cells| TypedUnary::Sym(cells, f.op, s)),
-                })
-                .collect();
-            let cand = &mut self.cands[var];
-            cand.clear();
-            for (pos, &row) in rows.iter().enumerate() {
-                if filters.iter().all(|f| f.eval(row)) {
-                    cand.push(pos as u32);
-                }
-            }
-            if cand.is_empty() {
-                self.stats.dead_dcs += 1;
-                return;
-            }
-        }
-
-        if let Some(shape) = capacity {
-            self.emit_groups(shape, view, rows, g);
+        if let Some(window) = c.windows[ix] {
+            self.emit_window_group(c, window, rows, [cands(0), cands(1)], g);
             return;
         }
 
@@ -499,8 +727,8 @@ impl ConflictBuilder {
         // edges directly — no enumeration, no per-edge hashing — after
         // recording membership in the registry masks that later emitters
         // dedup against.
-        if let Some(k) = bulk {
-            self.emit_bulk_pairs(plan, k, rows, &atom_views, bulk_preds, bulk_uncond, g);
+        if let Some(k) = c.bulk_slot[ix] {
+            self.emit_bulk_pairs(c, plan, k, rows, [cands(0), cands(1)], atom_views, g);
             return;
         }
 
@@ -510,7 +738,7 @@ impl ConflictBuilder {
         // their loop), breaking ties by candidate count, then variable
         // index. The var-index tie-break keeps interchangeable variables
         // in original relative order, which the symmetry dedup relies on.
-        plan_order(plan, &self.cands[..arity], &mut self.order);
+        plan_order(plan, |var| cands(var).len(), &mut self.order);
         let order = &self.order;
 
         // Atom schedule: each binary atom runs at the depth where its last
@@ -582,7 +810,7 @@ impl ConflictBuilder {
             let cells = view.int_view(col).expect("validated above");
             let ix = &mut indexes[slot];
             if atom.is_equality() && !ix.has_buckets {
-                for &pos in &self.cands[var] {
+                for &pos in cands(var) {
                     if let Some(v) = cells.get(rows[pos as usize]) {
                         ix.buckets.entry(v).or_default().push(pos);
                     }
@@ -590,8 +818,8 @@ impl ConflictBuilder {
                 ix.has_buckets = true;
                 self.stats.indexes_built += 1;
             } else if !atom.is_equality() && !ix.has_run {
-                ix.run.reserve(self.cands[var].len());
-                for &pos in &self.cands[var] {
+                ix.run.reserve(cands(var).len());
+                for &pos in cands(var) {
                     if let Some(v) = cells.get(rows[pos as usize]) {
                         ix.run.push((v, pos));
                     }
@@ -615,13 +843,14 @@ impl ConflictBuilder {
             sched,
             drivers,
             driver_ix: &self.driver_ix,
-            atom_views: &atom_views,
-            cands: &self.cands[..arity],
+            atom_views,
+            filter_cands,
+            var_filter,
             indexes: &indexes,
             bulk_a: &self.bulk_a,
             bulk_b: &self.bulk_b,
-            bulk_preds,
-            bulk_uncond,
+            bulk_preds: &c.bulk_preds,
+            bulk_uncond: c.bulk_uncond,
         };
         let mut state = EnumState {
             chosen: &mut self.chosen,
@@ -633,18 +862,18 @@ impl ConflictBuilder {
         enumerate(&ctx, &mut state, 0, g);
     }
 
-    /// Adds a capacity DC's clique groups: its candidates (already in
-    /// `self.cands[0]`) grouped by key value, or all of them when the DC
-    /// has no key. Rows missing the key join no group, as they fail every
-    /// `=` atom, and a group under `k` members stands for no edge.
+    /// Adds a capacity DC's clique groups: its candidates `cand` grouped
+    /// by key value, or all of them when the DC has no key. Rows missing
+    /// the key join no group, as they fail every `=` atom, and a group
+    /// under `k` members stands for no edge.
     fn emit_groups(
         &mut self,
-        shape: CapacityShape,
         view: &Relation,
+        shape: CapacityShape,
         rows: &[RowId],
+        cand: &[u32],
         g: &mut Hypergraph,
     ) {
-        let cand = &self.cands[0];
         let Some(key) = shape.key else {
             if cand.len() >= shape.k {
                 g.add_clique_group(shape.k, cand);
@@ -673,45 +902,133 @@ impl ConflictBuilder {
         }
     }
 
-    /// Writes a bulk DC's pairs straight into the graph. The candidate
-    /// sets are already in `self.cands[0..2]`; `k` is the DC's registry
-    /// bit. A pure-unary DC emits a bi-clique (identical candidate sets
-    /// make it a clique, each pair visited once in ascending order); a
-    /// single-atom DC sorts the second variable's candidates by the atom
-    /// column and emits one violation window per first-variable candidate.
-    /// Mirrored visits emit canonically on the one whose first-set element
-    /// is smaller; pairs some earlier bulk DC already owns are skipped via
+    /// Adds a window pair's window group over its two candidate lists.
+    /// With a binary atom, each side's candidates are sorted by the cell
+    /// the atom reads there (a row missing it has no neighbour and joins
+    /// neither run), and two sweeps ([`sweep_windows`]) give every member
+    /// the range of the other side's run it conflicts with. A pure-unary
+    /// pair is the case where every range is the whole other side. Window
+    /// pairs over one filter and column share one sorted run per build. A
+    /// group standing for no edge is not added.
+    fn emit_window_group(
+        &mut self,
+        c: &Compiled<'_>,
+        window: WindowPlan,
+        rows: &[RowId],
+        cands: [&[u32]; 2],
+        g: &mut Hypergraph,
+    ) {
+        let [ia, ib] = window.runs;
+        for (run, cand) in [(ia, cands[0]), (ib, cands[1])] {
+            self.sort_window_run(c, run, cand, rows);
+        }
+        let (run_a, run_b) = (&self.win_runs[ia], &self.win_runs[ib]);
+        let [ranges_a, ranges_b] = &mut self.win_ranges;
+        match &window.atom {
+            None => {
+                ranges_a.clear();
+                ranges_a.resize(run_a.len(), (0, run_b.len() as u32));
+                ranges_b.clear();
+                ranges_b.resize(run_b.len(), (0, run_a.len() as u32));
+            }
+            Some(atom) => {
+                sweep_windows(atom, 1, run_a, run_b, ranges_a);
+                sweep_windows(atom, 0, run_b, run_a, ranges_b);
+            }
+        }
+        if ranges_a.iter().all(|&(lo, hi)| lo == hi) {
+            return;
+        }
+        let [a, b] = window.runs.map(|run| self.graph_run(run, g));
+        g.add_window_group(a, &self.win_ranges[0], b, &self.win_ranges[1]);
+        self.stats.window_groups += 1;
+    }
+
+    /// Sorts window run `run` over its filter's candidates `cand` for this
+    /// build, unless an earlier window pair of the build already did.
+    fn sort_window_run(&mut self, c: &Compiled<'_>, run: usize, cand: &[u32], rows: &[RowId]) {
+        if !matches!(self.win_run_state[run], RunState::Stale) {
+            return;
+        }
+        let sorted = &mut self.win_runs[run];
+        sorted.clear();
+        match c.win_keys[run].1 {
+            None => sorted.extend(cand.iter().map(|&p| (0, p))),
+            Some(col) => {
+                // The rows lie scattered over the view: the column's cells
+                // for all of them are gathered once, in a loop of
+                // independent loads, for every run sorted by it.
+                let cells = &mut self.win_cells[col];
+                if !self.win_cells_built[col] {
+                    let view = c
+                        .view
+                        .int_view(c.win_cols[col])
+                        .expect("build_one_dc kills a DC whose atom column is not integer");
+                    cells.clear();
+                    cells.extend(rows.iter().map(|&r| view.get(r)));
+                    self.win_cells_built[col] = true;
+                }
+                sorted.extend(
+                    cand.iter()
+                        .filter_map(|&p| cells[p as usize].map(|v| (v, p))),
+                );
+                sorted.sort_unstable();
+            }
+        }
+        self.win_run_state[run] = RunState::Sorted;
+    }
+
+    /// Window run `run`'s members in the graph, added on first use.
+    fn graph_run(&mut self, run: usize, g: &mut Hypergraph) -> WindowRun {
+        if let RunState::InGraph(handle) = self.win_run_state[run] {
+            return handle;
+        }
+        self.win_members.clear();
+        self.win_members
+            .extend(self.win_runs[run].iter().map(|&(_, p)| p));
+        let handle = g.add_window_run(&self.win_members);
+        self.win_run_state[run] = RunState::InGraph(handle);
+        handle
+    }
+
+    /// Writes a bulk DC's pairs straight into the graph. `cands` holds its
+    /// two variables' candidates; `k` is the DC's registry bit. A
+    /// pure-unary DC emits a bi-clique (identical candidate sets make it a
+    /// clique, each pair visited once in ascending order); a single-atom
+    /// DC sorts the second variable's candidates by the atom column and
+    /// emits one violation window per first-variable candidate. Mirrored
+    /// visits emit canonically on the one whose first-set element is
+    /// smaller; pairs some earlier bulk DC already owns are skipped via
     /// the registry, so unchecked adds stay unique.
     #[allow(clippy::too_many_arguments)] // private helper of `build_one_dc`
     fn emit_bulk_pairs(
         &mut self,
+        c: &Compiled<'_>,
         plan: &DcPlan,
         k: u8,
         rows: &[RowId],
+        [ca, cb]: [&[u32]; 2],
         atom_views: &[(IntColumnView<'_>, IntColumnView<'_>)],
-        bulk_preds: &[Option<BulkPred<'_>>],
-        bulk_uncond: u64,
         g: &mut Hypergraph,
     ) {
         debug_assert_eq!(plan.arity(), 2);
         let bit = 1u64 << k;
         let earlier = bit - 1;
         let emitted_before = |a: &[u64], b: &[u64], s: u32, t: u32| {
-            bulk_emitted(rows, a, b, bulk_preds, bulk_uncond, earlier, (s, t))
+            bulk_emitted(rows, a, b, &c.bulk_preds, c.bulk_uncond, earlier, (s, t))
         };
+        for &p in ca {
+            self.bulk_a[p as usize] |= bit;
+        }
+        for &p in cb {
+            self.bulk_b[p as usize] |= bit;
+        }
         if let [atom] = plan.binary_atoms() {
             // Single-atom DC: one sorted run over variable 1's candidates,
             // keyed by the column the atom reads there; each variable-0
             // candidate probes its violation window (the bulk analogue of
             // the enumerate driver probe — same pairs, no per-pair
             // verification or hashing).
-            let (ca, cb) = (&self.cands[0], &self.cands[1]);
-            for &p in ca {
-                self.bulk_a[p as usize] |= bit;
-            }
-            for &p in cb {
-                self.bulk_b[p as usize] |= bit;
-            }
             let (lv, rv) = &atom_views[0];
             let (v0_view, v1_view) = if atom.lvar == 0 { (lv, rv) } else { (rv, lv) };
             let own = BulkPred {
@@ -727,7 +1044,7 @@ impl ConflictBuilder {
                 }
             }
             run.sort_unstable();
-            for &u in &self.cands[0] {
+            for &u in ca {
                 // A missing cell fails the atom against every partner.
                 let Some(o) = v0_view.get(rows[u as usize]) else {
                     continue;
@@ -757,13 +1074,6 @@ impl ConflictBuilder {
             }
             self.bulk_run = run;
         } else {
-            let (ca, cb) = (&self.cands[0], &self.cands[1]);
-            for &p in ca {
-                self.bulk_a[p as usize] |= bit;
-            }
-            for &p in cb {
-                self.bulk_b[p as usize] |= bit;
-            }
             g.reserve_edges(ca.len() * cb.len(), 2);
             for &u in ca {
                 for &v in cb {
@@ -791,13 +1101,20 @@ impl ConflictBuilder {
     }
 }
 
+/// The index of `key` in `keys`, appending it when new.
+fn intern<T: PartialEq>(keys: &mut Vec<T>, key: T) -> usize {
+    keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+        keys.push(key);
+        keys.len() - 1
+    })
+}
+
 /// The (up to two) ranges of the sorted run `run` of `var`'s cells that
 /// satisfy `atom` against the other side's cell `o`: one window for an
 /// ordering atom or an equality (its equal run), two for `≠` (the
-/// complement). The bound `o ± offset` is taken in `i128`, so it is exact
-/// for every offset; one clamp per search keeps the run's comparisons in
-/// `i64`, and a bound beyond either end of `i64` selects the whole run or
-/// none of it.
+/// complement). The bound (see [`probe_bound`]) is exact for every
+/// offset; one clamp per search keeps the run's comparisons in `i64`, and
+/// a bound beyond either end of `i64` selects the whole run or none of it.
 fn probe_windows(
     atom: &BinaryAtomPlan,
     var: usize,
@@ -810,23 +1127,69 @@ fn probe_windows(
         Err(_) if b < 0 => 0,
         Err(_) => run.len(),
     };
-    // The window is `l ◦ (o + off)` when `var` is the atom's left side;
-    // otherwise `o ◦ (r + off)` ⇔ `r ◦' (o − off)` with the comparison
-    // flipped.
+    let (b, flip) = probe_bound(atom, var, o);
+    windows_of(atom.op, flip, run.len(), || upto(b - 1), || upto(b))
+}
+
+/// Every cell of `others` (ascending) probed against the run `run` of
+/// `var`'s cells, as [`probe_windows`] would, for an ordering or `=` atom:
+/// one window per cell, written to `out`. The bound grows with the cell,
+/// so both prefix counts only move forward, and one pass over each run
+/// gives every window.
+fn sweep_windows(
+    atom: &BinaryAtomPlan,
+    var: usize,
+    others: &[(i64, u32)],
+    run: &[(i64, u32)],
+    out: &mut Vec<(u32, u32)>,
+) {
+    debug_assert!(atom.is_equality() || atom.is_range());
+    let (mut below, mut upto) = (0usize, 0usize);
+    out.clear();
+    for &(o, _) in others {
+        let (b, flip) = probe_bound(atom, var, o);
+        while below < run.len() && i128::from(run[below].0) < b {
+            below += 1;
+        }
+        while upto < run.len() && i128::from(run[upto].0) <= b {
+            upto += 1;
+        }
+        let (w, _) = windows_of(atom.op, flip, run.len(), || below, || upto);
+        out.push((w.start as u32, w.end as u32));
+    }
+}
+
+/// The bound `var`'s cells are compared with when the other side's cell is
+/// `o`, in `i128`: the atom reads `l ◦ (o + off)` when `var` is its left
+/// side, and otherwise `o ◦ (r + off)` ⇔ `r ◦' (o − off)`, with the
+/// comparison flipped (the `bool`).
+fn probe_bound(atom: &BinaryAtomPlan, var: usize, o: i64) -> (i128, bool) {
     let (o, off) = (i128::from(o), i128::from(atom.offset));
-    let (b, flip) = if atom.lvar == var {
+    if atom.lvar == var {
         (o + off, false)
     } else {
         (o - off, true)
-    };
-    let (all, none) = (run.len(), 0..0);
-    match (atom.op, flip) {
-        (CmpOp::Eq, _) => (upto(b - 1)..upto(b), none),
-        (CmpOp::Ne, _) => (0..upto(b - 1), upto(b)..all),
-        (CmpOp::Lt, false) | (CmpOp::Gt, true) => (0..upto(b - 1), none),
-        (CmpOp::Le, false) | (CmpOp::Ge, true) => (0..upto(b), none),
-        (CmpOp::Gt, false) | (CmpOp::Lt, true) => (upto(b)..all, none),
-        (CmpOp::Ge, false) | (CmpOp::Le, true) => (upto(b - 1)..all, none),
+    }
+}
+
+/// The windows of a sorted run of `len` cells that satisfy `op` (flipped
+/// when `flip`) against a bound `b`, from the number of cells below `b`
+/// and at most `b`; each count is asked for only when the window needs it.
+fn windows_of(
+    op: CmpOp,
+    flip: bool,
+    len: usize,
+    below: impl Fn() -> usize,
+    upto: impl Fn() -> usize,
+) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+    let none = 0..0;
+    match (op, flip) {
+        (CmpOp::Eq, _) => (below()..upto(), none),
+        (CmpOp::Ne, _) => (0..below(), upto()..len),
+        (CmpOp::Lt, false) | (CmpOp::Gt, true) => (0..below(), none),
+        (CmpOp::Le, false) | (CmpOp::Ge, true) => (0..upto(), none),
+        (CmpOp::Gt, false) | (CmpOp::Lt, true) => (upto()..len, none),
+        (CmpOp::Ge, false) | (CmpOp::Le, true) => (below()..len, none),
     }
 }
 
@@ -839,23 +1202,23 @@ struct EnumState<'a> {
     stats: &'a mut ConflictStats,
 }
 
-/// Variable ordering from the exact per-partition candidate counts (see
-/// `build_one_dc`), written into the reused `order` scratch. `used` is a
-/// bitmask — arity is tiny.
-fn plan_order(plan: &DcPlan, cands: &[Vec<u32>], order: &mut Vec<usize>) {
+/// Variable ordering from the exact per-partition candidate counts
+/// `n_cands(var)` (see `build_one_dc`), written into the reused `order`
+/// scratch. `used` is a bitmask — arity is tiny.
+fn plan_order(plan: &DcPlan, n_cands: impl Fn(usize) -> usize, order: &mut Vec<usize>) {
     let arity = plan.arity();
     order.clear();
     let mut used = 0u64;
     for _ in 0..arity {
         let mut best: Option<(bool, usize, usize)> = None; // (!linked, count, var)
-        for (var, cand) in cands.iter().enumerate().take(arity) {
+        for var in 0..arity {
             if used & (1 << var) != 0 {
                 continue;
             }
             let linked = plan.binary_atoms().iter().any(|a| {
                 a.involves(var) && a.lvar != a.rvar && used & (1 << a.other_var(var)) != 0
             });
-            let key = (!linked, cand.len(), var);
+            let key = (!linked, n_cands(var), var);
             if best.is_none() || key < best.expect("checked") {
                 best = Some(key);
             }
@@ -942,9 +1305,8 @@ fn enumerate(ctx: &DcCtx<'_>, state: &mut EnumState<'_>, depth: usize, g: &mut H
         }
         return;
     }
-    state.stats.scanned_candidates += ctx.cands[var].len();
-    for i in 0..ctx.cands[var].len() {
-        let pos = ctx.cands[var][i];
+    state.stats.scanned_candidates += ctx.cands(var).len();
+    for &pos in ctx.cands(var) {
         try_candidate(ctx, state, depth, var, pos, None, g);
     }
 }
@@ -1085,8 +1447,8 @@ mod tests {
         rows: &[RowId],
         dcs: &[BoundDc],
     ) -> (Hypergraph, ConflictStats) {
-        let mut builder = ConflictBuilder::new(dcs);
-        let built = builder.build(view, rows);
+        let mut builder = ConflictBuilder::new(dcs, view);
+        let built = builder.build(rows);
         let naive = build_conflict_graph_naive(view, rows, dcs);
         let edge_set = |g: &Hypergraph| {
             let mut edges: Vec<Vec<u32>> = g.edges().map(<[u32]>::to_vec).collect();
@@ -1134,16 +1496,17 @@ mod tests {
         let g = build_both(&r1, &rows, &dcs);
         // Owners (pids 1,2,3,4 → vertices 0..4) form one clique group
         // standing for C(4,2)=6 pairwise edges; spouse 24 conflicts with
-        // both 75-year-old owners (2 explicit edges); children (age 10)
-        // conflict with the multi-lingual 75-year-old owner via DC_OC_low
-        // (10 < 75−50) — and with no one else: for the multi-lingual
-        // 25-year-old, 10 > 25−12 is false.
-        assert_eq!((g.n_groups(), g.n_edges()), (1, 2 + 2));
+        // both 75-year-old owners (a window group of 2 edges); children
+        // (age 10) conflict with the multi-lingual 75-year-old owner via
+        // DC_OC_low (10 < 75−50) — and with no one else: for the
+        // multi-lingual 25-year-old, 10 > 25−12 is false (another window
+        // group of 2). The `-up` DCs violate nothing here and add no group.
+        assert_eq!((g.n_groups(), g.n_window_groups(), g.n_edges()), (1, 2, 0));
         assert_eq!(total_edges(&g), 6 + 2 + 2);
         // NYC partition: two owners, one group of one edge.
         let rows: Vec<RowId> = vec![7, 8];
         let g = build_both(&r1, &rows, &dcs);
-        assert_eq!((g.n_groups(), g.n_edges()), (1, 0));
+        assert_eq!((g.n_groups(), g.n_window_groups(), g.n_edges()), (1, 0, 0));
         assert_eq!(total_edges(&g), 1);
     }
 
@@ -1246,7 +1609,7 @@ mod tests {
                 r#"!(t1.Kind = "a" & t2.Kind = "a" & t1.Key = t2.Key & t1.fk = t2.fk)"#,
             ],
         );
-        let builder = ConflictBuilder::new(&dcs);
+        let builder = ConflictBuilder::new(&dcs, &r);
         assert_eq!(builder.route(0), DcRoute::Groups);
         assert_eq!(builder.route(1), DcRoute::Groups);
         let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
@@ -1282,7 +1645,7 @@ mod tests {
         let routes = |dcs: &[&str]| {
             let bound = bind_all(&r, dcs);
             build_both(&r, &rows, &bound);
-            let builder = ConflictBuilder::new(&bound);
+            let builder = ConflictBuilder::new(&bound, &r);
             (0..dcs.len()).map(|i| builder.route(i)).collect::<Vec<_>>()
         };
         use DcRoute::*;
@@ -1297,14 +1660,108 @@ mod tests {
             routes(&[excl_a, excl_b, same_key]),
             [CapacityEdges, CapacityEdges, CapacityEdges]
         );
-        // A gap pair whose second variable is pinned off `a`.
+        // A gap pair whose second variable is pinned off `a`: disjoint from
+        // the exclusive, and a window pair of its own.
         assert_eq!(
             routes(&[
                 excl_a,
                 r#"!(t1.Kind = "a" & t2.Kind = "b" & t2.Key > t1.Key & t1.fk = t2.fk)"#
             ]),
-            [Groups, Edges]
+            [Groups, Windows]
         );
+    }
+
+    #[test]
+    fn window_pairs_emit_window_groups_that_match_the_naive_builder() {
+        let r = keyed_fixture(&[
+            (Some(40), "o"),
+            (Some(30), "c"),
+            (Some(20), "c"),
+            (None, "c"),
+            (Some(35), "o"),
+            (Some(42), "s"),
+            (Some(37), "s"),
+            (None, "o"),
+            (Some(10), "p"),
+            (Some(70), "g"),
+            (Some(25), "o"),
+            (Some(27), "s"),
+            (Some(50), "c"),
+            (Some(12), "q"),
+            (Some(45), "q"),
+            (Some(60), "g"),
+        ]);
+        let dcs = bind_all(
+            &r,
+            &[
+                // A `-low`/`-up` pair: one column pair, windows apart.
+                r#"!(t1.Kind = "o" & t2.Kind = "c" & t2.Key < t1.Key - 5 & t1.fk = t2.fk)"#,
+                r#"!(t1.Kind = "o" & t2.Kind = "c" & t2.Key > t1.Key + 3 & t1.fk = t2.fk)"#,
+                // An `=` window.
+                r#"!(t1.Kind = "o" & t2.Kind = "s" & t2.Key = t1.Key + 2 & t1.fk = t2.fk)"#,
+                // A pure-unary bi-clique.
+                r#"!(t1.Kind = "s" & t2.Kind = "p" & t1.fk = t2.fk)"#,
+                // Two pairs that may share an edge: both stay on bulk edges.
+                r#"!(t1.Kind = "o" & t1.Key < 30 & t2.Kind = "g" & t1.fk = t2.fk)"#,
+                r#"!(t1.Kind = "o" & t2.Kind = "g" & t2.Key > t1.Key + 25 & t1.fk = t2.fk)"#,
+                // The window written from the second variable.
+                r#"!(t1.Kind = "q" & t2.Kind = "o" & t1.Key >= t2.Key & t1.fk = t2.fk)"#,
+            ],
+        );
+        let builder = ConflictBuilder::new(&dcs, &r);
+        let routes: Vec<DcRoute> = (0..dcs.len()).map(|i| builder.route(i)).collect();
+        use DcRoute::*;
+        assert_eq!(
+            routes,
+            [Windows, Windows, Windows, Windows, Bulk, Bulk, Windows]
+        );
+        let all: Vec<RowId> = (0..16).collect();
+        for rows in [all, vec![3, 0, 8, 5, 13, 10, 1, 11], vec![7, 3, 9]] {
+            let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
+            // Only the bulk pairs store edges.
+            let bulk = build_conflict_graph_naive(&r, &rows, &dcs[4..6]);
+            assert_eq!(g.n_edges(), bulk.n_edges(), "{rows:?}");
+            assert_eq!(stats.window_groups, g.n_window_groups(), "{rows:?}");
+        }
+        let (g, stats) = build_both_with_stats(&r, &(0..16).collect::<Vec<_>>(), &dcs);
+        // Every window DC has a violation here: owner 40 beside children
+        // 30 and 20, 50; spouses 42/37/27 two above owners; the bi-clique
+        // spouses × partner; the `q` rows at or above some owner.
+        assert_eq!(stats.window_groups, 5);
+        assert!(g.n_edges() > 0);
+    }
+
+    /// DCs with 68 distinct unary filters, so every row's filter mask
+    /// spans two words: 33 bulk gap pairs whose two filters are all
+    /// distinct, a window pair and a capacity DC.
+    #[test]
+    fn more_than_64_filters_classify_into_two_mask_words() {
+        let r = ages_fixture(24);
+        let mut texts: Vec<String> = (0..33)
+            .map(|i| {
+                format!(
+                    "!(t1.Grp = 0 & t1.Age > {} & t2.Grp = 1 & t2.Age < {} & t2.Age < t1.Age + {} & t1.fk = t2.fk)",
+                    i,
+                    60 - i,
+                    i % 7
+                )
+            })
+            .collect();
+        texts.push("!(t1.Grp = 2 & t2.Grp = 0 & t2.Age = t1.Age + 1 & t1.fk = t2.fk)".into());
+        texts.push("!(t1.Grp = 2 & t2.Grp = 2 & t1.fk = t2.fk)".into());
+        let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let dcs = bind_all(&r, &texts);
+        let builder = ConflictBuilder::new(&dcs, &r);
+        assert_eq!(builder.filter_cands.len(), 68);
+        assert_eq!(builder.compiled.masks.words, 2);
+        assert_eq!(builder.route(0), DcRoute::Bulk);
+        assert_eq!(builder.route(33), DcRoute::Windows);
+        assert_eq!(builder.route(34), DcRoute::Groups);
+        let all: Vec<RowId> = (0..24).collect();
+        for rows in [all, (5..24).rev().collect(), vec![2, 23, 11, 7, 14]] {
+            let (g, _) = build_both_with_stats(&r, &rows, &dcs);
+            assert!(total_edges(&g) > 0, "{rows:?}");
+        }
     }
 
     /// Persons with a mix of categorical and integer attributes, used by
@@ -1516,10 +1973,10 @@ mod tests {
     fn builder_reuse_and_stats() {
         let (r1, dcs) = running_r1();
         let rows: Vec<RowId> = (0..7).collect(); // owners + spouse + children
-        let mut builder = ConflictBuilder::new(&dcs);
-        let a = builder.build(&r1, &rows);
+        let mut builder = ConflictBuilder::new(&dcs, &r1);
+        let a = builder.build(&rows);
         let once = builder.stats();
-        let b = builder.build(&r1, &rows);
+        let b = builder.build(&rows);
         assert_eq!(a.n_edges(), b.n_edges(), "builder reuse changed output");
         let mut twice = once;
         twice.absorb(&once);

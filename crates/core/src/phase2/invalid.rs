@@ -32,40 +32,62 @@ pub(crate) fn conflicts_with_household(
     let mut pool = Vec::with_capacity(others.len() + 1);
     pool.push(r);
     pool.extend_from_slice(others);
-    let mut chosen: Vec<usize> = Vec::new();
-    dcs.iter().any(|dc| {
-        if dc.arity > pool.len() {
-            return false;
-        }
-        assignment_holds(r1, dc, &pool, &mut chosen)
+    let mut pick = Pick {
+        chosen: Vec::new(),
+        rows: Vec::new(),
+    };
+    dcs.iter()
+        .any(|dc| dc.arity <= pool.len() && assignment_holds(r1, dc, &pool, &mut pick))
+}
+
+/// Scratch for [`assignment_holds`]: the pool index per variable, and the
+/// rows they name at a complete assignment.
+struct Pick {
+    chosen: Vec<usize>,
+    rows: Vec<RowId>,
+}
+
+/// `true` if some assignment of distinct pool members to the DC's
+/// variables that gives `pool[0]` (the new tuple) to one of them satisfies
+/// φ. `pool[0]` is pinned to each variable whose unary atoms it passes in
+/// turn, and the other variables range over the household, `pool[1..]`.
+fn assignment_holds(r1: &Relation, dc: &BoundDc, pool: &[RowId], pick: &mut Pick) -> bool {
+    (0..dc.arity).any(|pin| {
+        pick.chosen.clear();
+        pick.chosen.resize(dc.arity, 0);
+        dc.var_candidate(r1, pin, pool[0]) && fill(r1, dc, pool, pin, 0, pick)
     })
 }
 
-/// Tries every assignment of distinct pool members to the DC's variables
-/// that uses pool[0] (the new tuple) at least once.
-fn assignment_holds(r1: &Relation, dc: &BoundDc, pool: &[RowId], chosen: &mut Vec<usize>) -> bool {
-    if chosen.len() == dc.arity {
-        if !chosen.contains(&0) {
-            return false; // must involve the new tuple
-        }
-        let rows: Vec<RowId> = chosen.iter().map(|&i| pool[i]).collect();
-        return dc.holds(r1, &rows);
+/// Assigns household members to the variables from `var` on, skipping the
+/// pinned one, and evaluates φ on each complete assignment.
+fn fill(
+    r1: &Relation,
+    dc: &BoundDc,
+    pool: &[RowId],
+    pin: usize,
+    var: usize,
+    pick: &mut Pick,
+) -> bool {
+    if var == dc.arity {
+        pick.rows.clear();
+        pick.rows.extend(pick.chosen.iter().map(|&i| pool[i]));
+        return dc.holds(r1, &pick.rows);
     }
-    let var = chosen.len();
-    for i in 0..pool.len() {
-        if chosen.contains(&i) {
+    if var == pin {
+        return fill(r1, dc, pool, pin, var + 1, pick);
+    }
+    for i in 1..pool.len() {
+        // Distinct tuples (the pinned variable holds index 0, which no
+        // other variable takes), then a cheap pre-filter on this
+        // variable's unary atoms.
+        if pick.chosen[..var].contains(&i) || !dc.var_candidate(r1, var, pool[i]) {
             continue;
         }
-        // Cheap pre-filter on this variable's unary atoms.
-        if !dc.var_candidate(r1, var, pool[i]) {
-            continue;
-        }
-        chosen.push(i);
-        if assignment_holds(r1, dc, pool, chosen) {
-            chosen.pop();
+        pick.chosen[var] = i;
+        if fill(r1, dc, pool, pin, var + 1, pick) {
             return true;
         }
-        chosen.pop();
     }
     false
 }
@@ -360,6 +382,83 @@ mod tests {
         );
         place(&mut ctx, &invalid, &instance, true).unwrap();
         assert_eq!(ctx.record[2], 3, "the Chicago house");
+    }
+
+    /// The reference: every assignment of distinct pool members to the
+    /// DC's variables, kept when it uses `pool[0]`, evaluated whole.
+    fn brute_force_conflicts(r1: &Relation, dcs: &[BoundDc], pool: &[RowId]) -> bool {
+        fn any_assignment(
+            r1: &Relation,
+            dc: &BoundDc,
+            pool: &[RowId],
+            chosen: &mut Vec<usize>,
+        ) -> bool {
+            if chosen.len() == dc.arity {
+                let rows: Vec<RowId> = chosen.iter().map(|&i| pool[i]).collect();
+                return chosen.contains(&0) && dc.holds(r1, &rows);
+            }
+            (0..pool.len()).any(|i| {
+                if chosen.contains(&i) {
+                    return false;
+                }
+                chosen.push(i);
+                let holds = any_assignment(r1, dc, pool, chosen);
+                chosen.pop();
+                holds
+            })
+        }
+        dcs.iter()
+            .any(|dc| any_assignment(r1, dc, pool, &mut Vec::new()))
+    }
+
+    #[test]
+    fn the_pinned_household_check_matches_brute_force() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let r1 = fixtures::persons();
+        let texts = [
+            r#"!(t1.Rel = "Owner" & t2.Rel = "Owner" & t1.hid = t2.hid)"#,
+            r#"!(t1.Rel = "Owner" & t2.Rel = "Spouse" & t2.Age < t1.Age - 50 & t1.hid = t2.hid)"#,
+            r#"!(t1.Multi-ling = 1 & t2.Age < t1.Age - 14 & t1.hid = t2.hid)"#,
+            "!(t1.Age < t2.Age & t2.Age < t3.Age & t1.hid = t2.hid & t2.hid = t3.hid)",
+            r#"!(t1.Rel = "Child" & t2.Rel = "Child" & t3.Rel = "Owner" & t1.hid = t2.hid & t2.hid = t3.hid)"#,
+            r#"!(t1.Rel = "Owner" & t2.Age = t1.Age & t3.Multi-ling = 0 & t1.hid = t2.hid & t2.hid = t3.hid)"#,
+        ];
+        let dcs: Vec<BoundDc> = texts
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                parse_dc(&format!("d{i}"), t, "hid")
+                    .unwrap()
+                    .bind(r1.schema(), r1.name())
+                    .unwrap()
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut conflicts, mut clean) = (0, 0);
+        for _ in 0..400 {
+            let mut pool: Vec<RowId> = (0..r1.n_rows()).collect();
+            for i in 0..pool.len() {
+                let j = rng.gen_range(i..pool.len());
+                pool.swap(i, j);
+            }
+            pool.truncate(rng.gen_range(1..=5));
+            for dc in &dcs {
+                let one = std::slice::from_ref(dc);
+                let want = brute_force_conflicts(&r1, one, &pool);
+                assert_eq!(
+                    conflicts_with_household(&r1, one, pool[0], &pool[1..]),
+                    want,
+                    "pool {pool:?}"
+                );
+                if want {
+                    conflicts += 1;
+                } else {
+                    clean += 1;
+                }
+            }
+        }
+        assert!(conflicts > 100 && clean > 100, "{conflicts} / {clean}");
     }
 
     #[test]

@@ -253,8 +253,10 @@ pub(crate) fn run_phase2(
                 partitions.len(),
                 partitions.iter().map(|p| p.1.len()).max()
             );
-            // Compile the DC plans once; workers color with clones.
-            let builder = ConflictBuilder::new(&dcs);
+            // Compile the DC plans and classify `R1`'s rows into their
+            // unary filters once, inside this stage; workers color with
+            // clones that share the row masks.
+            let builder = ConflictBuilder::new(&dcs, r1);
             let mut index_stats = ConflictStats::default();
             drop(partition_stage);
 
@@ -268,7 +270,6 @@ pub(crate) fn run_phase2(
             // reports every skipped vertex.
             let mut refused = false;
             assign::color_partitions_streamed(
-                r1,
                 &partitions,
                 config.coloring,
                 builder,
@@ -333,12 +334,14 @@ pub(crate) fn run_phase2(
             cextend_obs::counter_add("phase2.index_hash", index_stats.index_hash as u64);
             cextend_obs::counter_add("phase2.index_sorted", index_stats.index_sorted as u64);
             cextend_obs::counter_add("phase2.capacity_groups", index_stats.capacity_groups as u64);
+            cextend_obs::counter_add("phase2.window_groups", index_stats.window_groups as u64);
             tracef!(
-                "phase2: conflict ({} edges, {} capacity groups): {} hash / {} sorted depths, \
-                 {} indexes, {} eq probes, {} range probes, {} scanned candidates, \
-                 {} dead DCs, {} dedup hits",
+                "phase2: conflict ({} edges, {} capacity groups, {} window groups): \
+                 {} hash / {} sorted depths, {} indexes, {} eq probes, {} range probes, \
+                 {} scanned candidates, {} dead DCs, {} dedup hits",
                 stats.counters.conflict_edges,
                 index_stats.capacity_groups,
+                index_stats.window_groups,
                 index_stats.index_hash,
                 index_stats.index_sorted,
                 index_stats.indexes_built,

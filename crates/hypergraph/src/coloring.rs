@@ -11,7 +11,9 @@
 //! Clique groups apply the same rule by counting: a group of arity `k`
 //! forbids color `c` for a member exactly when `k − 1` other members
 //! already hold `c` — the case in which one of its implicit edges would
-//! have all its other vertices colored `c`.
+//! have all its other vertices colored `c`. Window groups apply it by
+//! walking each of the vertex's windows: every colored vertex in one
+//! forbids its color, as the pair edge to it would.
 
 use crate::graph::{Color, Coloring, Hypergraph, VertexId};
 use std::collections::HashMap;
@@ -160,7 +162,8 @@ impl CandidateLists<'_> {
 ///
 /// Matches Algorithm 3: already-colored vertices are left untouched; each
 /// uncolored vertex gets `min(L(v) \ forbidden)` or is skipped. Forbidden
-/// colors come from the explicit edges and the groups' counts alike.
+/// colors come from the explicit edges, the clique groups' counts and the
+/// window groups' ranges alike.
 pub fn coloring_lf(
     g: &Hypergraph,
     coloring: &mut Coloring,
@@ -187,6 +190,7 @@ pub fn coloring_lf(
             }
         }
         groups.forbid(g, v, &mut forbidden);
+        forbid_window_colors(g, coloring, v, &mut forbidden);
         let choice = candidates
             .get(v)
             .iter()
@@ -229,6 +233,22 @@ fn lone_uncolored_color(
     color
 }
 
+/// Marks the color of every colored vertex in `v`'s windows.
+fn forbid_window_colors(
+    g: &Hypergraph,
+    coloring: &Coloring,
+    v: VertexId,
+    forbidden: &mut ForbiddenSet,
+) {
+    for window in g.windows_of(v) {
+        for &u in window {
+            if let Some(c) = coloring.get(u) {
+                forbidden.mark(c);
+            }
+        }
+    }
+}
+
 /// Colors the `skipped` (still uncolored) vertices with fresh colors
 /// starting at `next_color`, reusing a fresh color across skips when doing
 /// so keeps all edges non-monochromatic (the paper adds "the least number
@@ -258,6 +278,7 @@ pub fn color_skipped_with_fresh(
             }
         }
         groups.forbid(g, v, &mut forbidden);
+        forbid_window_colors(g, coloring, v, &mut forbidden);
         let reuse = fresh.iter().copied().find(|&c| !forbidden.is_marked(c));
         let c = reuse.unwrap_or_else(|| {
             let c = next_color + fresh.len() as Color;
@@ -391,6 +412,33 @@ mod tests {
     }
 
     #[test]
+    fn window_ranges_forbid_their_colors() {
+        // Owners 0 and 1 beside children 2 and 3: owner 0's window holds
+        // child 2 only, owner 1's both children.
+        let mut g = Hypergraph::new(4);
+        let (owners, children) = (g.add_window_run(&[0, 1]), g.add_window_run(&[2, 3]));
+        g.add_window_group(owners, &[(0, 1), (0, 2)], children, &[(0, 2), (1, 2)]);
+        let mut c = Coloring::new(4);
+        c.set(2, 0);
+        c.set(3, 1);
+        let skipped = coloring_lf(&g, &mut c, &CandidateLists::Shared(&[0, 1, 2]));
+        assert!(skipped.is_empty());
+        // Owner 1 goes first (degree 2) and may take neither child's
+        // color; owner 0 only loses child 2's.
+        assert_eq!((c.get(0), c.get(1)), (Some(1), Some(2)));
+        assert!(is_proper_complete(&g, &c));
+        // With no candidate left, the owners share one fresh color: no
+        // window joins them.
+        let mut c = Coloring::new(4);
+        c.set(2, 0);
+        c.set(3, 1);
+        let skipped = coloring_lf(&g, &mut c, &CandidateLists::Shared(&[0, 1]));
+        assert_eq!(skipped, [1]);
+        assert_eq!(color_skipped_with_fresh(&g, &mut c, &skipped, 5), [5]);
+        assert_eq!((c.get(0), c.get(1)), (Some(1), Some(5)));
+    }
+
+    #[test]
     fn paper_example_5_3_coloring() {
         // Example 5.3: the full conflict graph over all 9 tuples (dashed
         // edges included) with candidate colors 1..6. The paper reports the
@@ -440,19 +488,87 @@ mod proptests {
             })
     }
 
-    /// Random explicit edges plus clique groups with `k` in 2..=4, drawn so
-    /// that no group `k`-subset duplicates an explicit edge or another
-    /// group's subset (a same-`k` group sharing `k` members with an earlier
-    /// one is dropped, and so is an explicit edge inside a group of its
-    /// size).
+    /// Two disjoint runs of valued vertices: members of `a` and `b` in
+    /// ascending value, each side's windows into the other (`b`'s value
+    /// minus `a`'s in `lo ..= hi`), and the pairs they stand for.
+    #[allow(clippy::type_complexity)]
+    fn window_group(
+        n: usize,
+        a: &[(u32, i64)],
+        b: &[(u32, i64)],
+        lo: i64,
+        hi: i64,
+    ) -> (
+        Vec<u32>,
+        Vec<(u32, u32)>,
+        Vec<u32>,
+        Vec<(u32, u32)>,
+        Vec<(u32, u32)>,
+    ) {
+        let mut seen: Vec<u32> = Vec::new();
+        let mut side = |raw: &[(u32, i64)]| {
+            let mut run: Vec<(i64, u32)> = Vec::new();
+            for &(v, x) in raw {
+                let v = v % n as u32;
+                if !seen.contains(&v) {
+                    seen.push(v);
+                    run.push((x, v));
+                }
+            }
+            run.sort_unstable();
+            run
+        };
+        let (ra, rb) = (side(a), side(b));
+        let range = |run: &[(i64, u32)], from: i64, to: i64| {
+            let lo = run.partition_point(|&(x, _)| x < from) as u32;
+            let hi = run.partition_point(|&(x, _)| x <= to) as u32;
+            (lo, hi.max(lo))
+        };
+        let aw: Vec<(u32, u32)> = ra
+            .iter()
+            .map(|&(x, _)| range(&rb, x + lo, x + hi))
+            .collect();
+        let bw: Vec<(u32, u32)> = rb
+            .iter()
+            .map(|&(y, _)| range(&ra, y - hi, y - lo))
+            .collect();
+        let mut pairs = Vec::new();
+        for (&(_, u), &(l, h)) in ra.iter().zip(&aw) {
+            for &(_, v) in &rb[l as usize..h as usize] {
+                pairs.push((u.min(v), u.max(v)));
+            }
+        }
+        let members = |run: &[(i64, u32)]| run.iter().map(|&(_, v)| v).collect::<Vec<_>>();
+        (members(&ra), aw, members(&rb), bw, pairs)
+    }
+
+    /// Random window groups, clique groups with `k` in 2..=4 and explicit
+    /// edges, drawn so that no implicit edge duplicates an explicit edge or
+    /// another group's edge (a window group meeting an earlier one's pairs
+    /// is dropped, so is a same-`k` group sharing `k` members with an
+    /// earlier one or a pair group holding a window pair, and so is an
+    /// explicit edge inside a group of its size or on a window pair).
     fn arb_grouped_graph() -> impl Strategy<Value = Hypergraph> {
+        let valued = || proptest::collection::vec((0u32..13, 0i64..6), 1..6);
         (
             4usize..13,
             proptest::collection::vec((2usize..5, proptest::collection::vec(0u32..13, 2..9)), 0..5),
             proptest::collection::vec(proptest::collection::vec(0u32..13, 2..5), 0..16),
+            proptest::collection::vec((valued(), valued(), -3i64..3, 0i64..4), 0..3),
         )
-            .prop_map(|(n, groups, edges)| {
+            .prop_map(|(n, groups, edges, windows)| {
                 let mut g = Hypergraph::new(n);
+                let mut window_pairs: Vec<(u32, u32)> = Vec::new();
+                for (a, b, lo, width) in windows {
+                    let (a, aw, b, bw, pairs) = window_group(n, &a, &b, lo, lo + width);
+                    if pairs.iter().any(|p| window_pairs.contains(p)) {
+                        continue;
+                    }
+                    let (a, b) = (g.add_window_run(&a), g.add_window_run(&b));
+                    g.add_window_group(a, &aw, b, &bw);
+                    window_pairs.extend(pairs);
+                }
+                let on_window = |e: &[u32]| e.len() == 2 && window_pairs.contains(&(e[0], e[1]));
                 let mut kept: Vec<(usize, Vec<u32>)> = Vec::new();
                 for (k, members) in groups {
                     let mut members: Vec<u32> = members.into_iter().map(|v| v % n as u32).collect();
@@ -460,7 +576,10 @@ mod proptests {
                     members.dedup();
                     let overlaps = kept.iter().any(|(k2, m2)| {
                         *k2 == k && members.iter().filter(|v| m2.contains(v)).count() >= k
-                    });
+                    }) || (k == 2
+                        && members
+                            .iter()
+                            .any(|&u| members.iter().any(|&v| on_window(&[u, v]))));
                     if members.len() < k || overlaps {
                         continue;
                     }
@@ -474,7 +593,7 @@ mod proptests {
                     let inside = kept
                         .iter()
                         .any(|(k, m)| *k == e.len() && e.iter().all(|v| m.contains(v)));
-                    if !inside {
+                    if !inside && !on_window(&e) {
                         g.add_edge(&e);
                     }
                 }
@@ -483,10 +602,11 @@ mod proptests {
     }
 
     proptest! {
-        /// Clique groups are their expansion: the greedy pass, fresh-color
-        /// completion, degrees, the largest-first order, properness and the
-        /// exact search all agree between a grouped graph and the same graph
-        /// with every group `k`-subset stored as an explicit edge.
+        /// Clique and window groups are their expansion: the greedy pass,
+        /// fresh-color completion, degrees, the largest-first order,
+        /// properness and the exact search all agree between a grouped
+        /// graph and the same graph with every group edge stored
+        /// explicitly.
         #[test]
         fn group_coloring_matches_expanded_coloring(
             g in arb_grouped_graph(),
@@ -496,7 +616,7 @@ mod proptests {
         ) {
             let e = g.expanded();
             let n = g.n_vertices();
-            prop_assert_eq!(e.n_groups(), 0);
+            prop_assert_eq!((e.n_groups(), e.n_window_groups()), (0, 0));
             prop_assert_eq!(e.n_edges() as u64, g.n_edges() as u64 + g.n_implicit_edges());
             for v in 0..n as VertexId {
                 prop_assert_eq!(g.degree(v), e.degree(v));

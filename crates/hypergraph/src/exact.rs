@@ -25,15 +25,16 @@ pub enum ExactResult {
 ///
 /// Vertices are assigned in non-increasing degree order (most constrained
 /// first). A branch is pruned as soon as an edge becomes monochromatic.
-/// Clique groups are searched in their [expanded](Hypergraph::expanded)
-/// form, so the search sees exactly the edges the groups stand for.
+/// Clique and window groups are searched in their
+/// [expanded](Hypergraph::expanded) form, so the search sees exactly the
+/// edges the groups stand for.
 pub fn exact_list_coloring(
     g: &Hypergraph,
     partial: &Coloring,
     candidates: &CandidateLists<'_>,
     max_steps: usize,
 ) -> ExactResult {
-    if g.n_groups() > 0 {
+    if g.n_groups() > 0 || g.n_window_groups() > 0 {
         return exact_list_coloring(&g.expanded(), partial, candidates, max_steps);
     }
     assert_eq!(partial.len(), g.n_vertices());

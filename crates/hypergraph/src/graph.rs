@@ -6,12 +6,20 @@
 //! every edge — therefore corresponds exactly to a DC-satisfying FK
 //! assignment (Proposition 5.2).
 //!
-//! Besides explicit edges, a graph holds *clique groups*: a group of `n`
-//! members with arity `k` stands for all `C(n, k)` of its `k`-subsets as
-//! edges without storing them. Capacity DCs ("no `k` rows of one class
-//! and one key value share an FK") emit groups instead of enumerating
-//! their `k`-subsets; degrees, the coloring and properness read them
-//! directly, and [`Hypergraph::expanded`] materializes them.
+//! Besides explicit edges, a graph holds two kinds of implicit edges:
+//!
+//! - *Clique groups*: a group of `n` members with arity `k` stands for
+//!   all `C(n, k)` of its `k`-subsets as edges without storing them.
+//!   Capacity DCs ("no `k` rows of one class and one key value share an
+//!   FK") emit groups instead of enumerating their `k`-subsets.
+//! - *Window groups*: two disjoint runs of vertices, each member of one
+//!   run joined by an edge to a contiguous range of the other run. Pair
+//!   DCs whose violations are one window of a sorted column ("a child at
+//!   most 12 years younger than the owner") emit the ranges instead of
+//!   the pairs.
+//!
+//! Degrees, the coloring and properness read both directly, and
+//! [`Hypergraph::expanded`] materializes them.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -72,8 +80,8 @@ struct IncidenceCsr {
 /// were pure overhead). Adding an edge afterwards just drops the cache; the
 /// next query rebuilds it.
 ///
-/// Clique groups (see the module docs) live in a second flat buffer with
-/// their own deferred per-vertex membership lists.
+/// Clique groups and window groups (see the module docs) live in flat
+/// buffers of their own, each with deferred per-vertex membership lists.
 #[derive(Clone, Debug)]
 pub struct Hypergraph {
     n: usize,
@@ -87,6 +95,18 @@ pub struct Hypergraph {
     group_offsets: Vec<u32>,
     group_vertices: Vec<VertexId>,
     group_incidence: OnceLock<IncidenceCsr>,
+    /// Window groups: `window_runs` holds the runs back to back, and
+    /// window slot `s` is vertex `window_slot_vertex[s]` joined to every
+    /// vertex of `window_runs[lo..hi]`, `(lo, hi)` =
+    /// `window_slot_range[s]`. Only members with a non-empty window get a
+    /// slot.
+    window_runs: Vec<VertexId>,
+    window_slot_vertex: Vec<VertexId>,
+    window_slot_range: Vec<(u32, u32)>,
+    window_incidence: OnceLock<IncidenceCsr>,
+    n_window_groups: usize,
+    /// Edges the window groups stand for.
+    window_edges: u64,
     /// Fingerprint → first edge with that fingerprint. Collisions between
     /// distinct edges overflow into `seen_overflow` (checked linearly —
     /// effectively never populated).
@@ -128,12 +148,16 @@ fn binomial(n: u64, k: u64) -> u64 {
     c as u64
 }
 
-/// Builds a CSR over `n` vertices from a flat member buffer delimited by
-/// `offsets`: item `i` (an edge or a group) lists its vertices at
-/// `members[offsets[i] .. offsets[i + 1]]`. A counting pass, a prefix sum
-/// and a fill pass that walks items in ascending id, so each vertex's list
-/// comes out ascending.
-fn build_csr(n: usize, offsets: &[u32], members: &[VertexId]) -> IncidenceCsr {
+/// Builds a CSR over `n` vertices from a flat member buffer: entry `p`
+/// names vertex `members[p]` and belongs to item `item_of(p)` (an edge, a
+/// group or a window slot). `item_of` is called once per entry with `p`
+/// ascending and must not decrease, so a counting pass, a prefix sum and
+/// one fill pass give each vertex its items in ascending order.
+fn build_csr(
+    n: usize,
+    members: &[VertexId],
+    mut item_of: impl FnMut(usize) -> u32,
+) -> IncidenceCsr {
     let mut vertex_offsets = vec![0u32; n + 1];
     for &v in members {
         vertex_offsets[v as usize + 1] += 1;
@@ -143,15 +167,26 @@ fn build_csr(n: usize, offsets: &[u32], members: &[VertexId]) -> IncidenceCsr {
     }
     let mut next = vertex_offsets.clone();
     let mut items = vec![0u32; members.len()];
-    for (i, w) in offsets.windows(2).enumerate() {
-        for &v in &members[w[0] as usize..w[1] as usize] {
-            items[next[v as usize] as usize] = i as u32;
-            next[v as usize] += 1;
-        }
+    for (p, &v) in members.iter().enumerate() {
+        items[next[v as usize] as usize] = item_of(p);
+        next[v as usize] += 1;
     }
     IncidenceCsr {
         offsets: vertex_offsets,
         edges: items,
+    }
+}
+
+/// `item_of` for [`build_csr`] over items delimited by `offsets` (item `i`
+/// spans entries `offsets[i] .. offsets[i + 1]`): a cursor that walks the
+/// offsets as the entries ascend.
+fn item_at(offsets: &[u32]) -> impl FnMut(usize) -> u32 + '_ {
+    let mut i = 0;
+    move |p| {
+        while offsets[i + 1] as usize <= p {
+            i += 1;
+        }
+        i as u32
     }
 }
 
@@ -176,6 +211,12 @@ impl Hypergraph {
             group_offsets: vec![0],
             group_vertices: Vec::new(),
             group_incidence: OnceLock::new(),
+            window_runs: Vec::new(),
+            window_slot_vertex: Vec::new(),
+            window_slot_range: Vec::new(),
+            window_incidence: OnceLock::new(),
+            n_window_groups: 0,
+            window_edges: 0,
             seen: HashMap::default(),
             seen_overflow: Vec::new(),
             scratch: Vec::new(),
@@ -187,8 +228,8 @@ impl Hypergraph {
         self.n
     }
 
-    /// Number of (distinct) explicit edges; clique groups are counted by
-    /// [`Hypergraph::n_implicit_edges`].
+    /// Number of (distinct) explicit edges; clique and window groups are
+    /// counted by [`Hypergraph::n_implicit_edges`].
     pub fn n_edges(&self) -> usize {
         self.edge_offsets.len() - 1
     }
@@ -328,13 +369,19 @@ impl Hypergraph {
     /// The incidence CSR, built on first use (see [`build_csr`]).
     fn incidence(&self) -> &IncidenceCsr {
         self.incidence
-            .get_or_init(|| build_csr(self.n, &self.edge_offsets, &self.edge_vertices))
+            .get_or_init(|| build_csr(self.n, &self.edge_vertices, item_at(&self.edge_offsets)))
     }
 
     /// Per-vertex group membership, built on first use.
     fn group_incidence(&self) -> &IncidenceCsr {
         self.group_incidence
-            .get_or_init(|| build_csr(self.n, &self.group_offsets, &self.group_vertices))
+            .get_or_init(|| build_csr(self.n, &self.group_vertices, item_at(&self.group_offsets)))
+    }
+
+    /// Per-vertex window slots, built on first use.
+    fn window_incidence(&self) -> &IncidenceCsr {
+        self.window_incidence
+            .get_or_init(|| build_csr(self.n, &self.window_slot_vertex, |s| s as u32))
     }
 
     /// Adds a clique group: every `k`-subset of `members` is an edge of the
@@ -399,18 +446,116 @@ impl Hypergraph {
         &inc.edges[lo..hi]
     }
 
-    /// Number of edges the groups stand for: `Σ C(|G|, k)`, saturating.
-    pub fn n_implicit_edges(&self) -> u64 {
-        self.groups().fold(0u64, |total, (k, members)| {
-            total.saturating_add(binomial(members.len() as u64, k as u64))
+    /// Adds a run of vertices for window groups to range over
+    /// ([`add_window_group`](Hypergraph::add_window_group)). One run may
+    /// serve any number of groups.
+    ///
+    /// # Panics
+    /// Panics if a vertex is out of range.
+    pub fn add_window_run(&mut self, members: &[VertexId]) -> WindowRun {
+        for &v in members {
+            assert!(
+                (v as usize) < self.n,
+                "vertex {v} out of range (n = {})",
+                self.n
+            );
+        }
+        let start = self.window_runs.len() as u32;
+        self.window_runs.extend_from_slice(members);
+        WindowRun {
+            start,
+            len: members.len() as u32,
+        }
+    }
+
+    /// Adds a window group over two runs: member `i` of `a` is joined by
+    /// an edge to every member of `b` at positions `lo..hi`, `(lo, hi)` =
+    /// `a_windows[i]`, and member `j` of `b` to the members of `a` at
+    /// `b_windows[j]`, though none of these edges is stored. The **caller
+    /// guarantees** that the two runs share no vertex, that the windows
+    /// agree (`b`'s member `j` is in `a`'s window `i` exactly when `a`'s
+    /// member `i` is in `b`'s window `j`) and that no edge duplicates an
+    /// explicit edge or another group's edge — the contract of
+    /// [`add_clique_group`](Hypergraph::add_clique_group).
+    ///
+    /// # Panics
+    /// Panics if a run and its windows differ in length, or if a window is
+    /// reversed or runs past the other run; in debug builds also if the
+    /// windows disagree.
+    pub fn add_window_group(
+        &mut self,
+        a: WindowRun,
+        a_windows: &[(u32, u32)],
+        b: WindowRun,
+        b_windows: &[(u32, u32)],
+    ) {
+        assert!(
+            a.len as usize == a_windows.len() && b.len as usize == b_windows.len(),
+            "a window group needs one window per run member"
+        );
+        // Each edge is counted once, from its `a` end.
+        for (run, windows, other, counted) in [(a, a_windows, b, true), (b, b_windows, a, false)] {
+            let members = &self.window_runs[run.start as usize..(run.start + run.len) as usize];
+            for (&v, &(lo, hi)) in members.iter().zip(windows) {
+                assert!(
+                    lo <= hi && hi <= other.len,
+                    "window {lo}..{hi} outside a run of {}",
+                    other.len
+                );
+                if lo < hi {
+                    self.window_slot_vertex.push(v);
+                    self.window_slot_range
+                        .push((other.start + lo, other.start + hi));
+                    if counted {
+                        self.window_edges += u64::from(hi - lo);
+                    }
+                }
+            }
+        }
+        debug_assert!(
+            a_windows.iter().enumerate().all(|(i, &(lo, hi))| {
+                (lo..hi).all(|j| {
+                    (b_windows[j as usize].0..b_windows[j as usize].1).contains(&(i as u32))
+                })
+            }) && a_windows.iter().map(|&(lo, hi)| hi - lo).sum::<u32>()
+                == b_windows.iter().map(|&(lo, hi)| hi - lo).sum::<u32>(),
+            "window ranges disagree between the runs"
+        );
+        self.n_window_groups += 1;
+        self.window_incidence.take();
+    }
+
+    /// Number of window groups.
+    pub fn n_window_groups(&self) -> usize {
+        self.n_window_groups
+    }
+
+    /// `v`'s windows: per window slot of `v`, the run slice it is joined
+    /// to.
+    pub(crate) fn windows_of(&self, v: VertexId) -> impl Iterator<Item = &[VertexId]> + '_ {
+        let inc = self.window_incidence();
+        let slots =
+            &inc.edges[inc.offsets[v as usize] as usize..inc.offsets[v as usize + 1] as usize];
+        slots.iter().map(move |&s| {
+            let (lo, hi) = self.window_slot_range[s as usize];
+            &self.window_runs[lo as usize..hi as usize]
         })
     }
 
-    /// The same hypergraph with every group's `k`-subsets stored as
-    /// explicit edges (through the deduplicating insert, so on a graph
-    /// that keeps the groups' contract `n_edges()` of the result is
-    /// `n_edges() + n_implicit_edges()`). Exact coloring and the tests read
-    /// this form.
+    /// Number of edges the clique and window groups stand for:
+    /// `Σ C(|G|, k)` plus every window's length on one side, saturating.
+    pub fn n_implicit_edges(&self) -> u64 {
+        self.groups()
+            .fold(self.window_edges, |total, (k, members)| {
+                total.saturating_add(binomial(members.len() as u64, k as u64))
+            })
+    }
+
+    /// The same hypergraph with every clique group's `k`-subsets and every
+    /// window group's pairs stored as explicit edges (through the
+    /// deduplicating insert, so on a graph that keeps the groups' contract
+    /// `n_edges()` of the result is `n_edges() + n_implicit_edges()`).
+    /// Exact coloring and the tests read this form.
     pub fn expanded(&self) -> Hypergraph {
         let mut out = Hypergraph::new(self.n);
         for e in self.edges() {
@@ -435,6 +580,11 @@ impl Hypergraph {
                 }
             }
         }
+        for (&v, &(lo, hi)) in self.window_slot_vertex.iter().zip(&self.window_slot_range) {
+            for &u in &self.window_runs[lo as usize..hi as usize] {
+                out.add_sorted_edge(&[v.min(u), v.max(u)]);
+            }
+        }
         out
     }
 
@@ -446,16 +596,23 @@ impl Hypergraph {
         &inc.edges[lo..hi]
     }
 
-    /// Degree of `v`: its explicit edges plus, for each group of `n`
+    /// Degree of `v`: its explicit edges, plus, for each group of `n`
     /// members and arity `k` it belongs to, the `C(n − 1, k − 1)` subsets
-    /// holding it (saturating).
+    /// holding it (saturating), plus the lengths of its windows.
     pub fn degree(&self, v: VertexId) -> u64 {
         let inc = self.incidence();
         let explicit = u64::from(inc.offsets[v as usize + 1] - inc.offsets[v as usize]);
-        self.groups_of(v).iter().fold(explicit, |d, &i| {
+        let grouped = self.groups_of(v).iter().fold(explicit, |d, &i| {
             let (k, members) = self.group(i);
             d.saturating_add(binomial(members.len() as u64 - 1, k as u64 - 1))
-        })
+        });
+        let win = self.window_incidence();
+        win.edges[win.offsets[v as usize] as usize..win.offsets[v as usize + 1] as usize]
+            .iter()
+            .fold(grouped, |d, &s| {
+                let (lo, hi) = self.window_slot_range[s as usize];
+                d.saturating_add(u64::from(hi - lo))
+            })
     }
 
     /// Vertices sorted by non-increasing [`degree`](Hypergraph::degree)
@@ -476,6 +633,9 @@ impl Hypergraph {
                 degrees[v as usize] = degrees[v as usize].saturating_add(d);
             }
         }
+        for (&v, &(lo, hi)) in self.window_slot_vertex.iter().zip(&self.window_slot_range) {
+            degrees[v as usize] = degrees[v as usize].saturating_add(u64::from(hi - lo));
+        }
         let mut vs: Vec<VertexId> = (0..self.n as VertexId).collect();
         vs.sort_by(|&a, &b| {
             degrees[b as usize]
@@ -484,6 +644,14 @@ impl Hypergraph {
         });
         vs
     }
+}
+
+/// A run of vertices window groups range over
+/// ([`Hypergraph::add_window_run`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WindowRun {
+    start: u32,
+    len: u32,
 }
 
 /// A (partial) assignment of colors to vertices.
@@ -562,8 +730,9 @@ pub fn edge_is_monochromatic(g: &Hypergraph, coloring: &Coloring, e: EdgeId) -> 
 }
 
 /// `true` if the coloring is complete and no edge is monochromatic — i.e. a
-/// proper coloring in the sense of Proposition 5.2. A group of arity `k`
-/// is improper exactly when `k` of its members share a color.
+/// proper coloring in the sense of Proposition 5.2. A clique group of
+/// arity `k` is improper exactly when `k` of its members share a color, and
+/// a window group when a member shares one with a vertex of its range.
 pub fn is_proper_complete(g: &Hypergraph, coloring: &Coloring) -> bool {
     if !coloring.is_complete()
         || (0..g.n_edges() as EdgeId).any(|e| edge_is_monochromatic(g, coloring, e))
@@ -571,12 +740,21 @@ pub fn is_proper_complete(g: &Hypergraph, coloring: &Coloring) -> bool {
         return false;
     }
     let mut colors: Vec<Color> = Vec::new();
-    g.groups().all(|(k, members)| {
+    let groups_proper = g.groups().all(|(k, members)| {
         colors.clear();
         colors.extend(members.iter().filter_map(|&v| coloring.get(v)));
         colors.sort_unstable();
         colors.chunk_by(|a, b| a == b).all(|run| run.len() < k)
-    })
+    });
+    groups_proper
+        && g.window_slot_vertex
+            .iter()
+            .zip(&g.window_slot_range)
+            .all(|(&v, &(lo, hi))| {
+                g.window_runs[lo as usize..hi as usize]
+                    .iter()
+                    .all(|&u| coloring.get(u) != coloring.get(v))
+            })
 }
 
 #[cfg(test)]
@@ -762,6 +940,103 @@ mod tests {
         assert!(is_proper_complete(&g, &c));
         c.set(3, 1);
         assert!(!is_proper_complete(&g, &c));
+    }
+
+    /// Adds a window group over two fresh runs.
+    fn window_group(
+        g: &mut Hypergraph,
+        a: &[VertexId],
+        a_windows: &[(u32, u32)],
+        b: &[VertexId],
+        b_windows: &[(u32, u32)],
+    ) {
+        let (a, b) = (g.add_window_run(a), g.add_window_run(b));
+        g.add_window_group(a, a_windows, b, b_windows);
+    }
+
+    /// Owners 0, 1, 2 (run order) beside children 3, 4: owner 0 sees child
+    /// 3, owner 1 both children, owner 2 none; a second window over the
+    /// same runs in which owner 2 sees child 4; and a pure-unary pair
+    /// 5 × {6, 7}.
+    fn windowed() -> Hypergraph {
+        let mut g = Hypergraph::new(8);
+        g.add_edge(&[0, 1]);
+        let owners = g.add_window_run(&[0, 1, 2]);
+        let children = g.add_window_run(&[3, 4]);
+        g.add_window_group(
+            owners,
+            &[(0, 1), (0, 2), (2, 2)],
+            children,
+            &[(0, 2), (1, 2)],
+        );
+        g.add_window_group(
+            owners,
+            &[(0, 0), (0, 0), (1, 2)],
+            children,
+            &[(0, 0), (2, 3)],
+        );
+        window_group(&mut g, &[5], &[(0, 2)], &[6, 7], &[(0, 1), (0, 1)]);
+        g
+    }
+
+    #[test]
+    fn window_groups_count_their_ranges() {
+        let g = windowed();
+        assert_eq!((g.n_edges(), g.n_window_groups()), (1, 3));
+        assert_eq!(g.n_implicit_edges(), 3 + 1 + 2);
+        let degrees: Vec<u64> = (0..8).map(|v| g.degree(v)).collect();
+        assert_eq!(degrees, [2, 3, 1, 2, 2, 2, 1, 1]);
+        let neighbours = |v| {
+            let mut vs: Vec<VertexId> = g.windows_of(v).flatten().copied().collect();
+            vs.sort_unstable();
+            vs
+        };
+        assert_eq!(neighbours(4), [1, 2]);
+        assert_eq!(neighbours(0), [3]);
+        assert_eq!(g.vertices_by_degree_desc(), vec![1, 0, 3, 4, 5, 2, 6, 7]);
+        let e = g.expanded();
+        assert_eq!((e.n_window_groups(), e.n_edges()), (0, 7));
+        let mut edges: Vec<Vec<VertexId>> = e.edges().map(<[VertexId]>::to_vec).collect();
+        edges.sort();
+        assert_eq!(
+            edges,
+            [[0, 1], [0, 3], [1, 3], [1, 4], [2, 4], [5, 6], [5, 7]]
+        );
+        for v in 0..8 {
+            assert_eq!(g.degree(v), e.degree(v), "vertex {v}");
+        }
+    }
+
+    #[test]
+    fn a_window_group_is_improper_only_on_a_pair_inside_a_range() {
+        let g = windowed();
+        let mut c = Coloring::new(8);
+        // Owner 2 and child 3 share a color, but 3 is outside 2's ranges;
+        // 6 and 7 share one, but no window joins them.
+        for (v, color) in [
+            (0, 0),
+            (1, 1),
+            (2, 2),
+            (3, 2),
+            (4, 0),
+            (5, 0),
+            (6, 1),
+            (7, 1),
+        ] {
+            c.set(v, color);
+        }
+        assert!(is_proper_complete(&g, &c));
+        assert!(is_proper_complete(&g.expanded(), &c));
+        c.set(4, 2);
+        assert!(!is_proper_complete(&g, &c));
+        assert!(!is_proper_complete(&g.expanded(), &c));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a run")]
+    fn a_window_past_the_other_run_panics() {
+        let mut g = Hypergraph::new(3);
+        window_group(&mut g, &[0], &[(0, 3)], &[1, 2], &[(0, 1), (0, 1)]);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! - [`Hypergraph`], [`Coloring`] — the graph model with dedup and degrees,
 //!   plus clique groups that stand for all their `k`-subsets
-//!   ([`Hypergraph::add_clique_group`]).
+//!   ([`Hypergraph::add_clique_group`]) and window groups that join each
+//!   member of one run of vertices to a range of another
+//!   ([`Hypergraph::add_window_group`]).
 //! - [`coloring_lf`] — greedy largest-first list coloring (Algorithm 3).
 //! - [`color_skipped_with_fresh`] — minting the fewest fresh colors for
 //!   skipped vertices (lines 11–14 of Algorithm 4).
@@ -39,4 +41,5 @@ pub use coloring::{color_skipped_with_fresh, coloring_lf, CandidateLists};
 pub use exact::{exact_list_coloring, ExactResult};
 pub use graph::{
     edge_is_monochromatic, is_proper_complete, Color, Coloring, EdgeId, Hypergraph, VertexId,
+    WindowRun,
 };

@@ -8,7 +8,7 @@
 //! exclusive pairs, a two-atom band pair, sometimes a ternary equality
 //! chain and sometimes a capacity-shaped ternary over the fact-wide
 //! `[0, 900]` load domain, so real conflict edges exist and the conflict
-//! builder bulk-emits, enumerates and emits capacity groups.
+//! builder bulk-emits, enumerates and emits capacity and window groups.
 //!
 //! [`run_differential_oracles`] then solves each generated spec at 1, 2
 //! and 4 workers (concurrent step levels, sharded Phase 1 completion and
@@ -88,6 +88,12 @@ pub struct FuzzOutcome {
     /// edges because another DC of their arity may emit the same vertex
     /// sets, summed over steps.
     pub capacity_edge_dcs: usize,
+    /// Pair DCs the edge-set arm's builders routed to window groups,
+    /// summed over steps.
+    pub window_dcs: usize,
+    /// Pair DCs the edge-set arm's builders kept on bulk edges because
+    /// another pair DC may share an edge with them, summed over steps.
+    pub bulk_pair_dcs: usize,
     /// Ordered CC pairs the classification arm found disjoint, summed over
     /// steps.
     pub disjoint_pairs: usize,
@@ -266,12 +272,19 @@ pub fn fuzz_source(seed: u64, iter: usize) -> String {
         }
         // Two binary atoms keep these off the bulk path: the band pair
         // enumerates through a sorted run, the ternary chain through hash
-        // buckets.
+        // buckets. On a coin flip the band pair reads `b` rows only, so it
+        // shares no edge with the gap pairs, which then take the window
+        // route; unpinned it may, and they stay on bulk edges.
         let band_lo = rng.gen_range(0..=int_hi / 20);
         let band_hi = band_lo + rng.gen_range(10..=int_hi / 10);
+        let band_pin = if rng.gen_bool(0.5) {
+            format!(" t0.{sym_col} == \"{b}\"; t1.{sym_col} == \"{b}\";")
+        } else {
+            String::new()
+        };
         let _ = writeln!(
             s,
-            "  all dc \"s{step}-band\" arity 2 {{ t1.{int_col} > t0.{int_col} + {band_lo}; t1.{int_col} < t0.{int_col} + {band_hi}; }}"
+            "  all dc \"s{step}-band\" arity 2 {{{band_pin} t1.{int_col} > t0.{int_col} + {band_lo}; t1.{int_col} < t0.{int_col} + {band_hi}; }}"
         );
         if rng.gen_bool(0.5) {
             let _ = writeln!(
@@ -282,7 +295,7 @@ pub fn fuzz_source(seed: u64, iter: usize) -> String {
         // Capacity-shaped: one shared filter, plus on a coin flip an `=`
         // chain keying it on one column. `s{step}-tri` pins `t0` to `b`,
         // so the two are provably disjoint and this DC emits groups; the
-        // exclusive pair above stays on edges, since the band pair pins
+        // exclusive pair above stays on edges when the band pair pins
         // nothing. Keys drawn from a wide uniform domain rarely repeat
         // three times, so the unkeyed form is what reliably fills groups.
         if rng.gen_bool(0.5) {
@@ -344,14 +357,16 @@ pub fn run_differential_oracles(
         let wide = solve(workers)?;
         compare(meta.name, &base, &wide, &format!("1 vs {workers} workers"))?;
     }
-    // Edge-set arm: fuzzed DC blocks mix gap pairs (a single binary atom,
-    // bulk-emitted as sorted-run windows) with exclusive pairs (pure-unary
-    // cliques), so both bulk-emission branches meet the naive reference;
-    // band pairs and ternary chains enumerate through both index kinds, and
-    // capacity-shaped ternaries emit groups.
+    // Edge-set arm: fuzzed DC blocks mix gap pairs (a single binary atom:
+    // window groups beside a pinned band pair, bulk sorted-run windows
+    // beside an unpinned one) with exclusive pairs (pure-unary cliques),
+    // so both routes meet the naive reference; band pairs and ternary
+    // chains enumerate through both index kinds, and capacity-shaped
+    // ternaries emit groups.
     let (mut perturbed_dc_error, mut perturbed_cc_error) = (0.0f64, 0.0f64);
     let (mut index_hash, mut index_sorted) = (0usize, 0usize);
     let (mut capacity_groups, mut capacity_edge_dcs) = (0usize, 0usize);
+    let (mut window_dcs, mut bulk_pair_dcs) = (0usize, 0usize);
     let mut pairs = [0usize; 4]; // disjoint, equal, contained-in, intersecting
     let mut partially_pinned_rows = 0usize;
     for (step, instance) in steps.iter().enumerate() {
@@ -363,14 +378,19 @@ pub fn run_differential_oracles(
             .collect::<std::result::Result<Vec<_>, _>>()
             .map_err(|e| format!("{}: step {step} DCs do not bind: {e}", meta.name))?;
         let rows: Vec<RowId> = (0..view.n_rows().min(EDGE_WINDOW)).collect();
-        let mut builder = ConflictBuilder::new(&dcs);
-        let built = builder.build(&view, &rows);
+        let mut builder = ConflictBuilder::new(&dcs, &view);
+        let built = builder.build(&rows);
         index_hash += builder.stats().index_hash;
         index_sorted += builder.stats().index_sorted;
         capacity_groups += builder.stats().capacity_groups;
-        capacity_edge_dcs += (0..dcs.len())
-            .filter(|&i| builder.route(i) == DcRoute::CapacityEdges)
-            .count();
+        let routed = |route: DcRoute| {
+            (0..dcs.len())
+                .filter(|&i| builder.route(i) == route)
+                .count()
+        };
+        capacity_edge_dcs += routed(DcRoute::CapacityEdges);
+        window_dcs += routed(DcRoute::Windows);
+        bulk_pair_dcs += routed(DcRoute::Bulk);
         let naive = build_conflict_graph_naive(&view, &rows, &dcs);
         let expanded = built.expanded();
         if sorted_edges(expanded.edges()) != sorted_edges(naive.edges()) {
@@ -382,7 +402,7 @@ pub fn run_differential_oracles(
         }
         if built.n_edges() as u64 + built.n_implicit_edges() != expanded.n_edges() as u64 {
             return Err(format!(
-                "{}: a capacity group on step {step} duplicates another edge",
+                "{}: a group on step {step} duplicates another edge",
                 meta.name
             ));
         }
@@ -458,6 +478,8 @@ pub fn run_differential_oracles(
         index_sorted,
         capacity_groups,
         capacity_edge_dcs,
+        window_dcs,
+        bulk_pair_dcs,
         disjoint_pairs: pairs[0],
         equal_pairs: pairs[1],
         contained_pairs: pairs[2],

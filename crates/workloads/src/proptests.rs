@@ -194,7 +194,8 @@ proptest! {
         // The conflict builder's correctness oracle: on every workload's
         // ground-truth view (real DC shapes: unary-anchored gaps, mixed
         // equality+range atoms, the ternary nae-track chain), the builder
-        // Phase II runs — bulk pair emission, indexed enumeration — must
+        // Phase II runs — window and clique groups, bulk pair emission,
+        // indexed enumeration — must
         // produce the naive builder's edge set over the same row window.
         // The window is one artificial "partition" — larger and
         // denser than any per-FK group, so enumeration is genuinely
@@ -210,14 +211,14 @@ proptest! {
                     .map(|d| d.bind(truth.schema(), truth.name()).expect("DCs bind"))
                     .collect();
                 let rows: Vec<usize> = (0..truth.n_rows().min(n_rows)).collect();
-                let built = ConflictBuilder::new(&dcs).build(truth, &rows);
+                let built = ConflictBuilder::new(&dcs, truth).build(&rows);
                 let naive = build_conflict_graph_naive(truth, &rows, &dcs);
                 let edge_set = |g: &cextend_hypergraph::Hypergraph| {
                     let mut edges: Vec<Vec<u32>> = g.edges().map(<[u32]>::to_vec).collect();
                     edges.sort();
                     edges
                 };
-                // The builder's capacity groups count in their expanded
+                // The builder's clique and window groups count in their expanded
                 // form, and none may duplicate an edge: the greedy coloring
                 // reads degrees, which a duplicate would inflate.
                 let expanded = built.expanded();
@@ -407,11 +408,14 @@ proptest! {
     }
 }
 
-/// Which DCs Phase II's conflict builder turns into capacity groups, and
-/// which capacity-shaped DCs keep explicit edges because another DC of
-/// their arity may emit the same vertex sets, on every registered workload.
+/// Which route Phase II's conflict builder gives every DC that does not
+/// enumerate, on every registered workload: capacity DCs take clique
+/// groups unless another DC of their arity may emit the same vertex sets,
+/// window pairs take window groups unless another pair DC may share an
+/// edge with them, and the other pair DCs with at most one binary atom
+/// keep bulk edges.
 #[test]
-fn capacity_dcs_route_to_groups_on_every_workload() {
+fn pair_and_capacity_dcs_route_to_groups_and_windows_on_every_workload() {
     use cextend_core::conflict::DcRoute;
     let mut routed: Vec<(String, usize, String, DcRoute)> = Vec::new();
     for w in all_workloads() {
@@ -423,7 +427,7 @@ fn capacity_dcs_route_to_groups_on_every_workload() {
                 .iter()
                 .map(|d| d.bind(truth.schema(), truth.name()).expect("DCs bind"))
                 .collect();
-            let builder = ConflictBuilder::new(&bound);
+            let builder = ConflictBuilder::new(&bound, truth);
             for (i, dc) in dcs.iter().enumerate() {
                 let route = builder.route(i);
                 if route != DcRoute::Edges {
@@ -432,22 +436,102 @@ fn capacity_dcs_route_to_groups_on_every_workload() {
             }
         }
     }
-    let want = [
-        ("census", 0, "dc9", DcRoute::Groups),
-        ("census", 0, "dc12-ss", DcRoute::Groups),
-        ("census", 0, "dc12-uu", DcRoute::Groups),
-        ("retail", 0, "rdc6", DcRoute::Groups),
-        ("retail", 0, "rdc7", DcRoute::Groups),
-        ("supply", 0, "sdc4", DcRoute::Groups),
-        ("supply", 0, "sdc5", DcRoute::Groups),
-        // Hub–Hub exclusivity: `sdc7` (a Hub beside any store of higher
-        // capacity) can emit Hub–Hub pairs too.
-        ("supply", 1, "sdc9", DcRoute::CapacityEdges),
-        ("logistics", 0, "ldc3", DcRoute::Groups),
-        ("logistics", 1, "ldc7", DcRoute::Groups),
-        ("dcdense", 0, "ddc4", DcRoute::Groups),
-        ("dcdense", 0, "ddc5", DcRoute::Groups),
+    use DcRoute::{Bulk, CapacityEdges, Groups, Windows};
+    // Census rows 1–4 and 8 are `-low`/`-up` window pairs over distinct
+    // classes; rows 5–7 overlap rows 10–11 (an old owner's parent, a
+    // young owner's grandchild or child-in-law), so all ten keep bulk
+    // edges. `dc12-su` is the pure-unary window pair.
+    let census_windows = [
+        "dc1-Biological child-low",
+        "dc1-Biological child-up",
+        "dc1-Adopted child-low",
+        "dc1-Adopted child-up",
+        "dc1-Step child-low",
+        "dc1-Step child-up",
+        "dc2-Biological child-low",
+        "dc2-Biological child-up",
+        "dc2-Adopted child-low",
+        "dc2-Adopted child-up",
+        "dc2-Step child-low",
+        "dc2-Step child-up",
+        "dc3-Spouse-low",
+        "dc3-Spouse-up",
+        "dc3-Unmarried partner-low",
+        "dc3-Unmarried partner-up",
+        "dc4-Sibling-low",
+        "dc4-Sibling-up",
     ];
+    let census_bulk = [
+        "dc5-Father/Mother-low",
+        "dc5-Father/Mother-up",
+        "dc5-Parent-in-law-low",
+        "dc5-Parent-in-law-up",
+        "dc6-Grandchild-low",
+        "dc6-Grandchild-up",
+        "dc7-Child-in-law-low",
+        "dc7-Child-in-law-up",
+    ];
+    let mut want: Vec<(&str, usize, &str, DcRoute)> = Vec::new();
+    want.extend(census_windows.iter().map(|&dc| ("census", 0, dc, Windows)));
+    want.extend(census_bulk.iter().map(|&dc| ("census", 0, dc, Bulk)));
+    want.extend([
+        ("census", 0, "dc8-Foster child-low", Windows),
+        ("census", 0, "dc8-Foster child-up", Windows),
+        ("census", 0, "dc9", Groups),
+        ("census", 0, "dc10-grandchild", Bulk),
+        ("census", 0, "dc10-child-in-law", Bulk),
+        ("census", 0, "dc11-parent", Bulk),
+        ("census", 0, "dc11-parent-in-law", Bulk),
+        ("census", 0, "dc12-ss", Groups),
+        ("census", 0, "dc12-su", Windows),
+        ("census", 0, "dc12-uu", Groups),
+        ("retail", 0, "rdc1-Standard-low", Windows),
+        ("retail", 0, "rdc1-Standard-up", Windows),
+        ("retail", 0, "rdc2-Standard-low", Windows),
+        ("retail", 0, "rdc2-Standard-up", Windows),
+        ("retail", 0, "rdc3-Bulk-low", Bulk),
+        ("retail", 0, "rdc3-Bulk-up", Bulk),
+        ("retail", 0, "rdc4-Gift-low", Windows),
+        ("retail", 0, "rdc4-Gift-up", Windows),
+        ("retail", 0, "rdc5-Subscription-low", Bulk),
+        ("retail", 0, "rdc5-Subscription-up", Bulk),
+        ("retail", 0, "rdc6", Groups),
+        ("retail", 0, "rdc7", Groups),
+        ("retail", 0, "rdc8", Bulk),
+        ("retail", 0, "rdc9", Bulk),
+        ("supply", 0, "sdc1-low", Windows),
+        ("supply", 0, "sdc1-up", Windows),
+        ("supply", 0, "sdc2-low", Bulk),
+        ("supply", 0, "sdc2-up", Bulk),
+        ("supply", 0, "sdc3-low", Windows),
+        ("supply", 0, "sdc3-up", Windows),
+        ("supply", 0, "sdc4", Groups),
+        ("supply", 0, "sdc5", Groups),
+        ("supply", 0, "sdc6", Bulk),
+        // Any store beside a Hub: `sdc7` and `sdc8` filter only `t0`, and
+        // `sdc7` can emit Hub–Hub pairs too.
+        ("supply", 1, "sdc7", Bulk),
+        ("supply", 1, "sdc8", Bulk),
+        ("supply", 1, "sdc9", CapacityEdges),
+        ("logistics", 0, "ldc1-low", Windows),
+        ("logistics", 0, "ldc1-up", Windows),
+        ("logistics", 0, "ldc2-low", Windows),
+        ("logistics", 0, "ldc2-up", Windows),
+        ("logistics", 0, "ldc3", Groups),
+        ("logistics", 0, "ldc4", Windows),
+        ("logistics", 1, "ldc5-low", Windows),
+        ("logistics", 1, "ldc5-up", Windows),
+        ("logistics", 1, "ldc6-low", Bulk),
+        ("logistics", 1, "ldc6-up", Bulk),
+        ("logistics", 1, "ldc7", Groups),
+        ("logistics", 1, "ldc8", Bulk),
+        ("dcdense", 0, "ddc1-Filler-low", Windows),
+        ("dcdense", 0, "ddc1-Filler-up", Windows),
+        ("dcdense", 0, "ddc2-Spare-low", Windows),
+        ("dcdense", 0, "ddc2-Spare-up", Windows),
+        ("dcdense", 0, "ddc4", Groups),
+        ("dcdense", 0, "ddc5", Groups),
+    ]);
     let want: Vec<(String, usize, String, DcRoute)> = want
         .iter()
         .map(|&(w, step, dc, route)| (w.to_owned(), step, dc.to_owned(), route))

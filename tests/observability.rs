@@ -78,6 +78,10 @@ fn counters_are_bit_identical_across_worker_widths() {
                     trace.counters.contains_key("phase2.capacity_groups"),
                     "dcdense: no capacity group at {workers} workers"
                 );
+                assert!(
+                    trace.counters.contains_key("phase2.window_groups"),
+                    "dcdense: no window group at {workers} workers"
+                );
             }
             // Counters are commutative sums of deterministic per-shard and
             // per-partition values, so the totals cannot depend on how the
