@@ -12,13 +12,16 @@
 //! plus implicit: the builder turns the anchored gap rows into window
 //! groups and the Anchor cliques and `nae-track` into capacity groups
 //! that stand for their edges. `dc_error_scan` times the certifier's
-//! DC-error scan over a whole ground-truth relation.
+//! DC-error scan over a whole ground-truth relation, and `certify` the
+//! whole certifier (`evaluate_with_workers`) at widths 1 and 2 on a census
+//! ground-truth completion of several chunks.
 
 use cextend_bench::{dcdense_largest_partition, ExperimentOpts};
 use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder};
-use cextend_core::metrics::dc_error;
+use cextend_core::metrics::{dc_error, evaluate, evaluate_with_workers};
 use cextend_hypergraph::Hypergraph;
-use cextend_workloads::DcSet;
+use cextend_workloads::agreement::{reports_identical, truth_completion};
+use cextend_workloads::{workload_by_name, CcFamily, DcSet, WorkloadParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// Explicit edges plus those the clique groups stand for.
@@ -85,5 +88,29 @@ fn bench_dc_error(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_conflict_build, bench_dc_error);
+fn bench_certify(c: &mut Criterion) {
+    // Census at scale 4: about 100k persons, six of the certifier's chunks,
+    // with perfbench census-hasse's CC count and DC set.
+    let w = workload_by_name("census").expect("registered");
+    let data = w.generate(&WorkloadParams::new(4.0, 1));
+    let ccs = w.step_ccs(0, CcFamily::Good, 150, &data, 1);
+    let (instance, truth) = truth_completion(&data, 0, ccs, w.step_dcs(0, DcSet::All)).unwrap();
+    let serial = evaluate(&instance, &truth).unwrap();
+    let n = truth.r1_hat.n_rows();
+    let mut group = c.benchmark_group("certify");
+    group.sample_size(10);
+    for workers in [1usize, 2] {
+        let id = format!("census_{n}_rows_w{workers}");
+        group.bench_with_input(BenchmarkId::from_parameter(id), &workers, |b, &workers| {
+            b.iter(|| {
+                let report = evaluate_with_workers(&instance, &truth, workers).unwrap();
+                assert!(reports_identical(&report, &serial));
+                report
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_conflict_build, bench_dc_error, bench_certify);
 criterion_main!(benches);

@@ -14,7 +14,8 @@
 //! code with the solver it judges: no Phase I or Phase II module, no
 //! conflict builder or compiled DC plan, no CC membership kernel and no
 //! group-by helper. A solver bug therefore cannot both cause a violation
-//! and hide it. [`evaluate`] certifies a solution in four parts:
+//! and hide it. [`evaluate`] certifies a solution in four parts, each cut
+//! into chunks of 2^14 rows:
 //!
 //! 1. **Structure.** `R̂1` equals `R1` outside its FK column; `R̂2` keeps
 //!    every input `R2` row in place with every cell it had; `R̂2`'s keys
@@ -22,45 +23,84 @@
 //!    failure is a [`CoreError::Validation`] naming the relation, row and
 //!    column, not a report.
 //! 2. **Join.** Every `R̂1` row is matched to its `R̂2` row through a typed
-//!    key hash, and the view is compared with `R̂1` and `R̂2` cell by cell
+//!    key index, and the view is compared with `R̂1` and `R̂2` cell by cell
 //!    through that match. No second join is materialized.
-//! 3. **CCs.** Every distinct `(column, value set)` of the CC conditions
-//!    becomes one row bitset, filled from a per-column value index (sorted
-//!    integers, row lists per dictionary code). A CC's count is the
-//!    popcount of the AND of its bitsets.
-//! 4. **DCs.** `R̂1` rows are grouped by FK value with a sort. Each
-//!    distinct unary atom is evaluated once per row, and each distinct
-//!    per-variable filter gathers its candidates once per group. Each DC
-//!    then enumerates distinct-row tuples, testing every binary atom at the
-//!    first depth where both its variables are bound, and a complete tuple
-//!    counts only once [`BoundDc::holds`] confirms it. The enumeration is
-//!    polynomial in the group size (`O(g^k)` for a `k`-variable DC in a
-//!    group of `g` rows), cut by the unary filters and the per-depth
-//!    binary tests.
+//! 3. **CCs.** The CC conditions are resolved once into their distinct
+//!    `(column, value set)` selections, and each column's values into
+//!    buckets that lie wholly inside or wholly outside every selection. A
+//!    chunk of view rows fills one bitset per selection for its own rows,
+//!    and a CC's count is the popcount of the AND of its bitsets, summed
+//!    over the chunks.
+//! 4. **DCs.** `R̂1` rows are grouped by their matched `R̂2` row with one
+//!    counting pass, and the groups are cut into runs of about one chunk of
+//!    rows. Within a group, each row's filters are read from its cells'
+//!    buckets once, each distinct per-variable filter gathers its
+//!    candidates once, and the cells the binary atoms read are gathered
+//!    once. Each DC then enumerates distinct-row tuples, testing every
+//!    binary atom at the first depth where both its variables are bound,
+//!    and a complete tuple counts only once [`BoundDc::holds`] confirms
+//!    it. The enumeration is polynomial in the group size (`O(g^k)` for a
+//!    `k`-variable DC in a group of `g` rows), cut by the unary filters
+//!    and the per-depth binary tests.
+//!
+//! [`evaluate_with_workers`] runs each part's chunks through
+//! [`cextend_sched::run_tasks`] and merges them in chunk order, so the
+//! report, and the fault named on a broken solution, are the same at every
+//! width; [`evaluate`] is its width-1 call. Apart from the FK match, its key
+//! index and the grouping, every buffer is local to one chunk.
 
 use crate::error::{CoreError, Result};
 use crate::instance::CExtensionInstance;
 use crate::report::Solution;
 use cextend_constraints::{BoundDc, CardinalityConstraint, DcAtom, DenialConstraint};
+use cextend_sched::run_tasks;
 use cextend_table::{
-    join_schema, CmpOp, ColId, Dtype, IntColumnView, Relation, RowId, SymColumnView, Value,
+    join_schema, CmpOp, ColId, Dtype, IntColumnView, Relation, RowId, Sym, SymColumnView, Value,
     ValueSet,
 };
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt::Display;
 use std::hash::Hash;
+use std::ops::Range;
+use std::sync::Mutex;
+
+/// Rows per chunk of every certifier part; the DC check closes a run of
+/// whole FK groups once it holds this many rows. A part of one chunk runs
+/// inline.
+const CHUNK_ROWS: usize = 1 << 14;
+
+/// Chunk `c` of the rows `0..n`.
+fn chunk(c: usize, n: usize) -> Range<RowId> {
+    c * CHUNK_ROWS..((c + 1) * CHUNK_ROWS).min(n)
+}
+
+/// `task(i)` for every `i` in `0..n_tasks` on up to `workers` threads, with
+/// the results in order of `i` and, if any fails, the error of the least
+/// failing `i`.
+fn run_all<T: Send, E: Send>(
+    n_tasks: usize,
+    workers: usize,
+    task: impl Fn(usize) -> std::result::Result<T, E> + Sync,
+) -> std::result::Result<Vec<T>, E> {
+    let ids: Vec<usize> = (0..n_tasks).collect();
+    run_tasks(&ids, workers, task)
+}
 
 /// Relative error of each CC against the (completed) join view.
 pub fn cc_relative_errors(view: &Relation, ccs: &[CardinalityConstraint]) -> Result<Vec<f64>> {
-    let counts = count_ccs(view, ccs)?;
-    Ok(ccs
-        .iter()
+    Ok(relative_errors(ccs, count_ccs(view, ccs)?))
+}
+
+/// `|got − target| / max(10, target)` for each CC and its count.
+fn relative_errors(ccs: &[CardinalityConstraint], counts: Vec<u64>) -> Vec<f64> {
+    ccs.iter()
         .zip(counts)
         .map(|(cc, got)| {
             let target = cc.target as f64;
             (got as f64 - target).abs() / target.max(10.0)
         })
-        .collect())
+        .collect()
 }
 
 /// Median of a sample (0 for an empty one).
@@ -96,7 +136,7 @@ pub fn dc_error(r1_hat: &Relation, dcs: &[DenialConstraint]) -> Result<f64> {
         return Ok(0.0);
     }
     let fk = single_fk(r1_hat)?;
-    violation_fraction(r1_hat, fk, dcs)
+    grouped_by_value(r1_hat, fk, dcs)
 }
 
 /// [`dc_error`] with the grouping FK column named explicitly — the
@@ -111,7 +151,14 @@ pub fn dc_error_on(r1_hat: &Relation, fk_col: &str, dcs: &[DenialConstraint]) ->
             r1_hat.name()
         ))
     })?;
-    violation_fraction(r1_hat, fk, dcs)
+    grouped_by_value(r1_hat, fk, dcs)
+}
+
+/// The DC error of `rel` with violation groups the rows sharing a value of
+/// column `fk` (rows missing it join no group).
+fn grouped_by_value(rel: &Relation, fk: ColId, dcs: &[DenialConstraint]) -> Result<f64> {
+    let compiled = CompiledDcs::compile(rel, dcs)?;
+    Ok(compiled.violation_fraction(&Groups::by_value(rel, fk), 1))
 }
 
 /// Full evaluation of a solution against its instance.
@@ -137,18 +184,38 @@ pub struct EvaluationReport {
 /// or `R̂1` differs from `R1` outside the FK column. Otherwise the report
 /// gives the CC errors of the reported view, the DC error of `R̂1`, and
 /// whether that view is `R̂1 ⋈ R̂2`.
+///
+/// This is [`evaluate_with_workers`] at width 1: every part runs inline.
 pub fn evaluate(instance: &CExtensionInstance, solution: &Solution) -> Result<EvaluationReport> {
-    let (r1_hat, r2_hat) = (&solution.r1_hat, &solution.r2_hat);
+    evaluate_with_workers(instance, solution, 1)
+}
+
+/// [`evaluate`] with each part's chunks run on up to `workers` threads.
+///
+/// The report and the error are the same at every width: the chunks merge
+/// in chunk order, and a broken solution names the fault a serial scan
+/// meets first (`R̂1`'s columns, then `R̂2`'s, each row by row, then the FK
+/// match row by row). A part of one chunk runs inline at any width.
+pub fn evaluate_with_workers(
+    instance: &CExtensionInstance,
+    solution: &Solution,
+    workers: usize,
+) -> Result<EvaluationReport> {
+    let (r1_hat, r2_hat, view) = (&solution.r1_hat, &solution.r2_hat, &solution.vjoin);
     let fk = single_fk(r1_hat)?;
-    check_kept(&instance.r1, r1_hat, Some(fk))?;
-    check_kept(&instance.r2, r2_hat, None)?;
-    let matched = match_fks(r1_hat, fk, r2_hat)?;
-    let join_recovered = view_is_join(&solution.vjoin, r1_hat, r2_hat, &matched)?;
-    let cc_errors = cc_relative_errors(&solution.vjoin, &instance.ccs)?;
+    check_kept(&instance.r1, r1_hat, Some(fk), workers)?;
+    check_kept(&instance.r2, r2_hat, None, workers)?;
+    let matched = match_fks(r1_hat, fk, r2_hat, workers)?;
+    // Each part below resolves its columns before it fans out, so its
+    // chunks cannot fail.
+    let join_recovered = view_is_join(view, r1_hat, r2_hat, &matched, workers)?;
+    let counts = CcSelections::resolve(view, &instance.ccs)?.count(workers);
+    let cc_errors = relative_errors(&instance.ccs, counts);
     let dc_error = if r1_hat.is_empty() || instance.dcs.is_empty() {
         0.0
     } else {
-        violation_fraction(r1_hat, fk, &instance.dcs)?
+        let dcs = CompiledDcs::compile(r1_hat, &instance.dcs)?;
+        dcs.violation_fraction(&Groups::by_match(&matched, r2_hat.n_rows()), workers)
     };
     Ok(EvaluationReport {
         cc_median: median(&cc_errors),
@@ -186,8 +253,14 @@ fn kept<T: PartialEq>(before: Option<T>, after: Option<T>, fill: bool) -> bool {
 ///
 /// For `R̂1` (`skip` is its FK column) the rows must match one for one and
 /// every other cell exactly. For `R̂2` (`skip` is `None`) rows may be
-/// appended and cells `before` left missing may be filled.
-fn check_kept(before: &Relation, after: &Relation, skip: Option<ColId>) -> Result<()> {
+/// appended and cells `before` left missing may be filled. A changed cell
+/// is reported in column order, then row order.
+fn check_kept(
+    before: &Relation,
+    after: &Relation,
+    skip: Option<ColId>,
+    workers: usize,
+) -> Result<()> {
     let name = after.name();
     if after.schema().columns() != before.schema().columns() {
         return Err(invalid(format!(
@@ -214,24 +287,33 @@ fn check_kept(before: &Relation, after: &Relation, skip: Option<ColId>) -> Resul
         )));
     }
     let n = before.n_rows();
-    for col in (0..before.schema().len()).filter(|&c| Some(c) != skip) {
-        let changed = match (before.int_view(col), after.int_view(col)) {
-            (Some(b), Some(a)) => (0..n).find(|&r| !kept(b.get(r), a.get(r), fill)),
-            _ => {
-                let b = sym_cells(before, col);
-                let a = sym_cells(after, col);
-                (0..n).find(|&r| !kept(b.get(r), a.get(r), fill))
-            }
-        };
-        if let Some(row) = changed {
-            return Err(invalid(format!(
-                "`{name}` row {row} column `{}` changed from the input `{}`",
-                before.schema().column(col).name,
-                before.name()
-            )));
-        }
+    let cols: Vec<ColId> = (0..before.schema().len())
+        .filter(|&c| Some(c) != skip)
+        .collect();
+    // Each chunk's first changed cell by column, then row; the least over
+    // the chunks is the first a column-by-column scan meets.
+    let Ok(firsts) = run_all(n.div_ceil(CHUNK_ROWS), workers, |c| {
+        let rows = chunk(c, n);
+        Ok::<_, Infallible>(cols.iter().find_map(|&col| {
+            let changed = match (before.int_view(col), after.int_view(col)) {
+                (Some(b), Some(a)) => rows.clone().find(|&r| !kept(b.get(r), a.get(r), fill)),
+                _ => {
+                    let b = sym_cells(before, col);
+                    let a = sym_cells(after, col);
+                    rows.clone().find(|&r| !kept(b.get(r), a.get(r), fill))
+                }
+            };
+            changed.map(|row| (col, row))
+        }))
+    });
+    match firsts.into_iter().flatten().min() {
+        Some((col, row)) => Err(invalid(format!(
+            "`{name}` row {row} column `{}` changed from the input `{}`",
+            before.schema().column(col).name,
+            before.name()
+        ))),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 fn sym_cells(rel: &Relation, col: ColId) -> SymColumnView<'_> {
@@ -239,9 +321,9 @@ fn sym_cells(rel: &Relation, col: ColId) -> SymColumnView<'_> {
 }
 
 /// Matches every `R̂1` row to the `R̂2` row its FK names, through a typed
-/// key hash. Fails on a missing or repeated `R̂2` key and on a missing or
+/// key index. Fails on a missing or repeated `R̂2` key and on a missing or
 /// dangling FK.
-fn match_fks(r1_hat: &Relation, fk: ColId, r2_hat: &Relation) -> Result<Vec<u32>> {
+fn match_fks(r1_hat: &Relation, fk: ColId, r2_hat: &Relation, workers: usize) -> Result<Vec<u32>> {
     let k2 = r2_hat.schema().key_col().ok_or_else(|| {
         invalid(format!(
             "`{}` must have exactly one key column",
@@ -249,10 +331,26 @@ fn match_fks(r1_hat: &Relation, fk: ColId, r2_hat: &Relation) -> Result<Vec<u32>
         ))
     })?;
     match (r1_hat.int_view(fk), r2_hat.int_view(k2)) {
-        (Some(fks), Some(keys)) => resolve(r1_hat, fk, r2_hat, k2, |r| fks.get(r), |r| keys.get(r)),
+        (Some(fks), Some(keys)) => resolve(
+            r1_hat,
+            fk,
+            r2_hat,
+            k2,
+            workers,
+            |r| fks.get(r),
+            |r| keys.get(r),
+        ),
         (None, None) => {
             let (fks, keys) = (sym_cells(r1_hat, fk), sym_cells(r2_hat, k2));
-            resolve(r1_hat, fk, r2_hat, k2, |r| fks.get(r), |r| keys.get(r))
+            resolve(
+                r1_hat,
+                fk,
+                r2_hat,
+                k2,
+                workers,
+                |r| fks.get(r),
+                |r| keys.get(r),
+            )
         }
         _ => Err(invalid(format!(
             "FK `{}` of `{}` and key `{}` of `{}` have different types",
@@ -264,20 +362,23 @@ fn match_fks(r1_hat: &Relation, fk: ColId, r2_hat: &Relation) -> Result<Vec<u32>
     }
 }
 
-/// [`match_fks`] over one key type.
-fn resolve<T: Copy + Eq + Hash + Display>(
+/// [`match_fks`] over one key type: the key index is built serially, in
+/// `R̂2` row order, and `R̂1`'s rows look their FKs up in chunks.
+fn resolve<T: Key>(
     r1_hat: &Relation,
     fk: ColId,
     r2_hat: &Relation,
     k2: ColId,
-    fk_of: impl Fn(RowId) -> Option<T>,
+    workers: usize,
+    fk_of: impl Fn(RowId) -> Option<T> + Sync,
     key_of: impl Fn(RowId) -> Option<T>,
 ) -> Result<Vec<u32>> {
     let (r1_name, r2_name) = (r1_hat.name(), r2_hat.name());
     let fk_name = &r1_hat.schema().column(fk).name;
     let key_name = &r2_hat.schema().column(k2).name;
-    let mut row_of: HashMap<T, u32> = HashMap::with_capacity(r2_hat.n_rows());
-    for r in 0..r2_hat.n_rows() {
+    let n2 = r2_hat.n_rows();
+    let mut row_of = KeyRows::for_keys((0..n2).filter_map(&key_of), n2);
+    for r in 0..n2 {
         let key = key_of(r)
             .ok_or_else(|| invalid(format!("`{r2_name}` row {r}: key `{key_name}` is missing")))?;
         if let Some(first) = row_of.insert(key, r as u32) {
@@ -286,30 +387,120 @@ fn resolve<T: Copy + Eq + Hash + Display>(
             )));
         }
     }
-    (0..r1_hat.n_rows())
-        .map(|r| {
+    let n = r1_hat.n_rows();
+    let mut matched = vec![0u32; n];
+    let slots: Vec<Mutex<&mut [u32]>> = matched.chunks_mut(CHUNK_ROWS).map(Mutex::new).collect();
+    // Chunks merge in row order, so the error is the first failing row's.
+    run_all(slots.len(), workers, |c| {
+        let mut out = slots[c]
+            .lock()
+            .expect("only chunk `c`'s task locks slot `c`");
+        for (r, m) in chunk(c, n).zip(out.iter_mut()) {
             let v = fk_of(r).ok_or_else(|| {
                 invalid(format!("`{r1_name}` row {r}: FK `{fk_name}` is missing"))
             })?;
-            row_of.get(&v).copied().ok_or_else(|| {
+            *m = row_of.get(v).ok_or_else(|| {
                 invalid(format!(
                     "`{r1_name}` row {r}: FK `{fk_name}` = {v} is not a key of `{r2_name}`"
                 ))
-            })
-        })
-        .collect()
+            })?;
+        }
+        Ok::<_, CoreError>(())
+    })?;
+    drop(slots);
+    Ok(matched)
+}
+
+/// A key cell's type; an integer key can index a table.
+trait Key: Copy + Eq + Hash + Display + Send + Sync {
+    fn int(self) -> Option<i64>;
+}
+
+impl Key for i64 {
+    fn int(self) -> Option<i64> {
+        Some(self)
+    }
+}
+
+impl Key for Sym {
+    fn int(self) -> Option<i64> {
+        None
+    }
+}
+
+/// The `R̂2` row of each key.
+enum KeyRows<T> {
+    /// Integer keys spanning at most two values per row: the row of key
+    /// `k` is `rows[k − min]`, [`NO_ROW`] where no row holds it.
+    Table {
+        min: i64,
+        rows: Vec<u32>,
+    },
+    Hash(HashMap<T, u32>),
+}
+
+const NO_ROW: u32 = u32::MAX;
+
+impl<T: Key> KeyRows<T> {
+    /// An empty index for the keys of `n` rows.
+    fn for_keys(keys: impl Iterator<Item = T>, n: usize) -> KeyRows<T> {
+        let (min, max) = keys
+            .filter_map(T::int)
+            .fold((i64::MAX, i64::MIN), |(lo, hi), k| (lo.min(k), hi.max(k)));
+        let span = i128::from(max) - i128::from(min) + 1;
+        if 0 < span && span <= 2 * n as i128 {
+            KeyRows::Table {
+                min,
+                rows: vec![NO_ROW; span as usize],
+            }
+        } else {
+            KeyRows::Hash(HashMap::with_capacity(n))
+        }
+    }
+
+    /// The table slot of `key`, if it has one.
+    fn slot(min: i64, key: T) -> Option<usize> {
+        usize::try_from(i128::from(key.int()?) - i128::from(min)).ok()
+    }
+
+    /// Records `key` at `row`; returns the row that holds it already.
+    fn insert(&mut self, key: T, row: u32) -> Option<u32> {
+        match self {
+            KeyRows::Table { min, rows } => {
+                let at = Self::slot(*min, key).expect("the table spans every key");
+                match rows[at] {
+                    NO_ROW => {
+                        rows[at] = row;
+                        None
+                    }
+                    first => Some(first),
+                }
+            }
+            KeyRows::Hash(map) => map.insert(key, row),
+        }
+    }
+
+    fn get(&self, key: T) -> Option<u32> {
+        match self {
+            KeyRows::Table { min, rows } => Self::slot(*min, key)
+                .and_then(|at| rows.get(at).copied())
+                .filter(|&row| row != NO_ROW),
+            KeyRows::Hash(map) => map.get(&key).copied(),
+        }
+    }
 }
 
 // ---- Join ----------------------------------------------------------------
 
 /// `true` iff `view` is `R̂1 ⋈ R̂2`: the join's schema, one row per `R̂1`
 /// row, and every cell equal to the `R̂1` cell or (through `matched`) the
-/// `R̂2` cell it comes from.
+/// `R̂2` cell it comes from, checked chunk by chunk.
 fn view_is_join(
     view: &Relation,
     r1_hat: &Relation,
     r2_hat: &Relation,
     matched: &[u32],
+    workers: usize,
 ) -> Result<bool> {
     let (schema, layout) = join_schema(r1_hat.schema(), r2_hat.schema())?;
     if view.schema().columns() != schema.columns() || view.n_rows() != r1_hat.n_rows() {
@@ -319,41 +510,50 @@ fn view_is_join(
         .schema()
         .key_col()
         .expect("join_schema checked the key");
-    let from_r1 = std::iter::once((layout.key_col, key)).chain(
-        layout
-            .r1_attr_cols
-            .iter()
-            .copied()
-            .zip(r1_hat.schema().attr_cols()),
-    );
-    for (vc, sc) in from_r1 {
-        if !column_matches(view, vc, r1_hat, sc, |r| r) {
-            return Ok(false);
-        }
-    }
-    for (&vc, &sc) in layout.r2_attr_cols.iter().zip(&layout.r2_source_cols) {
-        if !column_matches(view, vc, r2_hat, sc, |r| matched[r] as RowId) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+    // `(view column, source column)` pairs.
+    let from_r1: Vec<(ColId, ColId)> = std::iter::once((layout.key_col, key))
+        .chain(
+            layout
+                .r1_attr_cols
+                .iter()
+                .copied()
+                .zip(r1_hat.schema().attr_cols()),
+        )
+        .collect();
+    let from_r2: Vec<(ColId, ColId)> = layout
+        .r2_attr_cols
+        .iter()
+        .copied()
+        .zip(layout.r2_source_cols.iter().copied())
+        .collect();
+    let n = view.n_rows();
+    let Ok(chunks) = run_all(n.div_ceil(CHUNK_ROWS), workers, |c| {
+        let rows = chunk(c, n);
+        let same =
+            |&(vc, sc): &(ColId, ColId)| column_matches(view, vc, r1_hat, sc, rows.clone(), |r| r);
+        let matching = |&(vc, sc): &(ColId, ColId)| {
+            column_matches(view, vc, r2_hat, sc, rows.clone(), |r| matched[r] as RowId)
+        };
+        Ok::<_, Infallible>(from_r1.iter().all(same) && from_r2.iter().all(matching))
+    });
+    Ok(chunks.into_iter().all(|ok| ok))
 }
 
-/// `true` iff every cell of column `vc` of `view` equals column `sc` of
-/// `source` at row `at(r)`.
+/// `true` iff every cell of column `vc` of `view` in `rows` equals column
+/// `sc` of `source` at row `at(r)`.
 fn column_matches(
     view: &Relation,
     vc: ColId,
     source: &Relation,
     sc: ColId,
+    mut rows: Range<RowId>,
     at: impl Fn(RowId) -> RowId,
 ) -> bool {
-    let n = view.n_rows();
     match (view.int_view(vc), source.int_view(sc)) {
-        (Some(v), Some(s)) => (0..n).all(|r| v.get(r) == s.get(at(r))),
+        (Some(v), Some(s)) => rows.all(|r| v.get(r) == s.get(at(r))),
         (None, None) => {
             let (v, s) = (sym_cells(view, vc), sym_cells(source, sc));
-            (0..n).all(|r| v.get(r) == s.get(at(r)))
+            rows.all(|r| v.get(r) == s.get(at(r)))
         }
         _ => false,
     }
@@ -361,163 +561,346 @@ fn column_matches(
 
 // ---- Row bitsets -------------------------------------------------------
 
-/// One bit per row: bit `row % 64` of word `row / 64`.
-type Bits = Vec<u64>;
-
 #[inline]
-fn set_bit(bits: &mut [u64], row: usize) {
-    bits[row >> 6] |= 1 << (row & 63);
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i >> 6] |= 1 << (i & 63);
 }
 
 #[inline]
-fn bit(bits: &[u64], row: usize) -> bool {
-    (bits[row >> 6] >> (row & 63)) & 1 == 1
+fn bit(bits: &[u64], i: usize) -> bool {
+    (bits[i >> 6] >> (i & 63)) & 1 == 1
 }
 
-/// Every one of `n` rows.
-fn all_rows(n: usize) -> Bits {
-    let mut bits = vec![!0u64; n.div_ceil(64)];
-    if !n.is_multiple_of(64) {
-        *bits.last_mut().expect("n > 0") = (1u64 << (n % 64)) - 1;
+/// Index of `item` in `items`, pushing it first if absent.
+fn intern<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
+    items.iter().position(|x| *x == item).unwrap_or_else(|| {
+        items.push(item);
+        items.len() - 1
+    })
+}
+
+/// `true` iff every bit of `needs` is set in `have`.
+fn covers(have: &[u64], needs: &[u64]) -> bool {
+    needs.iter().zip(have).all(|(&need, &has)| need & !has == 0)
+}
+
+// ---- Buckets -------------------------------------------------------------
+
+/// A column's cells in buckets, every cell of a bucket answering each of a
+/// fixed set of tests (the value sets of CC conditions, the unary atoms of
+/// DCs) alike.
+enum Buckets<'a> {
+    /// The bucket of `v` is the number of change points `≤ v`. A change
+    /// point is a value whose answers may differ from its predecessor's
+    /// (bucket 0 is empty when `i64::MIN` is one).
+    Int {
+        cells: IntColumnView<'a>,
+        changes: Vec<i64>,
+    },
+    /// The bucket of a symbol is its dictionary code.
+    Sym(SymColumnView<'a>),
+}
+
+impl<'a> Buckets<'a> {
+    fn int(cells: IntColumnView<'a>, changes: impl IntoIterator<Item = i64>) -> Buckets<'a> {
+        let mut changes: Vec<i64> = changes.into_iter().collect();
+        changes.sort_unstable();
+        changes.dedup();
+        Buckets::Int { cells, changes }
     }
-    bits
+
+    fn len(&self) -> usize {
+        match self {
+            Buckets::Int { changes, .. } => changes.len() + 1,
+            Buckets::Sym(cells) => cells.dict().len(),
+        }
+    }
+
+    /// A value of bucket `b`, answering every test as all its values do:
+    /// an integer bucket's least value, a code's symbol.
+    fn value(&self, b: usize) -> Value {
+        match self {
+            Buckets::Int { changes, .. } => {
+                Value::Int(b.checked_sub(1).map_or(i64::MIN, |c| changes[c]))
+            }
+            Buckets::Sym(cells) => Value::Str(cells.dict()[b]),
+        }
+    }
+
+    /// Calls `f(i, bucket)` for the `i`-th of `rows`, with bucket `None` for
+    /// a missing cell.
+    #[inline]
+    fn each(&self, rows: impl Iterator<Item = RowId>, mut f: impl FnMut(usize, Option<usize>)) {
+        match self {
+            Buckets::Int { cells, changes } => {
+                for (i, r) in rows.enumerate() {
+                    f(
+                        i,
+                        cells.get(r).map(|v| changes.partition_point(|&c| c <= v)),
+                    );
+                }
+            }
+            Buckets::Sym(cells) => {
+                for (i, r) in rows.enumerate() {
+                    f(i, cells.code(r).map(|c| c as usize));
+                }
+            }
+        }
+    }
 }
 
 // ---- CCs -----------------------------------------------------------------
 
-/// The present cells of one view column, indexed by value (a missing cell
-/// is in no index, so it matches no value set).
-enum ValueIndex<'a> {
-    /// `(value, row)` pairs, sorted.
-    Int(Vec<(i64, u32)>),
-    /// The rows holding dictionary code `c` are
-    /// `rows[starts[c]..starts[c + 1]]`.
-    Sym {
-        cells: SymColumnView<'a>,
-        starts: Vec<u32>,
-        rows: Vec<u32>,
-    },
+/// Counts the rows of `view` satisfying each CC's combined condition.
+fn count_ccs(view: &Relation, ccs: &[CardinalityConstraint]) -> Result<Vec<u64>> {
+    Ok(CcSelections::resolve(view, ccs)?.count(1))
 }
 
-impl<'a> ValueIndex<'a> {
-    fn build(view: &'a Relation, col: ColId) -> ValueIndex<'a> {
-        match view.schema().column(col).dtype {
+/// The CC conditions resolved against a view: the distinct `(column, value
+/// set)` selections, each CC's selections, and the buckets of every column
+/// a selection reads.
+struct CcSelections<'a> {
+    n_rows: usize,
+    n_selections: usize,
+    /// Each CC's selections; none selects every row.
+    per_cc: Vec<Vec<usize>>,
+    columns: Vec<SelectionColumn<'a>>,
+}
+
+/// The selections on one view column. Each present cell falls in one
+/// bucket, and the cells of bucket `b` lie in exactly the selections
+/// `sels[starts[b]..starts[b + 1]]`; a missing cell lies in none.
+struct SelectionColumn<'a> {
+    buckets: Buckets<'a>,
+    starts: Vec<u32>,
+    sels: Vec<u32>,
+}
+
+impl<'a> CcSelections<'a> {
+    fn resolve(view: &'a Relation, ccs: &[CardinalityConstraint]) -> Result<CcSelections<'a>> {
+        let mut selections: Vec<(ColId, ValueSet)> = Vec::new();
+        let mut per_cc: Vec<Vec<usize>> = Vec::with_capacity(ccs.len());
+        for cc in ccs {
+            let cond = cc.combined();
+            let mut ids = Vec::with_capacity(cond.len());
+            for (name, set) in cond.iter() {
+                let col = view.schema().require(name, view.name())?;
+                ids.push(intern(&mut selections, (col, set.clone())));
+            }
+            per_cc.push(ids);
+        }
+        let mut cols: Vec<ColId> = selections.iter().map(|&(col, _)| col).collect();
+        cols.sort_unstable();
+        cols.dedup();
+        let columns = cols
+            .into_iter()
+            .map(|col| SelectionColumn::build(view, col, &selections))
+            .collect();
+        Ok(CcSelections {
+            n_rows: view.n_rows(),
+            n_selections: selections.len(),
+            per_cc,
+            columns,
+        })
+    }
+
+    /// Each CC's count, summed over the chunks of view rows.
+    fn count(&self, workers: usize) -> Vec<u64> {
+        let n = self.n_rows;
+        let Ok(chunks) = run_all(n.div_ceil(CHUNK_ROWS), workers, |c| {
+            Ok::<_, Infallible>(self.count_rows(chunk(c, n)))
+        });
+        let mut counts = vec![0u64; self.per_cc.len()];
+        for chunk in chunks {
+            for (total, got) in counts.iter_mut().zip(chunk) {
+                *total += got;
+            }
+        }
+        counts
+    }
+
+    /// Each CC's count over `rows`: one bitset per selection over those
+    /// rows only, ANDed and popcounted per CC.
+    fn count_rows(&self, rows: Range<RowId>) -> Vec<u64> {
+        let words = rows.len().div_ceil(64);
+        let mut selected = vec![0u64; self.n_selections * words];
+        for column in &self.columns {
+            column.buckets.each(rows.clone(), |i, b| {
+                let Some(b) = b else {
+                    return;
+                };
+                let (from, to) = (column.starts[b] as usize, column.starts[b + 1] as usize);
+                for &s in &column.sels[from..to] {
+                    selected[s as usize * words + (i >> 6)] |= 1 << (i & 63);
+                }
+            });
+        }
+        let word = |s: usize, w: usize| selected[s * words + w];
+        self.per_cc
+            .iter()
+            .map(|ids| match ids.split_first() {
+                None => rows.len() as u64,
+                Some((&first, rest)) => (0..words)
+                    .map(|w| {
+                        let all = rest.iter().fold(word(first, w), |acc, &s| acc & word(s, w));
+                        u64::from(all.count_ones())
+                    })
+                    .sum(),
+            })
+            .collect()
+    }
+}
+
+impl<'a> SelectionColumn<'a> {
+    /// Buckets column `col` of `view` for the selections on it. A value set
+    /// of the other type, or the empty set, holds no bucket.
+    fn build(view: &'a Relation, col: ColId, selections: &[(ColId, ValueSet)]) -> Self {
+        let on_col = || {
+            selections
+                .iter()
+                .enumerate()
+                .filter(move |(_, (c, _))| *c == col)
+                .map(|(s, (_, set))| (s as u32, set))
+        };
+        // `(bucket, selection)` for every bucket inside a selection.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let buckets = match view.schema().column(col).dtype {
             Dtype::Int => {
-                let cells = view.int_view(col).expect("dtype checked");
-                let mut pairs: Vec<(i64, u32)> = (0..cells.len())
-                    .filter_map(|r| cells.get(r).map(|v| (v, r as u32)))
-                    .collect();
-                pairs.sort_unstable();
-                ValueIndex::Int(pairs)
+                // A range's answer changes at `lo` and past `hi`.
+                let ends = on_col().flat_map(|(_, set)| match *set {
+                    ValueSet::IntRange { lo, hi } => [Some(lo), hi.checked_add(1)],
+                    _ => [None, None],
+                });
+                let buckets =
+                    Buckets::int(view.int_view(col).expect("dtype checked"), ends.flatten());
+                for b in 0..buckets.len() {
+                    let value = buckets.value(b);
+                    pairs.extend(
+                        on_col()
+                            .filter(|(_, set)| set.contains(value))
+                            .map(|(s, _)| (b as u32, s)),
+                    );
+                }
+                buckets
             }
             Dtype::Str => {
                 let cells = sym_cells(view, col);
-                let mut starts = vec![0u32; cells.dict().len() + 1];
-                for r in 0..cells.len() {
-                    if let Some(c) = cells.code(r) {
-                        starts[c as usize + 1] += 1;
+                for (s, set) in on_col() {
+                    if let ValueSet::Strs(syms) = set {
+                        pairs.extend(
+                            syms.iter()
+                                .filter_map(|&sym| Some((cells.code_of(sym)?, s))),
+                        );
                     }
                 }
-                for c in 1..starts.len() {
-                    starts[c] += starts[c - 1];
-                }
-                let mut next = starts.clone();
-                let mut rows = vec![0u32; starts[starts.len() - 1] as usize];
-                for r in 0..cells.len() {
-                    if let Some(c) = cells.code(r) {
-                        rows[next[c as usize] as usize] = r as u32;
-                        next[c as usize] += 1;
-                    }
-                }
-                ValueIndex::Sym {
-                    cells,
-                    starts,
-                    rows,
-                }
+                Buckets::Sym(cells)
             }
+        };
+        pairs.sort_unstable();
+        let mut starts = vec![0u32; buckets.len() + 1];
+        for &(b, _) in &pairs {
+            starts[b as usize + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        SelectionColumn {
+            buckets,
+            starts,
+            sels: pairs.into_iter().map(|(_, s)| s).collect(),
         }
     }
-
-    /// The rows whose cell lies in `set`. A value set of the other type (or
-    /// the empty set) selects nothing.
-    fn select(&self, set: &ValueSet, n_rows: usize) -> Bits {
-        let mut bits = vec![0u64; n_rows.div_ceil(64)];
-        match (self, set) {
-            (ValueIndex::Int(pairs), ValueSet::IntRange { lo, hi }) => {
-                let from = pairs.partition_point(|&(v, _)| v < *lo);
-                let to = pairs.partition_point(|&(v, _)| v <= *hi);
-                for &(_, r) in &pairs[from..to] {
-                    set_bit(&mut bits, r as usize);
-                }
-            }
-            (
-                ValueIndex::Sym {
-                    cells,
-                    starts,
-                    rows,
-                },
-                ValueSet::Strs(syms),
-            ) => {
-                for &s in syms {
-                    if let Some(c) = cells.code_of(s) {
-                        let c = c as usize;
-                        for &r in &rows[starts[c] as usize..starts[c + 1] as usize] {
-                            set_bit(&mut bits, r as usize);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-        bits
-    }
-}
-
-/// Counts the rows of `view` satisfying each CC's combined condition: one
-/// bitset per distinct `(column, value set)`, ANDed and popcounted per CC.
-fn count_ccs(view: &Relation, ccs: &[CardinalityConstraint]) -> Result<Vec<u64>> {
-    let n = view.n_rows();
-    let mut indexes: HashMap<ColId, ValueIndex<'_>> = HashMap::new();
-    let mut selections: Vec<(ColId, ValueSet)> = Vec::new();
-    let mut selected: Vec<Bits> = Vec::new();
-    let mut per_cc: Vec<Vec<usize>> = Vec::with_capacity(ccs.len());
-    for cc in ccs {
-        let cond = cc.combined();
-        let mut ids = Vec::with_capacity(cond.len());
-        for (name, set) in cond.iter() {
-            let col = view.schema().require(name, view.name())?;
-            let id = match selections.iter().position(|(c, s)| *c == col && s == set) {
-                Some(id) => id,
-                None => {
-                    let index = indexes
-                        .entry(col)
-                        .or_insert_with(|| ValueIndex::build(view, col));
-                    selected.push(index.select(set, n));
-                    selections.push((col, set.clone()));
-                    selections.len() - 1
-                }
-            };
-            ids.push(id);
-        }
-        per_cc.push(ids);
-    }
-    Ok(per_cc
-        .iter()
-        .map(|ids| match ids.split_first() {
-            None => n as u64,
-            Some((&first, rest)) => selected[first]
-                .iter()
-                .enumerate()
-                .map(|(w, &word)| {
-                    let word = rest.iter().fold(word, |acc, &i| acc & selected[i][w]);
-                    u64::from(word.count_ones())
-                })
-                .sum(),
-        })
-        .collect())
 }
 
 // ---- DCs -----------------------------------------------------------------
+
+/// `R̂1`'s rows in groups: group `g` is `rows[starts[g]..starts[g + 1]]`,
+/// in ascending row order.
+struct Groups {
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Groups {
+    /// One group per `R̂2` row, holding the `R̂1` rows matched to it, from
+    /// one counting pass over the match.
+    fn by_match(matched: &[u32], n_r2: usize) -> Groups {
+        // Counting each group at its own slot and summing leaves `starts[g]`
+        // at the end of group `g`; placing the rows from the last down then
+        // moves it back to the group's start.
+        let mut starts = vec![0u32; n_r2 + 1];
+        for &m in matched {
+            starts[m as usize] += 1;
+        }
+        let mut total = 0;
+        for s in &mut starts {
+            total += *s;
+            *s = total;
+        }
+        let mut rows = vec![0u32; matched.len()];
+        for (r, &m) in matched.iter().enumerate().rev() {
+            let at = &mut starts[m as usize];
+            *at -= 1;
+            rows[*at as usize] = r as u32;
+        }
+        Groups { starts, rows }
+    }
+
+    /// The rows sharing a value of column `fk`, from a sort of `(value,
+    /// row)` pairs (a dictionary code stands for its symbol within one
+    /// column); rows missing it join no group.
+    fn by_value(rel: &Relation, fk: ColId) -> Groups {
+        let n = rel.n_rows();
+        let mut keyed: Vec<(i64, u32)> = match rel.int_view(fk) {
+            Some(cells) => (0..n)
+                .filter_map(|r| cells.get(r).map(|v| (v, r as u32)))
+                .collect(),
+            None => {
+                let cells = sym_cells(rel, fk);
+                (0..n)
+                    .filter_map(|r| cells.code(r).map(|c| (i64::from(c), r as u32)))
+                    .collect()
+            }
+        };
+        keyed.sort_unstable();
+        let mut starts = vec![0u32];
+        starts.extend(
+            (1..keyed.len())
+                .filter(|&i| keyed[i - 1].0 != keyed[i].0)
+                .map(|i| i as u32),
+        );
+        starts.push(keyed.len() as u32);
+        Groups {
+            starts,
+            rows: keyed.into_iter().map(|(_, r)| r).collect(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    #[cfg(test)]
+    fn group(&self, g: usize) -> &[u32] {
+        &self.rows[self.starts[g] as usize..self.starts[g + 1] as usize]
+    }
+
+    /// Runs of whole groups, each closed once it holds [`CHUNK_ROWS`] rows.
+    fn chunks(&self) -> Vec<Range<usize>> {
+        let mut out = Vec::new();
+        let mut from = 0;
+        for g in 0..self.len() {
+            if (self.starts[g + 1] - self.starts[from]) as usize >= CHUNK_ROWS {
+                out.push(from..g + 1);
+                from = g + 1;
+            }
+        }
+        if from < self.len() {
+            out.push(from..self.len());
+        }
+        out
+    }
+}
 
 /// A unary atom `t.col ◦ value`.
 #[derive(Clone, Copy, PartialEq)]
@@ -535,24 +918,25 @@ impl UnaryAtom {
     }
 }
 
-/// A binary atom `t_lvar.lcol ◦ t_rvar.rcol + offset` over integer columns.
-struct BinaryAtom<'a> {
+/// A binary atom `t_lvar.lcol ◦ t_rvar.rcol + offset` over integer columns,
+/// which it reads as slots of a group's gathered cells.
+struct BinaryAtom {
     lvar: usize,
-    lcells: IntColumnView<'a>,
+    lslot: usize,
     op: CmpOp,
     rvar: usize,
-    rcells: IntColumnView<'a>,
+    rslot: usize,
     offset: i64,
 }
 
-impl BinaryAtom<'_> {
-    /// The atom on the rows bound so far (`rows[var]` is variable `var`'s
-    /// row); a missing cell is false, as in [`BoundDc::holds`].
+impl BinaryAtom {
+    /// The atom on the members bound so far (`at[var]` is variable `var`'s
+    /// member); a missing cell is false, as in [`BoundDc::holds`].
     #[inline]
-    fn holds(&self, rows: &[RowId]) -> bool {
+    fn holds(&self, group: &Group<'_>, at: &[u32]) -> bool {
         match (
-            self.lcells.get(rows[self.lvar]),
-            self.rcells.get(rows[self.rvar]),
+            group.cell(self.lslot, at[self.lvar]),
+            group.cell(self.rslot, at[self.rvar]),
         ) {
             // Exact: the sum cannot leave `i128`.
             (Some(l), Some(r)) => self
@@ -563,79 +947,107 @@ impl BinaryAtom<'_> {
     }
 }
 
+/// One FK group as the enumeration sees it: members by position.
+struct Group<'g> {
+    rows: &'g [u32],
+    /// Member `i`'s cell in slot `s` of the binary atoms' columns is
+    /// `cells[s * rows.len() + i]`.
+    cells: &'g [Option<i64>],
+    /// Each filter's candidates, as member positions.
+    cands: &'g [Vec<u32>],
+}
+
+impl Group<'_> {
+    #[inline]
+    fn cell(&self, slot: usize, member: u32) -> Option<i64> {
+        self.cells[slot * self.rows.len() + member as usize]
+    }
+}
+
 /// One DC, ready to enumerate.
-struct DcCheck<'a> {
+struct DcCheck {
     bound: BoundDc,
     /// The candidate filter of each tuple variable.
     filters: Vec<usize>,
     /// The same filters as a mask (bit `f` of word `f / 64`).
     needs: Vec<u64>,
     /// `tests[d]`: the binary atoms whose later variable is `d`.
-    tests: Vec<Vec<BinaryAtom<'a>>>,
+    tests: Vec<Vec<BinaryAtom>>,
 }
 
-impl DcCheck<'_> {
-    /// Extends the partial tuple `chosen` by one distinct row per remaining
-    /// variable, and marks the rows of every complete tuple φ holds on.
+impl DcCheck {
+    /// Extends the partial tuple `at` by one distinct member per remaining
+    /// variable, and marks in `violating` the members of every complete
+    /// tuple φ holds on (`tuple` is scratch for its rows).
     fn extend(
         &self,
         rel: &Relation,
-        cands: &[Vec<u32>],
-        chosen: &mut Vec<RowId>,
+        group: &Group<'_>,
+        at: &mut Vec<u32>,
+        tuple: &mut Vec<RowId>,
         violating: &mut [u64],
     ) {
-        let depth = chosen.len();
+        let depth = at.len();
         if depth == self.filters.len() {
-            if self.bound.holds(rel, chosen) {
-                for &r in chosen.iter() {
-                    set_bit(violating, r);
+            tuple.clear();
+            tuple.extend(at.iter().map(|&i| group.rows[i as usize] as RowId));
+            if self.bound.holds(rel, tuple) {
+                for &i in at.iter() {
+                    set_bit(violating, i as usize);
                 }
             }
             return;
         }
-        for &r in &cands[self.filters[depth]] {
-            let r = r as RowId;
-            if chosen.contains(&r) {
+        for &i in &group.cands[self.filters[depth]] {
+            if at.contains(&i) {
                 continue;
             }
-            chosen.push(r);
-            if self.tests[depth].iter().all(|a| a.holds(chosen)) {
-                self.extend(rel, cands, chosen, violating);
+            at.push(i);
+            if self.tests[depth].iter().all(|a| a.holds(group, at)) {
+                self.extend(rel, group, at, tuple, violating);
             }
-            chosen.pop();
+            at.pop();
         }
     }
 }
 
-/// Index of `item` in `items`, pushing it first if absent.
-fn intern<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
-    items.iter().position(|x| *x == item).unwrap_or_else(|| {
-        items.push(item);
-        items.len() - 1
-    })
+/// A column the unary atoms read, in buckets whose cells pass the same
+/// atoms. As far as this column decides, a row whose cell is in bucket `b`
+/// passes the filters of the mask `passes[b * fw..][..fw]`, and a row
+/// missing the cell those of the last mask (the filters with no atom on the
+/// column).
+struct FilterColumn<'a> {
+    buckets: Buckets<'a>,
+    passes: Vec<u64>,
 }
 
-/// The DCs of one relation, compiled: the distinct unary atoms, the
-/// distinct per-variable filters (sorted atom lists) and one check per DC
-/// that can hold.
+/// The DCs of one relation, compiled: the distinct per-variable filters
+/// (sets of distinct unary atoms), the columns their atoms read, and one
+/// check per DC that can hold.
 struct CompiledDcs<'a> {
-    atoms: Vec<UnaryAtom>,
-    filters: Vec<Vec<usize>>,
-    checks: Vec<DcCheck<'a>>,
+    rel: &'a Relation,
+    /// The columns of the binary atoms, by slot.
+    slots: Vec<IntColumnView<'a>>,
+    /// Words of a filter mask: bit `f` for filter `f`.
+    fw: usize,
+    n_filters: usize,
+    /// The mask of every filter.
+    all_filters: Vec<u64>,
+    columns: Vec<FilterColumn<'a>>,
+    checks: Vec<DcCheck>,
 }
 
 impl<'a> CompiledDcs<'a> {
     fn compile(rel: &'a Relation, dcs: &[DenialConstraint]) -> Result<CompiledDcs<'a>> {
         let (schema, name) = (rel.schema(), rel.name());
-        let mut out = CompiledDcs {
-            atoms: Vec::new(),
-            filters: Vec::new(),
-            checks: Vec::new(),
-        };
+        let mut atoms: Vec<UnaryAtom> = Vec::new();
+        let mut filters: Vec<Vec<usize>> = Vec::new();
+        let mut slots: Vec<ColId> = Vec::new();
+        let mut checks: Vec<DcCheck> = Vec::new();
         'dcs: for dc in dcs {
             let bound = dc.bind(schema, name)?;
             let mut var_atoms: Vec<Vec<usize>> = vec![Vec::new(); dc.arity];
-            let mut tests: Vec<Vec<BinaryAtom<'_>>> = (0..dc.arity).map(|_| Vec::new()).collect();
+            let mut tests: Vec<Vec<BinaryAtom>> = (0..dc.arity).map(|_| Vec::new()).collect();
             for atom in &dc.atoms {
                 match atom {
                     DcAtom::Unary {
@@ -649,7 +1061,7 @@ impl<'a> CompiledDcs<'a> {
                             op: *op,
                             value: *value,
                         };
-                        var_atoms[*var].push(intern(&mut out.atoms, atom));
+                        var_atoms[*var].push(intern(&mut atoms, atom));
                     }
                     DcAtom::Binary {
                         lvar,
@@ -659,20 +1071,19 @@ impl<'a> CompiledDcs<'a> {
                         rcol,
                         offset,
                     } => {
-                        let lcells = rel.int_view(schema.require(lcol, name)?);
-                        let rcells = rel.int_view(schema.require(rcol, name)?);
+                        let (l, r) = (schema.require(lcol, name)?, schema.require(rcol, name)?);
                         // `holds` reads binary atoms from integer cells
                         // only: on any other column the atom, and so φ,
                         // never holds.
-                        let (Some(lcells), Some(rcells)) = (lcells, rcells) else {
+                        if rel.int_view(l).is_none() || rel.int_view(r).is_none() {
                             continue 'dcs;
-                        };
+                        }
                         tests[(*lvar).max(*rvar)].push(BinaryAtom {
                             lvar: *lvar,
-                            lcells,
+                            lslot: intern(&mut slots, l),
                             op: *op,
                             rvar: *rvar,
-                            rcells,
+                            rslot: intern(&mut slots, r),
                             offset: *offset,
                         });
                     }
@@ -683,189 +1094,170 @@ impl<'a> CompiledDcs<'a> {
                 .map(|mut ids| {
                     ids.sort_unstable();
                     ids.dedup();
-                    intern(&mut out.filters, ids)
+                    intern(&mut filters, ids)
                 })
                 .collect();
-            out.checks.push(DcCheck {
+            checks.push(DcCheck {
                 bound,
                 filters,
                 needs: Vec::new(),
                 tests,
             });
         }
-        let fw = out.filters.len().div_ceil(64);
-        for check in &mut out.checks {
+        let fw = filters.len().div_ceil(64);
+        for check in &mut checks {
             check.needs = vec![0u64; fw];
             for &f in &check.filters {
                 set_bit(&mut check.needs, f);
             }
         }
-        Ok(out)
-    }
-
-    /// Each distinct unary atom on every row of `rel`, column by column: an
-    /// integer cell meets each atom on its column, a symbol the atoms its
-    /// dictionary code passes.
-    fn atom_rows(&self, rel: &Relation) -> Vec<Bits> {
-        let n = rel.n_rows();
-        let mut rows: Vec<Bits> = vec![vec![0u64; n.div_ceil(64)]; self.atoms.len()];
-        let mut cols: Vec<ColId> = self.atoms.iter().map(|a| a.col).collect();
+        let mut all_filters = vec![0u64; fw];
+        for f in 0..filters.len() {
+            set_bit(&mut all_filters, f);
+        }
+        let mut cols: Vec<ColId> = atoms.iter().map(|a| a.col).collect();
         cols.sort_unstable();
         cols.dedup();
-        for col in cols {
-            let on_col: Vec<usize> = (0..self.atoms.len())
-                .filter(|&a| self.atoms[a].col == col)
-                .collect();
-            if let Some(cells) = rel.int_view(col) {
-                for r in 0..n {
-                    if let Some(x) = cells.get(r) {
-                        for &a in &on_col {
-                            if self.atoms[a].passes(Value::Int(x)) {
-                                set_bit(&mut rows[a], r);
-                            }
+        let columns = cols
+            .into_iter()
+            .map(|col| {
+                let on_col = || atoms.iter().filter(move |a| a.col == col);
+                let buckets = match rel.int_view(col) {
+                    // An atom `t.col ◦ c` changes its answer at `c` and
+                    // past it.
+                    Some(cells) => {
+                        let ends = on_col().flat_map(|a| match a.value {
+                            Value::Int(c) => [Some(c), c.checked_add(1)],
+                            Value::Str(_) => [None, None],
+                        });
+                        Buckets::int(cells, ends.flatten())
+                    }
+                    None => Buckets::Sym(sym_cells(rel, col)),
+                };
+                let missing = buckets.len();
+                let mut passes = vec![0u64; (missing + 1) * fw];
+                for (f, ids) in filters.iter().enumerate() {
+                    let mut own = ids.iter().map(|&a| &atoms[a]).filter(|a| a.col == col);
+                    for b in 0..missing {
+                        let value = buckets.value(b);
+                        if own.clone().all(|a| a.passes(value)) {
+                            set_bit(&mut passes[b * fw..], f);
                         }
                     }
+                    if own.next().is_none() {
+                        set_bit(&mut passes[missing * fw..], f);
+                    }
                 }
-            } else {
-                let cells = sym_cells(rel, col);
-                let pass: Vec<Vec<usize>> = cells
-                    .dict()
-                    .iter()
-                    .map(|&s| {
-                        on_col
-                            .iter()
-                            .copied()
-                            .filter(|&a| self.atoms[a].passes(Value::Str(s)))
-                            .collect()
-                    })
-                    .collect();
-                for r in 0..n {
-                    if let Some(c) = cells.code(r) {
-                        for &a in &pass[c as usize] {
-                            set_bit(&mut rows[a], r);
+                FilterColumn { buckets, passes }
+            })
+            .collect();
+        Ok(CompiledDcs {
+            rel,
+            slots: slots
+                .into_iter()
+                .map(|col| {
+                    rel.int_view(col)
+                        .expect("binary atoms read integer columns")
+                })
+                .collect(),
+            fw,
+            n_filters: filters.len(),
+            all_filters,
+            columns,
+            checks,
+        })
+    }
+
+    /// The fraction of the relation's rows in some violation within their
+    /// group, the runs of groups checked on up to `workers` threads.
+    fn violation_fraction(&self, groups: &Groups, workers: usize) -> f64 {
+        if self.checks.is_empty() {
+            return 0.0;
+        }
+        let runs = groups.chunks();
+        let Ok(counts) = run_all(runs.len(), workers, |c| {
+            Ok::<_, Infallible>(self.violations_in(groups, runs[c].clone()))
+        });
+        // A row lies in one group, so the runs' counts add.
+        counts.into_iter().sum::<u64>() as f64 / self.rel.n_rows() as f64
+    }
+
+    /// The rows of the groups `run` in some violation.
+    fn violations_in(&self, groups: &Groups, run: Range<usize>) -> u64 {
+        let fw = self.fw;
+        // The run's rows, group after group, and the filters each passes:
+        // every column ANDs in the mask of its cell's bucket.
+        let base = groups.starts[run.start] as usize;
+        let rows = &groups.rows[base..groups.starts[run.end] as usize];
+        let mut masks: Vec<u64> = (0..rows.len())
+            .flat_map(|_| self.all_filters.iter().copied())
+            .collect();
+        for column in &self.columns {
+            let missing = column.buckets.len();
+            column
+                .buckets
+                .each(rows.iter().map(|&r| r as RowId), |i, b| {
+                    let passed = &column.passes[b.unwrap_or(missing) * fw..][..fw];
+                    for (m, &p) in masks[i * fw..][..fw].iter_mut().zip(passed) {
+                        *m &= p;
+                    }
+                });
+        }
+        let mut cands: Vec<Vec<u32>> = vec![Vec::new(); self.n_filters];
+        let mut present = vec![0u64; fw];
+        let mut cells: Vec<Option<i64>> = Vec::new();
+        let (mut at, mut tuple) = (Vec::new(), Vec::new());
+        let mut violating: Vec<u64> = Vec::new();
+        let mut count = 0;
+        for g in run {
+            let (from, to) = (
+                groups.starts[g] as usize - base,
+                groups.starts[g + 1] as usize - base,
+            );
+            if to - from < 2 {
+                continue;
+            }
+            // Each filter's candidates in the group, gathered once.
+            present.fill(0);
+            for (i, mask) in masks[from * fw..to * fw].chunks_exact(fw).enumerate() {
+                for (w, &word) in mask.iter().enumerate() {
+                    let mut word = word;
+                    while word != 0 {
+                        let f = w * 64 + word.trailing_zeros() as usize;
+                        if !bit(&present, f) {
+                            set_bit(&mut present, f);
+                            cands[f].clear();
                         }
+                        cands[f].push(i as u32);
+                        word &= word - 1;
                     }
                 }
             }
-        }
-        rows
-    }
-
-    /// Each row's filters as `fw` mask words (`fw` = filters / 64, rounded
-    /// up): bit `f` is set iff the row passes every atom of filter `f`.
-    /// Also returns the mask of filters some row passes.
-    fn row_masks(&self, rel: &Relation) -> (Vec<u64>, Vec<u64>) {
-        let n = rel.n_rows();
-        let fw = self.filters.len().div_ceil(64);
-        let atom_rows = self.atom_rows(rel);
-        let mut masks = vec![0u64; n * fw];
-        let mut live = vec![0u64; fw];
-        for (f, ids) in self.filters.iter().enumerate() {
-            let mut rows = all_rows(n);
-            for &a in ids {
-                for (w, &word) in rows.iter_mut().zip(&atom_rows[a]) {
-                    *w &= word;
+            let members = &rows[from..to];
+            cells.clear();
+            for slot in &self.slots {
+                cells.extend(members.iter().map(|&r| slot.get(r as RowId)));
+            }
+            let group = Group {
+                rows: members,
+                cells: &cells,
+                cands: &cands,
+            };
+            violating.clear();
+            violating.resize(members.len().div_ceil(64), 0);
+            for check in &self.checks {
+                if covers(&present, &check.needs) {
+                    at.clear();
+                    check.extend(self.rel, &group, &mut at, &mut tuple, &mut violating);
                 }
             }
-            for (w, &word) in rows.iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    let r = w * 64 + word.trailing_zeros() as usize;
-                    set_bit(&mut masks[r * fw..], f);
-                    word &= word - 1;
-                }
-            }
-            if rows.iter().any(|&w| w != 0) {
-                set_bit(&mut live, f);
-            }
+            count += violating
+                .iter()
+                .map(|w| u64::from(w.count_ones()))
+                .sum::<u64>();
         }
-        (masks, live)
+        count
     }
-}
-
-/// `(key, row)` for every row of `rel` with an FK, sorted so that each FK
-/// value's rows are contiguous (a dictionary code stands for its symbol
-/// within one column).
-fn fk_groups(rel: &Relation, fk: ColId) -> Vec<(i64, u32)> {
-    let n = rel.n_rows();
-    let mut keyed: Vec<(i64, u32)> = match rel.int_view(fk) {
-        Some(cells) => (0..n)
-            .filter_map(|r| cells.get(r).map(|v| (v, r as u32)))
-            .collect(),
-        None => {
-            let cells = sym_cells(rel, fk);
-            (0..n)
-                .filter_map(|r| cells.code(r).map(|c| (i64::from(c), r as u32)))
-                .collect()
-        }
-    };
-    keyed.sort_unstable();
-    keyed
-}
-
-/// The DC error of `rel` with violation groups the rows sharing a value of
-/// column `fk` (rows missing it join no group).
-fn violation_fraction(rel: &Relation, fk: ColId, dcs: &[DenialConstraint]) -> Result<f64> {
-    let n = rel.n_rows();
-    let mut compiled = CompiledDcs::compile(rel, dcs)?;
-    let fw = compiled.filters.len().div_ceil(64);
-    let (row_masks, live) = compiled.row_masks(rel);
-    // A DC one of whose variables no row can take never holds.
-    compiled.checks.retain(|c| covers(&live, &c.needs));
-    if compiled.checks.is_empty() {
-        return Ok(0.0);
-    }
-
-    let keyed = fk_groups(rel, fk);
-    // The masks in group order, so the group walk reads them in sequence.
-    let masks: Vec<u64> = keyed
-        .iter()
-        .flat_map(|&(_, r)| &row_masks[r as usize * fw..][..fw])
-        .copied()
-        .collect();
-    drop(row_masks);
-
-    let mut violating = vec![0u64; n.div_ceil(64)];
-    let mut cands: Vec<Vec<u32>> = vec![Vec::new(); compiled.filters.len()];
-    let mut present = vec![0u64; fw];
-    let mut chosen: Vec<RowId> = Vec::new();
-    let mut at = 0;
-    for group in keyed.chunk_by(|a, b| a.0 == b.0) {
-        let group_masks = masks[at * fw..][..group.len() * fw].chunks(fw);
-        at += group.len();
-        if group.len() < 2 {
-            continue;
-        }
-        // Each filter's candidates in the group, gathered once.
-        present.fill(0);
-        for (&(_, r), row_mask) in group.iter().zip(group_masks) {
-            for (w, &mask) in row_mask.iter().enumerate() {
-                let mut mask = mask;
-                while mask != 0 {
-                    let f = w * 64 + mask.trailing_zeros() as usize;
-                    if !bit(&present, f) {
-                        set_bit(&mut present, f);
-                        cands[f].clear();
-                    }
-                    cands[f].push(r);
-                    mask &= mask - 1;
-                }
-            }
-        }
-        for check in &compiled.checks {
-            if covers(&present, &check.needs) {
-                chosen.clear();
-                check.extend(rel, &cands, &mut chosen, &mut violating);
-            }
-        }
-    }
-    let count: u32 = violating.iter().map(|w| w.count_ones()).sum();
-    Ok(f64::from(count) / n as f64)
-}
-
-/// `true` iff every bit of `needs` is set in `have`.
-fn covers(have: &[u64], needs: &[u64]) -> bool {
-    needs.iter().zip(have).all(|(&need, &has)| need & !has == 0)
 }
 
 #[cfg(test)]
@@ -1049,10 +1441,10 @@ mod tests {
         .unwrap()];
         assert_eq!(dc_error(&r1, &dcs).unwrap(), 0.5);
         let fk = r1.schema().fk_col().unwrap();
-        let matched = match_fks(&r1, fk, &r2).unwrap();
+        let matched = match_fks(&r1, fk, &r2, 1).unwrap();
         assert_eq!(matched, vec![0, 1, 0, 1]);
         let view = fk_join(&r1, &r2).unwrap();
-        assert!(view_is_join(&view, &r1, &r2, &matched).unwrap());
+        assert!(view_is_join(&view, &r1, &r2, &matched, 1).unwrap());
     }
 
     /// The running example solved by hand (Figure 3, corrected), with its
@@ -1177,5 +1569,154 @@ mod tests {
             .unwrap();
         let report = evaluate(&instance, &solution).unwrap();
         assert!(report.join_recovered);
+    }
+
+    #[test]
+    fn integer_buckets_count_like_count_in_at_the_extremes() {
+        use cextend_constraints::NormalizedCond;
+        use cextend_table::{ColumnDef, Dtype, Schema};
+        let schema = Schema::new(vec![ColumnDef::attr("X", Dtype::Int)]).unwrap();
+        let mut view = Relation::new("v", schema);
+        for x in [i64::MIN, i64::MIN + 1, -1, 0, 1, 7, i64::MAX - 1, i64::MAX] {
+            view.push_row(&[Some(Value::Int(x))]).unwrap();
+        }
+        view.push_row(&[None]).unwrap();
+        let ccs: Vec<CardinalityConstraint> = [
+            ValueSet::range(i64::MIN, i64::MIN),
+            ValueSet::range(i64::MIN, 0),
+            ValueSet::range(0, i64::MAX),
+            ValueSet::range(i64::MAX, i64::MAX),
+            ValueSet::range(-1, 1),
+            ValueSet::range(7, 7),
+            ValueSet::all_ints(),
+        ]
+        .into_iter()
+        .map(|set| {
+            let cond = NormalizedCond::from_sets([("X".to_owned(), set)]);
+            CardinalityConstraint::new("cc", cond, NormalizedCond::always(), 0)
+        })
+        .collect();
+        let expected: Vec<u64> = ccs.iter().map(|cc| cc.count_in(&view).unwrap()).collect();
+        assert_eq!(expected, vec![1, 4, 5, 1, 3, 1, 8]);
+        assert_eq!(count_ccs(&view, &ccs).unwrap(), expected);
+    }
+
+    /// Over three chunks of rows in groups of one to five, with integer
+    /// cells at the extremes and missing cells, the DC error is the
+    /// brute-force fraction of rows in a violating pair of their group,
+    /// grouped by value or by match, at every width.
+    #[test]
+    fn dc_error_is_the_brute_force_fraction_across_chunks_and_widths() {
+        use cextend_table::{ColumnDef, Dtype, Schema};
+        let schema = Schema::new(vec![
+            ColumnDef::key("pid", Dtype::Int),
+            ColumnDef::attr("X", Dtype::Int),
+            ColumnDef::attr("K", Dtype::Str),
+            ColumnDef::foreign_key("hid", Dtype::Int),
+        ])
+        .unwrap();
+        let mut rel = Relation::new("R", schema);
+        let n = 3 * CHUNK_ROWS + 100;
+        let mut state = 7u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let (mut hid, mut left) = (0i64, 1u64);
+        let mut matched = Vec::with_capacity(n);
+        for pid in 0..n {
+            let x = match next() % 8 {
+                0 => None,
+                1 => Some(i64::MIN),
+                2 => Some(i64::MAX),
+                v => Some(v as i64 * 3 - 12),
+            };
+            let k = ["a", "b", "c"][next() as usize % 3];
+            rel.push_row(&[
+                Some(Value::Int(pid as i64)),
+                x.map(Value::Int),
+                Some(Value::str(k)),
+                Some(Value::Int(hid)),
+            ])
+            .unwrap();
+            matched.push(hid as u32);
+            left -= 1;
+            if left == 0 {
+                hid += 1;
+                left = 1 + next() % 5;
+            }
+        }
+        let unary = |var: usize, column: &str, op: CmpOp, value: Value| DcAtom::Unary {
+            var,
+            column: column.to_owned(),
+            op,
+            value,
+        };
+        let dc = |atoms: Vec<DcAtom>| DenialConstraint::new("d", 2, atoms).unwrap();
+        let dcs = vec![
+            dc(vec![
+                unary(0, "X", CmpOp::Ge, Value::Int(i64::MAX)),
+                unary(1, "X", CmpOp::Le, Value::Int(i64::MIN)),
+            ]),
+            dc(vec![
+                unary(0, "K", CmpOp::Eq, Value::str("a")),
+                unary(1, "K", CmpOp::Eq, Value::str("a")),
+                unary(1, "X", CmpOp::Ne, Value::Int(0)),
+            ]),
+            dc(vec![
+                unary(0, "X", CmpOp::Lt, Value::Int(0)),
+                DcAtom::Binary {
+                    lvar: 1,
+                    lcol: "X".to_owned(),
+                    op: CmpOp::Gt,
+                    rvar: 0,
+                    rcol: "X".to_owned(),
+                    offset: 5,
+                },
+            ]),
+            // A type mismatch never holds.
+            dc(vec![unary(0, "X", CmpOp::Eq, Value::str("a"))]),
+        ];
+        let bound: Vec<BoundDc> = dcs
+            .iter()
+            .map(|d| d.bind(rel.schema(), rel.name()).unwrap())
+            .collect();
+        let groups = Groups::by_value(&rel, rel.schema().fk_col().unwrap());
+        let mut violating = vec![false; n];
+        for g in 0..groups.len() {
+            let rows = groups.group(g);
+            for &a in rows {
+                for &b in rows.iter().filter(|&&b| b != a) {
+                    let pair = [a as RowId, b as RowId];
+                    if bound.iter().any(|d| d.holds(&rel, &pair)) {
+                        violating[a as usize] = true;
+                        violating[b as usize] = true;
+                    }
+                }
+            }
+        }
+        let brute = violating.iter().filter(|&&v| v).count() as f64 / n as f64;
+        assert!(brute > 0.0);
+        assert_eq!(dc_error(&rel, &dcs).unwrap(), brute);
+        let by_match = Groups::by_match(&matched, hid as usize + 1);
+        assert!(by_match.chunks().len() >= 3);
+        let compiled = CompiledDcs::compile(&rel, &dcs).unwrap();
+        for workers in [1, 2, 4] {
+            assert_eq!(
+                compiled.violation_fraction(&by_match, workers),
+                brute,
+                "{workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn matched_groups_are_the_value_groups_in_row_order() {
+        let matched = [2u32, 0, 2, 3, 0, 2];
+        let groups = Groups::by_match(&matched, 5);
+        let listed: Vec<&[u32]> = (0..groups.len()).map(|g| groups.group(g)).collect();
+        assert_eq!(listed, vec![&[1, 4][..], &[], &[0, 2, 5], &[3], &[]]);
     }
 }

@@ -35,7 +35,7 @@
 use crate::config::SolverConfig;
 use crate::error::{CoreError, Result};
 use crate::instance::CExtensionInstance;
-use crate::metrics::{evaluate, EvaluationReport};
+use crate::metrics::{evaluate_with_workers, EvaluationReport};
 use crate::report::SolveStats;
 use cextend_constraints::{CardinalityConstraint, DenialConstraint};
 use cextend_table::{
@@ -374,7 +374,7 @@ pub fn solve_step(
     let (n_r1, n_r2) = (instance.r1.n_rows(), instance.r2.n_rows());
     let solution = crate::solve(&instance, config)?;
     let evaluate_span = cextend_obs::span("evaluate");
-    let report = evaluate(&instance, &solution)?;
+    let report = evaluate_with_workers(&instance, &solution, config.workers)?;
     drop(evaluate_span);
 
     let owner_idx = plan.owner_index();

@@ -14,10 +14,11 @@
 //!   with a clear [`SchedError::Cycle`] instead of deadlocking at run time)
 //!   and computes topological levels: every task sits one level past its
 //!   deepest dependency, so all tasks of a level are mutually independent.
-//! - [`run_tasks`] — executes one level's tasks on up to `width` threads of
-//!   a `std::thread::scope` worker pool (inline below 2), returning results
-//!   (and the first error, chosen by task order) deterministically at any
-//!   width.
+//! - [`run_tasks`] — executes one batch of independent tasks (a level's
+//!   steps, the certifier's chunks) on up to `width` threads of a
+//!   `std::thread::scope` worker pool that pulls tasks from a shared
+//!   counter (inline below 2), returning results (and the first error,
+//!   chosen by task order) deterministically at any width.
 //! - [`pool_width`] — the default width, for front ends to resolve once.
 //!
 //! ```

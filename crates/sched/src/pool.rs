@@ -1,9 +1,13 @@
 //! The level runner: executes one batch of independent tasks, inline or on
-//! a `std::thread::scope` worker pool whose threads take the batch in fixed
-//! strides (thread `t` runs tasks `t`, `t + width`, …). Phase II's
-//! partition-coloring pool in `cextend-core` is shaped differently: its
-//! workers pull partition indexes from a shared atomic counter, so one
-//! huge partition never strands the small ones queued behind it.
+//! a `std::thread::scope` worker pool. Workers pull the next task index
+//! from a shared atomic counter, so a batch whose tasks differ in cost (the
+//! certifier's FK-group runs, whose enumeration grows with the group sizes)
+//! never leaves one thread holding the slow ones while the others idle.
+//! Phase II's partition-coloring pool in `cextend-core` hands out
+//! partitions the same way. Results come back in `ids` order whichever
+//! thread ran them, so the batch's outcome does not depend on the width.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The default worker count for a batch of `n` tasks: the
 /// `CEXTEND_SCHED_WORKERS` environment variable when set to a positive
@@ -32,9 +36,10 @@ fn parse_worker_override(s: &str) -> Option<usize> {
 }
 
 /// Runs `task` for every id in `ids` on up to `width` scoped threads,
-/// returning the results in `ids` order. When `width` capped at the task
-/// count is below 2 the batch runs inline, with no thread spawned. When
-/// several tasks fail, the error of the *first* failing id is returned —
+/// each taking the next unclaimed id as it frees up, and returns the
+/// results in `ids` order. When `width` capped at the task count is below
+/// 2 the batch runs inline, with no thread spawned. When several tasks
+/// fail, the error of the *first* failing id is returned —
 /// the same error a serial left-to-right run whose earlier tasks succeeded
 /// would surface. The caller guarantees the tasks are independent (a
 /// [`crate::Schedule`] level).
@@ -50,18 +55,23 @@ where
     }
     let mut slots: Vec<Option<Result<T, E>>> = Vec::new();
     slots.resize_with(ids.len(), || None);
+    // The counter only hands out indexes; results travel back through the
+    // joins, so it publishes no data and `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        let task = &task;
+        let (task, next) = (&task, &next);
         let mut handles = Vec::new();
         for t in 0..n_threads {
             handles.push(scope.spawn(move || {
                 cextend_obs::label_thread(&format!("sched-worker-{t}"));
                 let mut local = Vec::new();
-                let mut i = t;
-                while i < ids.len() {
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= ids.len() {
+                        break;
+                    }
                     let _task_span = cextend_obs::span_dyn(|| format!("task:{}", ids[i]));
                     local.push((i, task(ids[i])));
-                    i += n_threads;
                 }
                 // Hand buffered spans/counters to the collector before the
                 // scope joins (TLS destructors can outlive the join).
@@ -115,6 +125,24 @@ mod tests {
         assert_eq!(parse_worker_override("0"), None); // zero → autodetect
         assert_eq!(parse_worker_override(""), None);
         assert_eq!(parse_worker_override("two"), None);
+    }
+
+    #[test]
+    fn every_id_runs_exactly_once_at_every_width() {
+        use std::sync::atomic::AtomicU32;
+        let ids: Vec<usize> = (0..97).map(|i| i * 5 % 97).collect();
+        for width in [0, 1, 2, 4, 64] {
+            let runs: Vec<AtomicU32> = (0..97).map(|_| AtomicU32::new(0)).collect();
+            let got = run_tasks(&ids, width, |id| -> Result<usize, String> {
+                runs[id].fetch_add(1, Ordering::Relaxed);
+                Ok(id)
+            })
+            .unwrap();
+            assert_eq!(got, ids, "width {width}");
+            for (id, n) in runs.iter().enumerate() {
+                assert_eq!(n.load(Ordering::Relaxed), 1, "id {id} at width {width}");
+            }
+        }
     }
 
     #[test]

@@ -16,12 +16,14 @@
 //!
 //! On both, `evaluate` must report exactly the DC error computed per FK
 //! group with `build_conflict_graph_naive`, the CC errors of `cc_counts`
-//! on the same view, and a recovered join.
+//! on the same view, and a recovered join. [`reports_agree_across_widths`]
+//! certifies the same two solutions at several widths and requires the
+//! reports to be identical bit for bit.
 
 use crate::workload::WorkloadData;
 use cextend_constraints::{cc_counts, BoundDc, CardinalityConstraint, DenialConstraint};
 use cextend_core::conflict::build_conflict_graph_naive;
-use cextend_core::metrics::evaluate;
+use cextend_core::metrics::{evaluate, evaluate_with_workers, EvaluationReport};
 use cextend_core::snowflake::AugmentedView;
 use cextend_core::{CExtensionInstance, Solution, SolveStats};
 use cextend_table::{fk_join, Relation, RowId, Value};
@@ -37,7 +39,7 @@ pub struct Reference {
 }
 
 /// Step `step`'s ground-truth completion as an instance and its solution.
-fn truth_completion(
+pub fn truth_completion(
     data: &WorkloadData,
     step: usize,
     ccs: Vec<CardinalityConstraint>,
@@ -165,4 +167,75 @@ pub fn certifier_agrees_on_step(
     let off =
         check_certifier(&instance, &moved).map_err(|e| format!("step {step} perturbed: {e}"))?;
     Ok((clean, off))
+}
+
+/// `true` iff two reports hold the same figures, bit for bit.
+pub fn reports_identical(a: &EvaluationReport, b: &EvaluationReport) -> bool {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    bits(&a.cc_errors) == bits(&b.cc_errors)
+        && bits(&[a.cc_median, a.cc_mean, a.dc_error])
+            == bits(&[b.cc_median, b.cc_mean, b.dc_error])
+        && a.join_recovered == b.join_recovered
+}
+
+/// Certifies step `step`'s ground-truth completion and its perturbed copy
+/// with `evaluate`, and again with `evaluate_with_workers` at each width in
+/// `widths`, and requires every report to equal `evaluate`'s bit for bit.
+/// Returns `evaluate`'s reports (truth first).
+pub fn reports_agree_across_widths(
+    data: &WorkloadData,
+    step: usize,
+    ccs: Vec<CardinalityConstraint>,
+    dcs: Vec<DenialConstraint>,
+    widths: &[usize],
+) -> Result<(EvaluationReport, EvaluationReport), String> {
+    let (instance, truth) =
+        truth_completion(data, step, ccs, dcs).map_err(|e| format!("step {step}: {e}"))?;
+    let moved = perturb_fks(&truth).map_err(|e| format!("step {step}: {e}"))?;
+    let certify = |solution: &Solution, what: &str| {
+        let fail = |e: cextend_core::CoreError| format!("step {step} {what}: {e}");
+        let serial = evaluate(&instance, solution).map_err(fail)?;
+        for &workers in widths {
+            let wide = evaluate_with_workers(&instance, solution, workers).map_err(fail)?;
+            if !reports_identical(&serial, &wide) {
+                return Err(format!(
+                    "step {step} {what}: the report at width {workers} differs from evaluate's"
+                ));
+            }
+        }
+        Ok(serial)
+    };
+    Ok((certify(&truth, "truth")?, certify(&moved, "perturbed")?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::{workload_by_name, CcFamily, DcSet, WorkloadParams};
+
+    /// On truth completions of at least three of the certifier's 2^14-row
+    /// chunks, the report at widths 1, 2 and 4 is `evaluate`'s, on the clean
+    /// copy and on the perturbed one, which has violations to find.
+    #[test]
+    fn reports_are_identical_at_every_width_across_chunks() {
+        for (name, scale) in [("census", 2.0), ("dcdense", 3.5)] {
+            let w = workload_by_name(name).expect("registered");
+            let data = w.generate(&WorkloadParams::new(scale, 7));
+            let n = data.step_owner_truth(0).n_rows();
+            assert!(
+                n >= 3 << 14,
+                "{name}: {n} rows make fewer than three chunks"
+            );
+            let ccs = w.step_ccs(0, CcFamily::Good, 60, &data, 7);
+            let dcs = w.step_dcs(0, DcSet::All);
+            let (clean, off) = reports_agree_across_widths(&data, 0, ccs, dcs, &[1, 2, 4])
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(clean.dc_error, 0.0, "{name}");
+            assert!(
+                off.dc_error > 0.0,
+                "{name}: the perturbed copy shows no violation"
+            );
+            assert!(clean.join_recovered && off.join_recovered, "{name}");
+        }
+    }
 }

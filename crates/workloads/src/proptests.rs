@@ -6,7 +6,7 @@
 //! augmented view, so the generated CC set is simultaneously satisfiable
 //! and the solver's guarantees are testable against it.
 
-use crate::agreement::certifier_agrees_on_step;
+use crate::agreement::{certifier_agrees_on_step, reports_identical};
 use crate::workload::{all_workloads, CcFamily, DcSet, Workload, WorkloadParams};
 use cextend_constraints::cc_counts;
 use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder};
@@ -39,8 +39,8 @@ fn membership_kernel_counts_match_count_in_on_every_workload() {
 }
 
 /// Solves `w`'s good-family chain at 1, 2 and 4 workers, asserting every
-/// completed relation and the solve counters are bit-identical to the
-/// one-worker run; returns the 4-worker solution.
+/// completed relation, the solve counters and every step's certifier report
+/// are bit-identical to the one-worker run; returns the 4-worker solution.
 fn solves_at_every_width(
     w: &dyn Workload,
     scale: f64,
@@ -81,6 +81,15 @@ fn solves_at_every_width(
             w.meta().name,
             workers
         );
+        for (s, p) in serial.steps.iter().zip(&solved.steps) {
+            prop_assert!(
+                reports_identical(&s.report, &p.report),
+                "{}: step {} report diverged at {} workers",
+                w.meta().name,
+                s.label,
+                workers
+            );
+        }
     }
     Ok(wide.expect("solved at width 4"))
 }

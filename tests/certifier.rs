@@ -1,11 +1,15 @@
 //! Mutation tests for the certifier (`metrics::evaluate`) on one small
 //! solved census instance: every way of breaking the solution must be
 //! flagged — DC violations and a corrupted view in the report, structural
-//! damage as a validation error.
+//! damage as a validation error. On a census truth completion of several
+//! chunks, a solution with two faults in different chunks is reported by
+//! the fault a serial scan meets first, at every width.
 
 use cextend::census::{generate, generate_ccs, s_all_dc, CcFamily, CensusConfig};
-use cextend::core::metrics::evaluate;
-use cextend::table::{fk_join, Relation, RowId, Value};
+use cextend::core::metrics::{evaluate, evaluate_with_workers};
+use cextend::table::{fk_join, ColId, Relation, RowId, Value};
+use cextend::workloads::agreement::truth_completion;
+use cextend::workloads::{workload_by_name, DcSet, WorkloadParams};
 use cextend::{solve, CExtensionInstance, CoreError, Solution, SolverConfig};
 use std::collections::BTreeMap;
 
@@ -136,4 +140,70 @@ fn editing_an_r1_attribute_is_a_validation_error() {
         .unwrap();
     let msg = validation_error(&instance, &solution);
     assert!(msg.contains("`Persons` row 5 column `Age`"), "{msg}");
+}
+
+/// The certifier's chunk size.
+const CHUNK_ROWS: usize = 1 << 14;
+
+/// The census ground-truth completion at scale 2: about 51k persons, at
+/// least three of the certifier's chunks.
+fn multi_chunk() -> (CExtensionInstance, Solution) {
+    let w = workload_by_name("census").expect("registered");
+    let data = w.generate(&WorkloadParams::new(2.0, 31));
+    let ccs = w.step_ccs(0, cextend::workloads::CcFamily::Good, 40, &data, 31);
+    let (instance, solution) = truth_completion(&data, 0, ccs, w.step_dcs(0, DcSet::All)).unwrap();
+    assert!(solution.r1_hat.n_rows() >= 3 * CHUNK_ROWS);
+    assert_eq!(evaluate(&instance, &solution).unwrap().dc_error, 0.0);
+    (instance, solution)
+}
+
+/// `evaluate`'s validation message, which `evaluate_with_workers` must
+/// give at widths 1, 2 and 4 too.
+fn message_at_every_width(instance: &CExtensionInstance, solution: &Solution) -> String {
+    let msg = validation_error(instance, solution);
+    for workers in [1, 2, 4] {
+        match evaluate_with_workers(instance, solution, workers) {
+            Err(CoreError::Validation(got)) => assert_eq!(got, msg, "width {workers}"),
+            other => panic!("width {workers}: expected a validation error, got {other:?}"),
+        }
+    }
+    msg
+}
+
+#[test]
+fn of_two_edited_attributes_the_earlier_column_is_named_at_every_width() {
+    let (instance, mut solution) = multi_chunk();
+    let r1 = &mut solution.r1_hat;
+    let n = r1.n_rows();
+    let col = |name: &str| -> ColId { r1.schema().col_id(name).unwrap() };
+    let (age, multi) = (col("Age"), col("Multi-ling"));
+    assert!(age < multi);
+    // `Age` late in the last chunk, `Multi-ling` early in the first.
+    for (row, c) in [(n - 3, age), (5, multi)] {
+        let was = r1.get(row, c).unwrap().as_int().unwrap();
+        r1.set(row, c, Some(Value::Int(was + 1))).unwrap();
+    }
+    let msg = message_at_every_width(&instance, &solution);
+    let name = instance.r1.name();
+    assert_eq!(
+        msg,
+        format!(
+            "`{name}` row {} column `Age` changed from the input `{name}`",
+            n - 3
+        )
+    );
+}
+
+#[test]
+fn of_two_erased_fks_the_lower_row_is_named_at_every_width() {
+    let (instance, mut solution) = multi_chunk();
+    let fk = solution.r1_hat.schema().fk_col().unwrap();
+    // In the third chunk and in the second.
+    let (later, lower) = (2 * CHUNK_ROWS + 7, CHUNK_ROWS + 9);
+    for row in [later, lower] {
+        solution.r1_hat.set(row, fk, None).unwrap();
+    }
+    let msg = message_at_every_width(&instance, &solution);
+    let name = instance.r1.name();
+    assert_eq!(msg, format!("`{name}` row {lower}: FK `hid` is missing"));
 }
