@@ -107,7 +107,8 @@ impl KeyMinter {
 /// workers and the DC checks read `R1` itself, which nothing here writes;
 /// the coloring sink mutates the rest.
 pub(crate) struct Phase2Ctx {
-    /// `R2` plus minted tuples.
+    /// `R2` plus minted tuples. It shares `R2`'s buffers until the first
+    /// mint copies them.
     r2_hat: Relation,
     k2: ColId,
     /// `R2`'s attribute columns and, aligned, the combo position a minted
@@ -399,7 +400,8 @@ pub(crate) fn run_phase2(
     // ---- R̂1 and V_join: one gather each through the record. -------------
     // Timed with the coloring, whose decisions it writes out. `V_join` is
     // `R1`'s cells beside the assigned households' `R̂2` cells, and `R̂1` is
-    // `R1` with each row's household key as its FK.
+    // `R1` with each row's household key as its FK. Both share `R1`'s
+    // buffers for the columns they take from it.
     let output_stage = cextend_obs::stage("coloring");
     let (record, r2_hat, k2) = (ctx.record, ctx.r2_hat, ctx.k2);
     if let Some(row) = record.iter().position(|&h| h == NO_MATCH) {

@@ -39,8 +39,9 @@ use crate::metrics::{evaluate_with_workers, EvaluationReport};
 use crate::report::SolveStats;
 use cextend_constraints::{CardinalityConstraint, DenialConstraint};
 use cextend_table::{
-    fk_matches, gather, ColId, ColumnDef, Relation, Role, RowId, Schema, Source, Sym,
+    fk_matches, gather, ColId, ColumnData, ColumnDef, Relation, Role, Schema, Source,
 };
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One FK edge of a schema graph: `owner.fk_col → target`.
@@ -219,9 +220,9 @@ impl AugmentedView {
     /// solver input); without it the owner's FK values are copied through
     /// (ground-truth measurement views).
     pub fn build(&self, tables: &[Relation], erase_fk: bool) -> Result<Relation> {
-        // A typed copy of the owner's columns, plus one gather per joined
-        // dimension through the owner's FK matches (a missing or dangling
-        // FK leaves the dimension's cells missing).
+        // The owner's columns, shared rather than copied, plus one gather
+        // per joined dimension through the owner's FK matches (a missing or
+        // dangling FK leaves the dimension's cells missing).
         let owner = &tables[self.owner_idx];
         let matches = self
             .joined
@@ -325,26 +326,18 @@ impl SnowflakeSolution {
 pub struct StepDelta {
     owner_idx: usize,
     fk_id: ColId,
-    fk_cells: FkCells,
+    /// `R̂1`'s FK column, whose buffer becomes the owner's.
+    fk_column: Arc<ColumnData>,
     target_idx: usize,
     new_target: Relation,
 }
 
-/// The owner's completed FK column, typed, one cell per row in row order.
-#[derive(Clone, Debug)]
-enum FkCells {
-    Int(Vec<(RowId, i64)>),
-    Str(Vec<(RowId, Sym)>),
-}
-
 impl StepDelta {
     /// Applies the writes to the table set the step was solved against.
+    /// An owner whose FK column differs from the solved one in type or
+    /// length is an error, and leaves `tables` unchanged.
     pub fn apply(self, tables: &mut [Relation]) -> Result<()> {
-        let owner = &mut tables[self.owner_idx];
-        match &self.fk_cells {
-            FkCells::Int(cells) => owner.batch_set_ints(self.fk_id, cells)?,
-            FkCells::Str(cells) => owner.batch_set_syms(self.fk_id, cells)?,
-        }
+        tables[self.owner_idx].replace_column(self.fk_id, self.fk_column)?;
         tables[self.target_idx] = self.new_target;
         Ok(())
     }
@@ -387,13 +380,6 @@ pub fn solve_step(
         .schema()
         .col_id(&step.edge.fk_col)
         .expect("planned fk column exists");
-    // Phase II filled every cell of the FK column.
-    let (r1_hat, rows) = (&solution.r1_hat, 0..solution.r1_hat.n_rows());
-    let fk_cells = match (r1_hat.int_view(sol_fk), r1_hat.sym_view(sol_fk)) {
-        (Some(v), _) => FkCells::Int(rows.filter_map(|r| Some((r, v.get(r)?))).collect()),
-        (_, Some(v)) => FkCells::Str(rows.filter_map(|r| Some((r, v.get(r)?))).collect()),
-        (None, None) => unreachable!("columns are int or sym"),
-    };
     let outcome = StepOutcome {
         label: step.edge.label(),
         n_r1,
@@ -405,7 +391,7 @@ pub fn solve_step(
     let delta = StepDelta {
         owner_idx,
         fk_id,
-        fk_cells,
+        fk_column: Arc::clone(solution.r1_hat.column_buffer(sol_fk)),
         target_idx: plan.target_index(),
         new_target: solution.r2_hat,
     };
@@ -806,6 +792,73 @@ mod tests {
             // A chain has one step per level, so no level runs its steps
             // concurrently at any width.
             assert!(wide.levels.iter().all(|l| !l.parallel));
+        }
+    }
+
+    /// `true` if column `ca` of `a` and column `cb` of `b` are one buffer.
+    fn shares(a: &Relation, ca: ColId, b: &Relation, cb: ColId) -> bool {
+        Arc::ptr_eq(a.column_buffer(ca), b.column_buffer(cb))
+    }
+
+    #[test]
+    fn a_step_copies_no_column_it_does_not_write() {
+        let tables = university();
+        let edge = FkEdge::new("Students", "Majors", "major_id");
+        let plan = AugmentedView::plan(&tables, &[], &edge).unwrap();
+        let (students, majors) = (&tables[plan.owner_index()], &tables[plan.target_index()]);
+        let view = plan.build(&tables, true).unwrap();
+        assert!(shares(&view, 0, students, 0) && shares(&view, 1, students, 1));
+        let fields = ["Field".to_owned()].into_iter().collect();
+        let ccs = vec![parse_cc("cs", r#"| Field = "CS" | = 18"#, &fields).unwrap()];
+        let instance = CExtensionInstance::new(view, majors.clone(), ccs.clone(), vec![]).unwrap();
+        let solved = crate::solve(&instance, &SolverConfig::hybrid()).unwrap();
+        // R̂1 and V_join take every non-FK column of the view whole.
+        let (r1, fk) = (&instance.r1, instance.r1.schema().fk_col().unwrap());
+        for c in (0..r1.schema().len()).filter(|&c| c != fk) {
+            let name = &r1.schema().column(c).name;
+            let in_vjoin = solved.vjoin.schema().col_id(name).unwrap();
+            assert!(shares(&solved.r1_hat, c, r1, c), "R̂1 copied {name}");
+            assert!(
+                shares(&solved.vjoin, in_vjoin, r1, c),
+                "V_join copied {name}"
+            );
+        }
+        // Nothing was minted, so R̂2 is still R2's buffers.
+        assert_eq!(solved.r2_hat.n_rows(), majors.n_rows());
+        assert!((0..majors.schema().len()).all(|c| shares(&solved.r2_hat, c, majors, c)));
+
+        // Applied, a chain's tables hold their input's buffers except for
+        // the FK columns it completed.
+        let steps = vec![
+            SnowflakeStep {
+                edge,
+                ccs,
+                dcs: vec![],
+            },
+            SnowflakeStep::unconstrained(FkEdge::new("Majors", "Departments", "dept_id")),
+        ];
+        let chain = solve_snowflake(tables.clone(), &steps, &SolverConfig::hybrid()).unwrap();
+        for (input, output) in tables.iter().zip(&chain.tables) {
+            let fk = input.schema().fk_col();
+            for c in 0..input.schema().len() {
+                let name = format!("{}.{}", input.name(), input.schema().column(c).name);
+                assert_eq!(shares(input, c, output, c), Some(c) != fk, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn applying_a_delta_to_a_mismatched_owner_is_an_error() {
+        let mut tables = university();
+        let step = SnowflakeStep::unconstrained(FkEdge::new("Students", "Majors", "major_id"));
+        let (_, delta) = solve_step(&tables, &[], &step, &SolverConfig::hybrid()).unwrap();
+        tables[0]
+            .push_row(&[Some(Value::Int(30)), Some(Value::Int(1)), None])
+            .unwrap();
+        let before = tables.clone();
+        assert!(matches!(delta.apply(&mut tables), Err(CoreError::Table(_))));
+        for (b, t) in before.iter().zip(&tables) {
+            assert!(cextend_table::relations_equal_ordered(b, t));
         }
     }
 

@@ -163,7 +163,8 @@ impl CandidateLists<'_> {
 /// Matches Algorithm 3: already-colored vertices are left untouched; each
 /// uncolored vertex gets `min(L(v) \ forbidden)` or is skipped. Forbidden
 /// colors come from the explicit edges, the clique groups' counts and the
-/// window groups' ranges alike.
+/// window groups' ranges alike. An unsorted candidate list is sorted once
+/// per call, so each vertex takes the first permitted candidate.
 pub fn coloring_lf(
     g: &Hypergraph,
     coloring: &mut Coloring,
@@ -174,6 +175,23 @@ pub fn coloring_lf(
         g.n_vertices(),
         "coloring must cover exactly the graph's vertices"
     );
+    let sorted = |list: &[Color]| {
+        let mut list = list.to_vec();
+        list.sort_unstable();
+        list
+    };
+    let (shared, per_vertex);
+    let candidates = match *candidates {
+        CandidateLists::Shared(list) if !list.is_sorted() => {
+            shared = sorted(list);
+            CandidateLists::Shared(&shared)
+        }
+        CandidateLists::PerVertex(lists) if !lists.iter().all(|l| l.is_sorted()) => {
+            per_vertex = lists.iter().map(|l| sorted(l)).collect::<Vec<_>>();
+            CandidateLists::PerVertex(&per_vertex)
+        }
+        ref ascending => ascending.clone(),
+    };
     let mut skipped = Vec::new();
     let order: Vec<VertexId> = g
         .vertices_by_degree_desc()
@@ -195,8 +213,7 @@ pub fn coloring_lf(
             .get(v)
             .iter()
             .copied()
-            .filter(|&c| !forbidden.is_marked(c))
-            .min();
+            .find(|&c| !forbidden.is_marked(c));
         match choice {
             Some(c) => {
                 coloring.set(v, c);
@@ -266,6 +283,9 @@ pub fn color_skipped_with_fresh(
     skipped: &[VertexId],
     next_color: Color,
 ) -> Vec<Color> {
+    if skipped.is_empty() {
+        return Vec::new();
+    }
     let mut fresh: Vec<Color> = Vec::new();
     let mut forbidden = ForbiddenSet::new();
     let mut groups = GroupCounts::new(g, coloring);
@@ -382,6 +402,17 @@ mod tests {
         let mut c = Coloring::new(1);
         coloring_lf(&g, &mut c, &CandidateLists::Shared(&[9, 2, 5]));
         assert_eq!(c.get(0), Some(2));
+    }
+
+    #[test]
+    fn unsorted_per_vertex_lists_take_their_smallest_permitted_color() {
+        let mut g = Hypergraph::new(2);
+        g.add_edge(&[0, 1]);
+        let lists = vec![vec![5, 1], vec![9, 1, 4]];
+        let mut c = Coloring::new(2);
+        let skipped = coloring_lf(&g, &mut c, &CandidateLists::PerVertex(&lists));
+        assert!(skipped.is_empty());
+        assert_eq!((c.get(0), c.get(1)), (Some(1), Some(4)));
     }
 
     #[test]

@@ -94,15 +94,9 @@ fn dfs(
             Dfs::Exhausted => {}
         }
         // Un-assign on backtrack.
-        uncolor(coloring, v);
+        coloring.unset(v);
     }
     Dfs::Exhausted
-}
-
-fn uncolor(coloring: &mut Coloring, v: VertexId) {
-    // Coloring has no public unset; rebuild via set-to-None semantics.
-    // We keep this private helper here rather than widening the public API.
-    coloring.unset(v);
 }
 
 fn creates_monochromatic(g: &Hypergraph, coloring: &Coloring, v: VertexId, c: Color) -> bool {

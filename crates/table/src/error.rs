@@ -36,13 +36,14 @@ pub enum TableError {
         /// Number of rows in the relation.
         len: usize,
     },
-    /// A bulk load froze with ragged columns (unequal lengths).
+    /// A column's length disagrees with its relation's: a bulk load froze
+    /// with ragged columns, or a replacement column has the wrong length.
     ColumnLengthMismatch {
-        /// Relation being built.
+        /// Relation being built or written.
         relation: String,
         /// First column whose length disagrees.
         column: String,
-        /// Length of the reference (first) column.
+        /// Length of the reference (first) column, or the relation's rows.
         expected: usize,
         /// Length of the offending column.
         got: usize,
@@ -92,7 +93,7 @@ impl fmt::Display for TableError {
                 got,
             } => write!(
                 f,
-                "ragged bulk load of `{relation}`: column `{column}` has {got} rows, expected {expected}"
+                "column `{column}` of `{relation}` has {got} rows, expected {expected}"
             ),
             TableError::DuplicateColumn(name) => write!(f, "duplicate column `{name}`"),
             TableError::SchemaViolation(msg) => write!(f, "schema violation: {msg}"),

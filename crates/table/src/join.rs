@@ -10,9 +10,9 @@
 //! [`join_matched`]; the scalar oracles that test it read and write the
 //! initial view's cells.
 //!
-//! Every view here is one typed [`gather`] of columns read row for row,
-//! through row matches, or left missing: [`fk_join_on`] is the
-//! [`fk_matches`] key probe followed by that gather.
+//! Every view here is one typed [`gather`] of columns taken whole (their
+//! buffers shared, not copied), read through row matches, or left missing:
+//! [`fk_join_on`] is the [`fk_matches`] key probe followed by that gather.
 
 use crate::error::{Result, TableError};
 use crate::relation::{Relation, RelationBuilder, RowId};
@@ -76,7 +76,7 @@ pub const NO_MATCH: u32 = u32::MAX;
 /// Where [`gather`] reads one output column.
 #[derive(Clone, Copy, Debug)]
 pub enum Source<'a> {
-    /// A column of a relation, row for row.
+    /// A column of a relation, row for row: its buffer, shared.
     Rows(&'a Relation, ColId),
     /// A column of a relation at the row each output row matches: entry
     /// `i` of the matches names the row output row `i` reads, or is
@@ -88,7 +88,9 @@ pub enum Source<'a> {
 
 /// The typed gather behind every join view: a relation named `name` over
 /// `schema` with `n_rows` rows, whose column `j` reads `sources[j]`. Cells
-/// move as typed values, never boxed.
+/// move as typed values, never boxed, and a [`Source::Rows`] column is not
+/// copied at all: the output shares its buffer (copy-on-write, see
+/// [`Relation`]).
 pub fn gather(
     name: &str,
     schema: Schema,
@@ -101,12 +103,10 @@ pub fn gather(
             got: sources.len(),
         });
     }
-    let mut b = RelationBuilder::new(name, schema, n_rows);
+    let mut b = RelationBuilder::new(name, schema, 0);
     for (col, source) in sources.iter().enumerate() {
         match *source {
-            Source::Rows(from, src) => {
-                b.append_gather(col, from, src, (0..from.n_rows()).map(Some))?
-            }
+            Source::Rows(from, src) => b.append_column(col, from, src)?,
             Source::Matched(from, src, matches) => {
                 let rows = matches
                     .iter()
@@ -329,6 +329,21 @@ mod tests {
         assert_eq!(j.get(1, 3), Some(Value::str("Chicago")));
         // Row 2 has no FK, so R2-side cells are missing.
         assert_eq!(j.get(2, 3), None);
+    }
+
+    #[test]
+    fn gather_shares_the_columns_it_takes_whole() {
+        let (persons, housing) = (r1(), r2());
+        let mut j = fk_join(&persons, &housing).unwrap();
+        let shares = |a: &Relation, ca, b: &Relation, cb| {
+            std::sync::Arc::ptr_eq(a.column_buffer(ca), b.column_buffer(cb))
+        };
+        assert!((0..3).all(|c| shares(&j, c, &persons, c)));
+        assert!(!shares(&j, 3, &housing, 1));
+        // A write to the join copies its own column and leaves R1's.
+        j.set(0, 1, Some(Value::Int(1))).unwrap();
+        assert!(!shares(&j, 1, &persons, 1));
+        assert_eq!(persons.get(0, 1), Some(Value::Int(75)));
     }
 
     #[test]

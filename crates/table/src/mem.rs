@@ -5,18 +5,23 @@
 //! `perf-check` like wall-time regressions do. Two complementary numbers:
 //!
 //! - [`Relation::heap_bytes`](crate::Relation::heap_bytes), summed over the
-//!   relations a caller hands to [`MemStats::capture`] — the engine's own
-//!   accounting of its column buffers, platform-independent.
+//!   distinct column buffers of the relations a caller hands to
+//!   [`MemStats::capture`] — the engine's own accounting of its column
+//!   buffers, platform-independent. Buffers are shared copy-on-write, so a
+//!   buffer two relations hold counts once.
 //! - [`peak_rss_bytes`] — the process high-water mark (`VmHWM` from
 //!   `/proc/self/status`), which also sees transient allocations (conflict
 //!   CSR buffers, ILP tableaus). Linux-only; `None` elsewhere.
 
 use crate::relation::Relation;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A point-in-time memory snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemStats {
-    /// Summed [`Relation::heap_bytes`] of the captured relations.
+    /// Heap bytes of the captured relations' column buffers, each distinct
+    /// buffer counted once.
     pub relation_heap_bytes: usize,
     /// Process peak RSS in bytes, when the platform exposes it.
     pub peak_rss_bytes: Option<u64>,
@@ -24,10 +29,17 @@ pub struct MemStats {
 
 impl MemStats {
     /// Captures the column-buffer footprint of `rels` plus the process
-    /// peak RSS.
+    /// peak RSS. A buffer that several of `rels` share counts once.
     pub fn capture<'a>(rels: impl IntoIterator<Item = &'a Relation>) -> MemStats {
+        let mut seen = HashSet::new();
+        let relation_heap_bytes = rels
+            .into_iter()
+            .flat_map(|r| (0..r.schema().len()).map(|c| r.column_buffer(c)))
+            .filter(|buffer| seen.insert(Arc::as_ptr(buffer)))
+            .map(|buffer| buffer.heap_bytes())
+            .sum();
         MemStats {
-            relation_heap_bytes: rels.into_iter().map(Relation::heap_bytes).sum(),
+            relation_heap_bytes,
             peak_rss_bytes: peak_rss_bytes(),
         }
     }
@@ -106,6 +118,14 @@ mod tests {
         let stats = MemStats::capture([&r]);
         assert_eq!(stats.relation_heap_bytes, r.heap_bytes());
         assert!(stats.relation_heap_bytes >= 800);
+        // A clone shares the buffer, which counts once; a written clone
+        // holds its own copy, which counts too.
+        let mut copy = r.clone();
+        let shared = MemStats::capture([&r, &copy]).relation_heap_bytes;
+        assert_eq!(shared, stats.relation_heap_bytes);
+        copy.set(0, 0, Some(Value::Int(-1))).unwrap();
+        let both = MemStats::capture([&r, &copy]).relation_heap_bytes;
+        assert_eq!(both, r.heap_bytes() + copy.heap_bytes());
         // On Linux (the CI and dev platform) the high-water mark is present
         // and at least as large as one small relation.
         if let Some(rss) = stats.peak_rss_bytes {

@@ -13,12 +13,18 @@
 //! [`IntColumnView`]/[`SymColumnView`] without constructing a boxed
 //! [`Value`] per access. Bulk loads go through [`RelationBuilder`]
 //! (reserve → append columnar chunks → freeze).
+//!
+//! Column buffers are shared copy-on-write. Cloning a relation shares
+//! every buffer, and so does a gather that takes a column whole
+//! ([`crate::join::gather`]). A write copies only the column it writes, and
+//! only while another relation still holds that buffer.
 
 use crate::error::{Result, TableError};
 use crate::schema::{ColId, Schema};
 use crate::value::{Dtype, Sym, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a row within a relation.
 pub type RowId = usize;
@@ -203,6 +209,45 @@ impl ColumnData {
         }
     }
 
+    /// A column of `n` missing cells.
+    fn missing(dtype: Dtype, n: usize) -> ColumnData {
+        let validity = vec![0; n.div_ceil(64)];
+        match dtype {
+            Dtype::Int => ColumnData::Int(IntColumn {
+                data: vec![0; n],
+                validity,
+            }),
+            Dtype::Str => ColumnData::Str(SymColumn {
+                codes: vec![0; n],
+                validity,
+                ..SymColumn::default()
+            }),
+        }
+    }
+
+    /// Reserves room for `n` more cells.
+    fn reserve(&mut self, n: usize) {
+        let words = (self.len() + n).div_ceil(64);
+        let validity = match self {
+            ColumnData::Int(c) => {
+                c.data.reserve(n);
+                &mut c.validity
+            }
+            ColumnData::Str(c) => {
+                c.codes.reserve(n);
+                &mut c.validity
+            }
+        };
+        validity.reserve(words - validity.len());
+    }
+
+    fn dtype(&self) -> Dtype {
+        match self {
+            ColumnData::Int(_) => Dtype::Int,
+            ColumnData::Str(_) => Dtype::Str,
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             ColumnData::Int(c) => c.data.len(),
@@ -370,12 +415,13 @@ impl<'a> SymColumnView<'a> {
     }
 }
 
-/// A named relation instance: a schema plus columnar data.
+/// A named relation instance: a schema plus columnar data. `Clone` shares
+/// the column buffers (see the module docs).
 #[derive(Clone, Debug)]
 pub struct Relation {
     name: String,
     schema: Schema,
-    cols: Vec<ColumnData>,
+    cols: Vec<Arc<ColumnData>>,
     n_rows: usize,
 }
 
@@ -385,7 +431,7 @@ impl Relation {
         let cols = schema
             .columns()
             .iter()
-            .map(|c| ColumnData::new(c.dtype))
+            .map(|c| Arc::new(ColumnData::new(c.dtype)))
             .collect();
         Relation {
             name: name.to_owned(),
@@ -400,7 +446,7 @@ impl Relation {
         let cols = schema
             .columns()
             .iter()
-            .map(|c| ColumnData::with_capacity(c.dtype, cap))
+            .map(|c| Arc::new(ColumnData::with_capacity(c.dtype, cap)))
             .collect();
         Relation {
             name: name.to_owned(),
@@ -458,7 +504,7 @@ impl Relation {
             }
         }
         for (col, v) in self.cols.iter_mut().zip(row.iter()) {
-            col.push(*v).expect("types validated above");
+            Arc::make_mut(col).push(*v).expect("types validated above");
         }
         self.n_rows += 1;
         debug_assert!(self.cols.iter().all(|c| c.len() == self.n_rows));
@@ -488,7 +534,7 @@ impl Relation {
     /// Reads an integer cell directly (typed hot path).
     #[inline]
     pub fn get_int(&self, row: RowId, col: ColId) -> Option<i64> {
-        match &self.cols[col] {
+        match &*self.cols[col] {
             ColumnData::Int(c) => c.get(row),
             ColumnData::Str(_) => None,
         }
@@ -497,7 +543,7 @@ impl Relation {
     /// Reads a categorical cell directly (typed hot path).
     #[inline]
     pub fn get_sym(&self, row: RowId, col: ColId) -> Option<Sym> {
-        match &self.cols[col] {
+        match &*self.cols[col] {
             ColumnData::Str(c) => c.get(row),
             ColumnData::Int(_) => None,
         }
@@ -507,7 +553,7 @@ impl Relation {
     /// categorical.
     #[inline]
     pub fn int_view(&self, col: ColId) -> Option<IntColumnView<'_>> {
-        match &self.cols[col] {
+        match &*self.cols[col] {
             ColumnData::Int(c) => Some(IntColumnView {
                 data: &c.data,
                 validity: &c.validity,
@@ -520,7 +566,7 @@ impl Relation {
     /// is an integer column.
     #[inline]
     pub fn sym_view(&self, col: ColId) -> Option<SymColumnView<'_>> {
-        match &self.cols[col] {
+        match &*self.cols[col] {
             ColumnData::Str(c) => Some(SymColumnView {
                 codes: &c.codes,
                 validity: &c.validity,
@@ -539,7 +585,7 @@ impl Relation {
                 len: self.n_rows,
             });
         }
-        self.cols[col]
+        Arc::make_mut(&mut self.cols[col])
             .set(row, value)
             .map_err(|got| TableError::TypeMismatch {
                 column: self.schema.column(col).name.clone(),
@@ -548,73 +594,47 @@ impl Relation {
             })
     }
 
-    /// Writes a batch of present integer cells into one column — the typed
-    /// bulk-write path for Phase 1's completion loops. Bounds and the
-    /// column type are validated once for the whole batch (rejecting the
-    /// batch without a partial write), then cells are stored directly,
-    /// skipping the per-call [`Value`] boxing and per-cell checks of
-    /// [`Relation::set`].
-    pub fn batch_set_ints(&mut self, col: ColId, cells: &[(RowId, i64)]) -> Result<()> {
-        if let Some(&(row, _)) = cells.iter().find(|&&(row, _)| row >= self.n_rows) {
-            return Err(TableError::RowOutOfBounds {
-                row,
-                len: self.n_rows,
-            });
-        }
-        match &mut self.cols[col] {
-            ColumnData::Int(c) => {
-                for &(row, x) in cells {
-                    c.data[row] = x;
-                    bit_set(&mut c.validity, row, true);
-                }
-                Ok(())
-            }
-            ColumnData::Str(_) => Err(TableError::TypeMismatch {
-                column: self.schema.column(col).name.clone(),
-                expected: self.schema.column(col).dtype,
-                got: Dtype::Int,
-            }),
-        }
-    }
-
-    /// Writes a batch of present categorical cells into one column (see
-    /// [`Relation::batch_set_ints`]). Each symbol is interned into the
-    /// column dictionary at most once per distinct value.
-    pub fn batch_set_syms(&mut self, col: ColId, cells: &[(RowId, Sym)]) -> Result<()> {
-        if let Some(&(row, _)) = cells.iter().find(|&&(row, _)| row >= self.n_rows) {
-            return Err(TableError::RowOutOfBounds {
-                row,
-                len: self.n_rows,
-            });
-        }
-        match &mut self.cols[col] {
-            ColumnData::Str(c) => {
-                for &(row, s) in cells {
-                    c.codes[row] = c.code_for(s);
-                    bit_set(&mut c.validity, row, true);
-                }
-                Ok(())
-            }
-            ColumnData::Int(_) => Err(TableError::TypeMismatch {
-                column: self.schema.column(col).name.clone(),
-                expected: self.schema.column(col).dtype,
-                got: Dtype::Str,
-            }),
-        }
-    }
-
-    /// Blanks every cell of a column (e.g. erasing the FK column of `R1`).
-    /// O(rows/64): clears the validity bitmap, leaving data slots in place.
+    /// Blanks every cell of a column (e.g. erasing the FK column of `R1`)
+    /// by installing a fresh all-missing buffer: the old one is never
+    /// copied, and a relation sharing it keeps its cells.
     pub fn clear_column(&mut self, col: ColId) {
-        match &mut self.cols[col] {
-            ColumnData::Int(c) => c.validity.iter_mut().for_each(|b| *b = 0),
-            ColumnData::Str(c) => c.validity.iter_mut().for_each(|b| *b = 0),
+        let dtype = self.schema.column(col).dtype;
+        self.cols[col] = Arc::new(ColumnData::missing(dtype, self.n_rows));
+    }
+
+    /// The buffer behind column `col`, shared with every relation that
+    /// holds it: clone the [`Arc`] to carry the column elsewhere, compare
+    /// with [`Arc::ptr_eq`] to see whether two relations share it.
+    pub fn column_buffer(&self, col: ColId) -> &Arc<ColumnData> {
+        &self.cols[col]
+    }
+
+    /// Installs `buffer` as column `col`, sharing it rather than copying
+    /// its cells. Rejects a buffer of another type or length.
+    pub fn replace_column(&mut self, col: ColId, buffer: Arc<ColumnData>) -> Result<()> {
+        let def = self.schema.column(col);
+        if buffer.dtype() != def.dtype {
+            return Err(TableError::TypeMismatch {
+                column: def.name.clone(),
+                expected: def.dtype,
+                got: buffer.dtype(),
+            });
         }
+        if buffer.len() != self.n_rows {
+            return Err(TableError::ColumnLengthMismatch {
+                relation: self.name.clone(),
+                column: def.name.clone(),
+                expected: self.n_rows,
+                got: buffer.len(),
+            });
+        }
+        self.cols[col] = buffer;
+        Ok(())
     }
 
     /// `true` if every cell of `col` is missing.
     pub fn column_is_missing(&self, col: ColId) -> bool {
-        let validity = match &self.cols[col] {
+        let validity = match &*self.cols[col] {
             ColumnData::Int(c) => &c.validity,
             ColumnData::Str(c) => &c.validity,
         };
@@ -623,7 +643,7 @@ impl Relation {
 
     /// `true` if every cell of `col` is present.
     pub fn column_is_complete(&self, col: ColId) -> bool {
-        let validity = match &self.cols[col] {
+        let validity = match &*self.cols[col] {
             ColumnData::Int(c) => &c.validity,
             ColumnData::Str(c) => &c.validity,
         };
@@ -643,7 +663,7 @@ impl Relation {
 
     /// Distinct present values in a column, sorted.
     pub fn distinct_values(&self, col: ColId) -> Vec<Value> {
-        match &self.cols[col] {
+        match &*self.cols[col] {
             ColumnData::Int(c) => {
                 let mut vals: Vec<Value> = (0..self.n_rows)
                     .filter_map(|r| c.get(r).map(Value::Int))
@@ -676,7 +696,7 @@ impl Relation {
 
     /// Minimum and maximum present values of an integer column.
     pub fn int_range(&self, col: ColId) -> Option<(i64, i64)> {
-        match &self.cols[col] {
+        match &*self.cols[col] {
             ColumnData::Int(c) => {
                 let mut it = (0..self.n_rows).filter_map(|r| c.get(r));
                 let first = it.next()?;
@@ -705,9 +725,11 @@ impl Relation {
     }
 
     /// Approximate heap footprint of the relation's column buffers, in
-    /// bytes (the [`MemStats`](crate::MemStats) accounting hook).
+    /// bytes. A buffer shared with other relations counts in every relation
+    /// that holds it; [`MemStats::capture`](crate::MemStats::capture)
+    /// counts it once.
     pub fn heap_bytes(&self) -> usize {
-        self.cols.iter().map(ColumnData::heap_bytes).sum()
+        self.cols.iter().map(|c| c.heap_bytes()).sum()
     }
 }
 
@@ -764,7 +786,7 @@ impl fmt::Display for Relation {
 pub struct RelationBuilder {
     name: String,
     schema: Schema,
-    cols: Vec<ColumnData>,
+    cols: Vec<Arc<ColumnData>>,
 }
 
 impl RelationBuilder {
@@ -773,7 +795,7 @@ impl RelationBuilder {
         let cols = schema
             .columns()
             .iter()
-            .map(|c| ColumnData::with_capacity(c.dtype, cap))
+            .map(|c| Arc::new(ColumnData::with_capacity(c.dtype, cap)))
             .collect();
         RelationBuilder {
             name: name.to_owned(),
@@ -802,7 +824,7 @@ impl RelationBuilder {
 
     /// Appends a chunk of present integers to column `col`.
     pub fn append_ints(&mut self, col: ColId, chunk: &[i64]) -> Result<()> {
-        match &mut self.cols[col] {
+        match Arc::make_mut(&mut self.cols[col]) {
             ColumnData::Int(c) => {
                 for &x in chunk {
                     c.push(Some(x));
@@ -815,7 +837,7 @@ impl RelationBuilder {
 
     /// Appends a chunk of optional integers to column `col`.
     pub fn append_opt_ints(&mut self, col: ColId, chunk: &[Option<i64>]) -> Result<()> {
-        match &mut self.cols[col] {
+        match Arc::make_mut(&mut self.cols[col]) {
             ColumnData::Int(c) => {
                 for &x in chunk {
                     c.push(x);
@@ -828,7 +850,7 @@ impl RelationBuilder {
 
     /// Appends a chunk of present symbols to column `col`.
     pub fn append_syms(&mut self, col: ColId, chunk: &[Sym]) -> Result<()> {
-        match &mut self.cols[col] {
+        match Arc::make_mut(&mut self.cols[col]) {
             ColumnData::Str(c) => {
                 for &s in chunk {
                     c.push(Some(s));
@@ -841,7 +863,7 @@ impl RelationBuilder {
 
     /// Appends a chunk of optional symbols to column `col`.
     pub fn append_opt_syms(&mut self, col: ColId, chunk: &[Option<Sym>]) -> Result<()> {
-        match &mut self.cols[col] {
+        match Arc::make_mut(&mut self.cols[col]) {
             ColumnData::Str(c) => {
                 for &s in chunk {
                     c.push(s);
@@ -855,7 +877,9 @@ impl RelationBuilder {
     /// Appends `n` missing cells to column `col` (e.g. the erased FK column
     /// or the `R2`-side columns of a fresh join view).
     pub fn append_missing(&mut self, col: ColId, n: usize) {
-        match &mut self.cols[col] {
+        let column = Arc::make_mut(&mut self.cols[col]);
+        column.reserve(n);
+        match column {
             ColumnData::Int(c) => {
                 for _ in 0..n {
                     c.push(None);
@@ -869,6 +893,16 @@ impl RelationBuilder {
         }
     }
 
+    /// Appends column `src` of `from` whole. Into a column with no cells
+    /// yet this shares `from`'s buffer instead of copying it.
+    pub(crate) fn append_column(&mut self, col: ColId, from: &Relation, src: ColId) -> Result<()> {
+        if self.cols[col].len() > 0 || from.cols[src].dtype() != self.schema.column(col).dtype {
+            return self.append_gather(col, from, src, (0..from.n_rows()).map(Some));
+        }
+        self.cols[col] = Arc::clone(&from.cols[src]);
+        Ok(())
+    }
+
     /// Appends column `src` of `from` gathered through `rows`: one cell per
     /// entry, `from`'s cell at that row or a missing cell for `None` — the
     /// typed gather behind every join (see [`crate::join::gather`]). Values
@@ -879,9 +913,11 @@ impl RelationBuilder {
         col: ColId,
         from: &Relation,
         src: ColId,
-        rows: impl IntoIterator<Item = Option<RowId>>,
+        rows: impl ExactSizeIterator<Item = Option<RowId>>,
     ) -> Result<()> {
-        match (&mut self.cols[col], &from.cols[src]) {
+        let column = Arc::make_mut(&mut self.cols[col]);
+        column.reserve(rows.len());
+        match (column, &*from.cols[src]) {
             (ColumnData::Int(out), ColumnData::Int(cells)) => {
                 for row in rows {
                     out.push(row.and_then(|r| cells.get(r)));
@@ -911,8 +947,9 @@ impl RelationBuilder {
     /// Appends a chunk of optional boxed values (type-checked per cell) —
     /// the generic adapter for callers that already hold `Value`s.
     pub fn append_values(&mut self, col: ColId, chunk: &[Option<Value>]) -> Result<()> {
+        let column = Arc::make_mut(&mut self.cols[col]);
         for &v in chunk {
-            if let Err(got) = self.cols[col].push(v) {
+            if let Err(got) = column.push(v) {
                 return Err(self.type_err(col, got));
             }
         }
@@ -923,7 +960,7 @@ impl RelationBuilder {
     /// relation. Ragged loads are rejected with
     /// [`TableError::ColumnLengthMismatch`].
     pub fn freeze(self) -> Result<Relation> {
-        let n_rows = self.cols.first().map_or(0, ColumnData::len);
+        let n_rows = self.cols.first().map_or(0, |c| c.len());
         for (i, col) in self.cols.iter().enumerate() {
             if col.len() != n_rows {
                 return Err(TableError::ColumnLengthMismatch {
@@ -1118,60 +1155,106 @@ mod tests {
         assert_eq!(rels.get(0).map(|s| rels.code_of(s).unwrap()), rels.code(0));
     }
 
-    #[test]
-    fn batch_set_writes_cells_and_validates_once() {
-        let mut r = small();
-        r.batch_set_ints(3, &[(0, 7), (1, 8)]).unwrap();
-        assert_eq!(r.get_int(0, 3), Some(7));
-        assert_eq!(r.get_int(1, 3), Some(8));
-        assert!(r.column_is_complete(3));
-        r.batch_set_syms(2, &[(1, Sym::intern("Child"))]).unwrap();
-        assert_eq!(r.get_sym(1, 2), Some(Sym::intern("Child")));
-        // An empty batch is a no-op.
-        r.batch_set_ints(3, &[]).unwrap();
-        // Any out-of-bounds row rejects the whole batch with no partial
-        // write.
-        let err = r.batch_set_ints(3, &[(0, 99), (5, 1)]);
-        assert!(matches!(err, Err(TableError::RowOutOfBounds { .. })));
-        assert_eq!(r.get_int(0, 3), Some(7));
-        // Wrong-typed column rejects the batch.
-        assert!(matches!(
-            r.batch_set_ints(2, &[(0, 1)]),
-            Err(TableError::TypeMismatch { .. })
-        ));
-        assert!(matches!(
-            r.batch_set_syms(1, &[(0, Sym::intern("x"))]),
-            Err(TableError::TypeMismatch { .. })
-        ));
+    /// `true` if `a` and `b` hold one buffer for column `col`.
+    fn shares(a: &Relation, b: &Relation, col: ColId) -> bool {
+        Arc::ptr_eq(a.column_buffer(col), b.column_buffer(col))
     }
 
     #[test]
-    fn batch_set_matches_per_cell_set() {
-        let schema = Schema::new(vec![
-            ColumnDef::attr("x", Dtype::Int),
-            ColumnDef::attr("s", Dtype::Str),
-        ])
-        .unwrap();
-        let mut a = Relation::new("t", schema.clone());
-        let mut b = Relation::new("t", schema);
-        for _ in 0..130 {
-            a.push_row(&[None, None]).unwrap();
-            b.push_row(&[None, None]).unwrap();
-        }
-        let ints: Vec<(RowId, i64)> = (0..130).step_by(3).map(|r| (r, r as i64 * 2)).collect();
-        let syms: Vec<(RowId, Sym)> = (0..130)
-            .step_by(5)
-            .map(|r| (r, Sym::intern(["p", "q"][r % 2])))
-            .collect();
-        a.batch_set_ints(0, &ints).unwrap();
-        a.batch_set_syms(1, &syms).unwrap();
-        for &(r, x) in &ints {
-            b.set(r, 0, Some(Value::Int(x))).unwrap();
-        }
-        for &(r, s) in &syms {
-            b.set(r, 1, Some(Value::Str(s))).unwrap();
-        }
-        assert!(crate::join::relations_equal_ordered(&a, &b));
+    fn a_clone_shares_every_buffer() {
+        let r = small();
+        let copy = r.clone();
+        assert!((0..4).all(|c| shares(&r, &copy, c)));
+        assert!(crate::join::relations_equal_ordered(&r, &copy));
+    }
+
+    #[test]
+    fn set_copies_only_the_written_column() {
+        let r = small();
+        let mut copy = r.clone();
+        copy.set(0, 1, Some(Value::Int(76))).unwrap();
+        copy.set(1, 2, Some(Value::str("Child"))).unwrap();
+        assert_eq!((r.get_int(0, 1), copy.get_int(0, 1)), (Some(75), Some(76)));
+        assert_eq!(r.get_sym(1, 2), Some(Sym::intern("Spouse")));
+        assert_eq!(copy.get_sym(1, 2), Some(Sym::intern("Child")));
+        assert!(!shares(&r, &copy, 1) && !shares(&r, &copy, 2));
+        assert!(shares(&r, &copy, 0) && shares(&r, &copy, 3));
+        // A buffer no other relation holds is written in place.
+        let own = Arc::as_ptr(copy.column_buffer(1));
+        copy.set(1, 1, Some(Value::Int(25))).unwrap();
+        assert_eq!(Arc::as_ptr(copy.column_buffer(1)), own);
+    }
+
+    #[test]
+    fn push_row_leaves_the_clone_it_was_copied_from() {
+        let r = small();
+        let mut grown = r.clone();
+        grown
+            .push_row(&[Some(Value::Int(3)), Some(Value::Int(9)), None, None])
+            .unwrap();
+        assert_eq!((r.n_rows(), grown.n_rows()), (2, 3));
+        assert!((0..4).all(|c| !shares(&r, &grown, c)));
+        assert_eq!(r.int_view(0).unwrap().len(), 2);
+        assert_eq!(
+            grown.row(2),
+            [Some(Value::Int(3)), Some(Value::Int(9)), None, None]
+        );
+        assert_eq!(grown.row(0), r.row(0));
+    }
+
+    #[test]
+    fn clear_column_installs_a_fresh_buffer() {
+        let mut r = small();
+        r.set(0, 3, Some(Value::Int(7))).unwrap();
+        let mut erased = r.clone();
+        erased.clear_column(3);
+        erased.clear_column(2);
+        assert!(erased.column_is_missing(3) && erased.column_is_missing(2));
+        assert!(erased.sym_view(2).unwrap().dict().is_empty());
+        assert_eq!(erased.int_view(3).unwrap().len(), 2);
+        assert_eq!(r.get_int(0, 3), Some(7));
+        assert_eq!(r.get_sym(1, 2), Some(Sym::intern("Spouse")));
+        assert!(!shares(&r, &erased, 2) && !shares(&r, &erased, 3));
+        assert!(shares(&r, &erased, 0) && shares(&r, &erased, 1));
+        // The fresh buffer takes writes like any other.
+        erased.set(1, 2, Some(Value::str("Owner"))).unwrap();
+        assert_eq!(erased.get_sym(1, 2), Some(Sym::intern("Owner")));
+    }
+
+    #[test]
+    fn replace_column_shares_and_rejects_a_mismatched_buffer() {
+        let mut r = small();
+        let mut filled = r.clone();
+        filled.set(0, 3, Some(Value::Int(7))).unwrap();
+        filled.set(1, 3, Some(Value::Int(8))).unwrap();
+        r.replace_column(3, Arc::clone(filled.column_buffer(3)))
+            .unwrap();
+        assert!(shares(&r, &filled, 3));
+        assert_eq!((r.get_int(0, 3), r.get_int(1, 3)), (Some(7), Some(8)));
+        let rel = Arc::clone(r.column_buffer(2));
+        assert!(matches!(
+            r.replace_column(3, rel),
+            Err(TableError::TypeMismatch { .. })
+        ));
+        let mut longer = small();
+        longer.push_row(&[None, None, None, None]).unwrap();
+        assert!(matches!(
+            r.replace_column(3, Arc::clone(longer.column_buffer(3))),
+            Err(TableError::ColumnLengthMismatch { .. })
+        ));
+        assert!(shares(&r, &filled, 3));
+    }
+
+    #[test]
+    fn a_builder_append_copies_a_shared_column() {
+        let r = small();
+        let mut b = RelationBuilder::new("t", r.schema().clone(), 0);
+        b.append_column(0, &r, 0).unwrap();
+        b.append_column(1, &r, 1).unwrap();
+        b.append_ints(0, &[3]).unwrap();
+        assert_eq!((b.col_len(0), r.int_view(0).unwrap().len()), (3, 2));
+        assert!(Arc::ptr_eq(&b.cols[1], r.column_buffer(1)));
+        assert!(!Arc::ptr_eq(&b.cols[0], r.column_buffer(0)));
     }
 
     #[test]
