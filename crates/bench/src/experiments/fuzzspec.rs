@@ -15,12 +15,12 @@
 //! level, so the oracles demonstrably exercised both chain scheduling and
 //! star parallelism, some perturbed completion must violate a DC and
 //! miss a CC, so the certifier arm was never vacuous, and the edge-set
-//! arm must have driven enumeration through both hash buckets and sorted
-//! runs, emitted at least one capacity group and kept at least one
-//! capacity-shaped DC on explicit edges, and routed at least one pair DC
-//! to window groups and kept at least one on bulk edges, so both index
-//! kinds, both capacity routes and both window routes met the naive
-//! reference. Its classification arm checks
+//! arm must have driven some enumeration depth by an `=` atom and some
+//! by an ordering atom, emitted at least one capacity group and kept at
+//! least one capacity-shaped DC on explicit edges, and routed at least
+//! one pair DC to window groups and kept at least one gap pair on bulk
+//! edges, so both driver kinds, both capacity routes and both window
+//! routes met the naive reference. Its classification arm checks
 //! the compiled CC relationship matrix against per-pair `classify` on
 //! every step's CCs, and must have met disjoint, contained-in and
 //! intersecting pairs. Its Phase I arm checks Algorithm 2, leftover
@@ -96,8 +96,9 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     }
     if index_hash == 0 || index_sorted == 0 {
         return Err(format!(
-            "fuzz-spec edge-set arm never enumerated through both index kinds: {index_hash} \
-             hash / {index_sorted} sorted depths (need both > 0 across the run)"
+            "fuzz-spec edge-set arm never enumerated through both driver kinds: {index_hash} \
+             depths driven by `=` / {index_sorted} by an ordering atom (need both > 0 across \
+             the run)"
         ));
     }
     if capacity_groups == 0 || capacity_edge_dcs == 0 {
@@ -110,7 +111,8 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     if window_dcs == 0 || bulk_pair_dcs == 0 {
         return Err(format!(
             "fuzz-spec edge-set arm never met both window routes: {window_dcs} pair DCs routed \
-             to window groups, {bulk_pair_dcs} kept on bulk edges (need both > 0 across the run)"
+             to window groups, {bulk_pair_dcs} gap pairs kept on bulk edges (need both > 0 \
+             across the run)"
         ));
     }
     if disjoint == 0 || contained == 0 || intersecting == 0 {
@@ -127,10 +129,10 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         );
     }
     println!(
-        "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets ({index_hash} hash / \
-         {index_sorted} sorted depths, {capacity_groups} capacity groups, \
+        "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets ({index_hash} `=` / \
+         {index_sorted} ordering driver depths, {capacity_groups} capacity groups, \
          {capacity_edge_dcs} capacity-shaped DCs on edges, {window_dcs} window pairs, \
-         {bulk_pair_dcs} bulk pairs), kernel ≡ count_in CC counts, compiled \
+         {bulk_pair_dcs} bulk gap pairs), kernel ≡ count_in CC counts, compiled \
          matrix ≡ classify ({disjoint} disjoint, {equal} equal, {contained} contained-in, \
          {intersecting} intersecting ordered pairs), Phase I ≡ scalar oracles \
          ({partially_pinned} partially pinned rows), certifier ≡ \

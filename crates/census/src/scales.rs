@@ -61,11 +61,6 @@ pub fn paper_scale(label: u32) -> Option<DataScale> {
     PAPER_SCALES.iter().copied().find(|s| s.label == label)
 }
 
-/// Average persons per household at scale 1× (≈ 2.556).
-pub fn persons_per_household() -> f64 {
-    PAPER_SCALES[0].persons as f64 / PAPER_SCALES[0].housing as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -546,17 +546,11 @@ impl DcPlan {
     }
 
     /// `true` for an arity-2 DC bulk-emittable without enumeration: φ has
-    /// at most one binary atom, and that atom links the two variables. With
-    /// no atom the edge set is a (bi-)clique over the candidate lists; with
-    /// one atom it is a union of sorted-run windows — one probe per
+    /// exactly one binary atom, and that atom links the two variables. The
+    /// edge set is then a union of sorted-run windows — one probe per
     /// candidate of the first variable, every match an edge.
     pub fn is_bulk_pair(&self) -> bool {
-        self.arity == 2
-            && match self.binary.as_slice() {
-                [] => true,
-                [a] => a.lvar != a.rvar,
-                _ => false,
-            }
+        self.arity == 2 && matches!(self.binary.as_slice(), [a] if a.lvar != a.rvar)
     }
 
     /// The plan's capacity shape, if φ says only "no `k` distinct rows

@@ -20,17 +20,22 @@
 //!   pair DC emits no edge either: one window group per partition
 //!   ([`Hypergraph::add_window_group`]) gives each candidate the range of
 //!   the other side's sorted run it conflicts with. Other pair DCs with
-//!   at most one binary atom are bulk-emitted as bi-cliques or sorted-run
-//!   windows. The rest enumerate: the variables are ordered by their
-//!   exact candidate counts, and each enumeration depth with a binary atom
-//!   is driven by a per-partition value index over its first equality atom
-//!   (hash buckets) or else its first ordering atom (a sorted run), so the
-//!   inner loop visits only rows that can still satisfy φ. Binary atoms
-//!   are verified incrementally on partial assignments (pruning whole
-//!   subtrees) rather than re-evaluating φ at `O(|P|^k)` leaves, and
-//!   interchangeable variables are restricted to ascending vertex ids so
-//!   each undirected edge is emitted once instead of once per symmetric
-//!   variable order.
+//!   exactly one binary atom are bulk-emitted as sorted-run windows. The
+//!   rest enumerate: the variables are ordered by their exact candidate
+//!   counts, and each enumeration depth with a binary atom is driven by
+//!   its first equality atom, else its first ordering atom, probing that
+//!   atom's window of a sorted run, so the inner loop visits only rows
+//!   that can still satisfy φ. Binary atoms are verified incrementally on
+//!   partial assignments (pruning whole subtrees) rather than
+//!   re-evaluating φ at `O(|P|^k)` leaves, and interchangeable variables
+//!   are restricted to ascending vertex ids so each undirected edge is
+//!   emitted once instead of once per symmetric variable order.
+//!
+//!   Every route reads one run cache: a run is one filter's candidates
+//!   sorted by one column, interned once per builder and sorted at most
+//!   once per build by `(value, position)`, whichever of the window
+//!   groups, capacity key groups, bulk windows and enumeration drivers
+//!   reads it first.
 //! - [`build_conflict_graph_naive`] — the original per-leaf `φ` evaluation,
 //!   kept as the reference the tests, the spec fuzzer and the
 //!   `conflict_build` criterion bench compare the builder against.
@@ -42,19 +47,19 @@
 use cextend_constraints::{BinaryAtomPlan, BoundDc, CapacityShape, DcPlan, UnaryFilter};
 use cextend_hypergraph::{Hypergraph, WindowRun};
 use cextend_table::{CmpOp, ColId, IntColumnView, Relation, RowId, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What the indexed builder did, for `CEXTEND_TRACE` diagnostics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ConflictStats {
-    /// Value indexes (hash buckets + sorted runs) built.
+    /// Runs sorted by a column: each (filter, column) run a build reads is
+    /// sorted once, however many routes read it.
     pub indexes_built: usize,
-    /// Hash-bucket probes for equality atoms.
+    /// Sorted-run probes for the equal window of an equality atom.
     pub eq_probes: usize,
-    /// Sorted-run probes for ordering atoms.
+    /// Sorted-run probes for the window of an ordering atom.
     pub range_probes: usize,
-    /// Candidate rows visited without an index driver (full scans of a
+    /// Candidate rows visited without a driver (full scans of a
     /// variable's unary-filtered candidate list).
     pub scanned_candidates: usize,
     /// DCs skipped outright: some variable had no candidates, a binary
@@ -65,9 +70,9 @@ pub struct ConflictStats {
     /// (duplicate or degenerate edges — symmetric-variable permutations of
     /// an edge already stored, or pairs a bulk-emitted DC already owns).
     pub dedup_hits: usize,
-    /// Enumeration depths driven by an equality atom's hash buckets.
+    /// Enumeration depths driven by an equality atom.
     pub index_hash: usize,
-    /// Enumeration depths driven by an ordering atom's sorted run.
+    /// Enumeration depths driven by an ordering atom.
     pub index_sorted: usize,
     /// Clique groups emitted for capacity DCs.
     pub capacity_groups: usize,
@@ -94,11 +99,13 @@ impl ConflictStats {
 /// How [`ConflictBuilder`] turns one DC into conflict structure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DcRoute {
-    /// Explicit edges, enumerated.
+    /// Explicit edges, enumerated (a purely unary pair DC that another DC
+    /// may share an edge with included).
     Edges,
-    /// A pair DC with at most one binary atom that another DC may share
-    /// an edge with: explicit edges, written in bulk and deduplicated
-    /// against the other bulk DCs.
+    /// A pair DC with exactly one binary atom, linking its two variables,
+    /// that another DC may share an edge with: explicit edges, written in
+    /// bulk from sorted-run windows and deduplicated against the other
+    /// bulk DCs.
     Bulk,
     /// Capacity-shaped, but some other live DC of its arity is not
     /// provably disjoint from it, so the two could emit one vertex set
@@ -243,22 +250,14 @@ pub struct ConflictBuilder<'v> {
     /// Per-vertex registry masks: bit `k` of `bulk_a[v]` / `bulk_b[v]`
     /// records that `v` is in bulk DC `k`'s first / second candidate set.
     /// A pair `{s,t}` was bulk-emitted iff some DC has an `a`-member and a
-    /// `b`-member on opposite ends — the dedup test both later bulk DCs and
-    /// indexed arity-2 leaves apply before adding the pair again.
+    /// `b`-member on opposite ends and its atom holds on them — the dedup
+    /// test both later bulk DCs and enumerated arity-2 leaves apply before
+    /// adding the pair again.
     bulk_a: Vec<u64>,
     bulk_b: Vec<u64>,
-    /// `(cell value, candidate position)` scratch: the sorted run of a
-    /// single-atom bulk DC over its second variable's candidates, or a
-    /// capacity DC's candidates by key.
-    bulk_run: Vec<(i64, u32)>,
-    /// Window-group scratch per build: each window run, sorted, and its
-    /// state; each run column's cells for the build's rows, in position
-    /// order, gathered on first use; each side's windows; and a member
-    /// buffer.
-    win_runs: Vec<Vec<(i64, u32)>>,
-    win_run_state: Vec<RunState>,
-    win_cells: Vec<Vec<Option<i64>>>,
-    win_cells_built: Vec<bool>,
+    /// The build's runs.
+    runs: RunCache,
+    /// Window-group scratch: each side's windows, and a member buffer.
     win_ranges: [Vec<(u32, u32)>; 2],
     win_members: Vec<u32>,
     /// Vertex chosen per tuple variable (by original variable index).
@@ -276,7 +275,6 @@ pub struct ConflictBuilder<'v> {
     order: Vec<usize>,
     sched: Vec<Vec<usize>>,
     drivers: Vec<Option<usize>>,
-    driver_ix: Vec<Option<usize>>,
     stats: ConflictStats,
 }
 
@@ -295,6 +293,10 @@ struct Compiled<'v> {
     /// with `plan.binary_atoms()`; `None` when the plan never holds or an
     /// atom reads a non-integer column, where it can never hold either.
     atom_views: Vec<Option<Vec<(IntColumnView<'v>, IntColumnView<'v>)>>>,
+    /// Per plan and binary atom, the runs its left and right sides read
+    /// (see [`side`]); empty for a plan that never holds. A keyed
+    /// capacity DC's atoms all read its key run.
+    atom_runs: Vec<Vec<[usize; 2]>>,
     /// The view's rows classified into the DC set's distinct unary
     /// filters (the ids `var_filter` holds).
     masks: RowFilterMasks,
@@ -303,56 +305,115 @@ struct Compiled<'v> {
     /// them), then declaration order.
     dc_order: Vec<usize>,
     /// Bulk-emission slot per plan (bit position in the registry masks);
-    /// `Some` for at most 64 pair DCs with at most one binary atom.
+    /// `Some` for at most 64 live pair DCs with one linking atom.
     bulk_slot: Vec<Option<u8>>,
-    n_bulk: usize,
-    /// Per bulk slot: the DC's binary atom bound to typed views (`None`
-    /// for a pure-unary slot, or for a dead DC, which registers no
-    /// membership), and the mask of pure-unary slots.
-    bulk_preds: Vec<Option<BulkPred<'v>>>,
-    bulk_uncond: u64,
-    /// The window pairs' runs: per run, the filter whose candidates it
-    /// holds and the index in `win_cols` of the column it sorts them by
-    /// (`None` for a pure-unary pair, whose run is in position order).
-    win_keys: Vec<(usize, Option<usize>)>,
+    /// Per bulk slot, the DC's binary atom bound to typed views.
+    bulk_preds: Vec<BulkPred<'v>>,
+    /// The runs: per run, the filter whose candidates it holds and the
+    /// index in `run_cols` of the column it sorts them by (`None` for a
+    /// pure-unary window pair's run, which is in position order).
+    run_keys: Vec<(usize, Option<usize>)>,
     /// The columns runs sort by.
-    win_cols: Vec<ColId>,
+    run_cols: Vec<ColId>,
 }
 
 /// A window pair's compiled shape: its binary atom, if any, and the run
-/// (an index into the builder's window runs) each variable's candidates
-/// are sorted into.
+/// each variable's candidates are sorted into.
 #[derive(Clone, Copy)]
 struct WindowPlan {
     atom: Option<BinaryAtomPlan>,
     runs: [usize; 2],
 }
 
-/// How far one build has got with a window run.
+/// The side of `atom` that reads `var`'s cells: 0 for its left side, 1
+/// for its right.
+fn side(atom: &BinaryAtomPlan, var: usize) -> usize {
+    usize::from(atom.lvar != var)
+}
+
+/// How far one build has got with a run.
 #[derive(Clone, Copy)]
 enum RunState {
     /// Not built for this build's rows yet.
     Stale,
-    /// Sorted, but in no group yet.
+    /// Sorted, but in no window group yet.
     Sorted,
-    /// Sorted and added to the graph.
+    /// Sorted and added to the graph as a window run.
     InGraph(WindowRun),
 }
 
-/// One per-partition value index over a variable's candidate list. Only
-/// the structure some driver atom actually probes is populated: hash
-/// buckets for equality drivers, the sorted run for ordering drivers
-/// (`has_*` records what was built, since a `(var, col)` pair can serve
-/// both kinds across depths).
-struct ValueIndex {
-    var: usize,
-    col: ColId,
-    /// Hash buckets: cell value → candidate positions, ascending.
-    buckets: HashMap<i64, Vec<u32>>,
-    has_buckets: bool,
-    /// Sorted run: `(cell value, candidate position)` ascending.
-    run: Vec<(i64, u32)>,
-    has_run: bool,
+/// One build's runs ([`Compiled::run_keys`]): each run is sorted on first
+/// use by `(cell value, candidate position)` and then read by every route
+/// that needs it, and each run column's cells for the build's rows are
+/// gathered once, for every run sorted by it.
+#[derive(Clone)]
+struct RunCache {
+    runs: Vec<Vec<(i64, u32)>>,
+    state: Vec<RunState>,
+    cells: Vec<Vec<Option<i64>>>,
+    cells_built: Vec<bool>,
+}
+
+impl RunCache {
+    fn new(c: &Compiled<'_>) -> RunCache {
+        RunCache {
+            runs: vec![Vec::new(); c.run_keys.len()],
+            state: vec![RunState::Stale; c.run_keys.len()],
+            cells: vec![Vec::new(); c.run_cols.len()],
+            cells_built: vec![false; c.run_cols.len()],
+        }
+    }
+
+    /// Marks every run stale for a new build.
+    fn reset(&mut self) {
+        self.state.fill(RunState::Stale);
+        self.cells_built.fill(false);
+    }
+
+    /// Sorts run `run` over its filter's candidates for this build, unless
+    /// an earlier route of the build already did. A row missing the run's
+    /// column joins no run sorted by it.
+    fn sort(
+        &mut self,
+        c: &Compiled<'_>,
+        run: usize,
+        rows: &[RowId],
+        filter_cands: &[Vec<u32>],
+        stats: &mut ConflictStats,
+    ) {
+        if !matches!(self.state[run], RunState::Stale) {
+            return;
+        }
+        let (filter, col) = c.run_keys[run];
+        let cand = &filter_cands[filter];
+        let sorted = &mut self.runs[run];
+        sorted.clear();
+        match col {
+            None => sorted.extend(cand.iter().map(|&p| (0, p))),
+            Some(col) => {
+                // The rows lie scattered over the view: the column's cells
+                // for all of them are gathered once, in a loop of
+                // independent loads, for every run sorted by it.
+                let cells = &mut self.cells[col];
+                if !self.cells_built[col] {
+                    let view = c
+                        .view
+                        .int_view(c.run_cols[col])
+                        .expect("build_one_dc kills a DC whose atom column is not integer");
+                    cells.clear();
+                    cells.extend(rows.iter().map(|&r| view.get(r)));
+                    self.cells_built[col] = true;
+                }
+                sorted.extend(
+                    cand.iter()
+                        .filter_map(|&p| cells[p as usize].map(|v| (v, p))),
+                );
+                sorted.sort_unstable();
+                stats.indexes_built += 1;
+            }
+        }
+        self.state[run] = RunState::Sorted;
+    }
 }
 
 /// Everything immutable the per-DC enumeration needs.
@@ -364,30 +425,28 @@ struct DcCtx<'a> {
     /// Per depth: indices into `plan.binary_atoms()` that become fully
     /// assigned (and must hold) at that depth.
     sched: &'a [Vec<usize>],
-    /// Per depth: the scheduled atom that drives the candidate loop via an
-    /// index probe (the first equality atom, else the first ordering
-    /// atom), if any.
+    /// Per depth: the scheduled atom that drives the candidate loop by
+    /// probing its window of a sorted run (the first equality atom, else
+    /// the first ordering atom), if any.
     drivers: &'a [Option<usize>],
-    /// Per depth: the slot in `indexes` the driver probes (set iff
-    /// `drivers[depth]` is).
-    driver_ix: &'a [Option<usize>],
     /// Typed views of each binary atom's two columns, aligned with
     /// `plan.binary_atoms()`.
     atom_views: &'a [(IntColumnView<'a>, IntColumnView<'a>)],
+    /// The runs each binary atom's two sides read, aligned with
+    /// `plan.binary_atoms()`, and the build's runs (every driver's
+    /// sorted).
+    atom_runs: &'a [[usize; 2]],
+    runs: &'a [Vec<(i64, u32)>],
     /// The build's candidates per filter, and the plan's filter per
     /// variable.
     filter_cands: &'a [Vec<u32>],
     var_filter: &'a [usize],
-    indexes: &'a [ValueIndex],
     /// Bulk-emission registry masks (empty when no DC was bulk-emitted).
     /// Arity-2 leaves consult them: a pair some bulk DC already owns must
     /// not be added again (unchecked edges bypass the graph's own dedup).
     bulk_a: &'a [u64],
     bulk_b: &'a [u64],
-    /// Per bulk slot: the DC's binary atom bound to typed views (`None`
-    /// for pure-unary slots), plus the mask of pure-unary slots.
-    bulk_preds: &'a [Option<BulkPred<'a>>],
-    bulk_uncond: u64,
+    bulk_preds: &'a [BulkPred<'a>],
 }
 
 impl DcCtx<'_> {
@@ -398,9 +457,9 @@ impl DcCtx<'_> {
 }
 
 /// A bulk DC's single binary atom bound to typed column views — the
-/// predicate the registry dedup tests re-evaluate: for these DCs the
-/// membership masks only *nominate* a pair, the atom decides whether it
-/// was actually emitted.
+/// predicate the registry dedup tests re-evaluate: the membership masks
+/// only *nominate* a pair, the atom decides whether it was actually
+/// emitted.
 #[derive(Clone, Copy)]
 struct BulkPred<'v> {
     atom: BinaryAtomPlan,
@@ -424,32 +483,25 @@ impl BulkPred<'_> {
 }
 
 /// `true` if a bulk DC whose slot bit is inside `limit` already emitted
-/// `{s, t}`. The membership masks nominate candidate DCs per orientation;
-/// pure-unary slots (the `uncond` mask) emit every nominated pair, the
-/// rest only where their atom holds.
+/// `{s, t}`: the membership masks nominate candidate DCs per orientation,
+/// and a nominated DC emitted the pair where its atom holds.
 #[inline]
 fn bulk_emitted(
     rows: &[RowId],
     bulk_a: &[u64],
     bulk_b: &[u64],
-    preds: &[Option<BulkPred<'_>>],
-    uncond: u64,
+    preds: &[BulkPred<'_>],
     limit: u64,
     (s, t): (u32, u32),
 ) -> bool {
     let m1 = bulk_a[s as usize] & bulk_b[t as usize] & limit;
     let m2 = bulk_a[t as usize] & bulk_b[s as usize] & limit;
-    if (m1 | m2) & uncond != 0 {
-        return true;
-    }
-    let mut m = (m1 | m2) & !uncond;
+    let mut m = m1 | m2;
     while m != 0 {
         let k = m.trailing_zeros() as usize;
         let bit = 1u64 << k;
         m &= m - 1;
-        let p = preds[k]
-            .as_ref()
-            .expect("conditional bulk slot has a predicate");
+        let p = &preds[k];
         if (m1 & bit != 0 && p.eval(rows, s, t)) || (m2 & bit != 0 && p.eval(rows, t, s)) {
             return true;
         }
@@ -462,7 +514,8 @@ impl<'v> ConflictBuilder<'v> {
     /// equality-saturated (merging interchangeable variables, detecting
     /// contradictions), routed (see [`DcRoute`]) and ordered with
     /// bulk-emitted pair DCs first; their distinct unary filters are
-    /// compiled and every row of `view` is classified into them. Everything
+    /// compiled and every row of `view` is classified into them, and every
+    /// (filter, column) run a route reads is interned once. Everything
     /// else is decided per build from the partition's exact candidate
     /// lists, so the builder is reusable across any number of builds over
     /// rows of `view`.
@@ -498,11 +551,28 @@ impl<'v> ConflictBuilder<'v> {
                     .collect()
             })
             .collect();
+        // Routes reading one filter's candidates by one column share that
+        // run: both sides of every binary atom, and of every window pair.
+        let (mut run_keys, mut run_cols) = (Vec::new(), Vec::new());
+        let mut run = |filter: usize, col: Option<ColId>| {
+            let col = col.map(|c| intern(&mut run_cols, c));
+            intern(&mut run_keys, (filter, col))
+        };
+        let atom_runs: Vec<Vec<[usize; 2]>> = plans
+            .iter()
+            .zip(&var_filter)
+            .map(|(p, vf)| {
+                let live = !p.never_holds();
+                p.binary_atoms()
+                    .iter()
+                    .filter(|_| live)
+                    .map(|a| [run(vf[a.lvar], Some(a.lcol)), run(vf[a.rvar], Some(a.rcol))])
+                    .collect()
+            })
+            .collect();
         // A window group stands for its pairs the same way, so a window
         // pair takes the window route only when no other live pair DC can
-        // emit one of them. Window pairs reading one filter's candidates by
-        // one column share that run.
-        let (mut win_keys, mut win_cols) = (Vec::new(), Vec::new());
+        // emit one of them.
         let windows: Vec<Option<WindowPlan>> = plans
             .iter()
             .enumerate()
@@ -516,32 +586,13 @@ impl<'v> ConflictBuilder<'v> {
                     return None;
                 }
                 let atom = p.binary_atoms().first().copied();
-                let runs = [0, 1].map(|var| {
-                    let col = atom.map(|a| if a.lvar == var { a.lcol } else { a.rcol });
-                    let col = col.map(|c| intern(&mut win_cols, c));
-                    intern(&mut win_keys, (var_filter[i][var], col))
+                let runs = [0, 1].map(|var| match &atom {
+                    Some(a) => atom_runs[i][0][side(a, var)],
+                    None => run(var_filter[i][var], None),
                 });
                 Some(WindowPlan { atom, runs })
             })
             .collect();
-        let mut bulk_slot = vec![None; plans.len()];
-        let mut n_bulk = 0usize;
-        for (i, p) in plans.iter().enumerate() {
-            // The registry masks are u64s, so at most 64 DCs can be
-            // bulk-emitted; any excess enumerates (identical edges, just
-            // slower).
-            if groups[i].is_none()
-                && windows[i].is_none()
-                && p.is_bulk_pair()
-                && !p.never_holds()
-                && n_bulk < 64
-            {
-                bulk_slot[i] = Some(n_bulk as u8);
-                n_bulk += 1;
-            }
-        }
-        let mut dc_order: Vec<usize> = (0..plans.len()).collect();
-        dc_order.sort_by_key(|&i| (bulk_slot[i].is_none(), i));
         let atom_views: Vec<Option<Vec<_>>> = plans
             .iter()
             .map(|p| {
@@ -555,37 +606,52 @@ impl<'v> ConflictBuilder<'v> {
                 views.filter(|_| !p.never_holds())
             })
             .collect();
-        // The predicates the registry dedup tests re-evaluate. A dead
-        // single-atom DC keeps `None`: it registers no membership, so its
-        // entry is never read.
-        let mut bulk_preds = vec![None; n_bulk];
-        let mut bulk_uncond = 0u64;
-        for (i, plan) in plans.iter().enumerate() {
-            let Some(k) = bulk_slot[i] else { continue };
-            match (plan.binary_atoms(), atom_views[i].as_deref()) {
-                ([], _) => bulk_uncond |= 1u64 << k,
-                ([atom], Some(&[(lview, rview)])) => {
-                    bulk_preds[k as usize] = Some(BulkPred {
-                        atom: *atom,
-                        lview,
-                        rview,
-                    })
-                }
-                ([_], _) => {}
-                _ => unreachable!("bulk slots hold at most one binary atom"),
+        // The registry masks are u64s, so at most 64 DCs can be
+        // bulk-emitted; any excess enumerates (identical edges, just
+        // slower). A dead DC takes no slot.
+        let mut bulk_slot = vec![None; plans.len()];
+        let mut bulk_preds = Vec::new();
+        for (i, p) in plans.iter().enumerate() {
+            let Some(&[(lview, rview)]) = atom_views[i].as_deref() else {
+                continue;
+            };
+            if groups[i].is_none()
+                && windows[i].is_none()
+                && p.is_bulk_pair()
+                && bulk_preds.len() < 64
+            {
+                bulk_slot[i] = Some(bulk_preds.len() as u8);
+                bulk_preds.push(BulkPred {
+                    atom: p.binary_atoms()[0],
+                    lview,
+                    rview,
+                });
             }
         }
+        let mut dc_order: Vec<usize> = (0..plans.len()).collect();
+        dc_order.sort_by_key(|&i| (bulk_slot[i].is_none(), i));
         let masks = filters.classify(view);
+        let compiled = Compiled {
+            view,
+            plans,
+            groups,
+            windows,
+            var_filter,
+            atom_views,
+            atom_runs,
+            masks,
+            dc_order,
+            bulk_slot,
+            bulk_preds,
+            run_keys,
+            run_cols,
+        };
         ConflictBuilder {
             filter_cands: vec![Vec::new(); filters.filters.len()],
             row_masks: Vec::new(),
             bulk_a: Vec::new(),
             bulk_b: Vec::new(),
-            bulk_run: Vec::new(),
-            win_runs: vec![Vec::new(); win_keys.len()],
-            win_run_state: vec![RunState::Stale; win_keys.len()],
-            win_cells: vec![Vec::new(); win_cols.len()],
-            win_cells_built: vec![false; win_cols.len()],
+            runs: RunCache::new(&compiled),
             win_ranges: Default::default(),
             win_members: Vec::new(),
             chosen: vec![0; max_arity],
@@ -595,24 +661,8 @@ impl<'v> ConflictBuilder<'v> {
             order: Vec::new(),
             sched: Vec::new(),
             drivers: Vec::new(),
-            driver_ix: Vec::new(),
             stats: ConflictStats::default(),
-            compiled: Arc::new(Compiled {
-                view,
-                plans,
-                groups,
-                windows,
-                var_filter,
-                atom_views,
-                masks,
-                dc_order,
-                bulk_slot,
-                n_bulk,
-                bulk_preds,
-                bulk_uncond,
-                win_keys,
-                win_cols,
-            }),
+            compiled: Arc::new(compiled),
         }
     }
 
@@ -651,7 +701,7 @@ impl<'v> ConflictBuilder<'v> {
         if self.member.len() < rows.len() {
             self.member.resize(rows.len(), 0);
         }
-        if c.n_bulk > 0 {
+        if !c.bulk_preds.is_empty() {
             if self.bulk_a.len() < rows.len() {
                 self.bulk_a.resize(rows.len(), 0);
                 self.bulk_b.resize(rows.len(), 0);
@@ -659,8 +709,7 @@ impl<'v> ConflictBuilder<'v> {
             self.bulk_a[..rows.len()].fill(0);
             self.bulk_b[..rows.len()].fill(0);
         }
-        self.win_run_state.fill(RunState::Stale);
-        self.win_cells_built.fill(false);
+        self.runs.reset();
         // Every filter's candidates in one pass over the rows' masks. The
         // masks are gathered first, in a loop of independent loads: the
         // rows lie scattered over the view.
@@ -710,31 +759,29 @@ impl<'v> ConflictBuilder<'v> {
             self.stats.dead_dcs += 1;
             return;
         }
-        let view = c.view;
         let arity = plan.arity();
         let cands = |var: usize| filter_cands[var_filter[var]].as_slice();
 
         if let Some(shape) = c.groups[ix] {
-            self.emit_groups(view, shape, rows, cands(0), g);
+            self.emit_groups(c, ix, shape, rows, filter_cands, g);
             return;
         }
         if let Some(window) = c.windows[ix] {
-            self.emit_window_group(c, window, rows, [cands(0), cands(1)], g);
+            self.emit_window_group(c, window, rows, filter_cands, g);
             return;
         }
 
-        // Bulk emission: a pair DC with at most one binary atom writes its
-        // edges directly — no enumeration, no per-edge hashing — after
-        // recording membership in the registry masks that later emitters
-        // dedup against.
+        // Bulk emission: a single-atom pair DC writes its edges directly —
+        // no enumeration, no per-edge hashing — after recording membership
+        // in the registry masks that later emitters dedup against.
         if let Some(k) = c.bulk_slot[ix] {
-            self.emit_bulk_pairs(c, plan, k, rows, [cands(0), cands(1)], atom_views, g);
+            self.emit_bulk_pairs(c, ix, k, rows, filter_cands, g);
             return;
         }
 
         // Variable order from the exact candidate counts: start from the
         // smallest candidate list; then prefer variables linked by a
-        // binary atom to the already-ordered set (so an index can drive
+        // binary atom to the already-ordered set (so a run can drive
         // their loop), breaking ties by candidate count, then variable
         // index. The var-index tie-break keeps interchangeable variables
         // in original relative order, which the symmetry dedup relies on.
@@ -758,7 +805,7 @@ impl<'v> ConflictBuilder<'v> {
             let depth = depth_of(atom.lvar).max(depth_of(atom.rvar));
             sched[depth].push(a);
             // Self-atoms (both sides one variable) cannot drive a probe,
-            // and `≠` has no index.
+            // and `≠` has no window.
             if atom.lvar == atom.rvar || !(atom.is_equality() || atom.is_range()) {
                 continue;
             }
@@ -771,64 +818,18 @@ impl<'v> ConflictBuilder<'v> {
             }
         }
 
-        // Per-partition value indexes for the driver atoms' probe columns:
-        // every driver depth is indexed, building only the structure its
-        // driver probes (buckets for equality, the sorted run for
-        // ordering); the slot per depth lets enumeration probe by direct
-        // array read.
-        let mut indexes: Vec<ValueIndex> = Vec::new();
-        self.driver_ix.clear();
-        self.driver_ix.resize(arity, None);
-        for depth in 0..arity {
-            let Some(a) = drivers[depth] else { continue };
+        // Every driver depth probes the run of its variable's candidates
+        // by the driver's column on that side.
+        for (depth, &driver) in drivers.iter().enumerate() {
+            let Some(a) = driver else { continue };
             let atom = &plan.binary_atoms()[a];
             if atom.is_equality() {
                 self.stats.index_hash += 1;
             } else {
                 self.stats.index_sorted += 1;
             }
-            let var = order[depth];
-            let col = if atom.lvar == var {
-                atom.lcol
-            } else {
-                atom.rcol
-            };
-            let slot = match indexes.iter().position(|ix| ix.var == var && ix.col == col) {
-                Some(slot) => slot,
-                None => {
-                    indexes.push(ValueIndex {
-                        var,
-                        col,
-                        buckets: HashMap::new(),
-                        has_buckets: false,
-                        run: Vec::new(),
-                        has_run: false,
-                    });
-                    indexes.len() - 1
-                }
-            };
-            let cells = view.int_view(col).expect("validated above");
-            let ix = &mut indexes[slot];
-            if atom.is_equality() && !ix.has_buckets {
-                for &pos in cands(var) {
-                    if let Some(v) = cells.get(rows[pos as usize]) {
-                        ix.buckets.entry(v).or_default().push(pos);
-                    }
-                }
-                ix.has_buckets = true;
-                self.stats.indexes_built += 1;
-            } else if !atom.is_equality() && !ix.has_run {
-                ix.run.reserve(cands(var).len());
-                for &pos in cands(var) {
-                    if let Some(v) = cells.get(rows[pos as usize]) {
-                        ix.run.push((v, pos));
-                    }
-                }
-                ix.run.sort_unstable();
-                ix.has_run = true;
-                self.stats.indexes_built += 1;
-            }
-            self.driver_ix[depth] = Some(slot);
+            let run = c.atom_runs[ix][a][side(atom, order[depth])];
+            self.runs.sort(c, run, rows, filter_cands, &mut self.stats);
         }
 
         self.generation = self.generation.wrapping_add(1);
@@ -842,15 +843,14 @@ impl<'v> ConflictBuilder<'v> {
             order,
             sched,
             drivers,
-            driver_ix: &self.driver_ix,
             atom_views,
+            atom_runs: &c.atom_runs[ix],
+            runs: &self.runs.runs,
             filter_cands,
             var_filter,
-            indexes: &indexes,
             bulk_a: &self.bulk_a,
             bulk_b: &self.bulk_b,
             bulk_preds: &c.bulk_preds,
-            bulk_uncond: c.bulk_uncond,
         };
         let mut state = EnumState {
             chosen: &mut self.chosen,
@@ -862,37 +862,33 @@ impl<'v> ConflictBuilder<'v> {
         enumerate(&ctx, &mut state, 0, g);
     }
 
-    /// Adds a capacity DC's clique groups: its candidates `cand` grouped
-    /// by key value, or all of them when the DC has no key. Rows missing
-    /// the key join no group, as they fail every `=` atom, and a group
-    /// under `k` members stands for no edge.
+    /// Adds capacity DC `ix`'s clique groups: its candidates grouped by
+    /// key value (runs of one value in its key run), or all of them when
+    /// the DC has no key. Rows missing the key join no group, as they fail
+    /// every `=` atom, and a group under `k` members stands for no edge.
     fn emit_groups(
         &mut self,
-        view: &Relation,
+        c: &Compiled<'_>,
+        ix: usize,
         shape: CapacityShape,
         rows: &[RowId],
-        cand: &[u32],
+        filter_cands: &[Vec<u32>],
         g: &mut Hypergraph,
     ) {
-        let Some(key) = shape.key else {
+        if shape.key.is_none() {
+            let cand = &filter_cands[c.var_filter[ix][0]];
             if cand.len() >= shape.k {
                 g.add_clique_group(shape.k, cand);
                 self.stats.capacity_groups += 1;
             }
             return;
-        };
-        let cells = view
-            .int_view(key)
-            .expect("build_one_dc kills a DC whose key column is not integer");
-        let run = &mut self.bulk_run;
-        run.clear();
-        run.extend(
-            cand.iter()
-                .filter_map(|&p| cells.get(rows[p as usize]).map(|v| (v, p))),
-        );
-        run.sort_unstable();
+        }
+        // Every `=` atom reads the key on the one filter all variables
+        // share, so each side of each atom reads the key run.
+        let run = c.atom_runs[ix][0][0];
+        self.runs.sort(c, run, rows, filter_cands, &mut self.stats);
         let members = &mut self.edge_buf;
-        for same_key in run.chunk_by(|a, b| a.0 == b.0) {
+        for same_key in self.runs.runs[run].chunk_by(|a, b| a.0 == b.0) {
             if same_key.len() >= shape.k {
                 members.clear();
                 members.extend(same_key.iter().map(|&(_, p)| p));
@@ -902,27 +898,26 @@ impl<'v> ConflictBuilder<'v> {
         }
     }
 
-    /// Adds a window pair's window group over its two candidate lists.
-    /// With a binary atom, each side's candidates are sorted by the cell
-    /// the atom reads there (a row missing it has no neighbour and joins
-    /// neither run), and two sweeps ([`sweep_windows`]) give every member
-    /// the range of the other side's run it conflicts with. A pure-unary
-    /// pair is the case where every range is the whole other side. Window
-    /// pairs over one filter and column share one sorted run per build. A
-    /// group standing for no edge is not added.
+    /// Adds a window pair's window group over its two runs. With a binary
+    /// atom, each side's run is sorted by the cell the atom reads there (a
+    /// row missing it has no neighbour and joins neither run), and two
+    /// sweeps ([`sweep_windows`]) give every member the range of the other
+    /// side's run it conflicts with. A pure-unary pair is the case where
+    /// every range is the whole other side. A group standing for no edge
+    /// is not added.
     fn emit_window_group(
         &mut self,
         c: &Compiled<'_>,
         window: WindowPlan,
         rows: &[RowId],
-        cands: [&[u32]; 2],
+        filter_cands: &[Vec<u32>],
         g: &mut Hypergraph,
     ) {
         let [ia, ib] = window.runs;
-        for (run, cand) in [(ia, cands[0]), (ib, cands[1])] {
-            self.sort_window_run(c, run, cand, rows);
+        for run in window.runs {
+            self.runs.sort(c, run, rows, filter_cands, &mut self.stats);
         }
-        let (run_a, run_b) = (&self.win_runs[ia], &self.win_runs[ib]);
+        let (run_a, run_b) = (&self.runs.runs[ia], &self.runs.runs[ib]);
         let [ranges_a, ranges_b] = &mut self.win_ranges;
         match &window.atom {
             None => {
@@ -944,158 +939,83 @@ impl<'v> ConflictBuilder<'v> {
         self.stats.window_groups += 1;
     }
 
-    /// Sorts window run `run` over its filter's candidates `cand` for this
-    /// build, unless an earlier window pair of the build already did.
-    fn sort_window_run(&mut self, c: &Compiled<'_>, run: usize, cand: &[u32], rows: &[RowId]) {
-        if !matches!(self.win_run_state[run], RunState::Stale) {
-            return;
-        }
-        let sorted = &mut self.win_runs[run];
-        sorted.clear();
-        match c.win_keys[run].1 {
-            None => sorted.extend(cand.iter().map(|&p| (0, p))),
-            Some(col) => {
-                // The rows lie scattered over the view: the column's cells
-                // for all of them are gathered once, in a loop of
-                // independent loads, for every run sorted by it.
-                let cells = &mut self.win_cells[col];
-                if !self.win_cells_built[col] {
-                    let view = c
-                        .view
-                        .int_view(c.win_cols[col])
-                        .expect("build_one_dc kills a DC whose atom column is not integer");
-                    cells.clear();
-                    cells.extend(rows.iter().map(|&r| view.get(r)));
-                    self.win_cells_built[col] = true;
-                }
-                sorted.extend(
-                    cand.iter()
-                        .filter_map(|&p| cells[p as usize].map(|v| (v, p))),
-                );
-                sorted.sort_unstable();
-            }
-        }
-        self.win_run_state[run] = RunState::Sorted;
-    }
-
-    /// Window run `run`'s members in the graph, added on first use.
+    /// Run `run`'s members in the graph, added on first use.
     fn graph_run(&mut self, run: usize, g: &mut Hypergraph) -> WindowRun {
-        if let RunState::InGraph(handle) = self.win_run_state[run] {
+        if let RunState::InGraph(handle) = self.runs.state[run] {
             return handle;
         }
         self.win_members.clear();
         self.win_members
-            .extend(self.win_runs[run].iter().map(|&(_, p)| p));
+            .extend(self.runs.runs[run].iter().map(|&(_, p)| p));
         let handle = g.add_window_run(&self.win_members);
-        self.win_run_state[run] = RunState::InGraph(handle);
+        self.runs.state[run] = RunState::InGraph(handle);
         handle
     }
 
-    /// Writes a bulk DC's pairs straight into the graph. `cands` holds its
-    /// two variables' candidates; `k` is the DC's registry bit. A
-    /// pure-unary DC emits a bi-clique (identical candidate sets make it a
-    /// clique, each pair visited once in ascending order); a single-atom
-    /// DC sorts the second variable's candidates by the atom column and
-    /// emits one violation window per first-variable candidate. Mirrored
-    /// visits emit canonically on the one whose first-set element is
-    /// smaller; pairs some earlier bulk DC already owns are skipped via
-    /// the registry, so unchecked adds stay unique.
-    #[allow(clippy::too_many_arguments)] // private helper of `build_one_dc`
+    /// Writes bulk DC `ix`'s pairs straight into the graph; `k` is its
+    /// registry bit. Variable 1's run, sorted by the column its one atom
+    /// reads there, gives each variable-0 candidate its violation window
+    /// (the bulk analogue of the enumerate driver probe — same pairs, no
+    /// per-pair verification or hashing). Mirrored visits emit
+    /// canonically on the one whose first-set element is smaller; pairs
+    /// some earlier bulk DC already owns are skipped via the registry, so
+    /// unchecked adds stay unique.
     fn emit_bulk_pairs(
         &mut self,
         c: &Compiled<'_>,
-        plan: &DcPlan,
+        ix: usize,
         k: u8,
         rows: &[RowId],
-        [ca, cb]: [&[u32]; 2],
-        atom_views: &[(IntColumnView<'_>, IntColumnView<'_>)],
+        filter_cands: &[Vec<u32>],
         g: &mut Hypergraph,
     ) {
-        debug_assert_eq!(plan.arity(), 2);
+        let own = &c.bulk_preds[usize::from(k)];
+        let atom = &own.atom;
+        let [ca, cb] = [0, 1].map(|var| filter_cands[c.var_filter[ix][var]].as_slice());
         let bit = 1u64 << k;
-        let earlier = bit - 1;
-        let emitted_before = |a: &[u64], b: &[u64], s: u32, t: u32| {
-            bulk_emitted(rows, a, b, &c.bulk_preds, c.bulk_uncond, earlier, (s, t))
-        };
         for &p in ca {
             self.bulk_a[p as usize] |= bit;
         }
         for &p in cb {
             self.bulk_b[p as usize] |= bit;
         }
-        if let [atom] = plan.binary_atoms() {
-            // Single-atom DC: one sorted run over variable 1's candidates,
-            // keyed by the column the atom reads there; each variable-0
-            // candidate probes its violation window (the bulk analogue of
-            // the enumerate driver probe — same pairs, no per-pair
-            // verification or hashing).
-            let (lv, rv) = &atom_views[0];
-            let (v0_view, v1_view) = if atom.lvar == 0 { (lv, rv) } else { (rv, lv) };
-            let own = BulkPred {
-                atom: *atom,
-                lview: *lv,
-                rview: *rv,
+        let run = c.atom_runs[ix][0][side(atom, 1)];
+        self.runs.sort(c, run, rows, filter_cands, &mut self.stats);
+        let run = &self.runs.runs[run];
+        let v0_view = if atom.lvar == 0 { own.lview } else { own.rview };
+        for &u in ca {
+            // A missing cell fails the atom against every partner.
+            let Some(o) = v0_view.get(rows[u as usize]) else {
+                continue;
             };
-            let mut run = std::mem::take(&mut self.bulk_run);
-            run.clear();
-            for &p in cb {
-                if let Some(v) = v1_view.get(rows[p as usize]) {
-                    run.push((v, p));
-                }
-            }
-            run.sort_unstable();
-            for &u in ca {
-                // A missing cell fails the atom against every partner.
-                let Some(o) = v0_view.get(rows[u as usize]) else {
+            // Up to two run windows, exact for every offset.
+            let (w1, w2) = probe_windows(atom, 1, o, run);
+            for &(_, v) in run[w1].iter().chain(run[w2].iter()) {
+                if v == u {
                     continue;
-                };
-                // Up to two run windows, exact for every offset.
-                let (w1, w2) = probe_windows(atom, 1, o, &run);
-                for &(_, v) in run[w1].iter().chain(run[w2].iter()) {
-                    if v == u {
-                        continue;
-                    }
-                    // Mirrored visit `(v, u)`: emit only here if it does
-                    // not qualify, or `u` is the smaller element.
-                    if u > v
-                        && self.bulk_a[v as usize] & bit != 0
-                        && self.bulk_b[u as usize] & bit != 0
-                        && own.eval(rows, v, u)
-                    {
-                        continue;
-                    }
-                    let (s, t) = if u < v { (u, v) } else { (v, u) };
-                    if emitted_before(&self.bulk_a, &self.bulk_b, s, t) {
-                        self.stats.dedup_hits += 1;
-                        continue;
-                    }
-                    g.add_sorted_edge_unchecked(&[s, t]);
                 }
-            }
-            self.bulk_run = run;
-        } else {
-            g.reserve_edges(ca.len() * cb.len(), 2);
-            for &u in ca {
-                for &v in cb {
-                    if u == v {
-                        continue;
-                    }
-                    // The mirrored visit `(v, u)` exists iff both rows hold
-                    // both memberships; only the visit whose first-set
-                    // element is smaller emits then.
-                    if u > v
-                        && self.bulk_a[v as usize] & bit != 0
-                        && self.bulk_b[u as usize] & bit != 0
-                    {
-                        continue;
-                    }
-                    let (s, t) = if u < v { (u, v) } else { (v, u) };
-                    if emitted_before(&self.bulk_a, &self.bulk_b, s, t) {
-                        self.stats.dedup_hits += 1;
-                        continue;
-                    }
-                    g.add_sorted_edge_unchecked(&[s, t]);
+                // Mirrored visit `(v, u)`: emit only here if it does not
+                // qualify, or `u` is the smaller element.
+                if u > v
+                    && self.bulk_a[v as usize] & bit != 0
+                    && self.bulk_b[u as usize] & bit != 0
+                    && own.eval(rows, v, u)
+                {
+                    continue;
                 }
+                let (s, t) = if u < v { (u, v) } else { (v, u) };
+                if bulk_emitted(
+                    rows,
+                    &self.bulk_a,
+                    &self.bulk_b,
+                    &c.bulk_preds,
+                    bit - 1,
+                    (s, t),
+                ) {
+                    self.stats.dedup_hits += 1;
+                    continue;
+                }
+                g.add_sorted_edge_unchecked(&[s, t]);
             }
         }
     }
@@ -1229,7 +1149,7 @@ fn plan_order(plan: &DcPlan, n_cands: impl Fn(usize) -> usize, order: &mut Vec<u
     }
 }
 
-/// Assigns variables depth by depth, probing indexes and verifying every
+/// Assigns variables depth by depth, probing sorted runs and verifying every
 /// newly-complete binary atom on the partial assignment; a complete
 /// assignment is a conflict edge (φ already verified — no leaf `holds`).
 fn enumerate(ctx: &DcCtx<'_>, state: &mut EnumState<'_>, depth: usize, g: &mut Hypergraph) {
@@ -1248,7 +1168,6 @@ fn enumerate(ctx: &DcCtx<'_>, state: &mut EnumState<'_>, depth: usize, g: &mut H
                 ctx.bulk_a,
                 ctx.bulk_b,
                 ctx.bulk_preds,
-                ctx.bulk_uncond,
                 u64::MAX,
                 (s, t),
             ) {
@@ -1263,8 +1182,9 @@ fn enumerate(ctx: &DcCtx<'_>, state: &mut EnumState<'_>, depth: usize, g: &mut H
     }
     let var = ctx.order[depth];
 
-    // Narrow the candidate loop through the driver atom's index; a depth
-    // without a driver scans the variable's unary-filtered candidates.
+    // Narrow the candidate loop to the driver atom's window of the
+    // variable's run; a depth without a driver scans the variable's
+    // unary-filtered candidates.
     if let Some(a) = ctx.drivers[depth] {
         let atom = &ctx.plan.binary_atoms()[a];
         let other = atom.other_var(var);
@@ -1278,30 +1198,17 @@ fn enumerate(ctx: &DcCtx<'_>, state: &mut EnumState<'_>, depth: usize, g: &mut H
         let Some(o) = other_cell else {
             return; // missing cell: the driver atom can never hold
         };
-        let ix = &ctx.indexes[ctx.driver_ix[depth].expect("driver has an index slot")];
         if atom.is_equality() {
-            // `l = r + off`: probing the l side needs `o + off`, the r side
-            // `o − off`; a target beyond `i64` has no bucket.
-            let off = i128::from(atom.offset);
-            let target = if atom.lvar == var {
-                i128::from(o) + off
-            } else {
-                i128::from(o) - off
-            };
             state.stats.eq_probes += 1;
-            let bucket = i64::try_from(target)
-                .ok()
-                .and_then(|t| ix.buckets.get(&t))
-                .map_or(&[][..], Vec::as_slice);
-            for &pos in bucket {
-                try_candidate(ctx, state, depth, var, pos, Some(a), g);
-            }
         } else {
             state.stats.range_probes += 1;
-            let (window, _) = probe_windows(atom, var, o, &ix.run);
-            for &(_, pos) in &ix.run[window] {
-                try_candidate(ctx, state, depth, var, pos, Some(a), g);
-            }
+        }
+        // One window: the equal run of an `=` (empty when its target
+        // leaves `i64`), a prefix or suffix for an ordering atom.
+        let run = &ctx.runs[ctx.atom_runs[a][side(atom, var)]];
+        let (window, _) = probe_windows(atom, var, o, run);
+        for &(_, pos) in &run[window] {
+            try_candidate(ctx, state, depth, var, pos, Some(a), g);
         }
         return;
     }
@@ -1701,7 +1608,8 @@ mod tests {
                 r#"!(t1.Kind = "o" & t2.Kind = "s" & t2.Key = t1.Key + 2 & t1.fk = t2.fk)"#,
                 // A pure-unary bi-clique.
                 r#"!(t1.Kind = "s" & t2.Kind = "p" & t1.fk = t2.fk)"#,
-                // Two pairs that may share an edge: both stay on bulk edges.
+                // Two pairs that may share an edge: the pure-unary one
+                // enumerates, the single-atom one stays on bulk edges.
                 r#"!(t1.Kind = "o" & t1.Key < 30 & t2.Kind = "g" & t1.fk = t2.fk)"#,
                 r#"!(t1.Kind = "o" & t2.Kind = "g" & t2.Key > t1.Key + 25 & t1.fk = t2.fk)"#,
                 // The window written from the second variable.
@@ -1713,12 +1621,12 @@ mod tests {
         use DcRoute::*;
         assert_eq!(
             routes,
-            [Windows, Windows, Windows, Windows, Bulk, Bulk, Windows]
+            [Windows, Windows, Windows, Windows, Edges, Bulk, Windows]
         );
         let all: Vec<RowId> = (0..16).collect();
         for rows in [all, vec![3, 0, 8, 5, 13, 10, 1, 11], vec![7, 3, 9]] {
             let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
-            // Only the bulk pairs store edges.
+            // Only the two overlapping pairs store edges.
             let bulk = build_conflict_graph_naive(&r, &rows, &dcs[4..6]);
             assert_eq!(g.n_edges(), bulk.n_edges(), "{rows:?}");
             assert_eq!(stats.window_groups, g.n_window_groups(), "{rows:?}");
@@ -1799,11 +1707,11 @@ mod tests {
         use cextend_constraints::parse_dc;
         let r = bulk_fixture();
         let dcs: Vec<BoundDc> = [
-            // Bulk clique over the three owners.
+            // Clique over the three owners.
             r#"!(t1.Rel = "Owner" & t2.Rel = "Owner" & t1.fk = t2.fk)"#,
-            // Bulk bi-clique: spouse × partner.
+            // Bi-clique: spouse × partner.
             r#"!(t1.Rel = "Spouse" & t2.Rel = "Partner" & t1.fk = t2.fk)"#,
-            // Bulk clique over all five rows — covers both DCs above.
+            // Clique over all five rows — covers both DCs above.
             "!(t1.Age >= 30 & t2.Age >= 30 & t1.fk = t2.fk)",
             // Single-atom bulk (equal-age windows); its pairs are covered
             // by the big clique too.
@@ -1818,33 +1726,55 @@ mod tests {
                 .unwrap()
         })
         .collect();
+        // Every DC may share an edge with another, so nothing takes a
+        // group or a window: the three pure-unary DCs enumerate, and the
+        // capacity-shaped same-age DC alone keeps bulk windows.
+        let builder = ConflictBuilder::new(&dcs, &r);
+        use DcRoute::*;
+        let routes: Vec<DcRoute> = (0..4).map(|i| builder.route(i)).collect();
+        assert_eq!(routes, [CapacityEdges, Edges, CapacityEdges, CapacityEdges]);
+        assert_eq!(builder.compiled.bulk_slot, [None, None, None, Some(0)]);
         let rows: Vec<RowId> = (0..5).collect();
         let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
         // The Age ≥ 30 clique subsumes everything: C(5,2) edges.
         assert_eq!(g.n_edges(), 10);
-        // Owner clique (3 pairs) + spouse×partner (1) rediscovered by the
-        // big clique, plus the same-age DC's two pairs — every DC here is
-        // bulk-emitted, so nothing enumerates and no index is built.
-        assert_eq!(stats.dedup_hits, 6);
+        // The same-age DC emits {0,2} and {1,3} first, in bulk; the big
+        // clique's leaves find both in the registry, and find the owner
+        // clique's 3 pairs and spouse × partner in the graph's dedup.
+        assert_eq!(stats.dedup_hits, 2 + 3 + 1);
+        // Owners 3 + 3·3, spouse × partner 1 + 1, all rows 5 + 5·5: no
+        // depth has a binary atom to drive it, and the bulk DC's Age run
+        // is the one run sorted.
+        assert_eq!(stats.scanned_candidates, 12 + 2 + 30);
         assert_eq!(stats.index_hash + stats.index_sorted, 0);
-        assert_eq!(stats.indexes_built, 0);
+        assert_eq!(stats.indexes_built, 1);
+        // Beside the big clique alone, the registry hits are the same-age
+        // DC's two pairs.
+        let (g, stats) = build_both_with_stats(&r, &rows, &dcs[2..]);
+        assert_eq!((g.n_edges(), stats.dedup_hits), (10, 2));
     }
 
     #[test]
-    fn bulk_cross_with_overlapping_sides_emits_each_pair_once() {
+    fn pure_unary_cross_with_overlapping_sides_emits_each_pair_once() {
         use cextend_constraints::parse_dc;
         let r = bulk_fixture();
-        // Sides overlap: Age ≥ 30 is {0,1,2,3,4}, Age ≥ 35 is {1,3,4};
-        // rows holding both memberships exercise the canonical-visit rule.
+        // Sides overlap: Age ≥ 30 is {0,1,2,3,4}, Age ≥ 35 is {1,3,4}; a
+        // pair of rows holding both memberships is visited in both orders.
         let dc = parse_dc("x", "!(t1.Age >= 30 & t2.Age >= 35 & t1.fk = t2.fk)", "fk")
             .unwrap()
             .bind(r.schema(), "Persons")
             .unwrap();
+        let dcs = [dc];
+        assert_eq!(ConflictBuilder::new(&dcs, &r).route(0), DcRoute::Edges);
         let rows: Vec<RowId> = (0..5).collect();
-        let g = build_both(&r, &rows, &[dc]);
+        let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
         // {u,v} with at least one side ≥ 35: all pairs except those wholly
         // inside {0,2} (ages 30,30): C(5,2) − 1.
         assert_eq!(g.n_edges(), 9);
+        // The smaller side enumerates first: 3 + 3·5 candidates, and the
+        // 3 pairs inside {1,3,4} are met twice and stored once.
+        assert_eq!(stats.scanned_candidates, 3 + 15);
+        assert_eq!(stats.dedup_hits, 3);
     }
 
     #[test]
@@ -2069,7 +1999,8 @@ mod tests {
     /// The band with its driving atom's offset one below `i64::MAX`: the
     /// bound `t1.Age + offset` leaves `i64` for every row, and compared
     /// exactly it admits the whole run, so depth 1 still probes instead of
-    /// scanning.
+    /// scanning. An `=` driver whose target `t1.Age + offset` leaves
+    /// `i64` probes an empty equal window: no edge.
     #[test]
     fn a_bound_beyond_i64_still_probes_the_sorted_run() {
         let r = ages_fixture(24);
@@ -2079,6 +2010,47 @@ mod tests {
         assert!(g.n_edges() > 0);
         assert_eq!(stats.range_probes, 24);
         assert_eq!(stats.scanned_candidates, 24, "only depth 0 scans");
+        // The `Grp` atom keeps the pair off the bulk path; the `Age`
+        // equality comes first, so it drives depth 1 (`t2`).
+        let eq = "!(t2.Age = t1.Age + 9223372036854775800 & t1.Grp = t2.Grp & t1.fk = t2.fk)";
+        let (g, stats) = build_both_with_stats(&r, &rows, &bind_all(&r, &[eq]));
+        assert_eq!(total_edges(&g), 0);
+        assert_eq!((stats.index_hash, stats.eq_probes), (1, 24));
+        assert_eq!(stats.scanned_candidates, 24, "only depth 0 scans");
+    }
+
+    /// A window pair, a bulk DC and an enumeration driver all read the
+    /// `Grp = 1` rows' run by `Age`: each build sorts it once.
+    #[test]
+    fn routes_reading_one_run_sort_it_once_per_build() {
+        let r = ages_fixture(48);
+        let dcs = bind_all(
+            &r,
+            &[
+                "!(t1.Grp = 0 & t2.Grp = 1 & t2.Age > t1.Age + 2 & t1.fk = t2.fk)",
+                // Capacity-shaped, but the band below may share its pairs.
+                "!(t1.Grp = 1 & t2.Grp = 1 & t1.Age = t2.Age & t1.fk = t2.fk)",
+                "!(t1.Grp = 1 & t2.Grp = 1 & t2.Age > t1.Age + 1 & t2.Age < t1.Age + 6 & t1.fk = t2.fk)",
+            ],
+        );
+        let builder = ConflictBuilder::new(&dcs, &r);
+        use DcRoute::*;
+        let routes: Vec<DcRoute> = (0..3).map(|i| builder.route(i)).collect();
+        assert_eq!(routes, [Windows, CapacityEdges, Edges]);
+        assert!(builder.compiled.bulk_slot[1].is_some());
+        // The `Grp = 0` and `Grp = 1` runs by `Age`.
+        assert_eq!(builder.compiled.run_keys.len(), 2);
+        let all: Vec<RowId> = (0..48).collect();
+        for rows in [all, (0..48).rev().step_by(2).collect()] {
+            let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
+            assert!(g.n_edges() > 0, "{rows:?}");
+            assert_eq!(
+                (stats.window_groups, stats.index_sorted),
+                (1, 1),
+                "{rows:?}"
+            );
+            assert_eq!(stats.indexes_built, 2, "{rows:?}");
+        }
     }
 
     #[test]
@@ -2114,8 +2086,8 @@ mod tests {
 
     #[test]
     fn tiny_candidate_lists_are_indexed_too() {
-        // Partitions of one to six rows: every driver depth still builds
-        // its index, so only depth 0 scans.
+        // Partitions of one to six rows: every driver depth still probes
+        // its run, so only depth 0 scans.
         for n in 1..=6 {
             let r = ages_fixture(n);
             let rows: Vec<RowId> = (0..n).collect();
@@ -2126,7 +2098,7 @@ mod tests {
                     "!(t1.Grp = t2.Grp & t1.Age <= t2.Age & t1.fk = t2.fk)",
                     // `t1.Age >= 0` holds on every row but breaks the
                     // capacity shape (one shared filter), so the chain
-                    // enumerates through hash buckets.
+                    // enumerates through its `=` drivers.
                     "!(t1.Grp = t2.Grp & t2.Grp = t3.Grp & t1.Age >= 0 & t1.fk = t2.fk & t2.fk = t3.fk)",
                 ],
             );

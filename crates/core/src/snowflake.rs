@@ -398,19 +398,6 @@ pub fn solve_step(
     Ok((outcome, delta))
 }
 
-/// Executes one FK-completion step in place: [`solve_step`] followed by
-/// [`StepDelta::apply`].
-pub fn execute_step(
-    tables: &mut [Relation],
-    completed: &[FkEdge],
-    step: &SnowflakeStep,
-    config: &SolverConfig,
-) -> Result<StepOutcome> {
-    let (outcome, delta) = solve_step(tables, completed, step, config)?;
-    delta.apply(tables)?;
-    Ok(outcome)
-}
-
 /// Completes every FK listed in `steps`.
 ///
 /// The steps are first planned into a dependency schedule

@@ -314,15 +314,15 @@ impl Hypergraph {
     /// Adds an edge the **caller guarantees** is sorted ascending, has at
     /// least two distinct vertices, and duplicates no edge in the graph —
     /// skipping the fingerprint/dedup bookkeeping entirely. This is the
-    /// bulk-emission path for clique-shaped DCs, whose pair enumeration is
-    /// duplicate-free by construction: the cost per edge drops to the two
-    /// CSR pushes.
+    /// bulk-emission path for single-atom pair DCs, whose sorted-run
+    /// windows are duplicate-free by construction: the cost per edge drops
+    /// to the two CSR pushes.
     ///
     /// Because the edge is *not* entered into the dedup table, a later
     /// [`add_edge`](Hypergraph::add_edge)/[`add_sorted_edge`](Hypergraph::add_sorted_edge)
     /// of the same vertex set would store a duplicate — callers mixing
     /// checked and unchecked insertion must dedup against their unchecked
-    /// edges themselves (the conflict builder keeps per-vertex clique
+    /// edges themselves (the conflict builder keeps per-vertex bulk
     /// registries for exactly this).
     ///
     /// # Panics
@@ -347,13 +347,6 @@ impl Hypergraph {
         self.edge_offsets.push(self.edge_vertices.len() as u32);
         self.incidence.take();
         id
-    }
-
-    /// Pre-reserves storage for `edges` additional edges of `arity`
-    /// vertices each (bulk clique emission sizes its output exactly).
-    pub fn reserve_edges(&mut self, edges: usize, arity: usize) {
-        self.edge_offsets.reserve(edges);
-        self.edge_vertices.reserve(edges * arity);
     }
 
     /// The vertices of edge `e`, sorted ascending.
@@ -846,7 +839,6 @@ mod tests {
     #[test]
     fn unchecked_edges_interleave_with_checked() {
         let mut g = Hypergraph::new(6);
-        g.reserve_edges(3, 2);
         assert_eq!(g.add_sorted_edge_unchecked(&[0, 1]), 0);
         assert_eq!(g.add_sorted_edge(&[1, 2]), Some(1));
         assert_eq!(g.add_sorted_edge_unchecked(&[3, 5]), 2);

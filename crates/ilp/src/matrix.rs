@@ -35,13 +35,6 @@ impl<T: Clone> Matrix<T> {
         &self.data[r * self.cols + c]
     }
 
-    /// Mutable cell access.
-    #[inline]
-    pub fn get_mut(&mut self, r: usize, c: usize) -> &mut T {
-        debug_assert!(r < self.rows && c < self.cols);
-        &mut self.data[r * self.cols + c]
-    }
-
     /// Writes a cell.
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: T) {

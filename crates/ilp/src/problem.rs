@@ -98,11 +98,6 @@ impl Problem {
         &self.objective
     }
 
-    /// Variable name.
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.names[v]
-    }
-
     /// Ids of deviation variables created by soft constraints.
     pub fn deviation_vars(&self) -> &[VarId] {
         &self.deviation_vars

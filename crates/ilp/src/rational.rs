@@ -56,16 +56,6 @@ impl Rational {
         }
     }
 
-    /// Numerator (after reduction).
-    pub fn numer(&self) -> i128 {
-        self.num
-    }
-
-    /// Denominator (after reduction, always positive).
-    pub fn denom(&self) -> i128 {
-        self.den
-    }
-
     /// Checked addition.
     pub fn try_add(&self, o: &Rational) -> Result<Rational> {
         // a/b + c/d = (a*(d/g) + c*(b/g)) / lcm(b,d); pre-divide to limit growth.

@@ -78,11 +78,6 @@ pub fn trace_enabled() -> bool {
     trace_level() >= 1
 }
 
-/// Overrides the cached trace level (tests and the `profile` driver).
-pub fn set_trace_level(level: u8) {
-    LEVEL.store(level.min(2), Ordering::Relaxed);
-}
-
 /// Prints a `[trace]`-prefixed line to stderr when [`trace_enabled`].
 #[macro_export]
 macro_rules! tracef {

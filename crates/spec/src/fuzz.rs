@@ -8,7 +8,9 @@
 //! exclusive pairs, a two-atom band pair, sometimes a ternary equality
 //! chain and sometimes a capacity-shaped ternary over the fact-wide
 //! `[0, 900]` load domain, so real conflict edges exist and the conflict
-//! builder bulk-emits, enumerates and emits capacity and window groups.
+//! builder emits capacity and window groups, bulk-emits gap pairs that
+//! may share an edge and enumerates the rest, exclusive pairs kept on
+//! edges included.
 //!
 //! [`run_differential_oracles`] then solves each generated spec at 1, 2
 //! and 4 workers (concurrent step levels, sharded Phase 1 completion and
@@ -16,9 +18,11 @@
 //! counters. A fourth, edge-set arm checks that the conflict builder Phase
 //! II runs produces the naive reference builder's edge set on a row window
 //! of every step's ground-truth view (capacity groups expanded, and none
-//! duplicating an edge), and counts the enumeration depths it drove
-//! through hash buckets and sorted runs, the capacity groups it emitted
-//! and the capacity-shaped DCs it kept on explicit edges; a fifth,
+//! duplicating an edge), and counts the enumeration depths an `=` atom
+//! and an ordering atom drove, the capacity groups it emitted, the
+//! capacity-shaped DCs it kept on explicit edges, and the pair DCs it
+//! routed to window groups and the gap pairs it kept on bulk edges; a
+//! fifth,
 //! CC-count arm that the one-pass membership kernel counts every step CC
 //! on that view exactly as the per-CC `count_in` reference does, a sixth,
 //! certifier arm that `metrics::evaluate` reports the naive builder's DC
@@ -75,11 +79,11 @@ pub struct FuzzOutcome {
     pub perturbed_dc_error: f64,
     /// Largest CC error the certifier arm found on a perturbed completion.
     pub perturbed_cc_error: f64,
-    /// Enumeration depths the edge-set arm's builds drove through hash
-    /// buckets, summed over steps.
+    /// Enumeration depths the edge-set arm's builds drove by an `=` atom,
+    /// summed over steps.
     pub index_hash: usize,
-    /// Enumeration depths the edge-set arm's builds drove through sorted
-    /// runs, summed over steps.
+    /// Enumeration depths the edge-set arm's builds drove by an ordering
+    /// atom, summed over steps.
     pub index_sorted: usize,
     /// Capacity groups the edge-set arm's builds emitted, summed over
     /// steps.
@@ -91,8 +95,9 @@ pub struct FuzzOutcome {
     /// Pair DCs the edge-set arm's builders routed to window groups,
     /// summed over steps.
     pub window_dcs: usize,
-    /// Pair DCs the edge-set arm's builders kept on bulk edges because
-    /// another pair DC may share an edge with them, summed over steps.
+    /// Single-atom pair DCs (the gap pairs) the edge-set arm's builders
+    /// kept on bulk edges because another pair DC may share an edge with
+    /// them, summed over steps.
     pub bulk_pair_dcs: usize,
     /// Ordered CC pairs the classification arm found disjoint, summed over
     /// steps.
@@ -271,9 +276,9 @@ pub fn fuzz_source(seed: u64, iter: usize) -> String {
             );
         }
         // Two binary atoms keep these off the bulk path: the band pair
-        // enumerates through a sorted run, the ternary chain through hash
-        // buckets. On a coin flip the band pair reads `b` rows only, so it
-        // shares no edge with the gap pairs, which then take the window
+        // enumerates driven by an ordering atom, the ternary chain by its
+        // `=` atoms. On a coin flip the band pair reads `b` rows only, so
+        // it shares no edge with the gap pairs, which then take the window
         // route; unpinned it may, and they stay on bulk edges.
         let band_lo = rng.gen_range(0..=int_hi / 20);
         let band_hi = band_lo + rng.gen_range(10..=int_hi / 10);
@@ -359,9 +364,10 @@ pub fn run_differential_oracles(
     }
     // Edge-set arm: fuzzed DC blocks mix gap pairs (a single binary atom:
     // window groups beside a pinned band pair, bulk sorted-run windows
-    // beside an unpinned one) with exclusive pairs (pure-unary cliques),
-    // so both routes meet the naive reference; band pairs and ternary
-    // chains enumerate through both index kinds, and capacity-shaped
+    // beside an unpinned one) with exclusive pairs (pure-unary cliques:
+    // groups, or enumerated edges beside an unpinned band pair), so every
+    // route meets the naive reference; band pairs and ternary chains
+    // enumerate driven by ordering and `=` atoms, and capacity-shaped
     // ternaries emit groups.
     let (mut perturbed_dc_error, mut perturbed_cc_error) = (0.0f64, 0.0f64);
     let (mut index_hash, mut index_sorted) = (0usize, 0usize);

@@ -711,19 +711,6 @@ impl Relation {
         }
     }
 
-    /// Builds a lookup from key value to the rows holding it (cold path —
-    /// per-solve key indexes; hot partition indexes live in the conflict
-    /// builder).
-    pub fn index_by(&self, col: ColId) -> HashMap<Value, Vec<RowId>> {
-        let mut map: HashMap<Value, Vec<RowId>> = HashMap::new();
-        for r in 0..self.n_rows {
-            if let Some(v) = self.get(r, col) {
-                map.entry(v).or_default().push(r);
-            }
-        }
-        map
-    }
-
     /// Approximate heap footprint of the relation's column buffers, in
     /// bytes. A buffer shared with other relations counts in every relation
     /// that holds it; [`MemStats::capture`](crate::MemStats::capture)
@@ -1103,15 +1090,6 @@ mod tests {
         r.push_full_row(&[Value::str("Gone")]).unwrap();
         r.set(0, 0, Some(Value::str("Here"))).unwrap();
         assert_eq!(r.distinct_values(0), vec![Value::str("Here")]);
-    }
-
-    #[test]
-    fn index_by_groups_rows() {
-        let mut r = small();
-        r.set(0, 3, Some(Value::Int(5))).unwrap();
-        r.set(1, 3, Some(Value::Int(5))).unwrap();
-        let idx = r.index_by(3);
-        assert_eq!(idx[&Value::Int(5)], vec![0, 1]);
     }
 
     #[test]

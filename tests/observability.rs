@@ -27,9 +27,10 @@ fn build() -> CExtensionInstance {
 }
 
 /// A small dcdense instance: six `(Room, Shift)` partitions of about 130
-/// events, large enough that `ddc3` enumerates through hash indexes and
-/// the capacity DCs `ddc4` and `ddc5` emit clique groups (census pair DCs
-/// are all bulk-emitted or grouped).
+/// events, large enough that `ddc3` enumerates driven by its `=` atom,
+/// the capacity DCs `ddc4` and `ddc5` emit clique groups and the window
+/// pairs `ddc1`/`ddc2` emit window groups (most census pair DCs take
+/// window groups, and no census DC enumerates through an `=` driver).
 fn build_dcdense() -> CExtensionInstance {
     use cextend::workloads::{workload_by_name, DcSet, WorkloadParams};
     let w = workload_by_name("dcdense").expect("registered");
