@@ -2,7 +2,7 @@
 //!
 //! `conflict_build` measures the conflict builder Phase II runs
 //! (`cextend_core::conflict::ConflictBuilder`, with window and clique
-//! groups, bulk pair emission and indexed enumeration) head to head
+//! groups, explicit pairs and indexed enumeration) head to head
 //! against the naive `O(|P|^k)` reference enumeration on real `dcdense`
 //! partitions, parameterized by partition size (scale label) and DC
 //! density (`good` = anchored gap rows only, `all` = these plus Anchor

@@ -15,12 +15,13 @@
 //! level, so the oracles demonstrably exercised both chain scheduling and
 //! star parallelism, some perturbed completion must violate a DC and
 //! miss a CC, so the certifier arm was never vacuous, and the edge-set
-//! arm must have driven some enumeration depth by an `=` atom and some
-//! by an ordering atom, emitted at least one capacity group and kept at
-//! least one capacity-shaped DC on explicit edges, and routed at least
-//! one pair DC to window groups and kept at least one gap pair on bulk
-//! edges, so both driver kinds, both capacity routes and both window
-//! routes met the naive reference. Its classification arm checks
+//! arm must have driven some explicit pair DC or enumeration depth by an
+//! `=` atom and some by an ordering atom, emitted at least one capacity
+//! group and routed at least one capacity-shaped DC to explicit edges,
+//! and routed at least one pair DC to window groups and kept at least one
+//! pair DC with one binary atom on explicit edges, so both driver kinds,
+//! both capacity routes and both routes of a window-shaped pair met the
+//! naive reference. Its classification arm checks
 //! the compiled CC relationship matrix against per-pair `classify` on
 //! every step's CCs, and must have met disjoint, contained-in and
 //! intersecting pairs. Its Phase I arm checks Algorithm 2, leftover
@@ -52,7 +53,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     let (mut dc_error, mut cc_error) = (0.0f64, 0.0f64);
     let (mut index_hash, mut index_sorted) = (0usize, 0usize);
     let (mut capacity_groups, mut capacity_edge_dcs) = (0usize, 0usize);
-    let (mut window_dcs, mut bulk_pair_dcs) = (0usize, 0usize);
+    let (mut window_dcs, mut atom_pair_edge_dcs) = (0usize, 0usize);
     let (mut disjoint, mut equal, mut contained, mut intersecting) =
         (0usize, 0usize, 0usize, 0usize);
     let mut partially_pinned = 0usize;
@@ -75,7 +76,7 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
         capacity_groups += out.capacity_groups;
         capacity_edge_dcs += out.capacity_edge_dcs;
         window_dcs += out.window_dcs;
-        bulk_pair_dcs += out.bulk_pair_dcs;
+        atom_pair_edge_dcs += out.atom_pair_edge_dcs;
         disjoint += out.disjoint_pairs;
         equal += out.equal_pairs;
         contained += out.contained_pairs;
@@ -96,23 +97,23 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     }
     if index_hash == 0 || index_sorted == 0 {
         return Err(format!(
-            "fuzz-spec edge-set arm never enumerated through both driver kinds: {index_hash} \
-             depths driven by `=` / {index_sorted} by an ordering atom (need both > 0 across \
-             the run)"
+            "fuzz-spec edge-set arm never met both driver kinds: {index_hash} explicit pair \
+             DCs and depths driven by `=` / {index_sorted} by an ordering atom (need both > 0 \
+             across the run)"
         ));
     }
     if capacity_groups == 0 || capacity_edge_dcs == 0 {
         return Err(format!(
             "fuzz-spec edge-set arm never met both capacity routes: {capacity_groups} \
-             capacity groups emitted, {capacity_edge_dcs} capacity-shaped DCs kept on edges \
-             (need both > 0 across the run)"
+             capacity groups emitted, {capacity_edge_dcs} capacity-shaped DCs routed to \
+             explicit edges (need both > 0 across the run)"
         ));
     }
-    if window_dcs == 0 || bulk_pair_dcs == 0 {
+    if window_dcs == 0 || atom_pair_edge_dcs == 0 {
         return Err(format!(
             "fuzz-spec edge-set arm never met both window routes: {window_dcs} pair DCs routed \
-             to window groups, {bulk_pair_dcs} gap pairs kept on bulk edges (need both > 0 \
-             across the run)"
+             to window groups, {atom_pair_edge_dcs} pair DCs with one binary atom kept on \
+             explicit edges (need both > 0 across the run)"
         ));
     }
     if disjoint == 0 || contained == 0 || intersecting == 0 {
@@ -130,9 +131,9 @@ pub fn run(opts: &ExperimentOpts) -> Result<(), String> {
     }
     println!(
         "\nfuzz-spec: {} iterations green — builder ≡ naive edge sets ({index_hash} `=` / \
-         {index_sorted} ordering driver depths, {capacity_groups} capacity groups, \
+         {index_sorted} ordering drivers, {capacity_groups} capacity groups, \
          {capacity_edge_dcs} capacity-shaped DCs on edges, {window_dcs} window pairs, \
-         {bulk_pair_dcs} bulk gap pairs), kernel ≡ count_in CC counts, compiled \
+         {atom_pair_edge_dcs} one-atom pairs on edges), kernel ≡ count_in CC counts, compiled \
          matrix ≡ classify ({disjoint} disjoint, {equal} equal, {contained} contained-in, \
          {intersecting} intersecting ordered pairs), Phase I ≡ scalar oracles \
          ({partially_pinned} partially pinned rows), certifier ≡ \

@@ -545,14 +545,6 @@ impl DcPlan {
         self.never_holds
     }
 
-    /// `true` for an arity-2 DC bulk-emittable without enumeration: φ has
-    /// exactly one binary atom, and that atom links the two variables. The
-    /// edge set is then a union of sorted-run windows — one probe per
-    /// candidate of the first variable, every match an edge.
-    pub fn is_bulk_pair(&self) -> bool {
-        self.arity == 2 && matches!(self.binary.as_slice(), [a] if a.lvar != a.rvar)
-    }
-
     /// The plan's capacity shape, if φ says only "no `k` distinct rows
     /// passing one unary filter and sharing one key value may share an
     /// FK". That holds when the plan is live with arity `k ≥ 2`, every

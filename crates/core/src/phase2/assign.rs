@@ -30,7 +30,7 @@ pub(crate) struct PartitionResult {
     /// Number of fresh colors minted.
     pub fresh_colors: usize,
     /// Conflict edges in this partition: explicit ones plus those the
-    /// clique groups stand for.
+    /// clique groups and window groups stand for.
     pub edges: usize,
     /// Vertices the greedy pass skipped.
     pub skipped: usize,

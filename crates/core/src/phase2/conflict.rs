@@ -10,31 +10,44 @@
 //!   set's distinct unary filters are compiled once, and every row of the
 //!   view is classified into them once (`UnaryFilterSet`,
 //!   `RowFilterMasks`); a build then collects each filter's candidates in
-//!   one pass over the partition's rows. A *capacity DC*
-//!   ([`DcPlan::capacity_shape`]) that every other live DC of its arity is
-//!   [provably disjoint](DcPlan::provably_disjoint) from emits no edge at
-//!   all: one clique group per key value stands for its `k`-subsets
-//!   ([`Hypergraph::add_clique_group`]), and the coloring counts instead
-//!   of enumerating. A *window pair* ([`DcPlan::is_window_pair`]) that
-//!   [shares no edge](DcPlan::shares_no_edge_with) with any other live
-//!   pair DC emits no edge either: one window group per partition
-//!   ([`Hypergraph::add_window_group`]) gives each candidate the range of
-//!   the other side's sorted run it conflicts with. Other pair DCs with
-//!   exactly one binary atom are bulk-emitted as sorted-run windows. The
-//!   rest enumerate: the variables are ordered by their exact candidate
-//!   counts, and each enumeration depth with a binary atom is driven by
-//!   its first equality atom, else its first ordering atom, probing that
-//!   atom's window of a sorted run, so the inner loop visits only rows
-//!   that can still satisfy φ. Binary atoms are verified incrementally on
-//!   partial assignments (pruning whole subtrees) rather than
-//!   re-evaluating φ at `O(|P|^k)` leaves, and interchangeable variables
-//!   are restricted to ascending vertex ids so each undirected edge is
-//!   emitted once instead of once per symmetric variable order.
+//!   one pass over the partition's rows. Each kind of structure has one
+//!   rule:
+//!   - *Clique groups.* A capacity DC ([`DcPlan::capacity_shape`]) that
+//!     every other live DC of its arity is
+//!     [provably disjoint](DcPlan::provably_disjoint) from emits no edge
+//!     at all: one clique group per key value stands for its `k`-subsets
+//!     ([`Hypergraph::add_clique_group`]), and the coloring counts instead
+//!     of enumerating.
+//!   - *Window groups.* Every other pair DC reads the windows of one atom
+//!     over two sorted runs: its first `=` atom linking the two variables,
+//!     else its first ordering atom, or the whole other run when it has
+//!     neither. A window pair ([`DcPlan::is_window_pair`]) that
+//!     [shares no edge](DcPlan::shares_no_edge_with) with any other live
+//!     pair DC stores them as one window group per partition
+//!     ([`Hypergraph::add_window_group`]), which gives each candidate the
+//!     range of the other side's run it conflicts with.
+//!   - *Explicit pairs.* Any other pair DC writes the pairs of its windows
+//!     on which its other atoms hold, unhashed. A pair belongs to the
+//!     first such DC, in declaration order, that holds on it either way
+//!     round, so each DC tests it against the earlier ones that
+//!     `shares_no_edge_with` cannot rule out; a DC whose sides may both
+//!     hold on one row keeps a pair it holds on both ways round from its
+//!     lower vertex only.
+//!   - *Hyperedges.* A DC of arity ≥ 3 without groups enumerates: the
+//!     variables are ordered by their exact candidate counts, and each
+//!     depth with a binary atom is driven by its first equality atom, else
+//!     its first ordering atom, probing that atom's window of a sorted
+//!     run, so the inner loop visits only rows that can still satisfy φ.
+//!     Binary atoms are verified incrementally on partial assignments
+//!     (pruning whole subtrees) rather than re-evaluating φ at `O(|P|^k)`
+//!     leaves, interchangeable variables are restricted to ascending
+//!     vertex ids, and the graph's fingerprint set drops any other
+//!     duplicate.
 //!
 //!   Every route reads one run cache: a run is one filter's candidates
 //!   sorted by one column, interned once per builder and sorted at most
 //!   once per build by `(value, position)`, whichever of the window
-//!   groups, capacity key groups, bulk windows and enumeration drivers
+//!   groups, explicit pairs, capacity key groups and enumeration drivers
 //!   reads it first.
 //! - [`build_conflict_graph_naive`] — the original per-leaf `φ` evaluation,
 //!   kept as the reference the tests, the spec fuzzer and the
@@ -44,9 +57,12 @@
 //! builder's groups counted in their [expanded](Hypergraph::expanded) form
 //! (property-tested across all workloads in `cextend-workloads`).
 
-use cextend_constraints::{BinaryAtomPlan, BoundDc, CapacityShape, DcPlan, UnaryFilter};
+use cextend_constraints::{
+    filters_disjoint, BinaryAtomPlan, BoundDc, CapacityShape, DcPlan, UnaryFilter,
+};
 use cextend_hypergraph::{Hypergraph, WindowRun};
 use cextend_table::{CmpOp, ColId, IntColumnView, Relation, RowId, Value};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// What the indexed builder did, for `CEXTEND_TRACE` diagnostics.
@@ -55,24 +71,34 @@ pub struct ConflictStats {
     /// Runs sorted by a column: each (filter, column) run a build reads is
     /// sorted once, however many routes read it.
     pub indexes_built: usize,
-    /// Sorted-run probes for the equal window of an equality atom.
+    /// Sorted-run probes an enumeration depth made for the equal window
+    /// of an equality atom.
     pub eq_probes: usize,
-    /// Sorted-run probes for the window of an ordering atom.
+    /// Sorted-run probes an enumeration depth made for the window of an
+    /// ordering atom.
     pub range_probes: usize,
-    /// Candidate rows visited without a driver (full scans of a
-    /// variable's unary-filtered candidate list).
+    /// Candidate rows visited without a driver: full scans of a
+    /// variable's unary-filtered candidate list by an enumeration depth,
+    /// and by an explicit pair DC with no `=` or ordering atom linking its
+    /// variables, which scans its second variable's list once per
+    /// candidate of its first.
     pub scanned_candidates: usize,
     /// DCs skipped outright: some variable had no candidates, a binary
     /// atom referenced a non-integer column, or equality saturation proved
     /// φ self-contradictory (φ can never hold).
     pub dead_dcs: usize,
-    /// Complete assignments rejected by the hypergraph's edge dedup
-    /// (duplicate or degenerate edges — symmetric-variable permutations of
-    /// an edge already stored, or pairs a bulk-emitted DC already owns).
+    /// Duplicate edges skipped: an enumerated hyperedge the graph already
+    /// holds (a symmetric-variable permutation of a stored one), and an
+    /// explicit pair that an earlier pair DC owns, or that its DC holds on
+    /// both ways round and met from the higher vertex. A DC with
+    /// interchangeable variables, like an enumeration, skips that end
+    /// before checking it, uncounted.
     pub dedup_hits: usize,
-    /// Enumeration depths driven by an equality atom.
+    /// Explicit pair DCs (once per DC per build) and enumeration depths
+    /// driven by an equality atom.
     pub index_hash: usize,
-    /// Enumeration depths driven by an ordering atom.
+    /// Explicit pair DCs (once per DC per build) and enumeration depths
+    /// driven by an ordering atom.
     pub index_sorted: usize,
     /// Clique groups emitted for capacity DCs.
     pub capacity_groups: usize,
@@ -99,18 +125,11 @@ impl ConflictStats {
 /// How [`ConflictBuilder`] turns one DC into conflict structure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DcRoute {
-    /// Explicit edges, enumerated (a purely unary pair DC that another DC
-    /// may share an edge with included).
+    /// Explicit edges: a pair DC's pairs, each written by the first pair
+    /// DC that holds on it, or a DC of arity ≥ 3 enumerated. A
+    /// capacity-shaped DC takes this route when another live DC of its
+    /// arity is not provably disjoint from it.
     Edges,
-    /// A pair DC with exactly one binary atom, linking its two variables,
-    /// that another DC may share an edge with: explicit edges, written in
-    /// bulk from sorted-run windows and deduplicated against the other
-    /// bulk DCs.
-    Bulk,
-    /// Capacity-shaped, but some other live DC of its arity is not
-    /// provably disjoint from it, so the two could emit one vertex set
-    /// twice: explicit edges, deduplicated.
-    CapacityEdges,
     /// Capacity-shaped and disjoint from every other live DC of its arity:
     /// one clique group per key value.
     Groups,
@@ -247,17 +266,9 @@ pub struct ConflictBuilder<'v> {
     filter_cands: Vec<Vec<u32>>,
     /// The build's rows' masks, in row order.
     row_masks: Vec<u64>,
-    /// Per-vertex registry masks: bit `k` of `bulk_a[v]` / `bulk_b[v]`
-    /// records that `v` is in bulk DC `k`'s first / second candidate set.
-    /// A pair `{s,t}` was bulk-emitted iff some DC has an `a`-member and a
-    /// `b`-member on opposite ends and its atom holds on them — the dedup
-    /// test both later bulk DCs and enumerated arity-2 leaves apply before
-    /// adding the pair again.
-    bulk_a: Vec<u64>,
-    bulk_b: Vec<u64>,
     /// The build's runs.
     runs: RunCache,
-    /// Window-group scratch: each side's windows, and a member buffer.
+    /// Pair scratch: each side's windows, and a window-run member buffer.
     win_ranges: [Vec<(u32, u32)>; 2],
     win_members: Vec<u32>,
     /// Vertex chosen per tuple variable (by original variable index).
@@ -284,8 +295,9 @@ struct Compiled<'v> {
     plans: Vec<DcPlan>,
     /// Per plan, its capacity shape when it takes the group route.
     groups: Vec<Option<CapacityShape>>,
-    /// Per plan, its window shape when it takes the window route.
-    windows: Vec<Option<WindowPlan>>,
+    /// Per plan, how it is built when it is a pair DC without groups that
+    /// can hold.
+    pairs: Vec<Option<PairPlan>>,
     /// Per plan and tuple variable, the id of the variable's filter (empty
     /// for a plan that never holds).
     var_filter: Vec<Vec<usize>>,
@@ -300,29 +312,32 @@ struct Compiled<'v> {
     /// The view's rows classified into the DC set's distinct unary
     /// filters (the ids `var_filter` holds).
     masks: RowFilterMasks,
-    /// Execution order over `plans`: bulk-emitted DCs first (so unchecked
-    /// bulk edges exist before any checked leaf has to dedup against
-    /// them), then declaration order.
-    dc_order: Vec<usize>,
-    /// Bulk-emission slot per plan (bit position in the registry masks);
-    /// `Some` for at most 64 live pair DCs with one linking atom.
-    bulk_slot: Vec<Option<u8>>,
-    /// Per bulk slot, the DC's binary atom bound to typed views.
-    bulk_preds: Vec<BulkPred<'v>>,
     /// The runs: per run, the filter whose candidates it holds and the
-    /// index in `run_cols` of the column it sorts them by (`None` for a
-    /// pure-unary window pair's run, which is in position order).
+    /// index in `run_cols` of the column it sorts them by (`None` for the
+    /// run of a pair DC without a driver, which is in position order).
     run_keys: Vec<(usize, Option<usize>)>,
     /// The columns runs sort by.
     run_cols: Vec<ColId>,
 }
 
-/// A window pair's compiled shape: its binary atom, if any, and the run
-/// each variable's candidates are sorted into.
-#[derive(Clone, Copy)]
-struct WindowPlan {
-    atom: Option<BinaryAtomPlan>,
+/// How a pair DC without clique groups is built: the windows its driver
+/// gives each candidate of variable 0 in variable 1's run, stored as one
+/// window group or written as explicit pairs.
+struct PairPlan {
+    /// Index in `binary_atoms()` of the first `=` atom linking the two
+    /// variables, else of the first ordering atom; `None` when φ has
+    /// neither, and every window is the whole other run.
+    driver: Option<usize>,
+    /// The runs of variable 0's and variable 1's candidates, sorted by the
+    /// column the driver reads on that side.
     runs: [usize; 2],
+    /// The DC takes the window route.
+    window: bool,
+    /// Both variables' filters may pass one row, so the DC may hold on a
+    /// pair both ways round.
+    both_ways: bool,
+    /// The earlier explicit pair DCs that may hold on one of its pairs.
+    owners: Vec<usize>,
 }
 
 /// The side of `atom` that reads `var`'s cells: 0 for its left side, 1
@@ -441,12 +456,6 @@ struct DcCtx<'a> {
     /// variable.
     filter_cands: &'a [Vec<u32>],
     var_filter: &'a [usize],
-    /// Bulk-emission registry masks (empty when no DC was bulk-emitted).
-    /// Arity-2 leaves consult them: a pair some bulk DC already owns must
-    /// not be added again (unchecked edges bypass the graph's own dedup).
-    bulk_a: &'a [u64],
-    bulk_b: &'a [u64],
-    bulk_preds: &'a [BulkPred<'a>],
 }
 
 impl DcCtx<'_> {
@@ -456,69 +465,63 @@ impl DcCtx<'_> {
     }
 }
 
-/// A bulk DC's single binary atom bound to typed column views — the
-/// predicate the registry dedup tests re-evaluate: the membership masks
-/// only *nominate* a pair, the atom decides whether it was actually
-/// emitted.
+/// A pair DC's test of one pair of positions, bound for one build: its
+/// variables' filter ids and its binary atoms with their typed column
+/// views. Bound once per DC and build, it keeps the pair loop's reads off
+/// the compiled tables.
 #[derive(Clone, Copy)]
-struct BulkPred<'v> {
-    atom: BinaryAtomPlan,
-    lview: IntColumnView<'v>,
-    rview: IntColumnView<'v>,
+struct PairTest<'a> {
+    filters: [usize; 2],
+    atoms: &'a [BinaryAtomPlan],
+    views: &'a [(IntColumnView<'a>, IntColumnView<'a>)],
 }
 
-impl BulkPred<'_> {
-    /// The atom on the pair `(x bound to variable 0, y bound to
-    /// variable 1)` — cell semantics identical to the enumerate
-    /// verification (`eval_cells`).
+impl<'a> PairTest<'a> {
+    /// Pair DC `e`'s test; `None` when an atom reads a non-integer column,
+    /// so the DC never holds.
+    fn of(c: &'a Compiled<'_>, e: usize) -> Option<PairTest<'a>> {
+        Some(PairTest {
+            filters: [c.var_filter[e][0], c.var_filter[e][1]],
+            atoms: c.plans[e].binary_atoms(),
+            views: c.atom_views[e].as_deref()?,
+        })
+    }
+
+    /// `true` if every atom but `skip` holds with position `x` bound to
+    /// variable 0 and `y` to variable 1.
     #[inline]
-    fn eval(&self, rows: &[RowId], x: u32, y: u32) -> bool {
-        let lpos = if self.atom.lvar == 0 { x } else { y };
-        let rpos = if self.atom.rvar == 0 { x } else { y };
-        self.atom.eval_cells(
-            self.lview.get(rows[lpos as usize]),
-            self.rview.get(rows[rpos as usize]),
-        )
+    fn atoms_hold(&self, rows: &[RowId], skip: Option<usize>, x: u32, y: u32) -> bool {
+        let row = |var: usize| rows[if var == 0 { x } else { y } as usize];
+        let atoms = self.atoms.iter().zip(self.views).enumerate();
+        atoms
+            .filter(|&(a, _)| Some(a) != skip)
+            .all(|(_, (atom, (lv, rv)))| {
+                atom.eval_cells(lv.get(row(atom.lvar)), rv.get(row(atom.rvar)))
+            })
     }
-}
 
-/// `true` if a bulk DC whose slot bit is inside `limit` already emitted
-/// `{s, t}`: the membership masks nominate candidate DCs per orientation,
-/// and a nominated DC emitted the pair where its atom holds.
-#[inline]
-fn bulk_emitted(
-    rows: &[RowId],
-    bulk_a: &[u64],
-    bulk_b: &[u64],
-    preds: &[BulkPred<'_>],
-    limit: u64,
-    (s, t): (u32, u32),
-) -> bool {
-    let m1 = bulk_a[s as usize] & bulk_b[t as usize] & limit;
-    let m2 = bulk_a[t as usize] & bulk_b[s as usize] & limit;
-    let mut m = m1 | m2;
-    while m != 0 {
-        let k = m.trailing_zeros() as usize;
-        let bit = 1u64 << k;
-        m &= m - 1;
-        let p = &preds[k];
-        if (m1 & bit != 0 && p.eval(rows, s, t)) || (m2 & bit != 0 && p.eval(rows, t, s)) {
-            return true;
-        }
+    /// `true` if the DC holds with `x` bound to variable 0 and `y` to 1:
+    /// each passes its variable's filter in `masks` (the build's row masks,
+    /// `words` per position) and every atom holds.
+    #[inline]
+    fn holds(&self, masks: &[u64], words: usize, rows: &[RowId], x: u32, y: u32) -> bool {
+        let passes = |pos: u32, f: usize| masks[pos as usize * words + f / 64] >> (f % 64) & 1 != 0;
+        passes(x, self.filters[0])
+            && passes(y, self.filters[1])
+            && self.atoms_hold(rows, None, x, y)
     }
-    false
 }
 
 impl<'v> ConflictBuilder<'v> {
     /// Compiles the DC set for builds over `view`: plans are
     /// equality-saturated (merging interchangeable variables, detecting
-    /// contradictions), routed (see [`DcRoute`]) and ordered with
-    /// bulk-emitted pair DCs first; their distinct unary filters are
-    /// compiled and every row of `view` is classified into them, and every
-    /// (filter, column) run a route reads is interned once. Everything
-    /// else is decided per build from the partition's exact candidate
-    /// lists, so the builder is reusable across any number of builds over
-    /// rows of `view`.
+    /// contradictions) and routed (see [`DcRoute`]), each explicit pair DC
+    /// learns which earlier ones may own its pairs, their distinct unary
+    /// filters are compiled and every row of `view` is classified into
+    /// them, and every (filter, column) run a route reads is interned
+    /// once. Everything else is decided per build from the partition's
+    /// exact candidate lists, so the builder is reusable across any number
+    /// of builds over rows of `view`.
     pub fn new(dcs: &[BoundDc], view: &'v Relation) -> ConflictBuilder<'v> {
         let plans: Vec<DcPlan> = dcs.iter().map(|d| d.plan().saturate_equalities()).collect();
         let max_arity = plans.iter().map(DcPlan::arity).max().unwrap_or(0);
@@ -570,29 +573,6 @@ impl<'v> ConflictBuilder<'v> {
                     .collect()
             })
             .collect();
-        // A window group stands for its pairs the same way, so a window
-        // pair takes the window route only when no other live pair DC can
-        // emit one of them.
-        let windows: Vec<Option<WindowPlan>> = plans
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let routed = p.is_window_pair()
-                    && p.capacity_shape().is_none()
-                    && plans.iter().enumerate().all(|(j, q)| {
-                        j == i || q.never_holds() || q.arity() != 2 || p.shares_no_edge_with(q)
-                    });
-                if !routed {
-                    return None;
-                }
-                let atom = p.binary_atoms().first().copied();
-                let runs = [0, 1].map(|var| match &atom {
-                    Some(a) => atom_runs[i][0][side(a, var)],
-                    None => run(var_filter[i][var], None),
-                });
-                Some(WindowPlan { atom, runs })
-            })
-            .collect();
         let atom_views: Vec<Option<Vec<_>>> = plans
             .iter()
             .map(|p| {
@@ -606,51 +586,61 @@ impl<'v> ConflictBuilder<'v> {
                 views.filter(|_| !p.never_holds())
             })
             .collect();
-        // The registry masks are u64s, so at most 64 DCs can be
-        // bulk-emitted; any excess enumerates (identical edges, just
-        // slower). A dead DC takes no slot.
-        let mut bulk_slot = vec![None; plans.len()];
-        let mut bulk_preds = Vec::new();
+        // Every pair DC without groups that can hold reads its driver's
+        // windows. A window group stands for its pairs as a clique group
+        // stands for its subsets, so the DC stores them as one only when
+        // no other live pair DC can emit one of them. Otherwise it writes
+        // explicit pairs, and a pair belongs to the first explicit pair DC
+        // that holds on it, so each one tests the earlier ones that may
+        // share an edge with it.
+        let mut pairs: Vec<Option<PairPlan>> = Vec::with_capacity(plans.len());
         for (i, p) in plans.iter().enumerate() {
-            let Some(&[(lview, rview)]) = atom_views[i].as_deref() else {
+            if p.arity() != 2 || groups[i].is_some() || atom_views[i].is_none() {
+                pairs.push(None);
                 continue;
-            };
-            if groups[i].is_none()
-                && windows[i].is_none()
-                && p.is_bulk_pair()
-                && bulk_preds.len() < 64
-            {
-                bulk_slot[i] = Some(bulk_preds.len() as u8);
-                bulk_preds.push(BulkPred {
-                    atom: p.binary_atoms()[0],
-                    lview,
-                    rview,
-                });
             }
+            let atoms = p.binary_atoms();
+            let linking = |kind: fn(&BinaryAtomPlan) -> bool| {
+                atoms.iter().position(|a| a.lvar != a.rvar && kind(a))
+            };
+            let driver =
+                linking(BinaryAtomPlan::is_equality).or_else(|| linking(BinaryAtomPlan::is_range));
+            let window = p.is_window_pair()
+                && p.capacity_shape().is_none()
+                && plans.iter().enumerate().all(|(j, q)| {
+                    j == i || q.never_holds() || q.arity() != 2 || p.shares_no_edge_with(q)
+                });
+            let explicit = |j: usize| pairs[j].as_ref().is_some_and(|q| !q.window);
+            let owners = (0..i)
+                .filter(|&j| !window && explicit(j) && !p.shares_no_edge_with(&plans[j]))
+                .collect();
+            pairs.push(Some(PairPlan {
+                driver,
+                runs: [0, 1].map(|var| match driver {
+                    Some(d) => atom_runs[i][d][side(&atoms[d], var)],
+                    None => run(var_filter[i][var], None),
+                }),
+                window,
+                both_ways: !filters_disjoint(p.unary_filters(0), p.unary_filters(1)),
+                owners,
+            }));
         }
-        let mut dc_order: Vec<usize> = (0..plans.len()).collect();
-        dc_order.sort_by_key(|&i| (bulk_slot[i].is_none(), i));
         let masks = filters.classify(view);
         let compiled = Compiled {
             view,
             plans,
             groups,
-            windows,
+            pairs,
             var_filter,
             atom_views,
             atom_runs,
             masks,
-            dc_order,
-            bulk_slot,
-            bulk_preds,
             run_keys,
             run_cols,
         };
         ConflictBuilder {
             filter_cands: vec![Vec::new(); filters.filters.len()],
             row_masks: Vec::new(),
-            bulk_a: Vec::new(),
-            bulk_b: Vec::new(),
             runs: RunCache::new(&compiled),
             win_ranges: Default::default(),
             win_members: Vec::new(),
@@ -671,12 +661,8 @@ impl<'v> ConflictBuilder<'v> {
         let c = &self.compiled;
         if c.groups[dc].is_some() {
             DcRoute::Groups
-        } else if c.plans[dc].capacity_shape().is_some() {
-            DcRoute::CapacityEdges
-        } else if c.windows[dc].is_some() {
+        } else if c.pairs[dc].as_ref().is_some_and(|p| p.window) {
             DcRoute::Windows
-        } else if c.bulk_slot[dc].is_some() {
-            DcRoute::Bulk
         } else {
             DcRoute::Edges
         }
@@ -701,14 +687,6 @@ impl<'v> ConflictBuilder<'v> {
         if self.member.len() < rows.len() {
             self.member.resize(rows.len(), 0);
         }
-        if !c.bulk_preds.is_empty() {
-            if self.bulk_a.len() < rows.len() {
-                self.bulk_a.resize(rows.len(), 0);
-                self.bulk_b.resize(rows.len(), 0);
-            }
-            self.bulk_a[..rows.len()].fill(0);
-            self.bulk_b[..rows.len()].fill(0);
-        }
         self.runs.reset();
         // Every filter's candidates in one pass over the rows' masks. The
         // masks are gathered first, in a loop of independent loads: the
@@ -731,7 +709,7 @@ impl<'v> ConflictBuilder<'v> {
                 }
             }
         }
-        for &ix in &c.dc_order {
+        for ix in 0..c.plans.len() {
             self.build_one_dc(&c, rows, ix, &filter_cands, &mut g);
         }
         self.filter_cands = filter_cands;
@@ -766,16 +744,8 @@ impl<'v> ConflictBuilder<'v> {
             self.emit_groups(c, ix, shape, rows, filter_cands, g);
             return;
         }
-        if let Some(window) = c.windows[ix] {
-            self.emit_window_group(c, window, rows, filter_cands, g);
-            return;
-        }
-
-        // Bulk emission: a single-atom pair DC writes its edges directly —
-        // no enumeration, no per-edge hashing — after recording membership
-        // in the registry masks that later emitters dedup against.
-        if let Some(k) = c.bulk_slot[ix] {
-            self.emit_bulk_pairs(c, ix, k, rows, filter_cands, g);
+        if let Some(pair) = &c.pairs[ix] {
+            self.emit_pairs(c, ix, pair, rows, filter_cands, g);
             return;
         }
 
@@ -848,9 +818,6 @@ impl<'v> ConflictBuilder<'v> {
             runs: &self.runs.runs,
             filter_cands,
             var_filter,
-            bulk_a: &self.bulk_a,
-            bulk_b: &self.bulk_b,
-            bulk_preds: &c.bulk_preds,
         };
         let mut state = EnumState {
             chosen: &mut self.chosen,
@@ -898,45 +865,88 @@ impl<'v> ConflictBuilder<'v> {
         }
     }
 
-    /// Adds a window pair's window group over its two runs. With a binary
-    /// atom, each side's run is sorted by the cell the atom reads there (a
-    /// row missing it has no neighbour and joins neither run), and two
-    /// sweeps ([`sweep_windows`]) give every member the range of the other
-    /// side's run it conflicts with. A pure-unary pair is the case where
-    /// every range is the whole other side. A group standing for no edge
-    /// is not added.
-    fn emit_window_group(
+    /// Adds pair DC `ix`'s edges. With a driver, each side's run is
+    /// sorted by the cell the driver reads there (a row missing it has no
+    /// neighbour and joins neither run), and a sweep ([`sweep_windows`])
+    /// gives every candidate of variable 0 the range of variable 1's run
+    /// the driver holds on; without one, every range is the whole run.
+    /// A window pair stores the ranges, and those of the mirror sweep, as
+    /// a window group, unless it stands for no edge. Any other pair DC
+    /// checks its other atoms on each pair of its ranges and writes the
+    /// pairs that hold without hashing them: a pair an earlier DC of
+    /// `pair.owners` holds on either way round is that DC's, and a pair
+    /// the DC holds on both ways round is written from its lower vertex.
+    fn emit_pairs(
         &mut self,
         c: &Compiled<'_>,
-        window: WindowPlan,
+        ix: usize,
+        pair: &PairPlan,
         rows: &[RowId],
         filter_cands: &[Vec<u32>],
         g: &mut Hypergraph,
     ) {
-        let [ia, ib] = window.runs;
-        for run in window.runs {
+        // `build_one_dc` kills a DC without views, and no owner lacks them.
+        let Some(own) = PairTest::of(c, ix) else {
+            return;
+        };
+        for run in pair.runs {
             self.runs.sort(c, run, rows, filter_cands, &mut self.stats);
         }
+        let [ia, ib] = pair.runs;
         let (run_a, run_b) = (&self.runs.runs[ia], &self.runs.runs[ib]);
+        let driver = pair.driver.map(|d| &own.atoms[d]);
         let [ranges_a, ranges_b] = &mut self.win_ranges;
-        match &window.atom {
-            None => {
-                ranges_a.clear();
-                ranges_a.resize(run_a.len(), (0, run_b.len() as u32));
-                ranges_b.clear();
-                ranges_b.resize(run_b.len(), (0, run_a.len() as u32));
+        sweep_windows(driver, 1, run_a, run_b, ranges_a);
+        if pair.window {
+            sweep_windows(driver, 0, run_b, run_a, ranges_b);
+            if ranges_a.iter().all(|&(lo, hi)| lo == hi) {
+                return;
             }
-            Some(atom) => {
-                sweep_windows(atom, 1, run_a, run_b, ranges_a);
-                sweep_windows(atom, 0, run_b, run_a, ranges_b);
-            }
-        }
-        if ranges_a.iter().all(|&(lo, hi)| lo == hi) {
+            let [a, b] = pair.runs.map(|run| self.graph_run(run, g));
+            g.add_window_group(a, &self.win_ranges[0], b, &self.win_ranges[1]);
+            self.stats.window_groups += 1;
             return;
         }
-        let [a, b] = window.runs.map(|run| self.graph_run(run, g));
-        g.add_window_group(a, &self.win_ranges[0], b, &self.win_ranges[1]);
-        self.stats.window_groups += 1;
+        match driver {
+            Some(d) if d.is_equality() => self.stats.index_hash += 1,
+            Some(_) => self.stats.index_sorted += 1,
+            None => self.stats.scanned_candidates += run_a.len() * run_b.len(),
+        }
+        let owners: Vec<PairTest<'_>> = pair
+            .owners
+            .iter()
+            .filter_map(|&e| PairTest::of(c, e))
+            .collect();
+        let (masks, words) = (&self.row_masks, c.masks.words);
+        // Whether the pair is an earlier DC's, or this DC's from `v`.
+        let owned = |u: u32, v: u32| {
+            let either_way = |t: &PairTest<'_>| {
+                t.holds(masks, words, rows, u, v) || t.holds(masks, words, rows, v, u)
+            };
+            let mirrored = pair.both_ways && u > v && own.holds(masks, words, rows, v, u);
+            mirrored || owners.iter().any(either_way)
+        };
+        // Interchangeable variables hold on every pair both ways round, so
+        // such a DC skips the higher end before checking anything, as
+        // enumeration does.
+        let ascending = c.plans[ix].sym_class(1) == 0;
+        // The windows decide the driver; any other atom is checked here.
+        let rest = own.atoms.len() > usize::from(driver.is_some());
+        for (&(_, u), &(lo, hi)) in run_a.iter().zip(ranges_a.iter()) {
+            for &(_, v) in &run_b[lo as usize..hi as usize] {
+                if u == v
+                    || (ascending && u > v)
+                    || (rest && !own.atoms_hold(rows, pair.driver, u, v))
+                {
+                    continue;
+                }
+                if owned(u, v) {
+                    self.stats.dedup_hits += 1;
+                    continue;
+                }
+                g.add_sorted_edge_unchecked(&[u.min(v), u.max(v)]);
+            }
+        }
     }
 
     /// Run `run`'s members in the graph, added on first use.
@@ -951,74 +961,6 @@ impl<'v> ConflictBuilder<'v> {
         self.runs.state[run] = RunState::InGraph(handle);
         handle
     }
-
-    /// Writes bulk DC `ix`'s pairs straight into the graph; `k` is its
-    /// registry bit. Variable 1's run, sorted by the column its one atom
-    /// reads there, gives each variable-0 candidate its violation window
-    /// (the bulk analogue of the enumerate driver probe — same pairs, no
-    /// per-pair verification or hashing). Mirrored visits emit
-    /// canonically on the one whose first-set element is smaller; pairs
-    /// some earlier bulk DC already owns are skipped via the registry, so
-    /// unchecked adds stay unique.
-    fn emit_bulk_pairs(
-        &mut self,
-        c: &Compiled<'_>,
-        ix: usize,
-        k: u8,
-        rows: &[RowId],
-        filter_cands: &[Vec<u32>],
-        g: &mut Hypergraph,
-    ) {
-        let own = &c.bulk_preds[usize::from(k)];
-        let atom = &own.atom;
-        let [ca, cb] = [0, 1].map(|var| filter_cands[c.var_filter[ix][var]].as_slice());
-        let bit = 1u64 << k;
-        for &p in ca {
-            self.bulk_a[p as usize] |= bit;
-        }
-        for &p in cb {
-            self.bulk_b[p as usize] |= bit;
-        }
-        let run = c.atom_runs[ix][0][side(atom, 1)];
-        self.runs.sort(c, run, rows, filter_cands, &mut self.stats);
-        let run = &self.runs.runs[run];
-        let v0_view = if atom.lvar == 0 { own.lview } else { own.rview };
-        for &u in ca {
-            // A missing cell fails the atom against every partner.
-            let Some(o) = v0_view.get(rows[u as usize]) else {
-                continue;
-            };
-            // Up to two run windows, exact for every offset.
-            let (w1, w2) = probe_windows(atom, 1, o, run);
-            for &(_, v) in run[w1].iter().chain(run[w2].iter()) {
-                if v == u {
-                    continue;
-                }
-                // Mirrored visit `(v, u)`: emit only here if it does not
-                // qualify, or `u` is the smaller element.
-                if u > v
-                    && self.bulk_a[v as usize] & bit != 0
-                    && self.bulk_b[u as usize] & bit != 0
-                    && own.eval(rows, v, u)
-                {
-                    continue;
-                }
-                let (s, t) = if u < v { (u, v) } else { (v, u) };
-                if bulk_emitted(
-                    rows,
-                    &self.bulk_a,
-                    &self.bulk_b,
-                    &c.bulk_preds,
-                    bit - 1,
-                    (s, t),
-                ) {
-                    self.stats.dedup_hits += 1;
-                    continue;
-                }
-                g.add_sorted_edge_unchecked(&[s, t]);
-            }
-        }
-    }
 }
 
 /// The index of `key` in `keys`, appending it when new.
@@ -1029,18 +971,13 @@ fn intern<T: PartialEq>(keys: &mut Vec<T>, key: T) -> usize {
     })
 }
 
-/// The (up to two) ranges of the sorted run `run` of `var`'s cells that
-/// satisfy `atom` against the other side's cell `o`: one window for an
-/// ordering atom or an equality (its equal run), two for `≠` (the
-/// complement). The bound (see [`probe_bound`]) is exact for every
-/// offset; one clamp per search keeps the run's comparisons in `i64`, and
-/// a bound beyond either end of `i64` selects the whole run or none of it.
-fn probe_windows(
-    atom: &BinaryAtomPlan,
-    var: usize,
-    o: i64,
-    run: &[(i64, u32)],
-) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+/// The range of the sorted run `run` of `var`'s cells that satisfies
+/// `atom`, an ordering or `=` atom, against the other side's cell `o`: a
+/// prefix or suffix for an ordering atom, the equal run for `=`. The bound
+/// (see [`probe_bound`]) is exact for every offset; one clamp per search
+/// keeps the run's comparisons in `i64`, and a bound beyond either end of
+/// `i64` selects the whole run or none of it.
+fn probe_window(atom: &BinaryAtomPlan, var: usize, o: i64, run: &[(i64, u32)]) -> Range<usize> {
     // Length of the run's prefix with cells at most `b`.
     let upto = |b: i128| match i64::try_from(b) {
         Ok(b) => run.partition_point(|&(v, _)| v <= b),
@@ -1048,24 +985,28 @@ fn probe_windows(
         Err(_) => run.len(),
     };
     let (b, flip) = probe_bound(atom, var, o);
-    windows_of(atom.op, flip, run.len(), || upto(b - 1), || upto(b))
+    window_of(atom.op, flip, run.len(), || upto(b - 1), || upto(b))
 }
 
 /// Every cell of `others` (ascending) probed against the run `run` of
-/// `var`'s cells, as [`probe_windows`] would, for an ordering or `=` atom:
+/// `var`'s cells, as [`probe_window`] would, for an ordering or `=` atom:
 /// one window per cell, written to `out`. The bound grows with the cell,
 /// so both prefix counts only move forward, and one pass over each run
-/// gives every window.
+/// gives every window. Without an atom every window is the whole run.
 fn sweep_windows(
-    atom: &BinaryAtomPlan,
+    atom: Option<&BinaryAtomPlan>,
     var: usize,
     others: &[(i64, u32)],
     run: &[(i64, u32)],
     out: &mut Vec<(u32, u32)>,
 ) {
+    out.clear();
+    let Some(atom) = atom else {
+        out.resize(others.len(), (0, run.len() as u32));
+        return;
+    };
     debug_assert!(atom.is_equality() || atom.is_range());
     let (mut below, mut upto) = (0usize, 0usize);
-    out.clear();
     for &(o, _) in others {
         let (b, flip) = probe_bound(atom, var, o);
         while below < run.len() && i128::from(run[below].0) < b {
@@ -1074,7 +1015,7 @@ fn sweep_windows(
         while upto < run.len() && i128::from(run[upto].0) <= b {
             upto += 1;
         }
-        let (w, _) = windows_of(atom.op, flip, run.len(), || below, || upto);
+        let w = window_of(atom.op, flip, run.len(), || below, || upto);
         out.push((w.start as u32, w.end as u32));
     }
 }
@@ -1092,24 +1033,24 @@ fn probe_bound(atom: &BinaryAtomPlan, var: usize, o: i64) -> (i128, bool) {
     }
 }
 
-/// The windows of a sorted run of `len` cells that satisfy `op` (flipped
-/// when `flip`) against a bound `b`, from the number of cells below `b`
-/// and at most `b`; each count is asked for only when the window needs it.
-fn windows_of(
+/// The window of a sorted run of `len` cells that satisfies `op`, an
+/// ordering operator or `=` (flipped when `flip`), against a bound `b`,
+/// from the number of cells below `b` and at most `b`; each count is asked
+/// for only when the window needs it.
+fn window_of(
     op: CmpOp,
     flip: bool,
     len: usize,
     below: impl Fn() -> usize,
     upto: impl Fn() -> usize,
-) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-    let none = 0..0;
+) -> Range<usize> {
     match (op, flip) {
-        (CmpOp::Eq, _) => (below()..upto(), none),
-        (CmpOp::Ne, _) => (0..below(), upto()..len),
-        (CmpOp::Lt, false) | (CmpOp::Gt, true) => (0..below(), none),
-        (CmpOp::Le, false) | (CmpOp::Ge, true) => (0..upto(), none),
-        (CmpOp::Gt, false) | (CmpOp::Lt, true) => (upto()..len, none),
-        (CmpOp::Ge, false) | (CmpOp::Le, true) => (below()..len, none),
+        (CmpOp::Eq, _) => below()..upto(),
+        (CmpOp::Lt, false) | (CmpOp::Gt, true) => 0..below(),
+        (CmpOp::Le, false) | (CmpOp::Ge, true) => 0..upto(),
+        (CmpOp::Gt, false) | (CmpOp::Lt, true) => upto()..len,
+        (CmpOp::Ge, false) | (CmpOp::Le, true) => below()..len,
+        (CmpOp::Ne, _) => unreachable!("a `≠` atom drives no window"),
     }
 }
 
@@ -1158,23 +1099,8 @@ fn enumerate(ctx: &DcCtx<'_>, state: &mut EnumState<'_>, depth: usize, g: &mut H
         state.edge_buf.clear();
         state.edge_buf.extend_from_slice(&state.chosen[..arity]);
         state.edge_buf.sort_unstable();
-        // Pairs a bulk DC already emitted bypass the graph's fingerprint
-        // dedup (unchecked adds), so arity-2 leaves check the registry.
-        // Higher arities cannot collide with a 2-vertex edge.
-        if arity == 2 && !ctx.bulk_a.is_empty() {
-            let (s, t) = (state.edge_buf[0], state.edge_buf[1]);
-            if bulk_emitted(
-                ctx.rows,
-                ctx.bulk_a,
-                ctx.bulk_b,
-                ctx.bulk_preds,
-                u64::MAX,
-                (s, t),
-            ) {
-                state.stats.dedup_hits += 1;
-                return;
-            }
-        }
+        // Explicit pairs bypass the fingerprint set, but a hyperedge of
+        // three or more vertices cannot collide with one.
         if g.add_sorted_edge(state.edge_buf).is_none() {
             state.stats.dedup_hits += 1;
         }
@@ -1206,7 +1132,7 @@ fn enumerate(ctx: &DcCtx<'_>, state: &mut EnumState<'_>, depth: usize, g: &mut H
         // One window: the equal run of an `=` (empty when its target
         // leaves `i64`), a prefix or suffix for an ordering atom.
         let run = &ctx.runs[ctx.atom_runs[a][side(atom, var)]];
-        let (window, _) = probe_windows(atom, var, o, run);
+        let window = probe_window(atom, var, o, run);
         for &(_, pos) in &run[window] {
             try_candidate(ctx, state, depth, var, pos, Some(a), g);
         }
@@ -1421,8 +1347,9 @@ mod tests {
     fn symmetric_dcs_do_not_duplicate_edges() {
         // The owner-owner DC alone is one clique group standing for the
         // one undirected edge. Declared twice, neither copy is disjoint
-        // from the other, so both emit explicit edges and the second copy
-        // dedups against the first: still one edge.
+        // from the other, so both keep explicit edges: each meets the pair
+        // from its lower vertex only (its variables are interchangeable),
+        // and the second finds it the first's. Still one edge.
         let (r1, dcs) = running_r1();
         let dc = dcs[0].clone();
         let rows: Vec<RowId> = vec![0, 1]; // two owners
@@ -1563,10 +1490,7 @@ mod tests {
             [Groups, Groups, Edges, Groups]
         );
         // The keyed pair pins nothing, so it overlaps both exclusives.
-        assert_eq!(
-            routes(&[excl_a, excl_b, same_key]),
-            [CapacityEdges, CapacityEdges, CapacityEdges]
-        );
+        assert_eq!(routes(&[excl_a, excl_b, same_key]), [Edges, Edges, Edges]);
         // A gap pair whose second variable is pinned off `a`: disjoint from
         // the exclusive, and a window pair of its own.
         assert_eq!(
@@ -1608,8 +1532,7 @@ mod tests {
                 r#"!(t1.Kind = "o" & t2.Kind = "s" & t2.Key = t1.Key + 2 & t1.fk = t2.fk)"#,
                 // A pure-unary bi-clique.
                 r#"!(t1.Kind = "s" & t2.Kind = "p" & t1.fk = t2.fk)"#,
-                // Two pairs that may share an edge: the pure-unary one
-                // enumerates, the single-atom one stays on bulk edges.
+                // Two pairs that may share an edge keep explicit edges.
                 r#"!(t1.Kind = "o" & t1.Key < 30 & t2.Kind = "g" & t1.fk = t2.fk)"#,
                 r#"!(t1.Kind = "o" & t2.Kind = "g" & t2.Key > t1.Key + 25 & t1.fk = t2.fk)"#,
                 // The window written from the second variable.
@@ -1621,14 +1544,14 @@ mod tests {
         use DcRoute::*;
         assert_eq!(
             routes,
-            [Windows, Windows, Windows, Windows, Edges, Bulk, Windows]
+            [Windows, Windows, Windows, Windows, Edges, Edges, Windows]
         );
         let all: Vec<RowId> = (0..16).collect();
         for rows in [all, vec![3, 0, 8, 5, 13, 10, 1, 11], vec![7, 3, 9]] {
             let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
             // Only the two overlapping pairs store edges.
-            let bulk = build_conflict_graph_naive(&r, &rows, &dcs[4..6]);
-            assert_eq!(g.n_edges(), bulk.n_edges(), "{rows:?}");
+            let explicit = build_conflict_graph_naive(&r, &rows, &dcs[4..6]);
+            assert_eq!(g.n_edges(), explicit.n_edges(), "{rows:?}");
             assert_eq!(stats.window_groups, g.n_window_groups(), "{rows:?}");
         }
         let (g, stats) = build_both_with_stats(&r, &(0..16).collect::<Vec<_>>(), &dcs);
@@ -1640,8 +1563,8 @@ mod tests {
     }
 
     /// DCs with 68 distinct unary filters, so every row's filter mask
-    /// spans two words: 33 bulk gap pairs whose two filters are all
-    /// distinct, a window pair and a capacity DC.
+    /// spans two words: 33 overlapping gap pairs on explicit edges whose
+    /// two filters are all distinct, a window pair and a capacity DC.
     #[test]
     fn more_than_64_filters_classify_into_two_mask_words() {
         let r = ages_fixture(24);
@@ -1662,7 +1585,7 @@ mod tests {
         let builder = ConflictBuilder::new(&dcs, &r);
         assert_eq!(builder.filter_cands.len(), 68);
         assert_eq!(builder.compiled.masks.words, 2);
-        assert_eq!(builder.route(0), DcRoute::Bulk);
+        assert_eq!(builder.route(0), DcRoute::Edges);
         assert_eq!(builder.route(33), DcRoute::Windows);
         assert_eq!(builder.route(34), DcRoute::Groups);
         let all: Vec<RowId> = (0..24).collect();
@@ -1673,8 +1596,8 @@ mod tests {
     }
 
     /// Persons with a mix of categorical and integer attributes, used by
-    /// the bulk-emission tests below.
-    fn bulk_fixture() -> Relation {
+    /// the explicit-pair tests below.
+    fn persons_fixture() -> Relation {
         use cextend_table::{ColumnDef, Dtype, Schema};
         let schema = Schema::new(vec![
             ColumnDef::key("pid", Dtype::Int),
@@ -1703,9 +1626,9 @@ mod tests {
     }
 
     #[test]
-    fn bulk_emission_dedups_overlapping_cliques_and_indexed_leaves() {
+    fn overlapping_cliques_and_windows_keep_each_pair_once() {
         use cextend_constraints::parse_dc;
-        let r = bulk_fixture();
+        let r = persons_fixture();
         let dcs: Vec<BoundDc> = [
             // Clique over the three owners.
             r#"!(t1.Rel = "Owner" & t2.Rel = "Owner" & t1.fk = t2.fk)"#,
@@ -1713,8 +1636,8 @@ mod tests {
             r#"!(t1.Rel = "Spouse" & t2.Rel = "Partner" & t1.fk = t2.fk)"#,
             // Clique over all five rows — covers both DCs above.
             "!(t1.Age >= 30 & t2.Age >= 30 & t1.fk = t2.fk)",
-            // Single-atom bulk (equal-age windows); its pairs are covered
-            // by the big clique too.
+            // Equal-age windows; its pairs are covered by the big clique
+            // too.
             "!(t1.Age = t2.Age & t1.fk = t2.fk)",
         ]
         .iter()
@@ -1727,29 +1650,27 @@ mod tests {
         })
         .collect();
         // Every DC may share an edge with another, so nothing takes a
-        // group or a window: the three pure-unary DCs enumerate, and the
-        // capacity-shaped same-age DC alone keeps bulk windows.
+        // group or a window.
         let builder = ConflictBuilder::new(&dcs, &r);
-        use DcRoute::*;
         let routes: Vec<DcRoute> = (0..4).map(|i| builder.route(i)).collect();
-        assert_eq!(routes, [CapacityEdges, Edges, CapacityEdges, CapacityEdges]);
-        assert_eq!(builder.compiled.bulk_slot, [None, None, None, Some(0)]);
+        assert_eq!(routes, [DcRoute::Edges; 4]);
         let rows: Vec<RowId> = (0..5).collect();
         let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
         // The Age ≥ 30 clique subsumes everything: C(5,2) edges.
         assert_eq!(g.n_edges(), 10);
-        // The same-age DC emits {0,2} and {1,3} first, in bulk; the big
-        // clique's leaves find both in the registry, and find the owner
-        // clique's 3 pairs and spouse × partner in the graph's dedup.
-        assert_eq!(stats.dedup_hits, 2 + 3 + 1);
-        // Owners 3 + 3·3, spouse × partner 1 + 1, all rows 5 + 5·5: no
-        // depth has a binary atom to drive it, and the bulk DC's Age run
-        // is the one run sorted.
-        assert_eq!(stats.scanned_candidates, 12 + 2 + 30);
-        assert_eq!(stats.index_hash + stats.index_sorted, 0);
+        // Every DC here but spouse × partner has interchangeable
+        // variables, so it meets each pair from its lower vertex only. The
+        // big clique and the same-age DC skip the pairs an earlier DC
+        // owns: the owner clique's 3 and spouse × partner, then {0,2} and
+        // {1,3}.
+        assert_eq!(stats.dedup_hits, 4 + 2);
+        // Owners 3 · 3, spouse × partner 1 · 1, all rows 5 · 5: only the
+        // same-age DC has a driver, and its Age run is the one run sorted.
+        assert_eq!(stats.scanned_candidates, 9 + 1 + 25);
+        assert_eq!((stats.index_hash, stats.index_sorted), (1, 0));
         assert_eq!(stats.indexes_built, 1);
-        // Beside the big clique alone, the registry hits are the same-age
-        // DC's two pairs.
+        // Beside the big clique alone, the same-age DC's pairs are the
+        // clique's.
         let (g, stats) = build_both_with_stats(&r, &rows, &dcs[2..]);
         assert_eq!((g.n_edges(), stats.dedup_hits), (10, 2));
     }
@@ -1757,7 +1678,7 @@ mod tests {
     #[test]
     fn pure_unary_cross_with_overlapping_sides_emits_each_pair_once() {
         use cextend_constraints::parse_dc;
-        let r = bulk_fixture();
+        let r = persons_fixture();
         // Sides overlap: Age ≥ 30 is {0,1,2,3,4}, Age ≥ 35 is {1,3,4}; a
         // pair of rows holding both memberships is visited in both orders.
         let dc = parse_dc("x", "!(t1.Age >= 30 & t2.Age >= 35 & t1.fk = t2.fk)", "fk")
@@ -1771,20 +1692,21 @@ mod tests {
         // {u,v} with at least one side ≥ 35: all pairs except those wholly
         // inside {0,2} (ages 30,30): C(5,2) − 1.
         assert_eq!(g.n_edges(), 9);
-        // The smaller side enumerates first: 3 + 3·5 candidates, and the
-        // 3 pairs inside {1,3,4} are met twice and stored once.
-        assert_eq!(stats.scanned_candidates, 3 + 15);
+        // Each of the 5 first-side candidates scans the 3 second-side
+        // ones, and the 3 pairs inside {1,3,4} are met from both ends and
+        // written from their lower vertex.
+        assert_eq!(stats.scanned_candidates, 5 * 3);
         assert_eq!(stats.dedup_hits, 3);
     }
 
     #[test]
-    fn single_atom_bulk_windows_match_enumeration() {
+    fn single_atom_pairs_match_the_naive_builder() {
         use cextend_constraints::parse_dc;
-        let r = bulk_fixture();
+        let r = persons_fixture();
         let rows: Vec<RowId> = (0..5).collect();
         // Each DC alone and the whole overlapping set: ordering atoms with
         // offsets on both orientations, inequality, and an offset equality
-        // — every single-atom window kind against the enumerate oracle.
+        // — every single-atom kind against the naive builder.
         let dcs: Vec<&str> = vec![
             r#"!(t1.Rel = "Owner" & t2.Age > t1.Age + 4 & t1.fk = t2.fk)"#,
             r#"!(t1.Rel = "Owner" & t2.Age < t1.Age - 1 & t1.fk = t2.fk)"#,
@@ -1811,16 +1733,15 @@ mod tests {
             .collect();
         let (g, stats) = build_both_with_stats(&r, &rows, &bound);
         assert!(g.n_edges() > 0);
-        // The registry dedup is predicate-aware: a mask hit alone (shared
-        // membership under DC w2, whose candidate lists are all five rows)
-        // must not suppress pairs w2 itself never emitted.
+        // Ownership is predicate-aware: w2's candidate lists are all five
+        // rows, yet it owns only the pairs whose ages differ.
         assert!(stats.dedup_hits > 0);
     }
 
     #[test]
     fn builder_skips_contradictory_dcs() {
         use cextend_constraints::parse_dc;
-        let r = bulk_fixture();
+        let r = persons_fixture();
         // t1.Age = t2.Age + 1 ∧ t2.Age = t1.Age is unsatisfiable; equality
         // saturation proves it at compile time.
         let dc = parse_dc(
@@ -1979,8 +1900,8 @@ mod tests {
             .collect()
     }
 
-    /// Two ordering atoms on one column: not bulk-emittable, so the pair
-    /// enumerates, and its second depth runs through a sorted run.
+    /// Two ordering atoms on one column: the first gives the pair's windows
+    /// of its sorted run, and the second is checked pair by pair.
     const BAND: &str = "!(t2.Age > t1.Age + 1 & t2.Age < t1.Age + 6 & t1.fk = t2.fk)";
 
     #[test]
@@ -1991,36 +1912,45 @@ mod tests {
         assert!(g.n_edges() > 0);
         assert_eq!((stats.index_sorted, stats.index_hash), (1, 0));
         assert_eq!(stats.indexes_built, 1);
-        // Depth 0 scans its 24 candidates; depth 1 probes once per row.
-        assert_eq!(stats.range_probes, 24);
-        assert_eq!(stats.scanned_candidates, 24);
+        // One sweep gives every row its window: nothing probes or scans.
+        assert_eq!((stats.range_probes, stats.scanned_candidates), (0, 0));
     }
 
     /// The band with its driving atom's offset one below `i64::MAX`: the
     /// bound `t1.Age + offset` leaves `i64` for every row, and compared
-    /// exactly it admits the whole run, so depth 1 still probes instead of
-    /// scanning. An `=` driver whose target `t1.Age + offset` leaves
-    /// `i64` probes an empty equal window: no edge.
+    /// exactly it admits the whole run, in a pair's sweep and in an
+    /// enumeration depth's probe alike, so the depth still probes instead
+    /// of scanning. An `=` driver whose target `t1.Age + offset` leaves
+    /// `i64` meets an empty equal window: no edge.
     #[test]
     fn a_bound_beyond_i64_still_probes_the_sorted_run() {
         let r = ages_fixture(24);
         let rows: Vec<RowId> = (0..24).collect();
-        let band = "!(t2.Age < t1.Age + 9223372036854775806 & t2.Age > t1.Age + 1 & t1.fk = t2.fk)";
-        let (g, stats) = build_both_with_stats(&r, &rows, &bind_all(&r, &[band]));
+        let band = "t2.Age < t1.Age + 9223372036854775806 & t2.Age > t1.Age + 1";
+        let eq = "t2.Age = t1.Age + 9223372036854775800 & t1.Grp = t2.Grp";
+        let pair = |atoms: &str| format!("!({atoms} & t1.fk = t2.fk)");
+        let (g, _) = build_both_with_stats(&r, &rows, &bind_all(&r, &[&pair(band)]));
         assert!(g.n_edges() > 0);
-        assert_eq!(stats.range_probes, 24);
-        assert_eq!(stats.scanned_candidates, 24, "only depth 0 scans");
-        // The `Grp` atom keeps the pair off the bulk path; the `Age`
-        // equality comes first, so it drives depth 1 (`t2`).
-        let eq = "!(t2.Age = t1.Age + 9223372036854775800 & t1.Grp = t2.Grp & t1.fk = t2.fk)";
-        let (g, stats) = build_both_with_stats(&r, &rows, &bind_all(&r, &[eq]));
+        let (g, stats) = build_both_with_stats(&r, &rows, &bind_all(&r, &[&pair(eq)]));
         assert_eq!(total_edges(&g), 0);
-        assert_eq!((stats.index_hash, stats.eq_probes), (1, 24));
-        assert_eq!(stats.scanned_candidates, 24, "only depth 0 scans");
+        assert_eq!(stats.index_hash, 1, "the `Age` equality comes first");
+        // As triples: `t1`'s 8 `Grp = 0` rows come first, then `t2`, which
+        // the band or the equality links to `t1` and which probes once per
+        // `t1` row.
+        let triple = |atoms: &str| {
+            format!("!(t1.Grp = 0 & {atoms} & t3.Grp = 2 & t1.fk = t2.fk & t2.fk = t3.fk)")
+        };
+        let (g, stats) = build_both_with_stats(&r, &rows, &bind_all(&r, &[&triple(band)]));
+        assert!(g.n_edges() > 0);
+        assert_eq!((stats.index_sorted, stats.range_probes), (1, 8));
+        let (g, stats) = build_both_with_stats(&r, &rows, &bind_all(&r, &[&triple(eq)]));
+        assert_eq!(total_edges(&g), 0);
+        assert_eq!((stats.index_hash, stats.eq_probes), (1, 8));
     }
 
-    /// A window pair, a bulk DC and an enumeration driver all read the
-    /// `Grp = 1` rows' run by `Age`: each build sorts it once.
+    /// A window pair and two explicit pairs, one driven by an `=` atom and
+    /// one by an ordering atom, all read the `Grp = 1` rows' run by `Age`:
+    /// each build sorts it once.
     #[test]
     fn routes_reading_one_run_sort_it_once_per_build() {
         let r = ages_fixture(48);
@@ -2036,8 +1966,7 @@ mod tests {
         let builder = ConflictBuilder::new(&dcs, &r);
         use DcRoute::*;
         let routes: Vec<DcRoute> = (0..3).map(|i| builder.route(i)).collect();
-        assert_eq!(routes, [Windows, CapacityEdges, Edges]);
-        assert!(builder.compiled.bulk_slot[1].is_some());
+        assert_eq!(routes, [Windows, Edges, Edges]);
         // The `Grp = 0` and `Grp = 1` runs by `Age`.
         assert_eq!(builder.compiled.run_keys.len(), 2);
         let all: Vec<RowId> = (0..48).collect();
@@ -2045,8 +1974,8 @@ mod tests {
             let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
             assert!(g.n_edges() > 0, "{rows:?}");
             assert_eq!(
-                (stats.window_groups, stats.index_sorted),
-                (1, 1),
+                (stats.window_groups, stats.index_hash, stats.index_sorted),
+                (1, 1, 1),
                 "{rows:?}"
             );
             assert_eq!(stats.indexes_built, 2, "{rows:?}");
@@ -2057,16 +1986,19 @@ mod tests {
     fn equality_drives_over_an_earlier_ordering_atom() {
         let r = ages_fixture(24);
         let rows: Vec<RowId> = (0..24).collect();
-        // Both binary atoms complete at depth 1; the ordering atom comes
-        // first, the equality atom drives.
-        let dcs = bind_all(
-            &r,
-            &["!(t1.Age < t2.Age & t1.Grp = t2.Grp & t1.fk = t2.fk)"],
-        );
-        let (g, stats) = build_both_with_stats(&r, &rows, &dcs);
+        // The ordering atom comes first, the equality atom drives: the
+        // pair's windows, and the chain's depth 1 (`t2`), which completes
+        // both.
+        let pair = "!(t1.Age < t2.Age & t1.Grp = t2.Grp & t1.fk = t2.fk)";
+        let (g, stats) = build_both_with_stats(&r, &rows, &bind_all(&r, &[pair]));
         assert!(g.n_edges() > 0);
         assert_eq!((stats.index_hash, stats.index_sorted), (1, 0));
-        assert_eq!((stats.eq_probes, stats.range_probes), (24, 0));
+        let chain =
+            "!(t1.Age < t2.Age & t1.Grp = t2.Grp & t2.Age < t3.Age & t1.fk = t2.fk & t2.fk = t3.fk)";
+        let (g, stats) = build_both_with_stats(&r, &rows, &bind_all(&r, &[chain]));
+        assert!(g.n_edges() > 0);
+        assert_eq!((stats.index_hash, stats.eq_probes), (1, 24));
+        assert_eq!(stats.index_sorted, 1, "`t3`'s ordering atom drives depth 2");
     }
 
     #[test]
@@ -2086,8 +2018,9 @@ mod tests {
 
     #[test]
     fn tiny_candidate_lists_are_indexed_too() {
-        // Partitions of one to six rows: every driver depth still probes
-        // its run, so only depth 0 scans.
+        // Partitions of one to six rows: the pairs sweep their runs and
+        // the chain's driver depths probe theirs, so only the chain's
+        // depth 0 scans.
         for n in 1..=6 {
             let r = ages_fixture(n);
             let rows: Vec<RowId> = (0..n).collect();
@@ -2106,7 +2039,77 @@ mod tests {
             assert_eq!(stats.dead_dcs, 0, "{n} rows");
             assert_eq!(stats.index_sorted, 1, "{n} rows");
             assert_eq!(stats.index_hash, 1 + 2, "{n} rows");
-            assert_eq!(stats.scanned_candidates, 3 * n, "{n} rows");
+            assert_eq!(stats.scanned_candidates, n, "{n} rows");
         }
+    }
+
+    /// Explicit pair DCs overlapping in every way the ownership rule must
+    /// handle. Each build matches the naive builder's edges and degrees
+    /// and stores no pair twice.
+    #[test]
+    fn explicit_pairs_belong_to_the_first_dc_that_holds_on_them() {
+        let r = ages_fixture(24);
+        let dcs = bind_all(
+            &r,
+            &[
+                // Purely unary, with sides one row can pass both of.
+                "!(t1.Age >= 24 & t2.Age <= 28 & t1.fk = t2.fk)",
+                // One ordering atom.
+                "!(t1.Grp = 0 & t2.Age > t1.Age + 2 & t1.fk = t2.fk)",
+                // An `=` key: capacity-shaped, but overlapped.
+                "!(t1.Age = t2.Age & t1.fk = t2.fk)",
+                // `≠` only: no driver.
+                "!(t1.Grp != t2.Grp & t1.Age < 26 & t1.fk = t2.fk)",
+                // Two atoms: the `=` drives, the ordering atom is checked.
+                "!(t1.Grp = t2.Grp & t2.Age < t1.Age - 1 & t1.fk = t2.fk)",
+                // A self-atom beside a pinned side.
+                "!(t1.Age > t1.Grp + 25 & t2.Grp = 1 & t1.fk = t2.fk)",
+            ],
+        );
+        let builder = ConflictBuilder::new(&dcs, &r);
+        assert!((0..dcs.len()).all(|i| builder.route(i) == DcRoute::Edges));
+        let check = |rows: &[RowId], dcs: &[BoundDc]| {
+            let (g, stats) = build_both_with_stats(&r, rows, dcs);
+            assert_eq!(
+                g.n_edges() as u64 + g.n_implicit_edges(),
+                g.expanded().n_edges() as u64,
+                "{rows:?}"
+            );
+            (g, stats)
+        };
+        let all: Vec<RowId> = (0..24).collect();
+        // Some pair is held by three DCs, and some DC holds a pair both
+        // ways round, so both rules skip pairs.
+        let mut held: std::collections::HashMap<Vec<u32>, usize> = Default::default();
+        for dc in &dcs {
+            let naive = build_conflict_graph_naive(&r, &all, std::slice::from_ref(dc));
+            for e in naive.edges() {
+                *held.entry(e.to_vec()).or_default() += 1;
+            }
+        }
+        assert!(held.values().any(|&n| n >= 3));
+        let (g, stats) = check(&all, &dcs);
+        assert!(g.n_edges() > 0 && stats.dedup_hits > 0);
+        for rows in [(0..24).rev().collect(), vec![2, 23, 11, 7, 14, 5, 0, 19]] {
+            check(&rows, &dcs);
+        }
+        // 65 overlapping gap pairs, identical ones among them (`i` and
+        // `i + 45`): each may be owned by any earlier one.
+        let texts: Vec<String> = (0..65)
+            .map(|i| {
+                format!(
+                    "!(t1.Age > {} & t2.Age < t1.Age + {} & t1.fk = t2.fk)",
+                    18 + i % 9,
+                    1 + i % 5
+                )
+            })
+            .collect();
+        let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let many = bind_all(&r, &texts);
+        let builder = ConflictBuilder::new(&many, &r);
+        assert!((0..many.len()).all(|i| builder.route(i) == DcRoute::Edges));
+        let (g, stats) = check(&all, &many);
+        assert!(g.n_edges() > 0 && stats.dedup_hits > 0);
+        assert_eq!(stats.index_sorted, 65);
     }
 }

@@ -313,17 +313,17 @@ impl Hypergraph {
 
     /// Adds an edge the **caller guarantees** is sorted ascending, has at
     /// least two distinct vertices, and duplicates no edge in the graph —
-    /// skipping the fingerprint/dedup bookkeeping entirely. This is the
-    /// bulk-emission path for single-atom pair DCs, whose sorted-run
-    /// windows are duplicate-free by construction: the cost per edge drops
-    /// to the two CSR pushes.
+    /// skipping the fingerprint/dedup bookkeeping entirely, so the cost per
+    /// edge drops to the two CSR pushes. The conflict builder writes every
+    /// explicit pair this way: each pair belongs to one DC, which writes it
+    /// once.
     ///
     /// Because the edge is *not* entered into the dedup table, a later
     /// [`add_edge`](Hypergraph::add_edge)/[`add_sorted_edge`](Hypergraph::add_sorted_edge)
     /// of the same vertex set would store a duplicate — callers mixing
-    /// checked and unchecked insertion must dedup against their unchecked
-    /// edges themselves (the conflict builder keeps per-vertex bulk
-    /// registries for exactly this).
+    /// checked and unchecked insertion must keep the two apart themselves
+    /// (the conflict builder checks only hyperedges of three or more
+    /// vertices).
     ///
     /// # Panics
     /// Panics in debug builds if `vertices` is not strictly ascending or

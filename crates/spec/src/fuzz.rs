@@ -8,9 +8,9 @@
 //! exclusive pairs, a two-atom band pair, sometimes a ternary equality
 //! chain and sometimes a capacity-shaped ternary over the fact-wide
 //! `[0, 900]` load domain, so real conflict edges exist and the conflict
-//! builder emits capacity and window groups, bulk-emits gap pairs that
-//! may share an edge and enumerates the rest, exclusive pairs kept on
-//! edges included.
+//! builder emits capacity and window groups, writes explicit pairs for the
+//! pair DCs that may share an edge (gap, exclusive and band pairs) and
+//! enumerates the ternaries.
 //!
 //! [`run_differential_oracles`] then solves each generated spec at 1, 2
 //! and 4 workers (concurrent step levels, sharded Phase 1 completion and
@@ -18,11 +18,11 @@
 //! counters. A fourth, edge-set arm checks that the conflict builder Phase
 //! II runs produces the naive reference builder's edge set on a row window
 //! of every step's ground-truth view (capacity groups expanded, and none
-//! duplicating an edge), and counts the enumeration depths an `=` atom
-//! and an ordering atom drove, the capacity groups it emitted, the
-//! capacity-shaped DCs it kept on explicit edges, and the pair DCs it
-//! routed to window groups and the gap pairs it kept on bulk edges; a
-//! fifth,
+//! duplicating an edge), and counts the explicit pair DCs and enumeration
+//! depths an `=` atom and an ordering atom drove, the capacity groups it
+//! emitted, the capacity-shaped DCs it routed to explicit edges, and the
+//! pair DCs it routed to window groups and the pair DCs with one binary
+//! atom it kept on explicit edges; a fifth,
 //! CC-count arm that the one-pass membership kernel counts every step CC
 //! on that view exactly as the per-CC `count_in` reference does, a sixth,
 //! certifier arm that `metrics::evaluate` reports the naive builder's DC
@@ -40,7 +40,9 @@
 
 use crate::error::Result;
 use crate::lower::SpecWorkload;
-use cextend_constraints::{cc_counts, classify, CcRelationship, HasseDiagram, RelationshipMatrix};
+use cextend_constraints::{
+    cc_counts, classify, CcRelationship, DcPlan, HasseDiagram, RelationshipMatrix,
+};
 use cextend_core::conflict::{build_conflict_graph_naive, ConflictBuilder, DcRoute};
 use cextend_core::phase1_internals::{
     complete_leftovers, complete_leftovers_scalar, complete_randomly, complete_randomly_scalar,
@@ -79,26 +81,26 @@ pub struct FuzzOutcome {
     pub perturbed_dc_error: f64,
     /// Largest CC error the certifier arm found on a perturbed completion.
     pub perturbed_cc_error: f64,
-    /// Enumeration depths the edge-set arm's builds drove by an `=` atom,
-    /// summed over steps.
+    /// Explicit pair DCs and enumeration depths the edge-set arm's builds
+    /// drove by an `=` atom, summed over steps.
     pub index_hash: usize,
-    /// Enumeration depths the edge-set arm's builds drove by an ordering
-    /// atom, summed over steps.
+    /// Explicit pair DCs and enumeration depths the edge-set arm's builds
+    /// drove by an ordering atom, summed over steps.
     pub index_sorted: usize,
     /// Capacity groups the edge-set arm's builds emitted, summed over
     /// steps.
     pub capacity_groups: usize,
-    /// Capacity-shaped DCs the edge-set arm's builders kept on explicit
-    /// edges because another DC of their arity may emit the same vertex
-    /// sets, summed over steps.
+    /// Capacity-shaped DCs (`DcPlan::capacity_shape`) the edge-set arm's
+    /// builders routed to explicit edges because another DC of their arity
+    /// may emit the same vertex sets, summed over steps.
     pub capacity_edge_dcs: usize,
     /// Pair DCs the edge-set arm's builders routed to window groups,
     /// summed over steps.
     pub window_dcs: usize,
-    /// Single-atom pair DCs (the gap pairs) the edge-set arm's builders
-    /// kept on bulk edges because another pair DC may share an edge with
-    /// them, summed over steps.
-    pub bulk_pair_dcs: usize,
+    /// Pair DCs with one binary atom (the gap pairs) the edge-set arm's
+    /// builders kept on explicit edges because another pair DC may share
+    /// an edge with them, summed over steps.
+    pub atom_pair_edge_dcs: usize,
     /// Ordered CC pairs the classification arm found disjoint, summed over
     /// steps.
     pub disjoint_pairs: usize,
@@ -275,11 +277,12 @@ pub fn fuzz_source(seed: u64, iter: usize) -> String {
                 "  all dc \"s{step}-excl\" arity 2 {{ t0.{sym_col} == \"{a}\"; t1.{sym_col} == \"{a}\"; }}"
             );
         }
-        // Two binary atoms keep these off the bulk path: the band pair
-        // enumerates driven by an ordering atom, the ternary chain by its
-        // `=` atoms. On a coin flip the band pair reads `b` rows only, so
-        // it shares no edge with the gap pairs, which then take the window
-        // route; unpinned it may, and they stay on bulk edges.
+        // Two binary atoms keep these off the window route: the band pair
+        // writes explicit pairs driven by an ordering atom, the ternary
+        // chain enumerates driven by its `=` atoms. On a coin flip the band
+        // pair reads `b` rows only, so it shares no edge with the gap
+        // pairs, which then take the window route; unpinned it may, and
+        // they keep explicit pairs.
         let band_lo = rng.gen_range(0..=int_hi / 20);
         let band_hi = band_lo + rng.gen_range(10..=int_hi / 10);
         let band_pin = if rng.gen_bool(0.5) {
@@ -363,16 +366,16 @@ pub fn run_differential_oracles(
         compare(meta.name, &base, &wide, &format!("1 vs {workers} workers"))?;
     }
     // Edge-set arm: fuzzed DC blocks mix gap pairs (a single binary atom:
-    // window groups beside a pinned band pair, bulk sorted-run windows
-    // beside an unpinned one) with exclusive pairs (pure-unary cliques:
-    // groups, or enumerated edges beside an unpinned band pair), so every
-    // route meets the naive reference; band pairs and ternary chains
-    // enumerate driven by ordering and `=` atoms, and capacity-shaped
+    // window groups beside a pinned band pair, explicit pairs beside an
+    // unpinned one) with exclusive pairs (pure-unary cliques: groups, or
+    // explicit pairs beside an unpinned band pair), so every route meets
+    // the naive reference; band pairs are driven by an ordering atom,
+    // ternary chains enumerate driven by `=` atoms, and capacity-shaped
     // ternaries emit groups.
     let (mut perturbed_dc_error, mut perturbed_cc_error) = (0.0f64, 0.0f64);
     let (mut index_hash, mut index_sorted) = (0usize, 0usize);
     let (mut capacity_groups, mut capacity_edge_dcs) = (0usize, 0usize);
-    let (mut window_dcs, mut bulk_pair_dcs) = (0usize, 0usize);
+    let (mut window_dcs, mut atom_pair_edge_dcs) = (0usize, 0usize);
     let mut pairs = [0usize; 4]; // disjoint, equal, contained-in, intersecting
     let mut partially_pinned_rows = 0usize;
     for (step, instance) in steps.iter().enumerate() {
@@ -389,14 +392,18 @@ pub fn run_differential_oracles(
         index_hash += builder.stats().index_hash;
         index_sorted += builder.stats().index_sorted;
         capacity_groups += builder.stats().capacity_groups;
-        let routed = |route: DcRoute| {
+        let routed = |route: DcRoute, shape: fn(&DcPlan) -> bool| {
             (0..dcs.len())
-                .filter(|&i| builder.route(i) == route)
+                .filter(|&i| {
+                    builder.route(i) == route && shape(&dcs[i].plan().saturate_equalities())
+                })
                 .count()
         };
-        capacity_edge_dcs += routed(DcRoute::CapacityEdges);
-        window_dcs += routed(DcRoute::Windows);
-        bulk_pair_dcs += routed(DcRoute::Bulk);
+        capacity_edge_dcs += routed(DcRoute::Edges, |p| p.capacity_shape().is_some());
+        window_dcs += routed(DcRoute::Windows, |_| true);
+        atom_pair_edge_dcs += routed(DcRoute::Edges, |p| {
+            p.arity() == 2 && p.binary_atoms().len() == 1
+        });
         let naive = build_conflict_graph_naive(&view, &rows, &dcs);
         let expanded = built.expanded();
         if sorted_edges(expanded.edges()) != sorted_edges(naive.edges()) {
@@ -485,7 +492,7 @@ pub fn run_differential_oracles(
         capacity_groups,
         capacity_edge_dcs,
         window_dcs,
-        bulk_pair_dcs,
+        atom_pair_edge_dcs,
         disjoint_pairs: pairs[0],
         equal_pairs: pairs[1],
         contained_pairs: pairs[2],

@@ -203,7 +203,7 @@ proptest! {
         // The conflict builder's correctness oracle: on every workload's
         // ground-truth view (real DC shapes: unary-anchored gaps, mixed
         // equality+range atoms, the ternary nae-track chain), the builder
-        // Phase II runs — window and clique groups, bulk pair emission,
+        // Phase II runs — window and clique groups, explicit pairs,
         // indexed enumeration — must
         // produce the naive builder's edge set over the same row window.
         // The window is one artificial "partition" — larger and
@@ -417,14 +417,13 @@ proptest! {
     }
 }
 
-/// Which route Phase II's conflict builder gives every DC that does not
-/// enumerate, on every registered workload: capacity DCs take clique
-/// groups unless another DC of their arity may emit the same vertex sets,
-/// window pairs take window groups unless another pair DC may share an
-/// edge with them, and the other pair DCs with exactly one binary atom,
-/// linking their two variables, keep bulk edges. The purely unary pairs
-/// that may share an edge (`dc10`, `dc11`, `rdc8`, `rdc9`, `sdc6`,
-/// `ldc8`) enumerate.
+/// Which route Phase II's conflict builder gives every DC of every
+/// registered workload: capacity DCs take clique groups unless another DC
+/// of their arity may emit the same vertex sets, window pairs take window
+/// groups unless another pair DC may share an edge with them, and every
+/// other DC keeps explicit edges: the pair DCs that may share an edge
+/// (census rows 5–7, 10 and 11, `ddc3`, `rdc3`, `rdc5`, `rdc8`, `rdc9`,
+/// `sdc2`, `sdc6`–`sdc9`, `ldc6` and `ldc8`) as explicit pairs.
 #[test]
 fn pair_and_capacity_dcs_route_to_groups_and_windows_on_every_workload() {
     use cextend_core::conflict::DcRoute;
@@ -440,19 +439,20 @@ fn pair_and_capacity_dcs_route_to_groups_and_windows_on_every_workload() {
                 .collect();
             let builder = ConflictBuilder::new(&bound, truth);
             for (i, dc) in dcs.iter().enumerate() {
-                let route = builder.route(i);
-                if route != DcRoute::Edges {
-                    routed.push((w.meta().name.to_owned(), step, dc.name.clone(), route));
-                }
+                routed.push((
+                    w.meta().name.to_owned(),
+                    step,
+                    dc.name.clone(),
+                    builder.route(i),
+                ));
             }
         }
     }
-    use DcRoute::{Bulk, CapacityEdges, Groups, Windows};
+    use DcRoute::{Edges, Groups, Windows};
     // Census rows 1–4 and 8 are `-low`/`-up` window pairs over distinct
     // classes; rows 5–7 overlap rows 10–11 (an old owner's parent, a
-    // young owner's grandchild or child-in-law), so rows 5–7 keep bulk
-    // edges and the purely unary rows 10–11 enumerate. `dc12-su` is the
-    // pure-unary window pair.
+    // young owner's grandchild or child-in-law), so all five keep
+    // explicit pairs. `dc12-su` is the pure-unary window pair.
     let census_windows = [
         "dc1-Biological child-low",
         "dc1-Biological child-up",
@@ -473,7 +473,7 @@ fn pair_and_capacity_dcs_route_to_groups_and_windows_on_every_workload() {
         "dc4-Sibling-low",
         "dc4-Sibling-up",
     ];
-    let census_bulk = [
+    let census_edges = [
         "dc5-Father/Mother-low",
         "dc5-Father/Mother-up",
         "dc5-Parent-in-law-low",
@@ -485,11 +485,15 @@ fn pair_and_capacity_dcs_route_to_groups_and_windows_on_every_workload() {
     ];
     let mut want: Vec<(&str, usize, &str, DcRoute)> = Vec::new();
     want.extend(census_windows.iter().map(|&dc| ("census", 0, dc, Windows)));
-    want.extend(census_bulk.iter().map(|&dc| ("census", 0, dc, Bulk)));
+    want.extend(census_edges.iter().map(|&dc| ("census", 0, dc, Edges)));
     want.extend([
         ("census", 0, "dc8-Foster child-low", Windows),
         ("census", 0, "dc8-Foster child-up", Windows),
         ("census", 0, "dc9", Groups),
+        ("census", 0, "dc10-grandchild", Edges),
+        ("census", 0, "dc10-child-in-law", Edges),
+        ("census", 0, "dc11-parent", Edges),
+        ("census", 0, "dc11-parent-in-law", Edges),
         ("census", 0, "dc12-ss", Groups),
         ("census", 0, "dc12-su", Windows),
         ("census", 0, "dc12-uu", Groups),
@@ -497,27 +501,31 @@ fn pair_and_capacity_dcs_route_to_groups_and_windows_on_every_workload() {
         ("retail", 0, "rdc1-Standard-up", Windows),
         ("retail", 0, "rdc2-Standard-low", Windows),
         ("retail", 0, "rdc2-Standard-up", Windows),
-        ("retail", 0, "rdc3-Bulk-low", Bulk),
-        ("retail", 0, "rdc3-Bulk-up", Bulk),
+        ("retail", 0, "rdc3-Bulk-low", Edges),
+        ("retail", 0, "rdc3-Bulk-up", Edges),
         ("retail", 0, "rdc4-Gift-low", Windows),
         ("retail", 0, "rdc4-Gift-up", Windows),
-        ("retail", 0, "rdc5-Subscription-low", Bulk),
-        ("retail", 0, "rdc5-Subscription-up", Bulk),
+        ("retail", 0, "rdc5-Subscription-low", Edges),
+        ("retail", 0, "rdc5-Subscription-up", Edges),
         ("retail", 0, "rdc6", Groups),
         ("retail", 0, "rdc7", Groups),
+        ("retail", 0, "rdc8", Edges),
+        ("retail", 0, "rdc9", Edges),
         ("supply", 0, "sdc1-low", Windows),
         ("supply", 0, "sdc1-up", Windows),
-        ("supply", 0, "sdc2-low", Bulk),
-        ("supply", 0, "sdc2-up", Bulk),
+        ("supply", 0, "sdc2-low", Edges),
+        ("supply", 0, "sdc2-up", Edges),
         ("supply", 0, "sdc3-low", Windows),
         ("supply", 0, "sdc3-up", Windows),
         ("supply", 0, "sdc4", Groups),
         ("supply", 0, "sdc5", Groups),
+        ("supply", 0, "sdc6", Edges),
         // Any store beside a Hub: `sdc7` and `sdc8` filter only `t0`, and
-        // `sdc7` can emit Hub–Hub pairs too.
-        ("supply", 1, "sdc7", Bulk),
-        ("supply", 1, "sdc8", Bulk),
-        ("supply", 1, "sdc9", CapacityEdges),
+        // `sdc7` can emit Hub–Hub pairs too, so the capacity-shaped `sdc9`
+        // keeps explicit pairs.
+        ("supply", 1, "sdc7", Edges),
+        ("supply", 1, "sdc8", Edges),
+        ("supply", 1, "sdc9", Edges),
         ("logistics", 0, "ldc1-low", Windows),
         ("logistics", 0, "ldc1-up", Windows),
         ("logistics", 0, "ldc2-low", Windows),
@@ -526,13 +534,16 @@ fn pair_and_capacity_dcs_route_to_groups_and_windows_on_every_workload() {
         ("logistics", 0, "ldc4", Windows),
         ("logistics", 1, "ldc5-low", Windows),
         ("logistics", 1, "ldc5-up", Windows),
-        ("logistics", 1, "ldc6-low", Bulk),
-        ("logistics", 1, "ldc6-up", Bulk),
+        ("logistics", 1, "ldc6-low", Edges),
+        ("logistics", 1, "ldc6-up", Edges),
         ("logistics", 1, "ldc7", Groups),
+        ("logistics", 1, "ldc8", Edges),
         ("dcdense", 0, "ddc1-Filler-low", Windows),
         ("dcdense", 0, "ddc1-Filler-up", Windows),
         ("dcdense", 0, "ddc2-Spare-low", Windows),
         ("dcdense", 0, "ddc2-Spare-up", Windows),
+        // A `Track` key and an ordering atom.
+        ("dcdense", 0, "ddc3", Edges),
         ("dcdense", 0, "ddc4", Groups),
         ("dcdense", 0, "ddc5", Groups),
     ]);
